@@ -11,7 +11,6 @@ from .geometry import (
     ContainmentVerdict,
     NormBall,
     ScaledBall,
-    SensitivityProfile,
     ball_containment,
     gauge,
     k2_ball,
@@ -23,7 +22,6 @@ from .geometry import (
     volume_lp,
     volume_monte_carlo,
 )
-from .incgamma import gamma_cdf, gamma_quantile
 from .ordering import (
     ComparisonReport,
     compare,
@@ -31,6 +29,8 @@ from .ordering import (
     conditional_variance,
     depth,
     entropy,
+    gamma_cdf,
+    gamma_quantile,
     stochastic_tightness,
 )
 from .sampling import (
@@ -48,7 +48,6 @@ from .erm import (
     LossSpec,
     ObjPertConfig,
     OptimizerError,
-    logistic_loss_parts,
     logistic_loss_spec,
     logistic_sensitivity,
     minimize_erm,
@@ -57,6 +56,7 @@ from .erm import (
 from .linreg import (
     RegressionDataset,
     StatisticVector,
+    ball_from_name,
     build_statistic,
     dp_estimate,
     kT_member,

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import harness
-from .geometry import NormBall, k2_ball, k3_ball
 from .harness import SimulationConfig
-from .linreg import kt_ball
+from .linreg import ball_from_name
 from .ordering import compare
 from .sampling import MechanismConfig, RngStream, sample_noise
+
+# unused here, but perfbench/spans.py rebinds this name in this module
+from .linreg import kt_ball  # noqa: F401
 
 
 def _parse_eps(text):
@@ -25,27 +26,12 @@ def _parse_list(text):
     return tuple(tok for tok in text.split(",") if tok)
 
 
-def _parse_ball(token, m):
-    """Ball names: l1, l2, linf, l<p>, k2, k3, kt<p>."""
-    if token == "k2":
-        return k2_ball()
-    if token == "k3":
-        return k3_ball()
-    if token.startswith("kt"):
-        return kt_ball(int(token[2:]))
-    if token == "linf":
-        return NormBall.lp(math.inf, 1.0, m)
-    if token.startswith("l"):
-        return NormBall.lp(float(token[1:]), 1.0, m)
-    raise ValueError(f"unknown ball {token!r}")
-
-
 def _parse_mechanism(spec, m, epsilon):
     """Mechanism spec "<ball>:<delta>", e.g. "linf:2" or "k2:1"."""
     ball_token, _, delta_token = spec.partition(":")
     if not delta_token:
         raise ValueError(f"mechanism spec needs <ball>:<delta>, got {spec!r}")
-    ball = _parse_ball(ball_token, m)
+    ball = ball_from_name(ball_token, m)
     return MechanismConfig(
         epsilon=epsilon, delta=float(delta_token), ball=ball, label=spec
     )
@@ -122,7 +108,7 @@ def _cmd_compare(args):
 
 
 def _cmd_sample(args):
-    ball = _parse_ball(args.ball, args.m)
+    ball = ball_from_name(args.ball, args.m)
     config = MechanismConfig(epsilon=args.eps, delta=args.delta, ball=ball)
     rng = RngStream(args.seed, 0).generator()
     draws = sample_noise(config, rng, size=args.reps)
@@ -206,7 +192,8 @@ def main(argv=None) -> int:
     s.set_defaults(func=_cmd_sample)
 
     s = sub.add_parser("diagnostics", help="sampler statistical self-tests")
-    s.add_argument("--mech", type=_parse_list, default=("l1", "l2", "linf", "k2"))
+    s.add_argument("--mech", type=_parse_list, default=("l1", "l2", "linf", "k2"),
+                   help="comma list of ball names, as for sample --ball")
     s.add_argument("--draws", type=int, default=10_000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--inject-fault", choices=("laplace-scale",),

@@ -13,7 +13,6 @@ regularizer is used. Instantiated here for logistic regression.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -27,13 +26,10 @@ __all__ = [
     "LossSpec",
     "ObjPertConfig",
     "OptimizerError",
-    "logistic_loss_parts",
     "logistic_sensitivity",
     "logistic_loss_spec",
     "minimize_erm",
     "objective_perturbation",
-    "read_examples",
-    "theta_csv_row",
 ]
 
 
@@ -97,25 +93,6 @@ def _sigmoid(z):
     return out
 
 
-def logistic_loss_parts(theta, x, y):
-    """Per-example logistic loss, gradient and Hessian at one (x, y).
-
-    loss = log(1 + exp(theta'x)) - y*theta'x, gradient = (sigma(theta'x) - y)*x,
-    Hessian = sigma(1-sigma)*x x'. Features must lie in [-1, 1] or the
-    sensitivity bounds are void.
-    """
-    theta = np.asarray(theta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.abs(x).max() > 1.0 + 1e-12:
-        raise ValueError("feature vector outside [-1, 1]")
-    z = float(theta @ x)
-    sig = float(_sigmoid(np.array([z]))[0])
-    loss = float(np.logaddexp(0.0, z) - y * z)
-    grad = (sig - y) * x
-    hess = sig * (1.0 - sig) * np.outer(x, x)
-    return loss, grad, hess
-
-
 def logistic_sensitivity(m, p):
     """Gauge bound on logistic gradient differences: 2, 2*sqrt(m), 2m for p=inf,2,1."""
     if m < 1:
@@ -170,7 +147,9 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, theta0=None,
 
     Damped Newton with Armijo backtracking (constant 1e-4, halving), falling
     back to a gradient step when the Hessian solve fails or produces a
-    non-descent direction. Converges when the gradient l2 norm of the
+    non-descent direction. A full step that fails the Armijo test is still
+    taken when it raises f by no more than rounding error (1e-12 relative)
+    and halves the gradient norm. Converges when the gradient l2 norm of the
     mean-scaled objective is at most grad_tol; raises OptimizerError with
     diagnostics after max_iter iterations.
     """
@@ -207,6 +186,11 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, theta0=None,
             ft, gt = value_and_grad(trial)
             if ft <= f + 1e-4 * t_step * gd:
                 break
+            # near the minimizer the true decrease of a full step can fall
+            # below the rounding error of f, so Armijo alone would stall
+            if (t_step == 1.0 and ft - f <= 1e-12 * (1.0 + abs(f))
+                    and gt @ gt < 0.25 * (g @ g)):
+                break
             t_step *= 0.5
             if t_step < 2.0**-60:
                 raise OptimizerError(
@@ -219,34 +203,6 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, theta0=None,
     raise OptimizerError(
         f"no convergence after {max_iter} iterations; gradient norm {gnorm:.3e}"
     )
-
-
-def read_examples(path):
-    """Read examples from CSV rows of the form feature_1,...,feature_m,label.
-
-    No header row. Returns (X, y) arrays.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        for i, line in enumerate(csv.reader(fh), start=1):
-            if not line:
-                continue
-            try:
-                rows.append([float(cell) for cell in line])
-            except ValueError:
-                raise ValueError(f"{path}: row {i}: not numeric: {line!r}") from None
-    if not rows:
-        raise ValueError(f"{path}: no examples")
-    width = len(rows[0])
-    if width < 2 or any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: rows must all be m features plus a label")
-    data = np.array(rows)
-    return data[:, :-1], data[:, -1]
-
-
-def theta_csv_row(theta):
-    """Format a fitted parameter vector as one CSV row."""
-    return ",".join(repr(float(v)) for v in np.asarray(theta, dtype=float))
 
 
 def objective_perturbation(config: ObjPertConfig, X, y, rng):

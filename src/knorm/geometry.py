@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "NormBall",
     "ScaledBall",
-    "SensitivityProfile",
     "ContainmentVerdict",
     "lp_norm",
     "gauge",
@@ -31,8 +30,6 @@ __all__ = [
     "volume_monte_carlo",
     "ball_containment",
     "quadratic_pair_sensitivity",
-    "ball_to_text",
-    "ball_from_text",
 ]
 
 _GAUGE_REL_TOL = 1e-10
@@ -89,7 +86,7 @@ class NormBall:
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.p is not None:
-            if self.p != math.inf and self.p < 1:
+            if not self.p >= 1:  # also rejects nan
                 raise ValueError(f"p must be >= 1 or inf, got {self.p}")
             if not (self.radius > 0 and math.isfinite(self.radius)):
                 raise ValueError(f"radius must be positive, got {self.radius}")
@@ -440,68 +437,3 @@ def quadratic_pair_sensitivity(p):
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     return max(float(vals[i]), _golden_max(f, lo, hi))
-
-
-@dataclass(frozen=True)
-class SensitivityProfile:
-    """Per-norm sensitivity values for one statistic, with provenance.
-
-    Entries map a norm identifier (e.g. "l1", "linf", "k2") to a
-    (value, provenance) pair where provenance is "exact" or "upper-bound".
-    Construction rejects non-finite or non-positive values: an infinite
-    sensitivity means no K-norm mechanism applies.
-    """
-
-    statistic_id: str
-    entries: dict
-
-    def __post_init__(self):
-        for norm_id, (value, provenance) in self.entries.items():
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(
-                    f"sensitivity for {norm_id!r} must be finite and positive, got {value}"
-                )
-            if provenance not in ("exact", "upper-bound"):
-                raise ValueError(f"unknown provenance {provenance!r}")
-
-    def value(self, norm_id):
-        return self.entries[norm_id][0]
-
-
-_ORACLE_REGISTRY = {
-    "k2": k2_ball,
-    "k3": k3_ball,
-}
-
-
-def register_oracle(name, factory):
-    """Register a named oracle-ball factory for text deserialization."""
-    _ORACLE_REGISTRY[name] = factory
-
-
-def ball_to_text(ball: NormBall) -> str:
-    """Serialize a ball spec as a small text record."""
-    if ball.is_lp:
-        p = "inf" if ball.p == math.inf else repr(ball.p)
-        return f"kind=lp;p={p};r={ball.radius!r};m={ball.dimension}"
-    return (
-        f"kind=oracle;name={ball.name};b={ball.linf_bound!r};m={ball.dimension}"
-    )
-
-
-def ball_from_text(text: str) -> NormBall:
-    """Parse a ball spec produced by ball_to_text (oracle names must be registered)."""
-    fields = dict(item.split("=", 1) for item in text.strip().split(";"))
-    kind = fields.get("kind")
-    if kind == "lp":
-        p = math.inf if fields["p"] == "inf" else float(fields["p"])
-        return NormBall.lp(p, float(fields["r"]), int(fields["m"]))
-    if kind == "oracle":
-        name = fields["name"]
-        if name not in _ORACLE_REGISTRY:
-            raise ValueError(f"unknown oracle ball {name!r}")
-        ball = _ORACLE_REGISTRY[name]()
-        if ball.dimension != int(fields["m"]):
-            raise ValueError(f"oracle {name!r} has dimension {ball.dimension}")
-        return ball
-    raise ValueError(f"unparseable ball spec: {text!r}")

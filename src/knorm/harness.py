@@ -15,25 +15,35 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import kolmogi, stdtrit
 
-from .erm import ObjPertConfig, logistic_loss_spec, minimize_erm, objective_perturbation
-from .geometry import k2_ball, lp_norm
-from .incgamma import gamma_cdf
+from .erm import (
+    ObjPertConfig,
+    _sigmoid,
+    logistic_loss_spec,
+    minimize_erm,
+    objective_perturbation,
+)
 from .linreg import (
     RegressionDataset,
+    ball_from_name,
     build_statistic,
     dp_estimate,
     preprocess,
     sanitize_statistic,
 )
+from .ordering import gamma_cdf
 from .sampling import (
+    MechanismConfig,
     RngStream,
     sample_k_mech_rejection,
     sample_l1_mech,
-    sample_l2_mech,
-    sample_linf_mech,
+    sample_noise,
 )
+
+# unused here, but perfbench/spans.py rebinds these names in this module
+from .geometry import lp_norm  # noqa: F401
+from .sampling import sample_l2_mech, sample_linf_mech  # noqa: F401
 
 __all__ = [
     "SimulationConfig",
@@ -160,18 +170,6 @@ def _noise_stream(config, eps_idx, mech_idx, rep):
     return config.reps + ((eps_idx * n_mech + mech_idx) * config.reps + rep)
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-_LOGISTIC_NORMS = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
-
-
 def simulate_logistic(config: SimulationConfig) -> ResultTable:
     """Private logistic regression on synthetic data.
 
@@ -181,19 +179,19 @@ def simulate_logistic(config: SimulationConfig) -> ResultTable:
     recording the l2 distance to the true coefficients. Summaries are
     lower medians per cell.
     """
-    bad = [m for m in config.mechanisms if m not in _LOGISTIC_NORMS]
-    if bad:
-        raise ValueError(f"unknown logistic mechanisms: {bad}")
     beta = LOGISTIC_BETA
     m = len(beta)
+    losses = {}
+    for mech in config.mechanisms:
+        ball = ball_from_name(mech, m)
+        if not ball.is_lp:
+            raise ValueError(f"logistic regression needs an lp ball, got {mech!r}")
+        # logistic_sensitivity rejects an lp ball other than l1, l2 or linf
+        losses[mech] = logistic_loss_spec(m, ball.p)
     table = ResultTable(
         config_echo=_echo(config, m=m),
         long_header=("epsilon", "mechanism", "replicate", "metric", "value"),
     )
-    losses = {
-        mech: logistic_loss_spec(m, _LOGISTIC_NORMS[mech])
-        for mech in config.mechanisms
-    }
     errors = {
         (eps, mech): [] for eps in config.eps for mech in config.mechanisms
     }
@@ -254,7 +252,7 @@ def simulate_coverage(config: SimulationConfig) -> ResultTable:
     }
     true_cov = []
     n = config.n
-    tcrit = float(sps.t.ppf(0.975, n - p - 1))
+    tcrit = float(stdtrit(n - p - 1, 0.975))
     for rep in range(config.reps):
         g = RngStream(config.seed, rep).generator()
         X = np.empty((n, p + 1))
@@ -394,26 +392,9 @@ def ks_statistic(samples, cdf):
     return float(max((i / n - f).max(), (f - (i - 1) / n).max()))
 
 
-def _kolmogorov_sf(x):
-    total = 0.0
-    for k in range(1, 101):
-        term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * x * x)
-        total += term
-        if abs(term) < 1e-16:
-            break
-    return total
-
-
 def ks_critical(n, alpha=0.01):
     """Critical KS distance at level alpha (asymptotic Kolmogorov law)."""
-    lo, hi = 0.3, 5.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _kolmogorov_sf(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) / math.sqrt(n)
+    return float(kolmogi(alpha)) / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -445,27 +426,16 @@ class DiagnosticsReport:
         return lines
 
 
-def _diag_draws(mech, m, delta, epsilon, rng, n_draws, fault):
-    """Noise draws plus their gauges for one named sampler."""
-    zero = np.zeros(m)
-    if mech == "l1":
-        d = delta / 2.0 if fault == "laplace-scale" else delta
-        v = sample_l1_mech(zero, d, epsilon, rng, size=n_draws)
-        return v, lp_norm(v, 1)
-    if mech == "l2":
-        v = sample_l2_mech(zero, delta, epsilon, rng, size=n_draws)
-        return v, lp_norm(v, 2)
-    if mech == "linf":
-        v = sample_linf_mech(zero, delta, epsilon, rng, size=n_draws)
-        return v, lp_norm(v, math.inf)
-    if mech == "k2":
-        ball = k2_ball()
-        v, stats = sample_k_mech_rejection(
-            np.zeros(2), ball, delta, epsilon, rng, size=n_draws,
-            return_stats=True,
-        )
-        return v, ball.gauge_many(v), stats
-    raise ValueError(f"unknown diagnostic mechanism {mech!r}")
+def _diag_draws(ball, delta, epsilon, rng, n_draws):
+    """Noise draws, their gauges, and the rejection counts for an oracle ball."""
+    if ball.is_lp:
+        v = sample_noise(MechanismConfig(epsilon, delta, ball), rng, size=n_draws)
+        return v, ball.gauge_many(v), None
+    v, stats = sample_k_mech_rejection(
+        np.zeros(ball.dimension), ball, delta, epsilon, rng, size=n_draws,
+        return_stats=True,
+    )
+    return v, ball.gauge_many(v), stats
 
 
 def _dp_ratio_check(epsilon, n, seed):
@@ -493,7 +463,9 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
                     seed=0, fault=None) -> DiagnosticsReport:
     """Run the sampler self-tests and collect per-check verdicts.
 
-    Checks per mechanism: Kolmogorov-Smirnov test of the noise gauge
+    Mechanisms are ball names as ball_from_name reads them, with Delta = 1
+    and eps = 1; lp balls are 2-dimensional, the hull bodies keep their own
+    dimension. Checks per mechanism: Kolmogorov-Smirnov test of the noise gauge
     against its Gamma(m, eps/Delta) marginal at level 0.01, and a
     4-standard-error unbiasedness check per coordinate. The l1 entry adds
     the Laplace histogram ratio bound; the k2 entry adds the rejection
@@ -505,13 +477,16 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
     With several simultaneous 0.01-level tests the false-alarm rate is a
     few percent (no Bonferroni correction); the default seed is known-good.
     """
+    delta, epsilon = 1.0, 1.0
+    balls = [ball_from_name(mech, 2) for mech in mechanisms]
     checks = []
-    configs = {"m": 2, "delta": 1.0, "epsilon": 1.0}
-    for idx, mech in enumerate(mechanisms):
-        m, delta, epsilon = configs["m"], configs["delta"], configs["epsilon"]
+    for idx, (mech, ball) in enumerate(zip(mechanisms, balls)):
+        m = ball.dimension
         rng = RngStream(seed, 1000 + idx).generator()
-        out = _diag_draws(mech, m, delta, epsilon, rng, n_draws, fault)
-        v, gauges = out[0], out[1]
+        faulty = fault == "laplace-scale" and mech == "l1"
+        v, gauges, stats = _diag_draws(
+            ball, delta / 2.0 if faulty else delta, epsilon, rng, n_draws
+        )
         rate = epsilon / delta
         d = ks_statistic(gauges, lambda x: gamma_cdf(x, m, rate))
         crit = ks_critical(n_draws, 0.01)
@@ -536,7 +511,6 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
             )
         )
         if mech == "k2":
-            stats = out[2]
             expected = (40.0 / 3.0) / 16.0
             se_rate = math.sqrt(expected * (1 - expected) / stats["proposals"])
             dev = abs(stats["acceptance_rate"] - expected) / se_rate

@@ -14,18 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    NormBall,
-    _k2_member_many,
-    _k3_member_many,
-    register_oracle,
-)
-from .sampling import sample_k_mech_rejection, sample_l1_mech, sample_linf_mech
+from .geometry import NormBall, _k2_member_many, _k3_member_many, k2_ball, k3_ball
+from .sampling import MechanismConfig, sample_noise
+
+# unused here, but perfbench/spans.py rebinds these names in this module
+from .sampling import sample_k_mech_rejection, sample_l1_mech, sample_linf_mech  # noqa: F401
 
 __all__ = [
     "StatisticLayout",
     "StatisticVector",
     "RegressionDataset",
+    "ball_from_name",
     "build_statistic",
     "kT_member",
     "kt_ball",
@@ -33,8 +32,6 @@ __all__ = [
     "sanitize_statistic",
     "dp_estimate",
     "preprocess",
-    "statistic_to_csv",
-    "coefficients_to_csv",
 ]
 
 #: per-slot sensitivity after the doubling rescale
@@ -83,23 +80,6 @@ class StatisticLayout:
     def xy_idx(self, j):
         """Slot of sum_i x_ij y_i."""
         return self._ysum + j
-
-    def names(self):
-        p = self.p
-        out = [f"sum_x{j}" for j in range(1, p + 1)]
-        for k in range(1, p + 1):
-            for j in range(1, k + 1):
-                out.append(f"sumsq2_x{j}" if j == k else f"cross_x{j}_x{k}")
-        out.append("sum_y")
-        out.extend(f"sum_x{j}y" for j in range(1, p + 1))
-        return out
-
-    def doubled_mask(self):
-        """Boolean mask of the slots carrying the x2 rescale."""
-        mask = np.zeros(self.d, dtype=bool)
-        for j in range(1, self.p + 1):
-            mask[self.sq_idx(j)] = True
-        return mask
 
 
 @dataclass(frozen=True)
@@ -229,10 +209,27 @@ def kt_ball(p) -> NormBall:
     )
 
 
-for _p in (1, 2, 5):
-    register_oracle(f"kt{_p}", lambda _p=_p: kt_ball(_p))
+def ball_from_name(token, m):
+    """The unit ball named l1, l2, linf, l<p> (any p >= 1), k2, k3 or kt<p>.
+
+    lp balls get dimension m; k2, k3 and kt<p> have their own dimension.
+    """
+    if token == "k2":
+        return k2_ball()
+    if token == "k3":
+        return k3_ball()
+    try:
+        if token.startswith("kt"):
+            return kt_ball(int(token[2:]))
+        if token.startswith("l"):
+            # float("inf") reads the "linf" name
+            return NormBall.lp(float(token[1:]), 1.0, m)
+    except ValueError as exc:
+        raise ValueError(f"bad ball name {token!r}: {exc}") from None
+    raise ValueError(f"unknown ball {token!r}")
 
 
+#: sensitivity Delta of the whole statistic vector in each mechanism's unit ball
 _MECH_DELTAS = {
     "l1": lambda d: SLOT_SENSITIVITY * d,
     "linf": lambda d: SLOT_SENSITIVITY,
@@ -247,29 +244,14 @@ def sanitize_statistic(stat: StatisticVector, mech, epsilon, rng,
     mech is "l1" (Delta = 2d), "linf" (Delta = 2) or "kt" (hull body,
     Delta = 1). Rejection-sampler failures for "kt" propagate.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    d = stat.layout.d
-    if mech == "l1":
-        noisy = sample_l1_mech(stat.values, 2.0 * d, epsilon, rng)
-    elif mech == "linf":
-        noisy = sample_linf_mech(stat.values, SLOT_SENSITIVITY, epsilon, rng)
-    elif mech == "kt":
-        noisy = sample_k_mech_rejection(
-            stat.values, kt_ball(stat.p), 1.0, epsilon, rng,
-            max_attempts=max_attempts,
-        )
-    else:
+    if mech not in _MECH_DELTAS:
         raise ValueError(f"unknown mechanism {mech!r}; use l1, linf, or kt")
-    return StatisticVector(noisy, stat.p)
-
-
-def mechanism_delta(mech, p):
-    """Sensitivity used by sanitize_statistic for a given mechanism name."""
-    try:
-        return _MECH_DELTAS[mech](statistic_dimension(p))
-    except KeyError:
-        raise ValueError(f"unknown mechanism {mech!r}; use l1, linf, or kt") from None
+    d = stat.layout.d
+    # "kt" is the hull body of this statistic's predictor count
+    ball = ball_from_name(f"kt{stat.p}" if mech == "kt" else mech, d)
+    config = MechanismConfig(epsilon, _MECH_DELTAS[mech](d), ball)
+    noise = sample_noise(config, rng, max_attempts=max_attempts)
+    return StatisticVector(stat.values + noise, stat.p)
 
 
 def dp_estimate(stat: StatisticVector, n_rows):
@@ -297,26 +279,6 @@ def dp_estimate(stat: StatisticVector, n_rows):
     xty[1:] = v[layout.ysum_idx + 1 :]
     rcond = (p + 1) * np.finfo(float).eps
     return np.linalg.pinv(xtx, rcond=rcond) @ xty
-
-
-def statistic_to_csv(stat: StatisticVector) -> str:
-    """Statistic values as a two-line CSV: slot-name header plus values."""
-    names = stat.layout.names()
-    values = ",".join(repr(float(v)) for v in stat.values)
-    return ",".join(names) + "\n" + values + "\n"
-
-
-def coefficients_to_csv(beta, predictor_names=None) -> str:
-    """Coefficient estimate as a two-line CSV with named columns."""
-    beta = np.asarray(beta, dtype=float)
-    p = len(beta) - 1
-    if predictor_names is None:
-        predictor_names = [f"x{j}" for j in range(1, p + 1)]
-    if len(predictor_names) != p:
-        raise ValueError("one name per predictor required")
-    header = ",".join(["intercept", *predictor_names])
-    values = ",".join(repr(float(v)) for v in beta)
-    return header + "\n" + values + "\n"
 
 
 def preprocess(columns, response, log_columns=(), lower_q=0.0001,

@@ -114,7 +114,14 @@ def sample_l1_mech(T, delta1, epsilon, rng, size=None):
     m = T.shape[-1]
     scale = delta1 / epsilon
     shape = (m,) if size is None else (size, m)
-    v = _laplace_inverse_cdf(rng.random(shape), scale)
+    u = rng.random(shape)
+    # u = 0 maps to -inf; redrawing it conditions u onto (0, 1), which keeps
+    # the draw exact and leaves every stream without an exact 0 unchanged
+    zero = u == 0.0
+    while zero.any():
+        u[zero] = rng.random(int(zero.sum()))
+        zero = u == 0.0
+    v = _laplace_inverse_cdf(u, scale)
     return T + v
 
 

@@ -7,10 +7,7 @@ from knorm.geometry import (
     ContainmentVerdict,
     NormBall,
     ScaledBall,
-    SensitivityProfile,
     ball_containment,
-    ball_from_text,
-    ball_to_text,
     gauge,
     k2_ball,
     k2_member,
@@ -327,41 +324,3 @@ class TestHullOptimality:
         }
         for p, delta in deltas.items():
             assert (lp_norm(boundary, p) <= delta * (1 + 1e-9)).all()
-
-
-class TestSensitivityProfile:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            SensitivityProfile("t", {"l1": (0.0, "exact")})
-        with pytest.raises(ValueError):
-            SensitivityProfile("t", {"l1": (math.inf, "exact")})
-
-    def test_rejects_bad_provenance(self):
-        with pytest.raises(ValueError):
-            SensitivityProfile("t", {"l1": (1.0, "guess")})
-
-    def test_lookup(self):
-        prof = SensitivityProfile(
-            "quadratic-pair",
-            {"l1": (3.125, "exact"), "l1-approx": (4.0, "upper-bound")},
-        )
-        assert prof.value("l1") == 3.125
-        assert prof.value("l1") <= prof.value("l1-approx")
-
-
-class TestBallText:
-    def test_lp_round_trip(self):
-        ball = NormBall.lp(2, 1.5, 3)
-        assert ball_from_text(ball_to_text(ball)) == ball
-        inf_ball = NormBall.lp(INF, 2.0, 4)
-        assert ball_from_text(ball_to_text(inf_ball)) == inf_ball
-
-    def test_oracle_round_trip(self):
-        text = ball_to_text(k2_ball())
-        ball = ball_from_text(text)
-        assert ball.name == "k2" and ball.dimension == 2
-        assert ball.member_many(np.array([[1.0, 2.0]]))[0]
-
-    def test_unknown_oracle(self):
-        with pytest.raises(ValueError):
-            ball_from_text("kind=oracle;name=mystery;b=1.0;m=2")

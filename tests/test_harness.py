@@ -1,10 +1,14 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import knorm
 from knorm.cli import main
 from knorm.harness import (
     SimulationConfig,
@@ -202,6 +206,18 @@ class TestDiagnostics:
         assert ks_checks and not ks_checks[0].passed
         assert not report.all_passed
 
+    def test_any_ball_name(self):
+        report = run_diagnostics(mechanisms=("k3", "l1.5"), n_draws=2000, seed=0)
+        assert report.all_passed
+        ks = {c.name: c for c in report.checks if "gamma-marginal" in c.name}
+        # hull bodies keep their own dimension, lp balls are 2-dimensional
+        assert "m=3 " in ks["gamma-marginal-ks[k3]"].detail
+        assert "m=2 " in ks["gamma-marginal-ks[l1.5]"].detail
+
+    def test_unknown_mechanism_rejected(self):
+        with pytest.raises(ValueError, match="gauss"):
+            run_diagnostics(mechanisms=("l1", "gauss"), n_draws=100, seed=0)
+
     def test_empty_mechanisms_empty_report(self):
         report = run_diagnostics(mechanisms=(), seed=0)
         assert report.checks == []
@@ -304,6 +320,13 @@ class TestCli:
         ])
         assert code == 0
         assert "l2_distance_to_mle" in out.read_text()
+
+    def test_cli_import_skips_scipy_stats(self):
+        # importing scipy.stats costs about a second of CLI start-up
+        src = os.path.dirname(os.path.dirname(knorm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import knorm.cli, sys; assert 'scipy.stats' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_error_exit_code(self, capsys):
         code = main(["run-regression", "--csv", "/nonexistent.csv",

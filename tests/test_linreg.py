@@ -8,15 +8,14 @@ from knorm.linreg import (
     RegressionDataset,
     StatisticLayout,
     StatisticVector,
+    ball_from_name,
     build_statistic,
-    coefficients_to_csv,
     dp_estimate,
     kT_member,
     kt_ball,
     preprocess,
     sanitize_statistic,
     statistic_dimension,
-    statistic_to_csv,
 )
 from knorm.sampling import RngStream, SamplerError
 
@@ -40,19 +39,31 @@ class TestLayout:
         assert statistic_dimension(2) == 8
 
     def test_names_cover_all_slots(self):
-        layout = StatisticLayout(3)
-        names = layout.names()
-        assert len(names) == layout.d == len(set(names))
-        assert names[0] == "sum_x1"
-        assert names[layout.ysum_idx] == "sum_y"
-        assert names[layout.sq_idx(2)] == "sumsq2_x2"
-        assert names[layout.cross_idx(1, 3)] == "cross_x1_x3"
+        # the named index functions hit every slot exactly once
+        for p in (1, 2, 3, 5):
+            layout = StatisticLayout(p)
+            js = range(1, p + 1)
+            slots = [layout.sum_idx(j) for j in js]
+            slots += [layout.sq_idx(j) for j in js]
+            slots += [layout.cross_idx(j, k) for k in js for j in range(1, k)]
+            slots += [layout.ysum_idx] + [layout.xy_idx(j) for j in js]
+            assert sorted(slots) == list(range(layout.d))
 
-    def test_doubled_mask(self):
-        layout = StatisticLayout(2)
-        mask = layout.doubled_mask()
-        assert mask.sum() == 2
-        assert mask[layout.sq_idx(1)] and mask[layout.sq_idx(2)]
+
+NAMED_DIMENSIONS = {"l1": 4, "l2": 4, "linf": 4, "l1.5": 4, "k2": 2, "k3": 3, "kt3": 13}
+
+
+class TestBallFromName:
+    @pytest.mark.parametrize("name", NAMED_DIMENSIONS)
+    def test_named_ball(self, name):
+        ball = ball_from_name(name, 4)
+        assert ball.dimension == NAMED_DIMENSIONS[name]
+        assert ball.label() == name
+
+    @pytest.mark.parametrize("name", ["mystery", "gauss", "kt", "l0.5", "lnan"])
+    def test_unknown_name_rejected(self, name):
+        with pytest.raises(ValueError):
+            ball_from_name(name, 4)
 
 
 class TestBuildStatistic:
@@ -242,23 +253,6 @@ class TestDpEstimate:
         noisy = sanitize_statistic(stat, "l1", 0.01, g)
         beta = dp_estimate(noisy, 5)
         assert np.all(np.isfinite(beta))
-
-
-class TestCsvOutput:
-    def test_statistic_csv_slot_names(self):
-        stat = build_statistic(single_row_dataset(np.array([0.5]), -1.0))
-        text = statistic_to_csv(stat)
-        header, values = text.strip().split("\n")
-        assert header == "sum_x1,sumsq2_x1,sum_y,sum_x1y"
-        assert [float(v) for v in values.split(",")] == [0.5, 0.5, -1.0, -0.5]
-
-    def test_coefficients_csv(self):
-        text = coefficients_to_csv([0.1, -0.2, 0.3], ["age", "size"])
-        header, values = text.strip().split("\n")
-        assert header == "intercept,age,size"
-        assert np.allclose([float(v) for v in values.split(",")], [0.1, -0.2, 0.3])
-        with pytest.raises(ValueError):
-            coefficients_to_csv([0.1, 0.2], ["a", "b", "c"])
 
 
 class TestPreprocess:

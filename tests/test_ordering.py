@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special as spsp
 import scipy.stats as sps
 
+from knorm import gamma_cdf, gamma_quantile
 from knorm.geometry import NormBall, k2_ball, volume_lp
-from knorm.incgamma import gamma_cdf, gamma_quantile, regularized_gamma_p
 from knorm.ordering import (
     compare,
     concentration_radius,
@@ -33,10 +32,12 @@ def lp_config(p, delta, m=2, eps=1.0, label=None):
 class TestIncompleteGamma:
     @pytest.mark.parametrize("shape", [0.5, 1, 2, 3, 7, 26, 50])
     def test_matches_scipy(self, shape):
-        xs = np.linspace(0.01, 4 * shape, 200)
-        ours = np.array([regularized_gamma_p(shape, x) for x in xs])
-        ref = spsp.gammainc(shape, xs)
+        rate = 0.5
+        xs = np.linspace(0.01, 4 * shape, 200) / rate
+        ours = np.array([gamma_cdf(x, shape, rate) for x in xs])
+        ref = sps.gamma.cdf(xs, shape, scale=1.0 / rate)
         assert np.abs(ours - ref).max() < 1e-12
+        assert gamma_cdf(0.0, shape, rate) == gamma_cdf(-1.0, shape, rate) == 0.0
 
     def test_quantile_matches_scipy(self):
         for shape, rate, alpha in [(2, 1, 0.5), (7, 0.125, 0.9), (1, 1, 0.6321), (26, 2, 0.05)]:
@@ -46,9 +47,13 @@ class TestIncompleteGamma:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            regularized_gamma_p(-1, 1.0)
+            gamma_cdf(1.0, -1, 1.0)
+        with pytest.raises(ValueError):
+            gamma_cdf(1.0, 2, 0.0)
         with pytest.raises(ValueError):
             gamma_quantile(1.5, 2, 1)
+        with pytest.raises(ValueError):
+            gamma_quantile(0.5, 2, -1.0)
 
 
 class TestEntropy:

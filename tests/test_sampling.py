@@ -70,6 +70,21 @@ class TestL1Mech:
         out = sample_l1_mech(np.array([3.0, -1.0]), 1.0, 1.0, Median())
         assert np.all(out == [3.0, -1.0])
 
+    def test_zero_uniform_redrawn(self):
+        # random() returns exactly 0.0 with probability 2^-53 per coordinate,
+        # and the inverse CDF maps 0 to -inf
+        class ZeroFirst:
+            calls = 0
+
+            def random(self, shape):
+                self.calls += 1
+                return np.zeros(shape) if self.calls == 1 else np.full(shape, 0.25)
+
+        out = sample_l1_mech(np.zeros(3), 1.0, 1.0, ZeroFirst(), size=2)
+        assert np.all(np.isfinite(out))
+        # the redrawn u = 1/4 is the Laplace(1) quantile -log 2
+        assert np.allclose(out, -math.log(2.0))
+
     def test_unbiased(self):
         rng = RngStream(2, 0).generator()
         out = sample_l1_mech(np.zeros(2), 1.0, 1.0, rng, size=100_000)
