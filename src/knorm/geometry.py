@@ -183,18 +183,29 @@ def gauge(ball: NormBall, x) -> float:
     return ball.gauge(x)
 
 
+def _k2_cap(a):
+    # the parabola bounding the (sum, doubled square) hull for |u1| in [1, 2]
+    return 2.0 - 2.0 * (a - 1.0) ** 2
+
+
+def _k2_piece(s, q):
+    """Elementwise k2 membership of (sum, doubled square) absolute values."""
+    return (s <= 2.0) & (q <= 2.0) & ((s <= 1.0) | (q <= _k2_cap(s)))
+
+
+def _k3_piece(a, b, c):
+    """Elementwise k3 membership of (sum x, sum y, sum xy) absolute values."""
+    return (a <= 2.0) & (b <= 2.0) & (c <= 2.0) & ((a + b) + c <= 4.0)
+
+
 def _k2_member_many(u):
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    a1 = np.abs(u[:, 0])
-    a2 = np.abs(u[:, 1])
-    cap = 2.0 - 2.0 * (a1 - 1.0) ** 2
-    return (a1 <= 2.0) & (a2 <= 2.0) & ((a1 <= 1.0) | (a2 <= cap))
+    a = np.abs(np.atleast_2d(np.asarray(u, dtype=float)))
+    return _k2_piece(a[:, 0], a[:, 1])
 
 
 def _k3_member_many(u):
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    a = np.abs(u)
-    return (a <= 2.0).all(axis=1) & (a.sum(axis=1) <= 4.0)
+    a = np.abs(np.atleast_2d(np.asarray(u, dtype=float)))
+    return _k3_piece(a[:, 0], a[:, 1], a[:, 2])
 
 
 def k2_member(u) -> bool:
@@ -337,9 +348,11 @@ def ball_containment(a: ScaledBall, b: ScaledBall, n_directions=512, seed=0,
                      vertices=None) -> ContainmentVerdict:
     """Decide whether scale_a*K_a is contained in scale_b*K_b.
 
-    lp-vs-lp pairs are decided analytically from the extremal norm ratio.
-    If ``vertices`` (points of a's unit-scale ball) are supplied, or a is a
-    polytope lp ball with a tractable vertex list, vertex checking is exact.
+    lp-vs-lp pairs are decided analytically from the extremal norm ratio,
+    and a body whose l-infinity bounding radius fits inside an l-infinity
+    ball b is contained in it. If ``vertices`` (points of a's unit-scale
+    ball) are supplied, or a is a polytope lp ball with a tractable vertex
+    list, vertex checking is exact.
     Otherwise the check samples ``n_directions`` boundary points of a: any
     point falling outside b is a witness for not_contained, while no
     violation only yields "undetermined" (probabilistic evidence).
@@ -374,6 +387,12 @@ def ball_containment(a: ScaledBall, b: ScaledBall, n_directions=512, seed=0,
             inv_a = 0.0 if a.ball.p == math.inf else 1.0 / a.ball.p
             witness = np.full(m, ra * m ** (-inv_a))
         return ContainmentVerdict("not_contained", witness)
+
+    # every body lies in its own l-infinity bounding box
+    if b.ball.p == math.inf and (
+        a.scale * a.ball.linf_radius <= b.scale * b.ball.radius * (1.0 + 1e-12)
+    ):
+        return ContainmentVerdict("contained")
 
     if vertices is None and a.ball.is_lp:
         vertices = _lp_vertices(a.ball)
@@ -427,12 +446,12 @@ def quadratic_pair_sensitivity(p):
     if p != math.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     grid = np.linspace(0.0, 2.0, 2001)
-    pts = np.column_stack([grid, 2.0 - 2.0 * (grid - 1.0) ** 2])
+    pts = np.stack([grid, _k2_cap(grid)], axis=1)
     vals = lp_norm(pts, p)
     i = int(np.argmax(vals))
 
     def f(u):
-        return float(lp_norm(np.array([u, 2.0 - 2.0 * (u - 1.0) ** 2]), p))
+        return float(lp_norm(np.array([u, _k2_cap(u)]), p))
 
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]

@@ -384,10 +384,10 @@ def run_regression_file(config: SimulationConfig) -> ResultTable:
 # -- statistical self-tests ------------------------------------------------
 
 def ks_statistic(samples, cdf):
-    """One-sample Kolmogorov-Smirnov distance against a CDF callable."""
+    """One-sample Kolmogorov-Smirnov distance against a vectorized CDF callable."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
-    f = np.array([cdf(v) for v in x])
+    f = np.asarray(cdf(x), dtype=float)
     i = np.arange(1, n + 1)
     return float(max((i / n - f).max(), (f - (i - 1) / n).max()))
 

@@ -10,11 +10,12 @@ which is pure post-processing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormBall, _k2_member_many, _k3_member_many, k2_ball, k3_ball
+from .geometry import NormBall, _k2_piece, _k3_piece, k2_ball, k3_ball
 from .sampling import MechanismConfig, sample_noise
 
 # unused here, but perfbench/spans.py rebinds these names in this module
@@ -46,40 +47,37 @@ def statistic_dimension(p):
 
 
 class StatisticLayout:
-    """Fixed slot ordering of the sufficient-statistic vector.
+    """Slot ordering of the sufficient-statistic vector, as index arrays.
 
-    Order: the p column sums; the upper triangle of the predictor Gram
-    block, column-major, with diagonal (squared) slots doubled; the
-    response sum; and the p predictor-response cross sums.
+    Order: the p column sums (slots ``sums``); the lower triangle of the
+    predictor Gram block in ``np.tril_indices(p)`` order, (0,0), (1,0),
+    (1,1), (2,0), ..., at entries ``gram_rows``/``gram_cols`` times
+    ``gram_scale``, so the ``squares`` slots are doubled and the ``cross``
+    slots hold predictors ``cross_j < cross_k`` (0-based); the response sum
+    (slot ``ysum``); and the p predictor-response sums (slots ``xy``).
+    The index arrays are read-only, so one layout per p can be shared.
     """
 
     def __init__(self, p):
         self.p = int(p)
         self.d = statistic_dimension(p)
-        self._pair_base = p
-        self._ysum = p + p * (p + 1) // 2
+        self.gram_rows, self.gram_cols = np.tril_indices(self.p)
+        diag = self.gram_rows == self.gram_cols
+        self.gram_scale = np.where(diag, 2.0, 1.0)
+        self.sums = np.arange(self.p)
+        self.squares = self.p + np.flatnonzero(diag)
+        self.cross = self.p + np.flatnonzero(~diag)
+        self.cross_j = self.gram_cols[~diag]
+        self.cross_k = self.gram_rows[~diag]
+        self.ysum = self.p + len(diag)
+        self.xy = self.ysum + 1 + self.sums
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
-    def sum_idx(self, j):
-        """Slot of sum_i x_ij (1-based j)."""
-        return j - 1
 
-    def sq_idx(self, j):
-        """Slot of 2 * sum_i x_ij^2."""
-        return self._pair_base + (j - 1) * j // 2 + (j - 1)
-
-    def cross_idx(self, j, k):
-        """Slot of sum_i x_ij x_ik for j < k."""
-        if not j < k:
-            raise ValueError("cross_idx requires j < k")
-        return self._pair_base + (k - 1) * k // 2 + (j - 1)
-
-    @property
-    def ysum_idx(self):
-        return self._ysum
-
-    def xy_idx(self, j):
-        """Slot of sum_i x_ij y_i."""
-        return self._ysum + j
+#: one layout per predictor count, built once: every sanitize and solve asks for it
+_shared_layout = functools.lru_cache(maxsize=None)(StatisticLayout)
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ class StatisticVector:
 
     @property
     def layout(self):
-        return StatisticLayout(self.p)
+        return _shared_layout(self.p)
 
 
 class RegressionDataset:
@@ -146,40 +144,27 @@ def build_statistic(data: RegressionDataset) -> StatisticVector:
     """Sufficient-statistic vector of a dataset in the fixed slot order."""
     X = data.design[:, 1:]
     y = data.response
-    p = data.p
-    layout = StatisticLayout(p)
-    values = np.empty(layout.d)
-    values[:p] = X.sum(axis=0)
+    layout = _shared_layout(data.p)
     gram = X.T @ X
-    for k in range(1, p + 1):
-        for j in range(1, k + 1):
-            if j == k:
-                values[layout.sq_idx(j)] = 2.0 * gram[j - 1, j - 1]
-            else:
-                values[layout.cross_idx(j, k)] = gram[j - 1, k - 1]
-    values[layout.ysum_idx] = y.sum()
-    values[layout.ysum_idx + 1 :] = X.T @ y
-    return StatisticVector(values, p)
+    values = np.concatenate([
+        X.sum(axis=0),
+        gram[layout.gram_cols, layout.gram_rows] * layout.gram_scale,
+        [y.sum()],
+        X.T @ y,
+    ])
+    return StatisticVector(values, data.p)
 
 
 def _kt_member_many(U, layout: StatisticLayout):
+    # every slot sits in a piece that bounds it by 2, so no separate box test;
+    # abs per slot group, as a full abs(U) copy of large chunks costs memory
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    ok = (np.abs(U) <= 2.0).all(axis=1)
-    p = layout.p
-    sums = [U[:, layout.sum_idx(j)] for j in range(1, p + 1)]
-    for j in range(1, p + 1):
-        pair = np.column_stack([sums[j - 1], U[:, layout.sq_idx(j)]])
-        ok &= _k2_member_many(pair)
-    for k in range(2, p + 1):
-        for j in range(1, k):
-            triple = np.column_stack(
-                [sums[j - 1], sums[k - 1], U[:, layout.cross_idx(j, k)]]
-            )
-            ok &= _k3_member_many(triple)
-    ysum = U[:, layout.ysum_idx]
-    for j in range(1, p + 1):
-        triple = np.column_stack([sums[j - 1], ysum, U[:, layout.xy_idx(j)]])
-        ok &= _k3_member_many(triple)
+    s = np.abs(U[:, layout.sums])
+    ok = _k2_piece(s, np.abs(U[:, layout.squares])).all(axis=1)
+    cross = np.abs(U[:, layout.cross])
+    ok &= _k3_piece(s[:, layout.cross_j], s[:, layout.cross_k], cross).all(axis=1)
+    ysum = np.abs(U[:, layout.ysum, None])
+    ok &= _k3_piece(s, ysum, np.abs(U[:, layout.xy])).all(axis=1)
     return ok
 
 
@@ -195,12 +180,12 @@ def kT_member(u, p) -> bool:
     d = statistic_dimension(p)
     if u.shape != (d,):
         raise ValueError(f"expected a {d}-vector for p={p}, got shape {u.shape}")
-    return bool(_kt_member_many(u[None, :], StatisticLayout(p))[0])
+    return bool(_kt_member_many(u[None, :], _shared_layout(p))[0])
 
 
 def kt_ball(p) -> NormBall:
     """Oracle norm ball for the regression hull body at predictor count p."""
-    layout = StatisticLayout(p)
+    layout = _shared_layout(p)
     return NormBall.from_oracle(
         lambda U: _kt_member_many(U, layout),
         linf_bound=2.0,
@@ -268,15 +253,10 @@ def dp_estimate(stat: StatisticVector, n_rows):
     v = stat.values
     xtx = np.empty((p + 1, p + 1))
     xtx[0, 0] = n_rows
-    for j in range(1, p + 1):
-        xtx[0, j] = xtx[j, 0] = v[layout.sum_idx(j)]
-        xtx[j, j] = v[layout.sq_idx(j)] / 2.0
-    for k in range(2, p + 1):
-        for j in range(1, k):
-            xtx[j, k] = xtx[k, j] = v[layout.cross_idx(j, k)]
-    xty = np.empty(p + 1)
-    xty[0] = v[layout.ysum_idx]
-    xty[1:] = v[layout.ysum_idx + 1 :]
+    xtx[0, 1:] = xtx[1:, 0] = v[layout.sums]
+    rows, cols = 1 + layout.gram_rows, 1 + layout.gram_cols
+    xtx[rows, cols] = xtx[cols, rows] = v[p:layout.ysum] / layout.gram_scale
+    xty = v[layout.ysum:]
     rcond = (p + 1) * np.finfo(float).eps
     return np.linalg.pinv(xtx, rcond=rcond) @ xty
 

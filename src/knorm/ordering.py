@@ -34,14 +34,13 @@ __all__ = [
 
 
 def gamma_cdf(x, shape, rate):
-    """CDF of Gamma(shape, rate) at x (rate parameterization)."""
+    """CDF of Gamma(shape, rate) at a scalar or array x (rate parameterization)."""
     if shape <= 0:
         raise ValueError("shape must be positive")
     if rate <= 0:
         raise ValueError("rate must be positive")
-    if x <= 0:
-        return 0.0
-    return float(gammainc(shape, rate * x))
+    f = gammainc(shape, rate * np.maximum(x, 0.0))
+    return float(f) if np.ndim(f) == 0 else f
 
 
 def gamma_quantile(alpha, shape, rate):

@@ -266,10 +266,15 @@ class TestContainment:
         assert not k2_member(verdict.witness)
 
     def test_sampled_check_undetermined(self):
-        # hull inside the linf box: sampling finds no witness, stays undetermined
+        # the paper's example: the hull lies in its own linf bounding box
         a = ScaledBall(k2_ball(), 1.0)
         b = ScaledBall(NormBall.lp(INF, 1, 2), 2.0)
-        assert ball_containment(a, b, seed=1).status == "undetermined"
+        assert ball_containment(a, b, seed=1).status == "contained"
+        assert ball_containment(a, ScaledBall(b.ball, 1.9)).status == "not_contained"
+        # hull inside the l2 ball through the box corners: sampling finds
+        # no witness, so the verdict stays undetermined
+        l2 = ScaledBall(NormBall.lp(2, 1, 2), math.sqrt(8))
+        assert ball_containment(a, l2, seed=1).status == "undetermined"
 
     def test_transitivity_spot_check(self):
         # analytically contained chain; the sampled check on (A, C) never

@@ -6,6 +6,7 @@ import scipy.stats as sps
 
 from knorm.linreg import (
     RegressionDataset,
+    _kt_member_many,
     StatisticLayout,
     StatisticVector,
     ball_from_name,
@@ -25,6 +26,50 @@ def single_row_dataset(row, y):
     return RegressionDataset(design, [y])
 
 
+class ReferenceSlots:
+    """Per-slot index formulas of the statistic layout, 1-based predictors."""
+
+    def __init__(self, p):
+        self.p = p
+        self.ysum = p + p * (p + 1) // 2
+
+    def sum(self, j):
+        return j - 1
+
+    def sq(self, j):
+        return self.p + (j - 1) * j // 2 + (j - 1)
+
+    def cross(self, j, k):
+        return self.p + (k - 1) * k // 2 + (j - 1)
+
+    def xy(self, j):
+        return self.ysum + j
+
+
+def kt_member_reference(U, p):
+    """K_T membership piece by piece, one (sum, square) pair and one cross
+    or response triple at a time."""
+    slots = ReferenceSlots(p)
+
+    def k2(u1, u2):
+        a1, a2 = np.abs(u1), np.abs(u2)
+        cap = 2.0 - 2.0 * (a1 - 1.0) ** 2
+        return (a1 <= 2.0) & (a2 <= 2.0) & ((a1 <= 1.0) | (a2 <= cap))
+
+    def k3(u1, u2, u3):
+        a = np.abs(np.column_stack([u1, u2, u3]))
+        return (a <= 2.0).all(axis=1) & (a.sum(axis=1) <= 4.0)
+
+    ok = (np.abs(U) <= 2.0).all(axis=1)
+    sums = [U[:, slots.sum(j)] for j in range(1, p + 1)]
+    for j in range(1, p + 1):
+        ok &= k2(sums[j - 1], U[:, slots.sq(j)])
+        ok &= k3(sums[j - 1], U[:, slots.ysum], U[:, slots.xy(j)])
+        for i in range(1, j):
+            ok &= k3(sums[i - 1], sums[j - 1], U[:, slots.cross(i, j)])
+    return ok
+
+
 def random_dataset(rng, n, p):
     X0 = rng.uniform(-1, 1, (n, p))
     y = rng.uniform(-1, 1, n)
@@ -39,15 +84,30 @@ class TestLayout:
         assert statistic_dimension(2) == 8
 
     def test_names_cover_all_slots(self):
-        # the named index functions hit every slot exactly once
+        # the slot groups hit every slot exactly once
         for p in (1, 2, 3, 5):
             layout = StatisticLayout(p)
-            js = range(1, p + 1)
-            slots = [layout.sum_idx(j) for j in js]
-            slots += [layout.sq_idx(j) for j in js]
-            slots += [layout.cross_idx(j, k) for k in js for j in range(1, k)]
-            slots += [layout.ysum_idx] + [layout.xy_idx(j) for j in js]
-            assert sorted(slots) == list(range(layout.d))
+            slots = np.concatenate([layout.sums, layout.squares, layout.cross,
+                                    [layout.ysum], layout.xy])
+            assert sorted(slots.tolist()) == list(range(layout.d))
+            assert len(layout.cross_j) == len(layout.cross) == p * (p - 1) // 2
+            assert (layout.cross_j < layout.cross_k).all()
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 12])
+    def test_matches_per_slot_formulas(self, p):
+        # the index arrays keep the slot order of the per-slot formulas
+        layout = StatisticLayout(p)
+        slots = ReferenceSlots(p)
+        js = range(1, p + 1)
+        pairs = [(j, k) for k in js for j in range(1, k)]
+        assert layout.sums.tolist() == [slots.sum(j) for j in js]
+        assert layout.squares.tolist() == [slots.sq(j) for j in js]
+        assert layout.cross.tolist() == [slots.cross(j, k) for j, k in pairs]
+        assert list(zip(layout.cross_j + 1, layout.cross_k + 1)) == pairs
+        assert layout.ysum == slots.ysum
+        assert layout.xy.tolist() == [slots.xy(j) for j in js]
+        assert layout.gram_scale[layout.squares - p].tolist() == [2.0] * p
+        assert (layout.gram_scale[layout.cross - p] == 1.0).all()
 
 
 NAMED_DIMENSIONS = {"l1": 4, "l2": 4, "linf": 4, "l1.5": 4, "k2": 2, "k3": 3, "kt3": 13}
@@ -85,10 +145,12 @@ class TestBuildStatistic:
         layout = stat.layout
         X0 = data.design[:, 1:]
         gram = X0.T @ X0
-        assert math.isclose(stat.values[layout.sq_idx(2)], 2 * gram[1, 1])
-        assert math.isclose(stat.values[layout.cross_idx(1, 3)], gram[0, 2])
-        assert math.isclose(stat.values[layout.xy_idx(3)],
-                            float(X0[:, 2] @ data.response))
+        assert np.allclose(stat.values[layout.sums], X0.sum(axis=0))
+        assert np.allclose(stat.values[layout.squares], 2 * np.diag(gram))
+        assert np.allclose(stat.values[layout.cross],
+                           gram[layout.cross_j, layout.cross_k])
+        assert math.isclose(stat.values[layout.ysum], data.response.sum())
+        assert np.allclose(stat.values[layout.xy], X0.T @ data.response)
 
     def test_statistic_vector_length_checked(self):
         with pytest.raises(ValueError):
@@ -119,8 +181,8 @@ class TestKTMember:
     def test_pair_violation(self):
         layout = StatisticLayout(1)
         u = np.zeros(layout.d)
-        u[layout.sum_idx(1)] = 2.0
-        u[layout.sq_idx(1)] = 0.1
+        u[layout.sums[0]] = 2.0
+        u[layout.squares[0]] = 0.1
         assert not kT_member(u, 1)
 
     def test_box_violation(self):
@@ -131,14 +193,28 @@ class TestKTMember:
     def test_cross_triple_violation(self):
         layout = StatisticLayout(2)
         u = np.zeros(layout.d)
-        u[layout.sum_idx(1)] = 2.0
-        u[layout.sum_idx(2)] = 2.0
-        u[layout.cross_idx(1, 2)] = 1.0
+        u[layout.sums] = 2.0
+        u[layout.cross[0]] = 1.0
         assert not kT_member(u, 2)
+        u[layout.cross[0]] = 0.0
+        assert kT_member(u, 2)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             kT_member(np.zeros(5), 1)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 12, 16])
+    def test_matches_piece_by_piece_reference(self, p):
+        # bit-identical to the loop over pieces, also on points of a
+        # quarter grid that land exactly on piece boundaries
+        rng = np.random.default_rng(80 + p)
+        layout = StatisticLayout(p)
+        for scale in (2.0, 1.6, 1.0, 0.5):
+            U = rng.uniform(-scale, scale, (4096, layout.d))
+            U[:1024] = np.round(4 * U[:1024]) / 4
+            got = _kt_member_many(U, layout)
+            assert np.array_equal(got, kt_member_reference(U, p))
+        assert got.all()
 
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_single_row_differences_inside(self, p):
