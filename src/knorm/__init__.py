@@ -42,6 +42,7 @@ from .sampling import (
     sample_l1_mech,
     sample_l2_mech,
     sample_linf_mech,
+    sample_lp_mech,
     sample_noise,
 )
 from .erm import (

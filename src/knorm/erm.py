@@ -84,13 +84,16 @@ class ObjPertConfig:
             return 0.0
 
 
+def _sigmoid_from_exp(z, e):
+    # e = exp(-|z|) never overflows: 1/(1+e) for z >= 0, e/(1+e) below, the
+    # same exp argument and division as the two-branch masked formula. The
+    # numerator max(z >= 0, e) is 1 for z >= 0 (where e <= 1), else e, and
+    # stays nan for nan z
+    return np.maximum(z >= 0, e) / (1.0 + e)
+
+
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return _sigmoid_from_exp(z, np.exp(-np.abs(z)))
 
 
 def logistic_sensitivity(m, p):
@@ -115,16 +118,19 @@ def _logistic_validate(X, y):
 
 def _logistic_loss_and_grad(theta, X, y):
     z = X @ theta
-    loss = float(np.logaddexp(0.0, z).sum() - y @ z)
-    grad = X.T @ (_sigmoid(z) - y)
+    e = np.exp(-np.abs(z))
+    # softplus log(1 + exp(z)) from the sigmoid's exp
+    loss = float((np.maximum(z, 0.0) + np.log1p(e)).sum() - y @ z)
+    grad = X.T @ (_sigmoid_from_exp(z, e) - y)
     return loss, grad
 
 
 def _logistic_hess(theta, X, y):
-    z = X @ theta
-    sig = _sigmoid(z)
+    sig = _sigmoid(X @ theta)
     w = sig * (1.0 - sig)
-    return (X * w[:, None]).T @ X
+    # weight along the n-long axis into one C-ordered m x n array; the
+    # products and the GEMM are those of (X * w[:, None]).T @ X
+    return np.multiply(X.T, w, order="C") @ X
 
 
 def logistic_loss_spec(m, p=math.inf) -> LossSpec:

@@ -3,9 +3,11 @@
 The noise density is f(v) proportional to exp(-(eps/Delta)*||v||_K).
 Closed forms cover the l1 (independent Laplace), l2 (gamma radius times a
 spherical direction) and l-infinity (gamma radius times a box direction)
-balls; arbitrary balls go through rejection sampling of a uniform point on
-K followed by an independent Gamma(m+1) radius. In every case the gauge of
-the noise is marginally Gamma(m, eps/Delta).
+balls, and every other lp ball through the polar form: a gamma radius
+times G/||G||_p for G with iid coordinates of density proportional to
+exp(-|g|^p). Arbitrary balls go through rejection sampling of a uniform
+point on K followed by an independent Gamma(m+1) radius. In every case
+the gauge of the noise is marginally Gamma(m, eps/Delta).
 
 Samplers are pure given an explicit generator; parallel replicates should
 use distinct RngStream ids.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormBall
+from .geometry import NormBall, lp_norm
 
 __all__ = [
     "RngStream",
@@ -28,6 +30,7 @@ __all__ = [
     "sample_l1_mech",
     "sample_l2_mech",
     "sample_linf_mech",
+    "sample_lp_mech",
     "sample_k_mech_rejection",
     "sample_noise",
 ]
@@ -154,6 +157,33 @@ def sample_linf_mech(T, delta_inf, epsilon, rng, size=None):
     return T + (v[0] if size is None else v)
 
 
+def sample_lp_mech(T, p, delta_p, epsilon, rng, size=None):
+    """lp-mechanism output T + r*G/||G||_p with r ~ Gamma(m, eps/delta_p), any p >= 1.
+
+    G has iid coordinates with density proportional to exp(-|g|^p), so
+    G/||G||_p follows the cone measure of the unit lp sphere and is
+    independent of ||G||_p (Barthe, Guedon, Mendelson & Naor, Ann. Prob.
+    2005). Each coordinate is drawn as Gamma(1 + 1/p)^(1/p) * U with U
+    uniform on (-1, 1): since Gamma(a) = Gamma(a + 1) * U^(1/a) in law, this
+    is +-Gamma(1/p)^(1/p), without the underflow of Gamma(1/p) for large p.
+    """
+    _check_positive("delta_p", delta_p)
+    _check_positive("epsilon", epsilon)
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    T = np.asarray(T, dtype=float)
+    m = T.shape[-1]
+    n = 1 if size is None else size
+    u = rng.uniform(-1.0, 1.0, size=(n, m))
+    g = rng.standard_gamma(1.0 + 1.0 / p, size=(n, m)) ** (1.0 / p) * u
+    norms = lp_norm(g, p)[:, None]
+    # an all-zero G has probability zero; guard the division anyway
+    norms[norms == 0.0] = 1.0
+    r = sample_gamma_int(m, epsilon / delta_p, rng, size=n)
+    v = r[:, None] * g / norms
+    return T + (v[0] if size is None else v)
+
+
 def sample_uniform_ball(ball: NormBall, rng, size=None, max_attempts=10**6):
     """Uniform draw(s) on the unit-scale ball by rejection from its box.
 
@@ -240,6 +270,7 @@ def sample_noise(config: MechanismConfig, rng, size=None, max_attempts=10**6):
             return sample_l2_mech(zero, delta_eff, config.epsilon, rng, size=size)
         if ball.p == math.inf:
             return sample_linf_mech(zero, delta_eff, config.epsilon, rng, size=size)
+        return sample_lp_mech(zero, ball.p, delta_eff, config.epsilon, rng, size=size)
     return sample_k_mech_rejection(
         zero, ball, config.delta, config.epsilon, rng,
         max_attempts=max_attempts, size=size,

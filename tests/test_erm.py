@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,13 @@ import scipy.optimize as spo
 from knorm.erm import (
     ObjPertConfig,
     OptimizerError,
+    _sigmoid,
     logistic_loss_spec,
     logistic_sensitivity,
     minimize_erm,
     objective_perturbation,
 )
+from knorm.harness import DEFAULT_LOGISTIC_EPS
 from knorm.sampling import RngStream
 
 INF = math.inf
@@ -82,6 +85,77 @@ class TestLogisticParts:
             l2, _, _ = one_example(spec, t2, x, y)
             lm, _, _ = one_example(spec, 0.5 * (t1 + t2), x, y)
             assert lm <= 0.5 * (l1 + l2) + 1e-12
+
+
+# Reference logistic kernels: the masked two-branch sigmoid, the
+# np.logaddexp loss and the row-weighted Hessian that the one-exp kernels
+# in knorm.erm replaced. The sigmoid, gradient and Hessian must match them
+# bit for bit; the loss only up to rounding.
+def ref_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def ref_loss_and_grad(theta, X, y):
+    z = X @ theta
+    loss = float(np.logaddexp(0.0, z).sum() - y @ z)
+    grad = X.T @ (ref_sigmoid(z) - y)
+    return loss, grad
+
+
+def ref_hess(theta, X, y):
+    z = X @ theta
+    sig = ref_sigmoid(z)
+    w = sig * (1.0 - sig)
+    return (X * w[:, None]).T @ X
+
+
+class TestKernelsMatchReference:
+    def test_sigmoid_bit_identical(self):
+        edges = np.array([0.0, 1e-300, 36.0, 709.0, 745.0, INF])
+        rng = np.random.default_rng(71)
+        for z in [np.concatenate([edges, -edges, [np.nan]])] + [
+            rng.standard_normal(10_000) * scale for scale in (1.0, 40.0, 800.0)
+        ]:
+            assert np.array_equal(_sigmoid(z), ref_sigmoid(z), equal_nan=True)
+
+    def test_gradient_hessian_bit_identical_loss_within_rounding(self):
+        rng = RngStream(72, 0).generator()
+        X, y = make_data(5000, 7, rng)
+        spec = logistic_loss_spec(7)
+        probes = RngStream(72, 1).generator()
+        for _ in range(20):
+            theta = probes.standard_normal(7) * probes.uniform(0.0, 20.0)
+            loss, grad = spec.loss_and_grad(theta, X, y)
+            ref_loss, ref_grad = ref_loss_and_grad(theta, X, y)
+            assert np.array_equal(grad, ref_grad)
+            assert np.array_equal(spec.hess(theta, X, y), ref_hess(theta, X, y))
+            softplus = np.logaddexp(0.0, X @ theta).sum()
+            assert abs(loss - ref_loss) <= 8 * np.finfo(float).eps * softplus
+
+    def test_fits_match_reference_spec(self):
+        # the MLE and the default eps x mechanism fits of one simulate-logistic
+        # replicate, with the kernels and with the reference formulas
+        g = RngStream(73, 0).generator()
+        X = g.uniform(-1.0, 1.0, size=(10_000, 7))
+        y = (g.random(10_000) < ref_sigmoid(X @ BETA)).astype(float)
+        specs = [logistic_loss_spec(7, p) for p in (1.0, 2.0, INF)]
+        refs = [dataclasses.replace(s, loss_and_grad=ref_loss_and_grad, hess=ref_hess)
+                for s in specs]
+        assert np.allclose(minimize_erm(specs[2], X, y), minimize_erm(refs[2], X, y),
+                           rtol=0.0, atol=1e-12)
+        stream = 1
+        for eps in DEFAULT_LOGISTIC_EPS:
+            for spec, ref in zip(specs, refs):
+                fits = [objective_perturbation(ObjPertConfig(eps, 0.5, s), X, y,
+                                               RngStream(73, stream).generator())
+                        for s in (spec, ref)]
+                assert np.allclose(fits[0], fits[1], rtol=0.0, atol=1e-12)
+                stream += 1
 
 
 class TestLogisticSensitivity:

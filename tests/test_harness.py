@@ -296,6 +296,18 @@ class TestCli:
         first = lines[1].split(",")
         assert first[0] == "0" and len(first) == 4
 
+    def test_sample_l1p5_m10(self, capsys):
+        # box rejection accepts 1.4e-4 of proposals here, so 1000 draws used
+        # to exhaust the proposal budget and raise SamplerError
+        code = main(["sample", "--ball", "l1.5", "--m", "10", "--reps", "1000",
+                     "--seed", "0"])
+        assert code == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if not l.startswith("#")]
+        rows = np.array([[float(c) for c in l.split(",")] for l in lines[1:]])
+        assert rows.shape == (1000, 12)
+        assert np.all(np.isfinite(rows))
+
     def test_compare_stdout(self, capsys):
         code = main(["compare", "--a", "linf:2", "--b", "l2:2.8284271247461903",
                      "--m", "2", "--eps", "1"])

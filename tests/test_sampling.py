@@ -14,6 +14,7 @@ from knorm.sampling import (
     sample_l1_mech,
     sample_l2_mech,
     sample_linf_mech,
+    sample_lp_mech,
     sample_noise,
 )
 
@@ -195,7 +196,51 @@ class TestRejectionMech:
             sample_k_mech_rejection(np.zeros(3), k2_ball(), 1.0, 1.0, rng)
 
 
-_STREAM_IDS = {"l1": 1, "l2": 2, "linf": 3, "k2": 4}
+class TestLpMech:
+    # Two-sample KS of the polar sampler against box rejection on the same
+    # ball: each coordinate and the max norm, 10 tests over the three
+    # (p, m) cases, Bonferroni-corrected to a family false-alarm rate of 0.01
+    FAMILY_LEVEL = 0.01
+    CASES = ((1.5, 2), (1.5, 3), (3.0, 2))
+    N_TESTS = sum(m + 1 for _, m in CASES)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_matches_box_rejection_two_sample_ks(self, case):
+        p, m = self.CASES[case]
+        ball = NormBall.lp(p, 1.0, m)
+        polar = sample_noise(MechanismConfig(1.0, 1.0, ball),
+                             RngStream(10, 2 * case).generator(), size=40_000)
+        box = sample_k_mech_rejection(np.zeros(m), ball, 1.0, 1.0,
+                                      RngStream(10, 2 * case + 1).generator(),
+                                      size=40_000)
+        columns = [(polar[:, j], box[:, j]) for j in range(m)]
+        columns.append((lp_norm(polar, INF), lp_norm(box, INF)))
+        for a, b in columns:
+            assert sps.ks_2samp(a, b).pvalue > self.FAMILY_LEVEL / self.N_TESTS
+
+    def test_lp_norm_gamma_marginal_at_large_p(self):
+        # Gamma(1/p) underflows to 0 for p = 1000; the U-times-Gamma(1 + 1/p)
+        # form leaves no coordinate at exactly 0
+        rng = RngStream(11, 0).generator()
+        v = sample_lp_mech(np.zeros(3), 1000.0, 2.0, 1.0, rng, size=10_000)
+        assert np.all(v != 0.0)
+        stat = sps.kstest(lp_norm(v, 1000.0), gamma_cdf_oracle(3, 0.5))
+        assert stat.pvalue > KS_LEVEL
+
+    def test_single_draw_shape(self):
+        config = MechanismConfig(1.0, 1.0, NormBall.lp(1.5, 2.0, 4))
+        v = sample_noise(config, RngStream(11, 1).generator())
+        assert v.shape == (4,) and np.all(np.isfinite(v))
+
+    def test_bad_args(self):
+        rng = RngStream(11, 3).generator()
+        with pytest.raises(ValueError):
+            sample_lp_mech(np.zeros(2), 0.5, 1.0, 1.0, rng)
+        with pytest.raises(ValueError):
+            sample_lp_mech(np.zeros(2), 1.5, 0.0, 1.0, rng)
+
+
+_STREAM_IDS = {"l1": 1, "l2": 2, "linf": 3, "k2": 4, "l1.5": 5, "l3": 6}
 
 
 def _noise_config(name):
@@ -205,10 +250,15 @@ def _noise_config(name):
         return MechanismConfig(1.0, 1.0, NormBall.lp(2, 1, 2))
     if name == "linf":
         return MechanismConfig(1.0, 1.0, NormBall.lp(INF, 1, 2))
+    # radius != 1: the gauge ||v||_p / r is Gamma(m, eps/Delta)
+    if name == "l1.5":
+        return MechanismConfig(0.7, 1.5, NormBall.lp(1.5, 2.0, 3))
+    if name == "l3":
+        return MechanismConfig(2.0, 1.0, NormBall.lp(3, 0.5, 2))
     return MechanismConfig(1.0, 1.0, k2_ball())
 
 
-@pytest.mark.parametrize("name", ["l1", "l2", "linf", "k2"])
+@pytest.mark.parametrize("name", ["l1", "l2", "linf", "k2", "l1.5", "l3"])
 class TestSamplerInvariants:
     def test_unbiasedness(self, name):
         config = _noise_config(name)
@@ -258,7 +308,7 @@ class TestDpRatio:
 
 class TestReproducibility:
     def test_bit_for_bit(self):
-        for config in map(_noise_config, ["l1", "l2", "linf", "k2"]):
+        for config in map(_noise_config, ["l1", "l2", "linf", "k2", "l1.5"]):
             a = sample_noise(config, RngStream(123, 7).generator(), size=50)
             b = sample_noise(config, RngStream(123, 7).generator(), size=50)
             assert np.array_equal(a, b)
