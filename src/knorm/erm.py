@@ -55,7 +55,6 @@ class LossSpec:
     loss_and_grad: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     hess: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     validate: Optional[Callable[[np.ndarray, np.ndarray], None]] = None
-    name: str = "loss"
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,6 @@ def logistic_loss_spec(m, p=math.inf) -> LossSpec:
         loss_and_grad=_logistic_loss_and_grad,
         hess=_logistic_hess,
         validate=_logistic_validate,
-        name="logistic",
     )
 
 

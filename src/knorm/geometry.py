@@ -2,10 +2,11 @@
 
 A norm ball is a convex, bounded, absorbing, origin-symmetric subset of R^m.
 Balls are either analytic lp bodies (p in [1, inf], radius r) or oracle
-bodies given by a vectorized membership predicate at unit scale together
-with an l-infinity bounding radius. Every value here is immutable after
-construction and every operation is a pure function of its inputs plus an
-explicit seed, so everything is safe to use concurrently.
+bodies given by a vectorized membership predicate plus an exact vectorized
+gauge, both at unit scale, and an l-infinity bounding radius. Every value
+here is immutable after construction and every operation is a pure
+function of its inputs plus an explicit seed, so everything is safe to use
+concurrently.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "quadratic_pair_sensitivity",
 ]
 
-_GAUGE_REL_TOL = 1e-10
 _CONTAIN_TOL = 1e-9
 
 
@@ -68,15 +68,19 @@ class NormBall:
     For the lp kind, ``p`` and ``radius`` are set and membership/gauge are
     closed form. For the oracle kind, ``member`` is a predicate taking an
     (n, m) array of points and returning an (n,) boolean array of unit-scale
-    membership, and ``linf_bound`` bounds the l-infinity norm of every
-    member point. Oracle balls are identified by ``name``: equality ignores
-    the predicate object, so give distinct bodies distinct names.
+    membership, ``gauge_fn`` maps the same array to the (n,) exact gauges,
+    and ``linf_bound`` bounds the l-infinity norm of every member point.
+    Oracle balls are identified by ``name``: equality ignores the predicate
+    and gauge objects, so give distinct bodies distinct names.
     """
 
     dimension: int
     p: Optional[float] = None
     radius: float = 1.0
     member: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, compare=False
+    )
+    gauge_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False
     )
     linf_bound: Optional[float] = None
@@ -91,8 +95,8 @@ class NormBall:
             if not (self.radius > 0 and math.isfinite(self.radius)):
                 raise ValueError(f"radius must be positive, got {self.radius}")
         else:
-            if self.member is None:
-                raise ValueError("oracle ball requires a membership predicate")
+            if self.member is None or self.gauge_fn is None:
+                raise ValueError("oracle ball requires a membership predicate and a gauge")
             if self.linf_bound is None or not (
                 self.linf_bound > 0 and math.isfinite(self.linf_bound)
             ):
@@ -103,10 +107,11 @@ class NormBall:
         return cls(dimension=dimension, p=float(p), radius=float(radius), name=name)
 
     @classmethod
-    def from_oracle(cls, member, linf_bound, dimension, name=""):
+    def from_oracle(cls, member, gauge, linf_bound, dimension, name=""):
         return cls(
             dimension=dimension,
             member=member,
+            gauge_fn=gauge,
             linf_bound=float(linf_bound),
             name=name,
         )
@@ -144,38 +149,11 @@ class NormBall:
             )
         if self.is_lp:
             return lp_norm(points, self.p) / self.radius
-        return self._oracle_gauge(points)
+        return np.asarray(self.gauge_fn(points), dtype=float)
 
     def gauge(self, x):
         """Minkowski gauge ||x||_K of a single vector."""
         return float(self.gauge_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def _oracle_gauge(self, points):
-        # Bisection along the ray through each point: member(x/c) is
-        # monotone in c, true exactly for c >= gauge(x).
-        n, m = points.shape
-        out = np.zeros(n)
-        amax = np.abs(points).max(axis=1)
-        live = amax > 0
-        if not live.any():
-            return out
-        unit = points[live] / amax[live, None]
-        hi = np.full(unit.shape[0], 2.0 * self.linf_bound * math.sqrt(m))
-        for _ in range(80):
-            outside = ~self.member_many(unit / hi[:, None])
-            if not outside.any():
-                break
-            hi[outside] *= 2.0
-        else:
-            raise ValueError("gauge: could not bracket the boundary (ball not absorbing?)")
-        lo = np.zeros_like(hi)
-        while np.any(hi - lo > _GAUGE_REL_TOL * hi):
-            mid = 0.5 * (lo + hi)
-            inside = self.member_many(unit / mid[:, None])
-            hi = np.where(inside, mid, hi)
-            lo = np.where(inside, lo, mid)
-        out[live] = 0.5 * (lo + hi) * amax[live]
-        return out
 
 
 def gauge(ball: NormBall, x) -> float:
@@ -198,6 +176,23 @@ def _k3_piece(a, b, c):
     return (a <= 2.0) & (b <= 2.0) & (c <= 2.0) & ((a + b) + c <= 4.0)
 
 
+def _k2_gauge(s, q):
+    """Elementwise k2 gauge of (sum, doubled square) absolute values.
+
+    Scaled by c, the cap reads c(4s - q) >= 2s^2 where s > c; it binds
+    below s only where q < 2s, at c = s*(2s/(4s - q)). Written so, it stays
+    exact at scales where 2s^2/(4s - q) underflows or overflows.
+    """
+    den = 4.0 * s - np.minimum(q, 2.0 * s)  # 2s where the cap does not bind
+    cap = s * np.divide(2.0 * s, den, out=np.ones_like(s), where=den > 0)
+    return np.maximum(np.maximum(s, q) / 2.0, cap)
+
+
+def _k3_gauge(a, b, c):
+    """Elementwise k3 gauge of (sum x, sum y, sum xy) absolute values."""
+    return np.maximum(np.maximum(np.maximum(a, b), c) / 2.0, ((a + b) + c) / 4.0)
+
+
 def _k2_member_many(u):
     a = np.abs(np.atleast_2d(np.asarray(u, dtype=float)))
     return _k2_piece(a[:, 0], a[:, 1])
@@ -206,6 +201,16 @@ def _k2_member_many(u):
 def _k3_member_many(u):
     a = np.abs(np.atleast_2d(np.asarray(u, dtype=float)))
     return _k3_piece(a[:, 0], a[:, 1], a[:, 2])
+
+
+def _k2_gauge_many(u):
+    a = np.abs(u)
+    return _k2_gauge(a[:, 0], a[:, 1])
+
+
+def _k3_gauge_many(u):
+    a = np.abs(u)
+    return _k3_gauge(a[:, 0], a[:, 1], a[:, 2])
 
 
 def k2_member(u) -> bool:
@@ -229,12 +234,16 @@ def k3_member(u) -> bool:
 
 def k2_ball() -> NormBall:
     """The 2-d hull for the (sum, scaled sum of squares) statistic pair."""
-    return NormBall.from_oracle(_k2_member_many, linf_bound=2.0, dimension=2, name="k2")
+    return NormBall.from_oracle(
+        _k2_member_many, _k2_gauge_many, linf_bound=2.0, dimension=2, name="k2"
+    )
 
 
 def k3_ball() -> NormBall:
     """The 3-d hull for a (sum x, sum y, sum xy) cross-product triple."""
-    return NormBall.from_oracle(_k3_member_many, linf_bound=2.0, dimension=3, name="k3")
+    return NormBall.from_oracle(
+        _k3_member_many, _k3_gauge_many, linf_bound=2.0, dimension=3, name="k3"
+    )
 
 
 def volume_lp(p, m, r=1.0):
@@ -336,11 +345,9 @@ def _lp_vertices(ball: NormBall):
         eye = np.eye(m)
         return np.vstack([r * eye, -r * eye])
     if ball.p == math.inf and m <= 16:
-        corners = np.array(
-            [[1 if (i >> j) & 1 else -1 for j in range(m)] for i in range(1 << m)],
-            dtype=float,
-        )
-        return r * corners
+        # row i, column j is +1 where bit j of i is set
+        bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+        return r * np.where(bits, 1.0, -1.0)
     return None
 
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormBall, _k2_piece, _k3_piece, k2_ball, k3_ball
+from .geometry import (
+    NormBall, _k2_gauge, _k2_piece, _k3_gauge, _k3_piece, k2_ball, k3_ball,
+)
 from .sampling import MechanismConfig, sample_noise
 
 # unused here, but perfbench/spans.py rebinds these names in this module
@@ -109,7 +111,7 @@ class RegressionDataset:
     pass validate=False.
     """
 
-    def __init__(self, design, response, predictor_names=None, validate=True):
+    def __init__(self, design, response, validate=True):
         design = np.asarray(design, dtype=float)
         response = np.asarray(response, dtype=float)
         if design.ndim != 2 or response.ndim != 1:
@@ -127,9 +129,6 @@ class RegressionDataset:
                 raise ValueError("response entries must lie in [-1, 1]")
         self.design = design
         self.response = response
-        self.predictor_names = (
-            tuple(predictor_names) if predictor_names is not None else None
-        )
 
     @property
     def n(self):
@@ -168,6 +167,18 @@ def _kt_member_many(U, layout: StatisticLayout):
     return ok
 
 
+def _kt_gauge_many(U, layout: StatisticLayout):
+    # the max of the piece gauges over the slot groups of _kt_member_many;
+    # the cross group is empty at p = 1
+    U = np.abs(U)
+    s = U[:, layout.sums]
+    g = _k2_gauge(s, U[:, layout.squares]).max(axis=1)
+    cross = _k3_gauge(s[:, layout.cross_j], s[:, layout.cross_k], U[:, layout.cross])
+    g = np.maximum(g, cross.max(axis=1, initial=0.0))
+    response = _k3_gauge(s, U[:, layout.ysum, None], U[:, layout.xy])
+    return np.maximum(g, response.max(axis=1))
+
+
 def kT_member(u, p) -> bool:
     """Membership of a statistic-difference vector in the hull body K_T.
 
@@ -184,10 +195,12 @@ def kT_member(u, p) -> bool:
 
 
 def kt_ball(p) -> NormBall:
-    """Oracle norm ball for the regression hull body at predictor count p."""
+    """Norm ball of the regression hull body at predictor count p: the K_T
+    predicate plus its exact gauge, the max of the piece gauges."""
     layout = _shared_layout(p)
     return NormBall.from_oracle(
         lambda U: _kt_member_many(U, layout),
+        lambda U: _kt_gauge_many(U, layout),
         linf_bound=2.0,
         dimension=layout.d,
         name=f"kt{p}",
@@ -299,4 +312,4 @@ def preprocess(columns, response, log_columns=(), lower_q=0.0001,
     for i, name in enumerate(predictor_names, start=1):
         design[:, i] = transform(name)
     y = transform(response)
-    return RegressionDataset(design, y, predictor_names=predictor_names)
+    return RegressionDataset(design, y)

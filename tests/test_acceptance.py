@@ -75,8 +75,8 @@ def test_c03_gamma_marginal():
             rej_ball = k2_ball()
         else:
             rej_ball = NormBall.from_oracle(
-                lambda pts: lp_norm(pts, 2) <= 1.0, linf_bound=1.0,
-                dimension=m, name="l2-oracle",
+                lambda pts: lp_norm(pts, 2) <= 1.0, lambda pts: lp_norm(pts, 2),
+                linf_bound=1.0, dimension=m, name="l2-oracle",
             )
         samplers = {
             "l1": lambda rng: (sample_l1_mech(np.zeros(m), delta, eps, rng, size=n),

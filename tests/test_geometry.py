@@ -18,22 +18,53 @@ from knorm.geometry import (
     volume_lp,
     volume_monte_carlo,
 )
+from knorm.linreg import kt_ball
 
 INF = math.inf
 
 
 def l2_oracle(radius=1.0, m=2):
     return NormBall.from_oracle(
-        lambda pts: lp_norm(pts, 2) <= radius, linf_bound=radius, dimension=m,
-        name="l2-oracle",
+        lambda pts: lp_norm(pts, 2) <= radius, lambda pts: lp_norm(pts, 2) / radius,
+        linf_bound=radius, dimension=m, name="l2-oracle",
     )
 
 
 def linf_oracle(radius=1.0, m=2):
     return NormBall.from_oracle(
-        lambda pts: np.abs(pts).max(axis=1) <= radius, linf_bound=radius,
-        dimension=m, name="linf-oracle",
+        lambda pts: np.abs(pts).max(axis=1) <= radius,
+        lambda pts: lp_norm(pts, INF) / radius,
+        linf_bound=radius, dimension=m, name="linf-oracle",
     )
+
+
+def bisection_gauge_reference(ball, points, rel_tol=1e-10):
+    """The gauge found from membership alone: bracket the boundary along
+    the ray through each point, then bisect. The generic oracle gauge
+    before the hull gauges were written in closed form."""
+    n, m = points.shape
+    out = np.zeros(n)
+    amax = np.abs(points).max(axis=1)
+    live = amax > 0
+    if not live.any():
+        return out
+    unit = points[live] / amax[live, None]
+    hi = np.full(unit.shape[0], 2.0 * ball.linf_bound * math.sqrt(m))
+    for _ in range(80):
+        outside = ~ball.member_many(unit / hi[:, None])
+        if not outside.any():
+            break
+        hi[outside] *= 2.0
+    else:
+        raise ValueError("could not bracket the boundary")
+    lo = np.zeros_like(hi)
+    while np.any(hi - lo > rel_tol * hi):
+        mid = 0.5 * (lo + hi)
+        inside = ball.member_many(unit / mid[:, None])
+        hi = np.where(inside, mid, hi)
+        lo = np.where(inside, lo, mid)
+    out[live] = 0.5 * (lo + hi) * amax[live]
+    return out
 
 
 class TestLpNorm:
@@ -67,21 +98,36 @@ class TestGauge:
         # (1, 2) sits on the boundary: scaling by 1 +/- 1e-6 flips membership
         assert k2_member(np.array([1.0, 2.0]) * (1 - 1e-6))
         assert not k2_member(np.array([1.0, 2.0]) * (1 + 1e-6))
-        assert abs(gauge(k2_ball(), [1.0, 2.0]) - 1.0) < 1e-8
+        assert gauge(k2_ball(), [1.0, 2.0]) == 1.0
 
     def test_k2_half_vertex(self):
-        assert abs(gauge(k2_ball(), [0.5, 1.0]) - 0.5) < 1e-8
+        assert gauge(k2_ball(), [0.5, 1.0]) == 0.5
 
     def test_lp_gauge_is_scaled_norm(self):
         ball = NormBall.lp(2, 2.5, 3)
         assert math.isclose(ball.gauge([3.0, 0.0, 4.0]), 2.0)
 
-    def test_oracle_matches_analytic(self):
-        ball = l2_oracle(radius=1.5, m=3)
-        rng = np.random.default_rng(0)
-        pts = rng.standard_normal((50, 3))
-        exact = lp_norm(pts, 2) / 1.5
-        assert np.abs(ball.gauge_many(pts) - exact).max() < 1e-8
+    def test_oracle_gauge_is_its_own(self):
+        # the gauge never falls back on the membership predicate
+        def no_member(pts):
+            raise AssertionError("membership called for a gauge")
+
+        ball = NormBall.from_oracle(
+            no_member, lambda pts: lp_norm(pts, 2) / 1.5, linf_bound=1.5, dimension=3
+        )
+        pts = np.random.default_rng(0).standard_normal((50, 3))
+        assert np.array_equal(ball.gauge_many(pts), lp_norm(pts, 2) / 1.5)
+
+    def test_oracle_requires_gauge(self):
+        def member(pts):
+            return lp_norm(pts, 2) <= 1.0
+
+        with pytest.raises(ValueError, match="gauge"):
+            NormBall.from_oracle(member, None, linf_bound=1.0, dimension=2)
+        with pytest.raises(ValueError, match="gauge"):
+            NormBall(dimension=2, member=member, linf_bound=1.0)
+        with pytest.raises(TypeError):
+            NormBall.from_oracle(member, linf_bound=1.0, dimension=2)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -138,6 +184,55 @@ class TestGaugeProperties:
         inside = pts[ball.member_many(pts)]
         for c in (0.25, 0.5, 0.9):
             assert ball.member_many(c * inside).all()
+
+
+HULLS = {
+    "k2": k2_ball,
+    "k3": k3_ball,
+    **{f"kt{p}": (lambda p=p: kt_ball(p)) for p in (1, 2, 3, 5, 12)},
+}
+
+
+def hull_directions(m, n=2000, seed=0):
+    # n random directions, n more with a third of their coordinates zeroed
+    # so the axes and the s = 0 and q = 0 faces of the pieces are hit, and
+    # the origin last
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((2 * n, m))
+    dirs[n:] *= rng.random((n, m)) < 2.0 / 3.0
+    return np.vstack([dirs, np.zeros((1, m))])
+
+
+@pytest.mark.parametrize("name", list(HULLS))
+class TestHullGauges:
+    def test_matches_bisection_reference(self, name):
+        ball = HULLS[name]()
+        dirs = hull_directions(ball.dimension)
+        g = ball.gauge_many(dirs)
+        ref = bisection_gauge_reference(ball, dirs)
+        assert g[-1] == 0.0
+        assert np.all(np.abs(g - ref) <= 1e-9 * ref)
+
+    def test_homogeneous_and_finite_at_extreme_scales(self, name):
+        ball = HULLS[name]()
+        dirs = hull_directions(ball.dimension, seed=1)
+        g = ball.gauge_many(dirs)
+        for scale in (1e-300, 1e300):
+            gs = ball.gauge_many(scale * dirs)
+            assert np.isfinite(gs).all()
+            assert np.all(np.abs(gs - scale * g) <= 1e-12 * scale * g)
+
+    def test_unit_sublevel_set_is_the_body(self, name):
+        # gauge <= 1 and the predicate agree away from the boundary
+        ball = HULLS[name]()
+        rng = np.random.default_rng(2)
+        dirs = hull_directions(ball.dimension, seed=2)
+        dirs = dirs[np.abs(dirs).max(axis=1) > 0]
+        pts = dirs / ball.gauge_many(dirs)[:, None] * rng.uniform(0.5, 1.5, (len(dirs), 1))
+        g = ball.gauge_many(pts)
+        clear = np.abs(g - 1.0) > 1e-9
+        assert np.array_equal((g <= 1.0)[clear], ball.member_many(pts)[clear])
+        assert 0.3 < clear.mean() and (g[clear] <= 1.0).mean() > 0.3
 
 
 class TestK2K3:
@@ -242,10 +337,12 @@ class TestContainment:
     def test_anonymous_oracles_not_conflated(self):
         # identical metadata but different bodies: no same-body shortcut
         small = NormBall.from_oracle(
-            lambda pts: lp_norm(pts, 2) <= 1.0, linf_bound=2.0, dimension=2
+            lambda pts: lp_norm(pts, 2) <= 1.0, lambda pts: lp_norm(pts, 2),
+            linf_bound=2.0, dimension=2,
         )
         big = NormBall.from_oracle(
-            lambda pts: lp_norm(pts, 2) <= 2.0, linf_bound=2.0, dimension=2
+            lambda pts: lp_norm(pts, 2) <= 2.0, lambda pts: lp_norm(pts, 2) / 2.0,
+            linf_bound=2.0, dimension=2,
         )
         verdict = ball_containment(ScaledBall(big, 1.0), ScaledBall(small, 1.0), seed=0)
         assert verdict.status == "not_contained"

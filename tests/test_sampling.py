@@ -153,8 +153,8 @@ class TestLinfMech:
 class TestRejectionMech:
     def test_matches_linf_sampler_two_sample_ks(self):
         box = NormBall.from_oracle(
-            lambda pts: np.abs(pts).max(axis=1) <= 1.0, linf_bound=1.0,
-            dimension=2, name="box",
+            lambda pts: np.abs(pts).max(axis=1) <= 1.0, lambda pts: lp_norm(pts, INF),
+            linf_bound=1.0, dimension=2, name="box",
         )
         rng = RngStream(5, 0).generator()
         v_rej = sample_k_mech_rejection(np.zeros(2), box, 1.0, 1.0, rng, size=10_000)
@@ -181,8 +181,8 @@ class TestRejectionMech:
 
     def test_max_attempts_fails_loudly(self):
         thin = NormBall.from_oracle(
-            lambda pts: lp_norm(pts, 2) <= 0.01, linf_bound=1.0, dimension=2,
-            name="thin",
+            lambda pts: lp_norm(pts, 2) <= 0.01, lambda pts: lp_norm(pts, 2) / 0.01,
+            linf_bound=1.0, dimension=2, name="thin",
         )
         rng = RngStream(5, 4).generator()
         with pytest.raises(SamplerError, match="acceptance rate"):
