@@ -12,7 +12,6 @@ from .geometry import (
     NormBall,
     ScaledBall,
     ball_containment,
-    gauge,
     k2_ball,
     k2_member,
     k3_ball,

@@ -3,10 +3,10 @@
 A norm ball is a convex, bounded, absorbing, origin-symmetric subset of R^m.
 Balls are either analytic lp bodies (p in [1, inf], radius r) or oracle
 bodies given by a vectorized membership predicate plus an exact vectorized
-gauge, both at unit scale, and an l-infinity bounding radius. Every value
-here is immutable after construction and every operation is a pure
-function of its inputs plus an explicit seed, so everything is safe to use
-concurrently.
+gauge, both at unit scale, an l-infinity bounding radius and, if known, an
+exact volume. Every value here is immutable after construction and every
+operation is a pure function of its inputs plus an explicit seed, so
+everything is safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "ScaledBall",
     "ContainmentVerdict",
     "lp_norm",
-    "gauge",
     "k2_member",
     "k3_member",
     "k2_ball",
@@ -70,6 +69,8 @@ class NormBall:
     (n, m) array of points and returning an (n,) boolean array of unit-scale
     membership, ``gauge_fn`` maps the same array to the (n,) exact gauges,
     and ``linf_bound`` bounds the l-infinity norm of every member point.
+    ``volume`` is an oracle body's exact unit-scale volume, if known (lp
+    balls ignore it: their volume is the closed form; see ``log_volume``).
     Oracle balls are identified by ``name``: equality ignores the predicate
     and gauge objects, so give distinct bodies distinct names.
     """
@@ -85,6 +86,7 @@ class NormBall:
     )
     linf_bound: Optional[float] = None
     name: str = ""
+    volume: Optional[float] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -101,20 +103,18 @@ class NormBall:
                 self.linf_bound > 0 and math.isfinite(self.linf_bound)
             ):
                 raise ValueError("oracle ball requires a positive linf bound")
+            if self.volume is not None and not 0.0 < self.volume < math.inf:
+                raise ValueError(f"volume must be positive and finite, got {self.volume}")
 
     @classmethod
     def lp(cls, p, radius, dimension, name=""):
         return cls(dimension=dimension, p=float(p), radius=float(radius), name=name)
 
     @classmethod
-    def from_oracle(cls, member, gauge, linf_bound, dimension, name=""):
-        return cls(
-            dimension=dimension,
-            member=member,
-            gauge_fn=gauge,
-            linf_bound=float(linf_bound),
-            name=name,
-        )
+    def from_oracle(cls, member, gauge, linf_bound, dimension, name="", volume=None):
+        """Oracle ball; ``volume`` is its exact unit-scale volume, if known."""
+        return cls(dimension=dimension, member=member, gauge_fn=gauge,
+                   linf_bound=float(linf_bound), name=name, volume=volume)
 
     @property
     def is_lp(self):
@@ -124,6 +124,12 @@ class NormBall:
     def linf_radius(self):
         """l-infinity bounding radius of the body."""
         return self.radius if self.is_lp else self.linf_bound
+
+    def log_volume(self):
+        """Log unit-scale volume (finite at any dimension), or None if unknown."""
+        if self.is_lp:
+            return _log_volume_lp(self.p, self.dimension, self.radius)
+        return None if self.volume is None else math.log(self.volume)
 
     def label(self):
         if self.name:
@@ -154,11 +160,6 @@ class NormBall:
     def gauge(self, x):
         """Minkowski gauge ||x||_K of a single vector."""
         return float(self.gauge_many(np.asarray(x, dtype=float)[None, :])[0])
-
-
-def gauge(ball: NormBall, x) -> float:
-    """Minkowski gauge ||x||_K = inf{c >= 0 : x in c*K}."""
-    return ball.gauge(x)
 
 
 def _k2_cap(a):
@@ -235,15 +236,22 @@ def k3_member(u) -> bool:
 def k2_ball() -> NormBall:
     """The 2-d hull for the (sum, scaled sum of squares) statistic pair."""
     return NormBall.from_oracle(
-        _k2_member_many, _k2_gauge_many, linf_bound=2.0, dimension=2, name="k2"
+        _k2_member_many, _k2_gauge_many, linf_bound=2.0, dimension=2, name="k2",
+        volume=4.0 * 10.0 / 3.0,  # per quadrant: the 1 x 2 strip, and 4/3 under the cap
     )
 
 
 def k3_ball() -> NormBall:
     """The 3-d hull for a (sum x, sum y, sum xy) cross-product triple."""
     return NormBall.from_oracle(
-        _k3_member_many, _k3_gauge_many, linf_bound=2.0, dimension=3, name="k3"
+        _k3_member_many, _k3_gauge_many, linf_bound=2.0, dimension=3, name="k3",
+        volume=8.0 * (8.0 - 4.0 / 3.0),  # per octant: [0, 2]^3 less the a + b + c > 4 corner
     )
+
+
+def _log_volume_lp(p, m, r):
+    # log of (2r)^m Gamma(1 + 1/p)^m / Gamma(1 + m/p); at p = inf, 1/p = 0
+    return m * math.log(2.0 * r) + m * math.lgamma(1.0 + 1.0 / p) - math.lgamma(1.0 + m / p)
 
 
 def volume_lp(p, m, r=1.0):
@@ -260,12 +268,7 @@ def volume_lp(p, m, r=1.0):
         unit = 2.0**m * math.gamma(1.0 + 1.0 / p) ** m / math.gamma(1.0 + m / p)
         return unit * r**m
     except OverflowError:
-        logv = (
-            m * math.log(2.0 * r)
-            + m * math.lgamma(1.0 + 1.0 / p)
-            - math.lgamma(1.0 + m / p)
-        )
-        return math.exp(logv)
+        return math.exp(_log_volume_lp(p, m, r))
 
 
 def volume_monte_carlo(ball: NormBall, scale=1.0, n_samples=100_000, seed=0):

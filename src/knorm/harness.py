@@ -468,8 +468,9 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
     dimension. Checks per mechanism: Kolmogorov-Smirnov test of the noise gauge
     against its Gamma(m, eps/Delta) marginal at level 0.01, and a
     4-standard-error unbiasedness check per coordinate. The l1 entry adds
-    the Laplace histogram ratio bound; the k2 entry adds the rejection
-    acceptance-rate check against the known hull/box volume ratio. An empty
+    the Laplace histogram ratio bound; every hull with a known volume (k2,
+    k3) adds the rejection acceptance-rate check against its exact
+    volume / bounding-box volume ratio. An empty
     mechanism list yields an empty report. ``fault`` deliberately breaks a
     sampler to demonstrate detection (testing aid): "laplace-scale" halves
     the l1 scale.
@@ -510,13 +511,13 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
                 detail="max |mean|/SE over coordinates",
             )
         )
-        if mech == "k2":
-            expected = (40.0 / 3.0) / 16.0
+        if stats is not None and ball.volume is not None:
+            expected = ball.volume / (2.0 * ball.linf_bound) ** m
             se_rate = math.sqrt(expected * (1 - expected) / stats["proposals"])
             dev = abs(stats["acceptance_rate"] - expected) / se_rate
             checks.append(
                 DiagnosticCheck(
-                    name="rejection-acceptance[k2]",
+                    name=f"rejection-acceptance[{mech}]",
                     statistic=stats["acceptance_rate"],
                     threshold=4.0,
                     passed=dev <= 4.0,

@@ -57,20 +57,19 @@ def gamma_quantile(alpha, shape, rate):
 def entropy(config: MechanismConfig, ball_volume=None):
     """Differential entropy of the mechanism's noise distribution.
 
-    Equals log((delta*e/eps)^m * m! * vol(K)). The unit-ball volume is
-    computed analytically for lp balls; oracle balls must supply
+    Equals log((delta*e/eps)^m * m! * vol(K)). The unit-ball volume is the
+    ball's own (``NormBall.log_volume``: closed form for lp balls, exact for
+    the k2 and k3 hulls); a ball whose volume is unknown must supply
     ``ball_volume`` (e.g. a Monte Carlo estimate) or a ValueError is raised.
     """
-    ball = config.ball
-    m = ball.dimension
-    if ball_volume is None:
-        if not ball.is_lp:
-            raise ValueError("entropy: unknown volume for oracle ball; pass ball_volume")
-        ball_volume = volume_lp(ball.p, m, ball.radius)
+    m = config.dimension
+    log_vol = config.ball.log_volume() if ball_volume is None else math.log(ball_volume)
+    if log_vol is None:
+        raise ValueError("entropy: unknown volume for oracle ball; pass ball_volume")
     return (
         m * (1.0 + math.log(config.delta / config.epsilon))
         + math.lgamma(m + 1)
-        + math.log(ball_volume)
+        + log_vol
     )
 
 
@@ -119,11 +118,11 @@ def _require_comparable(a: MechanismConfig, b: MechanismConfig):
         raise ValueError("tightness comparison requires equal epsilon")
 
 
-def _tightness_verdict(a, b, n_directions, seed):
+def _tightness_verdict(a, b, seed):
     sa = ScaledBall(a.ball, a.delta)
     sb = ScaledBall(b.ball, b.delta)
-    ab = ball_containment(sa, sb, n_directions=n_directions, seed=seed)
-    ba = ball_containment(sb, sa, n_directions=n_directions, seed=seed + 1)
+    ab = ball_containment(sa, sb, seed=seed)
+    ba = ball_containment(sb, sa, seed=seed + 1)
     witness = ab.witness if ab.status == "not_contained" else ba.witness
     if ab.is_contained and ba.is_contained:
         return "tie", witness
@@ -136,15 +135,14 @@ def _tightness_verdict(a, b, n_directions, seed):
     return "undetermined", witness
 
 
-def stochastic_tightness(a: MechanismConfig, b: MechanismConfig,
-                         n_directions=512, seed=0):
+def stochastic_tightness(a: MechanismConfig, b: MechanismConfig, seed=0):
     """Containment-order verdict between two mechanisms at equal budget.
 
     Returns "a_tighter", "b_tighter", "tie", "incomparable", or
     "undetermined" (oracle pairs where sampling found no witness).
     """
     _require_comparable(a, b)
-    return _tightness_verdict(a, b, n_directions, seed)[0]
+    return _tightness_verdict(a, b, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -183,43 +181,42 @@ class ComparisonReport:
 
 
 def _scaled_volume(config: MechanismConfig, n_mc, seed):
-    ball = config.ball
+    """Volume of delta*K, its standard error, and K's volume if estimated (None if exact)."""
+    ball, delta, m = config.ball, config.delta, config.dimension
     if ball.is_lp:
-        return volume_lp(ball.p, ball.dimension, ball.radius) * config.delta**ball.dimension, 0.0
-    return volume_monte_carlo(ball, scale=config.delta, n_samples=n_mc, seed=seed)
+        return volume_lp(ball.p, m, ball.radius * delta), 0.0, None
+    if ball.volume is not None:
+        return ball.volume * delta**m, 0.0, None
+    est, se = volume_monte_carlo(ball, n_samples=n_mc, seed=seed)
+    if est == 0.0:
+        raise ValueError(f"no Monte Carlo point hit {config.label} in "
+                         f"{n_mc} samples; raise --mc-samples")
+    return est * delta**m, se * delta**m, est
 
 
-def compare(a: MechanismConfig, b: MechanismConfig, seed=0, n_mc=1_000_000,
-            n_directions=512) -> ComparisonReport:
+def compare(a: MechanismConfig, b: MechanismConfig, seed=0,
+            n_mc=1_000_000) -> ComparisonReport:
     """Full decision report between two mechanisms at equal budget.
 
-    Volumes of the scaled balls come from the closed form when analytic,
-    else hit-or-miss Monte Carlo with the given seed; entropies follow from
-    the volumes; the containment verdict comes from stochastic_tightness.
+    Scaled-ball volumes are exact when the ball knows its volume (lp, k2,
+    k3); Monte Carlo, with the given seed, runs only when it is unknown.
+    Entropies come from entropy() in log form, and at equal budget they
+    order like the log-volumes, so they also decide the exact-volume
+    verdict. The containment verdict comes from stochastic_tightness.
     """
     _require_comparable(a, b)
-    va, se_a = _scaled_volume(a, n_mc, seed)
-    vb, se_b = _scaled_volume(b, n_mc, seed + 1)
-    m = a.dimension
-    # H = log((e/eps)^m m! vol(delta*K)); volumes above are already scaled
-    ent_a = m * (1.0 - math.log(a.epsilon)) + math.lgamma(m + 1) + math.log(va)
-    ent_b = m * (1.0 - math.log(b.epsilon)) + math.lgamma(m + 1) + math.log(vb)
+    va, se_a, est_a = _scaled_volume(a, n_mc, seed)
+    vb, se_b, est_b = _scaled_volume(b, n_mc, seed + 1)
+    ent_a, ent_b = entropy(a, est_a), entropy(b, est_b)
 
-    verdict, witness = _tightness_verdict(a, b, n_directions, seed)
-    preferred_containment = {
-        "tie": "tie",
-        "a_tighter": a.label,
-        "b_tighter": b.label,
-        "incomparable": "incomparable",
-        "undetermined": "undetermined",
-    }[verdict]
+    verdict, witness = _tightness_verdict(a, b, seed)
+    preferred_containment = {"a_tighter": a.label, "b_tighter": b.label}.get(verdict, verdict)
 
     se_comb = math.hypot(se_a, se_b)
-    tie = abs(va - vb) <= 4.0 * se_comb if se_comb > 0 else va == vb
-    if tie:
+    if abs(va - vb) <= 4.0 * se_comb if se_comb > 0 else ent_a == ent_b:
         preferred_volume = "tie"
     else:
-        preferred_volume = a.label if va < vb else b.label
+        preferred_volume = a.label if ent_a < ent_b else b.label
 
     return ComparisonReport(
         label_a=a.label,

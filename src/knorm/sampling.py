@@ -70,10 +70,8 @@ class MechanismConfig:
     label: str = ""
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        _check_positive("epsilon", self.epsilon)
+        _check_positive("delta", self.delta)
         if not self.label:
             object.__setattr__(self, "label", f"{self.ball.label()}:d={self.delta:g}")
 

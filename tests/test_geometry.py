@@ -8,7 +8,6 @@ from knorm.geometry import (
     NormBall,
     ScaledBall,
     ball_containment,
-    gauge,
     k2_ball,
     k2_member,
     k3_ball,
@@ -92,16 +91,16 @@ class TestLpNorm:
 
 class TestGauge:
     def test_k2_origin(self):
-        assert gauge(k2_ball(), [0.0, 0.0]) == 0.0
+        assert k2_ball().gauge([0.0, 0.0]) == 0.0
 
     def test_k2_vertex(self):
         # (1, 2) sits on the boundary: scaling by 1 +/- 1e-6 flips membership
         assert k2_member(np.array([1.0, 2.0]) * (1 - 1e-6))
         assert not k2_member(np.array([1.0, 2.0]) * (1 + 1e-6))
-        assert gauge(k2_ball(), [1.0, 2.0]) == 1.0
+        assert k2_ball().gauge([1.0, 2.0]) == 1.0
 
     def test_k2_half_vertex(self):
-        assert gauge(k2_ball(), [0.5, 1.0]) == 0.5
+        assert k2_ball().gauge([0.5, 1.0]) == 0.5
 
     def test_lp_gauge_is_scaled_norm(self):
         ball = NormBall.lp(2, 2.5, 3)
@@ -131,11 +130,11 @@ class TestGauge:
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            gauge(k2_ball(), [np.nan, 0.0])
+            k2_ball().gauge([np.nan, 0.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            gauge(k2_ball(), [1.0, 2.0, 3.0])
+            k2_ball().gauge([1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize(
@@ -312,6 +311,44 @@ class TestVolumeMonteCarlo:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             volume_monte_carlo(k2_ball(), 1.0, 10, seed=0)
+
+
+class TestExactVolumes:
+    @pytest.mark.parametrize("make, exact, seed", [(k2_ball, 40.0 / 3.0, 31),
+                                                   (k3_ball, 160.0 / 3.0, 32)])
+    def test_hull_volume_matches_monte_carlo(self, make, exact, seed):
+        ball = make()
+        assert ball.volume == exact
+        assert ball.log_volume() == math.log(exact)
+        est, se = volume_monte_carlo(ball, 1.0, 2_000_000, seed=seed)
+        assert abs(est - exact) <= 4 * se
+
+    def test_kt_volume_unknown(self):
+        assert kt_ball(3).volume is None
+        assert kt_ball(3).log_volume() is None
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 7, INF])
+    @pytest.mark.parametrize("m, r", [(1, 1.0), (3, 2.0), (6, 0.4)])
+    def test_lp_log_volume_is_log_of_closed_form(self, p, m, r):
+        log_v = NormBall.lp(p, r, m).log_volume()
+        assert math.isclose(log_v, math.log(volume_lp(p, m, r)), rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_lp_log_volume_at_regression_dimensions(self):
+        # the l-inf volume overflows a float from m = 1024; its log does not
+        with pytest.raises(OverflowError):
+            volume_lp(INF, 1126)
+        assert NormBall.lp(INF, 1.0, 1126).log_volume() == 1126 * math.log(2.0)
+        # the p = 16 regression statistic has d = 154, sanitized in lp balls up to p = 45
+        assert math.isfinite(NormBall.lp(45, 1.0, 1126).log_volume())
+        log_v = NormBall.lp(1, 308.0, 154).log_volume()
+        assert math.isclose(log_v, 154 * math.log(616.0) - math.lgamma(155.0), rel_tol=1e-14)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, INF, math.nan])
+    def test_oracle_volume_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="volume"):
+            NormBall.from_oracle(lambda pts: lp_norm(pts, 2) <= 1.0,
+                                 lambda pts: lp_norm(pts, 2), linf_bound=1.0,
+                                 dimension=2, volume=bad)
 
 
 class TestContainment:

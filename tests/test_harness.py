@@ -23,6 +23,21 @@ from knorm.harness import (
 )
 
 
+#: run_diagnostics() format_lines() with every default, as knorm diagnostics prints it
+DEFAULT_DIAGNOSTICS = """\
+PASS gamma-marginal-ks[l1]: statistic=0.00643813 threshold=0.0162762 (m=2 delta=1.0 eps=1.0 n=10000)
+PASS unbiasedness[l1]: statistic=1.78997 threshold=4 (max |mean|/SE over coordinates)
+PASS dp-ratio[laplace]: statistic=0.933682 threshold=1 (worst bin ratio 2.713 over 20 bins)
+PASS gamma-marginal-ks[l2]: statistic=0.00866318 threshold=0.0162762 (m=2 delta=1.0 eps=1.0 n=10000)
+PASS unbiasedness[l2]: statistic=0.628182 threshold=4 (max |mean|/SE over coordinates)
+PASS gamma-marginal-ks[linf]: statistic=0.00776139 threshold=0.0162762 (m=2 delta=1.0 eps=1.0 n=10000)
+PASS unbiasedness[linf]: statistic=2.09543 threshold=4 (max |mean|/SE over coordinates)
+PASS gamma-marginal-ks[k2]: statistic=0.00969215 threshold=0.0162762 (m=2 delta=1.0 eps=1.0 n=10000)
+PASS unbiasedness[k2]: statistic=1.01306 threshold=4 (max |mean|/SE over coordinates)
+PASS rejection-acceptance[k2]: statistic=0.8331 threshold=4 (expected 0.8333, deviation 0.09 SE)
+"""
+
+
 def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -199,6 +214,17 @@ class TestDiagnostics:
         assert any("dp-ratio" in n for n in names)
         assert any("rejection-acceptance" in n for n in names)
 
+    def test_default_output_pinned(self):
+        assert run_diagnostics().format_lines() == DEFAULT_DIAGNOSTICS.splitlines()
+
+    def test_acceptance_check_for_every_hull_with_a_volume(self):
+        report = run_diagnostics(mechanisms=("k3", "kt1"), n_draws=2000, seed=0)
+        assert report.all_passed
+        checks = {c.name: c for c in report.checks}
+        # the k3 hull fills 5/6 of its box; kt1 has no known volume
+        assert "expected 0.8333," in checks["rejection-acceptance[k3]"].detail
+        assert "rejection-acceptance[kt1]" not in checks
+
     def test_fault_injection_detected(self):
         report = run_diagnostics(mechanisms=("l1",), n_draws=4000, seed=0,
                                  fault="laplace-scale")
@@ -315,6 +341,44 @@ class TestCli:
         out = capsys.readouterr().out
         assert "preferred_by_containment=linf:2" in out
         assert "preferred_by_volume=linf:2" in out
+
+    @staticmethod
+    def _compare(capsys, *argv):
+        code = main(["compare", *argv])
+        out, err = capsys.readouterr()
+        return code, dict(line.split("=", 1) for line in out.splitlines() if "=" in line), err
+
+    @pytest.mark.parametrize("argv, winner", [
+        # the p = 16 statistic's l1 mechanism: 308**154 overflows a float power
+        (("--a", "l1:308", "--b", "linf:2", "--m", "154"), "linf:2"),
+        # the l1 volume underflows to 0.0 at m = 250; its log does not
+        (("--a", "l1:1", "--b", "linf:1", "--m", "250"), "l1:1"),
+    ])
+    def test_compare_at_regression_dimensions(self, capsys, argv, winner):
+        code, items, err = self._compare(capsys, *argv)
+        assert code == 0, err
+        assert math.isfinite(float(items["entropy_a"]))
+        assert math.isfinite(float(items["entropy_b"]))
+        assert items["preferred_by_containment"] == winner
+        assert items["preferred_by_volume"] == winner
+
+    def test_compare_zero_monte_carlo_hits(self, capsys):
+        code, _, err = self._compare(capsys, "--a", "kt20:1", "--b", "linf:2",
+                                     "--m", "251", "--mc-samples", "1000")
+        assert code == 2
+        assert "kt20:1" in err and "--mc-samples" in err
+
+    def test_readme_library_example(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md")) as fh:
+            readme = fh.read()
+        block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        src = os.path.dirname(os.path.dirname(knorm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert "hull" in run.stdout
 
     def test_diagnostics_exit_codes(self, capsys):
         assert main(["diagnostics", "--mech", "l2", "--draws", "2000"]) == 0

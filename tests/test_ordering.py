@@ -5,7 +5,9 @@ import pytest
 import scipy.stats as sps
 
 from knorm import gamma_cdf, gamma_quantile
-from knorm.geometry import NormBall, k2_ball, volume_lp
+from knorm import ordering
+from knorm.geometry import NormBall, k2_ball, k3_ball, volume_lp
+from knorm.linreg import kt_ball
 from knorm.ordering import (
     compare,
     concentration_radius,
@@ -88,11 +90,16 @@ class TestEntropy:
         assert h_inf < h_2 < h_1
 
     def test_oracle_needs_volume(self):
+        # k2 carries its exact volume; the kt hulls have none, so they still need one
         config = MechanismConfig(1.0, 1.0, k2_ball())
-        with pytest.raises(ValueError):
-            entropy(config)
-        h = entropy(config, ball_volume=40.0 / 3.0)
+        h = entropy(config)
+        assert abs(h - entropy(config, ball_volume=40.0 / 3.0)) <= 1e-12
+        assert abs(h - (2.0 + math.log(2.0) + math.log(40.0 / 3.0))) <= 1e-12
         assert h < entropy(lp_config(INF, LINF_EXACT))
+        kt3 = MechanismConfig(1.0, 1.0, kt_ball(3))
+        with pytest.raises(ValueError):
+            entropy(kt3)
+        assert math.isfinite(entropy(kt3, ball_volume=2.0))
 
 
 class TestConcentrationRadius:
@@ -313,3 +320,36 @@ class TestCompare:
         report = compare(a, b, seed=8)
         assert report.preferred_by_containment == "tie"
         assert report.preferred_by_volume == "tie"
+
+    def test_known_volumes_are_exact(self):
+        hull = MechanismConfig(1.0, 0.5, k2_ball(), label="hull")
+        report = compare(hull, lp_config(INF, 2.0), seed=9)
+        assert report.volume_a == (40.0 / 3.0) * 0.25 and report.volume_se_a == 0.0
+        assert report.volume_b == 16.0 and report.volume_se_b == 0.0
+        assert report.entropy_a == entropy(hull)
+        assert report.preferred_by_volume == "hull"
+
+    def test_monte_carlo_only_for_unknown_volumes(self, monkeypatch):
+        calls = []
+        real = ordering.volume_monte_carlo
+
+        def spy(ball, **kwargs):
+            calls.append(ball.name)
+            return real(ball, **kwargs)
+
+        monkeypatch.setattr(ordering, "volume_monte_carlo", spy)
+        k3 = MechanismConfig(1.0, 1.0, k3_ball(), label="k3")
+        compare(k3, lp_config(INF, 2.0, m=3), seed=10)
+        compare(MechanismConfig(1.0, 1.0, k2_ball()), lp_config(2, 3.0), seed=11)
+        assert calls == []
+        kt1 = MechanismConfig(1.0, 1.0, kt_ball(1), label="kt1")
+        report = compare(kt1, lp_config(INF, 2.0, m=4), seed=12, n_mc=20_000)
+        assert calls == ["kt1"]
+        assert report.volume_se_a > 0.0
+        assert report.preferred_by_volume == "kt1"
+
+    def test_zero_hit_monte_carlo_names_ball_and_budget(self):
+        # kt20 fills about 1e-18 of its box, so 1000 points never hit it
+        kt20 = MechanismConfig(1.0, 1.0, kt_ball(20), label="kt20:1")
+        with pytest.raises(ValueError, match=r"kt20:1 .*--mc-samples"):
+            compare(kt20, lp_config(INF, 2.0, m=251), seed=0, n_mc=1000)
