@@ -37,62 +37,50 @@ def _parse_mechanism(spec, m, epsilon):
     )
 
 
-def _write_table(table, config):
-    if config.out:
-        with open(config.out, "w") as fh:
-            table.write_long(fh)
+def _emit(text, path):
+    """Write text to path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(table.long_csv())
-    if config.summary_out:
-        with open(config.summary_out, "w") as fh:
-            table.write_summary(fh)
-    else:
-        sys.stdout.write(table.summary_csv())
+        sys.stdout.write(text)
 
 
-def _add_common(sub, default_eps, default_mechs, default_n, default_reps):
+def _simulate(driver, args, **fields):
+    """Run a simulation driver on the shared flags plus fields; write both tables."""
+    config = SimulationConfig(
+        eps=args.eps, reps=args.reps, mechanisms=args.mech, seed=args.seed, **fields
+    )
+    table = driver(config)
+    _emit(table.long_csv(), args.out)
+    _emit(table.summary_csv(), args.summary)
+    return 0
+
+
+def _add_common(sub, default_eps, default_mechs, default_reps):
     sub.add_argument("--eps", type=_parse_eps, default=default_eps,
                      help="comma list of privacy budgets")
-    sub.add_argument("--n", type=int, default=default_n)
     sub.add_argument("--reps", type=int, default=default_reps)
     sub.add_argument("--mech", type=_parse_list, default=default_mechs,
                      help="comma list of mechanisms")
-    sub.add_argument("--q", type=float, default=0.5)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="long-form CSV path (default stdout)")
     sub.add_argument("--summary", help="summary CSV path (default stdout)")
 
 
 def _cmd_simulate_logistic(args):
-    config = SimulationConfig(
-        experiment="logistic", eps=args.eps, n=args.n, reps=args.reps,
-        mechanisms=args.mech, q=args.q, seed=args.seed,
-        out=args.out, summary_out=args.summary,
-    )
-    _write_table(harness.simulate_logistic(config), config)
-    return 0
+    return _simulate(harness.simulate_logistic, args, n=args.n, q=args.q)
 
 
 def _cmd_simulate_coverage(args):
-    config = SimulationConfig(
-        experiment="coverage", eps=args.eps, n=args.n, p=args.p,
-        reps=args.reps, mechanisms=args.mech, q=args.q, seed=args.seed,
-        out=args.out, summary_out=args.summary,
-    )
-    _write_table(harness.simulate_coverage(config), config)
-    return 0
+    return _simulate(harness.simulate_coverage, args, n=args.n, p=args.p)
 
 
 def _cmd_run_regression(args):
-    config = SimulationConfig(
-        experiment="regression-file", eps=args.eps, reps=args.reps,
-        mechanisms=args.mech, q=args.q, seed=args.seed,
-        csv_path=args.csv, response=args.response,
+    return _simulate(
+        harness.run_regression_file, args, csv_path=args.csv, response=args.response,
         log_columns=args.log_cols, lower_q=args.lower_q, upper_q=args.upper_q,
-        out=args.out, summary_out=args.summary,
     )
-    _write_table(harness.run_regression_file(config), config)
-    return 0
 
 
 def _cmd_compare(args):
@@ -120,12 +108,7 @@ def _cmd_sample(args):
     for i, (row, g) in enumerate(zip(draws, gauges)):
         cells = [str(i)] + [repr(float(x)) for x in row] + [repr(float(g))]
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -152,18 +135,21 @@ def main(argv=None) -> int:
 
     s = sub.add_parser("simulate-logistic",
                        help="private logistic regression on synthetic data")
-    _add_common(s, harness.DEFAULT_LOGISTIC_EPS, ("l1", "l2", "linf"), 10_000, 100)
+    _add_common(s, harness.DEFAULT_LOGISTIC_EPS, ("l1", "l2", "linf"), 100)
+    s.add_argument("--n", type=int, default=10_000)
+    s.add_argument("--q", type=float, default=0.5)
     s.set_defaults(func=_cmd_simulate_logistic)
 
     s = sub.add_parser("simulate-coverage",
                        help="CI coverage of private linear regression")
-    _add_common(s, harness.DEFAULT_COVERAGE_EPS, ("l1", "linf", "kt"), 10_000, 200)
+    _add_common(s, harness.DEFAULT_COVERAGE_EPS, ("l1", "linf", "kt"), 200)
+    s.add_argument("--n", type=int, default=10_000)
     s.add_argument("--p", type=int, default=5)
     s.set_defaults(func=_cmd_simulate_coverage)
 
     s = sub.add_parser("run-regression",
                        help="private regression on a CSV file")
-    _add_common(s, harness.DEFAULT_REGRESSION_EPS, ("l1", "linf"), 0, 100)
+    _add_common(s, harness.DEFAULT_REGRESSION_EPS, ("l1", "linf"), 100)
     s.add_argument("--csv", required=True)
     s.add_argument("--response", required=True)
     s.add_argument("--log-cols", type=_parse_list, default=(),

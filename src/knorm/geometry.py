@@ -12,6 +12,7 @@ everything is safe to use concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -249,26 +250,31 @@ def k3_ball() -> NormBall:
     )
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _log_volume_lp(p, m, r):
     # log of (2r)^m Gamma(1 + 1/p)^m / Gamma(1 + m/p); at p = inf, 1/p = 0
     return m * math.log(2.0 * r) + m * math.lgamma(1.0 + 1.0 / p) - math.lgamma(1.0 + m / p)
 
 
 def volume_lp(p, m, r=1.0):
-    """Lebesgue volume of the lp ball of radius r in R^m."""
+    """Lebesgue volume of the lp ball of radius r in R^m; inf past the float
+    range, 0.0 below it."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if r <= 0:
         raise ValueError("r must be positive")
-    if p == math.inf:
-        return (2.0 * r) ** m
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     try:
+        if p == math.inf:
+            return (2.0 * r) ** m
         unit = 2.0**m * math.gamma(1.0 + 1.0 / p) ** m / math.gamma(1.0 + m / p)
         return unit * r**m
     except OverflowError:
-        return math.exp(_log_volume_lp(p, m, r))
+        log_v = _log_volume_lp(p, m, r)
+        return math.exp(log_v) if log_v < _LOG_FLOAT_MAX else math.inf
 
 
 def volume_monte_carlo(ball: NormBall, scale=1.0, n_samples=100_000, seed=0):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -70,9 +71,10 @@ DEFAULT_REGRESSION_EPS = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One experiment run: grids, replicate count, mechanisms, seed, outputs."""
+    """One experiment run: epsilon grid, sample size n, predictor count p,
+    replicate count, mechanisms, objective-perturbation q, seed, and the CSV
+    input of run_regression_file (path, response, log columns, quantiles)."""
 
-    experiment: str
     eps: tuple = ()
     n: int = 10_000
     p: int = 5
@@ -80,8 +82,6 @@ class SimulationConfig:
     mechanisms: tuple = ()
     q: float = 0.5
     seed: int = 0
-    out: Optional[str] = None
-    summary_out: Optional[str] = None
     csv_path: Optional[str] = None
     response: Optional[str] = None
     log_columns: tuple = ()
@@ -109,39 +109,32 @@ def _fmt(value):
     return str(value)
 
 
+LONG_HEADER = ("epsilon", "mechanism", "replicate", "metric", "value")
+SUMMARY_HEADER = ("epsilon", "mechanism", "metric", "value")
+
+
 @dataclass
 class ResultTable:
     """Config echo plus long-form and summary rows, written as CSV."""
 
     config_echo: dict
-    long_header: tuple
     long_rows: list = field(default_factory=list)
-    summary_header: tuple = ("epsilon", "mechanism", "metric", "value")
     summary_rows: list = field(default_factory=list)
 
-    def _write(self, fh, header, rows):
+    def _csv(self, header, rows):
+        buf = io.StringIO()
         for key, value in self.config_echo.items():
-            fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
+            buf.write(f"# {key}={value}\n")
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-    def write_long(self, fh):
-        self._write(fh, self.long_header, self.long_rows)
-
-    def write_summary(self, fh):
-        self._write(fh, self.summary_header, self.summary_rows)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+        return buf.getvalue()
 
     def long_csv(self):
-        buf = io.StringIO()
-        self.write_long(buf)
-        return buf.getvalue()
+        return self._csv(LONG_HEADER, self.long_rows)
 
     def summary_csv(self):
-        buf = io.StringIO()
-        self.write_summary(buf)
-        return buf.getvalue()
+        return self._csv(SUMMARY_HEADER, self.summary_rows)
 
     def summary_value(self, epsilon, mechanism, metric):
         for eps, mech, met, value in self.summary_rows:
@@ -150,9 +143,9 @@ class ResultTable:
         raise KeyError((epsilon, mechanism, metric))
 
 
-def _echo(config: SimulationConfig, **extra):
+def _echo(experiment, config: SimulationConfig, **extra):
     echo = {
-        "experiment": config.experiment,
+        "experiment": experiment,
         "seed": config.seed,
         "n": config.n,
         "reps": config.reps,
@@ -164,10 +157,30 @@ def _echo(config: SimulationConfig, **extra):
     return echo
 
 
-def _noise_stream(config, eps_idx, mech_idx, rep):
+def _cells(config):
+    """(eps index, eps, mechanism index, mechanism) of every cell, in output order."""
+    for ei, eps in enumerate(config.eps):
+        for ki, mech in enumerate(config.mechanisms):
+            yield ei, eps, ki, mech
+
+
+def _noise_rng(config, ei, ki, rep):
+    """Noise generator of one cell and replicate."""
     # data streams occupy [0, reps); noise streams are disjoint by construction
-    n_mech = len(config.mechanisms)
-    return config.reps + ((eps_idx * n_mech + mech_idx) * config.reps + rep)
+    cell = ei * len(config.mechanisms) + ki
+    return RngStream(config.seed, config.reps + cell * config.reps + rep).generator()
+
+
+def _summarize(table, config, metric, reduce, baselines=()):
+    """Append a summary row reducing the long-row values of each baseline
+    mechanism (epsilon "") and then of each cell."""
+    values = defaultdict(list)
+    for eps, mech, _, _, value in table.long_rows:
+        values[(eps, mech)].append(value)
+    keys = [("", mech) for mech in baselines]
+    keys += [(float(eps), mech) for _, eps, _, mech in _cells(config)]
+    for eps, mech in keys:
+        table.summary_rows.append((eps, mech, metric, reduce(values[(eps, mech)])))
 
 
 def simulate_logistic(config: SimulationConfig) -> ResultTable:
@@ -188,14 +201,7 @@ def simulate_logistic(config: SimulationConfig) -> ResultTable:
             raise ValueError(f"logistic regression needs an lp ball, got {mech!r}")
         # logistic_sensitivity rejects an lp ball other than l1, l2 or linf
         losses[mech] = logistic_loss_spec(m, ball.p)
-    table = ResultTable(
-        config_echo=_echo(config, m=m),
-        long_header=("epsilon", "mechanism", "replicate", "metric", "value"),
-    )
-    errors = {
-        (eps, mech): [] for eps in config.eps for mech in config.mechanisms
-    }
-    mle_errors = []
+    table = ResultTable(_echo("logistic", config, m=m))
     for rep in range(config.reps):
         g = RngStream(config.seed, rep).generator()
         X = g.uniform(-1.0, 1.0, size=(config.n, m))
@@ -204,30 +210,16 @@ def simulate_logistic(config: SimulationConfig) -> ResultTable:
 
         mle = minimize_erm(logistic_loss_spec(m), X, y)
         mle_err = float(np.linalg.norm(mle - beta))
-        mle_errors.append(mle_err)
         table.long_rows.append(("", "mle", rep, "l2_error", mle_err))
 
-        for ei, eps in enumerate(config.eps):
-            for ki, mech in enumerate(config.mechanisms):
-                cfg = ObjPertConfig(epsilon=eps, q=config.q, loss=losses[mech])
-                g_noise = RngStream(
-                    config.seed, _noise_stream(config, ei, ki, rep)
-                ).generator()
-                theta = objective_perturbation(cfg, X, y, g_noise)
-                err = float(np.linalg.norm(theta - beta))
-                errors[(eps, mech)].append(err)
-                table.long_rows.append((float(eps), mech, rep, "l2_error", err))
+        for ei, eps, ki, mech in _cells(config):
+            cfg = ObjPertConfig(epsilon=eps, q=config.q, loss=losses[mech])
+            theta = objective_perturbation(cfg, X, y, _noise_rng(config, ei, ki, rep))
+            err = float(np.linalg.norm(theta - beta))
+            table.long_rows.append((float(eps), mech, rep, "l2_error", err))
 
-    table.summary_rows.append(
-        ("", "zero", "l2_error", float(np.linalg.norm(beta)))
-    )
-    table.summary_rows.append(("", "mle", "median_l2_error", lower_median(mle_errors)))
-    for eps in config.eps:
-        for mech in config.mechanisms:
-            table.summary_rows.append(
-                (float(eps), mech, "median_l2_error",
-                 lower_median(errors[(eps, mech)]))
-            )
+    table.summary_rows.append(("", "zero", "l2_error", float(np.linalg.norm(beta))))
+    _summarize(table, config, "median_l2_error", lower_median, baselines=("mle",))
     return table
 
 
@@ -243,14 +235,7 @@ def simulate_coverage(config: SimulationConfig) -> ResultTable:
     """
     p = config.p
     beta = np.concatenate([[0.0], np.linspace(-1.5, 1.5, p)])
-    table = ResultTable(
-        config_echo=_echo(config, p=p),
-        long_header=("epsilon", "mechanism", "replicate", "metric", "value"),
-    )
-    coverages = {
-        (eps, mech): [] for eps in config.eps for mech in config.mechanisms
-    }
-    true_cov = []
+    table = ResultTable(_echo("coverage", config, p=p))
     n = config.n
     tcrit = float(stdtrit(n - p - 1, 0.975))
     for rep in range(config.reps):
@@ -269,39 +254,24 @@ def simulate_coverage(config: SimulationConfig) -> ResultTable:
         hi = beta_hat + tcrit * se
 
         cov_true = float(np.mean((beta[1:] >= lo[1:]) & (beta[1:] <= hi[1:])))
-        true_cov.append(cov_true)
         table.long_rows.append(("", "true_beta", rep, "coverage", cov_true))
 
         # the protocol's Gaussian responses are unbounded, so skip range checks
         data = RegressionDataset(X, y, validate=False)
         stat = build_statistic(data)
-        for ei, eps in enumerate(config.eps):
-            for ki, mech in enumerate(config.mechanisms):
-                g_noise = RngStream(
-                    config.seed, _noise_stream(config, ei, ki, rep)
-                ).generator()
-                noisy = sanitize_statistic(stat, mech, eps, g_noise)
-                beta_dp = dp_estimate(noisy, n)
-                cov = float(
-                    np.mean((beta_dp[1:] >= lo[1:]) & (beta_dp[1:] <= hi[1:]))
-                )
-                coverages[(eps, mech)].append(cov)
-                table.long_rows.append((float(eps), mech, rep, "coverage", cov))
+        for ei, eps, ki, mech in _cells(config):
+            noisy = sanitize_statistic(stat, mech, eps, _noise_rng(config, ei, ki, rep))
+            beta_dp = dp_estimate(noisy, n)
+            cov = float(np.mean((beta_dp[1:] >= lo[1:]) & (beta_dp[1:] <= hi[1:])))
+            table.long_rows.append((float(eps), mech, rep, "coverage", cov))
 
-    table.summary_rows.append(
-        ("", "true_beta", "mean_coverage", float(np.mean(true_cov)))
-    )
-    for eps in config.eps:
-        for mech in config.mechanisms:
-            table.summary_rows.append(
-                (float(eps), mech, "mean_coverage",
-                 float(np.mean(coverages[(eps, mech)])))
-            )
+    _summarize(table, config, "mean_coverage", lambda v: float(np.mean(v)),
+               baselines=("true_beta",))
     return table
 
 
 def read_table(path):
-    """Read a numeric CSV with a header row into a dict of column arrays."""
+    """Read a CSV of finite numbers with a header row into a dict of column arrays."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -316,11 +286,16 @@ def read_table(path):
                 raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
             for name, cell in zip(header, row):
                 try:
-                    columns[name].append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ValueError(
-                        f"{path}: row {i}, column {name!r}: not numeric: {cell!r}"
-                    ) from None
+                        f"{path}: row {i}, column {name!r}: not a finite number: {cell!r}"
+                    )
+                columns[name].append(value)
+    if not any(columns.values()):
+        raise ValueError(f"{path}: no data rows")
     return {name: np.array(vals) for name, vals in columns.items()}
 
 
@@ -346,38 +321,17 @@ def run_regression_file(config: SimulationConfig) -> ResultTable:
     beta_mle, *_ = np.linalg.lstsq(data.design, data.response, rcond=None)
     baseline = float(np.linalg.norm(beta_mle))
     stat = build_statistic(data)
-    table = ResultTable(
-        config_echo=_echo(
-            config,
-            n=data.n,
-            p=data.p,
-            csv=config.csv_path,
-            response=config.response,
-            baseline_l2=_fmt(baseline),
-        ),
-        long_header=("epsilon", "mechanism", "replicate", "metric", "value"),
-    )
-    dists = {(eps, mech): [] for eps in config.eps for mech in config.mechanisms}
-    for ei, eps in enumerate(config.eps):
-        for ki, mech in enumerate(config.mechanisms):
-            for rep in range(config.reps):
-                g = RngStream(
-                    config.seed, _noise_stream(config, ei, ki, rep)
-                ).generator()
-                noisy = sanitize_statistic(stat, mech, eps, g)
-                beta_dp = dp_estimate(noisy, data.n)
-                dist = float(np.linalg.norm(beta_dp - beta_mle))
-                dists[(eps, mech)].append(dist)
-                table.long_rows.append(
-                    (float(eps), mech, rep, "l2_distance_to_mle", dist)
-                )
+    table = ResultTable(_echo(
+        "regression-file", config, n=data.n, p=data.p, csv=config.csv_path,
+        response=config.response, baseline_l2=_fmt(baseline),
+    ))
+    for ei, eps, ki, mech in _cells(config):
+        for rep in range(config.reps):
+            noisy = sanitize_statistic(stat, mech, eps, _noise_rng(config, ei, ki, rep))
+            dist = float(np.linalg.norm(dp_estimate(noisy, data.n) - beta_mle))
+            table.long_rows.append((float(eps), mech, rep, "l2_distance_to_mle", dist))
     table.summary_rows.append(("", "zero", "l2_distance_to_mle", baseline))
-    for eps in config.eps:
-        for mech in config.mechanisms:
-            table.summary_rows.append(
-                (float(eps), mech, "median_l2_distance_to_mle",
-                 lower_median(dists[(eps, mech)]))
-            )
+    _summarize(table, config, "median_l2_distance_to_mle", lower_median)
     return table
 
 
@@ -424,18 +378,6 @@ class DiagnosticsReport:
                 f"threshold={c.threshold:.6g}{extra}"
             )
         return lines
-
-
-def _diag_draws(ball, delta, epsilon, rng, n_draws):
-    """Noise draws, their gauges, and the rejection counts for an oracle ball."""
-    if ball.is_lp:
-        v = sample_noise(MechanismConfig(epsilon, delta, ball), rng, size=n_draws)
-        return v, ball.gauge_many(v), None
-    v, stats = sample_k_mech_rejection(
-        np.zeros(ball.dimension), ball, delta, epsilon, rng, size=n_draws,
-        return_stats=True,
-    )
-    return v, ball.gauge_many(v), stats
 
 
 def _dp_ratio_check(epsilon, n, seed):
@@ -485,9 +427,15 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
         m = ball.dimension
         rng = RngStream(seed, 1000 + idx).generator()
         faulty = fault == "laplace-scale" and mech == "l1"
-        v, gauges, stats = _diag_draws(
-            ball, delta / 2.0 if faulty else delta, epsilon, rng, n_draws
-        )
+        draw_delta = delta / 2.0 if faulty else delta
+        stats = None
+        if ball.is_lp:
+            v = sample_noise(MechanismConfig(epsilon, draw_delta, ball), rng, size=n_draws)
+        else:
+            v, stats = sample_k_mech_rejection(
+                np.zeros(m), ball, draw_delta, epsilon, rng, size=n_draws, return_stats=True
+            )
+        gauges = ball.gauge_many(v)
         rate = epsilon / delta
         d = ks_statistic(gauges, lambda x: gamma_cdf(x, m, rate))
         crit = ks_critical(n_draws, 0.01)

@@ -123,9 +123,10 @@ class RegressionDataset:
         if validate:
             if not np.all(design[:, 0] == 1.0):
                 raise ValueError("first design column must be all ones")
-            if np.abs(design[:, 1:]).max() > 1.0 + 1e-12:
+            # written so that a NaN entry fails the check
+            if not np.abs(design[:, 1:]).max() <= 1.0 + 1e-12:
                 raise ValueError("design entries must lie in [-1, 1]")
-            if np.abs(response).max() > 1.0 + 1e-12:
+            if not np.abs(response).max() <= 1.0 + 1e-12:
                 raise ValueError("response entries must lie in [-1, 1]")
         self.design = design
         self.response = response

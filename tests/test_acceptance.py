@@ -178,7 +178,7 @@ def test_c06_conditional_variance_ordering():
 def test_c07_logistic_ordering():
     t0 = time.time()
     config = SimulationConfig(
-        experiment="logistic", eps=(1 / 16, 1 / 8), n=10_000, reps=100,
+        eps=(1 / 16, 1 / 8), n=10_000, reps=100,
         mechanisms=("l1", "l2", "linf"), q=0.5, seed=70,
     )
     table = simulate_logistic(config)
@@ -199,7 +199,7 @@ def test_c08_coverage_ordering():
     t0 = time.time()
     eps_grid = (0.25, 0.5, 1.0)
     config = SimulationConfig(
-        experiment="coverage", eps=eps_grid, n=10_000, p=5, reps=200,
+        eps=eps_grid, n=10_000, p=5, reps=200,
         mechanisms=("l1", "linf", "kt"), seed=80,
     )
     table = simulate_coverage(config)

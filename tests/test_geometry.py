@@ -281,6 +281,14 @@ class TestVolumeLp:
         with pytest.raises(ValueError):
             volume_lp(2, 2, 0)
 
+    @pytest.mark.parametrize("p, m, r", [(INF, 1126, 1.0), (1, 600, 1200.0), (45, 1126, 2.0)])
+    def test_overflow_reads_inf(self, p, m, r):
+        assert volume_lp(p, m, r) == math.inf
+
+    def test_underflow_reads_zero(self):
+        assert volume_lp(1, 250, 1.0) == 0.0
+        assert volume_lp(INF, 1126, 0.25) == 0.0
+
 
 class TestVolumeMonteCarlo:
     def test_k2_hull_volume(self):
@@ -334,9 +342,8 @@ class TestExactVolumes:
         assert math.isclose(log_v, math.log(volume_lp(p, m, r)), rel_tol=1e-12, abs_tol=1e-12)
 
     def test_lp_log_volume_at_regression_dimensions(self):
-        # the l-inf volume overflows a float from m = 1024; its log does not
-        with pytest.raises(OverflowError):
-            volume_lp(INF, 1126)
+        # the l-inf volume overflows a float from m = 1024 and reads inf; its log does not
+        assert volume_lp(INF, 1126) == math.inf
         assert NormBall.lp(INF, 1.0, 1126).log_volume() == 1126 * math.log(2.0)
         # the p = 16 regression statistic has d = 154, sanitized in lp balls up to p = 45
         assert math.isfinite(NormBall.lp(45, 1.0, 1126).log_volume())

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import importlib.util
 import io
 import math
 import os
@@ -84,7 +86,7 @@ class TestKsHelpers:
 class TestSimulateLogistic:
     def test_baseline_and_high_eps(self):
         config = SimulationConfig(
-            experiment="logistic", eps=(1e6,), n=2000, reps=5,
+            eps=(1e6,), n=2000, reps=5,
             mechanisms=("l1", "linf"), q=0.5, seed=3,
         )
         table = simulate_logistic(config)
@@ -98,7 +100,7 @@ class TestSimulateLogistic:
 
     def test_unknown_mechanism_rejected(self):
         config = SimulationConfig(
-            experiment="logistic", eps=(1.0,), n=100, reps=1,
+            eps=(1.0,), n=100, reps=1,
             mechanisms=("kt",), seed=0,
         )
         with pytest.raises(ValueError):
@@ -106,7 +108,7 @@ class TestSimulateLogistic:
 
     def test_long_rows_complete(self):
         config = SimulationConfig(
-            experiment="logistic", eps=(1.0, 2.0), n=500, reps=3,
+            eps=(1.0, 2.0), n=500, reps=3,
             mechanisms=("l2",), seed=4,
         )
         table = simulate_logistic(config)
@@ -119,7 +121,7 @@ class TestSimulateLogistic:
 class TestSimulateCoverage:
     def test_true_beta_coverage_near_nominal(self):
         config = SimulationConfig(
-            experiment="coverage", eps=(0.5,), n=2000, p=5, reps=60,
+            eps=(0.5,), n=2000, p=5, reps=60,
             mechanisms=(), seed=5,
         )
         table = simulate_coverage(config)
@@ -128,7 +130,7 @@ class TestSimulateCoverage:
 
     def test_high_budget_large_n_near_nominal(self):
         config = SimulationConfig(
-            experiment="coverage", eps=(4.0,), n=1_000_000, p=5, reps=10,
+            eps=(4.0,), n=1_000_000, p=5, reps=10,
             mechanisms=("l1", "linf", "kt"), seed=6,
         )
         table = simulate_coverage(config)
@@ -140,7 +142,7 @@ class TestSimulateCoverage:
 
     def test_linf_beats_l1_at_moderate_budget(self):
         config = SimulationConfig(
-            experiment="coverage", eps=(0.5,), n=10_000, p=5, reps=50,
+            eps=(0.5,), n=10_000, p=5, reps=50,
             mechanisms=("l1", "linf"), seed=7,
         )
         table = simulate_coverage(config)
@@ -153,7 +155,7 @@ class TestRunRegressionFile:
         path = tmp_path / "data.csv"
         synthetic_regression_csv(path, n=500, p=3, seed=8)
         config = SimulationConfig(
-            experiment="regression-file", eps=(1e9,), reps=3,
+            eps=(1e9,), reps=3,
             mechanisms=("l1", "linf", "kt"), seed=8, csv_path=str(path),
             response="y",
         )
@@ -168,7 +170,7 @@ class TestRunRegressionFile:
         path = tmp_path / "data.csv"
         synthetic_regression_csv(path, n=2000, p=5, seed=9)
         config = SimulationConfig(
-            experiment="regression-file", eps=(1 / 16, 1 / 4, 1.0), reps=200,
+            eps=(1 / 16, 1 / 4, 1.0), reps=200,
             mechanisms=("l1", "linf"), seed=9, csv_path=str(path), response="y",
         )
         table = run_regression_file(config)
@@ -178,7 +180,7 @@ class TestRunRegressionFile:
             assert d_inf < d_1
 
     def test_requires_path_and_response(self):
-        config = SimulationConfig(experiment="regression-file", eps=(1.0,))
+        config = SimulationConfig(eps=(1.0,))
         with pytest.raises(ValueError):
             run_regression_file(config)
 
@@ -195,6 +197,19 @@ class TestReadTable:
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b"], [[1, 2], [3, "oops"]])
         with pytest.raises(ValueError, match="row 3, column 'b'"):
+            read_table(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b"], [[1, 2], [3, cell]])
+        with pytest.raises(ValueError, match="row 3, column 'b': not a finite number"):
+            read_table(path)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b"], [])
+        with pytest.raises(ValueError, match="no data rows"):
             read_table(path)
 
     def test_ragged_row(self, tmp_path):
@@ -253,7 +268,7 @@ class TestDiagnostics:
 class TestDeterminismAndEcho:
     def test_byte_identical_output(self):
         config = SimulationConfig(
-            experiment="logistic", eps=(0.5, 1.0), n=300, reps=3,
+            eps=(0.5, 1.0), n=300, reps=3,
             mechanisms=("l1", "linf"), q=0.5, seed=11,
         )
         a, b = simulate_logistic(config), simulate_logistic(config)
@@ -262,11 +277,11 @@ class TestDeterminismAndEcho:
 
     def test_mechanism_order_changes_streams_not_results_shape(self):
         base = SimulationConfig(
-            experiment="logistic", eps=(1.0,), n=300, reps=2,
+            eps=(1.0,), n=300, reps=2,
             mechanisms=("l1", "linf"), seed=12,
         )
         swapped = SimulationConfig(
-            experiment="logistic", eps=(1.0,), n=300, reps=2,
+            eps=(1.0,), n=300, reps=2,
             mechanisms=("linf", "l1"), seed=12,
         )
         a, b = simulate_logistic(base), simulate_logistic(swapped)
@@ -275,7 +290,7 @@ class TestDeterminismAndEcho:
 
     def test_config_echo_rows(self):
         config = SimulationConfig(
-            experiment="coverage", eps=(1.0,), n=500, p=2, reps=2,
+            eps=(1.0,), n=500, p=2, reps=2,
             mechanisms=("linf",), seed=13,
         )
         text = simulate_coverage(config).long_csv()
@@ -284,9 +299,9 @@ class TestDeterminismAndEcho:
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            SimulationConfig(experiment="logistic", eps=(0.0,), reps=1)
+            SimulationConfig(eps=(0.0,), reps=1)
         with pytest.raises(ValueError):
-            SimulationConfig(experiment="logistic", eps=(1.0,), reps=0)
+            SimulationConfig(eps=(1.0,), reps=0)
 
 
 class TestCli:
@@ -362,6 +377,21 @@ class TestCli:
         assert items["preferred_by_containment"] == winner
         assert items["preferred_by_volume"] == winner
 
+    @pytest.mark.parametrize("argv", [
+        ("--a", "linf:2", "--b", "l1:1200", "--m", "600"),
+        # the p = 45 regression statistic's dimension
+        ("--a", "linf:2", "--b", "l1:2252", "--m", "1126"),
+    ])
+    def test_compare_past_float_range(self, capsys, argv):
+        # both scaled volumes pass the float range; entropies stay in log form
+        code, items, err = self._compare(capsys, *argv)
+        assert code == 0, err
+        assert items["volume_a"] == "inf"
+        assert math.isfinite(float(items["entropy_a"]))
+        assert math.isfinite(float(items["entropy_b"]))
+        assert items["containment"] == "a_tighter"
+        assert items["preferred_by_volume"] == "linf:2"
+
     def test_compare_zero_monte_carlo_hits(self, capsys):
         code, _, err = self._compare(capsys, "--a", "kt20:1", "--b", "linf:2",
                                      "--m", "251", "--mc-samples", "1000")
@@ -409,3 +439,92 @@ class TestCli:
                      "--response", "y"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def positive_regression_csv(path, n=200, seed=21):
+    """A table whose column "a" is positive, for --log-cols runs."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 4.0, n)
+    b = rng.uniform(-1.0, 1.0, n)
+    y = np.log(a) - 0.5 * b + 0.1 * rng.standard_normal(n)
+    write_csv(path, ["a", "b", "y"], np.column_stack([a, b, y]).tolist())
+
+
+def _sha256(table):
+    return hashlib.sha256((table.long_csv() + table.summary_csv()).encode()).hexdigest()
+
+
+class TestRunLayer:
+    """The three drivers share one cell grid, noise-stream map and CSV writer.
+    The digests pin every byte of a small run of each driver."""
+
+    def test_logistic_bytes_pinned(self):
+        config = SimulationConfig(eps=(0.5, 1.0), n=200, reps=2,
+                                  mechanisms=("l1", "l2", "linf"), q=0.3, seed=5)
+        assert _sha256(simulate_logistic(config)) == (
+            "d81fc5edeaf25b3d4f90dc2ca8a73a7d4e0fd118bbeec9dce16c7c0eadbbd8d0")
+
+    def test_coverage_bytes_pinned(self):
+        config = SimulationConfig(eps=(0.5, 2.0), n=300, p=2, reps=2,
+                                  mechanisms=("l1", "linf", "kt"), seed=6)
+        assert _sha256(simulate_coverage(config)) == (
+            "ed46ded864f465cb57b522927df358442480bb40f3c464d4e63a62f33a45b540")
+
+    def test_regression_file_bytes_pinned(self, tmp_path, monkeypatch):
+        # the csv path is echoed, so run from the table's directory
+        monkeypatch.chdir(tmp_path)
+        positive_regression_csv("data.csv")
+        config = SimulationConfig(eps=(0.5, 1.0), reps=2, mechanisms=("l1", "linf", "kt"),
+                                  seed=7, csv_path="data.csv", response="y",
+                                  log_columns=("a",))
+        assert _sha256(run_regression_file(config)) == (
+            "44a6adc7258d8f666b80a1cec3afb23e42869b7a4b25e5a73c7a91fc157b9fc8")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate-logistic", "--eps", "1.0", "--n", "200", "--reps", "2", "--mech", "l1,linf"],
+        ["simulate-coverage", "--eps", "1.0", "--n", "300", "--p", "2", "--reps", "2"],
+        ["run-regression", "--csv", "data.csv", "--response", "y", "--log-cols", "a",
+         "--reps", "2"],
+    ])
+    def test_files_equal_stdout(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        positive_regression_csv("data.csv")
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--out", "long.csv", "--summary", "summary.csv"]) == 0
+        assert capsys.readouterr().out == ""
+        files = (tmp_path / "long.csv").read_text() + (tmp_path / "summary.csv").read_text()
+        assert files == stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["run-regression", "--csv", "d.csv", "--response", "y", "--n", "5"],
+        ["run-regression", "--csv", "d.csv", "--response", "y", "--q", "0.3"],
+        ["simulate-coverage", "--q", "0.3"],
+    ])
+    def test_options_a_command_does_not_read_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_non_finite_csv_cell_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["x", "y"], [[0.1, 0.2], [0.3, "nan"], [0.5, 0.1]])
+        code = main(["run-regression", "--csv", str(path), "--response", "y"])
+        assert code == 2
+        assert "row 3, column 'y': not a finite number" in capsys.readouterr().err
+
+
+class TestBenchmarkHooks:
+    def test_every_tracing_target_resolves(self):
+        # perfbench/spans.py rebinds these names to time each layer; a rename in
+        # src would otherwise only show as a failed traced benchmark run
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", os.path.join(root, "perfbench", "spans.py"))
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+                   for owner, attr, _ in spans.TARGETS if not hasattr(owner, attr)]
+        assert missing == []
+        assert {layer for _, _, layer in spans.TARGETS} <= set(spans.LAYERS)

@@ -164,6 +164,12 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             RegressionDataset(np.array([[1.0, 0.5]]), [2.0])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="design entries"):
+            RegressionDataset(np.array([[1.0, 0.5], [1.0, np.nan]]), [0.0, 0.0])
+        with pytest.raises(ValueError, match="response entries"):
+            RegressionDataset(np.array([[1.0, 0.5], [1.0, 0.5]]), [0.0, np.nan])
+
     def test_rejects_missing_ones_column(self):
         with pytest.raises(ValueError):
             RegressionDataset(np.array([[0.5, 0.5]]), [0.0])
