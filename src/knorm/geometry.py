@@ -4,9 +4,12 @@ A norm ball is a convex, bounded, absorbing, origin-symmetric subset of R^m.
 Balls are either analytic lp bodies (p in [1, inf], radius r) or oracle
 bodies given by a vectorized membership predicate plus an exact vectorized
 gauge, both at unit scale, an l-infinity bounding radius and, if known, an
-exact volume. Every value here is immutable after construction and every
-operation is a pure function of its inputs plus an explicit seed, so
-everything is safe to use concurrently.
+exact volume. An oracle body with structure may also carry its own exact
+uniform sampler and its own estimate of the fraction of its bounding box
+it fills; samplers and volume estimates use them in place of box
+rejection and hit-or-miss. Every value here is immutable after
+construction and every operation is a pure function of its inputs plus an
+explicit seed, so everything is safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -72,8 +75,14 @@ class NormBall:
     and ``linf_bound`` bounds the l-infinity norm of every member point.
     ``volume`` is an oracle body's exact unit-scale volume, if known (lp
     balls ignore it: their volume is the closed form; see ``log_volume``).
-    Oracle balls are identified by ``name``: equality ignores the predicate
-    and gauge objects, so give distinct bodies distinct names.
+    ``uniform_fn(rng, n, max_attempts)``, if given, returns n exact uniform
+    points of the unit-scale body and its (accepted, proposals) counts,
+    raising SamplerError once max_attempts proposals are spent;
+    ``box_fraction_fn(rng, n)``, if given, returns an unbiased n-sample
+    estimate of the fraction of the [-linf_bound, linf_bound]^m box the body
+    fills, and its standard error.
+    Oracle balls are identified by ``name``: equality ignores the predicate,
+    gauge and hook objects, so give distinct bodies distinct names.
     """
 
     dimension: int
@@ -88,6 +97,8 @@ class NormBall:
     linf_bound: Optional[float] = None
     name: str = ""
     volume: Optional[float] = None
+    uniform_fn: Optional[Callable] = field(default=None, compare=False)
+    box_fraction_fn: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -112,10 +123,13 @@ class NormBall:
         return cls(dimension=dimension, p=float(p), radius=float(radius), name=name)
 
     @classmethod
-    def from_oracle(cls, member, gauge, linf_bound, dimension, name="", volume=None):
-        """Oracle ball; ``volume`` is its exact unit-scale volume, if known."""
+    def from_oracle(cls, member, gauge, linf_bound, dimension, name="", volume=None,
+                    uniform=None, box_fraction=None):
+        """Oracle ball; ``volume`` is its exact unit-scale volume, if known, and
+        ``uniform``/``box_fraction`` its own sampler and box-fraction estimator."""
         return cls(dimension=dimension, member=member, gauge_fn=gauge,
-                   linf_bound=float(linf_bound), name=name, volume=volume)
+                   linf_bound=float(linf_bound), name=name, volume=volume,
+                   uniform_fn=uniform, box_fraction_fn=box_fraction)
 
     @property
     def is_lp(self):
@@ -253,6 +267,11 @@ def k3_ball() -> NormBall:
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _exp_or_inf(log_x):
+    # exp that reads inf past the float range instead of raising OverflowError
+    return math.exp(log_x) if log_x < _LOG_FLOAT_MAX else math.inf
+
+
 def _log_volume_lp(p, m, r):
     # log of (2r)^m Gamma(1 + 1/p)^m / Gamma(1 + m/p); at p = inf, 1/p = 0
     return m * math.log(2.0 * r) + m * math.lgamma(1.0 + 1.0 / p) - math.lgamma(1.0 + m / p)
@@ -273,15 +292,18 @@ def volume_lp(p, m, r=1.0):
         unit = 2.0**m * math.gamma(1.0 + 1.0 / p) ** m / math.gamma(1.0 + m / p)
         return unit * r**m
     except OverflowError:
-        log_v = _log_volume_lp(p, m, r)
-        return math.exp(log_v) if log_v < _LOG_FLOAT_MAX else math.inf
+        return _exp_or_inf(_log_volume_lp(p, m, r))
 
 
 def volume_monte_carlo(ball: NormBall, scale=1.0, n_samples=100_000, seed=0):
-    """Hit-or-miss volume estimate of scale*K over its bounding box.
+    """Monte Carlo volume estimate of scale*K over its bounding box.
 
-    Returns (estimate, standard_error); the estimate is unbiased and the
-    standard error comes from the binomial hit proportion.
+    Returns (estimate, standard_error): the estimated fraction of the box
+    that K fills, and its standard error, times the box volume. A ball with
+    a ``box_fraction_fn`` estimates the fraction itself; for any other it is
+    the hit-or-miss proportion with its binomial standard error. Either
+    estimate is unbiased. The box volume is applied in log form, so both
+    values read inf past the float range instead of raising.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
@@ -292,19 +314,21 @@ def volume_monte_carlo(ball: NormBall, scale=1.0, n_samples=100_000, seed=0):
         raise ValueError("degenerate bounding box")
     m = ball.dimension
     rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    chunk = 1 << 17
-    while done < n_samples:
-        k = min(chunk, n_samples - done)
-        pts = rng.uniform(-b, b, size=(k, m))
-        hits += int(ball.member_many(pts).sum())
-        done += k
-    box = (2.0 * b * scale) ** m
-    phat = hits / n_samples
-    est = box * phat
-    se = box * math.sqrt(phat * (1.0 - phat) / n_samples)
-    return est, se
+    if ball.box_fraction_fn is not None:
+        frac, se = ball.box_fraction_fn(rng, n_samples)
+    else:
+        hits = 0
+        done = 0
+        chunk = 1 << 17
+        while done < n_samples:
+            k = min(chunk, n_samples - done)
+            pts = rng.uniform(-b, b, size=(k, m))
+            hits += int(ball.member_many(pts).sum())
+            done += k
+        frac = hits / n_samples
+        se = math.sqrt(frac * (1.0 - frac) / n_samples)
+    log_box = m * math.log(2.0 * b * scale)
+    return tuple(_exp_or_inf(math.log(x) + log_box) if x > 0 else 0.0 for x in (frac, se))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .linreg import (
     RegressionDataset,
     ball_from_name,
     build_statistic,
-    dp_estimate,
+    dp_estimates,
     preprocess,
     sanitize_statistic,
 )
@@ -44,6 +44,7 @@ from .sampling import (
 
 # unused here, but perfbench/spans.py rebinds these names in this module
 from .geometry import lp_norm  # noqa: F401
+from .linreg import dp_estimate  # noqa: F401
 from .sampling import sample_l2_mech, sample_linf_mech  # noqa: F401
 
 __all__ = [
@@ -73,7 +74,8 @@ DEFAULT_REGRESSION_EPS = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
 class SimulationConfig:
     """One experiment run: epsilon grid, sample size n, predictor count p,
     replicate count, mechanisms, objective-perturbation q, seed, and the CSV
-    input of run_regression_file (path, response, log columns, quantiles)."""
+    input of run_regression_file (path, response, log columns, quantiles).
+    Epsilons and mechanisms must each be distinct: summaries are per cell."""
 
     eps: tuple = ()
     n: int = 10_000
@@ -93,6 +95,10 @@ class SimulationConfig:
             raise ValueError("replicate count must be >= 1")
         if any(e <= 0 for e in self.eps):
             raise ValueError("epsilon values must be positive")
+        # a repeated cell would be pooled with its twin in every summary row
+        for name, values in (("epsilon", self.eps), ("mechanism", self.mechanisms)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"repeated {name} in {', '.join(map(str, values))}")
 
 
 def lower_median(values):
@@ -151,7 +157,6 @@ def _echo(experiment, config: SimulationConfig, **extra):
         "reps": config.reps,
         "eps": ",".join(_fmt(float(e)) for e in config.eps),
         "mechanisms": ",".join(config.mechanisms),
-        "q": _fmt(float(config.q)),
     }
     echo.update(extra)
     return echo
@@ -201,7 +206,7 @@ def simulate_logistic(config: SimulationConfig) -> ResultTable:
             raise ValueError(f"logistic regression needs an lp ball, got {mech!r}")
         # logistic_sensitivity rejects an lp ball other than l1, l2 or linf
         losses[mech] = logistic_loss_spec(m, ball.p)
-    table = ResultTable(_echo("logistic", config, m=m))
+    table = ResultTable(_echo("logistic", config, q=_fmt(float(config.q)), m=m))
     for rep in range(config.reps):
         g = RngStream(config.seed, rep).generator()
         X = g.uniform(-1.0, 1.0, size=(config.n, m))
@@ -229,7 +234,8 @@ def simulate_coverage(config: SimulationConfig) -> ResultTable:
     Per replicate, simulates a Gaussian-error regression with unit variance
     and coefficients spaced over [-1.5, 1.5], builds classical 95%
     t-intervals from the least-squares fit, and records the fraction of the
-    last p coordinates of each private estimate falling inside. Summaries
+    last p coordinates of each private estimate falling inside; the
+    replicate's private estimates are solved as one stack. Summaries
     are means per cell; "true_beta" rows record the intervals' own coverage
     of the true coefficients.
     """
@@ -259,9 +265,10 @@ def simulate_coverage(config: SimulationConfig) -> ResultTable:
         # the protocol's Gaussian responses are unbounded, so skip range checks
         data = RegressionDataset(X, y, validate=False)
         stat = build_statistic(data)
-        for ei, eps, ki, mech in _cells(config):
-            noisy = sanitize_statistic(stat, mech, eps, _noise_rng(config, ei, ki, rep))
-            beta_dp = dp_estimate(noisy, n)
+        cells = list(_cells(config))
+        noisy = [sanitize_statistic(stat, mech, eps, _noise_rng(config, ei, ki, rep))
+                 for ei, eps, ki, mech in cells]
+        for (_, eps, _, mech), beta_dp in zip(cells, dp_estimates(noisy, n)):
             cov = float(np.mean((beta_dp[1:] >= lo[1:]) & (beta_dp[1:] <= hi[1:])))
             table.long_rows.append((float(eps), mech, rep, "coverage", cov))
 
@@ -305,8 +312,8 @@ def run_regression_file(config: SimulationConfig) -> ResultTable:
     Preprocesses the table (log transforms, quantile clamping, affine map
     to [-1,1]), computes the least-squares fit, and for every (epsilon,
     mechanism, replicate) records the l2 distance between the private
-    estimate and that fit. The zero-vector baseline ||beta_mle||_2 is
-    echoed in the header.
+    estimate and that fit, solving all private estimates as one stack. The
+    zero-vector baseline ||beta_mle||_2 is echoed in the header.
     """
     if config.csv_path is None or config.response is None:
         raise ValueError("run-regression requires a csv path and response column")
@@ -325,11 +332,13 @@ def run_regression_file(config: SimulationConfig) -> ResultTable:
         "regression-file", config, n=data.n, p=data.p, csv=config.csv_path,
         response=config.response, baseline_l2=_fmt(baseline),
     ))
-    for ei, eps, ki, mech in _cells(config):
-        for rep in range(config.reps):
-            noisy = sanitize_statistic(stat, mech, eps, _noise_rng(config, ei, ki, rep))
-            dist = float(np.linalg.norm(dp_estimate(noisy, data.n) - beta_mle))
-            table.long_rows.append((float(eps), mech, rep, "l2_distance_to_mle", dist))
+    runs = [(ei, eps, ki, mech, rep) for ei, eps, ki, mech in _cells(config)
+            for rep in range(config.reps)]
+    noisy = [sanitize_statistic(stat, mech, eps, _noise_rng(config, ei, ki, rep))
+             for ei, eps, ki, mech, rep in runs]
+    for (_, eps, _, mech, rep), beta_dp in zip(runs, dp_estimates(noisy, data.n)):
+        dist = float(np.linalg.norm(beta_dp - beta_mle))
+        table.long_rows.append((float(eps), mech, rep, "l2_distance_to_mle", dist))
     table.summary_rows.append(("", "zero", "l2_distance_to_mle", baseline))
     _summarize(table, config, "median_l2_distance_to_mle", lower_median)
     return table

@@ -17,7 +17,9 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammainc, gammaincinv
 
-from .geometry import ScaledBall, ball_containment, volume_lp, volume_monte_carlo
+from .geometry import (
+    ScaledBall, _exp_or_inf, ball_containment, volume_lp, volume_monte_carlo,
+)
 from .sampling import MechanismConfig
 
 __all__ = [
@@ -62,10 +64,15 @@ def entropy(config: MechanismConfig, ball_volume=None):
     the k2 and k3 hulls); a ball whose volume is unknown must supply
     ``ball_volume`` (e.g. a Monte Carlo estimate) or a ValueError is raised.
     """
-    m = config.dimension
     log_vol = config.ball.log_volume() if ball_volume is None else math.log(ball_volume)
     if log_vol is None:
         raise ValueError("entropy: unknown volume for oracle ball; pass ball_volume")
+    return _entropy(config, log_vol)
+
+
+def _entropy(config: MechanismConfig, log_vol):
+    # entropy from the log unit-ball volume, finite at any dimension
+    m = config.dimension
     return (
         m * (1.0 + math.log(config.delta / config.epsilon))
         + math.lgamma(m + 1)
@@ -181,17 +188,25 @@ class ComparisonReport:
 
 
 def _scaled_volume(config: MechanismConfig, n_mc, seed):
-    """Volume of delta*K, its standard error, and K's volume if estimated (None if exact)."""
+    """Volume of delta*K and its standard error, then K's log volume and the
+    relative standard error (0.0 for an exact volume)."""
     ball, delta, m = config.ball, config.delta, config.dimension
     if ball.is_lp:
-        return volume_lp(ball.p, m, ball.radius * delta), 0.0, None
+        return volume_lp(ball.p, m, ball.radius * delta), 0.0, ball.log_volume(), 0.0
     if ball.volume is not None:
-        return ball.volume * delta**m, 0.0, None
-    est, se = volume_monte_carlo(ball, n_samples=n_mc, seed=seed)
-    if est == 0.0:
+        return ball.volume * delta**m, 0.0, ball.log_volume(), 0.0
+    # K shrunk into the unit cube: its volume is the fraction of its bounding
+    # box that it fills, finite at any dimension
+    box = 2.0 * ball.linf_radius
+    frac, se = volume_monte_carlo(ball, scale=1.0 / box, n_samples=n_mc, seed=seed)
+    if frac == 0.0:
         raise ValueError(f"no Monte Carlo point hit {config.label} in "
                          f"{n_mc} samples; raise --mc-samples")
-    return est * delta**m, se * delta**m, est
+    log_vol = math.log(frac) + m * math.log(box)
+    volume = _exp_or_inf(log_vol + m * math.log(delta))
+    rel = se / frac
+    # an exact hit-or-miss count (every point a hit) has rel 0, also at inf volume
+    return volume, rel * volume if rel else 0.0, log_vol, rel
 
 
 def compare(a: MechanismConfig, b: MechanismConfig, seed=0,
@@ -199,21 +214,27 @@ def compare(a: MechanismConfig, b: MechanismConfig, seed=0,
     """Full decision report between two mechanisms at equal budget.
 
     Scaled-ball volumes are exact when the ball knows its volume (lp, k2,
-    k3); Monte Carlo, with the given seed, runs only when it is unknown.
-    Entropies come from entropy() in log form, and at equal budget they
-    order like the log-volumes, so they also decide the exact-volume
-    verdict. The containment verdict comes from stochastic_tightness.
+    k3); a Monte Carlo estimate (volume_monte_carlo, with the given seed;
+    kt<p> balls estimate their own) runs only when it is unknown.
+    Entropies are in log form, and at equal budget they differ exactly as
+    the log-volumes do, so they also decide the volume verdict; a volume
+    past the float range prints as inf. The containment verdict comes from
+    stochastic_tightness.
     """
     _require_comparable(a, b)
-    va, se_a, est_a = _scaled_volume(a, n_mc, seed)
-    vb, se_b, est_b = _scaled_volume(b, n_mc, seed + 1)
-    ent_a, ent_b = entropy(a, est_a), entropy(b, est_b)
+    va, se_a, log_a, rel_a = _scaled_volume(a, n_mc, seed)
+    vb, se_b, log_b, rel_b = _scaled_volume(b, n_mc, seed + 1)
+    ent_a, ent_b = _entropy(a, log_a), _entropy(b, log_b)
 
     verdict, witness = _tightness_verdict(a, b, seed)
     preferred_containment = {"a_tighter": a.label, "b_tighter": b.label}.get(verdict, verdict)
 
-    se_comb = math.hypot(se_a, se_b)
-    if abs(va - vb) <= 4.0 * se_comb if se_comb > 0 else ent_a == ent_b:
+    # the 4-SE tie rule on both volumes divided by the larger one, which
+    # their entropy difference gives at any dimension
+    top = max(ent_a, ent_b)
+    ra, rb = math.exp(ent_a - top), math.exp(ent_b - top)
+    se_comb = math.hypot(rel_a * ra, rel_b * rb)
+    if abs(ra - rb) <= 4.0 * se_comb if se_comb > 0 else ent_a == ent_b:
         preferred_volume = "tie"
     else:
         preferred_volume = a.label if ent_a < ent_b else b.label

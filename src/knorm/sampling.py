@@ -5,8 +5,9 @@ Closed forms cover the l1 (independent Laplace), l2 (gamma radius times a
 spherical direction) and l-infinity (gamma radius times a box direction)
 balls, and every other lp ball through the polar form: a gamma radius
 times G/||G||_p for G with iid coordinates of density proportional to
-exp(-|g|^p). Arbitrary balls go through rejection sampling of a uniform
-point on K followed by an independent Gamma(m+1) radius. In every case
+exp(-|g|^p). Arbitrary balls go through a uniform point on K, from the
+ball's own exact sampler if it has one and by rejection from its bounding
+box otherwise, followed by an independent Gamma(m+1) radius. In every case
 the gauge of the noise is marginally Gamma(m, eps/Delta).
 
 Samplers are pure given an explicit generator; parallel replicates should
@@ -183,14 +184,18 @@ def sample_lp_mech(T, p, delta_p, epsilon, rng, size=None):
 
 
 def sample_uniform_ball(ball: NormBall, rng, size=None, max_attempts=10**6):
-    """Uniform draw(s) on the unit-scale ball by rejection from its box.
+    """Uniform draw(s) on the unit-scale ball: by the ball's own sampler if
+    it has one, otherwise by rejection from its box.
 
     Returns (samples, (accepted, proposals)): the requested points plus the
-    total acceptance counts over all box proposals (accepted can exceed the
+    total acceptance counts over all proposals (accepted can exceed the
     request; extras are discarded). Raises SamplerError, reporting the
     observed acceptance rate, if the proposal budget runs out first.
     """
     n = 1 if size is None else size
+    if ball.uniform_fn is not None:
+        out, counts = ball.uniform_fn(rng, n, max_attempts)
+        return (out[0] if size is None else out), counts
     m = ball.dimension
     b = ball.linf_radius
     out = np.empty((n, m))
@@ -201,11 +206,7 @@ def sample_uniform_ball(ball: NormBall, rng, size=None, max_attempts=10**6):
         chunk = min(max(256, 2 * (n - got)), 1 << 16)
         chunk = min(chunk, max_attempts - proposals)
         if chunk <= 0:
-            rate = accepted / proposals if proposals else 0.0
-            raise SamplerError(
-                f"rejection sampling failed: {got}/{n} accepted after "
-                f"{proposals} proposals (acceptance rate {rate:.3g})"
-            )
+            raise _budget_exhausted(got, n, accepted, proposals)
         pts = rng.uniform(-b, b, size=(chunk, m))
         proposals += chunk
         acc = pts[ball.member_many(pts)]
@@ -216,12 +217,22 @@ def sample_uniform_ball(ball: NormBall, rng, size=None, max_attempts=10**6):
     return (out[0] if size is None else out), (accepted, proposals)
 
 
+def _budget_exhausted(got, n, accepted, proposals):
+    """The SamplerError of a rejection sampler whose proposal budget ran out."""
+    rate = accepted / proposals if proposals else 0.0
+    return SamplerError(
+        f"rejection sampling failed: {got}/{n} accepted after "
+        f"{proposals} proposals (acceptance rate {rate:.3g})"
+    )
+
+
 def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng,
                             max_attempts=10**6, size=None, return_stats=False):
     """K-norm mechanism for an arbitrary ball: T + r*U.
 
-    U is uniform on the unit-scale ball (rejection from the bounding box)
-    and r ~ Gamma(m+1, eps/delta_k) independent, which yields the target
+    U is uniform on the unit-scale ball (the ball's own sampler, or
+    rejection from the bounding box; see sample_uniform_ball) and
+    r ~ Gamma(m+1, eps/delta_k) independent, which yields the target
     density proportional to exp(-(eps/delta_k)*||v||_K).
 
     With return_stats, also returns a dict with proposal counts and the

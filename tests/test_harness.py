@@ -1,5 +1,7 @@
+import ast
 import csv
 import hashlib
+import importlib
 import importlib.util
 import io
 import math
@@ -11,7 +13,10 @@ import numpy as np
 import pytest
 
 import knorm
+from knorm import cli
 from knorm.cli import main
+from knorm.geometry import NormBall, lp_norm
+from knorm.linreg import ball_from_name
 from knorm.harness import (
     SimulationConfig,
     ks_critical,
@@ -294,14 +299,35 @@ class TestDeterminismAndEcho:
             mechanisms=("linf",), seed=13,
         )
         text = simulate_coverage(config).long_csv()
-        for key in ("seed=13", "n=500", "eps=1.0", "mechanisms=linf", "q=0.5"):
+        for key in ("seed=13", "n=500", "eps=1.0", "mechanisms=linf"):
             assert f"# " in text and key in text
+        # coverage reads no q, so only simulate-logistic echoes it
+        assert "# q=" not in text
+        logistic = simulate_logistic(SimulationConfig(
+            eps=(1.0,), n=200, reps=1, mechanisms=("linf",), q=0.5, seed=13))
+        assert "# q=0.5\n" in logistic.long_csv()
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SimulationConfig(eps=(0.0,), reps=1)
         with pytest.raises(ValueError):
             SimulationConfig(eps=(1.0,), reps=0)
+
+    @pytest.mark.parametrize("field, values", [
+        ("eps", (1.0, 1.0)), ("eps", (0.5, 1.0, 0.5)), ("mechanisms", ("linf", "l1", "linf")),
+    ])
+    def test_repeated_cell_rejected(self, field, values):
+        # a repeated cell used to be pooled with its twin in every summary row
+        with pytest.raises(ValueError, match="repeated"):
+            SimulationConfig(reps=1, **{field: values})
+
+    @pytest.mark.parametrize("flag, value", [("--eps", "1,1"), ("--mech", "linf,linf")])
+    def test_repeated_cell_exits_2(self, capsys, flag, value):
+        argv = ["simulate-coverage", "--eps", "1", "--n", "300", "--p", "2", "--reps", "2",
+                "--mech", "linf", "--seed", "2", flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "repeated" in captured.err and captured.out == ""
 
 
 class TestCli:
@@ -392,11 +418,45 @@ class TestCli:
         assert items["containment"] == "a_tighter"
         assert items["preferred_by_volume"] == "linf:2"
 
-    def test_compare_zero_monte_carlo_hits(self, capsys):
-        code, _, err = self._compare(capsys, "--a", "kt20:1", "--b", "linf:2",
-                                     "--m", "251", "--mc-samples", "1000")
+    def test_compare_zero_monte_carlo_hits(self, capsys, monkeypatch):
+        # every named ball now has an exact volume or, for kt<p>, its own
+        # estimator, so a thin oracle disc takes the hit-or-miss path
+        thin = NormBall.from_oracle(
+            lambda pts: lp_norm(pts, 2) <= 1e-3, lambda pts: lp_norm(pts, 2) / 1e-3,
+            linf_bound=1.0, dimension=2, name="thin",
+        )
+        monkeypatch.setattr(cli, "ball_from_name",
+                            lambda token, m: thin if token == "thin" else ball_from_name(token, m))
+        code, _, err = self._compare(capsys, "--a", "thin:1", "--b", "linf:2",
+                                     "--m", "2", "--mc-samples", "1000")
         assert code == 2
-        assert "kt20:1" in err and "--mc-samples" in err
+        assert "thin:1" in err and "--mc-samples" in err
+
+    def test_compare_kt20_estimates_its_own_volume(self, capsys):
+        # kt20 fills about 1e-18 of its box, so hit-or-miss on 1000 points
+        # never hit it; its box-fraction estimator has positive weights
+        code, items, err = self._compare(capsys, "--a", "kt20:1", "--b", "linf:2",
+                                         "--m", "251", "--mc-samples", "1000")
+        assert code == 0, err
+        assert 0.0 < float(items["volume_a"]) < float(items["volume_b"])
+        assert math.isfinite(float(items["entropy_a"]))
+        assert items["containment"] == "a_tighter"
+        assert items["preferred_by_volume"] == "kt20:1"
+
+    @pytest.mark.parametrize("a, b", [("kt30:1", "linf:2"), ("kt30:2", "linf:4")])
+    def test_compare_kt_past_float_range(self, capsys, a, b):
+        # 4^526 overflows; the kt30:2 volume passes the float range, and the
+        # kt30:1 one sits near it
+        code, items, err = self._compare(capsys, "--a", a, "--b", b, "--m", "526",
+                                         "--mc-samples", "1000")
+        assert code == 0, err
+        assert float(items["volume_a"]) > 0.0
+        if a == "kt30:2":
+            assert items["volume_a"] == "inf"
+        assert math.isfinite(float(items["entropy_a"]))
+        assert math.isfinite(float(items["entropy_b"]))
+        assert items["containment"] == "a_tighter"
+        assert items["preferred_by_volume"] == a
 
     def test_readme_library_example(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -465,20 +525,39 @@ class TestRunLayer:
             "d81fc5edeaf25b3d4f90dc2ca8a73a7d4e0fd118bbeec9dce16c7c0eadbbd8d0")
 
     def test_coverage_bytes_pinned(self):
-        config = SimulationConfig(eps=(0.5, 2.0), n=300, p=2, reps=2,
-                                  mechanisms=("l1", "linf", "kt"), seed=6)
-        assert _sha256(simulate_coverage(config)) == (
-            "ed46ded864f465cb57b522927df358442480bb40f3c464d4e63a62f33a45b540")
+        # the kt cells draw from the conditional K_T sampler
+        assert _sha256(simulate_coverage(self._coverage(("l1", "linf", "kt")))) == (
+            "87d0b9872ceabdf11868813e881bd36a27f41f08ab96bc079ff75e4c94e57aef")
 
     def test_regression_file_bytes_pinned(self, tmp_path, monkeypatch):
+        config = self._regression_file(tmp_path, monkeypatch, ("l1", "linf", "kt"))
+        assert _sha256(run_regression_file(config)) == (
+            "56e9cf24dcf5f0df52c82d1cfba6cd4a6df3b06b1111d11d92083751562ca248")
+
+    # l1/linf bytes are those of the per-cell pinv solves, less the "# q=0.5" echo
+
+    def test_coverage_l1_linf_bytes_pinned(self):
+        assert _sha256(simulate_coverage(self._coverage(("l1", "linf")))) == (
+            "05bc9b0796f576c255fbee8b5726a501da778ce2118a49b8ec08c419e4d3c4f5")
+
+    def test_regression_file_l1_linf_bytes_pinned(self, tmp_path, monkeypatch):
+        config = self._regression_file(tmp_path, monkeypatch, ("l1", "linf"))
+        assert _sha256(run_regression_file(config)) == (
+            "6f583256e5692de169f433eba0b516507591b6dce0bc1b332e5630e41779df55")
+
+    @staticmethod
+    def _coverage(mechanisms):
+        return SimulationConfig(eps=(0.5, 2.0), n=300, p=2, reps=2,
+                                mechanisms=mechanisms, seed=6)
+
+    @staticmethod
+    def _regression_file(tmp_path, monkeypatch, mechanisms):
         # the csv path is echoed, so run from the table's directory
         monkeypatch.chdir(tmp_path)
         positive_regression_csv("data.csv")
-        config = SimulationConfig(eps=(0.5, 1.0), reps=2, mechanisms=("l1", "linf", "kt"),
-                                  seed=7, csv_path="data.csv", response="y",
-                                  log_columns=("a",))
-        assert _sha256(run_regression_file(config)) == (
-            "44a6adc7258d8f666b80a1cec3afb23e42869b7a4b25e5a73c7a91fc157b9fc8")
+        return SimulationConfig(eps=(0.5, 1.0), reps=2, mechanisms=mechanisms,
+                                seed=7, csv_path="data.csv", response="y",
+                                log_columns=("a",))
 
     @pytest.mark.parametrize("argv", [
         ["simulate-logistic", "--eps", "1.0", "--n", "200", "--reps", "2", "--mech", "l1,linf"],
@@ -528,3 +607,16 @@ class TestBenchmarkHooks:
                    for owner, attr, _ in spans.TARGETS if not hasattr(owner, attr)]
         assert missing == []
         assert {layer for _, _, layer in spans.TARGETS} <= set(spans.LAYERS)
+
+    def test_every_name_layers_imports_resolves(self):
+        # perfbench/layers.py times public names of knorm; read it, do not run it
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "perfbench", "layers.py")) as fh:
+            tree = ast.parse(fh.read())
+        imports = [(node.module, alias.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module
+                   and node.module.split(".")[0] == "knorm" for alias in node.names]
+        assert ("knorm", "volume_monte_carlo") in imports
+        missing = [f"{module}.{name}" for module, name in imports
+                   if not hasattr(importlib.import_module(module), name)]
+        assert missing == []

@@ -1,24 +1,36 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.stats as sps
+from scipy.special import ndtri
 
+from knorm.geometry import _k2_cap, volume_monte_carlo
 from knorm.linreg import (
     RegressionDataset,
+    _k2_sum_quantile,
+    _k2_weight,
+    _kt_kernel,
     _kt_member_many,
+    _kt_pair_weights,
+    _shared_layout,
     StatisticLayout,
     StatisticVector,
     ball_from_name,
     build_statistic,
     dp_estimate,
+    dp_estimates,
     kT_member,
     kt_ball,
     preprocess,
     sanitize_statistic,
     statistic_dimension,
 )
-from knorm.sampling import RngStream, SamplerError
+from knorm.sampling import (
+    MechanismConfig, RngStream, SamplerError, sample_k_mech_rejection, sample_noise,
+    sample_uniform_ball,
+)
 
 
 def single_row_dataset(row, y):
@@ -262,6 +274,204 @@ class TestKTMember:
         assert np.abs(pts).max() <= 2.0
 
 
+def box_rejection(ball):
+    """The same body without its own sampler and estimator."""
+    return dataclasses.replace(ball, uniform_fn=None, box_fraction_fn=None)
+
+
+def k2_profile_cdf(a):
+    # CDF of the density proportional to _k2_weight on [0, 2] (total mass 5/3)
+    return np.where(a <= 1.0, 3.0 * a / 5.0, (1.0 + 3.0 * a**2 - a**3) / 5.0)
+
+
+class EdgeRng:
+    """Real uniforms for the sums and the acceptance test, but every
+    uniform(lo, hi) draw at lo or hi: filled slots land on their interval
+    ends and the response sum at 0 or 2."""
+
+    def __init__(self, seed):
+        self.g = np.random.default_rng(seed)
+
+    def random(self, size):
+        return self.g.random(size)
+
+    def uniform(self, lo, hi, size):
+        return np.where(self.g.random(size) < 0.5, lo, hi)
+
+
+class TestKtFactorization:
+    """The piece weights of K_T given its sum slots (_kt_kernel, _k2_weight)."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_pairs_are_the_k3_pieces(self, p):
+        layout = StatisticLayout(p)
+        slots = ReferenceSlots(p)
+        expected = {slots.cross(j + 1, k + 1): (j, k)
+                    for j, k in zip(layout.cross_j, layout.cross_k)}
+        expected.update({slots.xy(j): (j - 1, p) for j in range(1, p + 1)})
+        got = {int(slot): (int(j), int(k))
+               for slot, j, k in zip(layout.pair_slots, layout.pair_j, layout.pair_k)}
+        assert got == expected
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 12])
+    def test_kernel_is_product_of_interval_lengths(self, p):
+        layout = StatisticLayout(p)
+        x = np.random.default_rng(300 + p).uniform(0.0, 2.0, size=(p + 1, 500))
+        want = np.ones(500)
+        for j in range(p):
+            want *= np.minimum(2.0, 4.0 - x[j] - x[p]) / 2.0
+            for k in range(j + 1, p):
+                want *= np.minimum(2.0, 4.0 - x[j] - x[k]) / 2.0
+        assert np.allclose(_kt_kernel(x, layout), want, rtol=1e-12, atol=0.0)
+
+    def test_k2_weight_is_half_the_cap(self):
+        a = np.random.default_rng(301).uniform(0.0, 2.0, 100_000)
+        a[:3] = (0.0, 1.0, 2.0)
+        w = _k2_weight(a)
+        above = a > 1.0
+        # bit for bit, so a square filled within twice the weight passes the k2 predicate
+        assert np.array_equal(2.0 * w[above], _k2_cap(a[above]))
+        assert (w[~above] == 1.0).all()
+        assert np.allclose(w[above], a[above] * (2.0 - a[above]), rtol=0.0, atol=4e-16)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weight_is_hit_chance_given_the_sums(self, seed):
+        # the factorization itself: with the sum slots fixed, a uniform box
+        # point lies in K_T with chance _kt_kernel * prod _k2_weight;
+        # four 4-SE checks, family level 3e-4
+        p = 2
+        layout = StatisticLayout(p)
+        rng = np.random.default_rng(310 + seed)
+        signs = rng.choice([-1.0, 1.0], p + 1)
+        x = rng.uniform(0.5, 2.0, size=(p + 1, 1))
+        w = float(_kt_kernel(x, layout)[0] * _k2_weight(x[:p, 0]).prod())
+        n = 200_000
+        pts = rng.uniform(-2.0, 2.0, size=(n, layout.d))
+        pts[:, layout.sums] = signs[:p] * x[:p, 0]
+        pts[:, layout.ysum] = signs[p] * x[p, 0]
+        hits = _kt_member_many(pts, layout).mean()
+        assert abs(hits - w) <= 4.0 * math.sqrt(w * (1.0 - w) / n)
+
+    def test_sum_quantile_follows_k2_profile(self):
+        a = _k2_sum_quantile(np.random.default_rng(302).random(50_000))
+        assert (a >= 0.0).all() and (a <= 2.0).all()
+        assert sps.kstest(a, k2_profile_cdf).pvalue > 0.01
+        assert _k2_sum_quantile(np.array([0.0, 0.6]))[0] == 0.0
+        assert abs(_k2_sum_quantile(np.array([0.6]))[0] - 1.0) < 1e-15
+
+
+class TestKtSampler:
+    """The exact conditional K_T sampler behind kt_ball."""
+
+    # two-sample KS of each slot and of the gauge against box rejection on
+    # the same body, Bonferroni-corrected to a family false-alarm rate of 0.01
+    FAMILY_LEVEL = 0.01
+    PS = (1, 2, 3)
+    N_TESTS = sum(statistic_dimension(p) + 1 for p in PS)
+
+    @pytest.mark.parametrize("p", PS)
+    def test_matches_box_rejection_two_sample_ks(self, p):
+        ball = kt_ball(p)
+        n = 20_000
+        cond, _ = sample_uniform_ball(ball, RngStream(420, p).generator(), size=n)
+        box, _ = sample_uniform_ball(box_rejection(ball), RngStream(421, p).generator(),
+                                     size=n)
+        columns = [(cond[:, j], box[:, j]) for j in range(ball.dimension)]
+        columns.append((ball.gauge_many(cond), ball.gauge_many(box)))
+        for a, b in columns:
+            assert sps.ks_2samp(a, b).pvalue > self.FAMILY_LEVEL / self.N_TESTS
+
+    def test_kt12_gamma_marginal(self):
+        # one test at level 0.01
+        config = MechanismConfig(1.0, 1.0, kt_ball(12))
+        v = sample_noise(config, RngStream(322, 0).generator(), size=5000)
+        g = config.ball.gauge_many(v)
+        assert sps.kstest(g, sps.gamma(config.dimension, scale=1.0).cdf).pvalue > 0.01
+
+    def test_kt12_unbiased(self):
+        # |mean|/SE per coordinate, Bonferroni over the 103 coordinates to a
+        # family false-alarm rate of 0.01
+        config = MechanismConfig(1.0, 1.0, kt_ball(12))
+        v = sample_noise(config, RngStream(323, 0).generator(), size=5000)
+        z = np.abs(v.mean(axis=0)) / (v.std(axis=0, ddof=1) / math.sqrt(len(v)))
+        assert z.max() <= ndtri(1.0 - 0.01 / (2 * config.dimension))
+
+    @pytest.mark.parametrize("p", [20, 28])
+    def test_single_draw_within_default_budget(self, p):
+        # box rejection exhausts the default 1e6 proposals near p = 28
+        ball = kt_ball(p)
+        v = sample_noise(MechanismConfig(1.0, 1.0, ball), RngStream(324, p).generator())
+        assert v.shape == (ball.dimension,) and np.isfinite(v).all()
+        u, (accepted, proposals) = sample_uniform_ball(ball, RngStream(325, p).generator())
+        assert _kt_member_many(u[None, :], _shared_layout(p)).all()
+        assert 1 <= accepted <= proposals <= 10**6
+
+    @pytest.mark.parametrize("p, n", [(1, 3000), (2, 3000), (3, 3000), (5, 2000),
+                                      (12, 1000), (20, 200)])
+    def test_every_point_is_a_member(self, p, n):
+        layout = _shared_layout(p)
+        pts, _ = sample_uniform_ball(kt_ball(p), RngStream(326, p).generator(), size=n)
+        assert _kt_member_many(pts, layout).all()
+        # filled slots exactly on their interval ends stay inside too
+        edge, _ = sample_uniform_ball(kt_ball(p), EdgeRng(327 + p), size=n)
+        assert _kt_member_many(edge, layout).all()
+        sums = np.abs(edge[:, np.r_[layout.sums, layout.ysum]]).T
+        assert np.array_equal(np.abs(edge[:, layout.squares]), 2.0 * _k2_weight(sums[:p]).T)
+        assert np.array_equal(np.abs(edge[:, layout.pair_slots]),
+                              2.0 * _kt_pair_weights(sums, layout).T)
+
+    def test_box_rejection_never_reached(self):
+        def refuse(pts):
+            raise AssertionError("membership oracle called")
+
+        ball = dataclasses.replace(kt_ball(3), member=refuse)
+        v = sample_noise(MechanismConfig(1.0, 1.0, ball), RngStream(328, 0).generator(),
+                         size=100)
+        assert v.shape == (100, 13)
+        est, se = volume_monte_carlo(ball, n_samples=1000)
+        assert est > 0.0 and se > 0.0
+
+    def test_budget_exhaustion_raises(self):
+        with pytest.raises(SamplerError, match="acceptance rate"):
+            sample_uniform_ball(kt_ball(28), RngStream(329, 0).generator(), size=10,
+                                max_attempts=100)
+
+    def test_stats_count_conditional_proposals(self):
+        # a proposal is accepted with mean _kt_kernel under the k2 profile,
+        # which is the box fraction times (6/5)^p; one 4-SE check
+        p = 3
+        ball = kt_ball(p)
+        _, stats = sample_k_mech_rejection(np.zeros(ball.dimension), ball, 1.0, 1.0,
+                                           RngStream(330, 0).generator(), size=20_000,
+                                           return_stats=True)
+        frac, frac_se = volume_monte_carlo(ball, scale=0.25, n_samples=2_000_000, seed=5)
+        expected = frac * 1.2**p
+        se = math.hypot(math.sqrt(expected * (1.0 - expected) / stats["proposals"]),
+                        frac_se * 1.2**p)
+        assert abs(stats["acceptance_rate"] - expected) <= 4.0 * se
+
+
+class TestKtVolume:
+    """The (p + 1)-dim box-fraction estimator behind volume_monte_carlo for kt<p>."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_agrees_with_hit_or_miss(self, p):
+        # 4 combined SE per p: family level about 2e-4
+        ball = kt_ball(p)
+        est, se = volume_monte_carlo(ball, n_samples=1_000_000, seed=p)
+        ref, ref_se = volume_monte_carlo(box_rejection(ball), n_samples=1_000_000,
+                                         seed=10 + p)
+        assert abs(est - ref) <= 4.0 * math.hypot(se, ref_se)
+        assert 0.0 < se < ref_se
+
+    def test_log_form_past_float_range(self):
+        # (2 * 2 * 2)^526 overflows a float; the box fraction does not
+        ball = kt_ball(30)
+        assert volume_monte_carlo(ball, scale=2.0, n_samples=1000) == (math.inf, math.inf)
+        frac, se = volume_monte_carlo(ball, scale=0.25, n_samples=1000)
+        assert 0.0 < frac < 1.0 and 0.0 < se
+
+
 class TestSanitize:
     def test_huge_eps_is_identity(self):
         rng = np.random.default_rng(74)
@@ -305,12 +515,42 @@ class TestSanitize:
     def test_rejection_failure_propagates(self):
         rng = np.random.default_rng(78)
         stat = build_statistic(random_dataset(rng, 10, 2))
+        # a spent budget fails whatever the acceptance rate
         with pytest.raises(SamplerError):
             sanitize_statistic(stat, "kt", 1.0, RngStream(0, 0).generator(),
-                               max_attempts=3)
+                               max_attempts=0)
+
+
+def per_call_estimate(stat, n_rows):
+    """One pinv call per statistic, on a system built slot by slot."""
+    p, slots = stat.p, ReferenceSlots(stat.p)
+    v = stat.values
+    xtx = np.empty((p + 1, p + 1))
+    xtx[0, 0] = n_rows
+    for j in range(1, p + 1):
+        xtx[0, j] = xtx[j, 0] = v[slots.sum(j)]
+        xtx[j, j] = v[slots.sq(j)] / 2.0
+        for i in range(1, j):
+            xtx[i, j] = xtx[j, i] = v[slots.cross(i, j)]
+    xty = v[slots.ysum:]
+    return np.linalg.pinv(xtx, rcond=(p + 1) * np.finfo(float).eps) @ xty
 
 
 class TestDpEstimate:
+    def test_stacked_solve_is_bit_identical(self):
+        # one pinv call on the stack gives each row's per-call bits
+        rng = np.random.default_rng(340)
+        for p in (1, 2, 5, 12):
+            d = statistic_dimension(p)
+            stats = [StatisticVector(rng.normal(size=d) * scale, p)
+                     for scale in (1.0, 100.0, 1e4) for _ in range(7)]
+            stacked = dp_estimates(stats, 5000)
+            assert stacked.shape == (21, p + 1)
+            for stat, row in zip(stats, stacked):
+                assert np.array_equal(row, per_call_estimate(stat, 5000))
+                assert np.array_equal(row, dp_estimate(stat, 5000))
+        assert dp_estimates([], 5000).shape == (0, 0)
+
     def test_zero_noise_equals_ols(self):
         rng = np.random.default_rng(79)
         for _ in range(20):

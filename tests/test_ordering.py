@@ -6,7 +6,7 @@ import scipy.stats as sps
 
 from knorm import gamma_cdf, gamma_quantile
 from knorm import ordering
-from knorm.geometry import NormBall, k2_ball, k3_ball, volume_lp
+from knorm.geometry import NormBall, k2_ball, k3_ball, lp_norm, volume_lp
 from knorm.linreg import kt_ball
 from knorm.ordering import (
     compare,
@@ -349,7 +349,33 @@ class TestCompare:
         assert report.preferred_by_volume == "kt1"
 
     def test_zero_hit_monte_carlo_names_ball_and_budget(self):
-        # kt20 fills about 1e-18 of its box, so 1000 points never hit it
+        # an oracle ball without an estimator of its own takes hit-or-miss;
+        # this 20-d l2 ball fills about 2e-8 of its box, so 1000 points never hit it
+        m = 20
+        ball = NormBall.from_oracle(
+            lambda pts: lp_norm(pts, 2) <= 1.0, lambda pts: lp_norm(pts, 2),
+            linf_bound=1.0, dimension=m, name="ball20",
+        )
+        config = MechanismConfig(1.0, 1.0, ball, label="ball20:1")
+        with pytest.raises(ValueError, match=r"ball20:1 .*--mc-samples"):
+            compare(config, lp_config(INF, 2.0, m=m), seed=0, n_mc=1000)
+
+    def test_volume_verdict_past_float_range(self):
+        # kt20 at Delta 20 has a volume past the float range, l-inf radius 2
+        # at m = 251 does not; the estimate (relative SE about 0.06 here) is
+        # far from a tie, even though its standard error also reads inf
+        kt20 = MechanismConfig(1.0, 20.0, kt_ball(20), label="kt20:20")
+        linf = lp_config(INF, 2.0, m=251, label="linf:2")
+        report = compare(kt20, linf, seed=0, n_mc=100_000)
+        assert report.volume_a == math.inf and math.isfinite(report.volume_b)
+        assert math.isfinite(report.entropy_a) and report.entropy_a > report.entropy_b
+        assert report.preferred_by_volume == "linf:2"
+
+    def test_kt20_estimates_its_own_volume(self):
+        # kt20 fills about 1e-18 of its box; its box-fraction weights are
+        # positive almost surely, so 1000 samples give a finite entropy
         kt20 = MechanismConfig(1.0, 1.0, kt_ball(20), label="kt20:1")
-        with pytest.raises(ValueError, match=r"kt20:1 .*--mc-samples"):
-            compare(kt20, lp_config(INF, 2.0, m=251), seed=0, n_mc=1000)
+        report = compare(kt20, lp_config(INF, 2.0, m=251), seed=0, n_mc=1000)
+        assert 0.0 < report.volume_a < report.volume_b
+        assert math.isfinite(report.entropy_a)
+        assert report.preferred_by_volume == "kt20:1"
