@@ -14,9 +14,11 @@ explicit seed, so everything is safe to use concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +39,8 @@ __all__ = [
 ]
 
 _CONTAIN_TOL = 1e-9
+#: boundary points ball_containment samples when it cannot decide exactly
+_CONTAIN_DIRECTIONS = 512
 
 
 def lp_norm(x, p):
@@ -184,7 +188,8 @@ def _k2_cap(a):
 
 def _k2_piece(s, q):
     """Elementwise k2 membership of (sum, doubled square) absolute values."""
-    return (s <= 2.0) & (q <= 2.0) & ((s <= 1.0) | (q <= _k2_cap(s)))
+    # the cap only matters where s <= 2: clipping keeps huge sums from overflowing
+    return (s <= 2.0) & (q <= 2.0) & ((s <= 1.0) | (q <= _k2_cap(np.minimum(s, 2.0))))
 
 
 def _k3_piece(a, b, c):
@@ -209,24 +214,54 @@ def _k3_gauge(a, b, c):
     return np.maximum(np.maximum(np.maximum(a, b), c) / 2.0, ((a + b) + c) / 4.0)
 
 
-def _k2_member_many(u):
-    a = np.abs(np.atleast_2d(np.asarray(u, dtype=float)))
-    return _k2_piece(a[:, 0], a[:, 1])
+def _hull_member_many(pieces, U):
+    """Membership of the rows of U in the hull body of a piece table (see
+    _hull_ball): every piece holds. Each slot lies in a piece, which bounds
+    it by 2, so there is no separate box test."""
+    # abs per slot group, as a full abs(U) copy of a large chunk costs memory
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    s = np.abs(U[:, pieces.sum_slots])
+    ok = True
+    if len(pieces.squares):
+        ok = _k2_piece(s[:, :len(pieces.squares)], np.abs(U[:, pieces.squares])).all(axis=1)
+    if len(pieces.pair_slots):
+        c = np.abs(U[:, pieces.pair_slots])
+        ok = ok & _k3_piece(s[:, pieces.pair_j], s[:, pieces.pair_k], c).all(axis=1)
+    return ok
 
 
-def _k3_member_many(u):
-    a = np.abs(np.atleast_2d(np.asarray(u, dtype=float)))
-    return _k3_piece(a[:, 0], a[:, 1], a[:, 2])
+def _hull_gauge_many(pieces, U):
+    """Exact gauge of the rows of U for the hull body of a piece table: the
+    max of the piece gauges, as the body is the intersection of its pieces."""
+    U = np.abs(U)
+    s = U[:, pieces.sum_slots]
+    g = 0.0
+    if len(pieces.squares):
+        g = _k2_gauge(s[:, :len(pieces.squares)], U[:, pieces.squares]).max(axis=1)
+    if len(pieces.pair_slots):
+        g3 = _k3_gauge(s[:, pieces.pair_j], s[:, pieces.pair_k], U[:, pieces.pair_slots])
+        g = np.maximum(g, g3.max(axis=1))
+    return g
 
 
-def _k2_gauge_many(u):
-    a = np.abs(u)
-    return _k2_gauge(a[:, 0], a[:, 1])
+def _hull_ball(pieces, dimension, name, **hooks):
+    """Oracle ball, with from_oracle's ``hooks``, of the hull body of a piece
+    table: the first len(``squares``) of its ``sum_slots`` pair with the
+    ``squares`` in k2 pieces, and its sums ``pair_j``/``pair_k`` (indices
+    into ``sum_slots``) with the ``pair_slots`` in k3 pieces."""
+    return NormBall.from_oracle(
+        functools.partial(_hull_member_many, pieces),
+        functools.partial(_hull_gauge_many, pieces),
+        linf_bound=2.0, dimension=dimension, name=name, **hooks)
 
 
-def _k3_gauge_many(u):
-    a = np.abs(u)
-    return _k3_gauge(a[:, 0], a[:, 1], a[:, 2])
+_NO_SLOTS = np.empty(0, dtype=np.intp)
+#: k2 is one (sum, doubled square) piece, and k3 one (sum x, sum y, sum xy) piece
+_K2_PIECES = SimpleNamespace(sum_slots=np.array([0]), squares=np.array([1]),
+                             pair_j=_NO_SLOTS, pair_k=_NO_SLOTS, pair_slots=_NO_SLOTS)
+_K3_PIECES = SimpleNamespace(sum_slots=np.array([0, 1]), squares=_NO_SLOTS,
+                             pair_j=np.array([0]), pair_k=np.array([1]),
+                             pair_slots=np.array([2]))
 
 
 def k2_member(u) -> bool:
@@ -237,7 +272,7 @@ def k2_member(u) -> bool:
     u = np.asarray(u, dtype=float)
     if u.shape != (2,):
         raise ValueError("k2_member expects a 2-vector")
-    return bool(_k2_member_many(u[None, :])[0])
+    return bool(k2_ball().member_many(u[None, :])[0])
 
 
 def k3_member(u) -> bool:
@@ -245,23 +280,19 @@ def k3_member(u) -> bool:
     u = np.asarray(u, dtype=float)
     if u.shape != (3,):
         raise ValueError("k3_member expects a 3-vector")
-    return bool(_k3_member_many(u[None, :])[0])
+    return bool(k3_ball().member_many(u[None, :])[0])
 
 
 def k2_ball() -> NormBall:
     """The 2-d hull for the (sum, scaled sum of squares) statistic pair."""
-    return NormBall.from_oracle(
-        _k2_member_many, _k2_gauge_many, linf_bound=2.0, dimension=2, name="k2",
-        volume=4.0 * 10.0 / 3.0,  # per quadrant: the 1 x 2 strip, and 4/3 under the cap
-    )
+    # volume per quadrant: the 1 x 2 strip, and 4/3 under the cap
+    return _hull_ball(_K2_PIECES, 2, "k2", volume=4.0 * 10.0 / 3.0)
 
 
 def k3_ball() -> NormBall:
     """The 3-d hull for a (sum x, sum y, sum xy) cross-product triple."""
-    return NormBall.from_oracle(
-        _k3_member_many, _k3_gauge_many, linf_bound=2.0, dimension=3, name="k3",
-        volume=8.0 * (8.0 - 4.0 / 3.0),  # per octant: [0, 2]^3 less the a + b + c > 4 corner
-    )
+    # volume per octant: [0, 2]^3 less the a + b + c > 4 corner
+    return _hull_ball(_K3_PIECES, 3, "k3", volume=8.0 * (8.0 - 4.0 / 3.0))
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -366,9 +397,7 @@ def _lp_extremal_ratio(pa, pb, m):
     # max of ||u||_pb over the unit pa-sphere
     if pa <= pb:
         return 1.0
-    inv_b = 0.0 if pb == math.inf else 1.0 / pb
-    inv_a = 0.0 if pa == math.inf else 1.0 / pa
-    return m ** (inv_b - inv_a)
+    return m ** (1.0 / pb - 1.0 / pa)
 
 
 def _lp_vertices(ball: NormBall):
@@ -384,7 +413,7 @@ def _lp_vertices(ball: NormBall):
     return None
 
 
-def ball_containment(a: ScaledBall, b: ScaledBall, n_directions=512, seed=0,
+def ball_containment(a: ScaledBall, b: ScaledBall, seed=0,
                      vertices=None) -> ContainmentVerdict:
     """Decide whether scale_a*K_a is contained in scale_b*K_b.
 
@@ -393,7 +422,7 @@ def ball_containment(a: ScaledBall, b: ScaledBall, n_directions=512, seed=0,
     ball b is contained in it. If ``vertices`` (points of a's unit-scale
     ball) are supplied, or a is a polytope lp ball with a tractable vertex
     list, vertex checking is exact.
-    Otherwise the check samples ``n_directions`` boundary points of a: any
+    Otherwise the check samples 512 boundary points of a: any
     point falling outside b is a witness for not_contained, while no
     violation only yields "undetermined" (probabilistic evidence).
     """
@@ -424,8 +453,7 @@ def ball_containment(a: ScaledBall, b: ScaledBall, n_directions=512, seed=0,
             witness = np.zeros(m)
             witness[0] = ra
         else:
-            inv_a = 0.0 if a.ball.p == math.inf else 1.0 / a.ball.p
-            witness = np.full(m, ra * m ** (-inv_a))
+            witness = np.full(m, ra * m ** (-1.0 / a.ball.p))
         return ContainmentVerdict("not_contained", witness)
 
     # every body lies in its own l-infinity bounding box
@@ -446,7 +474,7 @@ def ball_containment(a: ScaledBall, b: ScaledBall, n_directions=512, seed=0,
         return ContainmentVerdict("contained")
 
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_directions, m))
+    dirs = rng.standard_normal((_CONTAIN_DIRECTIONS, m))
     ga = a.ball.gauge_many(dirs)
     keep = ga > 0
     boundary = a.scale * dirs[keep] / ga[keep, None]

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    NormBall, _k2_gauge, _k2_piece, _k3_gauge, _k3_piece, k2_ball, k3_ball,
-)
+from .geometry import NormBall, _hull_ball, k2_ball, k3_ball
 from .sampling import MechanismConfig, _budget_exhausted, sample_noise
 
 # unused here, but perfbench/spans.py rebinds these names in this module
@@ -59,11 +57,13 @@ class StatisticLayout:
     ``gram_scale``, so the ``squares`` slots are doubled and the ``cross``
     slots hold predictors ``cross_j < cross_k`` (0-based); the response sum
     (slot ``ysum``); and the p predictor-response sums (slots ``xy``).
-    The k3 pieces of K_T, as rows of a (p + 1)-row array of sums whose last
-    row is the response sum, are the pairs ``pair_j``/``pair_k``, and each
-    bounds slot ``pair_slots``: the cross pairs, then the (predictor,
-    response) pairs. The index arrays are read-only, so one layout per p
-    can be shared.
+    ``sum_slots`` holds the p + 1 sums of K_T, the predictor sums and then
+    the response sum. The layout is K_T's piece table (see
+    geometry._hull_ball): each square is a k2 piece with the predictor sum
+    of the same index, and the k3 pieces, as indices into ``sum_slots``,
+    are the pairs ``pair_j``/``pair_k``, each bounding slot ``pair_slots``:
+    the cross pairs, then the (predictor, response) pairs. The index arrays
+    are read-only, so one layout per p can be shared.
     """
 
     def __init__(self, p):
@@ -79,6 +79,7 @@ class StatisticLayout:
         self.cross_k = self.gram_rows[~diag]
         self.ysum = self.p + len(diag)
         self.xy = self.ysum + 1 + self.sums
+        self.sum_slots = np.append(self.sums, self.ysum)
         self.pair_j = np.concatenate([self.cross_j, self.sums])
         self.pair_k = np.concatenate([self.cross_k, np.full(self.p, self.p)])
         self.pair_slots = np.concatenate([self.cross, self.xy])
@@ -162,31 +163,6 @@ def build_statistic(data: RegressionDataset) -> StatisticVector:
         X.T @ y,
     ])
     return StatisticVector(values, data.p)
-
-
-def _kt_member_many(U, layout: StatisticLayout):
-    # every slot sits in a piece that bounds it by 2, so no separate box test;
-    # abs per slot group, as a full abs(U) copy of large chunks costs memory
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    s = np.abs(U[:, layout.sums])
-    ok = _k2_piece(s, np.abs(U[:, layout.squares])).all(axis=1)
-    cross = np.abs(U[:, layout.cross])
-    ok &= _k3_piece(s[:, layout.cross_j], s[:, layout.cross_k], cross).all(axis=1)
-    ysum = np.abs(U[:, layout.ysum, None])
-    ok &= _k3_piece(s, ysum, np.abs(U[:, layout.xy])).all(axis=1)
-    return ok
-
-
-def _kt_gauge_many(U, layout: StatisticLayout):
-    # the max of the piece gauges over the slot groups of _kt_member_many;
-    # the cross group is empty at p = 1
-    U = np.abs(U)
-    s = U[:, layout.sums]
-    g = _k2_gauge(s, U[:, layout.squares]).max(axis=1)
-    cross = _k3_gauge(s[:, layout.cross_j], s[:, layout.cross_k], U[:, layout.cross])
-    g = np.maximum(g, cross.max(axis=1, initial=0.0))
-    response = _k3_gauge(s, U[:, layout.ysum, None], U[:, layout.xy])
-    return np.maximum(g, response.max(axis=1))
 
 
 def _k2_weight(a):
@@ -288,8 +264,7 @@ def _kt_uniform(layout: StatisticLayout, rng, n, max_attempts):
         got += take
     u = rng.uniform(-1.0, 1.0, size=(n, layout.d))
     out = np.empty_like(u)
-    out[:, layout.sums] = np.copysign(sums[:p].T, u[:, layout.sums])
-    out[:, layout.ysum] = np.copysign(sums[p], u[:, layout.ysum])
+    out[:, layout.sum_slots] = np.copysign(sums.T, u[:, layout.sum_slots])
     out[:, layout.squares] = 2.0 * _k2_weight(sums[:p]).T * u[:, layout.squares]
     out[:, layout.pair_slots] = (
         2.0 * _kt_pair_weights(sums, layout).T * u[:, layout.pair_slots])
@@ -328,7 +303,7 @@ def kT_member(u, p) -> bool:
     d = statistic_dimension(p)
     if u.shape != (d,):
         raise ValueError(f"expected a {d}-vector for p={p}, got shape {u.shape}")
-    return bool(_kt_member_many(u[None, :], _shared_layout(p))[0])
+    return bool(kt_ball(p).member_many(u[None, :])[0])
 
 
 def kt_ball(p) -> NormBall:
@@ -337,12 +312,8 @@ def kt_ball(p) -> NormBall:
     exact sampler and box-fraction estimator of its sum-slot factorization
     (_kt_kernel)."""
     layout = _shared_layout(p)
-    return NormBall.from_oracle(
-        lambda U: _kt_member_many(U, layout),
-        lambda U: _kt_gauge_many(U, layout),
-        linf_bound=2.0,
-        dimension=layout.d,
-        name=f"kt{p}",
+    return _hull_ball(
+        layout, layout.d, f"kt{p}",
         uniform=functools.partial(_kt_uniform, layout),
         box_fraction=functools.partial(_kt_box_fraction, layout),
     )

@@ -135,7 +135,7 @@ def sample_l2_mech(T, delta2, epsilon, rng, size=None):
     m = T.shape[-1]
     n = 1 if size is None else size
     z = rng.standard_normal((n, m))
-    norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
+    norms = lp_norm(z, 2)[:, None]
     # a zero normal vector has probability zero; guard the division anyway
     norms[norms == 0.0] = 1.0
     r = sample_gamma_int(m, epsilon / delta2, rng, size=n)

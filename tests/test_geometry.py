@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from knorm.geometry import (
+    _k2_gauge,
+    _k3_gauge,
     ContainmentVerdict,
     NormBall,
     ScaledBall,
@@ -17,7 +20,7 @@ from knorm.geometry import (
     volume_lp,
     volume_monte_carlo,
 )
-from knorm.linreg import kt_ball
+from knorm.linreg import kT_member, kt_ball
 
 INF = math.inf
 
@@ -262,6 +265,52 @@ class TestK2K3:
              a[:, 0] * a[:, 1] - b[:, 0] * b[:, 1]]
         )
         assert k3_ball().member_many(u).all()
+
+    def test_huge_sums_rejected_without_overflow(self):
+        # the k2 cap is never squared for a sum its s <= 2 test already rejects
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not k2_member((1e300, 0.0))
+            assert not kT_member(np.full(4, 1e200), 1)
+
+
+def k2_member_reference(U):
+    a1, a2 = np.abs(U[:, 0]), np.abs(U[:, 1])
+    cap = 2.0 - 2.0 * (a1 - 1.0) ** 2
+    return (a1 <= 2.0) & (a2 <= 2.0) & ((a1 <= 1.0) | (a2 <= cap))
+
+
+def k3_member_reference(U):
+    a = np.abs(U)
+    return (a <= 2.0).all(axis=1) & (a.sum(axis=1) <= 4.0)
+
+
+@pytest.mark.parametrize("make, member_reference, piece_gauge", [
+    (k2_ball, k2_member_reference, _k2_gauge),
+    (k3_ball, k3_member_reference, _k3_gauge),
+])
+class TestK2K3PieceTables:
+    """k2 and k3 through the shared piece-table functions, bit for bit
+    against their single piece written out."""
+
+    def test_membership_matches_piece_reference(self, make, member_reference, piece_gauge):
+        # also on a quarter grid, whose points land exactly on piece boundaries
+        ball = make()
+        rng = np.random.default_rng(30 + ball.dimension)
+        for scale in (2.0, 1.6, 1.0, 0.5):
+            U = rng.uniform(-scale, scale, (4096, ball.dimension))
+            U[:1024] = np.round(4 * U[:1024]) / 4
+            got = ball.member_many(U)
+            assert np.array_equal(got, member_reference(U))
+        assert got.all()
+
+    def test_gauge_is_the_piece_gauge(self, make, member_reference, piece_gauge):
+        ball = make()
+        dirs = hull_directions(ball.dimension, seed=3)
+        dirs[:500] = np.round(4 * dirs[:500]) / 4
+        for scale in (1e-300, 0.5, 1.0, 2.0, 1e300):
+            U = scale * dirs
+            assert np.array_equal(ball.gauge_many(U), piece_gauge(*np.abs(U).T))
 
 
 class TestVolumeLp:

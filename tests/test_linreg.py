@@ -6,13 +6,12 @@ import pytest
 import scipy.stats as sps
 from scipy.special import ndtri
 
-from knorm.geometry import _k2_cap, volume_monte_carlo
+from knorm.geometry import _k2_cap, _k2_gauge, _k3_gauge, volume_monte_carlo
 from knorm.linreg import (
     RegressionDataset,
     _k2_sum_quantile,
     _k2_weight,
     _kt_kernel,
-    _kt_member_many,
     _kt_pair_weights,
     _shared_layout,
     StatisticLayout,
@@ -82,6 +81,22 @@ def kt_member_reference(U, p):
     return ok
 
 
+def kt_gauge_reference(U, p):
+    """K_T gauge piece by piece: the running max of the k2 and k3 piece
+    gauges, one (sum, square) pair and one cross or response triple at a
+    time."""
+    slots = ReferenceSlots(p)
+    A = np.abs(U)
+    g = np.zeros(len(A))
+    for j in range(1, p + 1):
+        s = A[:, slots.sum(j)]
+        g = np.maximum(g, _k2_gauge(s, A[:, slots.sq(j)]))
+        g = np.maximum(g, _k3_gauge(s, A[:, slots.ysum], A[:, slots.xy(j)]))
+        for i in range(1, j):
+            g = np.maximum(g, _k3_gauge(A[:, slots.sum(i)], s, A[:, slots.cross(i, j)]))
+    return g
+
+
 def random_dataset(rng, n, p):
     X0 = rng.uniform(-1, 1, (n, p))
     y = rng.uniform(-1, 1, n)
@@ -117,6 +132,7 @@ class TestLayout:
         assert layout.cross.tolist() == [slots.cross(j, k) for j, k in pairs]
         assert list(zip(layout.cross_j + 1, layout.cross_k + 1)) == pairs
         assert layout.ysum == slots.ysum
+        assert layout.sum_slots.tolist() == [slots.sum(j) for j in js] + [slots.ysum]
         assert layout.xy.tolist() == [slots.xy(j) for j in js]
         assert layout.gram_scale[layout.squares - p].tolist() == [2.0] * p
         assert (layout.gram_scale[layout.cross - p] == 1.0).all()
@@ -230,9 +246,20 @@ class TestKTMember:
         for scale in (2.0, 1.6, 1.0, 0.5):
             U = rng.uniform(-scale, scale, (4096, layout.d))
             U[:1024] = np.round(4 * U[:1024]) / 4
-            got = _kt_member_many(U, layout)
+            got = kt_ball(p).member_many(U)
             assert np.array_equal(got, kt_member_reference(U, p))
         assert got.all()
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_gauge_matches_piece_by_piece_reference(self, p):
+        # kt1 has no cross pairs; quarter-grid rows tie pieces exactly
+        rng = np.random.default_rng(90 + p)
+        ball = kt_ball(p)
+        U = rng.standard_normal((4096, ball.dimension))
+        U[1024:2048] *= rng.random((1024, ball.dimension)) < 0.5
+        U[:1024] = np.round(4 * U[:1024]) / 4
+        for scale in (1e-300, 0.5, 1.0, 2.0, 1e300):
+            assert np.array_equal(ball.gauge_many(scale * U), kt_gauge_reference(scale * U, p))
 
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_single_row_differences_inside(self, p):
@@ -349,7 +376,7 @@ class TestKtFactorization:
         pts = rng.uniform(-2.0, 2.0, size=(n, layout.d))
         pts[:, layout.sums] = signs[:p] * x[:p, 0]
         pts[:, layout.ysum] = signs[p] * x[p, 0]
-        hits = _kt_member_many(pts, layout).mean()
+        hits = kt_ball(p).member_many(pts).mean()
         assert abs(hits - w) <= 4.0 * math.sqrt(w * (1.0 - w) / n)
 
     def test_sum_quantile_follows_k2_profile(self):
@@ -403,19 +430,20 @@ class TestKtSampler:
         v = sample_noise(MechanismConfig(1.0, 1.0, ball), RngStream(324, p).generator())
         assert v.shape == (ball.dimension,) and np.isfinite(v).all()
         u, (accepted, proposals) = sample_uniform_ball(ball, RngStream(325, p).generator())
-        assert _kt_member_many(u[None, :], _shared_layout(p)).all()
+        assert ball.member_many(u[None, :]).all()
         assert 1 <= accepted <= proposals <= 10**6
 
     @pytest.mark.parametrize("p, n", [(1, 3000), (2, 3000), (3, 3000), (5, 2000),
                                       (12, 1000), (20, 200)])
     def test_every_point_is_a_member(self, p, n):
         layout = _shared_layout(p)
-        pts, _ = sample_uniform_ball(kt_ball(p), RngStream(326, p).generator(), size=n)
-        assert _kt_member_many(pts, layout).all()
+        ball = kt_ball(p)
+        pts, _ = sample_uniform_ball(ball, RngStream(326, p).generator(), size=n)
+        assert ball.member_many(pts).all()
         # filled slots exactly on their interval ends stay inside too
-        edge, _ = sample_uniform_ball(kt_ball(p), EdgeRng(327 + p), size=n)
-        assert _kt_member_many(edge, layout).all()
-        sums = np.abs(edge[:, np.r_[layout.sums, layout.ysum]]).T
+        edge, _ = sample_uniform_ball(ball, EdgeRng(327 + p), size=n)
+        assert ball.member_many(edge).all()
+        sums = np.abs(edge[:, layout.sum_slots]).T
         assert np.array_equal(np.abs(edge[:, layout.squares]), 2.0 * _k2_weight(sums[:p]).T)
         assert np.array_equal(np.abs(edge[:, layout.pair_slots]),
                               2.0 * _kt_pair_weights(sums, layout).T)
