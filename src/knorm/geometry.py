@@ -5,9 +5,12 @@ Balls are either analytic lp bodies (p in [1, inf], radius r) or oracle
 bodies given by a vectorized membership predicate plus an exact vectorized
 gauge, both at unit scale, an l-infinity bounding radius and, if known, an
 exact volume. An oracle body with structure may also carry its own exact
-uniform sampler and its own estimate of the fraction of its bounding box
-it fills; samplers and volume estimates use them in place of box
-rejection and hit-or-miss. Every value here is immutable after
+uniform sampler, which returns the points it has once its proposal budget
+is spent, and its own estimate of the fraction of its bounding box it
+fills; samplers and volume estimates use them in place of box rejection
+and hit-or-miss. The hull bodies k2, k3 and kt<p> are described by one
+table of slot weights, from which they take their membership, sampler and
+box-fraction estimate (see _hull_ball). Every value here is immutable after
 construction and every operation is a pure function of its inputs plus an
 explicit seed, so everything is safe to use concurrently.
 """
@@ -79,12 +82,13 @@ class NormBall:
     and ``linf_bound`` bounds the l-infinity norm of every member point.
     ``volume`` is an oracle body's exact unit-scale volume, if known (lp
     balls ignore it: their volume is the closed form; see ``log_volume``).
-    ``uniform_fn(rng, n, max_attempts)``, if given, returns n exact uniform
-    points of the unit-scale body and its (accepted, proposals) counts,
-    raising SamplerError once max_attempts proposals are spent;
+    ``uniform_fn(rng, n, max_attempts)``, if given, returns exact uniform
+    points of the unit-scale body and its (accepted, proposals) counts: n
+    points, or the fewer it has once max_attempts proposals are spent;
     ``box_fraction_fn(rng, n)``, if given, returns an unbiased n-sample
     estimate of the fraction of the [-linf_bound, linf_bound]^m box the body
-    fills, and its standard error.
+    fills, and its standard error. The hull bodies set both (_hull_ball);
+    from_oracle balls have neither.
     Oracle balls are identified by ``name``: equality ignores the predicate,
     gauge and hook objects, so give distinct bodies distinct names.
     """
@@ -127,13 +131,12 @@ class NormBall:
         return cls(dimension=dimension, p=float(p), radius=float(radius), name=name)
 
     @classmethod
-    def from_oracle(cls, member, gauge, linf_bound, dimension, name="", volume=None,
-                    uniform=None, box_fraction=None):
-        """Oracle ball; ``volume`` is its exact unit-scale volume, if known, and
-        ``uniform``/``box_fraction`` its own sampler and box-fraction estimator."""
+    def from_oracle(cls, member, gauge, linf_bound, dimension, name="", volume=None):
+        """Oracle ball with no sampler or box-fraction estimator of its own, so
+        sampled by box rejection and measured by hit-or-miss; ``volume`` is its
+        exact unit-scale volume, if known."""
         return cls(dimension=dimension, member=member, gauge_fn=gauge,
-                   linf_bound=float(linf_bound), name=name, volume=volume,
-                   uniform_fn=uniform, box_fraction_fn=box_fraction)
+                   linf_bound=float(linf_bound), name=name, volume=volume)
 
     @property
     def is_lp(self):
@@ -156,9 +159,16 @@ class NormBall:
         p = "inf" if self.p == math.inf else f"{self.p:g}"
         return f"l{p}" if self.radius == 1.0 else f"l{p}(r={self.radius:g})"
 
+    def _check_width(self, points):
+        if points.shape[-1] != self.dimension:
+            raise ValueError(
+                f"dimension mismatch ({points.shape[-1]} != {self.dimension})"
+            )
+
     def member_many(self, points):
         """Unit-scale membership for an (n, m) array of points."""
         points = np.asarray(points, dtype=float)
+        self._check_width(points)
         if self.is_lp:
             return lp_norm(points, self.p) <= self.radius
         return np.asarray(self.member(points), dtype=bool)
@@ -168,10 +178,7 @@ class NormBall:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if not np.all(np.isfinite(points)):
             raise ValueError("gauge: non-finite input")
-        if points.shape[1] != self.dimension:
-            raise ValueError(
-                f"gauge: dimension mismatch ({points.shape[1]} != {self.dimension})"
-            )
+        self._check_width(points)
         if self.is_lp:
             return lp_norm(points, self.p) / self.radius
         return np.asarray(self.gauge_fn(points), dtype=float)
@@ -184,17 +191,6 @@ class NormBall:
 def _k2_cap(a):
     # the parabola bounding the (sum, doubled square) hull for |u1| in [1, 2]
     return 2.0 - 2.0 * (a - 1.0) ** 2
-
-
-def _k2_piece(s, q):
-    """Elementwise k2 membership of (sum, doubled square) absolute values."""
-    # the cap only matters where s <= 2: clipping keeps huge sums from overflowing
-    return (s <= 2.0) & (q <= 2.0) & ((s <= 1.0) | (q <= _k2_cap(np.minimum(s, 2.0))))
-
-
-def _k3_piece(a, b, c):
-    """Elementwise k3 membership of (sum x, sum y, sum xy) absolute values."""
-    return (a <= 2.0) & (b <= 2.0) & (c <= 2.0) & ((a + b) + c <= 4.0)
 
 
 def _k2_gauge(s, q):
@@ -214,19 +210,65 @@ def _k3_gauge(a, b, c):
     return np.maximum(np.maximum(np.maximum(a, b), c) / 2.0, ((a + b) + c) / 4.0)
 
 
+def _k2_weight(a):
+    """Length of a k2 piece's square interval over the box's 4, at sum
+    magnitudes a in [0, 2]: 1 where a <= 1, else a(2 - a) = 1 - (a - 1)^2.
+
+    Where a > 1 twice this is _k2_cap(a) bit for bit (doubling commutes with
+    rounding).
+    """
+    w = np.maximum(a, 1.0)
+    w -= 1.0
+    np.square(w, out=w)
+    return np.subtract(1.0, w, out=w)
+
+
+def _k3_weights(x, pieces):
+    """Length of each k3 piece's slot interval over the box's 4, min(1, (4 -
+    x_j - x_k)/2), at (sums, k) sum magnitudes x in [0, 2], one row per piece."""
+    # computed as 2 - (x_j + x_k)/2, which is exact wherever it is below 1
+    # (Sterbenz), so twice it is 4 - (x_j + x_k) there
+    w = x[pieces.pair_j]
+    w += x[pieces.pair_k]
+    w *= 0.5
+    np.subtract(2.0, w, out=w)
+    return np.minimum(w, 1.0, out=w)
+
+
+def _k3_kernel(x, pieces):
+    """Product of the k3 piece weights at (sums, k) sum magnitudes x."""
+    return _k3_weights(x, pieces).prod(axis=0)
+
+
+def _k2_sum_quantile(u):
+    # inverse CDF of the density proportional to _k2_weight on [0, 2]: the
+    # mass is 1 on [0, 1] and 2/3 on [1, 2], so v = 5u/3 is a itself up to 1;
+    # above, v = 1/3 + a^2 - a^3/3, whose root in [1, 2] is trigonometric:
+    # a = 1 + 2 cos(arccos((3 - 3v)/2)/3 - 2 pi/3)
+    a = u * (5.0 / 3.0)
+    above = a > 1.0
+    c = np.maximum((3.0 - 3.0 * a[above]) / 2.0, -1.0)
+    a[above] = np.minimum(1.0 + 2.0 * np.cos(np.arccos(c) / 3.0 - 2.0 * math.pi / 3.0), 2.0)
+    return a
+
+
 def _hull_member_many(pieces, U):
     """Membership of the rows of U in the hull body of a piece table (see
-    _hull_ball): every piece holds. Each slot lies in a piece, which bounds
-    it by 2, so there is no separate box test."""
+    _hull_ball): every sum is at most 2 and every other slot lies within
+    twice its piece weight."""
     # abs per slot group, as a full abs(U) copy of a large chunk costs memory
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    s = np.abs(U[:, pieces.sum_slots])
-    ok = True
+    s = np.abs(U[:, pieces.sum_slots]).T
+    ok = (s <= 2.0).all(axis=0)
+    # the weights only matter where every sum is at most 2: clipping keeps
+    # huge sums from overflowing
+    s = np.minimum(s, 2.0)
     if len(pieces.squares):
-        ok = _k2_piece(s[:, :len(pieces.squares)], np.abs(U[:, pieces.squares])).all(axis=1)
+        w = _k2_weight(s[:len(pieces.squares)])
+        ok &= (np.abs(U[:, pieces.squares]).T <= 2.0 * w).all(axis=0)
     if len(pieces.pair_slots):
-        c = np.abs(U[:, pieces.pair_slots])
-        ok = ok & _k3_piece(s[:, pieces.pair_j], s[:, pieces.pair_k], c).all(axis=1)
+        w = _k3_weights(s, pieces)
+        ok &= (np.abs(U[:, pieces.pair_slots]).T <= 2.0 * w).all(axis=0)
     return ok
 
 
@@ -244,15 +286,106 @@ def _hull_gauge_many(pieces, U):
     return g
 
 
-def _hull_ball(pieces, dimension, name, **hooks):
-    """Oracle ball, with from_oracle's ``hooks``, of the hull body of a piece
-    table: the first len(``squares``) of its ``sum_slots`` pair with the
+def _hull_chunk(pieces):
+    # proposals per chunk: the (pieces, chunk) weight array stays near 256 kB,
+    # in cache and below the size at which every allocation faults in fresh pages
+    return max(64, (1 << 15) // (len(pieces.pair_j) + 1))
+
+
+def _hull_uniform(pieces, dimension, rng, n, max_attempts):
+    """Exact uniform points of the hull body of a piece table, from its sum
+    slots (see _hull_ball).
+
+    Each proposal draws the sum magnitudes of the k2 pieces from the k2
+    profile by inverse CDF and the other sums uniform on [0, 2], and is
+    accepted with probability _k3_kernel; a body with no k3 pieces accepts
+    every proposal. Accepted sums get random signs and every other slot is
+    filled uniformly on its interval. Chunks start at 64 proposals and grow
+    4x after a chunk with no acceptance, then follow the observed rate;
+    proposals are independent, so the first n accepted have the same law
+    under any chunking. Returns (points, (accepted, proposals)): n points,
+    or the fewer accepted once max_attempts proposals are spent.
+    """
+    n_sq = len(pieces.squares)
+    has_k3 = len(pieces.pair_slots) > 0
+    sums = np.empty((len(pieces.sum_slots), n))
+    got = accepted = proposals = 0
+    chunk = 64
+    while got < n:
+        k = chunk if not accepted else -(-(n - got) * proposals // accepted)
+        k = min(max(k, 64), _hull_chunk(pieces), max_attempts - proposals)
+        if k <= 0:
+            break
+        x = np.empty((len(sums), k))
+        if n_sq:
+            x[:n_sq] = _k2_sum_quantile(rng.random((n_sq, k)))
+        x[n_sq:] = rng.uniform(0.0, 2.0, (len(x) - n_sq, k))
+        if has_k3:
+            x = x[:, rng.random(k) < _k3_kernel(x, pieces)]
+        proposals += k
+        accepted += x.shape[1]
+        if not x.shape[1]:
+            chunk *= 4
+        take = min(x.shape[1], n - got)
+        sums[:, got:got + take] = x[:, :take]
+        got += take
+    sums = sums[:, :got]
+    u = rng.uniform(-1.0, 1.0, size=(got, dimension))
+    out = np.empty_like(u)
+    out[:, pieces.sum_slots] = np.copysign(sums.T, u[:, pieces.sum_slots])
+    if n_sq:
+        out[:, pieces.squares] = 2.0 * _k2_weight(sums[:n_sq]).T * u[:, pieces.squares]
+    if has_k3:
+        out[:, pieces.pair_slots] = (
+            2.0 * _k3_weights(sums, pieces).T * u[:, pieces.pair_slots])
+    return out, (accepted, proposals)
+
+
+def _hull_box_fraction(pieces, rng, n):
+    """Fraction of the [-2, 2]^d box that the hull body of a piece table
+    fills, and its standard error.
+
+    The mean of w, the product of every piece weight, over n sum magnitudes
+    uniform on [0, 2]^(sums): w is the chance that a uniform box point with
+    those sums lies in the body, so this is hit-or-miss with every other
+    slot integrated out exactly.
+    """
+    n_sq = len(pieces.squares)
+    total = total_sq = 0.0
+    chunk = _hull_chunk(pieces)
+    for start in range(0, n, chunk):
+        x = rng.uniform(0.0, 2.0, size=(len(pieces.sum_slots), min(chunk, n - start)))
+        w = _k3_kernel(x, pieces) if len(pieces.pair_slots) else 1.0
+        if n_sq:
+            w = w * _k2_weight(x[:n_sq]).prod(axis=0)
+        total += w.sum()
+        total_sq += np.square(w).sum()
+    mean = total / n
+    return mean, math.sqrt(max(total_sq / n - mean * mean, 0.0) / n)
+
+
+def _hull_ball(pieces, dimension, name, volume=None):
+    """Oracle ball of the hull body of a piece table, with its exact sampler
+    and box-fraction estimator.
+
+    The first len(``squares``) of the table's ``sum_slots`` pair with the
     ``squares`` in k2 pieces, and its sums ``pair_j``/``pair_k`` (indices
-    into ``sum_slots``) with the ``pair_slots`` in k3 pieces."""
-    return NormBall.from_oracle(
-        functools.partial(_hull_member_many, pieces),
-        functools.partial(_hull_gauge_many, pieces),
-        linf_bound=2.0, dimension=dimension, name=name, **hooks)
+    into ``sum_slots``) with the ``pair_slots`` in k3 pieces. The body is
+    the points whose sums are at most 2 in magnitude, whose squares lie
+    within twice the _k2_weight of their sums, and whose k3 slots lie
+    within twice their _k3_weights. Every slot that is not a sum sits in
+    exactly one piece, so given the sums those slots are independent and
+    uniform on their intervals under a uniform point of the body: the
+    marginal of the sum magnitudes has density proportional to the product
+    of the piece weights. Membership, the sampler and the estimator all
+    read these weights.
+    """
+    return NormBall(
+        dimension=dimension, name=name, volume=volume, linf_bound=2.0,
+        member=functools.partial(_hull_member_many, pieces),
+        gauge_fn=functools.partial(_hull_gauge_many, pieces),
+        uniform_fn=functools.partial(_hull_uniform, pieces, dimension),
+        box_fraction_fn=functools.partial(_hull_box_fraction, pieces))
 
 
 _NO_SLOTS = np.empty(0, dtype=np.intp)

@@ -34,18 +34,12 @@ from .linreg import (
     sanitize_statistic,
 )
 from .ordering import gamma_cdf
-from .sampling import (
-    MechanismConfig,
-    RngStream,
-    sample_k_mech_rejection,
-    sample_l1_mech,
-    sample_noise,
-)
+from .sampling import MechanismConfig, RngStream, sample_l1_mech, sample_noise
 
 # unused here, but perfbench/spans.py rebinds these names in this module
 from .geometry import lp_norm  # noqa: F401
 from .linreg import dp_estimate  # noqa: F401
-from .sampling import sample_l2_mech, sample_linf_mech  # noqa: F401
+from .sampling import sample_k_mech_rejection, sample_l2_mech, sample_linf_mech  # noqa: F401
 
 __all__ = [
     "SimulationConfig",
@@ -416,12 +410,14 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
 
     Mechanisms are ball names as ball_from_name reads them, with Delta = 1
     and eps = 1; lp balls are 2-dimensional, the hull bodies keep their own
-    dimension. Checks per mechanism: Kolmogorov-Smirnov test of the noise gauge
-    against its Gamma(m, eps/Delta) marginal at level 0.01, and a
+    dimension. Each mechanism draws n_draws noise vectors through
+    sample_noise. Checks per mechanism: Kolmogorov-Smirnov test of the noise
+    gauge against its Gamma(m, eps/Delta) marginal at level 0.01, and a
     4-standard-error unbiasedness check per coordinate. The l1 entry adds
     the Laplace histogram ratio bound; every hull with a known volume (k2,
-    k3) adds the rejection acceptance-rate check against its exact
-    volume / bounding-box volume ratio. An empty
+    k3) adds a 4-standard-error check of its own n_draws-point box-fraction
+    estimate, drawn from the mechanism's stream after the noise, against
+    its exact volume / bounding-box volume ratio. An empty
     mechanism list yields an empty report. ``fault`` deliberately breaks a
     sampler to demonstrate detection (testing aid): "laplace-scale" halves
     the l1 scale.
@@ -437,13 +433,7 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
         rng = RngStream(seed, 1000 + idx).generator()
         faulty = fault == "laplace-scale" and mech == "l1"
         draw_delta = delta / 2.0 if faulty else delta
-        stats = None
-        if ball.is_lp:
-            v = sample_noise(MechanismConfig(epsilon, draw_delta, ball), rng, size=n_draws)
-        else:
-            v, stats = sample_k_mech_rejection(
-                np.zeros(m), ball, draw_delta, epsilon, rng, size=n_draws, return_stats=True
-            )
+        v = sample_noise(MechanismConfig(epsilon, draw_delta, ball), rng, size=n_draws)
         gauges = ball.gauge_many(v)
         rate = epsilon / delta
         d = ks_statistic(gauges, lambda x: gamma_cdf(x, m, rate))
@@ -468,14 +458,14 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
                 detail="max |mean|/SE over coordinates",
             )
         )
-        if stats is not None and ball.volume is not None:
+        if ball.volume is not None:
             expected = ball.volume / (2.0 * ball.linf_bound) ** m
-            se_rate = math.sqrt(expected * (1 - expected) / stats["proposals"])
-            dev = abs(stats["acceptance_rate"] - expected) / se_rate
+            frac, se_frac = ball.box_fraction_fn(rng, n_draws)
+            dev = abs(frac - expected) / se_frac
             checks.append(
                 DiagnosticCheck(
-                    name=f"rejection-acceptance[{mech}]",
-                    statistic=stats["acceptance_rate"],
+                    name=f"box-fraction[{mech}]",
+                    statistic=frac,
                     threshold=4.0,
                     passed=dev <= 4.0,
                     detail=f"expected {expected:.4f}, deviation {dev:.2f} SE",

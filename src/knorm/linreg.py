@@ -11,13 +11,12 @@ which is pure post-processing.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import NormBall, _hull_ball, k2_ball, k3_ball
-from .sampling import MechanismConfig, _budget_exhausted, sample_noise
+from .sampling import MechanismConfig, sample_noise
 
 # unused here, but perfbench/spans.py rebinds these names in this module
 from .sampling import sample_k_mech_rejection, sample_l1_mech, sample_linf_mech  # noqa: F401
@@ -165,132 +164,6 @@ def build_statistic(data: RegressionDataset) -> StatisticVector:
     return StatisticVector(values, data.p)
 
 
-def _k2_weight(a):
-    """Length of the k2 piece's square interval over the box's 4, at sum
-    magnitudes a in [0, 2]: 1 where a <= 1, else a(2 - a) = 1 - (a - 1)^2.
-
-    Where a > 1 this is half of geometry._k2_cap(a) bit for bit (halving
-    commutes with rounding), so twice the weight is the bound the k2
-    predicate tests.
-    """
-    w = np.maximum(a, 1.0)
-    w -= 1.0
-    np.square(w, out=w)
-    return np.subtract(1.0, w, out=w)
-
-
-def _kt_pair_weights(x, layout: StatisticLayout):
-    """Length of each k3 piece's interval over the box's 4, min(1, (4 - x_j -
-    x_k)/2), at the (p + 1, k) sum magnitudes x, one row per layout pair."""
-    # computed as 2 - (x_j + x_k)/2, which is exact wherever it is below 1
-    # (Sterbenz), so a slot drawn within twice the weight passes the k3
-    # predicate's (a + b) + c <= 4
-    w = x[layout.pair_j]
-    w += x[layout.pair_k]
-    w *= 0.5
-    np.subtract(2.0, w, out=w)
-    return np.minimum(w, 1.0, out=w)
-
-
-def _kt_kernel(x, layout: StatisticLayout):
-    """Product of the k3 piece weights of K_T at (p + 1, k) sum magnitudes.
-
-    Rows 0..p-1 of x hold the predictor sums |s_j| and row p the response
-    sum |t|, each in [0, 2]. Every slot of K_T that is not a sum sits in
-    exactly one piece: a square with its own sum (k2 piece), a cross slot
-    with two predictor sums, a response slot with one predictor sum and t
-    (k3 pieces). Given the sums, each such slot therefore ranges over an
-    interval of its own, independently of the others: each square within
-    +-2 _k2_weight(|s_j|) and each cross or response slot within +-2 times
-    its pair weight. The volume of that fibre is 4^(d - p - 1) times the
-    product of the weights, so the marginal of the sums under a uniform
-    point of K_T has density proportional to prod_j _k2_weight(|s_j|)
-    times this kernel, and, given the sums, the other slots are
-    independent and uniform on their intervals. Both the exact sampler and
-    the volume estimator of kt_ball rest on this factorization.
-    """
-    return _kt_pair_weights(x, layout).prod(axis=0)
-
-
-def _k2_sum_quantile(u):
-    # inverse CDF of the density proportional to _k2_weight on [0, 2]: the
-    # mass is 1 on [0, 1] and 2/3 on [1, 2], so v = 5u/3 is a itself up to 1;
-    # above, v = 1/3 + a^2 - a^3/3, whose root in [1, 2] is trigonometric:
-    # a = 1 + 2 cos(arccos((3 - 3v)/2)/3 - 2 pi/3)
-    a = u * (5.0 / 3.0)
-    above = a > 1.0
-    c = np.maximum((3.0 - 3.0 * a[above]) / 2.0, -1.0)
-    a[above] = np.minimum(1.0 + 2.0 * np.cos(np.arccos(c) / 3.0 - 2.0 * math.pi / 3.0), 2.0)
-    return a
-
-
-def _kt_chunk(layout: StatisticLayout):
-    # proposals per chunk: the (pairs, chunk) weight array stays near 256 kB,
-    # in cache and below the size at which every allocation faults in fresh pages
-    return max(64, (1 << 15) // (len(layout.pair_j) + 1))
-
-
-def _kt_uniform(layout: StatisticLayout, rng, n, max_attempts):
-    """n exact uniform points of K_T, from its sum slots (see _kt_kernel).
-
-    Each proposal draws the p predictor sum magnitudes from the k2 profile
-    by inverse CDF and the response sum magnitude uniform on [0, 2], and is
-    accepted with probability _kt_kernel. Accepted sums get random signs and
-    every other slot is filled uniformly on its interval. Chunks start at
-    64 proposals and grow 4x after a chunk with no acceptance, then follow
-    the observed rate; proposals are independent, so the first n accepted
-    have the same law under any chunking. Returns (points, (accepted,
-    proposals)); raises SamplerError once max_attempts proposals are spent.
-    """
-    p = layout.p
-    sums = np.empty((p + 1, n))
-    got = accepted = proposals = 0
-    chunk = 64
-    while got < n:
-        k = chunk if not accepted else -(-(n - got) * proposals // accepted)
-        k = min(max(k, 64), _kt_chunk(layout), max_attempts - proposals)
-        if k <= 0:
-            raise _budget_exhausted(got, n, accepted, proposals)
-        x = np.empty((p + 1, k))
-        x[:p] = _k2_sum_quantile(rng.random((p, k)))
-        x[p] = rng.uniform(0.0, 2.0, k)
-        x = x[:, rng.random(k) < _kt_kernel(x, layout)]
-        proposals += k
-        accepted += x.shape[1]
-        if not x.shape[1]:
-            chunk *= 4
-        take = min(x.shape[1], n - got)
-        sums[:, got:got + take] = x[:, :take]
-        got += take
-    u = rng.uniform(-1.0, 1.0, size=(n, layout.d))
-    out = np.empty_like(u)
-    out[:, layout.sum_slots] = np.copysign(sums.T, u[:, layout.sum_slots])
-    out[:, layout.squares] = 2.0 * _k2_weight(sums[:p]).T * u[:, layout.squares]
-    out[:, layout.pair_slots] = (
-        2.0 * _kt_pair_weights(sums, layout).T * u[:, layout.pair_slots])
-    return out, (accepted, proposals)
-
-
-def _kt_box_fraction(layout: StatisticLayout, rng, n):
-    """Fraction of the [-2, 2]^d box that K_T fills, and its standard error.
-
-    The mean of w = _kt_kernel * prod_j _k2_weight over n sum magnitudes
-    uniform on [0, 2]^(p + 1): w is the chance that a uniform box point
-    with those sums lies in K_T, so this is hit-or-miss with the other
-    d - p - 1 slots integrated out exactly.
-    """
-    p = layout.p
-    total = total_sq = 0.0
-    chunk = _kt_chunk(layout)
-    for start in range(0, n, chunk):
-        x = rng.uniform(0.0, 2.0, size=(p + 1, min(chunk, n - start)))
-        w = _kt_kernel(x, layout) * _k2_weight(x[:p]).prod(axis=0)
-        total += w.sum()
-        total_sq += np.square(w).sum()
-    mean = total / n
-    return mean, math.sqrt(max(total_sq / n - mean * mean, 0.0) / n)
-
-
 def kT_member(u, p) -> bool:
     """Membership of a statistic-difference vector in the hull body K_T.
 
@@ -307,16 +180,10 @@ def kT_member(u, p) -> bool:
 
 
 def kt_ball(p) -> NormBall:
-    """Norm ball of the regression hull body at predictor count p: the K_T
-    predicate plus its exact gauge, the max of the piece gauges, with the
-    exact sampler and box-fraction estimator of its sum-slot factorization
-    (_kt_kernel)."""
+    """Norm ball of the regression hull body K_T at predictor count p, whose
+    piece table is its statistic layout (see geometry._hull_ball)."""
     layout = _shared_layout(p)
-    return _hull_ball(
-        layout, layout.d, f"kt{p}",
-        uniform=functools.partial(_kt_uniform, layout),
-        box_fraction=functools.partial(_kt_box_fraction, layout),
-    )
+    return _hull_ball(layout, layout.d, f"kt{p}")
 
 
 def ball_from_name(token, m):

@@ -190,40 +190,36 @@ def sample_uniform_ball(ball: NormBall, rng, size=None, max_attempts=10**6):
     Returns (samples, (accepted, proposals)): the requested points plus the
     total acceptance counts over all proposals (accepted can exceed the
     request; extras are discarded). Raises SamplerError, reporting the
-    observed acceptance rate, if the proposal budget runs out first.
+    observed acceptance rate, if the proposal budget runs out first; this is
+    the one place that raises it, as a ball's own sampler returns the points
+    it has when its budget runs out.
     """
     n = 1 if size is None else size
     if ball.uniform_fn is not None:
-        out, counts = ball.uniform_fn(rng, n, max_attempts)
-        return (out[0] if size is None else out), counts
-    m = ball.dimension
-    b = ball.linf_radius
-    out = np.empty((n, m))
-    got = 0
-    proposals = 0
-    accepted = 0
-    while got < n:
-        chunk = min(max(256, 2 * (n - got)), 1 << 16)
-        chunk = min(chunk, max_attempts - proposals)
-        if chunk <= 0:
-            raise _budget_exhausted(got, n, accepted, proposals)
-        pts = rng.uniform(-b, b, size=(chunk, m))
-        proposals += chunk
-        acc = pts[ball.member_many(pts)]
-        accepted += len(acc)
-        take = min(len(acc), n - got)
-        out[got : got + take] = acc[:take]
-        got += take
+        out, (accepted, proposals) = ball.uniform_fn(rng, n, max_attempts)
+        got = len(out)
+    else:
+        b = ball.linf_radius
+        out = np.empty((n, ball.dimension))
+        got = proposals = accepted = 0
+        while got < n:
+            chunk = min(max(256, 2 * (n - got)), 1 << 16, max_attempts - proposals)
+            if chunk <= 0:
+                break
+            pts = rng.uniform(-b, b, size=(chunk, ball.dimension))
+            proposals += chunk
+            acc = pts[ball.member_many(pts)]
+            accepted += len(acc)
+            take = min(len(acc), n - got)
+            out[got : got + take] = acc[:take]
+            got += take
+    if got < n:
+        rate = accepted / proposals if proposals else 0.0
+        raise SamplerError(
+            f"rejection sampling failed: {got}/{n} accepted after "
+            f"{proposals} proposals (acceptance rate {rate:.3g})"
+        )
     return (out[0] if size is None else out), (accepted, proposals)
-
-
-def _budget_exhausted(got, n, accepted, proposals):
-    """The SamplerError of a rejection sampler whose proposal budget ran out."""
-    rate = accepted / proposals if proposals else 0.0
-    return SamplerError(
-        f"rejection sampling failed: {got}/{n} accepted after "
-        f"{proposals} proposals (acceptance rate {rate:.3g})"
-    )
 
 
 def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng,

@@ -21,6 +21,7 @@ from knorm.geometry import (
     volume_monte_carlo,
 )
 from knorm.linreg import kT_member, kt_ball
+from knorm.sampling import RngStream, SamplerError, sample_uniform_ball
 
 INF = math.inf
 
@@ -272,6 +273,69 @@ class TestK2K3:
             warnings.simplefilter("error")
             assert not k2_member((1e300, 0.0))
             assert not kT_member(np.full(4, 1e200), 1)
+            # nor are two huge sums added for a k3 piece
+            assert not k3_member((1e308, 1e308, 0.0))
+            assert not kT_member(np.full(4, 1e308), 1)
+
+
+@pytest.mark.parametrize("ball, row", [
+    (NormBall.lp(2, 1.0, 2), [0.1, 0.1, 0.1]),
+    (NormBall.lp(INF, 1.0, 3), [0.1, 0.1]),
+    (k2_ball(), [0.5, 0.5, 99.0]),
+    (k3_ball(), [0.5, 0.5]),
+    (kt_ball(1), [0.5, 0.5, 0.5, 0.5, 99.0]),
+], ids=["l2", "linf", "k2", "k3", "kt1"])
+def test_member_many_checks_width_as_gauge_many_does(ball, row):
+    for method in (ball.member_many, ball.gauge_many):
+        with pytest.raises(ValueError,
+                           match=rf"dimension mismatch \({len(row)} != {ball.dimension}\)"):
+            method([row])
+
+
+class TestHullSampler:
+    """The exact conditional sampler and box-fraction estimator that k2 and
+    k3 take from their piece tables. Each statistical check allows 4
+    binomial (or estimated) standard errors: a false-alarm rate of 6e-5."""
+
+    N = 200_000
+
+    def test_k2_sum_profile_without_accept_draw(self):
+        # the k2 profile puts mass 1 of its 5/3 on |u1| <= 1: share 3/5
+        u, (accepted, proposals) = sample_uniform_ball(
+            k2_ball(), RngStream(340, 0).generator(), size=self.N)
+        share = (np.abs(u[:, 0]) <= 1.0).mean()
+        assert abs(share - 0.6) <= 4.0 * math.sqrt(0.6 * 0.4 / self.N)
+        # no k3 pieces, so every proposal is accepted
+        assert accepted == proposals == self.N
+
+    def test_k3_slot_share_and_acceptance(self):
+        # per octant, c <= 1 holds on volume 23/6 of 20/3: share 23/40
+        u, (accepted, proposals) = sample_uniform_ball(
+            k3_ball(), RngStream(341, 0).generator(), size=self.N)
+        share = (np.abs(u[:, 2]) <= 1.0).mean()
+        assert abs(share - 23 / 40) <= 4.0 * math.sqrt(23 / 40 * 17 / 40 / self.N)
+        # uniform sums are accepted with the mean k3 weight, the box fraction 5/6
+        rate = accepted / proposals
+        assert abs(rate - 5 / 6) <= 4.0 * math.sqrt(5 / 6 / 6 / proposals)
+
+    @pytest.mark.parametrize("make", [k2_ball, k3_ball])
+    def test_box_fraction_is_five_sixths(self, make):
+        frac, se = make().box_fraction_fn(RngStream(342, 0).generator(), self.N)
+        assert abs(frac - 5 / 6) <= 4.0 * se
+
+    @pytest.mark.parametrize("ball", [k2_ball(), k3_ball(), kt_ball(1), kt_ball(5)],
+                             ids=["k2", "k3", "kt1", "kt5"])
+    def test_every_point_is_a_member(self, ball):
+        pts, _ = sample_uniform_ball(ball, RngStream(343, ball.dimension).generator(),
+                                     size=5000)
+        assert pts.shape == (5000, ball.dimension)
+        assert ball.member_many(pts).all()
+
+    @pytest.mark.parametrize("make", [k2_ball, k3_ball])
+    def test_budget_exhaustion_raises(self, make):
+        with pytest.raises(SamplerError, match="acceptance rate"):
+            sample_uniform_ball(make(), RngStream(344, 0).generator(), size=1000,
+                                max_attempts=100)
 
 
 def k2_member_reference(U):

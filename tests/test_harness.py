@@ -39,9 +39,9 @@ PASS gamma-marginal-ks[l2]: statistic=0.00866318 threshold=0.0162762 (m=2 delta=
 PASS unbiasedness[l2]: statistic=0.628182 threshold=4 (max |mean|/SE over coordinates)
 PASS gamma-marginal-ks[linf]: statistic=0.00776139 threshold=0.0162762 (m=2 delta=1.0 eps=1.0 n=10000)
 PASS unbiasedness[linf]: statistic=2.09543 threshold=4 (max |mean|/SE over coordinates)
-PASS gamma-marginal-ks[k2]: statistic=0.00969215 threshold=0.0162762 (m=2 delta=1.0 eps=1.0 n=10000)
-PASS unbiasedness[k2]: statistic=1.01306 threshold=4 (max |mean|/SE over coordinates)
-PASS rejection-acceptance[k2]: statistic=0.8331 threshold=4 (expected 0.8333, deviation 0.09 SE)
+PASS gamma-marginal-ks[k2]: statistic=0.00917696 threshold=0.0162762 (m=2 delta=1.0 eps=1.0 n=10000)
+PASS unbiasedness[k2]: statistic=1.38833 threshold=4 (max |mean|/SE over coordinates)
+PASS box-fraction[k2]: statistic=0.833863 threshold=4 (expected 0.8333, deviation 0.20 SE)
 """
 
 
@@ -232,7 +232,7 @@ class TestDiagnostics:
         names = {c.name for c in report.checks}
         assert any("gamma-marginal" in n for n in names)
         assert any("dp-ratio" in n for n in names)
-        assert any("rejection-acceptance" in n for n in names)
+        assert any("box-fraction" in n for n in names)
 
     def test_default_output_pinned(self):
         assert run_diagnostics().format_lines() == DEFAULT_DIAGNOSTICS.splitlines()
@@ -242,8 +242,8 @@ class TestDiagnostics:
         assert report.all_passed
         checks = {c.name: c for c in report.checks}
         # the k3 hull fills 5/6 of its box; kt1 has no known volume
-        assert "expected 0.8333," in checks["rejection-acceptance[k3]"].detail
-        assert "rejection-acceptance[kt1]" not in checks
+        assert "expected 0.8333," in checks["box-fraction[k3]"].detail
+        assert "box-fraction[kt1]" not in checks
 
     def test_fault_injection_detected(self):
         report = run_diagnostics(mechanisms=("l1",), n_draws=4000, seed=0,

@@ -6,13 +6,18 @@ import pytest
 import scipy.stats as sps
 from scipy.special import ndtri
 
-from knorm.geometry import _k2_cap, _k2_gauge, _k3_gauge, volume_monte_carlo
-from knorm.linreg import (
-    RegressionDataset,
+from knorm.geometry import (
+    _k2_cap,
+    _k2_gauge,
     _k2_sum_quantile,
     _k2_weight,
-    _kt_kernel,
-    _kt_pair_weights,
+    _k3_gauge,
+    _k3_kernel,
+    _k3_weights,
+    volume_monte_carlo,
+)
+from knorm.linreg import (
+    RegressionDataset,
     _shared_layout,
     StatisticLayout,
     StatisticVector,
@@ -327,7 +332,7 @@ class EdgeRng:
 
 
 class TestKtFactorization:
-    """The piece weights of K_T given its sum slots (_kt_kernel, _k2_weight)."""
+    """The piece weights of K_T given its sum slots (_k3_kernel, _k2_weight)."""
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_pairs_are_the_k3_pieces(self, p):
@@ -349,14 +354,14 @@ class TestKtFactorization:
             want *= np.minimum(2.0, 4.0 - x[j] - x[p]) / 2.0
             for k in range(j + 1, p):
                 want *= np.minimum(2.0, 4.0 - x[j] - x[k]) / 2.0
-        assert np.allclose(_kt_kernel(x, layout), want, rtol=1e-12, atol=0.0)
+        assert np.allclose(_k3_kernel(x, layout), want, rtol=1e-12, atol=0.0)
 
     def test_k2_weight_is_half_the_cap(self):
         a = np.random.default_rng(301).uniform(0.0, 2.0, 100_000)
         a[:3] = (0.0, 1.0, 2.0)
         w = _k2_weight(a)
         above = a > 1.0
-        # bit for bit, so a square filled within twice the weight passes the k2 predicate
+        # bit for bit, so twice the weight is the parabola cap that bounds the k2 square
         assert np.array_equal(2.0 * w[above], _k2_cap(a[above]))
         assert (w[~above] == 1.0).all()
         assert np.allclose(w[above], a[above] * (2.0 - a[above]), rtol=0.0, atol=4e-16)
@@ -364,14 +369,14 @@ class TestKtFactorization:
     @pytest.mark.parametrize("seed", range(4))
     def test_weight_is_hit_chance_given_the_sums(self, seed):
         # the factorization itself: with the sum slots fixed, a uniform box
-        # point lies in K_T with chance _kt_kernel * prod _k2_weight;
+        # point lies in K_T with chance _k3_kernel * prod _k2_weight;
         # four 4-SE checks, family level 3e-4
         p = 2
         layout = StatisticLayout(p)
         rng = np.random.default_rng(310 + seed)
         signs = rng.choice([-1.0, 1.0], p + 1)
         x = rng.uniform(0.5, 2.0, size=(p + 1, 1))
-        w = float(_kt_kernel(x, layout)[0] * _k2_weight(x[:p, 0]).prod())
+        w = float(_k3_kernel(x, layout)[0] * _k2_weight(x[:p, 0]).prod())
         n = 200_000
         pts = rng.uniform(-2.0, 2.0, size=(n, layout.d))
         pts[:, layout.sums] = signs[:p] * x[:p, 0]
@@ -446,7 +451,7 @@ class TestKtSampler:
         sums = np.abs(edge[:, layout.sum_slots]).T
         assert np.array_equal(np.abs(edge[:, layout.squares]), 2.0 * _k2_weight(sums[:p]).T)
         assert np.array_equal(np.abs(edge[:, layout.pair_slots]),
-                              2.0 * _kt_pair_weights(sums, layout).T)
+                              2.0 * _k3_weights(sums, layout).T)
 
     def test_box_rejection_never_reached(self):
         def refuse(pts):
@@ -465,7 +470,7 @@ class TestKtSampler:
                                 max_attempts=100)
 
     def test_stats_count_conditional_proposals(self):
-        # a proposal is accepted with mean _kt_kernel under the k2 profile,
+        # a proposal is accepted with mean _k3_kernel under the k2 profile,
         # which is the box fraction times (6/5)^p; one 4-SE check
         p = 3
         ball = kt_ball(p)

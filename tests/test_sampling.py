@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -171,9 +172,11 @@ class TestRejectionMech:
         assert stat.pvalue > KS_LEVEL
 
     def test_k2_acceptance_rate(self):
+        # box rejection on the k2 predicate accepts its exact volume over the box's
+        box = dataclasses.replace(k2_ball(), uniform_fn=None, box_fraction_fn=None)
         rng = RngStream(5, 3).generator()
         _, stats = sample_k_mech_rejection(
-            np.zeros(2), k2_ball(), 1.0, 1.0, rng, size=10_000, return_stats=True
+            np.zeros(2), box, 1.0, 1.0, rng, size=10_000, return_stats=True
         )
         expected = (40.0 / 3.0) / 16.0
         se = math.sqrt(expected * (1 - expected) / stats["proposals"])
