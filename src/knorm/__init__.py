@@ -1,10 +1,10 @@
 """K-norm noise mechanisms for differential privacy.
 
-Exact samplers over arbitrary norm balls, formal mechanism-comparison
-criteria (containment, volume, entropy, depth, conditional variance),
-objective perturbation for empirical risk minimization, private linear
-regression via sanitized sufficient statistics, and a seedable simulation
-CLI (`knorm`).
+Exact samplers over lp balls and the paper's hull bodies (k2, k3 and the
+regression hull kt<p>), formal mechanism-comparison criteria (containment,
+volume, entropy, depth, conditional variance), objective perturbation for
+empirical risk minimization, private linear regression via sanitized
+sufficient statistics, and a seedable simulation CLI (`knorm`).
 """
 
 from .geometry import (
@@ -13,9 +13,7 @@ from .geometry import (
     ScaledBall,
     ball_containment,
     k2_ball,
-    k2_member,
     k3_ball,
-    k3_member,
     lp_norm,
     quadratic_pair_sensitivity,
     volume_lp,
@@ -59,7 +57,6 @@ from .linreg import (
     ball_from_name,
     build_statistic,
     dp_estimate,
-    kT_member,
     kt_ball,
     preprocess,
     sanitize_statistic,

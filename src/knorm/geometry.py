@@ -1,28 +1,22 @@
 """Norm balls, gauges, volumes, sensitivities, and containment checks.
 
 A norm ball is a convex, bounded, absorbing, origin-symmetric subset of R^m.
-Balls are either analytic lp bodies (p in [1, inf], radius r) or oracle
-bodies given by a vectorized membership predicate plus an exact vectorized
-gauge, both at unit scale, an l-infinity bounding radius and, if known, an
-exact volume. An oracle body with structure may also carry its own exact
-uniform sampler, which returns the points it has once its proposal budget
-is spent, and its own estimate of the fraction of its bounding box it
-fills; samplers and volume estimates use them in place of box rejection
-and hit-or-miss. The hull bodies k2, k3 and kt<p> are described by one
-table of slot weights, from which they take their membership, sampler and
-box-fraction estimate (see _hull_ball). Every value here is immutable after
-construction and every operation is a pure function of its inputs plus an
-explicit seed, so everything is safe to use concurrently.
+Every ball is one of two kinds: an analytic lp body (p in [1, inf], radius
+r), or one of the paper's hull bodies k2, k3 and kt<p>, described by a table
+of slot weights (see NormBall) from which it takes its membership, exact
+gauge, exact uniform sampler and box-fraction volume estimate. Every value
+here is immutable after construction and every operation is a pure function
+of its inputs plus an explicit seed, so everything is safe to use
+concurrently.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,8 +25,6 @@ __all__ = [
     "ScaledBall",
     "ContainmentVerdict",
     "lp_norm",
-    "k2_member",
-    "k3_member",
     "k2_ball",
     "k3_ball",
     "volume_lp",
@@ -73,70 +65,55 @@ def lp_norm(x, p):
 
 @dataclass(frozen=True)
 class NormBall:
-    """A symmetric convex body, analytic (lp) or oracle-defined.
+    """A symmetric convex body: an lp ball or the hull body of a piece table.
 
-    For the lp kind, ``p`` and ``radius`` are set and membership/gauge are
-    closed form. For the oracle kind, ``member`` is a predicate taking an
-    (n, m) array of points and returning an (n,) boolean array of unit-scale
-    membership, ``gauge_fn`` maps the same array to the (n,) exact gauges,
-    and ``linf_bound`` bounds the l-infinity norm of every member point.
-    ``volume`` is an oracle body's exact unit-scale volume, if known (lp
-    balls ignore it: their volume is the closed form; see ``log_volume``).
-    ``uniform_fn(rng, n, max_attempts)``, if given, returns exact uniform
-    points of the unit-scale body and its (accepted, proposals) counts: n
-    points, or the fewer it has once max_attempts proposals are spent;
-    ``box_fraction_fn(rng, n)``, if given, returns an unbiased n-sample
-    estimate of the fraction of the [-linf_bound, linf_bound]^m box the body
-    fills, and its standard error. The hull bodies set both (_hull_ball);
-    from_oracle balls have neither.
-    Oracle balls are identified by ``name``: equality ignores the predicate,
-    gauge and hook objects, so give distinct bodies distinct names.
+    An lp ball sets ``p`` and ``radius``. Its membership, gauge and volume
+    are closed form; its uniform points come by rejection from its bounding
+    box and its box fraction by hit-or-miss (_box_rejection, _hit_or_miss).
+
+    A hull ball sets ``pieces`` instead, and lies in the [-2, 2]^m box. The
+    first len(``squares``) of the table's ``sum_slots`` pair with the
+    ``squares`` in k2 pieces, and its sums ``pair_j``/``pair_k`` (indices
+    into ``sum_slots``) with the ``pair_slots`` in k3 pieces. The body is the
+    points whose sums are at most 2 in magnitude, whose squares lie within
+    twice the _k2_weight of their sums, and whose k3 slots lie within twice
+    their _k3_weights. Every slot that is not a sum sits in exactly one
+    piece, so given the sums those slots are independent and uniform on
+    their intervals under a uniform point of the body: the marginal of the
+    sum magnitudes has density proportional to the product of the piece
+    weights. Membership, the sampler and the box-fraction estimator all read
+    these weights (_hull_member_many, _hull_uniform, _hull_box_fraction),
+    and the gauge is the max of the piece gauges (_hull_gauge_many).
+    ``volume`` is a hull's exact unit-scale volume, if known (lp balls
+    ignore it: their volume is the closed form; see ``log_volume``).
+
+    Two hull balls are equal only if they share one piece table object, as
+    the tables compare by identity.
     """
 
     dimension: int
     p: Optional[float] = None
     radius: float = 1.0
-    member: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, compare=False
-    )
-    gauge_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, compare=False
-    )
-    linf_bound: Optional[float] = None
+    pieces: Optional[object] = None
     name: str = ""
     volume: Optional[float] = None
-    uniform_fn: Optional[Callable] = field(default=None, compare=False)
-    box_fraction_fn: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if (self.p is None) == (self.pieces is None):
+            raise ValueError("a norm ball has exactly one of p (lp) and pieces (hull)")
         if self.p is not None:
             if not self.p >= 1:  # also rejects nan
                 raise ValueError(f"p must be >= 1 or inf, got {self.p}")
             if not (self.radius > 0 and math.isfinite(self.radius)):
                 raise ValueError(f"radius must be positive, got {self.radius}")
-        else:
-            if self.member is None or self.gauge_fn is None:
-                raise ValueError("oracle ball requires a membership predicate and a gauge")
-            if self.linf_bound is None or not (
-                self.linf_bound > 0 and math.isfinite(self.linf_bound)
-            ):
-                raise ValueError("oracle ball requires a positive linf bound")
-            if self.volume is not None and not 0.0 < self.volume < math.inf:
-                raise ValueError(f"volume must be positive and finite, got {self.volume}")
+        elif self.volume is not None and not 0.0 < self.volume < math.inf:
+            raise ValueError(f"volume must be positive and finite, got {self.volume}")
 
     @classmethod
     def lp(cls, p, radius, dimension, name=""):
         return cls(dimension=dimension, p=float(p), radius=float(radius), name=name)
-
-    @classmethod
-    def from_oracle(cls, member, gauge, linf_bound, dimension, name="", volume=None):
-        """Oracle ball with no sampler or box-fraction estimator of its own, so
-        sampled by box rejection and measured by hit-or-miss; ``volume`` is its
-        exact unit-scale volume, if known."""
-        return cls(dimension=dimension, member=member, gauge_fn=gauge,
-                   linf_bound=float(linf_bound), name=name, volume=volume)
 
     @property
     def is_lp(self):
@@ -145,7 +122,7 @@ class NormBall:
     @property
     def linf_radius(self):
         """l-infinity bounding radius of the body."""
-        return self.radius if self.is_lp else self.linf_bound
+        return self.radius if self.is_lp else 2.0
 
     def log_volume(self):
         """Log unit-scale volume (finite at any dimension), or None if unknown."""
@@ -159,33 +136,88 @@ class NormBall:
         p = "inf" if self.p == math.inf else f"{self.p:g}"
         return f"l{p}" if self.radius == 1.0 else f"l{p}(r={self.radius:g})"
 
-    def _check_width(self, points):
+    def _rows(self, points):
+        # one point or an (n, m) array, as (n, m) floats of this ball's width
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[-1] != self.dimension:
             raise ValueError(
                 f"dimension mismatch ({points.shape[-1]} != {self.dimension})"
             )
+        return points
 
     def member_many(self, points):
-        """Unit-scale membership for an (n, m) array of points."""
-        points = np.asarray(points, dtype=float)
-        self._check_width(points)
+        """Unit-scale membership of each row of an (n, m) array, or of one
+        point, as an (n,) boolean array."""
+        points = self._rows(points)
         if self.is_lp:
             return lp_norm(points, self.p) <= self.radius
-        return np.asarray(self.member(points), dtype=bool)
+        return _hull_member_many(self.pieces, points)
 
     def gauge_many(self, points):
-        """Minkowski gauge of each row of an (n, m) array."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        """Minkowski gauge of each row of an (n, m) array, or of one point,
+        as an (n,) array."""
+        points = self._rows(points)
         if not np.all(np.isfinite(points)):
             raise ValueError("gauge: non-finite input")
-        self._check_width(points)
         if self.is_lp:
             return lp_norm(points, self.p) / self.radius
-        return np.asarray(self.gauge_fn(points), dtype=float)
+        return _hull_gauge_many(self.pieces, points)
 
     def gauge(self, x):
         """Minkowski gauge ||x||_K of a single vector."""
-        return float(self.gauge_many(np.asarray(x, dtype=float)[None, :])[0])
+        return float(self.gauge_many(x)[0])
+
+    def uniform(self, rng, n, max_attempts):
+        """Exact uniform points of the unit-scale body and their (accepted,
+        proposals) counts: n points, or the fewer it has once max_attempts
+        proposals are spent."""
+        if self.is_lp:
+            return _box_rejection(self, rng, n, max_attempts)
+        return _hull_uniform(self.pieces, self.dimension, rng, n, max_attempts)
+
+    def box_fraction(self, rng, n):
+        """Unbiased n-sample estimate of the fraction of the [-linf_radius,
+        linf_radius]^m box that the body fills, and its standard error."""
+        if self.is_lp:
+            return _hit_or_miss(self, rng, n)
+        return _hull_box_fraction(self.pieces, rng, n)
+
+
+def _box_rejection(ball, rng, n, max_attempts):
+    """Uniform points of a ball by rejection from its bounding box, with
+    their (accepted, proposals) counts: n points, or the fewer accepted once
+    max_attempts proposals are spent."""
+    b = ball.linf_radius
+    out = np.empty((n, ball.dimension))
+    got = proposals = accepted = 0
+    while got < n:
+        chunk = min(max(256, 2 * (n - got)), 1 << 16, max_attempts - proposals)
+        if chunk <= 0:
+            break
+        pts = rng.uniform(-b, b, size=(chunk, ball.dimension))
+        proposals += chunk
+        acc = pts[ball.member_many(pts)]
+        accepted += len(acc)
+        take = min(len(acc), n - got)
+        out[got : got + take] = acc[:take]
+        got += take
+    return out[:got], (accepted, proposals)
+
+
+def _hit_or_miss(ball, rng, n):
+    """Fraction of n uniform points of a ball's bounding box that lie in
+    it, and its binomial standard error."""
+    b = ball.linf_radius
+    hits = 0
+    done = 0
+    chunk = 1 << 17
+    while done < n:
+        k = min(chunk, n - done)
+        pts = rng.uniform(-b, b, size=(k, ball.dimension))
+        hits += int(ball.member_many(pts).sum())
+        done += k
+    frac = hits / n
+    return frac, math.sqrt(frac * (1.0 - frac) / n)
 
 
 def _k2_cap(a):
@@ -254,10 +286,9 @@ def _k2_sum_quantile(u):
 
 def _hull_member_many(pieces, U):
     """Membership of the rows of U in the hull body of a piece table (see
-    _hull_ball): every sum is at most 2 and every other slot lies within
+    NormBall): every sum is at most 2 and every other slot lies within
     twice its piece weight."""
     # abs per slot group, as a full abs(U) copy of a large chunk costs memory
-    U = np.atleast_2d(np.asarray(U, dtype=float))
     s = np.abs(U[:, pieces.sum_slots]).T
     ok = (s <= 2.0).all(axis=0)
     # the weights only matter where every sum is at most 2: clipping keeps
@@ -294,7 +325,7 @@ def _hull_chunk(pieces):
 
 def _hull_uniform(pieces, dimension, rng, n, max_attempts):
     """Exact uniform points of the hull body of a piece table, from its sum
-    slots (see _hull_ball).
+    slots (see NormBall).
 
     Each proposal draws the sum magnitudes of the k2 pieces from the k2
     profile by inverse CDF and the other sums uniform on [0, 2], and is
@@ -364,68 +395,34 @@ def _hull_box_fraction(pieces, rng, n):
     return mean, math.sqrt(max(total_sq / n - mean * mean, 0.0) / n)
 
 
-def _hull_ball(pieces, dimension, name, volume=None):
-    """Oracle ball of the hull body of a piece table, with its exact sampler
-    and box-fraction estimator.
-
-    The first len(``squares``) of the table's ``sum_slots`` pair with the
-    ``squares`` in k2 pieces, and its sums ``pair_j``/``pair_k`` (indices
-    into ``sum_slots``) with the ``pair_slots`` in k3 pieces. The body is
-    the points whose sums are at most 2 in magnitude, whose squares lie
-    within twice the _k2_weight of their sums, and whose k3 slots lie
-    within twice their _k3_weights. Every slot that is not a sum sits in
-    exactly one piece, so given the sums those slots are independent and
-    uniform on their intervals under a uniform point of the body: the
-    marginal of the sum magnitudes has density proportional to the product
-    of the piece weights. Membership, the sampler and the estimator all
-    read these weights.
-    """
-    return NormBall(
-        dimension=dimension, name=name, volume=volume, linf_bound=2.0,
-        member=functools.partial(_hull_member_many, pieces),
-        gauge_fn=functools.partial(_hull_gauge_many, pieces),
-        uniform_fn=functools.partial(_hull_uniform, pieces, dimension),
-        box_fraction_fn=functools.partial(_hull_box_fraction, pieces))
+class _PieceTable(SimpleNamespace):
+    # compared and hashed by identity, as a layout is: one table is one body
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 _NO_SLOTS = np.empty(0, dtype=np.intp)
 #: k2 is one (sum, doubled square) piece, and k3 one (sum x, sum y, sum xy) piece
-_K2_PIECES = SimpleNamespace(sum_slots=np.array([0]), squares=np.array([1]),
-                             pair_j=_NO_SLOTS, pair_k=_NO_SLOTS, pair_slots=_NO_SLOTS)
-_K3_PIECES = SimpleNamespace(sum_slots=np.array([0, 1]), squares=_NO_SLOTS,
-                             pair_j=np.array([0]), pair_k=np.array([1]),
-                             pair_slots=np.array([2]))
-
-
-def k2_member(u) -> bool:
-    """Membership in the parabola-capped hull for (sum x, 2*sum x^2) pairs.
-
-    The body is [-2,2]^2 cut down, for |u1| > 1, to |u2| <= 2 - 2(|u1|-1)^2.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (2,):
-        raise ValueError("k2_member expects a 2-vector")
-    return bool(k2_ball().member_many(u[None, :])[0])
-
-
-def k3_member(u) -> bool:
-    """Membership in the cube-truncated cross body for (sum x, sum y, sum xy)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (3,):
-        raise ValueError("k3_member expects a 3-vector")
-    return bool(k3_ball().member_many(u[None, :])[0])
+_K2_PIECES = _PieceTable(sum_slots=np.array([0]), squares=np.array([1]),
+                         pair_j=_NO_SLOTS, pair_k=_NO_SLOTS, pair_slots=_NO_SLOTS)
+_K3_PIECES = _PieceTable(sum_slots=np.array([0, 1]), squares=_NO_SLOTS,
+                         pair_j=np.array([0]), pair_k=np.array([1]),
+                         pair_slots=np.array([2]))
 
 
 def k2_ball() -> NormBall:
-    """The 2-d hull for the (sum, scaled sum of squares) statistic pair."""
+    """The 2-d hull for the (sum, scaled sum of squares) statistic pair: the
+    [-2, 2]^2 box cut down, for |u1| > 1, to |u2| <= 2 - 2(|u1| - 1)^2."""
     # volume per quadrant: the 1 x 2 strip, and 4/3 under the cap
-    return _hull_ball(_K2_PIECES, 2, "k2", volume=4.0 * 10.0 / 3.0)
+    return NormBall(dimension=2, pieces=_K2_PIECES, name="k2", volume=4.0 * 10.0 / 3.0)
 
 
 def k3_ball() -> NormBall:
-    """The 3-d hull for a (sum x, sum y, sum xy) cross-product triple."""
+    """The 3-d hull for a (sum x, sum y, sum xy) cross-product triple: the
+    [-2, 2]^3 box cut down to |u1| + |u2| + |u3| <= 4."""
     # volume per octant: [0, 2]^3 less the a + b + c > 4 corner
-    return _hull_ball(_K3_PIECES, 3, "k3", volume=8.0 * (8.0 - 4.0 / 3.0))
+    return NormBall(dimension=3, pieces=_K3_PIECES, name="k3",
+                    volume=8.0 * (8.0 - 4.0 / 3.0))
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -462,36 +459,18 @@ def volume_lp(p, m, r=1.0):
 def volume_monte_carlo(ball: NormBall, scale=1.0, n_samples=100_000, seed=0):
     """Monte Carlo volume estimate of scale*K over its bounding box.
 
-    Returns (estimate, standard_error): the estimated fraction of the box
-    that K fills, and its standard error, times the box volume. A ball with
-    a ``box_fraction_fn`` estimates the fraction itself; for any other it is
-    the hit-or-miss proportion with its binomial standard error. Either
-    estimate is unbiased. The box volume is applied in log form, so both
-    values read inf past the float range instead of raising.
+    Returns (estimate, standard_error): the ball's unbiased estimate of the
+    fraction of the box that K fills (NormBall.box_fraction), and its
+    standard error, times the box volume. The box volume is applied in log
+    form, so both values read inf past the float range instead of raising.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    b = ball.linf_radius
-    if b is None or b <= 0:
-        raise ValueError("degenerate bounding box")
     m = ball.dimension
-    rng = np.random.default_rng(seed)
-    if ball.box_fraction_fn is not None:
-        frac, se = ball.box_fraction_fn(rng, n_samples)
-    else:
-        hits = 0
-        done = 0
-        chunk = 1 << 17
-        while done < n_samples:
-            k = min(chunk, n_samples - done)
-            pts = rng.uniform(-b, b, size=(k, m))
-            hits += int(ball.member_many(pts).sum())
-            done += k
-        frac = hits / n_samples
-        se = math.sqrt(frac * (1.0 - frac) / n_samples)
-    log_box = m * math.log(2.0 * b * scale)
+    frac, se = ball.box_fraction(np.random.default_rng(seed), n_samples)
+    log_box = m * math.log(2.0 * ball.linf_radius * scale)
     return tuple(_exp_or_inf(math.log(x) + log_box) if x > 0 else 0.0 for x in (frac, se))
 
 
@@ -563,11 +542,7 @@ def ball_containment(a: ScaledBall, b: ScaledBall, seed=0,
         raise ValueError("ball_containment: dimension mismatch")
     m = a.dimension
 
-    # anonymous oracle balls never compare equal: the name is the identity
-    same_body = a.ball is b.ball or (
-        a.ball == b.ball and (a.ball.is_lp or a.ball.name)
-    )
-    if same_body:
+    if a.ball == b.ball:
         # dilations of one body nest exactly by scale
         if a.scale <= b.scale * (1.0 + 1e-12):
             return ContainmentVerdict("contained")

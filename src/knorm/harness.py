@@ -459,8 +459,8 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
             )
         )
         if ball.volume is not None:
-            expected = ball.volume / (2.0 * ball.linf_bound) ** m
-            frac, se_frac = ball.box_fraction_fn(rng, n_draws)
+            expected = ball.volume / (2.0 * ball.linf_radius) ** m
+            frac, se_frac = ball.box_fraction(rng, n_draws)
             dev = abs(frac - expected) / se_frac
             checks.append(
                 DiagnosticCheck(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormBall, _hull_ball, k2_ball, k3_ball
+from .geometry import NormBall, k2_ball, k3_ball
 from .sampling import MechanismConfig, sample_noise
 
 # unused here, but perfbench/spans.py rebinds these names in this module
@@ -27,7 +27,6 @@ __all__ = [
     "RegressionDataset",
     "ball_from_name",
     "build_statistic",
-    "kT_member",
     "kt_ball",
     "statistic_dimension",
     "sanitize_statistic",
@@ -58,7 +57,7 @@ class StatisticLayout:
     (slot ``ysum``); and the p predictor-response sums (slots ``xy``).
     ``sum_slots`` holds the p + 1 sums of K_T, the predictor sums and then
     the response sum. The layout is K_T's piece table (see
-    geometry._hull_ball): each square is a k2 piece with the predictor sum
+    geometry.NormBall): each square is a k2 piece with the predictor sum
     of the same index, and the k3 pieces, as indices into ``sum_slots``,
     are the pairs ``pair_j``/``pair_k``, each bounding slot ``pair_slots``:
     the cross pairs, then the (predictor, response) pairs. The index arrays
@@ -164,26 +163,17 @@ def build_statistic(data: RegressionDataset) -> StatisticVector:
     return StatisticVector(values, data.p)
 
 
-def kT_member(u, p) -> bool:
-    """Membership of a statistic-difference vector in the hull body K_T.
+def kt_ball(p) -> NormBall:
+    """Norm ball of the regression hull body K_T at predictor count p, whose
+    piece table is its statistic layout (see geometry.NormBall).
 
-    The body is the [-2, 2]^d box intersected with the parabola-capped hull
-    on every (sum, doubled square) pair and the cross body on every
+    K_T is the [-2, 2]^d box intersected with the parabola-capped hull on
+    every (sum, doubled square) pair and the cross body on every
     cross-product and response triple. It contains every single-row
     difference of statistic vectors, so the hull mechanism uses scale 1.
     """
-    u = np.asarray(u, dtype=float)
-    d = statistic_dimension(p)
-    if u.shape != (d,):
-        raise ValueError(f"expected a {d}-vector for p={p}, got shape {u.shape}")
-    return bool(kt_ball(p).member_many(u[None, :])[0])
-
-
-def kt_ball(p) -> NormBall:
-    """Norm ball of the regression hull body K_T at predictor count p, whose
-    piece table is its statistic layout (see geometry._hull_ball)."""
     layout = _shared_layout(p)
-    return _hull_ball(layout, layout.d, f"kt{p}")
+    return NormBall(dimension=layout.d, pieces=layout, name=f"kt{p}")
 
 
 def ball_from_name(token, m):

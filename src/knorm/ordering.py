@@ -66,7 +66,7 @@ def entropy(config: MechanismConfig, ball_volume=None):
     """
     log_vol = config.ball.log_volume() if ball_volume is None else math.log(ball_volume)
     if log_vol is None:
-        raise ValueError("entropy: unknown volume for oracle ball; pass ball_volume")
+        raise ValueError(f"entropy: {config.label} has no exact volume; pass ball_volume")
     return _entropy(config, log_vol)
 
 
@@ -146,7 +146,7 @@ def stochastic_tightness(a: MechanismConfig, b: MechanismConfig, seed=0):
     """Containment-order verdict between two mechanisms at equal budget.
 
     Returns "a_tighter", "b_tighter", "tie", "incomparable", or
-    "undetermined" (oracle pairs where sampling found no witness).
+    "undetermined" (pairs that sampling found no witness for).
     """
     _require_comparable(a, b)
     return _tightness_verdict(a, b, seed)[0]

@@ -5,10 +5,10 @@ Closed forms cover the l1 (independent Laplace), l2 (gamma radius times a
 spherical direction) and l-infinity (gamma radius times a box direction)
 balls, and every other lp ball through the polar form: a gamma radius
 times G/||G||_p for G with iid coordinates of density proportional to
-exp(-|g|^p). Arbitrary balls go through a uniform point on K, from the
-ball's own exact sampler if it has one and by rejection from its bounding
-box otherwise, followed by an independent Gamma(m+1) radius. In every case
-the gauge of the noise is marginally Gamma(m, eps/Delta).
+exp(-|g|^p). The hull balls k2, k3 and kt<p> go through an exact uniform
+point on K from the ball's own sampler (NormBall.uniform), followed by an
+independent Gamma(m+1) radius. In every case the gauge of the noise is
+marginally Gamma(m, eps/Delta).
 
 Samplers are pure given an explicit generator; parallel replicates should
 use distinct RngStream ids.
@@ -184,8 +184,9 @@ def sample_lp_mech(T, p, delta_p, epsilon, rng, size=None):
 
 
 def sample_uniform_ball(ball: NormBall, rng, size=None, max_attempts=10**6):
-    """Uniform draw(s) on the unit-scale ball: by the ball's own sampler if
-    it has one, otherwise by rejection from its box.
+    """Uniform draw(s) on the unit-scale ball, from its own sampler
+    (NormBall.uniform: the hull sampler, or rejection from the box of an lp
+    ball).
 
     Returns (samples, (accepted, proposals)): the requested points plus the
     total acceptance counts over all proposals (accepted can exceed the
@@ -195,28 +196,11 @@ def sample_uniform_ball(ball: NormBall, rng, size=None, max_attempts=10**6):
     it has when its budget runs out.
     """
     n = 1 if size is None else size
-    if ball.uniform_fn is not None:
-        out, (accepted, proposals) = ball.uniform_fn(rng, n, max_attempts)
-        got = len(out)
-    else:
-        b = ball.linf_radius
-        out = np.empty((n, ball.dimension))
-        got = proposals = accepted = 0
-        while got < n:
-            chunk = min(max(256, 2 * (n - got)), 1 << 16, max_attempts - proposals)
-            if chunk <= 0:
-                break
-            pts = rng.uniform(-b, b, size=(chunk, ball.dimension))
-            proposals += chunk
-            acc = pts[ball.member_many(pts)]
-            accepted += len(acc)
-            take = min(len(acc), n - got)
-            out[got : got + take] = acc[:take]
-            got += take
-    if got < n:
+    out, (accepted, proposals) = ball.uniform(rng, n, max_attempts)
+    if len(out) < n:
         rate = accepted / proposals if proposals else 0.0
         raise SamplerError(
-            f"rejection sampling failed: {got}/{n} accepted after "
+            f"rejection sampling failed: {len(out)}/{n} accepted after "
             f"{proposals} proposals (acceptance rate {rate:.3g})"
         )
     return (out[0] if size is None else out), (accepted, proposals)
@@ -224,12 +208,13 @@ def sample_uniform_ball(ball: NormBall, rng, size=None, max_attempts=10**6):
 
 def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng,
                             max_attempts=10**6, size=None, return_stats=False):
-    """K-norm mechanism for an arbitrary ball: T + r*U.
+    """K-norm mechanism for any norm ball: T + r*U.
 
-    U is uniform on the unit-scale ball (the ball's own sampler, or
-    rejection from the bounding box; see sample_uniform_ball) and
-    r ~ Gamma(m+1, eps/delta_k) independent, which yields the target
-    density proportional to exp(-(eps/delta_k)*||v||_K).
+    U is uniform on the unit-scale ball (the ball's own sampler; see
+    sample_uniform_ball) and r ~ Gamma(m+1, eps/delta_k) independent, which
+    yields the target density proportional to exp(-(eps/delta_k)*||v||_K).
+    An lp ball takes box rejection here; sample_noise draws it in closed
+    form instead.
 
     With return_stats, also returns a dict with proposal counts and the
     acceptance rate.

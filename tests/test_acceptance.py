@@ -71,13 +71,8 @@ def test_c03_gamma_marginal():
     level = 0.01
     fails = []
     for ci, (m, delta, eps) in enumerate([(2, 1.0, 1.0), (7, 2.0, 0.25)]):
-        if m == 2:
-            rej_ball = k2_ball()
-        else:
-            rej_ball = NormBall.from_oracle(
-                lambda pts: lp_norm(pts, 2) <= 1.0, lambda pts: lp_norm(pts, 2),
-                linf_bound=1.0, dimension=m, name="l2-oracle",
-            )
+        # k2 through its own sampler, the l2 ball by rejection from its box
+        rej_ball = k2_ball() if m == 2 else NormBall.lp(2, 1.0, m)
         samplers = {
             "l1": lambda rng: (sample_l1_mech(np.zeros(m), delta, eps, rng, size=n),
                                lambda v: lp_norm(v, 1)),

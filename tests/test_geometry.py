@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -12,39 +13,21 @@ from knorm.geometry import (
     ScaledBall,
     ball_containment,
     k2_ball,
-    k2_member,
     k3_ball,
-    k3_member,
     lp_norm,
     quadratic_pair_sensitivity,
     volume_lp,
     volume_monte_carlo,
 )
-from knorm.linreg import kT_member, kt_ball
+from knorm.linreg import kt_ball
 from knorm.sampling import RngStream, SamplerError, sample_uniform_ball
 
 INF = math.inf
 
 
-def l2_oracle(radius=1.0, m=2):
-    return NormBall.from_oracle(
-        lambda pts: lp_norm(pts, 2) <= radius, lambda pts: lp_norm(pts, 2) / radius,
-        linf_bound=radius, dimension=m, name="l2-oracle",
-    )
-
-
-def linf_oracle(radius=1.0, m=2):
-    return NormBall.from_oracle(
-        lambda pts: np.abs(pts).max(axis=1) <= radius,
-        lambda pts: lp_norm(pts, INF) / radius,
-        linf_bound=radius, dimension=m, name="linf-oracle",
-    )
-
-
 def bisection_gauge_reference(ball, points, rel_tol=1e-10):
     """The gauge found from membership alone: bracket the boundary along
-    the ray through each point, then bisect. The generic oracle gauge
-    before the hull gauges were written in closed form."""
+    the ray through each point, then bisect."""
     n, m = points.shape
     out = np.zeros(n)
     amax = np.abs(points).max(axis=1)
@@ -52,7 +35,7 @@ def bisection_gauge_reference(ball, points, rel_tol=1e-10):
     if not live.any():
         return out
     unit = points[live] / amax[live, None]
-    hi = np.full(unit.shape[0], 2.0 * ball.linf_bound * math.sqrt(m))
+    hi = np.full(unit.shape[0], 2.0 * ball.linf_radius * math.sqrt(m))
     for _ in range(80):
         outside = ~ball.member_many(unit / hi[:, None])
         if not outside.any():
@@ -99,8 +82,8 @@ class TestGauge:
 
     def test_k2_vertex(self):
         # (1, 2) sits on the boundary: scaling by 1 +/- 1e-6 flips membership
-        assert k2_member(np.array([1.0, 2.0]) * (1 - 1e-6))
-        assert not k2_member(np.array([1.0, 2.0]) * (1 + 1e-6))
+        inside = k2_ball().member_many(np.outer([1 - 1e-6, 1 + 1e-6], [1.0, 2.0]))
+        assert inside.tolist() == [True, False]
         assert k2_ball().gauge([1.0, 2.0]) == 1.0
 
     def test_k2_half_vertex(self):
@@ -109,28 +92,6 @@ class TestGauge:
     def test_lp_gauge_is_scaled_norm(self):
         ball = NormBall.lp(2, 2.5, 3)
         assert math.isclose(ball.gauge([3.0, 0.0, 4.0]), 2.0)
-
-    def test_oracle_gauge_is_its_own(self):
-        # the gauge never falls back on the membership predicate
-        def no_member(pts):
-            raise AssertionError("membership called for a gauge")
-
-        ball = NormBall.from_oracle(
-            no_member, lambda pts: lp_norm(pts, 2) / 1.5, linf_bound=1.5, dimension=3
-        )
-        pts = np.random.default_rng(0).standard_normal((50, 3))
-        assert np.array_equal(ball.gauge_many(pts), lp_norm(pts, 2) / 1.5)
-
-    def test_oracle_requires_gauge(self):
-        def member(pts):
-            return lp_norm(pts, 2) <= 1.0
-
-        with pytest.raises(ValueError, match="gauge"):
-            NormBall.from_oracle(member, None, linf_bound=1.0, dimension=2)
-        with pytest.raises(ValueError, match="gauge"):
-            NormBall(dimension=2, member=member, linf_bound=1.0)
-        with pytest.raises(TypeError):
-            NormBall.from_oracle(member, linf_bound=1.0, dimension=2)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -149,7 +110,7 @@ class TestGauge:
         NormBall.lp(INF, 2.0, 2),
         k2_ball(),
         k3_ball(),
-        l2_oracle(1.0, 2),
+        NormBall.lp(2, 1.0, 2),
     ],
     ids=lambda b: b.label(),
 )
@@ -240,14 +201,12 @@ class TestHullGauges:
 
 class TestK2K3:
     def test_k2_examples(self):
-        assert k2_member((1.0, 2.0))
-        assert not k2_member((2.0, 0.1))
-        assert k2_member((0.0, 0.0))
+        inside = k2_ball().member_many([(1.0, 2.0), (2.0, 0.1), (0.0, 0.0)])
+        assert inside.tolist() == [True, False, True]
 
     def test_k3_examples(self):
-        assert k3_member((2.0, 2.0, 0.0))
-        assert not k3_member((2.0, 2.0, 1.0))
-        assert k3_member((0.0, 0.0, 0.0))
+        inside = k3_ball().member_many([(2.0, 2.0, 0.0), (2.0, 2.0, 1.0), (0.0, 0.0, 0.0)])
+        assert inside.tolist() == [True, False, True]
 
     def test_quadratic_difference_set_inside_k2(self):
         # differences of (sum x, 2 sum x^2) under a one-row change
@@ -271,11 +230,11 @@ class TestK2K3:
         # the k2 cap is never squared for a sum its s <= 2 test already rejects
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not k2_member((1e300, 0.0))
-            assert not kT_member(np.full(4, 1e200), 1)
+            assert not k2_ball().member_many((1e300, 0.0)).any()
+            assert not kt_ball(1).member_many(np.full(4, 1e200)).any()
             # nor are two huge sums added for a k3 piece
-            assert not k3_member((1e308, 1e308, 0.0))
-            assert not kT_member(np.full(4, 1e308), 1)
+            assert not k3_ball().member_many((1e308, 1e308, 0.0)).any()
+            assert not kt_ball(1).member_many(np.full(4, 1e308)).any()
 
 
 @pytest.mark.parametrize("ball, row", [
@@ -290,6 +249,33 @@ def test_member_many_checks_width_as_gauge_many_does(ball, row):
         with pytest.raises(ValueError,
                            match=rf"dimension mismatch \({len(row)} != {ball.dimension}\)"):
             method([row])
+
+
+@pytest.mark.parametrize("ball", [NormBall.lp(2, 1.0, 2), NormBall.lp(INF, 1.0, 2), k2_ball()],
+                         ids=["l2", "linf", "k2"])
+def test_member_many_reads_one_point_as_one_row(ball):
+    # as gauge_many does, for both kinds of ball
+    assert ball.member_many([0.1, 0.1]).shape == ball.gauge_many([0.1, 0.1]).shape == (1,)
+    assert ball.member_many([[0.1, 0.1], [5.0, 5.0]]).tolist() == [True, False]
+
+
+class TestBallKinds:
+    def test_exactly_one_of_p_and_pieces(self):
+        pieces = k2_ball().pieces
+        with pytest.raises(ValueError, match="exactly one"):
+            NormBall(dimension=2, p=2.0, pieces=pieces)
+        with pytest.raises(ValueError, match="exactly one"):
+            NormBall(dimension=2)
+
+    def test_hull_equality_is_table_identity(self):
+        assert k2_ball() == k2_ball() and kt_ball(3) == kt_ball(3)
+        assert len({k2_ball(), k2_ball(), k3_ball(), kt_ball(3), kt_ball(3)}) == 3
+        k2 = k2_ball()
+        copy = type(k2.pieces)(**vars(k2.pieces))
+        assert dataclasses.replace(k2, pieces=copy) != k2
+        same = ScaledBall(k2, 1.0)
+        assert ball_containment(same, ScaledBall(k2_ball(), 0.5)).status == "not_contained"
+        assert ball_containment(same, ScaledBall(k2_ball(), 1.0)).status == "contained"
 
 
 class TestHullSampler:
@@ -320,7 +306,7 @@ class TestHullSampler:
 
     @pytest.mark.parametrize("make", [k2_ball, k3_ball])
     def test_box_fraction_is_five_sixths(self, make):
-        frac, se = make().box_fraction_fn(RngStream(342, 0).generator(), self.N)
+        frac, se = make().box_fraction(RngStream(342, 0).generator(), self.N)
         assert abs(frac - 5 / 6) <= 4.0 * se
 
     @pytest.mark.parametrize("ball", [k2_ball(), k3_ball(), kt_ball(1), kt_ball(5)],
@@ -409,11 +395,11 @@ class TestVolumeMonteCarlo:
         assert abs(est - 40.0 / 3.0) <= 3 * se
 
     def test_linf_oracle_square(self):
-        est, se = volume_monte_carlo(linf_oracle(1.0, 2), 2.0, 100_000, seed=8)
+        est, se = volume_monte_carlo(NormBall.lp(INF, 1.0, 2), 2.0, 100_000, seed=8)
         assert abs(est - 16.0) <= 3 * se + 1e-9
 
     def test_l2_oracle_disk(self):
-        est, se = volume_monte_carlo(l2_oracle(1.0, 2), 1.0, 100_000, seed=9)
+        est, se = volume_monte_carlo(NormBall.lp(2, 1.0, 2), 1.0, 100_000, seed=9)
         assert abs(est - math.pi) <= 3 * se
 
     @pytest.mark.parametrize("p", [1, 2, INF])
@@ -466,9 +452,7 @@ class TestExactVolumes:
     @pytest.mark.parametrize("bad", [0.0, -1.0, INF, math.nan])
     def test_oracle_volume_must_be_positive_and_finite(self, bad):
         with pytest.raises(ValueError, match="volume"):
-            NormBall.from_oracle(lambda pts: lp_norm(pts, 2) <= 1.0,
-                                 lambda pts: lp_norm(pts, 2), linf_bound=1.0,
-                                 dimension=2, volume=bad)
+            NormBall(dimension=2, pieces=k2_ball().pieces, volume=bad)
 
 
 class TestContainment:
@@ -491,19 +475,6 @@ class TestContainment:
         for ball in (ScaledBall(NormBall.lp(2, 1, 3), 1.7), ScaledBall(k2_ball(), 2.0)):
             assert ball_containment(ball, ball).status == "contained"
 
-    def test_anonymous_oracles_not_conflated(self):
-        # identical metadata but different bodies: no same-body shortcut
-        small = NormBall.from_oracle(
-            lambda pts: lp_norm(pts, 2) <= 1.0, lambda pts: lp_norm(pts, 2),
-            linf_bound=2.0, dimension=2,
-        )
-        big = NormBall.from_oracle(
-            lambda pts: lp_norm(pts, 2) <= 2.0, lambda pts: lp_norm(pts, 2) / 2.0,
-            linf_bound=2.0, dimension=2,
-        )
-        verdict = ball_containment(ScaledBall(big, 1.0), ScaledBall(small, 1.0), seed=0)
-        assert verdict.status == "not_contained"
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ball_containment(
@@ -517,7 +488,7 @@ class TestContainment:
         b = ScaledBall(k2_ball(), 1.0)
         verdict = ball_containment(a, b)
         assert verdict.status == "not_contained"
-        assert not k2_member(verdict.witness)
+        assert not k2_ball().member_many(verdict.witness).any()
 
     def test_sampled_check_undetermined(self):
         # the paper's example: the hull lies in its own linf bounding box
@@ -531,25 +502,27 @@ class TestContainment:
         assert ball_containment(a, l2, seed=1).status == "undetermined"
 
     def test_transitivity_spot_check(self):
-        # analytically contained chain; the sampled check on (A, C) never
-        # returns a witness
-        a = ScaledBall(linf_oracle(1.0, 2), 2.0)
+        # a contained chain, decided by the bounding box and analytically;
+        # the sampled check on (A, C) never returns a witness
+        a = ScaledBall(k2_ball(), 1.0)
+        box = ScaledBall(NormBall.lp(INF, 1, 2), 2.0)
         c = ScaledBall(NormBall.lp(1, 1, 2), 4.0)
         b = ScaledBall(NormBall.lp(2, 1, 2), math.sqrt(8))
-        assert ball_containment(
-            ScaledBall(NormBall.lp(INF, 1, 2), 2.0), b
-        ).status == "contained"
+        assert ball_containment(a, box).status == "contained"
+        assert ball_containment(box, b).status == "contained"
         assert ball_containment(b, c).status == "contained"
         for seed in range(5):
             assert ball_containment(a, c, seed=seed).status != "not_contained"
 
     def test_supplied_vertices_exact(self):
-        square = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        a = ScaledBall(linf_oracle(1.0, 2), 2.0)
-        b = ScaledBall(NormBall.lp(2, 1, 2), math.sqrt(8))
-        assert ball_containment(a, b, vertices=square).status == "contained"
-        tight = ScaledBall(NormBall.lp(2, 1, 2), 2.0)
-        assert ball_containment(a, tight, vertices=square).status == "not_contained"
+        # k3 is the cuboctahedron with vertices at the permutations of (+-2, +-2, 0)
+        signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        vertices = np.vstack([np.insert(2.0 * signs, k, 0.0, axis=1) for k in range(3)])
+        a = ScaledBall(k3_ball(), 1.0)
+        b = ScaledBall(NormBall.lp(2, 1, 3), math.sqrt(8))
+        assert ball_containment(a, b, vertices=vertices).status == "contained"
+        tight = ScaledBall(NormBall.lp(2, 1, 3), 2.0)
+        assert ball_containment(a, tight, vertices=vertices).status == "not_contained"
 
 
 class TestQuadraticPairSensitivity:

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import knorm
-from knorm import cli
+from knorm import geometry
 from knorm.cli import main
-from knorm.geometry import NormBall, lp_norm
-from knorm.linreg import ball_from_name
+from knorm.geometry import NormBall, k2_ball
+from knorm.linreg import ball_from_name, kt_ball
+from knorm.sampling import MechanismConfig, RngStream, sample_k_mech_rejection, sample_noise
 from knorm.harness import (
     SimulationConfig,
     ks_critical,
@@ -418,19 +419,30 @@ class TestCli:
         assert items["containment"] == "a_tighter"
         assert items["preferred_by_volume"] == "linf:2"
 
-    def test_compare_zero_monte_carlo_hits(self, capsys, monkeypatch):
-        # every named ball now has an exact volume or, for kt<p>, its own
-        # estimator, so a thin oracle disc takes the hit-or-miss path
-        thin = NormBall.from_oracle(
-            lambda pts: lp_norm(pts, 2) <= 1e-3, lambda pts: lp_norm(pts, 2) / 1e-3,
-            linf_bound=1.0, dimension=2, name="thin",
-        )
-        monkeypatch.setattr(cli, "ball_from_name",
-                            lambda token, m: thin if token == "thin" else ball_from_name(token, m))
-        code, _, err = self._compare(capsys, "--a", "thin:1", "--b", "linf:2",
-                                     "--m", "2", "--mc-samples", "1000")
+    def test_compare_zero_monte_carlo_hits(self, capsys):
+        # the piece-weight products of kt140 underflow to 0 at every one of
+        # 1000 uniform sums, so its box-fraction estimate is exactly 0
+        code, _, err = self._compare(capsys, "--a", "kt140:1", "--b", "linf:2",
+                                     "--m", "10151", "--mc-samples", "1000")
         assert code == 2
-        assert "thin:1" in err and "--mc-samples" in err
+        assert "no Monte Carlo point hit kt140:1" in err and "--mc-samples" in err
+
+    @pytest.mark.parametrize("name", ["l1", "l2", "linf", "l1.5", "k2", "k3", "kt3"])
+    def test_named_balls_skip_box_rejection_and_hit_or_miss(self, capsys, monkeypatch,
+                                                             name):
+        # every ball a name builds is drawn and measured without either
+        # generic path: closed forms for lp balls, the piece table for hulls
+        def refuse(*args):
+            raise AssertionError("generic path reached")
+
+        monkeypatch.setattr(geometry, "_box_rejection", refuse)
+        monkeypatch.setattr(geometry, "_hit_or_miss", refuse)
+        ball = ball_from_name(name, 3)
+        v = sample_noise(MechanismConfig(1.0, 1.0, ball), RngStream(0, 0).generator(), size=50)
+        assert v.shape == (50, ball.dimension)
+        code, _, err = self._compare(capsys, "--a", f"{name}:1", "--b", "linf:2",
+                                     "--m", str(ball.dimension), "--mc-samples", "1000")
+        assert code == 0, err
 
     def test_compare_kt20_estimates_its_own_volume(self, capsys):
         # kt20 fills about 1e-18 of its box, so hit-or-miss on 1000 points
@@ -620,3 +632,18 @@ class TestBenchmarkHooks:
         missing = [f"{module}.{name}" for module, name in imports
                    if not hasattr(importlib.import_module(module), name)]
         assert missing == []
+
+    def test_sampler_calls_layers_times_run(self):
+        # the three sample_k_mech_rejection calls of perfbench/layers.py, at
+        # small sizes, with the stats keys it reads
+        kt12 = kt_ball(12)
+        _, stats = sample_k_mech_rejection(np.zeros(kt12.dimension), kt12, 1.0, 1.0,
+                                           RngStream(13, 0).generator(), return_stats=True)
+        assert stats["proposals"] >= 1
+        v = sample_k_mech_rejection(np.zeros(2), k2_ball(), 1.0, 1.0,
+                                    RngStream(14, 0).generator(), size=100)
+        assert v.shape == (100, 2)
+        _, stats = sample_k_mech_rejection(np.zeros(10), NormBall.lp(1.5, 1.0, 10), 1.0, 1.0,
+                                           RngStream(15, 0).generator(), size=5,
+                                           return_stats=True)
+        assert 5 <= stats["accepted"] <= stats["proposals"]

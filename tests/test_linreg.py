@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +6,9 @@ import scipy.stats as sps
 from scipy.special import ndtri
 
 from knorm.geometry import (
+    NormBall,
+    _box_rejection,
+    _hit_or_miss,
     _k2_cap,
     _k2_gauge,
     _k2_sum_quantile,
@@ -25,7 +27,6 @@ from knorm.linreg import (
     build_statistic,
     dp_estimate,
     dp_estimates,
-    kT_member,
     kt_ball,
     preprocess,
     sanitize_statistic,
@@ -215,32 +216,32 @@ class TestDatasetValidation:
 class TestKTMember:
     def test_zero_vector(self):
         for p in (1, 2, 5):
-            assert kT_member(np.zeros(statistic_dimension(p)), p)
+            assert kt_ball(p).member_many(np.zeros(statistic_dimension(p))).all()
 
     def test_pair_violation(self):
         layout = StatisticLayout(1)
         u = np.zeros(layout.d)
         u[layout.sums[0]] = 2.0
         u[layout.squares[0]] = 0.1
-        assert not kT_member(u, 1)
+        assert not kt_ball(1).member_many(u).any()
 
     def test_box_violation(self):
         u = np.zeros(statistic_dimension(2))
         u[-1] = 2.5
-        assert not kT_member(u, 2)
+        assert not kt_ball(2).member_many(u).any()
 
     def test_cross_triple_violation(self):
         layout = StatisticLayout(2)
         u = np.zeros(layout.d)
         u[layout.sums] = 2.0
         u[layout.cross[0]] = 1.0
-        assert not kT_member(u, 2)
+        assert not kt_ball(2).member_many(u).any()
         u[layout.cross[0]] = 0.0
-        assert kT_member(u, 2)
+        assert kt_ball(2).member_many(u).all()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            kT_member(np.zeros(5), 1)
+            kt_ball(1).member_many(np.zeros(5))
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 12, 16])
     def test_matches_piece_by_piece_reference(self, p):
@@ -304,11 +305,6 @@ class TestKTMember:
         rng = RngStream(73, 0).generator()
         pts, _ = sample_uniform_ball(kt_ball(2), rng, size=2000)
         assert np.abs(pts).max() <= 2.0
-
-
-def box_rejection(ball):
-    """The same body without its own sampler and estimator."""
-    return dataclasses.replace(ball, uniform_fn=None, box_fraction_fn=None)
 
 
 def k2_profile_cdf(a):
@@ -406,8 +402,7 @@ class TestKtSampler:
         ball = kt_ball(p)
         n = 20_000
         cond, _ = sample_uniform_ball(ball, RngStream(420, p).generator(), size=n)
-        box, _ = sample_uniform_ball(box_rejection(ball), RngStream(421, p).generator(),
-                                     size=n)
+        box, _ = _box_rejection(ball, RngStream(421, p).generator(), n, 10**6)
         columns = [(cond[:, j], box[:, j]) for j in range(ball.dimension)]
         columns.append((ball.gauge_many(cond), ball.gauge_many(box)))
         for a, b in columns:
@@ -453,11 +448,12 @@ class TestKtSampler:
         assert np.array_equal(np.abs(edge[:, layout.pair_slots]),
                               2.0 * _k3_weights(sums, layout).T)
 
-    def test_box_rejection_never_reached(self):
-        def refuse(pts):
-            raise AssertionError("membership oracle called")
+    def test_box_rejection_never_reached(self, monkeypatch):
+        def refuse(self, pts):
+            raise AssertionError("membership test called")
 
-        ball = dataclasses.replace(kt_ball(3), member=refuse)
+        monkeypatch.setattr(NormBall, "member_many", refuse)
+        ball = kt_ball(3)
         v = sample_noise(MechanismConfig(1.0, 1.0, ball), RngStream(328, 0).generator(),
                          size=100)
         assert v.shape == (100, 13)
@@ -492,8 +488,9 @@ class TestKtVolume:
         # 4 combined SE per p: family level about 2e-4
         ball = kt_ball(p)
         est, se = volume_monte_carlo(ball, n_samples=1_000_000, seed=p)
-        ref, ref_se = volume_monte_carlo(box_rejection(ball), n_samples=1_000_000,
-                                         seed=10 + p)
+        box = 4.0 ** ball.dimension
+        ref, ref_se = (box * x for x in _hit_or_miss(ball, np.random.default_rng(10 + p),
+                                                     1_000_000))
         assert abs(est - ref) <= 4.0 * math.hypot(se, ref_se)
         assert 0.0 < se < ref_se
 

@@ -6,7 +6,7 @@ import scipy.stats as sps
 
 from knorm import gamma_cdf, gamma_quantile
 from knorm import ordering
-from knorm.geometry import NormBall, k2_ball, k3_ball, lp_norm, volume_lp
+from knorm.geometry import NormBall, k2_ball, k3_ball, volume_lp
 from knorm.linreg import kt_ball
 from knorm.ordering import (
     compare,
@@ -349,16 +349,12 @@ class TestCompare:
         assert report.preferred_by_volume == "kt1"
 
     def test_zero_hit_monte_carlo_names_ball_and_budget(self):
-        # an oracle ball without an estimator of its own takes hit-or-miss;
-        # this 20-d l2 ball fills about 2e-8 of its box, so 1000 points never hit it
-        m = 20
-        ball = NormBall.from_oracle(
-            lambda pts: lp_norm(pts, 2) <= 1.0, lambda pts: lp_norm(pts, 2),
-            linf_bound=1.0, dimension=m, name="ball20",
-        )
-        config = MechanismConfig(1.0, 1.0, ball, label="ball20:1")
-        with pytest.raises(ValueError, match=r"ball20:1 .*--mc-samples"):
-            compare(config, lp_config(INF, 2.0, m=m), seed=0, n_mc=1000)
+        # the piece-weight products of kt140 underflow to 0 at every one of
+        # 1000 uniform sums, so its box-fraction estimate is exactly 0
+        ball = kt_ball(140)
+        config = MechanismConfig(1.0, 1.0, ball, label="kt140:1")
+        with pytest.raises(ValueError, match=r"kt140:1 .*--mc-samples"):
+            compare(config, lp_config(INF, 2.0, m=ball.dimension), seed=0, n_mc=1000)
 
     def test_volume_verdict_past_float_range(self):
         # kt20 at Delta 20 has a volume past the float range, l-inf radius 2

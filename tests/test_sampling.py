@@ -1,11 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.stats as sps
 
-from knorm.geometry import NormBall, k2_ball, lp_norm
+from knorm.geometry import NormBall, _box_rejection, k2_ball, lp_norm
 from knorm.sampling import (
     MechanismConfig,
     RngStream,
@@ -153,10 +152,8 @@ class TestLinfMech:
 
 class TestRejectionMech:
     def test_matches_linf_sampler_two_sample_ks(self):
-        box = NormBall.from_oracle(
-            lambda pts: np.abs(pts).max(axis=1) <= 1.0, lambda pts: lp_norm(pts, INF),
-            linf_bound=1.0, dimension=2, name="box",
-        )
+        # box rejection on the l-infinity ball, against its closed form
+        box = NormBall.lp(INF, 1.0, 2)
         rng = RngStream(5, 0).generator()
         v_rej = sample_k_mech_rejection(np.zeros(2), box, 1.0, 1.0, rng, size=10_000)
         rng2 = RngStream(5, 1).generator()
@@ -172,25 +169,20 @@ class TestRejectionMech:
         assert stat.pvalue > KS_LEVEL
 
     def test_k2_acceptance_rate(self):
-        # box rejection on the k2 predicate accepts its exact volume over the box's
-        box = dataclasses.replace(k2_ball(), uniform_fn=None, box_fraction_fn=None)
+        # box rejection on the k2 membership test accepts its exact volume over the box's
         rng = RngStream(5, 3).generator()
-        _, stats = sample_k_mech_rejection(
-            np.zeros(2), box, 1.0, 1.0, rng, size=10_000, return_stats=True
-        )
+        _, (accepted, proposals) = _box_rejection(k2_ball(), rng, 10_000, 10**6)
         expected = (40.0 / 3.0) / 16.0
-        se = math.sqrt(expected * (1 - expected) / stats["proposals"])
-        assert abs(stats["acceptance_rate"] - expected) <= 4 * se
+        se = math.sqrt(expected * (1 - expected) / proposals)
+        assert abs(accepted / proposals - expected) <= 4 * se
 
     def test_max_attempts_fails_loudly(self):
-        thin = NormBall.from_oracle(
-            lambda pts: lp_norm(pts, 2) <= 0.01, lambda pts: lp_norm(pts, 2) / 0.01,
-            linf_bound=1.0, dimension=2, name="thin",
-        )
+        # the 20-d l2 ball fills about 2.5e-8 of its box
+        thin = NormBall.lp(2, 1.0, 20)
         rng = RngStream(5, 4).generator()
         with pytest.raises(SamplerError, match="acceptance rate"):
             sample_k_mech_rejection(
-                np.zeros(2), thin, 1.0, 1.0, rng, size=5000, max_attempts=2000
+                np.zeros(20), thin, 1.0, 1.0, rng, size=5000, max_attempts=2000
             )
 
     def test_dimension_mismatch(self):
