@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import kolmogi, stdtrit
 
 from .erm import (
     ObjPertConfig,
@@ -233,10 +232,14 @@ def simulate_coverage(config: SimulationConfig) -> ResultTable:
     are means per cell; "true_beta" rows record the intervals' own coverage
     of the true coefficients.
     """
-    p = config.p
+    from scipy.special import stdtrit
+
+    p, n = config.p, config.n
+    if n <= p + 1:
+        raise ValueError(f"coverage needs n > p + 1 for its t-intervals' "
+                         f"n - p - 1 degrees of freedom, got n={n}, p={p}")
     beta = np.concatenate([[0.0], np.linspace(-1.5, 1.5, p)])
     table = ResultTable(_echo("coverage", config, p=p))
-    n = config.n
     tcrit = float(stdtrit(n - p - 1, 0.975))
     for rep in range(config.reps):
         g = RngStream(config.seed, rep).generator()
@@ -351,6 +354,12 @@ def ks_statistic(samples, cdf):
 
 def ks_critical(n, alpha=0.01):
     """Critical KS distance at level alpha (asymptotic Kolmogorov law)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not n >= 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
+    from scipy.special import kolmogi
+
     return float(kolmogi(alpha)) / math.sqrt(n)
 
 
@@ -410,10 +419,10 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
 
     Mechanisms are ball names as ball_from_name reads them, with Delta = 1
     and eps = 1; lp balls are 2-dimensional, the hull bodies keep their own
-    dimension. Each mechanism draws n_draws noise vectors through
-    sample_noise. Checks per mechanism: Kolmogorov-Smirnov test of the noise
-    gauge against its Gamma(m, eps/Delta) marginal at level 0.01, and a
-    4-standard-error unbiasedness check per coordinate. The l1 entry adds
+    dimension. Each mechanism draws n_draws (at least 2) noise vectors
+    through sample_noise. Checks per mechanism: Kolmogorov-Smirnov test of
+    the noise gauge against its Gamma(m, eps/Delta) marginal at level 0.01,
+    and a 4-standard-error unbiasedness check per coordinate. The l1 entry adds
     the Laplace histogram ratio bound; every hull with a known volume (k2,
     k3) adds a 4-standard-error check of its own n_draws-point box-fraction
     estimate, drawn from the mechanism's stream after the noise, against
@@ -425,6 +434,9 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
     With several simultaneous 0.01-level tests the false-alarm rate is a
     few percent (no Bonferroni correction); the default seed is known-good.
     """
+    if n_draws < 2:
+        # the standard errors of the unbiasedness and box-fraction checks use n - 1
+        raise ValueError(f"diagnostics needs at least 2 draws per mechanism, got {n_draws}")
     delta, epsilon = 1.0, 1.0
     balls = [ball_from_name(mech, 2) for mech in mechanisms]
     checks = []

@@ -5,7 +5,8 @@ containment of their scaled norm balls (equivalently: stochastic tightness,
 dispersion, and directional conditional variance) and through the volume of
 those balls (equivalently: entropy and scatter). Containment is a partial
 order; volume is a total order extending it. The CDF and quantiles of the
-Gamma(m, eps/Delta) gauge marginal come from scipy.special.
+Gamma(m, eps/Delta) gauge marginal come from scipy.special, imported at
+first use so that importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
 from .geometry import (
     ScaledBall, _exp_or_inf, ball_containment, volume_lp, volume_monte_carlo,
@@ -35,12 +35,19 @@ __all__ = [
 ]
 
 
+def _check_gamma_params(shape, rate):
+    # "not 0 < x < inf" is also true for NaN
+    if not 0.0 < shape < math.inf:
+        raise ValueError(f"shape must be positive and finite, got {shape}")
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
+
+
 def gamma_cdf(x, shape, rate):
     """CDF of Gamma(shape, rate) at a scalar or array x (rate parameterization)."""
-    if shape <= 0:
-        raise ValueError("shape must be positive")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    _check_gamma_params(shape, rate)
+    from scipy.special import gammainc
+
     f = gammainc(shape, rate * np.maximum(x, 0.0))
     return float(f) if np.ndim(f) == 0 else f
 
@@ -49,10 +56,9 @@ def gamma_quantile(alpha, shape, rate):
     """alpha-quantile of Gamma(shape, rate)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if shape <= 0:
-        raise ValueError("shape must be positive")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    _check_gamma_params(shape, rate)
+    from scipy.special import gammaincinv
+
     return float(gammaincinv(shape, alpha)) / rate
 
 

@@ -394,11 +394,11 @@ class TestVolumeMonteCarlo:
         est, se = volume_monte_carlo(k2_ball(), 1.0, 1_000_000, seed=7)
         assert abs(est - 40.0 / 3.0) <= 3 * se
 
-    def test_linf_oracle_square(self):
+    def test_lp_linf_square(self):
         est, se = volume_monte_carlo(NormBall.lp(INF, 1.0, 2), 2.0, 100_000, seed=8)
         assert abs(est - 16.0) <= 3 * se + 1e-9
 
-    def test_l2_oracle_disk(self):
+    def test_lp_l2_disk(self):
         est, se = volume_monte_carlo(NormBall.lp(2, 1.0, 2), 1.0, 100_000, seed=9)
         assert abs(est - math.pi) <= 3 * se
 
@@ -450,7 +450,7 @@ class TestExactVolumes:
         assert math.isclose(log_v, 154 * math.log(616.0) - math.lgamma(155.0), rel_tol=1e-14)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, INF, math.nan])
-    def test_oracle_volume_must_be_positive_and_finite(self, bad):
+    def test_hull_volume_must_be_positive_and_finite(self, bad):
         with pytest.raises(ValueError, match="volume"):
             NormBall(dimension=2, pieces=k2_ball().pieces, volume=bad)
 
@@ -482,7 +482,7 @@ class TestContainment:
                 ScaledBall(NormBall.lp(1, 1, 3), 1.0),
             )
 
-    def test_oracle_vs_lp_witness(self):
+    def test_lp_box_vs_hull_witness(self):
         # the box corner sticks out of the parabola-capped hull
         a = ScaledBall(NormBall.lp(INF, 1, 2), 2.0)
         b = ScaledBall(k2_ball(), 1.0)

@@ -88,6 +88,16 @@ class TestKsHelpers:
         bad = ks_statistic(x, lambda v: 1 - np.exp(-2 * v))
         assert good < ks_critical(5000, 0.01) < bad
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_critical_value_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            ks_critical(100, alpha)
+
+    @pytest.mark.parametrize("n", [0, -5, math.nan])
+    def test_critical_value_rejects_empty_sample(self, n):
+        with pytest.raises(ValueError, match="sample size must be >= 1"):
+            ks_critical(n, 0.01)
+
 
 class TestSimulateLogistic:
     def test_baseline_and_high_eps(self):
@@ -154,6 +164,19 @@ class TestSimulateCoverage:
         table = simulate_coverage(config)
         assert (table.summary_value(0.5, "linf", "mean_coverage")
                 > table.summary_value(0.5, "l1", "mean_coverage"))
+
+    @pytest.mark.parametrize("n, p", [(13, 12), (3, 2), (5, 12)])
+    def test_n_at_most_p_plus_one_rejected(self, n, p):
+        # the t-intervals have n - p - 1 degrees of freedom: zero divided by
+        # zero at n = p + 1, and fewer rows than coefficients below it
+        config = SimulationConfig(eps=(1.0,), n=n, p=p, reps=1, mechanisms=("linf",))
+        with pytest.raises(ValueError, match=f"got n={n}, p={p}"):
+            simulate_coverage(config)
+
+    def test_smallest_n_runs(self):
+        config = SimulationConfig(eps=(1.0,), n=4, p=2, reps=2, mechanisms=("linf",))
+        table = simulate_coverage(config)
+        assert 0.0 <= table.summary_value(1.0, "linf", "mean_coverage") <= 1.0
 
 
 class TestRunRegressionFile:
@@ -269,6 +292,13 @@ class TestDiagnostics:
         report = run_diagnostics(mechanisms=(), seed=0)
         assert report.checks == []
         assert report.all_passed
+
+    @pytest.mark.parametrize("n_draws", [1, 0, -3])
+    def test_too_few_draws_rejected(self, n_draws):
+        # one draw has no standard error; zero or fewer used to fail deep in
+        # lp_norm or numpy
+        with pytest.raises(ValueError, match=f"at least 2 draws per mechanism, got {n_draws}"):
+            run_diagnostics(n_draws=n_draws)
 
 
 class TestDeterminismAndEcho:
@@ -487,6 +517,24 @@ class TestCli:
         assert main(["diagnostics", "--mech", "l1", "--draws", "4000",
                      "--inject-fault", "laplace-scale"]) == 1
 
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_diagnostics_too_few_draws(self, capsys, draws):
+        assert main(["diagnostics", "--draws", draws]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: diagnostics needs at least 2 draws per "
+                                f"mechanism, got {draws}\n")
+
+    def test_coverage_needs_n_above_p_plus_one(self, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew data before checking n and p")
+
+        monkeypatch.setattr(RngStream, "generator", no_draws)
+        assert main(["simulate-coverage", "--n", "13", "--p", "12", "--reps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: coverage needs n > p + 1")
+        assert err.endswith("got n=13, p=12\n")
+
     def test_regression_cli(self, tmp_path):
         path = tmp_path / "d.csv"
         synthetic_regression_csv(path, n=300, p=2, seed=5)
@@ -500,11 +548,41 @@ class TestCli:
         assert "l2_distance_to_mle" in out.read_text()
 
     def test_cli_import_skips_scipy_stats(self):
-        # importing scipy.stats costs about a second of CLI start-up
+        # scipy.stats takes several times as long to import as knorm.cli
+        # itself, and every CLI call would pay for it
         src = os.path.dirname(os.path.dirname(knorm.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = "import knorm.cli, sys; assert 'scipy.stats' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_cli_import_and_light_commands_skip_scipy_special(self):
+        # scipy.special took about 60% of `import knorm.cli` when it was a
+        # module-level import; now only the gamma helpers, the KS critical
+        # value and the coverage t-quantile load it
+        src = os.path.dirname(os.path.dirname(knorm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = """if True:
+            import contextlib, io, sys
+
+            def loaded():
+                return "scipy.special" in sys.modules
+
+            import knorm
+            assert not loaded(), "import knorm"
+            import knorm.cli
+            assert not loaded(), "import knorm.cli"
+            for argv in (["sample", "--ball", "kt3", "--reps", "5"],
+                         ["compare", "--a", "k2:1", "--b", "linf:2", "--m", "2"],
+                         ["simulate-logistic", "--n", "500", "--reps", "1", "--eps", "1"],
+                         ["diagnostics", "--mech", "l2", "--draws", "100"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert knorm.cli.main(argv) == 0, argv
+                # diagnostics is the control: its KS check does load it
+                assert loaded() == (argv[0] == "diagnostics"), argv
+            """
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
     def test_error_exit_code(self, capsys):
         code = main(["run-regression", "--csv", "/nonexistent.csv",

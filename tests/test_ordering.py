@@ -57,6 +57,26 @@ class TestIncompleteGamma:
         with pytest.raises(ValueError):
             gamma_quantile(0.5, 2, -1.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, INF, -INF])
+    @pytest.mark.parametrize("which", ["shape", "rate"])
+    def test_shape_and_rate_must_be_positive_and_finite(self, which, bad):
+        # a NaN fails no "<= 0" test, so it used to come back as a nan result,
+        # and an infinite rate as a 0.0 quantile
+        args = {"shape": 2.0, "rate": 1.0, which: bad}
+        with pytest.raises(ValueError, match=f"{which} must be positive and finite"):
+            gamma_cdf(1.0, args["shape"], args["rate"])
+        with pytest.raises(ValueError, match=f"{which} must be positive and finite"):
+            gamma_quantile(0.5, args["shape"], args["rate"])
+
+    def test_valid_inputs_are_scipy_special_bit_for_bit(self):
+        from scipy.special import gammainc, gammaincinv
+
+        xs = np.linspace(0.0, 20.0, 101)
+        for shape, rate in [(0.5, 0.5), (2, 1.0), (7, 0.125), (26, 2.0)]:
+            assert np.array_equal(gamma_cdf(xs, shape, rate), gammainc(shape, rate * xs))
+            for alpha in (0.05, 0.5, 0.99):
+                assert gamma_quantile(alpha, shape, rate) == float(gammaincinv(shape, alpha)) / rate
+
 
 class TestEntropy:
     def test_laplace_1d(self):
@@ -89,7 +109,7 @@ class TestEntropy:
         h_1 = entropy(lp_config(1, L1_EXACT))
         assert h_inf < h_2 < h_1
 
-    def test_oracle_needs_volume(self):
+    def test_hull_entropy_needs_volume_unless_exact(self):
         # k2 carries its exact volume; the kt hulls have none, so they still need one
         config = MechanismConfig(1.0, 1.0, k2_ball())
         h = entropy(config)
