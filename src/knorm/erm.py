@@ -41,11 +41,16 @@ class OptimizerError(RuntimeError):
 class LossSpec:
     """A smooth convex per-example loss with the bounds Algorithm-style DP needs.
 
-    loss_and_grad(theta, X, y) returns the loss summed over examples and the
-    summed gradient; hess(theta, X, y) the summed Hessian. eigen_bound
-    bounds the eigenvalues of every per-example Hessian, and
-    (grad_ball, grad_delta) bound the gauge of any per-example gradient
-    difference. validate, if set, checks dataset preconditions.
+    loss_and_grad(theta, X, y) returns (loss, grad, curvature): the loss
+    summed over examples, the summed gradient, and whatever per-example
+    curvature the Hessian at theta is built from (for logistic, the weights
+    sig * (1 - sig)). hess(theta, X, y, curvature=None) returns the summed
+    Hessian; a given curvature must come from loss_and_grad at the same
+    theta, and without one hess works it out from theta itself. Both are
+    called with positional arguments only. eigen_bound bounds the
+    eigenvalues of every per-example Hessian, and (grad_ball, grad_delta)
+    bound the gauge of any per-example gradient difference. validate, if
+    set, checks dataset preconditions.
     """
 
     dimension: int
@@ -53,7 +58,7 @@ class LossSpec:
     grad_ball: NormBall
     grad_delta: float
     loss_and_grad: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
-    hess: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    hess: Callable[..., np.ndarray]
     validate: Optional[Callable[[np.ndarray, np.ndarray], None]] = None
 
 
@@ -109,8 +114,11 @@ def logistic_sensitivity(m, p):
 
 
 def _logistic_validate(X, y):
-    if np.abs(X).max() > 1.0 + 1e-12:
-        raise ValueError("design matrix entries must lie in [-1, 1]")
+    # min and max propagate nan, and every comparison with nan is False, so
+    # this rejects nan and +-inf as well as entries outside [-1, 1]
+    bound = 1.0 + 1e-12
+    if not (X.min() >= -bound and X.max() <= bound):
+        raise ValueError("design matrix entries must be finite and lie in [-1, 1]")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0/1")
 
@@ -120,16 +128,18 @@ def _logistic_loss_and_grad(theta, X, y):
     e = np.exp(-np.abs(z))
     # softplus log(1 + exp(z)) from the sigmoid's exp
     loss = float((np.maximum(z, 0.0) + np.log1p(e)).sum() - y @ z)
-    grad = X.T @ (_sigmoid_from_exp(z, e) - y)
-    return loss, grad
+    sig = _sigmoid_from_exp(z, e)
+    grad = X.T @ (sig - y)
+    return loss, grad, sig * (1.0 - sig)
 
 
-def _logistic_hess(theta, X, y):
-    sig = _sigmoid(X @ theta)
-    w = sig * (1.0 - sig)
+def _logistic_hess(theta, X, y, curvature=None):
+    if curvature is None:
+        sig = _sigmoid(X @ theta)
+        curvature = sig * (1.0 - sig)
     # weight along the n-long axis into one C-ordered m x n array; the
-    # products and the GEMM are those of (X * w[:, None]).T @ X
-    return np.multiply(X.T, w, order="C") @ X
+    # products and the GEMM are those of (X * curvature[:, None]).T @ X
+    return np.multiply(X.T, curvature, order="C") @ X
 
 
 def logistic_loss_spec(m, p=math.inf) -> LossSpec:
@@ -156,6 +166,11 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, theta0=None,
     and halves the gradient norm. Converges when the gradient l2 norm of the
     mean-scaled objective is at most grad_tol; raises OptimizerError with
     diagnostics after max_iter iterations.
+
+    Each Newton step takes its Hessian at a point whose loss was just
+    evaluated (the start, or the accepted line-search trial), so it passes
+    that evaluation's curvature: loss.hess(theta, X, y, curvature). The
+    loss is called once per evaluation and hess once per step.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -166,17 +181,17 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, theta0=None,
     theta = np.zeros(m) if theta0 is None else np.array(theta0, dtype=float)
 
     def value_and_grad(t):
-        base, grad = loss.loss_and_grad(t, X, y)
+        base, grad, curvature = loss.loss_and_grad(t, X, y)
         f = (base + 0.5 * gamma * (t @ t) + v @ t) / n
         g = (grad + gamma * t + v) / n
-        return f, g
+        return f, g, curvature
 
-    f, g = value_and_grad(theta)
+    f, g, w = value_and_grad(theta)
     for _ in range(max_iter):
         gnorm = float(np.sqrt(g @ g))
         if gnorm <= grad_tol:
             return theta
-        H = (loss.hess(theta, X, y) + gamma * np.eye(m)) / n
+        H = (loss.hess(theta, X, y, w) + gamma * np.eye(m)) / n
         try:
             step = np.linalg.solve(H, -g)
             if not np.all(np.isfinite(step)) or g @ step >= 0:
@@ -187,7 +202,7 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, theta0=None,
         t_step = 1.0
         while True:
             trial = theta + t_step * step
-            ft, gt = value_and_grad(trial)
+            ft, gt, wt = value_and_grad(trial)
             if ft <= f + 1e-4 * t_step * gd:
                 break
             # near the minimizer the true decrease of a full step can fall
@@ -200,7 +215,7 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, theta0=None,
                 raise OptimizerError(
                     f"line search stalled at gradient norm {gnorm:.3e}"
                 )
-        theta, f, g = trial, ft, gt
+        theta, f, g, w = trial, ft, gt, wt
     gnorm = float(np.sqrt(g @ g))
     if gnorm <= grad_tol:
         return theta

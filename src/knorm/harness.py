@@ -426,7 +426,11 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
     the Laplace histogram ratio bound; every hull with a known volume (k2,
     k3) adds a 4-standard-error check of its own n_draws-point box-fraction
     estimate, drawn from the mechanism's stream after the noise, against
-    its exact volume / bounding-box volume ratio. An empty
+    its exact volume / bounding-box volume ratio; when every one of its
+    draws gets the same weight (sample SE 0, as happens at a few draws) the
+    check uses the null SE sqrt(p(1-p)/n) of that ratio p instead. The
+    4-SE checks rest on normal approximations, which do not hold at a few
+    draws, where they can fail on a correct sampler. An empty
     mechanism list yields an empty report. ``fault`` deliberately breaks a
     sampler to demonstrate detection (testing aid): "laplace-scale" halves
     the l1 scale.
@@ -473,6 +477,10 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
         if ball.volume is not None:
             expected = ball.volume / (2.0 * ball.linf_radius) ** m
             frac, se_frac = ball.box_fraction(rng, n_draws)
+            if se_frac == 0.0:
+                # the null SE, which bounds that of any mean of [0, 1]
+                # weights with mean `expected`
+                se_frac = math.sqrt(expected * (1.0 - expected) / n_draws)
             dev = abs(frac - expected) / se_frac
             checks.append(
                 DiagnosticCheck(

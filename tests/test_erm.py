@@ -37,8 +37,8 @@ def one_example(spec, theta, x, y):
     theta = np.asarray(theta, dtype=float)
     X = np.asarray(x, dtype=float)[None, :]
     Y = np.array([float(y)])
-    loss, grad = spec.loss_and_grad(theta, X, Y)
-    return loss, grad, spec.hess(theta, X, Y)
+    loss, grad, curvature = spec.loss_and_grad(theta, X, Y)
+    return loss, grad, spec.hess(theta, X, Y, curvature)
 
 
 class TestLogisticParts:
@@ -73,6 +73,23 @@ class TestLogisticParts:
         with pytest.raises(ValueError):
             spec.validate(np.array([[1.5, 0.0]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, INF, -INF])
+    def test_non_finite_feature(self, bad):
+        spec = logistic_loss_spec(2)
+        X = np.array([[0.5, 0.0], [bad, -0.25]])
+        y = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            spec.validate(X, y)
+        # rejected before the optimizer sees it (numpy warnings are errors here)
+        with pytest.raises(ValueError, match="finite"):
+            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y,
+                                   RngStream(0, 0).generator())
+
+    def test_boundary_features_accepted(self):
+        spec = logistic_loss_spec(2)
+        spec.validate(np.array([[1.0, -1.0], [1.0 + 1e-13, -1.0 - 1e-13]]),
+                      np.array([1.0, 0.0]))
+
     def test_midpoint_convexity(self):
         rng = np.random.default_rng(61)
         spec = logistic_loss_spec(4)
@@ -90,7 +107,8 @@ class TestLogisticParts:
 # Reference logistic kernels: the masked two-branch sigmoid, the
 # np.logaddexp loss and the row-weighted Hessian that the one-exp kernels
 # in knorm.erm replaced. The sigmoid, gradient and Hessian must match them
-# bit for bit; the loss only up to rounding.
+# bit for bit; the loss only up to rounding. ref_hess recomputes the
+# weights from theta and ignores any curvature it is passed.
 def ref_sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
@@ -103,11 +121,12 @@ def ref_sigmoid(z):
 def ref_loss_and_grad(theta, X, y):
     z = X @ theta
     loss = float(np.logaddexp(0.0, z).sum() - y @ z)
-    grad = X.T @ (ref_sigmoid(z) - y)
-    return loss, grad
+    sig = ref_sigmoid(z)
+    grad = X.T @ (sig - y)
+    return loss, grad, sig * (1.0 - sig)
 
 
-def ref_hess(theta, X, y):
+def ref_hess(theta, X, y, curvature=None):
     z = X @ theta
     sig = ref_sigmoid(z)
     w = sig * (1.0 - sig)
@@ -130,10 +149,13 @@ class TestKernelsMatchReference:
         probes = RngStream(72, 1).generator()
         for _ in range(20):
             theta = probes.standard_normal(7) * probes.uniform(0.0, 20.0)
-            loss, grad = spec.loss_and_grad(theta, X, y)
-            ref_loss, ref_grad = ref_loss_and_grad(theta, X, y)
+            loss, grad, curvature = spec.loss_and_grad(theta, X, y)
+            ref_loss, ref_grad, ref_curvature = ref_loss_and_grad(theta, X, y)
             assert np.array_equal(grad, ref_grad)
-            assert np.array_equal(spec.hess(theta, X, y), ref_hess(theta, X, y))
+            assert np.array_equal(curvature, ref_curvature)
+            hess = ref_hess(theta, X, y)
+            assert np.array_equal(spec.hess(theta, X, y), hess)
+            assert np.array_equal(spec.hess(theta, X, y, curvature), hess)
             softplus = np.logaddexp(0.0, X @ theta).sum()
             assert abs(loss - ref_loss) <= 8 * np.finfo(float).eps * softplus
 
@@ -155,6 +177,33 @@ class TestKernelsMatchReference:
                                                RngStream(73, stream).generator())
                         for s in (spec, ref)]
                 assert np.allclose(fits[0], fits[1], rtol=0.0, atol=1e-12)
+                stream += 1
+
+
+class TestFusedHessian:
+    def test_fits_equal_hessian_recomputed_from_theta(self):
+        # minimize_erm hands hess the curvature of the loss evaluation at the
+        # same theta; a spec whose hess drops it and recomputes from theta
+        # must give the same bits for the MLE and the default eps x mechanism
+        # fits of one simulate-logistic replicate
+        g = RngStream(74, 0).generator()
+        X = g.uniform(-1.0, 1.0, size=(10_000, 7))
+        y = (g.random(10_000) < sigmoid(X @ BETA)).astype(float)
+        specs = [logistic_loss_spec(7, p) for p in (1.0, 2.0, INF)]
+
+        def recomputing(spec):
+            return dataclasses.replace(spec, hess=lambda t, X, y, curvature: spec.hess(t, X, y))
+
+        recs = [recomputing(s) for s in specs]
+        assert np.array_equal(minimize_erm(specs[2], X, y), minimize_erm(recs[2], X, y))
+        assert len(DEFAULT_LOGISTIC_EPS) == 8
+        stream = 1
+        for eps in DEFAULT_LOGISTIC_EPS:
+            for spec, rec in zip(specs, recs):
+                fits = [objective_perturbation(ObjPertConfig(eps, 0.5, s), X, y,
+                                               RngStream(74, stream).generator())
+                        for s in (spec, rec)]
+                assert np.array_equal(fits[0], fits[1])
                 stream += 1
 
 
@@ -225,7 +274,7 @@ class TestMinimizeErm:
         probes = RngStream(64, 1).generator()
         for _ in range(100):
             theta = probes.standard_normal(4) * 2
-            _, grad = spec.loss_and_grad(theta, X, y)
+            _, grad, _ = spec.loss_and_grad(theta, X, y)
             for j in range(4):
                 h = 1e-6
                 tp, tm = theta.copy(), theta.copy()

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -8,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +17,18 @@ import pytest
 import knorm
 from knorm import geometry
 from knorm.cli import main
+from knorm.erm import (
+    ObjPertConfig,
+    OptimizerError,
+    logistic_loss_spec,
+    minimize_erm,
+    objective_perturbation,
+)
 from knorm.geometry import NormBall, k2_ball
 from knorm.linreg import ball_from_name, kt_ball
 from knorm.sampling import MechanismConfig, RngStream, sample_k_mech_rejection, sample_noise
 from knorm.harness import (
+    LOGISTIC_BETA,
     SimulationConfig,
     ks_critical,
     ks_statistic,
@@ -525,6 +535,22 @@ class TestCli:
         assert captured.err == (f"error: diagnostics needs at least 2 draws per "
                                 f"mechanism, got {draws}\n")
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_diagnostics_two_draws(self, capsys, seed):
+        # two equal box-fraction weights have a sample SE of 0 (seeds 1 and 2
+        # with k2); the check then uses the null SE instead of dividing by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["diagnostics", "--mech", "k2,k3", "--draws", "2",
+                         "--seed", str(seed)])
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        assert "box-fraction[k2]" in out and "box-fraction[k3]" in out
+        assert "inf" not in out and "nan" not in out
+        if seed in (1, 2):
+            assert "PASS box-fraction[k2]: statistic=1 " in out
+            assert "deviation 0.63 SE" in out
+
     def test_coverage_needs_n_above_p_plus_one(self, capsys, monkeypatch):
         def no_draws(*args, **kwargs):
             raise AssertionError("drew data before checking n and p")
@@ -710,6 +736,56 @@ class TestBenchmarkHooks:
         missing = [f"{module}.{name}" for module, name in imports
                    if not hasattr(importlib.import_module(module), name)]
         assert missing == []
+
+    def test_erm_counters_layers_wraps(self):
+        # perfbench/layers.py erm_metrics swaps in counting wrappers that
+        # forward positional arguments only, and reads the hess count as the
+        # number of Newton steps and the loss count as loss evaluations
+        g = RngStream(19, 0).generator()
+        X = g.uniform(-1.0, 1.0, size=(2000, 7))
+        y = (g.random(2000) < 1.0 / (1.0 + np.exp(-(X @ LOGISTIC_BETA)))).astype(float)
+        for p in (1, 2, math.inf):
+            cfg = ObjPertConfig(epsilon=1.0, q=0.5, loss=logistic_loss_spec(7, p))
+            calls = {"loss": [], "hess": []}
+
+            def counting(fn, key):
+                def counted(*args):
+                    out = fn(*args)
+                    calls[key].append((args, out))
+                    return out
+                return counted
+
+            counted = dataclasses.replace(cfg, loss=dataclasses.replace(
+                cfg.loss,
+                loss_and_grad=counting(cfg.loss.loss_and_grad, "loss"),
+                hess=counting(cfg.loss.hess, "hess"),
+            ))
+            plain = objective_perturbation(cfg, X, y, RngStream(19, 1).generator())
+            fit = objective_perturbation(counted, X, y, RngStream(19, 1).generator())
+            assert np.array_equal(fit, plain)
+            # one hess call per Newton step: the fewest steps that converge
+            v = sample_noise(MechanismConfig(cfg.epsilon * cfg.q, cfg.loss.grad_delta,
+                                             cfg.loss.grad_ball),
+                             RngStream(19, 1).generator())
+            def converges_within(steps):
+                try:
+                    again = minimize_erm(cfg.loss, X, y, gamma=cfg.gamma, linear=v,
+                                         max_iter=steps)
+                except OptimizerError:
+                    return False
+                assert np.array_equal(again, plain)
+                return True
+
+            steps = next(k for k in range(50) if converges_within(k))
+            assert len(calls["hess"]) == steps
+            # one loss call per evaluation: no theta is evaluated twice, and
+            # each Newton step is taken at an evaluated theta with its curvature
+            thetas = [args[0].tobytes() for args, _ in calls["loss"]]
+            assert len(set(thetas)) == len(thetas) > steps
+            curvature = {args[0].tobytes(): out[2] for args, out in calls["loss"]}
+            for args, _ in calls["hess"]:
+                assert len(args) == 4
+                assert args[3] is curvature[args[0].tobytes()]
 
     def test_sampler_calls_layers_times_run(self):
         # the three sample_k_mech_rejection calls of perfbench/layers.py, at
