@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import harness
@@ -126,7 +127,9 @@ def _cmd_diagnostics(args):
     return 0 if report.all_passed else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argparse tree, built on the first main call and kept for later ones."""
     parser = argparse.ArgumentParser(
         prog="knorm",
         description="K-norm mechanisms: simulations, comparison, sampling, diagnostics",
@@ -185,8 +188,11 @@ def main(argv=None) -> int:
     s.add_argument("--inject-fault", choices=("laplace-scale",),
                    help="testing aid: deliberately mis-scale a sampler")
     s.set_defaults(func=_cmd_diagnostics)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

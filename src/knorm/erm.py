@@ -26,6 +26,8 @@ __all__ = [
     "LossSpec",
     "ObjPertConfig",
     "OptimizerError",
+    "StartPoint",
+    "evaluate",
     "logistic_sensitivity",
     "logistic_loss_spec",
     "minimize_erm",
@@ -155,7 +157,45 @@ def logistic_loss_spec(m, p=math.inf) -> LossSpec:
     )
 
 
-def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, theta0=None,
+@dataclass(frozen=True)
+class StartPoint:
+    """A LossSpec evaluated at theta on one dataset: where minimize_erm starts.
+
+    Holds theta (read-only), loss_and_grad's (value, grad, curvature) there
+    and hess built from that curvature, with the X, y, loss_and_grad and
+    hess they came from, so that minimize_erm can refuse other data.
+    """
+
+    theta: np.ndarray
+    value: float
+    grad: np.ndarray
+    curvature: object
+    hessian: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
+    loss_and_grad: Callable
+    hess: Callable
+
+
+def evaluate(loss: LossSpec, X, y, theta=None) -> StartPoint:
+    """Evaluate loss, gradient, curvature and Hessian at theta (default zeros).
+
+    X and y are converted to float arrays; pass the record's own X and y
+    (or the same float arrays) to every fit that starts from it.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[1] != loss.dimension:
+        raise ValueError(f"design matrix must be n x {loss.dimension}, got shape {X.shape}")
+    theta = np.zeros(loss.dimension) if theta is None else np.array(theta, dtype=float)
+    theta.flags.writeable = False
+    value, grad, curvature = loss.loss_and_grad(theta, X, y)
+    hessian = loss.hess(theta, X, y, curvature)
+    return StartPoint(theta, value, grad, curvature, hessian,
+                      X, y, loss.loss_and_grad, loss.hess)
+
+
+def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
                  grad_tol=1e-8, max_iter=500):
     """Minimize (1/n)[sum loss + gamma/2 theta'theta + linear'theta].
 
@@ -167,31 +207,50 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, theta0=None,
     mean-scaled objective is at most grad_tol; raises OptimizerError with
     diagnostics after max_iter iterations.
 
+    The fit starts from start, a StartPoint from evaluate(loss, X, y,
+    theta), or from evaluate(loss, X, y) at theta = 0 when start is None.
+    One start can be shared by any number of fits on the same data with
+    different gamma and linear: it must have been built from these very X
+    and y arrays (identity, after conversion to float arrays) and from
+    loss's own loss_and_grad and hess, or a ValueError is raised. X and y
+    must not be changed in place after evaluate, which cannot detect it.
+
     Each Newton step takes its Hessian at a point whose loss was just
     evaluated (the start, or the accepted line-search trial), so it passes
     that evaluation's curvature: loss.hess(theta, X, y, curvature). The
-    loss is called once per evaluation and hess once per step.
+    loss is called once per evaluation and hess once per step; the first
+    step uses the start's Hessian.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if start is None:
+        start = evaluate(loss, X, y)
+    elif not (start.X is X and start.y is y and start.loss_and_grad is loss.loss_and_grad
+              and start.hess is loss.hess):
+        raise ValueError("start was evaluated on other data or with another loss")
     n, m = X.shape
-    if m != loss.dimension:
-        raise ValueError("design matrix width does not match loss dimension")
     v = np.zeros(m) if linear is None else np.asarray(linear, dtype=float)
-    theta = np.zeros(m) if theta0 is None else np.array(theta0, dtype=float)
+    ridge = gamma * np.eye(m)
+
+    def objective(t, base, grad):
+        f = (base + 0.5 * gamma * (t @ t) + v @ t) / n
+        g = (grad + gamma * t + v) / n
+        return f, g
 
     def value_and_grad(t):
         base, grad, curvature = loss.loss_and_grad(t, X, y)
-        f = (base + 0.5 * gamma * (t @ t) + v @ t) / n
-        g = (grad + gamma * t + v) / n
-        return f, g, curvature
+        return (*objective(t, base, grad), curvature)
 
-    f, g, w = value_and_grad(theta)
+    theta = start.theta.copy()
+    f, g = objective(theta, start.value, start.grad)
+    w, hess = start.curvature, start.hessian
     for _ in range(max_iter):
         gnorm = float(np.sqrt(g @ g))
         if gnorm <= grad_tol:
             return theta
-        H = (loss.hess(theta, X, y, w) + gamma * np.eye(m)) / n
+        if hess is None:
+            hess = loss.hess(theta, X, y, w)
+        H = (hess + ridge) / n
         try:
             step = np.linalg.solve(H, -g)
             if not np.all(np.isfinite(step)) or g @ step >= 0:
@@ -215,7 +274,7 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, theta0=None,
                 raise OptimizerError(
                     f"line search stalled at gradient norm {gnorm:.3e}"
                 )
-        theta, f, g, w = trial, ft, gt, wt
+        theta, f, g, w, hess = trial, ft, gt, wt, None
     gnorm = float(np.sqrt(g @ g))
     if gnorm <= grad_tol:
         return theta
@@ -224,14 +283,21 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, theta0=None,
     )
 
 
-def objective_perturbation(config: ObjPertConfig, X, y, rng):
+def objective_perturbation(config: ObjPertConfig, X, y, rng, start=None):
     """Private ERM estimate via the extended objective-perturbation mechanism.
 
     Sets gamma from the budget split, draws V with density proportional to
-    exp(-(eps*q/Delta)*||V||_K) through the sampling module, and returns the
-    unique minimizer of the perturbed objective. Satisfies eps-DP for the
-    loss's stated sensitivity bounds.
+    exp(-(eps*q/Delta)*||V||_K) through the sampling module, and minimizes
+    the perturbed objective. The eps-DP guarantee for the loss's stated
+    sensitivity bounds holds for the exact minimizer; the returned theta
+    only meets ||grad J||_2 <= grad_tol (minimize_erm's default, 1e-8), and
+    nothing here bounds the difference.
+
+    start, if given, is minimize_erm's start and must sit at theta = 0: a
+    data-dependent start (such as the MLE) is refused with a ValueError.
     """
+    if start is not None and np.any(start.theta):
+        raise ValueError("objective perturbation must start at theta = 0")
     loss = config.loss
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -243,4 +309,4 @@ def objective_perturbation(config: ObjPertConfig, X, y, rng):
         ball=loss.grad_ball,
     )
     v = sample_noise(noise_cfg, rng)
-    return minimize_erm(loss, X, y, gamma=config.gamma, linear=v)
+    return minimize_erm(loss, X, y, gamma=config.gamma, linear=v, start=start)

@@ -9,6 +9,7 @@ from knorm.erm import (
     ObjPertConfig,
     OptimizerError,
     _sigmoid,
+    evaluate,
     logistic_loss_spec,
     logistic_sensitivity,
     minimize_erm,
@@ -207,6 +208,75 @@ class TestFusedHessian:
                 stream += 1
 
 
+class TestSharedStart:
+    @staticmethod
+    def replicate(seed):
+        g = RngStream(seed, 0).generator()
+        X = g.uniform(-1.0, 1.0, size=(10_000, 7))
+        y = (g.random(10_000) < sigmoid(X @ BETA)).astype(float)
+        return X, y
+
+    def test_fits_equal_unshared(self):
+        # simulate-logistic shares one evaluation at theta = 0 between the MLE
+        # and the default eps x mechanism fits of a replicate; each must give
+        # the bits of the same fit started on its own
+        X, y = self.replicate(75)
+        specs = [logistic_loss_spec(7, p) for p in (1.0, 2.0, INF)]
+        start = evaluate(specs[2], X, y)
+        assert np.array_equal(minimize_erm(specs[2], X, y, start=start),
+                              minimize_erm(specs[2], X, y))
+        stream = 1
+        for eps in DEFAULT_LOGISTIC_EPS:
+            for spec in specs:
+                config = ObjPertConfig(eps, 0.5, spec)
+                fits = [objective_perturbation(config, X, y,
+                                               RngStream(75, stream).generator(), start=s)
+                        for s in (start, None)]
+                assert np.array_equal(fits[0], fits[1])
+                stream += 1
+        assert stream == 25
+
+    @pytest.mark.parametrize("other", ["X copy", "y copy", "loss_and_grad", "hess"])
+    def test_start_from_other_data_or_loss_rejected(self, other):
+        X, y = self.replicate(76)
+        spec = logistic_loss_spec(7)
+        elsewhere = {
+            "X copy": lambda: evaluate(spec, X.copy(), y),
+            "y copy": lambda: evaluate(spec, X, y.copy()),
+            "loss_and_grad": lambda: evaluate(
+                dataclasses.replace(spec, loss_and_grad=ref_loss_and_grad), X, y),
+            "hess": lambda: evaluate(dataclasses.replace(spec, hess=ref_hess), X, y),
+        }[other]()
+        with pytest.raises(ValueError, match="start"):
+            minimize_erm(spec, X, y, start=elsewhere)
+        with pytest.raises(ValueError, match="start"):
+            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y,
+                                   RngStream(76, 1).generator(), start=elsewhere)
+
+    def test_objective_perturbation_refuses_nonzero_start(self):
+        # a data-dependent start such as the MLE needs the exact-minimizer
+        # bound first; minimize_erm itself accepts any start
+        X, y = self.replicate(77)
+        spec = logistic_loss_spec(7)
+        mle = minimize_erm(spec, X, y)
+        start = evaluate(spec, X, y, mle)
+        assert np.array_equal(minimize_erm(spec, X, y, start=start), mle)
+        with pytest.raises(ValueError, match="theta = 0"):
+            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y,
+                                   RngStream(77, 1).generator(), start=start)
+
+    def test_start_is_read_only_and_fits_return_their_own_theta(self):
+        X, y = self.replicate(78)
+        spec = logistic_loss_spec(7)
+        start = evaluate(spec, X, y)
+        with pytest.raises(ValueError):
+            start.theta[0] = 1.0
+        with pytest.raises(ValueError, match="n x 7"):
+            evaluate(spec, X[:, :3], y)
+        fit = minimize_erm(spec, X, y, start=start, grad_tol=INF)
+        assert np.array_equal(fit, np.zeros(7)) and fit.flags.writeable
+
+
 class TestLogisticSensitivity:
     def test_values_m7(self):
         assert logistic_sensitivity(7, INF) == 2.0
@@ -294,7 +364,8 @@ class TestMinimizeErm:
         starts = RngStream(65, 2).generator()
         for _ in range(5):
             theta0 = starts.standard_normal(5) * 4
-            sols.append(minimize_erm(spec, X, y, gamma=2.0, linear=v, theta0=theta0))
+            sols.append(minimize_erm(spec, X, y, gamma=2.0, linear=v,
+                                     start=evaluate(spec, X, y, theta0)))
         base = sols[0]
         for s in sols[1:]:
             assert np.linalg.norm(s - base) < 1e-6

@@ -1,4 +1,5 @@
 import ast
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -10,12 +11,13 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import knorm
-from knorm import geometry
+from knorm import erm, geometry, harness
 from knorm.cli import main
 from knorm.erm import (
     ObjPertConfig,
@@ -581,6 +583,46 @@ class TestCli:
         code = "import knorm.cli, sys; assert 'scipy.stats' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
+    def test_cli_import_leaves_parser_unbuilt(self):
+        # the argparse tree is built by the first main call, not on import
+        src = os.path.dirname(os.path.dirname(knorm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import knorm.cli as c; assert c._parser.cache_info().currsize == 0"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_consecutive_calls_print_what_separate_processes_print(self, capsys,
+                                                                   monkeypatch):
+        # main reuses one parser across calls; a run of different subcommands,
+        # help and argparse errors in one process prints, byte for byte, what
+        # each prints in a fresh process
+        runs = [
+            ["sample", "--ball", "k2", "--reps", "3", "--seed", "4"],
+            ["--help"],
+            ["simulate-logistic", "--n", "100", "--reps", "1", "--eps", "1"],
+            ["sample", "--ball", "l2", "--p", "3"],
+            ["compare", "--a", "linf:2", "--b", "l2:2.8284271247461903", "--m", "2"],
+            ["sample", "--help"],
+            ["compare", "--a", "linf:2"],
+            ["sample", "--ball", "l1", "--m", "3", "--reps", "2"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")
+        src = os.path.dirname(os.path.dirname(knorm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, knorm.cli; sys.exit(knorm.cli.main(sys.argv[1:]))"
+        statuses = set()
+        for argv in runs:
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert (status, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+            statuses.add(status)
+        assert statuses == {0, 2}
+
     def test_cli_import_and_light_commands_skip_scipy_special(self):
         # scipy.special took about 60% of `import knorm.cli` when it was a
         # module-level import; now only the gamma helpers, the KS critical
@@ -786,6 +828,50 @@ class TestBenchmarkHooks:
             for args, _ in calls["hess"]:
                 assert len(args) == 4
                 assert args[3] is curvature[args[0].tobytes()]
+
+    def test_logistic_evaluates_start_once_per_replicate(self, monkeypatch):
+        # simulate_logistic evaluates theta = 0 once per replicate and hands it
+        # to all the replicate's fits; each of them then makes one loss and
+        # one hess call fewer than the same fit started on its own (whose
+        # hess count is its number of Newton steps) and gives the same bits
+        log = []
+
+        def counting(fn, kind):
+            def counted(*args):
+                log.append((kind, args[0].tobytes()))
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(erm, "_logistic_loss_and_grad",
+                            counting(erm._logistic_loss_and_grad, "loss"))
+        monkeypatch.setattr(erm, "_logistic_hess", counting(erm._logistic_hess, "hess"))
+        zero = np.zeros(len(LOGISTIC_BETA)).tobytes()
+        starts = []
+
+        def sharing(fn):
+            def fit(*args, start):
+                mark = len(log)
+                alone = fn(*copy.deepcopy(args))
+                calls_alone = Counter(kind for kind, _ in log[mark:])
+                del log[mark:]
+                theta = fn(*args, start=start)
+                assert np.array_equal(theta, alone)
+                assert ("loss", zero) not in log[mark:]
+                assert Counter(kind for kind, _ in log[mark:]) == calls_alone - Counter(
+                    loss=1, hess=1)
+                starts.append(start)
+                return theta
+            return fit
+
+        monkeypatch.setattr(harness, "minimize_erm", sharing(harness.minimize_erm))
+        monkeypatch.setattr(harness, "objective_perturbation",
+                            sharing(harness.objective_perturbation))
+        config = SimulationConfig(eps=(0.5, 1.0), n=200, reps=2,
+                                  mechanisms=("l1", "l2", "linf"), q=0.3, seed=5)
+        simulate_logistic(config)
+        assert len(starts) == config.reps * (1 + 2 * 3)
+        assert len({id(s) for s in starts}) == config.reps
+        assert log.count(("loss", zero)) == log.count(("hess", zero)) == config.reps
 
     def test_sampler_calls_layers_times_run(self):
         # the three sample_k_mech_rejection calls of perfbench/layers.py, at
