@@ -4,8 +4,9 @@ The statistic vector collects the unique non-constant entries of X'X and
 X'y for a design with an all-ones first column and entries in [-1, 1],
 with squared-column slots doubled so every slot has sensitivity 2. Noise
 from the l1, l-infinity, or hull mechanism is added to the whole vector at
-once, and the coefficient estimate is recovered by a pseudoinverse solve,
-which is pure post-processing.
+once, and the coefficient estimate is recovered by a Moore-Penrose solve
+(``np.linalg.eigh`` on one triangle of the exactly symmetric reassembled
+system), which is pure post-processing.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "RegressionDataset",
     "ball_from_name",
     "build_statistic",
+    "statistic_from_gram",
     "kt_ball",
     "statistic_dimension",
     "sanitize_statistic",
@@ -150,17 +152,18 @@ class RegressionDataset:
 
 def build_statistic(data: RegressionDataset) -> StatisticVector:
     """Sufficient-statistic vector of a dataset in the fixed slot order."""
-    X = data.design[:, 1:]
-    y = data.response
-    layout = _shared_layout(data.p)
-    gram = X.T @ X
-    values = np.concatenate([
-        X.sum(axis=0),
-        gram[layout.gram_cols, layout.gram_rows] * layout.gram_scale,
-        [y.sum()],
-        X.T @ y,
-    ])
-    return StatisticVector(values, data.p)
+    design = data.design
+    return statistic_from_gram(design.T @ design, design.T @ data.response)
+
+
+def statistic_from_gram(xtx, xty) -> StatisticVector:
+    """Sufficient-statistic vector read from D'D and D'y of a design D whose
+    first column is all ones, so D'D's first row past n holds the sums."""
+    p = len(xtx) - 1
+    layout = _shared_layout(p)
+    rows, cols = 1 + layout.gram_rows, 1 + layout.gram_cols
+    values = np.concatenate([xtx[0, 1:], xtx[cols, rows] * layout.gram_scale, xty])
+    return StatisticVector(values, p)
 
 
 def kt_ball(p) -> NormBall:
@@ -225,18 +228,20 @@ def dp_estimate(stat: StatisticVector, n_rows):
     """Coefficient estimate from (possibly noisy) sufficient statistics.
 
     Reassembles (X'X)* and (X'y)*, halving the doubled diagonal slots and
-    restoring the constant n entry, then solves with the Moore-Penrose
-    pseudoinverse, dropping singular values at or below
-    (p+1) * machine epsilon * sigma_max. Total: indefinite or singular
-    reconstructions still produce an estimate.
+    restoring the constant n entry, into an exactly symmetric system, and
+    returns its Moore-Penrose solution Q diag(1/lambda) Q' (X'y)* from the
+    ``np.linalg.eigh`` of one triangle, dropping each |lambda| at or below
+    (p+1) * machine epsilon * max |lambda|: the pseudoinverse's own cutoff,
+    as a symmetric matrix's singular values are its |lambda|. Total:
+    indefinite or singular reconstructions still produce an estimate.
     """
     return dp_estimates([stat], n_rows)[0]
 
 
 def dp_estimates(stats, n_rows):
     """dp_estimate of each statistic vector in a sequence sharing one p, as
-    rows of one array, from one pseudoinverse call on the stack of
-    reassembled systems; each row is bit-identical to dp_estimate's."""
+    rows of one array, from one ``eigh`` call on the stack of reassembled
+    systems; each row is bit-identical to dp_estimate's."""
     if not stats:
         return np.empty((0, 0))
     p = stats[0].p
@@ -248,8 +253,10 @@ def dp_estimates(stats, n_rows):
     rows, cols = 1 + layout.gram_rows, 1 + layout.gram_cols
     xtx[:, rows, cols] = xtx[:, cols, rows] = v[:, p:layout.ysum] / layout.gram_scale
     xty = v[:, layout.ysum:, None]
-    rcond = (p + 1) * np.finfo(float).eps
-    return (np.linalg.pinv(xtx, rcond=rcond) @ xty)[:, :, 0]
+    lam, Q = np.linalg.eigh(xtx)
+    cutoff = (p + 1) * np.finfo(float).eps * np.abs(lam).max(axis=1, keepdims=True)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=np.abs(lam) > cutoff)
+    return (Q @ (inv[:, :, None] * (Q.transpose(0, 2, 1) @ xty)))[:, :, 0]
 
 
 def preprocess(columns, response, log_columns=(), lower_q=0.0001,

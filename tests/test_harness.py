@@ -30,6 +30,7 @@ from knorm.geometry import NormBall, k2_ball
 from knorm.linreg import ball_from_name, kt_ball
 from knorm.sampling import MechanismConfig, RngStream, sample_k_mech_rejection, sample_noise
 from knorm.harness import (
+    DEFAULT_COVERAGE_EPS,
     LOGISTIC_BETA,
     SimulationConfig,
     ks_critical,
@@ -690,9 +691,16 @@ class TestRunLayer:
     def test_regression_file_bytes_pinned(self, tmp_path, monkeypatch):
         config = self._regression_file(tmp_path, monkeypatch, ("l1", "linf", "kt"))
         assert _sha256(run_regression_file(config)) == (
-            "56e9cf24dcf5f0df52c82d1cfba6cd4a6df3b06b1111d11d92083751562ca248")
+            "8c16b2ce3f08fb80f0ef58e09519af4777bc9c0b2f29c6f6fd472db718d52112")
 
-    # l1/linf bytes are those of the per-cell pinv solves, less the "# q=0.5" echo
+    def test_coverage_benchmark_shape_bytes_pinned(self):
+        # the coverage-kt12 workload's shape: p = 12 and n = 10^4
+        config = SimulationConfig(eps=DEFAULT_COVERAGE_EPS, n=10_000, p=12, reps=2,
+                                  mechanisms=("l1", "linf", "kt"), seed=0)
+        assert _sha256(simulate_coverage(config)) == (
+            "4eb18e7fa43d2a440b71f81d2921478ba9e8e57a5f6bda21cd14c237ff1b9fbf")
+
+    # l1/linf coverage bytes are those of the per-cell pinv solves, less the "# q=0.5" echo
 
     def test_coverage_l1_linf_bytes_pinned(self):
         assert _sha256(simulate_coverage(self._coverage(("l1", "linf")))) == (
@@ -701,7 +709,7 @@ class TestRunLayer:
     def test_regression_file_l1_linf_bytes_pinned(self, tmp_path, monkeypatch):
         config = self._regression_file(tmp_path, monkeypatch, ("l1", "linf"))
         assert _sha256(run_regression_file(config)) == (
-            "6f583256e5692de169f433eba0b516507591b6dce0bc1b332e5630e41779df55")
+            "aa0d8086b67cc46d97758f19d638aefb2a9e1847462845fb4d79aef188d0bf9a")
 
     @staticmethod
     def _coverage(mechanisms):

@@ -31,6 +31,7 @@ from knorm.linreg import (
     preprocess,
     sanitize_statistic,
     statistic_dimension,
+    statistic_from_gram,
 )
 from knorm.sampling import (
     MechanismConfig, RngStream, SamplerError, sample_k_mech_rejection, sample_noise,
@@ -185,6 +186,15 @@ class TestBuildStatistic:
                            gram[layout.cross_j, layout.cross_k])
         assert math.isclose(stat.values[layout.ysum], data.response.sum())
         assert np.allclose(stat.values[layout.xy], X0.T @ data.response)
+
+    def test_reads_the_design_gram(self):
+        rng = np.random.default_rng(72)
+        for p in (1, 2, 5, 12):
+            data = random_dataset(rng, 60, p)
+            D, y = data.design, data.response
+            stat = statistic_from_gram(D.T @ D, D.T @ y)
+            assert stat.p == p
+            assert np.array_equal(build_statistic(data).values, stat.values)
 
     def test_statistic_vector_length_checked(self):
         with pytest.raises(ValueError):
@@ -551,8 +561,8 @@ class TestSanitize:
                                max_attempts=0)
 
 
-def per_call_estimate(stat, n_rows):
-    """One pinv call per statistic, on a system built slot by slot."""
+def reference_system(stat, n_rows):
+    """The system (X'X)*, (X'y)* of a statistic, built slot by slot."""
     p, slots = stat.p, ReferenceSlots(stat.p)
     v = stat.values
     xtx = np.empty((p + 1, p + 1))
@@ -562,13 +572,28 @@ def per_call_estimate(stat, n_rows):
         xtx[j, j] = v[slots.sq(j)] / 2.0
         for i in range(1, j):
             xtx[i, j] = xtx[j, i] = v[slots.cross(i, j)]
-    xty = v[slots.ysum:]
-    return np.linalg.pinv(xtx, rcond=(p + 1) * np.finfo(float).eps) @ xty
+    return xtx, v[slots.ysum:]
+
+
+def solve_rcond(p):
+    """pinv's relative cutoff for a (p + 1)-square system."""
+    return (p + 1) * np.finfo(float).eps
+
+
+def per_call_estimate(stat, n_rows):
+    """One eigh call per statistic, on a system built slot by slot, and its
+    Moore-Penrose solution dropping |eigenvalues| at or below pinv's cutoff."""
+    xtx, xty = reference_system(stat, n_rows)
+    lam, Q = np.linalg.eigh(xtx)
+    keep = np.abs(lam) > solve_rcond(stat.p) * np.abs(lam).max()
+    inv = np.zeros(len(lam))
+    inv[keep] = 1.0 / lam[keep]
+    return Q @ (inv * (Q.T @ xty))
 
 
 class TestDpEstimate:
     def test_stacked_solve_is_bit_identical(self):
-        # one pinv call on the stack gives each row's per-call bits
+        # one eigh call on the stack gives each row's per-call bits
         rng = np.random.default_rng(340)
         for p in (1, 2, 5, 12):
             d = statistic_dimension(p)
@@ -580,6 +605,39 @@ class TestDpEstimate:
                 assert np.array_equal(row, per_call_estimate(stat, 5000))
                 assert np.array_equal(row, dp_estimate(stat, 5000))
         assert dp_estimates([], 5000).shape == (0, 0)
+
+    def test_matches_general_pinv(self):
+        # pinv's general SVD is an independent reference: a symmetric
+        # matrix's singular values are its |eigenvalues|, so both solves drop
+        # the same values. Random statistics give mostly indefinite systems;
+        # two identical predictor columns on a grid whose sums are exact give
+        # an exactly singular one.
+        rng = np.random.default_rng(341)
+        n_rows = 200
+        for p in (1, 2, 5, 12):
+            d = statistic_dimension(p)
+            stats = [StatisticVector(rng.normal(size=d) * scale, p)
+                     for scale in (1.0, 100.0, 1e4) for _ in range(7)]
+            dropped = [0] * len(stats)
+            if p > 1:
+                X0 = rng.integers(-4, 5, (n_rows, p)) / 4.0
+                X0[:, -1] = X0[:, 0]
+                y = rng.integers(-4, 5, n_rows) / 4.0
+                design = np.column_stack([np.ones(n_rows), X0])
+                stats.append(build_statistic(RegressionDataset(design, y)))
+                dropped.append(1)
+            indefinite = 0
+            for stat, row, n_dropped in zip(stats, dp_estimates(stats, n_rows), dropped):
+                xtx, xty = reference_system(stat, n_rows)
+                lam = np.linalg.eigh(xtx)[0]
+                sv = np.linalg.svd(xtx, compute_uv=False)
+                rcond = solve_rcond(p)
+                assert np.sum(np.abs(lam) <= rcond * np.abs(lam).max()) == n_dropped
+                assert np.sum(sv <= rcond * sv.max()) == n_dropped
+                indefinite += lam.min() < 0.0 < lam.max()
+                ref = np.linalg.pinv(xtx, rcond=rcond) @ xty
+                assert np.linalg.norm(row - ref) <= 1e-9 * np.linalg.norm(ref)
+            assert indefinite > 0
 
     def test_zero_noise_equals_ols(self):
         rng = np.random.default_rng(79)
