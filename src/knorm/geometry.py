@@ -112,8 +112,8 @@ class NormBall:
             raise ValueError(f"volume must be positive and finite, got {self.volume}")
 
     @classmethod
-    def lp(cls, p, radius, dimension, name=""):
-        return cls(dimension=dimension, p=float(p), radius=float(radius), name=name)
+    def lp(cls, p, radius, dimension):
+        return cls(dimension=dimension, p=float(p), radius=float(radius))
 
     @property
     def is_lp(self):

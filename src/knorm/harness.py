@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -26,19 +27,20 @@ from .erm import (
     objective_perturbation,
 )
 from .linreg import (
+    StatisticVector,
     ball_from_name,
     build_statistic,
     dp_estimates,
     preprocess,
-    sanitize_statistic,
     statistic_from_gram,
+    statistic_mechanism,
 )
 from .ordering import gamma_cdf
 from .sampling import MechanismConfig, RngStream, sample_l1_mech, sample_noise
 
 # unused here, but perfbench/spans.py rebinds these names in this module
 from .geometry import lp_norm  # noqa: F401
-from .linreg import dp_estimate  # noqa: F401
+from .linreg import dp_estimate, sanitize_statistic  # noqa: F401
 from .sampling import sample_k_mech_rejection, sample_l2_mech, sample_linf_mech  # noqa: F401
 
 __all__ = [
@@ -157,17 +159,23 @@ def _echo(experiment, config: SimulationConfig, **extra):
 
 
 def _cells(config):
-    """(eps index, eps, mechanism index, mechanism) of every cell, in output order."""
-    for ei, eps in enumerate(config.eps):
-        for ki, mech in enumerate(config.mechanisms):
-            yield ei, eps, ki, mech
+    """(cell index, eps, mechanism) of every cell, in output order."""
+    return [(cell, eps, mech) for cell, (eps, mech)
+            in enumerate(itertools.product(config.eps, config.mechanisms))]
 
 
-def _noise_rng(config, ei, ki, rep):
+def _noise_rng(config, cell, rep):
     """Noise generator of one cell and replicate."""
     # data streams occupy [0, reps); noise streams are disjoint by construction
-    cell = ei * len(config.mechanisms) + ki
     return RngStream(config.seed, config.reps + cell * config.reps + rep).generator()
+
+
+def _private_estimates(stat, draws, n_rows):
+    """Private estimates from one noisy copy of stat per (MechanismConfig,
+    noise generator) pair, solved as one stack."""
+    noisy = [StatisticVector(stat.values + sample_noise(mechanism, rng), stat.p)
+             for mechanism, rng in draws]
+    return dp_estimates(noisy, n_rows)
 
 
 def _summarize(table, config, metric, reduce, baselines=()):
@@ -177,7 +185,7 @@ def _summarize(table, config, metric, reduce, baselines=()):
     for eps, mech, _, _, value in table.long_rows:
         values[(eps, mech)].append(value)
     keys = [("", mech) for mech in baselines]
-    keys += [(float(eps), mech) for _, eps, _, mech in _cells(config)]
+    keys += [(float(eps), mech) for _, eps, mech in _cells(config)]
     for eps, mech in keys:
         table.summary_rows.append((eps, mech, metric, reduce(values[(eps, mech)])))
 
@@ -200,6 +208,8 @@ def simulate_logistic(config: SimulationConfig) -> ResultTable:
             raise ValueError(f"logistic regression needs an lp ball, got {mech!r}")
         # logistic_sensitivity rejects an lp ball other than l1, l2 or linf
         losses[mech] = logistic_loss_spec(m, ball.p)
+    cells = [(cell, eps, mech, ObjPertConfig(epsilon=eps, q=config.q, loss=losses[mech]))
+             for cell, eps, mech in _cells(config)]
     mle_loss = logistic_loss_spec(m)
     table = ResultTable(_echo("logistic", config, q=_fmt(float(config.q)), m=m))
     for rep in range(config.reps):
@@ -215,9 +225,8 @@ def simulate_logistic(config: SimulationConfig) -> ResultTable:
         mle_err = float(np.linalg.norm(mle - beta))
         table.long_rows.append(("", "mle", rep, "l2_error", mle_err))
 
-        for ei, eps, ki, mech in _cells(config):
-            cfg = ObjPertConfig(epsilon=eps, q=config.q, loss=losses[mech])
-            theta = objective_perturbation(cfg, X, y, _noise_rng(config, ei, ki, rep),
+        for cell, eps, mech, objpert in cells:
+            theta = objective_perturbation(objpert, X, y, _noise_rng(config, cell, rep),
                                            start=start)
             err = float(np.linalg.norm(theta - beta))
             table.long_rows.append((float(eps), mech, rep, "l2_error", err))
@@ -244,6 +253,8 @@ def simulate_coverage(config: SimulationConfig) -> ResultTable:
     if n <= p + 1:
         raise ValueError(f"coverage needs n > p + 1 for its t-intervals' "
                          f"n - p - 1 degrees of freedom, got n={n}, p={p}")
+    cells = [(cell, eps, mech, statistic_mechanism(mech, p, eps))
+             for cell, eps, mech in _cells(config)]
     beta = np.concatenate([[0.0], np.linspace(-1.5, 1.5, p)])
     table = ResultTable(_echo("coverage", config, p=p))
     tcrit = float(stdtrit(n - p - 1, 0.975))
@@ -266,10 +277,8 @@ def simulate_coverage(config: SimulationConfig) -> ResultTable:
         table.long_rows.append(("", "true_beta", rep, "coverage", cov_true))
 
         stat = statistic_from_gram(xtx, xty)
-        cells = list(_cells(config))
-        noisy = [sanitize_statistic(stat, mech, eps, _noise_rng(config, ei, ki, rep))
-                 for ei, eps, ki, mech in cells]
-        for (_, eps, _, mech), beta_dp in zip(cells, dp_estimates(noisy, n)):
+        draws = [(mechanism, _noise_rng(config, cell, rep)) for cell, _, _, mechanism in cells]
+        for (_, eps, mech, _), beta_dp in zip(cells, _private_estimates(stat, draws, n)):
             cov = float(np.mean((beta_dp[1:] >= lo[1:]) & (beta_dp[1:] <= hi[1:])))
             table.long_rows.append((float(eps), mech, rep, "coverage", cov))
 
@@ -314,7 +323,11 @@ def run_regression_file(config: SimulationConfig) -> ResultTable:
     to [-1,1]), computes the least-squares fit, and for every (epsilon,
     mechanism, replicate) records the l2 distance between the private
     estimate and that fit, solving all private estimates as one stack. The
-    zero-vector baseline ||beta_mle||_2 is echoed in the header.
+    zero-vector baseline ||beta_mle||_2 is echoed in the header. The
+    preprocessing bounds are read from the private table, and the
+    sensitivities hold under "replace one row" of the preprocessed table,
+    so the release is not eps-DP with respect to the CSV: one changed row
+    moved a slot by 1302.6 against the assumed 2 (see preprocess).
     """
     if config.csv_path is None or config.response is None:
         raise ValueError("run-regression requires a csv path and response column")
@@ -326,6 +339,8 @@ def run_regression_file(config: SimulationConfig) -> ResultTable:
         lower_q=config.lower_q,
         upper_q=config.upper_q,
     )
+    cells = [(cell, eps, mech, statistic_mechanism(mech, data.p, eps))
+             for cell, eps, mech in _cells(config)]
     beta_mle, *_ = np.linalg.lstsq(data.design, data.response, rcond=None)
     baseline = float(np.linalg.norm(beta_mle))
     stat = build_statistic(data)
@@ -333,11 +348,9 @@ def run_regression_file(config: SimulationConfig) -> ResultTable:
         "regression-file", config, n=data.n, p=data.p, csv=config.csv_path,
         response=config.response, baseline_l2=_fmt(baseline),
     ))
-    runs = [(ei, eps, ki, mech, rep) for ei, eps, ki, mech in _cells(config)
-            for rep in range(config.reps)]
-    noisy = [sanitize_statistic(stat, mech, eps, _noise_rng(config, ei, ki, rep))
-             for ei, eps, ki, mech, rep in runs]
-    for (_, eps, _, mech, rep), beta_dp in zip(runs, dp_estimates(noisy, data.n)):
+    runs = [(*cell, rep) for cell in cells for rep in range(config.reps)]
+    draws = [(mechanism, _noise_rng(config, cell, rep)) for cell, _, _, mechanism, rep in runs]
+    for (_, eps, mech, _, rep), beta_dp in zip(runs, _private_estimates(stat, draws, data.n)):
         dist = float(np.linalg.norm(beta_dp - beta_mle))
         table.long_rows.append((float(eps), mech, rep, "l2_distance_to_mle", dist))
     table.summary_rows.append(("", "zero", "l2_distance_to_mle", baseline))

@@ -102,85 +102,66 @@ def sample_gamma_int(shape, rate, rng, size=None):
     return rng.standard_exponential((size, k)).sum(axis=1) / rate
 
 
-def _laplace_inverse_cdf(u, scale):
-    # u in (0,1); median u=1/2 maps to exactly 0
-    half = u - 0.5
-    return -scale * np.sign(half) * np.log1p(-2.0 * np.abs(half))
+def _lp_noise(p, m, delta, epsilon, rng, n):
+    """(n, m) draws with density proportional to exp(-(epsilon/delta)*||v||_p).
+
+    l1 takes iid Laplace coordinates, l-infinity a Gamma(m+1) radius times
+    a uniform point of the box, and any other p a Gamma(m) radius times
+    G/||G||_p, which follows the cone measure of the unit lp sphere
+    independently of ||G||_p when G has iid coordinates of density
+    proportional to exp(-c|g|^p) (Barthe, Guedon, Mendelson & Naor, Ann.
+    Prob. 2005): standard normal at p = 2, else the polar form
+    Gamma(1 + 1/p)^(1/p) * U with U uniform on (-1, 1), which is
+    +-Gamma(1/p)^(1/p) in law (Gamma(a) = Gamma(a + 1) * U^(1/a)) without
+    the underflow of Gamma(1/p) at large p.
+    """
+    if p == 1:
+        u = rng.random((n, m))
+        # u = 0 maps to -inf; redrawing it conditions u onto (0, 1), which keeps
+        # the draw exact and leaves every stream without an exact 0 unchanged
+        zero = u == 0.0
+        while zero.any():
+            u[zero] = rng.random(int(zero.sum()))
+            zero = u == 0.0
+        # Laplace inverse CDF; the median u = 1/2 maps to exactly 0
+        half = u - 0.5
+        return -(delta / epsilon) * np.sign(half) * np.log1p(-2.0 * np.abs(half))
+    if p == math.inf:
+        u = rng.uniform(-1.0, 1.0, size=(n, m))
+        return sample_gamma_int(m + 1, epsilon / delta, rng, size=n)[:, None] * u
+    if p == 2:
+        g = rng.standard_normal((n, m))
+    else:
+        u = rng.uniform(-1.0, 1.0, size=(n, m))
+        g = rng.standard_gamma(1.0 + 1.0 / p, size=(n, m)) ** (1.0 / p) * u
+    norms = lp_norm(g, p)[:, None]
+    # an all-zero G has probability zero; guard the division anyway
+    norms[norms == 0.0] = 1.0
+    r = sample_gamma_int(m, epsilon / delta, rng, size=n)
+    return r[:, None] * g / norms
 
 
 def sample_l1_mech(T, delta1, epsilon, rng, size=None):
     """l1-mechanism output T + V, V iid Laplace(delta1/epsilon) per coordinate."""
-    _check_positive("delta1", delta1)
-    _check_positive("epsilon", epsilon)
-    T = np.asarray(T, dtype=float)
-    m = T.shape[-1]
-    scale = delta1 / epsilon
-    shape = (m,) if size is None else (size, m)
-    u = rng.random(shape)
-    # u = 0 maps to -inf; redrawing it conditions u onto (0, 1), which keeps
-    # the draw exact and leaves every stream without an exact 0 unchanged
-    zero = u == 0.0
-    while zero.any():
-        u[zero] = rng.random(int(zero.sum()))
-        zero = u == 0.0
-    v = _laplace_inverse_cdf(u, scale)
-    return T + v
+    return sample_lp_mech(T, 1, delta1, epsilon, rng, size)
 
 
 def sample_l2_mech(T, delta2, epsilon, rng, size=None):
     """l2-mechanism output T + r*Z/||Z||_2 with r ~ Gamma(m, eps/delta2)."""
-    _check_positive("delta2", delta2)
-    _check_positive("epsilon", epsilon)
-    T = np.asarray(T, dtype=float)
-    m = T.shape[-1]
-    n = 1 if size is None else size
-    z = rng.standard_normal((n, m))
-    norms = lp_norm(z, 2)[:, None]
-    # a zero normal vector has probability zero; guard the division anyway
-    norms[norms == 0.0] = 1.0
-    r = sample_gamma_int(m, epsilon / delta2, rng, size=n)
-    v = r[:, None] * z / norms
-    return T + (v[0] if size is None else v)
+    return sample_lp_mech(T, 2, delta2, epsilon, rng, size)
 
 
 def sample_linf_mech(T, delta_inf, epsilon, rng, size=None):
     """l-infinity mechanism output T + r*U, U iid Uniform(-1,1), r ~ Gamma(m+1, eps/delta)."""
-    _check_positive("delta_inf", delta_inf)
-    _check_positive("epsilon", epsilon)
-    T = np.asarray(T, dtype=float)
-    m = T.shape[-1]
-    n = 1 if size is None else size
-    u = rng.uniform(-1.0, 1.0, size=(n, m))
-    r = sample_gamma_int(m + 1, epsilon / delta_inf, rng, size=n)
-    v = r[:, None] * u
-    return T + (v[0] if size is None else v)
+    return sample_lp_mech(T, math.inf, delta_inf, epsilon, rng, size)
 
 
 def sample_lp_mech(T, p, delta_p, epsilon, rng, size=None):
-    """lp-mechanism output T + r*G/||G||_p with r ~ Gamma(m, eps/delta_p), any p >= 1.
-
-    G has iid coordinates with density proportional to exp(-|g|^p), so
-    G/||G||_p follows the cone measure of the unit lp sphere and is
-    independent of ||G||_p (Barthe, Guedon, Mendelson & Naor, Ann. Prob.
-    2005). Each coordinate is drawn as Gamma(1 + 1/p)^(1/p) * U with U
-    uniform on (-1, 1): since Gamma(a) = Gamma(a + 1) * U^(1/a) in law, this
-    is +-Gamma(1/p)^(1/p), without the underflow of Gamma(1/p) for large p.
-    """
-    _check_positive("delta_p", delta_p)
-    _check_positive("epsilon", epsilon)
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    """lp-mechanism output T + V, V with density proportional to
+    exp(-(epsilon/delta_p)*||V||_p), any p >= 1 (see _lp_noise)."""
     T = np.asarray(T, dtype=float)
-    m = T.shape[-1]
-    n = 1 if size is None else size
-    u = rng.uniform(-1.0, 1.0, size=(n, m))
-    g = rng.standard_gamma(1.0 + 1.0 / p, size=(n, m)) ** (1.0 / p) * u
-    norms = lp_norm(g, p)[:, None]
-    # an all-zero G has probability zero; guard the division anyway
-    norms[norms == 0.0] = 1.0
-    r = sample_gamma_int(m, epsilon / delta_p, rng, size=n)
-    v = r[:, None] * g / norms
-    return T + (v[0] if size is None else v)
+    config = MechanismConfig(epsilon, delta_p, NormBall.lp(p, 1.0, T.shape[-1]))
+    return T + sample_noise(config, rng, size=size)
 
 
 def sample_uniform_ball(ball: NormBall, rng, size=None, max_attempts=10**6):
@@ -213,8 +194,8 @@ def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng,
     U is uniform on the unit-scale ball (the ball's own sampler; see
     sample_uniform_ball) and r ~ Gamma(m+1, eps/delta_k) independent, which
     yields the target density proportional to exp(-(eps/delta_k)*||v||_K).
-    An lp ball takes box rejection here; sample_noise draws it in closed
-    form instead.
+    An lp ball takes box rejection here; sample_noise draws it in closed or
+    polar form instead.
 
     With return_stats, also returns a dict with proposal counts and the
     acceptance rate.
@@ -243,25 +224,19 @@ def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng,
 
 
 def sample_noise(config: MechanismConfig, rng, size=None, max_attempts=10**6):
-    """Noise draw(s) from a mechanism config, dispatching on the ball kind.
+    """Noise draw(s) from a mechanism config: one (m,) draw, or (size, m).
 
-    The gauge here is the ball's own Minkowski functional, so an lp ball of
+    An lp ball takes its closed form (see _lp_noise), and a hull ball an
+    exact uniform point of its body (see sample_k_mech_rejection). The
+    gauge here is the ball's own Minkowski functional, so an lp ball of
     radius r uses the effective per-norm scale delta*r.
     """
     ball = config.ball
-    m = ball.dimension
-    zero = np.zeros(m)
-    if ball.is_lp:
-        # gauge = lp_norm/r, so the density in the lp norm has scale delta*r
-        delta_eff = config.delta * ball.radius
-        if ball.p == 1:
-            return sample_l1_mech(zero, delta_eff, config.epsilon, rng, size=size)
-        if ball.p == 2:
-            return sample_l2_mech(zero, delta_eff, config.epsilon, rng, size=size)
-        if ball.p == math.inf:
-            return sample_linf_mech(zero, delta_eff, config.epsilon, rng, size=size)
-        return sample_lp_mech(zero, ball.p, delta_eff, config.epsilon, rng, size=size)
-    return sample_k_mech_rejection(
-        zero, ball, config.delta, config.epsilon, rng,
-        max_attempts=max_attempts, size=size,
-    )
+    if not ball.is_lp:
+        return sample_k_mech_rejection(
+            np.zeros(ball.dimension), ball, config.delta, config.epsilon, rng,
+            max_attempts=max_attempts, size=size,
+        )
+    v = _lp_noise(ball.p, ball.dimension, config.delta * ball.radius, config.epsilon,
+                  rng, 1 if size is None else size)
+    return v[0] if size is None else v

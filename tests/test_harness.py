@@ -419,6 +419,33 @@ class TestCli:
         assert rows.shape == (1000, 12)
         assert np.all(np.isfinite(rows))
 
+    # sha256 of stdout at --seed 0; like the TestRunLayer pins, these bytes
+    # hold for one numpy SIMD target and BLAS kernel (ROADMAP item 9)
+    @pytest.mark.parametrize("argv, digest", [
+        ("compare --a k2:1 --b linf:2 --m 2",
+         "0157cdc66002193273790f665852b82ede1217b8478b8d953fdbf25a83014651"),
+        ("compare --a k2:1 --b l2:2.8284271247461903 --m 2",
+         "07887f1c1099da49552bdd9376c2d0131d96b3d2fa1f80cc30966035fb3dacfb"),
+        ("compare --a kt3:1 --b linf:2 --m 13",
+         "f6d84f3cfc2b6c7d85d2ec7c493b67779a8d4ed4524122d3f16df932c6aaeca9"),
+        ("sample --ball kt5",
+         "e18d7ba303760f93e23ef2314e68555183b631612eddab312f72e38eb612ed7c"),
+        ("sample --ball k3",
+         "ad7cae0e542bed0cff554df1ce809de961b0af99f4de8f9b99346f31b85c5991"),
+        ("sample --ball l1.5 --m 10",
+         "49a98b4a28a4d714999a3fae5acd415000577e768388724541f489c94a951379"),
+        ("sample --ball l1 --m 4",
+         "53b967b4aa7cd448090de69a4a2baa804b363d1af62627b2ee14e1c2a5da059a"),
+        ("sample --ball l2 --m 4",
+         "bff21e9d3cd6cbeebbfbfc0a2ff4d4d77b0d7d6741884ea9d8f45f61dfe407c4"),
+        ("sample --ball linf --m 4",
+         "9d5ecfc5762cb5b8a87f88cfca7fc37dc5dd0848c4b6f21fed72516fd6335dd7"),
+    ])
+    def test_compare_and_sample_bytes_pinned(self, capsys, argv, digest):
+        assert main(argv.split() + ["--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_compare_stdout(self, capsys):
         code = main(["compare", "--a", "linf:2", "--b", "l2:2.8284271247461903",
                      "--m", "2", "--eps", "1"])
@@ -760,24 +787,104 @@ class TestRunLayer:
         assert "row 3, column 'y': not a finite number" in capsys.readouterr().err
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _perfbench_spans():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+class TestMechanismResolution:
+    """Each driver turns every (epsilon, mechanism) cell into its config
+    once, before the first replicate draws data or noise."""
+
+    @staticmethod
+    def _counting(monkeypatch, cls):
+        count = []
+        post_init = cls.__post_init__
+
+        def counted(self):
+            count.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+        return count
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_one_config_per_cell(self, tmp_path, monkeypatch, reps):
+        positive_regression_csv(tmp_path / "data.csv")
+        eps, mechs = (0.5, 1.0), ("l1", "linf")
+        runs = [
+            (simulate_logistic, ObjPertConfig, dict(n=200)),
+            (simulate_coverage, MechanismConfig, dict(n=300, p=2)),
+            (run_regression_file, MechanismConfig,
+             dict(csv_path=str(tmp_path / "data.csv"), response="y")),
+        ]
+        for driver, cls, fields in runs:
+            with monkeypatch.context() as patch:
+                count = self._counting(patch, cls)
+                driver(SimulationConfig(eps=eps, reps=reps, mechanisms=mechs, seed=3,
+                                        **fields))
+            assert len(count) == len(eps) * len(mechs), driver.__name__
+
+    @pytest.mark.parametrize("driver, fields", [
+        (simulate_logistic, dict(n=200, mechanisms=("l1", "gauss"))),
+        # q must lie in (0, 1)
+        (simulate_logistic, dict(n=200, mechanisms=("l1",), q=1.0)),
+        (simulate_coverage, dict(n=300, p=2, mechanisms=("l1", "gauss"))),
+        (run_regression_file, dict(csv_path="data.csv", response="y",
+                                   mechanisms=("l1", "gauss"))),
+    ])
+    def test_bad_cell_rejected_before_any_stream(self, tmp_path, monkeypatch,
+                                                 driver, fields):
+        monkeypatch.chdir(tmp_path)
+        positive_regression_csv("data.csv")
+        streams = []
+        generator = RngStream.generator
+        monkeypatch.setattr(RngStream, "generator",
+                            lambda self: streams.append(self) or generator(self))
+        with pytest.raises(ValueError):
+            driver(SimulationConfig(eps=(0.5, 1.0), reps=2, seed=3, **fields))
+        assert streams == []
+
+
 class TestBenchmarkHooks:
     def test_every_tracing_target_resolves(self):
         # perfbench/spans.py rebinds these names to time each layer; a rename in
         # src would otherwise only show as a failed traced benchmark run
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_spans", os.path.join(root, "perfbench", "spans.py"))
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = _perfbench_spans()
         missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                    for owner, attr, _ in spans.TARGETS if not hasattr(owner, attr)]
         assert missing == []
         assert {layer for _, _, layer in spans.TARGETS} <= set(spans.LAYERS)
 
+    def test_spans_only_imports_are_exactly_spans_targets(self):
+        # src keeps a "noqa: F401" import only so that perfbench/spans.py can
+        # rebind the name in that module; each one must be a TARGETS entry
+        targets = {(owner.__name__, attr) for owner, attr, _ in _perfbench_spans().TARGETS}
+        src = os.path.join(ROOT, "src", "knorm")
+        unused = []
+        for filename in sorted(os.listdir(src)):
+            if not filename.endswith(".py"):
+                continue
+            with open(os.path.join(src, filename)) as fh:
+                text = fh.read()
+            lines = text.splitlines()
+            module = "knorm" if filename == "__init__.py" else f"knorm.{filename[:-3]}"
+            for node in ast.walk(ast.parse(text)):
+                if (isinstance(node, (ast.Import, ast.ImportFrom))
+                        and "# noqa: F401" in lines[node.end_lineno - 1]):
+                    unused += [(module, alias.asname or alias.name) for alias in node.names]
+        assert unused
+        assert [name for name in unused if name not in targets] == []
+
     def test_every_name_layers_imports_resolves(self):
         # perfbench/layers.py times public names of knorm; read it, do not run it
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(root, "perfbench", "layers.py")) as fh:
+        with open(os.path.join(ROOT, "perfbench", "layers.py")) as fh:
             tree = ast.parse(fh.read())
         imports = [(node.module, alias.name) for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) and node.module
