@@ -14,7 +14,7 @@ regularizer is used. Instantiated here for logistic regression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,7 +52,7 @@ class LossSpec:
     called with positional arguments only. eigen_bound bounds the
     eigenvalues of every per-example Hessian, and (grad_ball, grad_delta)
     bound the gauge of any per-example gradient difference. validate, if
-    set, checks dataset preconditions.
+    set, checks dataset preconditions; evaluate runs it once per design.
     """
 
     dimension: int
@@ -66,11 +66,16 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class ObjPertConfig:
-    """Budget eps, split q in (0,1), and the loss being minimized."""
+    """Budget eps, split q in (0,1), and the loss being minimized.
+
+    noise is the mechanism V is drawn from, resolved once here: budget
+    eps*q on the loss's gradient-sensitivity ball and bound.
+    """
 
     epsilon: float
     q: float
     loss: LossSpec
+    noise: MechanismConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
@@ -80,6 +85,11 @@ class ObjPertConfig:
         g = self.gamma
         if not (g >= 0 and math.isfinite(g)):
             raise ValueError(f"invalid regularization weight gamma={g}")
+        object.__setattr__(self, "noise", MechanismConfig(
+            epsilon=self.epsilon * self.q,
+            delta=self.loss.grad_delta,
+            ball=self.loss.grad_ball,
+        ))
 
     @property
     def gamma(self):
@@ -162,8 +172,11 @@ class StartPoint:
     """A LossSpec evaluated at theta on one dataset: where minimize_erm starts.
 
     Holds theta (read-only), loss_and_grad's (value, grad, curvature) there
-    and hess built from that curvature, with the X, y, loss_and_grad and
-    hess they came from, so that minimize_erm can refuse other data.
+    and hess built from that curvature. X is the column-major float design
+    every fit from this start runs on, and given_X the float array it was
+    converted from (X itself when no copy was made). With y and the loss's
+    loss_and_grad, hess and validate, they let minimize_erm refuse other
+    data.
     """
 
     theta: np.ndarray
@@ -172,27 +185,37 @@ class StartPoint:
     curvature: object
     hessian: np.ndarray
     X: np.ndarray
+    given_X: np.ndarray
     y: np.ndarray
     loss_and_grad: Callable
     hess: Callable
+    validate: Optional[Callable]
 
 
 def evaluate(loss: LossSpec, X, y, theta=None) -> StartPoint:
-    """Evaluate loss, gradient, curvature and Hessian at theta (default zeros).
+    """Validate the data and evaluate loss, gradient, curvature and Hessian at
+    theta (default zeros).
 
-    X and y are converted to float arrays; pass the record's own X and y
-    (or the same float arrays) to every fit that starts from it.
+    X and y are converted to float arrays, and X to column-major order, so
+    that the kernels read contiguous columns (no copy when X already is a
+    column-major float array). loss.validate, if set, runs here, once for
+    every fit that shares the start. Pass the record's own X and y, or the
+    arrays it was built from, to every fit that starts from it.
     """
-    X = np.asarray(X, dtype=float)
+    given_X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[1] != loss.dimension:
-        raise ValueError(f"design matrix must be n x {loss.dimension}, got shape {X.shape}")
+    if given_X.ndim != 2 or given_X.shape[1] != loss.dimension:
+        raise ValueError(
+            f"design matrix must be n x {loss.dimension}, got shape {given_X.shape}")
+    X = np.asfortranarray(given_X)
+    if loss.validate is not None:
+        loss.validate(X, y)
     theta = np.zeros(loss.dimension) if theta is None else np.array(theta, dtype=float)
     theta.flags.writeable = False
     value, grad, curvature = loss.loss_and_grad(theta, X, y)
     hessian = loss.hess(theta, X, y, curvature)
-    return StartPoint(theta, value, grad, curvature, hessian,
-                      X, y, loss.loss_and_grad, loss.hess)
+    return StartPoint(theta, value, grad, curvature, hessian, X, given_X, y,
+                      loss.loss_and_grad, loss.hess, loss.validate)
 
 
 def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
@@ -208,12 +231,16 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
     diagnostics after max_iter iterations.
 
     The fit starts from start, a StartPoint from evaluate(loss, X, y,
-    theta), or from evaluate(loss, X, y) at theta = 0 when start is None.
-    One start can be shared by any number of fits on the same data with
+    theta), or from evaluate(loss, X, y) at theta = 0 when start is None;
+    evaluate validates the data, so a shared start validates it once. One
+    start can be shared by any number of fits on the same data with
     different gamma and linear: it must have been built from these very X
-    and y arrays (identity, after conversion to float arrays) and from
-    loss's own loss_and_grad and hess, or a ValueError is raised. X and y
-    must not be changed in place after evaluate, which cannot detect it.
+    and y arrays (identity, after conversion to float arrays; the start's
+    own column-major X is accepted too) and from loss's own loss_and_grad,
+    hess and validate, or a ValueError is raised. Every fit runs on the
+    start's column-major X, so theta does not depend on the layout of the
+    X passed. X and y must not be changed in place after evaluate, which
+    cannot detect it.
 
     Each Newton step takes its Hessian at a point whose loss was just
     evaluated (the start, or the accepted line-search trial), so it passes
@@ -221,13 +248,16 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
     loss is called once per evaluation and hess once per step; the first
     step uses the start's Hessian.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     if start is None:
         start = evaluate(loss, X, y)
-    elif not (start.X is X and start.y is y and start.loss_and_grad is loss.loss_and_grad
-              and start.hess is loss.hess):
-        raise ValueError("start was evaluated on other data or with another loss")
+    else:
+        X = np.asarray(X, dtype=float)
+        if not ((X is start.given_X or X is start.X)
+                and np.asarray(y, dtype=float) is start.y
+                and start.loss_and_grad is loss.loss_and_grad
+                and start.hess is loss.hess and start.validate is loss.validate):
+            raise ValueError("start was evaluated on other data or with another loss")
+    X, y = start.X, start.y
     n, m = X.shape
     v = np.zeros(m) if linear is None else np.asarray(linear, dtype=float)
     ridge = gamma * np.eye(m)
@@ -295,18 +325,12 @@ def objective_perturbation(config: ObjPertConfig, X, y, rng, start=None):
 
     start, if given, is minimize_erm's start and must sit at theta = 0: a
     data-dependent start (such as the MLE) is refused with a ValueError.
+    Without one, evaluate(config.loss, X, y) builds it, validating the data
+    before any noise is drawn.
     """
-    if start is not None and np.any(start.theta):
+    if start is None:
+        start = evaluate(config.loss, X, y)
+    elif np.any(start.theta):
         raise ValueError("objective perturbation must start at theta = 0")
-    loss = config.loss
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if loss.validate is not None:
-        loss.validate(X, y)
-    noise_cfg = MechanismConfig(
-        epsilon=config.epsilon * config.q,
-        delta=loss.grad_delta,
-        ball=loss.grad_ball,
-    )
-    v = sample_noise(noise_cfg, rng)
-    return minimize_erm(loss, X, y, gamma=config.gamma, linear=v, start=start)
+    v = sample_noise(config.noise, rng)
+    return minimize_erm(config.loss, X, y, gamma=config.gamma, linear=v, start=start)

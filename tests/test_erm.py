@@ -15,8 +15,9 @@ from knorm.erm import (
     minimize_erm,
     objective_perturbation,
 )
+from knorm import erm
 from knorm.harness import DEFAULT_LOGISTIC_EPS
-from knorm.sampling import RngStream
+from knorm.sampling import MechanismConfig, RngStream, sample_noise
 
 INF = math.inf
 BETA = np.array([0.0, -1.0, -0.5, -0.25, 0.0, 0.75, 1.5])
@@ -236,16 +237,19 @@ class TestSharedStart:
                 stream += 1
         assert stream == 25
 
-    @pytest.mark.parametrize("other", ["X copy", "y copy", "loss_and_grad", "hess"])
+    @pytest.mark.parametrize("other", ["X copy", "X column-major copy", "y copy",
+                                       "loss_and_grad", "hess", "validate"])
     def test_start_from_other_data_or_loss_rejected(self, other):
         X, y = self.replicate(76)
         spec = logistic_loss_spec(7)
         elsewhere = {
             "X copy": lambda: evaluate(spec, X.copy(), y),
+            "X column-major copy": lambda: evaluate(spec, np.asfortranarray(X), y),
             "y copy": lambda: evaluate(spec, X, y.copy()),
             "loss_and_grad": lambda: evaluate(
                 dataclasses.replace(spec, loss_and_grad=ref_loss_and_grad), X, y),
             "hess": lambda: evaluate(dataclasses.replace(spec, hess=ref_hess), X, y),
+            "validate": lambda: evaluate(dataclasses.replace(spec, validate=None), X, y),
         }[other]()
         with pytest.raises(ValueError, match="start"):
             minimize_erm(spec, X, y, start=elsewhere)
@@ -275,6 +279,110 @@ class TestSharedStart:
             evaluate(spec, X[:, :3], y)
         fit = minimize_erm(spec, X, y, start=start, grad_tol=INF)
         assert np.array_equal(fit, np.zeros(7)) and fit.flags.writeable
+
+
+class TestLayout:
+    """Fits run on a column-major copy of the design, made once by evaluate,
+    so theta does not depend on the layout of the X a caller passes."""
+
+    replicate = staticmethod(TestSharedStart.replicate)
+
+    def test_fits_bit_identical_for_c_and_f_order(self):
+        X, y = self.replicate(80)
+        F = np.asfortranarray(X)
+        assert X.flags.c_contiguous and F.flags.f_contiguous and not F.flags.c_contiguous
+        spec = logistic_loss_spec(7)
+        assert np.array_equal(minimize_erm(spec, X, y), minimize_erm(spec, F, y))
+        stream = 1
+        for eps in (0.25, 4.0):
+            for p in (1.0, 2.0, INF):
+                config = ObjPertConfig(eps, 0.5, logistic_loss_spec(7, p))
+                fits = [objective_perturbation(config, D, y,
+                                               RngStream(80, stream).generator())
+                        for D in (X, F)]
+                assert np.array_equal(fits[0], fits[1])
+                stream += 1
+
+    def test_evaluate_keeps_a_column_major_design(self):
+        X, y = self.replicate(81)
+        spec = logistic_loss_spec(7)
+        start = evaluate(spec, X, y)
+        assert start.X.flags.f_contiguous and start.given_X is X
+        assert np.array_equal(start.X, X)
+        # a column-major float design is used as it is, with no copy
+        F = np.asfortranarray(X)
+        assert evaluate(spec, F, y).X is F
+        # other inputs are converted to float first
+        ints = evaluate(spec, np.ones((3, 7), dtype=int), [0, 1, 1])
+        assert ints.X.dtype == float and ints.X.flags.f_contiguous
+
+    def test_start_from_c_order_accepted_with_that_x(self):
+        # a start built from a C-order X serves fits passed that same X or
+        # the start's own column-major X, with the same bits
+        X, y = self.replicate(82)
+        spec = logistic_loss_spec(7)
+        start = evaluate(spec, X, y)
+        fit = minimize_erm(spec, X, y, start=start)
+        assert np.array_equal(fit, minimize_erm(spec, start.X, y, start=start))
+        assert np.array_equal(fit, minimize_erm(spec, X, y))
+        config = ObjPertConfig(1.0, 0.5, spec)
+        fits = [objective_perturbation(config, D, y, RngStream(82, 1).generator(),
+                                       start=start)
+                for D in (X, start.X)]
+        assert np.array_equal(fits[0], fits[1])
+
+
+class TestValidation:
+    """evaluate validates the data, so fits sharing a start skip it, and a
+    fit without a start still refuses bad data before any noise is drawn."""
+
+    BAD = {
+        "nan": (np.nan, 1.0),
+        "inf": (INF, 1.0),
+        "-inf": (-INF, 1.0),
+        "out of range": (1.5, 1.0),
+        "label 2": (0.5, 2.0),
+        "label 0.5": (0.5, 0.5),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("fit", ["minimize_erm", "objective_perturbation"])
+    def test_startless_fit_rejects_bad_data(self, fit, bad):
+        feature, label = self.BAD[bad]
+        X = np.array([[0.5, -0.25], [feature, 0.0], [-1.0, 1.0]])
+        y = np.array([1.0, label, 0.0])
+        spec = logistic_loss_spec(2)
+        rng = RngStream(83, 0).generator()
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite" if label in (0.0, 1.0) else "0/1"):
+            if fit == "minimize_erm":
+                minimize_erm(spec, X, y)
+            else:
+                objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y, rng)
+        assert rng.bit_generator.state == state
+        # the same data in C or F order, and through evaluate
+        with pytest.raises(ValueError):
+            evaluate(spec, np.asfortranarray(X), y)
+
+    def test_shared_start_validates_once(self, monkeypatch):
+        calls = []
+        validate = erm._logistic_validate
+        monkeypatch.setattr(erm, "_logistic_validate",
+                            lambda X, y: (calls.append(X), validate(X, y))[1])
+        X, y = TestSharedStart.replicate(84)
+        specs = [logistic_loss_spec(7, p) for p in (1.0, 2.0, INF)]
+        start = evaluate(specs[2], X, y)
+        assert len(calls) == 1 and calls[0] is start.X
+        minimize_erm(specs[2], X, y, start=start)
+        for i, spec in enumerate(specs):
+            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y,
+                                   RngStream(84, 1 + i).generator(), start=start)
+        assert len(calls) == 1
+        # without a start, each fit validates its own data
+        objective_perturbation(ObjPertConfig(1.0, 0.5, specs[0]), X, y,
+                               RngStream(84, 1).generator())
+        minimize_erm(specs[0], X, y)
+        assert len(calls) == 3
 
 
 class TestLogisticSensitivity:
@@ -319,6 +427,45 @@ class TestObjPertConfig:
         for q in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 ObjPertConfig(1.0, q, spec)
+
+    #: sample_noise draws on RngStream(79, 1) at eps * q = 0.5 * 0.3, m = 7,
+    #: taken when objective_perturbation built the MechanismConfig per fit
+    NOISE_DRAWS = {
+        1.0: [20.715803946534272, -74.9743654188715, 104.11379769252362,
+              -206.6024627724232, -63.088310005006385, 5.15745336479806,
+              59.05196729730545],
+        2.0: [-31.03279373505011, -98.98103252187252, 40.926206483851864,
+              33.161126623460284, -2.4908139979469737, 14.92755751254154,
+              122.0762615757363],
+        INF: [15.045161644422903, -41.73444993198976, 50.81227677458999,
+              -67.32337327220199, -37.1369836028511, 4.063424939591018,
+              35.43774666857697],
+    }
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_noise_mechanism_resolved_once_with_pinned_draw(self, p, monkeypatch):
+        spec = logistic_loss_spec(7, p)
+        config = ObjPertConfig(0.5, 0.3, spec)
+        assert config.noise == MechanismConfig(0.5 * 0.3, spec.grad_delta, spec.grad_ball)
+        assert np.array_equal(sample_noise(config.noise, RngStream(79, 1).generator()),
+                              self.NOISE_DRAWS[p])
+        # replace re-resolves it from the new fields
+        assert dataclasses.replace(config, q=0.5).noise.epsilon == 0.25
+        # a fit draws V from config.noise and builds no mechanism of its own
+        X, y = TestSharedStart.replicate(79)
+        drawn = []
+
+        def recording(cfg, rng):
+            drawn.append(cfg)
+            return sample_noise(cfg, rng)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("objective_perturbation built a MechanismConfig")
+
+        monkeypatch.setattr(erm, "sample_noise", recording)
+        monkeypatch.setattr(erm, "MechanismConfig", refused)
+        objective_perturbation(config, X, y, RngStream(79, 1).generator())
+        assert len(drawn) == 1 and drawn[0] is config.noise
 
 
 class TestMinimizeErm:

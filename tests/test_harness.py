@@ -704,11 +704,36 @@ class TestRunLayer:
     """The three drivers share one cell grid, noise-stream map and CSV writer.
     The digests pin every byte of a small run of each driver."""
 
+    _LOGISTIC = SimulationConfig(eps=(0.5, 1.0), n=200, reps=2,
+                                 mechanisms=("l1", "l2", "linf"), q=0.3, seed=5)
+
+    #: the values of that run when the fits read the C-order design, before
+    #: they moved to its column-major copy: (long rows, summary rows)
+    _LOGISTIC_ROW_MAJOR_VALUES = (
+        [1.1137172291055697, 44.50751507492196, 26.602790025128115, 40.30648609424319,
+         26.74462991113619, 165.40349154238365, 4.048194698495308,
+         0.5608728308395512, 16.407758846633204, 36.62858148478839, 22.697854324624803,
+         156.57050123300996, 38.5159904449963, 34.87355570686915],
+        [2.03100960115899, 0.5608728308395512, 16.407758846633204, 26.602790025128115,
+         22.697854324624803, 26.74462991113619, 38.5159904449963, 4.048194698495308],
+    )
+
     def test_logistic_bytes_pinned(self):
-        config = SimulationConfig(eps=(0.5, 1.0), n=200, reps=2,
-                                  mechanisms=("l1", "l2", "linf"), q=0.3, seed=5)
-        assert _sha256(simulate_logistic(config)) == (
-            "d81fc5edeaf25b3d4f90dc2ca8a73a7d4e0fd118bbeec9dce16c7c0eadbbd8d0")
+        assert _sha256(simulate_logistic(self._LOGISTIC)) == (
+            "9d24c985eec91a075557280c1ecd285af995310b56252bca8dac6e21de0ef546")
+
+    def test_logistic_values_within_rounding_of_row_major_fits(self):
+        # the column-major fits moved the pinned bytes above at rounding level
+        # only: every value sits within 1e-12 relative of the row-major run
+        table = simulate_logistic(self._LOGISTIC)
+        for text, before in zip((table.long_csv(), table.summary_csv()),
+                                self._LOGISTIC_ROW_MAJOR_VALUES):
+            rows = list(csv.reader(line for line in io.StringIO(text)
+                                   if not line.startswith("#")))
+            assert rows[0][-1] == "value"
+            values = [float(row[-1]) for row in rows[1:]]
+            assert len(values) == len(before)
+            assert np.allclose(values, before, rtol=1e-12, atol=0.0)
 
     def test_coverage_bytes_pinned(self):
         # the kt cells draw from the conditional K_T sampler
@@ -987,6 +1012,43 @@ class TestBenchmarkHooks:
         assert len(starts) == config.reps * (1 + 2 * 3)
         assert len({id(s) for s in starts}) == config.reps
         assert log.count(("loss", zero)) == log.count(("hess", zero)) == config.reps
+
+    def test_logistic_validates_once_per_replicate_on_column_major_data(self, monkeypatch):
+        # evaluate validates the replicate's design once for all its fits, and
+        # every fit reads the column-major copy of the unchanged C-order draw
+        seen = []
+
+        def recording(X, y):
+            seen.append((X, y))
+            return validate(X, y)
+
+        validate = erm._logistic_validate
+        monkeypatch.setattr(erm, "_logistic_validate", recording)
+        calls = Counter()
+
+        def on_start_data(fn, kind):
+            def fit(loss, X, y, *args, start):
+                assert X is start.X is seen[-1][0] and y is start.y is seen[-1][1]
+                calls[kind] += 1
+                return fn(loss, X, y, *args, start=start)
+            return fit
+
+        monkeypatch.setattr(harness, "minimize_erm",
+                            on_start_data(harness.minimize_erm, "mle"))
+        monkeypatch.setattr(harness, "objective_perturbation",
+                            on_start_data(harness.objective_perturbation, "objpert"))
+        config = SimulationConfig(eps=(0.5, 1.0), n=200, reps=2,
+                                  mechanisms=("l1", "l2", "linf"), q=0.3, seed=5)
+        simulate_logistic(config)
+        assert len(seen) == config.reps
+        assert calls == Counter(mle=config.reps, objpert=config.reps * 2 * 3)
+        for rep, (X, y) in enumerate(seen):
+            g = RngStream(config.seed, rep).generator()
+            drawn = g.uniform(-1.0, 1.0, size=(config.n, len(LOGISTIC_BETA)))
+            u = g.random(config.n)
+            assert X.flags.f_contiguous and not X.flags.c_contiguous
+            assert np.array_equal(X, drawn)
+            assert np.array_equal(y, (u < harness._sigmoid(drawn @ LOGISTIC_BETA)))
 
     def test_sampler_calls_layers_times_run(self):
         # the three sample_k_mech_rejection calls of perfbench/layers.py, at
