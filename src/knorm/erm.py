@@ -330,6 +330,9 @@ def objective_perturbation(config: ObjPertConfig, X, y, rng, start=None):
     """
     if start is None:
         start = evaluate(config.loss, X, y)
+        # the start's own arrays: converting X or y again would make new
+        # arrays, which minimize_erm's identity check refuses
+        X, y = start.X, start.y
     elif np.any(start.theta):
         raise ValueError("objective perturbation must start at theta = 0")
     v = sample_noise(config.noise, rng)

@@ -217,9 +217,6 @@ def simulate_logistic(config: SimulationConfig) -> ResultTable:
         X = g.uniform(-1.0, 1.0, size=(config.n, m))
         u = g.random(config.n)
         y = (u < _sigmoid(X @ beta)).astype(float)
-        # y comes from the C-order draw, so the data stay bit-identical; the
-        # fits read the column-major copy, which evaluate then keeps as is
-        X = np.asfortranarray(X)
 
         # every fit of the replicate starts at theta = 0 on this X, y with the
         # same logistic kernels, so one evaluation there (and one validation)

@@ -331,6 +331,20 @@ class TestLayout:
                 for D in (X, start.X)]
         assert np.array_equal(fits[0], fits[1])
 
+    def test_startless_objective_perturbation_converts_once(self):
+        # int labels, a float32 design and Python lists are converted by
+        # evaluate alone, so the fit gets the same theta as on float64 arrays
+        X, y = self.replicate(85)
+        X32 = X.astype(np.float32)
+        config = ObjPertConfig(1.0, 0.5, logistic_loss_spec(7))
+        want = objective_perturbation(config, X32.astype(float), y,
+                                      RngStream(85, 1).generator())
+        for D, labels in ((X32, y.astype(int)), (X32, y.astype(bool)),
+                          (X32.tolist(), y.astype(int).tolist())):
+            got = objective_perturbation(config, D, labels,
+                                         RngStream(85, 1).generator())
+            assert np.array_equal(got, want)
+
 
 class TestValidation:
     """evaluate validates the data, so fits sharing a start skip it, and a

@@ -1014,8 +1014,9 @@ class TestBenchmarkHooks:
         assert log.count(("loss", zero)) == log.count(("hess", zero)) == config.reps
 
     def test_logistic_validates_once_per_replicate_on_column_major_data(self, monkeypatch):
-        # evaluate validates the replicate's design once for all its fits, and
-        # every fit reads the column-major copy of the unchanged C-order draw
+        # evaluate validates the replicate's design once for all its fits, on
+        # the column-major copy that every fit reads; the fits are passed the
+        # unchanged C-order draw the start was built from
         seen = []
 
         def recording(X, y):
@@ -1028,7 +1029,8 @@ class TestBenchmarkHooks:
 
         def on_start_data(fn, kind):
             def fit(loss, X, y, *args, start):
-                assert X is start.X is seen[-1][0] and y is start.y is seen[-1][1]
+                assert X is start.given_X and y is start.y is seen[-1][1]
+                assert start.X is seen[-1][0]
                 calls[kind] += 1
                 return fn(loss, X, y, *args, start=start)
             return fit
