@@ -97,6 +97,8 @@ def _cmd_compare(args):
 
 
 def _cmd_sample(args):
+    if args.reps < 0:
+        raise ValueError(f"--reps must be >= 0, got {args.reps}")
     ball = ball_from_name(args.ball, args.m)
     config = MechanismConfig(epsilon=args.eps, delta=args.delta, ball=ball)
     rng = RngStream(args.seed, 0).generator()

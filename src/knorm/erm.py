@@ -51,17 +51,21 @@ class LossSpec:
     theta, and without one hess works it out from theta itself. Both are
     called with positional arguments only. eigen_bound bounds the
     eigenvalues of every per-example Hessian, and (grad_ball, grad_delta)
-    bound the gauge of any per-example gradient difference. validate, if
-    set, checks dataset preconditions; evaluate runs it once per design.
+    bound the gauge of any per-example gradient difference; theta has the
+    ball's dimension. validate, if set, checks dataset preconditions;
+    evaluate runs it once per design.
     """
 
-    dimension: int
     eigen_bound: float
     grad_ball: NormBall
     grad_delta: float
     loss_and_grad: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     hess: Callable[..., np.ndarray]
     validate: Optional[Callable[[np.ndarray, np.ndarray], None]] = None
+
+    @property
+    def dimension(self):
+        return self.grad_ball.dimension
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,6 @@ def _logistic_hess(theta, X, y, curvature=None):
 def logistic_loss_spec(m, p=math.inf) -> LossSpec:
     """Logistic-regression LossSpec with the lp gradient-sensitivity ball."""
     return LossSpec(
-        dimension=m,
         eigen_bound=m / 4.0,
         grad_ball=NormBall.lp(p, 1.0, m),
         grad_delta=logistic_sensitivity(m, p),
@@ -172,11 +175,9 @@ class StartPoint:
     """A LossSpec evaluated at theta on one dataset: where minimize_erm starts.
 
     Holds theta (read-only), loss_and_grad's (value, grad, curvature) there
-    and hess built from that curvature. X is the column-major float design
-    every fit from this start runs on, and given_X the float array it was
-    converted from (X itself when no copy was made). With y and the loss's
-    loss_and_grad, hess and validate, they let minimize_erm refuse other
-    data.
+    and hess built from that curvature, the column-major float design X and
+    float labels y it was evaluated on, and the loss itself. A fit from this
+    start is passed these very X and y and a loss with the same kernels.
     """
 
     theta: np.ndarray
@@ -185,37 +186,32 @@ class StartPoint:
     curvature: object
     hessian: np.ndarray
     X: np.ndarray
-    given_X: np.ndarray
     y: np.ndarray
-    loss_and_grad: Callable
-    hess: Callable
-    validate: Optional[Callable]
+    loss: LossSpec
 
 
 def evaluate(loss: LossSpec, X, y, theta=None) -> StartPoint:
     """Validate the data and evaluate loss, gradient, curvature and Hessian at
     theta (default zeros).
 
-    X and y are converted to float arrays, and X to column-major order, so
-    that the kernels read contiguous columns (no copy when X already is a
-    column-major float array). loss.validate, if set, runs here, once for
-    every fit that shares the start. Pass the record's own X and y, or the
-    arrays it was built from, to every fit that starts from it.
+    X is converted to a column-major float array, so that the kernels read
+    contiguous columns (no copy when X already is one), and y to a float
+    array. loss.validate, if set, runs here, once for every fit that shares
+    the start. Every fit from the start must be passed its X and y.
     """
-    given_X = np.asarray(X, dtype=float)
+    X = np.asfortranarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if given_X.ndim != 2 or given_X.shape[1] != loss.dimension:
-        raise ValueError(
-            f"design matrix must be n x {loss.dimension}, got shape {given_X.shape}")
-    X = np.asfortranarray(given_X)
+    if X.ndim != 2 or X.shape[1] != loss.dimension:
+        raise ValueError(f"design matrix must be n x {loss.dimension}, got shape {X.shape}")
+    if X.shape[0] == 0:
+        raise ValueError("design matrix has no rows")
     if loss.validate is not None:
         loss.validate(X, y)
     theta = np.zeros(loss.dimension) if theta is None else np.array(theta, dtype=float)
     theta.flags.writeable = False
     value, grad, curvature = loss.loss_and_grad(theta, X, y)
     hessian = loss.hess(theta, X, y, curvature)
-    return StartPoint(theta, value, grad, curvature, hessian, X, given_X, y,
-                      loss.loss_and_grad, loss.hess, loss.validate)
+    return StartPoint(theta, value, grad, curvature, hessian, X, y, loss)
 
 
 def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
@@ -234,13 +230,10 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
     theta), or from evaluate(loss, X, y) at theta = 0 when start is None;
     evaluate validates the data, so a shared start validates it once. One
     start can be shared by any number of fits on the same data with
-    different gamma and linear: it must have been built from these very X
-    and y arrays (identity, after conversion to float arrays; the start's
-    own column-major X is accepted too) and from loss's own loss_and_grad,
-    hess and validate, or a ValueError is raised. Every fit runs on the
-    start's column-major X, so theta does not depend on the layout of the
-    X passed. X and y must not be changed in place after evaluate, which
-    cannot detect it.
+    different gamma and linear: X and y must be the start's own start.X and
+    start.y (identity), and loss must have the start's loss_and_grad, hess
+    and validate, or a ValueError is raised. The arrays must not be changed
+    in place after evaluate, which cannot detect it.
 
     Each Newton step takes its Hessian at a point whose loss was just
     evaluated (the start, or the accepted line-search trial), so it passes
@@ -250,14 +243,11 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
     """
     if start is None:
         start = evaluate(loss, X, y)
-    else:
-        X = np.asarray(X, dtype=float)
-        if not ((X is start.given_X or X is start.X)
-                and np.asarray(y, dtype=float) is start.y
-                and start.loss_and_grad is loss.loss_and_grad
-                and start.hess is loss.hess and start.validate is loss.validate):
-            raise ValueError("start was evaluated on other data or with another loss")
-    X, y = start.X, start.y
+        X, y = start.X, start.y
+    elif not (X is start.X and y is start.y
+              and start.loss.loss_and_grad is loss.loss_and_grad
+              and start.loss.hess is loss.hess and start.loss.validate is loss.validate):
+        raise ValueError("start was evaluated on other data or with another loss")
     n, m = X.shape
     v = np.zeros(m) if linear is None else np.asarray(linear, dtype=float)
     ridge = gamma * np.eye(m)
@@ -323,15 +313,14 @@ def objective_perturbation(config: ObjPertConfig, X, y, rng, start=None):
     only meets ||grad J||_2 <= grad_tol (minimize_erm's default, 1e-8), and
     nothing here bounds the difference.
 
-    start, if given, is minimize_erm's start and must sit at theta = 0: a
-    data-dependent start (such as the MLE) is refused with a ValueError.
-    Without one, evaluate(config.loss, X, y) builds it, validating the data
-    before any noise is drawn.
+    start, if given, is minimize_erm's start, with X and y its own start.X
+    and start.y, and must sit at theta = 0: a data-dependent start (such as
+    the MLE) is refused with a ValueError. Without one,
+    evaluate(config.loss, X, y) builds it, validating the data before any
+    noise is drawn.
     """
     if start is None:
         start = evaluate(config.loss, X, y)
-        # the start's own arrays: converting X or y again would make new
-        # arrays, which minimize_erm's identity check refuses
         X, y = start.X, start.y
     elif np.any(start.theta):
         raise ValueError("objective perturbation must start at theta = 0")

@@ -41,11 +41,11 @@ _CONTAIN_DIRECTIONS = 512
 def lp_norm(x, p):
     """lp norm of a vector, or row-wise norms of a 2-d array.
 
-    p may be any value >= 1 or math.inf. Raises ValueError for an empty
-    vector or p < 1.
+    p may be any value >= 1 or math.inf. An empty batch of rows gives an
+    empty result. Raises ValueError for a zero-width vector or p < 1.
     """
     x = np.asarray(x, dtype=float)
-    if x.size == 0 or x.shape[-1] == 0:
+    if x.shape[-1] == 0:
         raise ValueError("lp_norm: empty vector")
     if p != math.inf and p < 1:
         raise ValueError(f"lp_norm: p must be >= 1 or inf, got {p}")
@@ -513,7 +513,7 @@ def _lp_extremal_ratio(pa, pb, m):
 
 
 def _lp_vertices(ball: NormBall):
-    # exact vertex lists for the polytope lp balls
+    # exact vertex lists for the polytope lp balls; None for any other ball
     m, r = ball.dimension, ball.radius
     if ball.p == 1:
         eye = np.eye(m)
@@ -525,18 +525,16 @@ def _lp_vertices(ball: NormBall):
     return None
 
 
-def ball_containment(a: ScaledBall, b: ScaledBall, seed=0,
-                     vertices=None) -> ContainmentVerdict:
+def ball_containment(a: ScaledBall, b: ScaledBall, seed=0) -> ContainmentVerdict:
     """Decide whether scale_a*K_a is contained in scale_b*K_b.
 
     lp-vs-lp pairs are decided analytically from the extremal norm ratio,
     and a body whose l-infinity bounding radius fits inside an l-infinity
-    ball b is contained in it. If ``vertices`` (points of a's unit-scale
-    ball) are supplied, or a is a polytope lp ball with a tractable vertex
-    list, vertex checking is exact.
-    Otherwise the check samples 512 boundary points of a: any
-    point falling outside b is a witness for not_contained, while no
-    violation only yields "undetermined" (probabilistic evidence).
+    ball b is contained in it. If a is a polytope lp ball with a tractable
+    vertex list, vertex checking is exact. Otherwise the check samples 512
+    boundary points of a: any point falling outside b is a witness for
+    not_contained, while no violation only yields "undetermined"
+    (probabilistic evidence).
     """
     if a.dimension != b.dimension:
         raise ValueError("ball_containment: dimension mismatch")
@@ -570,11 +568,9 @@ def ball_containment(a: ScaledBall, b: ScaledBall, seed=0,
     ):
         return ContainmentVerdict("contained")
 
-    if vertices is None and a.ball.is_lp:
-        vertices = _lp_vertices(a.ball)
-
+    vertices = _lp_vertices(a.ball)
     if vertices is not None:
-        pts = a.scale * np.asarray(vertices, dtype=float)
+        pts = a.scale * vertices
         g = b.gauge_many(pts)
         bad = g > 1.0 + _CONTAIN_TOL
         if bad.any():

@@ -220,8 +220,9 @@ def simulate_logistic(config: SimulationConfig) -> ResultTable:
 
         # every fit of the replicate starts at theta = 0 on this X, y with the
         # same logistic kernels, so one evaluation there (and one validation)
-        # serves all of them
+        # serves all of them, on the start's column-major copy of the design
         start = evaluate(mle_loss, X, y)
+        X, y = start.X, start.y
         mle = minimize_erm(mle_loss, X, y, start=start)
         mle_err = float(np.linalg.norm(mle - beta))
         table.long_rows.append(("", "mle", rep, "l2_error", mle_err))

@@ -6,6 +6,7 @@ import pytest
 import scipy.optimize as spo
 
 from knorm.erm import (
+    LossSpec,
     ObjPertConfig,
     OptimizerError,
     _sigmoid,
@@ -16,6 +17,7 @@ from knorm.erm import (
     objective_perturbation,
 )
 from knorm import erm
+from knorm.geometry import NormBall
 from knorm.harness import DEFAULT_LOGISTIC_EPS
 from knorm.sampling import MechanismConfig, RngStream, sample_noise
 
@@ -224,33 +226,39 @@ class TestSharedStart:
         X, y = self.replicate(75)
         specs = [logistic_loss_spec(7, p) for p in (1.0, 2.0, INF)]
         start = evaluate(specs[2], X, y)
-        assert np.array_equal(minimize_erm(specs[2], X, y, start=start),
+        assert np.array_equal(minimize_erm(specs[2], start.X, start.y, start=start),
                               minimize_erm(specs[2], X, y))
         stream = 1
         for eps in DEFAULT_LOGISTIC_EPS:
             for spec in specs:
                 config = ObjPertConfig(eps, 0.5, spec)
-                fits = [objective_perturbation(config, X, y,
-                                               RngStream(75, stream).generator(), start=s)
-                        for s in (start, None)]
-                assert np.array_equal(fits[0], fits[1])
+                shared = objective_perturbation(config, start.X, start.y,
+                                                RngStream(75, stream).generator(), start=start)
+                alone = objective_perturbation(config, X, y, RngStream(75, stream).generator())
+                assert np.array_equal(shared, alone)
                 stream += 1
         assert stream == 25
 
     @pytest.mark.parametrize("other", ["X copy", "X column-major copy", "y copy",
                                        "loss_and_grad", "hess", "validate"])
     def test_start_from_other_data_or_loss_rejected(self, other):
+        # the fits are passed the arrays of a start on this data; the start
+        # they are given differs from it in one array or one kernel
         X, y = self.replicate(76)
         spec = logistic_loss_spec(7)
+        start = evaluate(spec, X, y)
+        X, y = start.X, start.y
         elsewhere = {
-            "X copy": lambda: evaluate(spec, X.copy(), y),
-            "X column-major copy": lambda: evaluate(spec, np.asfortranarray(X), y),
+            "X copy": lambda: evaluate(spec, X.copy(order="C"), y),
+            "X column-major copy": lambda: evaluate(spec, X.copy(order="F"), y),
             "y copy": lambda: evaluate(spec, X, y.copy()),
             "loss_and_grad": lambda: evaluate(
                 dataclasses.replace(spec, loss_and_grad=ref_loss_and_grad), X, y),
             "hess": lambda: evaluate(dataclasses.replace(spec, hess=ref_hess), X, y),
             "validate": lambda: evaluate(dataclasses.replace(spec, validate=None), X, y),
         }[other]()
+        assert (elsewhere.X is X) == (other not in ("X copy", "X column-major copy"))
+        assert (elsewhere.y is y) == (other != "y copy")
         with pytest.raises(ValueError, match="start"):
             minimize_erm(spec, X, y, start=elsewhere)
         with pytest.raises(ValueError, match="start"):
@@ -264,9 +272,9 @@ class TestSharedStart:
         spec = logistic_loss_spec(7)
         mle = minimize_erm(spec, X, y)
         start = evaluate(spec, X, y, mle)
-        assert np.array_equal(minimize_erm(spec, X, y, start=start), mle)
+        assert np.array_equal(minimize_erm(spec, start.X, start.y, start=start), mle)
         with pytest.raises(ValueError, match="theta = 0"):
-            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y,
+            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), start.X, start.y,
                                    RngStream(77, 1).generator(), start=start)
 
     def test_start_is_read_only_and_fits_return_their_own_theta(self):
@@ -277,13 +285,35 @@ class TestSharedStart:
             start.theta[0] = 1.0
         with pytest.raises(ValueError, match="n x 7"):
             evaluate(spec, X[:, :3], y)
-        fit = minimize_erm(spec, X, y, start=start, grad_tol=INF)
+        fit = minimize_erm(spec, start.X, start.y, start=start, grad_tol=INF)
         assert np.array_equal(fit, np.zeros(7)) and fit.flags.writeable
+
+    def test_start_holds_its_data_and_its_loss(self):
+        X, y = self.replicate(86)
+        spec = logistic_loss_spec(7)
+        start = evaluate(spec, X, y)
+        assert [f.name for f in dataclasses.fields(start)] == [
+            "theta", "value", "grad", "curvature", "hessian", "X", "y", "loss"]
+        assert start.loss is spec and start.y is y
+
+    @pytest.mark.parametrize("fit", ["evaluate", "minimize_erm", "objective_perturbation"])
+    def test_design_without_rows_rejected(self, fit):
+        spec = logistic_loss_spec(7)
+        X, y = np.zeros((0, 7)), np.zeros(0)
+        with pytest.raises(ValueError, match="no rows"):
+            if fit == "evaluate":
+                evaluate(spec, X, y)
+            elif fit == "minimize_erm":
+                minimize_erm(spec, X, y)
+            else:
+                objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y,
+                                       RngStream(87, 0).generator())
 
 
 class TestLayout:
     """Fits run on a column-major copy of the design, made once by evaluate,
-    so theta does not depend on the layout of the X a caller passes."""
+    so theta does not depend on the layout of the X a caller passes, and a
+    fit from a start is passed the start's own arrays."""
 
     replicate = staticmethod(TestSharedStart.replicate)
 
@@ -307,7 +337,7 @@ class TestLayout:
         X, y = self.replicate(81)
         spec = logistic_loss_spec(7)
         start = evaluate(spec, X, y)
-        assert start.X.flags.f_contiguous and start.given_X is X
+        assert start.X.flags.f_contiguous and start.X is not X
         assert np.array_equal(start.X, X)
         # a column-major float design is used as it is, with no copy
         F = np.asfortranarray(X)
@@ -316,20 +346,27 @@ class TestLayout:
         ints = evaluate(spec, np.ones((3, 7), dtype=int), [0, 1, 1])
         assert ints.X.dtype == float and ints.X.flags.f_contiguous
 
-    def test_start_from_c_order_accepted_with_that_x(self):
-        # a start built from a C-order X serves fits passed that same X or
-        # the start's own column-major X, with the same bits
+    def test_start_from_c_order_refuses_that_x(self):
+        # a start built from a C-order X serves only fits passed its own
+        # column-major X; those give the bits of a start-less fit on X
         X, y = self.replicate(82)
         spec = logistic_loss_spec(7)
         start = evaluate(spec, X, y)
-        fit = minimize_erm(spec, X, y, start=start)
-        assert np.array_equal(fit, minimize_erm(spec, start.X, y, start=start))
-        assert np.array_equal(fit, minimize_erm(spec, X, y))
         config = ObjPertConfig(1.0, 0.5, spec)
-        fits = [objective_perturbation(config, D, y, RngStream(82, 1).generator(),
-                                       start=start)
-                for D in (X, start.X)]
-        assert np.array_equal(fits[0], fits[1])
+        with pytest.raises(ValueError, match="start"):
+            minimize_erm(spec, X, y, start=start)
+        with pytest.raises(ValueError, match="start"):
+            objective_perturbation(config, X, y, RngStream(82, 1).generator(), start=start)
+        # int labels are converted by evaluate, so only start.y is accepted
+        ints = evaluate(spec, X, y.astype(int))
+        with pytest.raises(ValueError, match="start"):
+            minimize_erm(spec, ints.X, y.astype(int), start=ints)
+        assert np.array_equal(minimize_erm(spec, start.X, start.y, start=start),
+                              minimize_erm(spec, X, y))
+        assert np.array_equal(
+            objective_perturbation(config, start.X, start.y, RngStream(82, 1).generator(),
+                                   start=start),
+            objective_perturbation(config, X, y, RngStream(82, 1).generator()))
 
     def test_startless_objective_perturbation_converts_once(self):
         # int labels, a float32 design and Python lists are converted by
@@ -387,9 +424,9 @@ class TestValidation:
         specs = [logistic_loss_spec(7, p) for p in (1.0, 2.0, INF)]
         start = evaluate(specs[2], X, y)
         assert len(calls) == 1 and calls[0] is start.X
-        minimize_erm(specs[2], X, y, start=start)
+        minimize_erm(specs[2], start.X, start.y, start=start)
         for i, spec in enumerate(specs):
-            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y,
+            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), start.X, start.y,
                                    RngStream(84, 1 + i).generator(), start=start)
         assert len(calls) == 1
         # without a start, each fit validates its own data
@@ -397,6 +434,26 @@ class TestValidation:
                                RngStream(84, 1).generator())
         minimize_erm(specs[0], X, y)
         assert len(calls) == 3
+
+
+class TestLossSpec:
+    def test_dimension_is_the_gradient_balls(self):
+        spec = logistic_loss_spec(7, 2.0)
+        assert [f.name for f in dataclasses.fields(spec)] == [
+            "eigen_bound", "grad_ball", "grad_delta", "loss_and_grad", "hess", "validate"]
+        assert spec.dimension == spec.grad_ball.dimension == 7
+        # there is no second dimension that could disagree with the ball's
+        with pytest.raises(TypeError):
+            LossSpec(dimension=7, eigen_bound=spec.eigen_bound,
+                     grad_ball=NormBall.lp(2, 1.0, 5), grad_delta=spec.grad_delta,
+                     loss_and_grad=spec.loss_and_grad, hess=spec.hess)
+        five = dataclasses.replace(spec, grad_ball=NormBall.lp(2, 1.0, 5))
+        assert five.dimension == 5
+        assert sample_noise(ObjPertConfig(1.0, 0.5, five).noise,
+                            RngStream(88, 0).generator()).shape == (5,)
+        X, y = make_data(20, 7, RngStream(88, 1).generator())
+        with pytest.raises(ValueError, match="n x 5"):
+            evaluate(five, X, y)
 
 
 class TestLogisticSensitivity:
@@ -524,9 +581,9 @@ class TestMinimizeErm:
         sols = []
         starts = RngStream(65, 2).generator()
         for _ in range(5):
-            theta0 = starts.standard_normal(5) * 4
-            sols.append(minimize_erm(spec, X, y, gamma=2.0, linear=v,
-                                     start=evaluate(spec, X, y, theta0)))
+            start = evaluate(spec, X, y, starts.standard_normal(5) * 4)
+            sols.append(minimize_erm(spec, start.X, start.y, gamma=2.0, linear=v,
+                                     start=start))
         base = sols[0]
         for s in sols[1:]:
             assert np.linalg.norm(s - base) < 1e-6

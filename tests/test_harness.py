@@ -397,6 +397,25 @@ class TestCli:
         assert main(args + ["--out", str(out2), "--summary", str(tmp_path / "s2")]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("ball", ["l1", "l2", "linf", "l3", "k2", "k3", "kt2"])
+    def test_sample_zero_reps_prints_the_header(self, capsys, ball):
+        assert main(["sample", "--ball", ball, "--m", "3", "--reps", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and lines[-1].startswith("replicate,v1,")
+        assert lines[-1].endswith(",gauge")
+
+    def test_sample_negative_reps_exits_2(self, capsys):
+        assert main(["sample", "--ball", "l2", "--reps", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --reps must be >= 0, got -1\n"
+
+    def test_simulate_logistic_without_rows_exits_2(self, capsys):
+        assert main(["simulate-logistic", "--n", "0", "--reps", "1", "--eps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: design matrix has no rows\n"
+
     def test_sample_schema(self, tmp_path, capsys):
         code = main(["sample", "--ball", "k2", "--reps", "5", "--seed", "4"])
         assert code == 0
@@ -700,6 +719,18 @@ def _sha256(table):
     return hashlib.sha256((table.long_csv() + table.summary_csv()).encode()).hexdigest()
 
 
+def _assert_values_within_rounding(table, stored):
+    """Every value of the long and summary CSVs sits within 1e-12 relative of
+    the stored (long values, summary values)."""
+    for text, want in zip((table.long_csv(), table.summary_csv()), stored):
+        rows = list(csv.reader(line for line in io.StringIO(text)
+                               if not line.startswith("#")))
+        assert rows[0][-1] == "value"
+        values = [float(row[-1]) for row in rows[1:]]
+        assert len(values) == len(want)
+        assert np.allclose(values, want, rtol=1e-12, atol=0.0)
+
+
 class TestRunLayer:
     """The three drivers share one cell grid, noise-stream map and CSV writer.
     The digests pin every byte of a small run of each driver."""
@@ -725,15 +756,8 @@ class TestRunLayer:
     def test_logistic_values_within_rounding_of_row_major_fits(self):
         # the column-major fits moved the pinned bytes above at rounding level
         # only: every value sits within 1e-12 relative of the row-major run
-        table = simulate_logistic(self._LOGISTIC)
-        for text, before in zip((table.long_csv(), table.summary_csv()),
-                                self._LOGISTIC_ROW_MAJOR_VALUES):
-            rows = list(csv.reader(line for line in io.StringIO(text)
-                                   if not line.startswith("#")))
-            assert rows[0][-1] == "value"
-            values = [float(row[-1]) for row in rows[1:]]
-            assert len(values) == len(before)
-            assert np.allclose(values, before, rtol=1e-12, atol=0.0)
+        _assert_values_within_rounding(simulate_logistic(self._LOGISTIC),
+                                       self._LOGISTIC_ROW_MAJOR_VALUES)
 
     def test_coverage_bytes_pinned(self):
         # the kt cells draw from the conditional K_T sampler
@@ -744,6 +768,34 @@ class TestRunLayer:
         config = self._regression_file(tmp_path, monkeypatch, ("l1", "linf", "kt"))
         assert _sha256(run_regression_file(config)) == (
             "8c16b2ce3f08fb80f0ef58e09519af4777bc9c0b2f29c6f6fd472db718d52112")
+
+    #: the values behind the two run-regression digests: (long rows, summary rows)
+    _REGRESSION_VALUES = {
+        ("l1", "linf", "kt"): (
+            [3.29765782349707, 1.197895639020949, 1.1908554701456546, 0.7193371745468213,
+             1.4075998075239746, 0.5425386892126083, 1.4605146076078743,
+             0.4444199138313359, 0.10340832603108538, 0.14622582579743282,
+             0.10952223582044514, 0.1850870657236859],
+            [0.7941934888129962, 1.197895639020949, 0.7193371745468213,
+             0.5425386892126083, 0.4444199138313359, 0.10340832603108538,
+             0.10952223582044514],
+        ),
+        ("l1", "linf"): (
+            [3.29765782349707, 1.197895639020949, 1.1908554701456546, 0.7193371745468213,
+             1.044019623285263, 0.5727220737648803, 0.3649971151214071,
+             0.32720916337858424],
+            [0.7941934888129962, 1.197895639020949, 0.7193371745468213,
+             0.5727220737648803, 0.32720916337858424],
+        ),
+    }
+
+    @pytest.mark.parametrize("mechanisms", [("l1", "linf", "kt"), ("l1", "linf")])
+    def test_regression_file_values_within_rounding(self, tmp_path, monkeypatch, mechanisms):
+        # a BLAS that rounds differently moves the digests but not the values:
+        # the spread measured across builds so far is at most 2.1e-13 relative
+        config = self._regression_file(tmp_path, monkeypatch, mechanisms)
+        _assert_values_within_rounding(run_regression_file(config),
+                                       self._REGRESSION_VALUES[mechanisms])
 
     def test_coverage_benchmark_shape_bytes_pinned(self):
         # the coverage-kt12 workload's shape: p = 12 and n = 10^4
@@ -1015,8 +1067,7 @@ class TestBenchmarkHooks:
 
     def test_logistic_validates_once_per_replicate_on_column_major_data(self, monkeypatch):
         # evaluate validates the replicate's design once for all its fits, on
-        # the column-major copy that every fit reads; the fits are passed the
-        # unchanged C-order draw the start was built from
+        # the column-major copy that every fit reads and is passed
         seen = []
 
         def recording(X, y):
@@ -1029,8 +1080,7 @@ class TestBenchmarkHooks:
 
         def on_start_data(fn, kind):
             def fit(loss, X, y, *args, start):
-                assert X is start.given_X and y is start.y is seen[-1][1]
-                assert start.X is seen[-1][0]
+                assert X is start.X is seen[-1][0] and y is start.y is seen[-1][1]
                 calls[kind] += 1
                 return fn(loss, X, y, *args, start=start)
             return fit

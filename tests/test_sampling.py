@@ -5,6 +5,7 @@ import pytest
 import scipy.stats as sps
 
 from knorm.geometry import NormBall, _box_rejection, k2_ball, lp_norm
+from knorm.linreg import ball_from_name
 from knorm.sampling import (
     MechanismConfig,
     RngStream,
@@ -299,6 +300,15 @@ class TestDpRatio:
                 assert ratio <= math.exp(eps) * slack
                 checked += 1
         assert checked >= 10
+
+
+@pytest.mark.parametrize("name", ["l1", "l2", "linf", "l3", "k2", "k3", "kt2"])
+def test_zero_draws_have_zero_rows(name):
+    # size=0 is an empty (0, m) batch for every ball kind, with empty gauges
+    ball = ball_from_name(name, 3)
+    draws = sample_noise(MechanismConfig(1.0, 1.0, ball), RngStream(9, 0).generator(), size=0)
+    assert draws.shape == (0, ball.dimension)
+    assert ball.gauge_many(draws).shape == (0,)
 
 
 class TestReproducibility:
