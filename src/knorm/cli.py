@@ -85,6 +85,8 @@ def _cmd_run_regression(args):
 
 
 def _cmd_compare(args):
+    if args.mc_samples < 1000:
+        raise ValueError(f"--mc-samples must be >= 1000, got {args.mc_samples}")
     mech_a = _parse_mechanism(args.a, args.m, args.eps)
     mech_b = _parse_mechanism(args.b, args.m, args.eps)
     report = compare(mech_a, mech_b, seed=args.seed, n_mc=args.mc_samples)

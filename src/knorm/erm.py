@@ -205,6 +205,8 @@ def evaluate(loss: LossSpec, X, y, theta=None) -> StartPoint:
         raise ValueError(f"design matrix must be n x {loss.dimension}, got shape {X.shape}")
     if X.shape[0] == 0:
         raise ValueError("design matrix has no rows")
+    if y.shape != X.shape[:1]:
+        raise ValueError(f"labels must be one per design row ({len(X)}), got shape {y.shape}")
     if loss.validate is not None:
         loss.validate(X, y)
     theta = np.zeros(loss.dimension) if theta is None else np.array(theta, dtype=float)
@@ -212,6 +214,17 @@ def evaluate(loss: LossSpec, X, y, theta=None) -> StartPoint:
     value, grad, curvature = loss.loss_and_grad(theta, X, y)
     hessian = loss.hess(theta, X, y, curvature)
     return StartPoint(theta, value, grad, curvature, hessian, X, y, loss)
+
+
+def _start_for(loss, X, y, start):
+    # evaluate(loss, X, y) without a start, else the start once X, y and loss are its own
+    if start is None:
+        return evaluate(loss, X, y)
+    if not (X is start.X and y is start.y
+            and start.loss.loss_and_grad is loss.loss_and_grad
+            and start.loss.hess is loss.hess and start.loss.validate is loss.validate):
+        raise ValueError("start was evaluated on other data or with another loss")
+    return start
 
 
 def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
@@ -241,13 +254,8 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
     loss is called once per evaluation and hess once per step; the first
     step uses the start's Hessian.
     """
-    if start is None:
-        start = evaluate(loss, X, y)
-        X, y = start.X, start.y
-    elif not (X is start.X and y is start.y
-              and start.loss.loss_and_grad is loss.loss_and_grad
-              and start.loss.hess is loss.hess and start.loss.validate is loss.validate):
-        raise ValueError("start was evaluated on other data or with another loss")
+    start = _start_for(loss, X, y, start)
+    X, y = start.X, start.y
     n, m = X.shape
     v = np.zeros(m) if linear is None else np.asarray(linear, dtype=float)
     ridge = gamma * np.eye(m)
@@ -316,13 +324,11 @@ def objective_perturbation(config: ObjPertConfig, X, y, rng, start=None):
     start, if given, is minimize_erm's start, with X and y its own start.X
     and start.y, and must sit at theta = 0: a data-dependent start (such as
     the MLE) is refused with a ValueError. Without one,
-    evaluate(config.loss, X, y) builds it, validating the data before any
-    noise is drawn.
+    evaluate(config.loss, X, y) builds it. The data and the start are
+    checked before any noise is drawn, so a refused call leaves rng as it was.
     """
-    if start is None:
-        start = evaluate(config.loss, X, y)
-        X, y = start.X, start.y
-    elif np.any(start.theta):
+    start = _start_for(config.loss, X, y, start)
+    if np.any(start.theta):
         raise ValueError("objective perturbation must start at theta = 0")
     v = sample_noise(config.noise, rng)
-    return minimize_erm(config.loss, X, y, gamma=config.gamma, linear=v, start=start)
+    return minimize_erm(config.loss, start.X, start.y, gamma=config.gamma, linear=v, start=start)

@@ -73,19 +73,19 @@ class NormBall:
 
     A hull ball sets ``pieces`` instead, and lies in the [-2, 2]^m box. The
     first len(``squares``) of the table's ``sum_slots`` pair with the
-    ``squares`` in k2 pieces, and its sums ``pair_j``/``pair_k`` (indices
-    into ``sum_slots``) with the ``pair_slots`` in k3 pieces. The body is the
-    points whose sums are at most 2 in magnitude, whose squares lie within
-    twice the _k2_weight of their sums, and whose k3 slots lie within twice
-    their _k3_weights. Every slot that is not a sum sits in exactly one
-    piece, so given the sums those slots are independent and uniform on
-    their intervals under a uniform point of the body: the marginal of the
-    sum magnitudes has density proportional to the product of the piece
-    weights. Membership, the sampler and the box-fraction estimator all read
-    these weights (_hull_member_many, _hull_uniform, _hull_box_fraction),
-    and the gauge is the max of the piece gauges (_hull_gauge_many).
-    ``volume`` is a hull's exact unit-scale volume, if known (lp balls
-    ignore it: their volume is the closed form; see ``log_volume``).
+    ``squares`` in k2 pieces, and its sums ``pair_j``/``pair_k`` (indices into
+    ``sum_slots``) with the ``pair_slots`` in k3 pieces. The body is the points
+    whose sums are at most 2 in magnitude, whose squares lie within twice the
+    _k2_weight of their sums, and whose k3 slots lie within twice the
+    _k3_weights of their half sums. Every slot that is not a sum sits in exactly
+    one piece, so given the sums those slots are independent and uniform on
+    their intervals under a uniform point of the body: the marginal of the sum
+    magnitudes has density proportional to the product of the piece weights.
+    Membership, the sampler and the box-fraction estimator all read these
+    weights (_hull_member_many, _hull_uniform, _hull_box_fraction), and the
+    gauge is the max of the piece gauges (_hull_gauge_many). ``volume`` is a
+    hull's exact unit-scale volume, if known (lp balls ignore it: their volume
+    is the closed form; see ``log_volume``).
 
     Two hull balls are equal only if they share one piece table object, as
     the tables compare by identity.
@@ -255,21 +255,20 @@ def _k2_weight(a):
     return np.subtract(1.0, w, out=w)
 
 
-def _k3_weights(x, pieces):
-    """Length of each k3 piece's slot interval over the box's 4, min(1, (4 -
-    x_j - x_k)/2), at (sums, k) sum magnitudes x in [0, 2], one row per piece."""
-    # computed as 2 - (x_j + x_k)/2, which is exact wherever it is below 1
-    # (Sterbenz), so twice it is 4 - (x_j + x_k) there
-    w = x[pieces.pair_j]
-    w += x[pieces.pair_k]
-    w *= 0.5
+def _k3_weights(h, pieces):
+    """Length of each k3 piece's slot interval over the box's 4, one row per
+    piece: min(1, 2 - h_j - h_k) at (sums, k) half sum magnitudes h = x/2."""
+    # exact wherever it is below 1 (Sterbenz), so twice it is 4 - (x_j + x_k)
+    # there; halving commutes with rounding, so it is 2 - (x_j + x_k)/2 bit for bit
+    w = h[pieces.pair_j]
+    w += h[pieces.pair_k]
     np.subtract(2.0, w, out=w)
     return np.minimum(w, 1.0, out=w)
 
 
-def _k3_kernel(x, pieces):
-    """Product of the k3 piece weights at (sums, k) sum magnitudes x."""
-    return _k3_weights(x, pieces).prod(axis=0)
+def _k3_kernel(h, pieces):
+    """Product of the k3 piece weights at (sums, k) half sum magnitudes h."""
+    return _k3_weights(h, pieces).prod(axis=0)
 
 
 def _k2_sum_quantile(u):
@@ -298,7 +297,8 @@ def _hull_member_many(pieces, U):
         w = _k2_weight(s[:len(pieces.squares)])
         ok &= (np.abs(U[:, pieces.squares]).T <= 2.0 * w).all(axis=0)
     if len(pieces.pair_slots):
-        w = _k3_weights(s, pieces)
+        # a subnormal half cannot move a weight, which is 1 unless h_j + h_k > 1
+        w = _k3_weights(np.multiply(s, 0.5, out=s), pieces)
         ok &= (np.abs(U[:, pieces.pair_slots]).T <= 2.0 * w).all(axis=0)
     return ok
 
@@ -318,8 +318,8 @@ def _hull_gauge_many(pieces, U):
 
 
 def _hull_chunk(pieces):
-    # proposals per chunk: the (pieces, chunk) weight array stays near 256 kB,
-    # in cache and below the size at which every allocation faults in fresh pages
+    # proposals per chunk, which fixes the sum each draw goes to: the (pieces, chunk)
+    # half-sum weights stay near 256 kB, in cache and below fresh-page faults
     return max(64, (1 << 15) // (len(pieces.pair_j) + 1))
 
 
@@ -328,7 +328,8 @@ def _hull_uniform(pieces, dimension, rng, n, max_attempts):
     slots (see NormBall).
 
     Each proposal draws the sum magnitudes of the k2 pieces from the k2
-    profile by inverse CDF and the other sums uniform on [0, 2], and is
+    profile by inverse CDF and the other sums uniform on [0, 2], as half
+    sums (2u of a random() draw u is uniform(0, 2) bit for bit), and is
     accepted with probability _k3_kernel; a body with no k3 pieces accepts
     every proposal. Accepted sums get random signs and every other slot is
     filled uniformly on its interval. Chunks start at 64 proposals and grow
@@ -339,7 +340,7 @@ def _hull_uniform(pieces, dimension, rng, n, max_attempts):
     """
     n_sq = len(pieces.squares)
     has_k3 = len(pieces.pair_slots) > 0
-    sums = np.empty((len(pieces.sum_slots), n))
+    halves = np.empty((len(pieces.sum_slots), n))
     got = accepted = proposals = 0
     chunk = 64
     while got < n:
@@ -347,20 +348,21 @@ def _hull_uniform(pieces, dimension, rng, n, max_attempts):
         k = min(max(k, 64), _hull_chunk(pieces), max_attempts - proposals)
         if k <= 0:
             break
-        x = np.empty((len(sums), k))
+        h = np.empty((len(halves), k))
         if n_sq:
-            x[:n_sq] = _k2_sum_quantile(rng.random((n_sq, k)))
-        x[n_sq:] = rng.uniform(0.0, 2.0, (len(x) - n_sq, k))
+            np.multiply(_k2_sum_quantile(rng.random((n_sq, k))), 0.5, out=h[:n_sq])
+        h[n_sq:] = rng.random((len(h) - n_sq, k))
         if has_k3:
-            x = x[:, rng.random(k) < _k3_kernel(x, pieces)]
+            h = h[:, rng.random(k) < _k3_kernel(h, pieces)]
         proposals += k
-        accepted += x.shape[1]
-        if not x.shape[1]:
+        accepted += h.shape[1]
+        if not h.shape[1]:
             chunk *= 4
-        take = min(x.shape[1], n - got)
-        sums[:, got:got + take] = x[:, :take]
+        take = min(h.shape[1], n - got)
+        halves[:, got:got + take] = h[:, :take]
         got += take
-    sums = sums[:, :got]
+    halves = halves[:, :got]
+    sums = 2.0 * halves
     u = rng.uniform(-1.0, 1.0, size=(got, dimension))
     out = np.empty_like(u)
     out[:, pieces.sum_slots] = np.copysign(sums.T, u[:, pieces.sum_slots])
@@ -368,7 +370,7 @@ def _hull_uniform(pieces, dimension, rng, n, max_attempts):
         out[:, pieces.squares] = 2.0 * _k2_weight(sums[:n_sq]).T * u[:, pieces.squares]
     if has_k3:
         out[:, pieces.pair_slots] = (
-            2.0 * _k3_weights(sums, pieces).T * u[:, pieces.pair_slots])
+            2.0 * _k3_weights(halves, pieces).T * u[:, pieces.pair_slots])
     return out, (accepted, proposals)
 
 
@@ -377,18 +379,18 @@ def _hull_box_fraction(pieces, rng, n):
     fills, and its standard error.
 
     The mean of w, the product of every piece weight, over n sum magnitudes
-    uniform on [0, 2]^(sums): w is the chance that a uniform box point with
-    those sums lies in the body, so this is hit-or-miss with every other
-    slot integrated out exactly.
+    uniform on [0, 2]^(sums), drawn as half sums: w is the chance that a
+    uniform box point with those sums lies in the body, so this is
+    hit-or-miss with every other slot integrated out exactly.
     """
     n_sq = len(pieces.squares)
     total = total_sq = 0.0
     chunk = _hull_chunk(pieces)
     for start in range(0, n, chunk):
-        x = rng.uniform(0.0, 2.0, size=(len(pieces.sum_slots), min(chunk, n - start)))
-        w = _k3_kernel(x, pieces) if len(pieces.pair_slots) else 1.0
+        h = rng.random((len(pieces.sum_slots), min(chunk, n - start)))
+        w = _k3_kernel(h, pieces) if len(pieces.pair_slots) else 1.0
         if n_sq:
-            w = w * _k2_weight(x[:n_sq]).prod(axis=0)
+            w = w * _k2_weight(2.0 * h[:n_sq]).prod(axis=0)
         total += w.sum()
         total_sq += np.square(w).sum()
     mean = total / n

@@ -123,12 +123,18 @@ def _lp_noise(p, m, delta, epsilon, rng, n):
         while zero.any():
             u[zero] = rng.random(int(zero.sum()))
             zero = u == 0.0
-        # Laplace inverse CDF; the median u = 1/2 maps to exactly 0
-        half = u - 0.5
-        return -(delta / epsilon) * np.sign(half) * np.log1p(-2.0 * np.abs(half))
+        # Laplace inverse CDF -(delta/epsilon)*sign(u - 1/2)*log1p(-2|u - 1/2|),
+        # in place in that operation order; the median u = 1/2 maps to exactly 0
+        u -= 0.5
+        scale = np.sign(u)
+        scale *= -(delta / epsilon)
+        np.abs(u, out=u)
+        u *= -2.0
+        return np.multiply(scale, np.log1p(u, out=u), out=u)
     if p == math.inf:
         u = rng.uniform(-1.0, 1.0, size=(n, m))
-        return sample_gamma_int(m + 1, epsilon / delta, rng, size=n)[:, None] * u
+        u *= sample_gamma_int(m + 1, epsilon / delta, rng, size=n)[:, None]
+        return u
     if p == 2:
         g = rng.standard_normal((n, m))
     else:

@@ -261,9 +261,12 @@ class TestSharedStart:
         assert (elsewhere.y is y) == (other != "y copy")
         with pytest.raises(ValueError, match="start"):
             minimize_erm(spec, X, y, start=elsewhere)
+        # the refused call draws no noise: the caller's generator is untouched
+        rng = RngStream(76, 1).generator()
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="start"):
-            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y,
-                                   RngStream(76, 1).generator(), start=elsewhere)
+            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y, rng, start=elsewhere)
+        assert rng.bit_generator.state == state
 
     def test_objective_perturbation_refuses_nonzero_start(self):
         # a data-dependent start such as the MLE needs the exact-minimizer
@@ -414,6 +417,23 @@ class TestValidation:
         # the same data in C or F order, and through evaluate
         with pytest.raises(ValueError):
             evaluate(spec, np.asfortranarray(X), y)
+
+    @pytest.mark.parametrize("labels", ["first 10", "one more", "column"])
+    @pytest.mark.parametrize("fit", ["evaluate", "minimize_erm", "objective_perturbation"])
+    def test_labels_one_per_row(self, fit, labels):
+        X, y = make_data(50, 3, np.random.default_rng(88))
+        y = {"first 10": y[:10], "one more": np.append(y, 1.0), "column": y[:, None]}[labels]
+        spec = logistic_loss_spec(3)
+        rng = RngStream(88, 0).generator()
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"labels must be one per design row \(50\)"):
+            if fit == "evaluate":
+                evaluate(spec, X, y)
+            elif fit == "minimize_erm":
+                minimize_erm(spec, X, y)
+            else:
+                objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y, rng)
+        assert rng.bit_generator.state == state
 
     def test_shared_start_validates_once(self, monkeypatch):
         calls = []

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from knorm.geometry import (
+    _hull_chunk,
     _k2_gauge,
+    _k2_sum_quantile,
+    _k2_weight,
     _k3_gauge,
     ContainmentVerdict,
     NormBall,
@@ -20,7 +23,14 @@ from knorm.geometry import (
     volume_monte_carlo,
 )
 from knorm.linreg import kt_ball
-from knorm.sampling import RngStream, SamplerError, sample_uniform_ball
+from knorm.sampling import (
+    MechanismConfig,
+    RngStream,
+    SamplerError,
+    sample_gamma_int,
+    sample_noise,
+    sample_uniform_ball,
+)
 
 INF = math.inf
 
@@ -329,6 +339,148 @@ class TestHullSampler:
         with pytest.raises(SamplerError, match="acceptance rate"):
             sample_uniform_ball(make(), RngStream(344, 0).generator(), size=1000,
                                 max_attempts=100)
+
+
+def full_sum_k3_weights(x, pieces):
+    # the k3 weights on full sums x: 2 - (x_j + x_k)/2, capped at 1
+    w = x[pieces.pair_j] + x[pieces.pair_k]
+    w *= 0.5
+    return np.minimum(2.0 - w, 1.0)
+
+
+def full_sum_member_many(pieces, U):
+    # hull membership with the k3 weights of the clipped full sums
+    s = np.abs(U[:, pieces.sum_slots]).T
+    ok = (s <= 2.0).all(axis=0)
+    s = np.minimum(s, 2.0)
+    if len(pieces.squares):
+        w = _k2_weight(s[:len(pieces.squares)])
+        ok &= (np.abs(U[:, pieces.squares]).T <= 2.0 * w).all(axis=0)
+    if len(pieces.pair_slots):
+        w = full_sum_k3_weights(s, pieces)
+        ok &= (np.abs(U[:, pieces.pair_slots]).T <= 2.0 * w).all(axis=0)
+    return ok
+
+
+def full_sum_uniform(pieces, dimension, rng, n, max_attempts):
+    # the hull sampler drawing full sums, uniform(0, 2) past the k2 pieces
+    n_sq = len(pieces.squares)
+    has_k3 = len(pieces.pair_slots) > 0
+    sums = np.empty((len(pieces.sum_slots), n))
+    got = accepted = proposals = 0
+    chunk = 64
+    while got < n:
+        k = chunk if not accepted else -(-(n - got) * proposals // accepted)
+        k = min(max(k, 64), _hull_chunk(pieces), max_attempts - proposals)
+        if k <= 0:
+            break
+        x = np.empty((len(sums), k))
+        if n_sq:
+            x[:n_sq] = _k2_sum_quantile(rng.random((n_sq, k)))
+        x[n_sq:] = rng.uniform(0.0, 2.0, (len(x) - n_sq, k))
+        if has_k3:
+            x = x[:, rng.random(k) < full_sum_k3_weights(x, pieces).prod(axis=0)]
+        proposals += k
+        accepted += x.shape[1]
+        if not x.shape[1]:
+            chunk *= 4
+        take = min(x.shape[1], n - got)
+        sums[:, got:got + take] = x[:, :take]
+        got += take
+    sums = sums[:, :got]
+    u = rng.uniform(-1.0, 1.0, size=(got, dimension))
+    out = np.empty_like(u)
+    out[:, pieces.sum_slots] = np.copysign(sums.T, u[:, pieces.sum_slots])
+    if n_sq:
+        out[:, pieces.squares] = 2.0 * _k2_weight(sums[:n_sq]).T * u[:, pieces.squares]
+    if has_k3:
+        out[:, pieces.pair_slots] = (
+            2.0 * full_sum_k3_weights(sums, pieces).T * u[:, pieces.pair_slots])
+    return out, (accepted, proposals)
+
+
+def full_sum_box_fraction(pieces, rng, n):
+    # the box-fraction estimate over full sums drawn by uniform(0, 2)
+    n_sq = len(pieces.squares)
+    total = total_sq = 0.0
+    chunk = _hull_chunk(pieces)
+    for start in range(0, n, chunk):
+        x = rng.uniform(0.0, 2.0, size=(len(pieces.sum_slots), min(chunk, n - start)))
+        w = full_sum_k3_weights(x, pieces).prod(axis=0) if len(pieces.pair_slots) else 1.0
+        if n_sq:
+            w = w * _k2_weight(x[:n_sq]).prod(axis=0)
+        total += w.sum()
+        total_sq += np.square(w).sum()
+    mean = total / n
+    return mean, math.sqrt(max(total_sq / n - mean * mean, 0.0) / n)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", list(HULLS))
+class TestHalfSumKernels:
+    """The hull kernels read half sums h = x/2, drawn as random() where the
+    full sums were uniform(0, 2): every output and every generator state is
+    the full-sum reference's, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_box_fraction(self, name, seed):
+        ball = HULLS[name]()
+        # a partial last chunk, and a run shorter than one chunk
+        for n in (3 * _hull_chunk(ball.pieces) + 17, 1000):
+            new, old = RngStream(seed, n).generator(), RngStream(seed, n).generator()
+            assert same_bytes(ball.box_fraction(new, n),
+                              full_sum_box_fraction(ball.pieces, old, n))
+            assert new.bit_generator.state == old.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_uniform_points(self, name, seed):
+        ball = HULLS[name]()
+        for n in (1, 2, 257):
+            new, old = RngStream(seed, n).generator(), RngStream(seed, n).generator()
+            pts, counts = ball.uniform(new, n, 10**6)
+            want, want_counts = full_sum_uniform(ball.pieces, ball.dimension, old, n, 10**6)
+            assert same_bytes(pts, want) and counts == want_counts
+            assert new.bit_generator.state == old.bit_generator.state
+
+    def test_single_noise_draws(self, name):
+        ball = HULLS[name]()
+        config = MechanismConfig(0.5, 3.0, ball)
+        for seed in range(5):
+            got = sample_noise(config, RngStream(seed, 1).generator())
+            old = RngStream(seed, 1).generator()
+            u, _ = full_sum_uniform(ball.pieces, ball.dimension, old, 1, 10**6)
+            r = sample_gamma_int(ball.dimension + 1, config.rate, old, size=1)
+            assert same_bytes(got, np.zeros(ball.dimension) + (r[:, None] * u)[0])
+
+    def test_membership_at_edge_sums(self, name):
+        # sums at 0, 2, subnormal and past 2, with the other slots on their
+        # interval ends, just past them, or random
+        ball = HULLS[name]()
+        pieces = ball.pieces
+        rng = np.random.default_rng(50 + ball.dimension)
+        edge = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 2.0,
+                         np.nextafter(2.0, 3.0), 3.0, 1e308, INF])
+        n = 4000
+        U = rng.uniform(-2.0, 2.0, (n, ball.dimension))
+        sums = rng.choice(edge, (n, len(pieces.sum_slots)))
+        sums[n // 2:] = np.where(rng.random(sums[n // 2:].shape) < 0.5, sums[n // 2:],
+                                 rng.uniform(0.0, 2.0, sums[n // 2:].shape))
+        U[:, pieces.sum_slots] = sums * rng.choice([-1.0, 1.0], sums.shape)
+        s = np.minimum(sums.T, 2.0)
+        rows = np.arange(n) % 3
+        for slots, w in ((pieces.squares, _k2_weight(s[:len(pieces.squares)])),
+                         (pieces.pair_slots, full_sum_k3_weights(s, pieces))):
+            if len(slots):
+                ends = 2.0 * w.T
+                on_end = np.where(rows[:, None] == 0, ends, U[:, slots])
+                U[:, slots] = np.where(rows[:, None] == 1, np.nextafter(ends, INF), on_end)
+        got = ball.member_many(U)
+        assert same_bytes(got, full_sum_member_many(pieces, U))
+        assert got.any() and not got.all()
 
 
 def k2_member_reference(U):

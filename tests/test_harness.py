@@ -410,6 +410,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: --reps must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("pair", [("kt3:1", "linf:2"), ("l1:1", "l2:1")])
+    def test_compare_too_few_mc_samples_exits_2(self, pair, capsys):
+        # named as the option, also for a pair whose volumes are exact
+        a, b = pair
+        assert main(["compare", "--a", a, "--b", b, "--m", "13", "--mc-samples", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --mc-samples must be >= 1000, got 10\n"
+
     def test_simulate_logistic_without_rows_exits_2(self, capsys):
         assert main(["simulate-logistic", "--n", "0", "--reps", "1", "--eps", "1"]) == 2
         captured = capsys.readouterr()

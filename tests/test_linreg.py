@@ -360,7 +360,7 @@ class TestKtFactorization:
             want *= np.minimum(2.0, 4.0 - x[j] - x[p]) / 2.0
             for k in range(j + 1, p):
                 want *= np.minimum(2.0, 4.0 - x[j] - x[k]) / 2.0
-        assert np.allclose(_k3_kernel(x, layout), want, rtol=1e-12, atol=0.0)
+        assert np.allclose(_k3_kernel(x / 2, layout), want, rtol=1e-12, atol=0.0)
 
     def test_k2_weight_is_half_the_cap(self):
         a = np.random.default_rng(301).uniform(0.0, 2.0, 100_000)
@@ -382,7 +382,7 @@ class TestKtFactorization:
         rng = np.random.default_rng(310 + seed)
         signs = rng.choice([-1.0, 1.0], p + 1)
         x = rng.uniform(0.5, 2.0, size=(p + 1, 1))
-        w = float(_k3_kernel(x, layout)[0] * _k2_weight(x[:p, 0]).prod())
+        w = float(_k3_kernel(x / 2, layout)[0] * _k2_weight(x[:p, 0]).prod())
         n = 200_000
         pts = rng.uniform(-2.0, 2.0, size=(n, layout.d))
         pts[:, layout.sums] = signs[:p] * x[:p, 0]
@@ -456,7 +456,7 @@ class TestKtSampler:
         sums = np.abs(edge[:, layout.sum_slots]).T
         assert np.array_equal(np.abs(edge[:, layout.squares]), 2.0 * _k2_weight(sums[:p]).T)
         assert np.array_equal(np.abs(edge[:, layout.pair_slots]),
-                              2.0 * _k3_weights(sums, layout).T)
+                              2.0 * _k3_weights(sums / 2, layout).T)
 
     def test_box_rejection_never_reached(self, monkeypatch):
         def refuse(self, pts):

@@ -7,6 +7,7 @@ import scipy.stats as sps
 from knorm.geometry import NormBall, _box_rejection, k2_ball, lp_norm
 from knorm.linreg import ball_from_name
 from knorm.sampling import (
+    _lp_noise,
     MechanismConfig,
     RngStream,
     SamplerError,
@@ -105,6 +106,40 @@ class TestL1Mech:
             sample_l1_mech(np.zeros(2), -1.0, 1.0, rng)
         with pytest.raises(ValueError):
             sample_l1_mech(np.zeros(2), 1.0, 0.0, rng)
+
+
+def expression_lp_noise(p, m, delta, epsilon, rng, n):
+    # the l1 and l-infinity closed forms as single expressions on new arrays
+    if p == 1:
+        u = rng.random((n, m))
+        while (u == 0.0).any():
+            u[u == 0.0] = rng.random(int((u == 0.0).sum()))
+        return -(delta / epsilon) * np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
+    u = rng.uniform(-1.0, 1.0, size=(n, m))
+    return sample_gamma_int(m + 1, epsilon / delta, rng, size=n)[:, None] * u
+
+
+@pytest.mark.parametrize("p", [1, INF])
+class TestInPlaceNoise:
+    """The l1 and l-infinity draws, computed in place, are the bytes of their
+    single-expression reference."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_batches(self, p, seed):
+        for m, n, delta, epsilon in ((1, 100_000, 1.0, 1.0), (7, 1001, 14.0, 0.3),
+                                     (103, 3, 0.5, 4.0)):
+            new, old = RngStream(seed, m).generator(), RngStream(seed, m).generator()
+            got = _lp_noise(p, m, delta, epsilon, new, n)
+            want = expression_lp_noise(p, m, delta, epsilon, old, n)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert new.bit_generator.state == old.bit_generator.state
+
+    def test_single_draws(self, p):
+        config = MechanismConfig(0.25, 3.0, NormBall.lp(p, 2.0, 7))
+        for seed in range(20):
+            got = sample_noise(config, RngStream(seed, 2).generator())
+            want = expression_lp_noise(p, 7, 6.0, 0.25, RngStream(seed, 2).generator(), 1)
+            assert got.shape == (7,) and got.tobytes() == want[0].tobytes()
 
 
 class TestL2Mech:
