@@ -84,7 +84,13 @@ def _cmd_run_regression(args):
     )
 
 
+def _check_m(m):
+    if m < 1:
+        raise ValueError(f"--m must be >= 1, got {m}")
+
+
 def _cmd_compare(args):
+    _check_m(args.m)
     if args.mc_samples < 1000:
         raise ValueError(f"--mc-samples must be >= 1000, got {args.mc_samples}")
     mech_a = _parse_mechanism(args.a, args.m, args.eps)
@@ -101,6 +107,7 @@ def _cmd_compare(args):
 def _cmd_sample(args):
     if args.reps < 0:
         raise ValueError(f"--reps must be >= 0, got {args.reps}")
+    _check_m(args.m)
     ball = ball_from_name(args.ball, args.m)
     config = MechanismConfig(epsilon=args.eps, delta=args.delta, ball=ball)
     rng = RngStream(args.seed, 0).generator()
@@ -198,6 +205,9 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # every subcommand reads --seed
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"error: {exc}\n")

@@ -170,10 +170,11 @@ class NormBall:
     def uniform(self, rng, n, max_attempts):
         """Exact uniform points of the unit-scale body and their (accepted,
         proposals) counts: n points, or the fewer it has once max_attempts
-        proposals are spent."""
+        proposals are spent. A hull ball takes the one-stream case of
+        _hull_uniform."""
         if self.is_lp:
             return _box_rejection(self, rng, n, max_attempts)
-        return _hull_uniform(self.pieces, self.dimension, rng, n, max_attempts)
+        return _hull_uniform(self.pieces, self.dimension, [rng], n, max_attempts)[0]
 
     def box_fraction(self, rng, n):
         """Unbiased n-sample estimate of the fraction of the [-linf_radius,
@@ -323,9 +324,22 @@ def _hull_chunk(pieces):
     return max(64, (1 << 15) // (len(pieces.pair_j) + 1))
 
 
-def _hull_uniform(pieces, dimension, rng, n, max_attempts):
+class _HullStream:
+    """One generator's place in _hull_uniform: its accepted half sums, its
+    counts, and its chunk size while it has accepted nothing."""
+
+    __slots__ = ("rng", "halves", "got", "accepted", "proposals", "chunk")
+
+    def __init__(self, rng, n_sums, n):
+        self.rng = rng
+        self.halves = np.empty((n_sums, n))
+        self.got = self.accepted = self.proposals = 0
+        self.chunk = 64
+
+
+def _hull_uniform(pieces, dimension, rngs, n, max_attempts):
     """Exact uniform points of the hull body of a piece table, from its sum
-    slots (see NormBall).
+    slots (see NormBall): n points from each generator of rngs.
 
     Each proposal draws the sum magnitudes of the k2 pieces from the k2
     profile by inverse CDF and the other sums uniform on [0, 2], as half
@@ -335,43 +349,102 @@ def _hull_uniform(pieces, dimension, rng, n, max_attempts):
     filled uniformly on its interval. Chunks start at 64 proposals and grow
     4x after a chunk with no acceptance, then follow the observed rate;
     proposals are independent, so the first n accepted have the same law
-    under any chunking. Returns (points, (accepted, proposals)): n points,
-    or the fewer accepted once max_attempts proposals are spent.
+    under any chunking.
+
+    Every stream keeps its own chunks, budget and draw order: a chunk's k2
+    sums, its other sums, its accept draws, and after the last chunk the
+    fill of the other slots. So each stream's points and final generator
+    state are those of a run on that generator alone. The kernels run once
+    per round on the chunks of the unfinished streams side by side, in
+    passes of at most about 1 MB of piece weights, and one assembly fills
+    every stream's points. Returns one (points, (accepted, proposals)) per
+    generator: n points, or the fewer accepted once max_attempts proposals
+    are spent.
     """
+    streams = [_HullStream(rng, len(pieces.sum_slots), n) for rng in rngs]
+    if not streams:
+        return []
+    limit = _hull_chunk(pieces)
+    pass_columns = (1 << 17) // (len(pieces.pair_j) + 1)
+    live = streams if n else []
+    while live:
+        chunks = []
+        for s in live:
+            k = s.chunk if not s.accepted else -(-(n - s.got) * s.proposals // s.accepted)
+            k = min(max(k, 64), limit, max_attempts - s.proposals)
+            if k > 0:
+                chunks.append((s, k))
+        # streams in passes: a pass holds at least one chunk, and more while
+        # their columns fit in pass_columns
+        start = 0
+        while start < len(chunks):
+            stop, columns = start + 1, chunks[start][1]
+            while stop < len(chunks) and columns + chunks[stop][1] <= pass_columns:
+                columns += chunks[stop][1]
+                stop += 1
+            _hull_pass(pieces, chunks[start:stop], n)
+            start = stop
+        live = [s for s, _ in chunks if s.got < n]
+    halves = [s.halves[:, :s.got] for s in streams]
+    fills = [s.rng.uniform(-1.0, 1.0, size=(s.got, dimension)) for s in streams]
+    if len(streams) == 1:
+        halves, u = halves[0], fills[0]
+    else:
+        halves, u = np.concatenate(halves, axis=1), np.concatenate(fills)
     n_sq = len(pieces.squares)
-    has_k3 = len(pieces.pair_slots) > 0
-    halves = np.empty((len(pieces.sum_slots), n))
-    got = accepted = proposals = 0
-    chunk = 64
-    while got < n:
-        k = chunk if not accepted else -(-(n - got) * proposals // accepted)
-        k = min(max(k, 64), _hull_chunk(pieces), max_attempts - proposals)
-        if k <= 0:
-            break
-        h = np.empty((len(halves), k))
-        if n_sq:
-            np.multiply(_k2_sum_quantile(rng.random((n_sq, k))), 0.5, out=h[:n_sq])
-        h[n_sq:] = rng.random((len(h) - n_sq, k))
-        if has_k3:
-            h = h[:, rng.random(k) < _k3_kernel(h, pieces)]
-        proposals += k
-        accepted += h.shape[1]
-        if not h.shape[1]:
-            chunk *= 4
-        take = min(h.shape[1], n - got)
-        halves[:, got:got + take] = h[:, :take]
-        got += take
-    halves = halves[:, :got]
     sums = 2.0 * halves
-    u = rng.uniform(-1.0, 1.0, size=(got, dimension))
     out = np.empty_like(u)
     out[:, pieces.sum_slots] = np.copysign(sums.T, u[:, pieces.sum_slots])
     if n_sq:
         out[:, pieces.squares] = 2.0 * _k2_weight(sums[:n_sq]).T * u[:, pieces.squares]
-    if has_k3:
+    if len(pieces.pair_slots):
         out[:, pieces.pair_slots] = (
             2.0 * _k3_weights(halves, pieces).T * u[:, pieces.pair_slots])
-    return out, (accepted, proposals)
+    points, start = [], 0
+    for s in streams:
+        points.append((out[start:start + s.got], (s.accepted, s.proposals)))
+        start += s.got
+    return points
+
+
+def _hull_pass(pieces, chunks, n):
+    """Draw one chunk of k proposals for each (stream, k) of chunks, run the
+    kernels on all of them at once, and keep each stream's accepted sums,
+    up to n."""
+    n_sq = len(pieces.squares)
+    has_k3 = len(pieces.pair_slots) > 0
+    sq, rest, accept = [], [], []
+    for s, k in chunks:
+        # each stream draws its chunk's k2 sums, other sums and accept draws
+        if n_sq:
+            sq.append(s.rng.random((n_sq, k)))
+        rest.append(s.rng.random((len(s.halves) - n_sq, k)))
+        if has_k3:
+            accept.append(s.rng.random(k))
+    rest = _side_by_side(rest)
+    h = np.empty((len(rest) + n_sq, rest.shape[1]))
+    if n_sq:
+        np.multiply(_k2_sum_quantile(_side_by_side(sq)), 0.5, out=h[:n_sq])
+    h[n_sq:] = rest
+    keep = _side_by_side(accept) < _k3_kernel(h, pieces) if has_k3 else None
+    start = 0
+    for s, k in chunks:
+        hs = h[:, start:start + k]
+        if has_k3:
+            hs = hs[:, keep[start:start + k]]
+        start += k
+        s.proposals += k
+        s.accepted += hs.shape[1]
+        if not hs.shape[1]:
+            s.chunk *= 4
+        take = min(hs.shape[1], n - s.got)
+        s.halves[:, s.got:s.got + take] = hs[:, :take]
+        s.got += take
+
+
+def _side_by_side(parts):
+    # one array, or the columns of several side by side
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def _hull_box_fraction(pieces, rng, n):

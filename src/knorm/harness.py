@@ -27,7 +27,6 @@ from .erm import (
     objective_perturbation,
 )
 from .linreg import (
-    StatisticVector,
     ball_from_name,
     build_statistic,
     dp_estimates,
@@ -36,7 +35,7 @@ from .linreg import (
     statistic_mechanism,
 )
 from .ordering import gamma_cdf
-from .sampling import MechanismConfig, RngStream, sample_l1_mech, sample_noise
+from .sampling import MechanismConfig, RngStream, sample_l1_mech, sample_noise, sample_noise_rows
 
 # unused here, but perfbench/spans.py rebinds these names in this module
 from .geometry import lp_norm  # noqa: F401
@@ -172,10 +171,10 @@ def _noise_rng(config, cell, rep):
 
 def _private_estimates(stat, draws, n_rows):
     """Private estimates from one noisy copy of stat per (MechanismConfig,
-    noise generator) pair, solved as one stack."""
-    noisy = [StatisticVector(stat.values + sample_noise(mechanism, rng), stat.p)
-             for mechanism, rng in draws]
-    return dp_estimates(noisy, n_rows)
+    noise generator) pair, drawn as one stack (sample_noise_rows) and
+    solved as one stack (dp_estimates)."""
+    noise = sample_noise_rows(draws) if draws else np.empty((0, len(stat.values)))
+    return dp_estimates(stat.values + noise, stat.p, n_rows)
 
 
 def _summarize(table, config, metric, reduce, baselines=()):
@@ -244,10 +243,11 @@ def simulate_coverage(config: SimulationConfig) -> ResultTable:
     Per replicate, simulates a Gaussian-error regression with unit variance
     and coefficients spaced over [-1.5, 1.5], builds classical 95%
     t-intervals from the least-squares fit, and records the fraction of the
-    last p coordinates of each private estimate falling inside; the
-    replicate's private estimates are solved as one stack. Summaries
-    are means per cell; "true_beta" rows record the intervals' own coverage
-    of the true coefficients.
+    last p coordinates of each private estimate falling inside. A
+    replicate's cells are drawn, solved and scored as one stack: one
+    sample_noise_rows call, one dp_estimates solve and one comparison
+    against the intervals. Summaries are means per cell; "true_beta" rows
+    record the intervals' own coverage of the true coefficients.
     """
     from scipy.special import stdtrit
 
@@ -280,9 +280,10 @@ def simulate_coverage(config: SimulationConfig) -> ResultTable:
 
         stat = statistic_from_gram(xtx, xty)
         draws = [(mechanism, _noise_rng(config, cell, rep)) for cell, _, _, mechanism in cells]
-        for (_, eps, mech, _), beta_dp in zip(cells, _private_estimates(stat, draws, n)):
-            cov = float(np.mean((beta_dp[1:] >= lo[1:]) & (beta_dp[1:] <= hi[1:])))
-            table.long_rows.append((float(eps), mech, rep, "coverage", cov))
+        est = _private_estimates(stat, draws, n)
+        covered = ((est[:, 1:] >= lo[1:]) & (est[:, 1:] <= hi[1:])).mean(axis=1)
+        table.long_rows += [(float(eps), mech, rep, "coverage", cov)
+                            for (_, eps, mech, _), cov in zip(cells, covered.tolist())]
 
     _summarize(table, config, "mean_coverage", lambda v: float(np.mean(v)),
                baselines=("true_beta",))

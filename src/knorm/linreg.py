@@ -241,18 +241,19 @@ def dp_estimate(stat: StatisticVector, n_rows):
     as a symmetric matrix's singular values are its |lambda|. Total:
     indefinite or singular reconstructions still produce an estimate.
     """
-    return dp_estimates([stat], n_rows)[0]
+    return dp_estimates(stat.values[None, :], stat.p, n_rows)[0]
 
 
-def dp_estimates(stats, n_rows):
-    """dp_estimate of each statistic vector in a sequence sharing one p, as
-    rows of one array, from one ``eigh`` call on the stack of reassembled
-    systems; each row is bit-identical to dp_estimate's."""
-    if not stats:
-        return np.empty((0, 0))
-    p = stats[0].p
+def dp_estimates(values, p, n_rows):
+    """dp_estimate of each row of a (k, d) array of statistic values for p
+    predictors, as the rows of a (k, p + 1) array, from one ``eigh`` call on
+    the stack of reassembled systems; each row is bit-identical to
+    dp_estimate's on that row alone."""
+    v = np.asarray(values, dtype=float)
     layout = _shared_layout(p)
-    v = np.stack([stat.values for stat in stats])
+    if v.ndim != 2 or v.shape[1] != layout.d:
+        raise ValueError(f"expected (k, {layout.d}) statistic values for p={p}, "
+                         f"got {v.shape}")
     xtx = np.empty((len(v), p + 1, p + 1))
     xtx[:, 0, 0] = n_rows
     xtx[:, 0, 1:] = xtx[:, 1:, 0] = v[:, layout.sums]

@@ -8,7 +8,9 @@ times G/||G||_p for G with iid coordinates of density proportional to
 exp(-|g|^p). The hull balls k2, k3 and kt<p> go through an exact uniform
 point on K from the ball's own sampler (NormBall.uniform), followed by an
 independent Gamma(m+1) radius. In every case the gauge of the noise is
-marginally Gamma(m, eps/Delta).
+marginally Gamma(m, eps/Delta). sample_noise_rows draws one noise vector
+per (config, generator) pair, with the hull draws of each ball side by
+side, and each row is sample_noise's draw on that pair.
 
 Samplers are pure given an explicit generator; parallel replicates should
 use distinct RngStream ids.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormBall, lp_norm
+from .geometry import NormBall, _hull_uniform, lp_norm
 
 __all__ = [
     "RngStream",
@@ -34,6 +36,7 @@ __all__ = [
     "sample_lp_mech",
     "sample_k_mech_rejection",
     "sample_noise",
+    "sample_noise_rows",
 ]
 
 
@@ -46,13 +49,15 @@ class RngStream:
     """Reproducible random stream: (seed, stream id) -> generator.
 
     Identical (seed, stream) pairs reproduce identical sample sequences
-    bit for bit across runs.
+    bit for bit across runs. Both must be nonnegative.
     """
 
     seed: int
     stream: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.stream < 0:
             raise ValueError("stream id must be nonnegative")
 
@@ -178,19 +183,32 @@ def sample_uniform_ball(ball: NormBall, rng, size=None, max_attempts=10**6):
     Returns (samples, (accepted, proposals)): the requested points plus the
     total acceptance counts over all proposals (accepted can exceed the
     request; extras are discarded). Raises SamplerError, reporting the
-    observed acceptance rate, if the proposal budget runs out first; this is
-    the one place that raises it, as a ball's own sampler returns the points
-    it has when its budget runs out.
+    observed acceptance rate, if the proposal budget runs out first
+    (_check_filled, which sample_noise_rows shares), as a ball's own
+    sampler returns the points it has when its budget runs out.
     """
     n = 1 if size is None else size
-    out, (accepted, proposals) = ball.uniform(rng, n, max_attempts)
-    if len(out) < n:
+    out, counts = ball.uniform(rng, n, max_attempts)
+    _check_filled(out, n, counts)
+    return (out[0] if size is None else out), counts
+
+
+def _check_filled(points, n, counts):
+    # a sampler that ran out of budget returns fewer than the n points asked for
+    if len(points) < n:
+        accepted, proposals = counts
         rate = accepted / proposals if proposals else 0.0
         raise SamplerError(
-            f"rejection sampling failed: {len(out)}/{n} accepted after "
+            f"rejection sampling failed: {len(points)}/{n} accepted after "
             f"{proposals} proposals (acceptance rate {rate:.3g})"
         )
-    return (out[0] if size is None else out), (accepted, proposals)
+
+
+def _times_radius(u, rate, rng):
+    """Rows of u, uniform points of a unit ball, times independent
+    Gamma(m+1, rate) radii: K-norm noise of that ball."""
+    r = sample_gamma_int(u.shape[1] + 1, rate, rng, size=len(u))
+    return r[:, None] * u
 
 
 def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng,
@@ -216,8 +234,7 @@ def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng,
     u, (accepted, proposals) = sample_uniform_ball(
         ball, rng, size=n, max_attempts=max_attempts
     )
-    r = sample_gamma_int(m + 1, epsilon / delta_k, rng, size=n)
-    v = r[:, None] * u
+    v = _times_radius(u, epsilon / delta_k, rng)
     out = T + (v[0] if size is None else v)
     if return_stats:
         stats = {
@@ -246,3 +263,37 @@ def sample_noise(config: MechanismConfig, rng, size=None, max_attempts=10**6):
     v = _lp_noise(ball.p, ball.dimension, config.delta * ball.radius, config.epsilon,
                   rng, 1 if size is None else size)
     return v[0] if size is None else v
+
+
+def sample_noise_rows(draws, max_attempts=10**6):
+    """One noise draw per (MechanismConfig, generator) pair of draws, as the
+    rows of a (len(draws), m) array; the configs share one dimension m and
+    every pair has its own generator.
+
+    Row i is sample_noise(*draws[i], max_attempts=max_attempts) bit for bit,
+    and each generator ends where that call leaves it. An lp pair takes
+    sample_noise itself. The pairs of each hull ball draw their uniform
+    points side by side (the stacked _hull_uniform), then each its
+    Gamma(m+1) radius. Raises SamplerError, as sample_noise does, for a pair
+    whose proposal budget runs out.
+    """
+    if len({id(rng) for _, rng in draws}) < len(draws):
+        raise ValueError("sample_noise_rows: every draw needs its own generator")
+    dims = {config.dimension for config, _ in draws}
+    if len(dims) > 1:
+        raise ValueError(f"sample_noise_rows: configs of dimensions {sorted(dims)}")
+    out = np.empty((len(draws), dims.pop() if dims else 0))
+    hulls = {}
+    for i, (config, rng) in enumerate(draws):
+        if config.ball.is_lp:
+            out[i] = sample_noise(config, rng, max_attempts=max_attempts)
+        else:
+            hulls.setdefault(config.ball, []).append(i)
+    for ball, rows in hulls.items():
+        points = _hull_uniform(ball.pieces, ball.dimension, [draws[i][1] for i in rows], 1,
+                               max_attempts)
+        for i, (u, counts) in zip(rows, points):
+            _check_filled(u, 1, counts)
+            config, rng = draws[i]
+            out[i] = 0.0 + _times_radius(u, config.rate, rng)[0]
+    return out

@@ -7,6 +7,7 @@ import pytest
 
 from knorm.geometry import (
     _hull_chunk,
+    _hull_uniform,
     _k2_gauge,
     _k2_sum_quantile,
     _k2_weight,
@@ -445,6 +446,33 @@ class TestHalfSumKernels:
             want, want_counts = full_sum_uniform(ball.pieces, ball.dimension, old, n, 10**6)
             assert same_bytes(pts, want) and counts == want_counts
             assert new.bit_generator.state == old.bit_generator.state
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 70])
+    def test_stacked_streams(self, name, count):
+        # every stream of a stack gets the points, counts and end state of
+        # the full-sum reference on its generator alone
+        ball = HULLS[name]()
+        for n in (0, 1, 3):
+            new = [RngStream(count, i).generator() for i in range(count)]
+            old = [RngStream(count, i).generator() for i in range(count)]
+            got = _hull_uniform(ball.pieces, ball.dimension, new, n, 10**6)
+            assert len(got) == count
+            for (pts, counts), a, b in zip(got, new, old):
+                want, want_counts = full_sum_uniform(ball.pieces, ball.dimension, b, n, 10**6)
+                assert same_bytes(pts, want) and counts == want_counts
+                assert a.bit_generator.state == b.bit_generator.state
+
+    def test_stacked_budget_runs_out(self, name):
+        # a stream out of budget returns the points it has, beside full streams
+        ball = HULLS[name]()
+        new = [RngStream(9, i).generator() for i in range(5)]
+        old = [RngStream(9, i).generator() for i in range(5)]
+        got = _hull_uniform(ball.pieces, ball.dimension, new, 200, 300)
+        for (pts, counts), a, b in zip(got, new, old):
+            want, want_counts = full_sum_uniform(ball.pieces, ball.dimension, b, 200, 300)
+            assert same_bytes(pts, want) and counts == want_counts
+            assert a.bit_generator.state == b.bit_generator.state
+        assert _hull_uniform(ball.pieces, ball.dimension, [], 1, 10**6) == []
 
     def test_single_noise_draws(self, name):
         ball = HULLS[name]()

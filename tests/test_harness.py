@@ -410,6 +410,34 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: --reps must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--ball", "l2"],
+        ["compare", "--a", "l1:1", "--b", "linf:2", "--m", "3"],
+        ["diagnostics", "--mech", "l2", "--draws", "100"],
+        ["simulate-logistic", "--n", "200", "--reps", "1", "--eps", "1"],
+        ["simulate-coverage", "--n", "300", "--p", "2", "--reps", "1", "--eps", "1"],
+        ["run-regression", "--csv", "missing.csv", "--response", "y"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2(self, capsys, argv):
+        # named as the option, before any stream is drawn
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--ball", "l2"],
+        ["sample", "--ball", "k2"],
+        ["compare", "--a", "l1:1", "--b", "linf:2"],
+        ["compare", "--a", "k2:1", "--b", "linf:2"],
+    ])
+    def test_zero_dimension_exits_2(self, capsys, argv):
+        # named as the option, not as the ball name
+        assert main(argv + ["--m", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --m must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("pair", [("kt3:1", "linf:2"), ("l1:1", "l2:1")])
     def test_compare_too_few_mc_samples_exits_2(self, pair, capsys):
         # named as the option, also for a pair whose volumes are exact
@@ -773,6 +801,36 @@ class TestRunLayer:
         assert _sha256(simulate_coverage(self._coverage(("l1", "linf", "kt")))) == (
             "87d0b9872ceabdf11868813e881bd36a27f41f08ab96bc079ff75e4c94e57aef")
 
+    #: the values behind the three coverage digests: (long rows, summary rows)
+    _COVERAGE_VALUES = {
+        ("l1", "linf", "kt"): (
+            [1.0, 0.0, 0.5, 0.0, 1.0, 1.0, 1.0, 1.0, 0.5, 1.0, 0.0, 1.0, 1.0, 1.0],
+            [1.0, 0.25, 0.75, 0.0, 1.0, 1.0, 1.0],
+        ),
+        ("l1", "linf"): (
+            [1.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.5, 1.0, 0.0, 1.0],
+            [1.0, 0.25, 0.75, 0.5, 1.0],
+        ),
+        "benchmark_shape": (
+            [11 / 12, 0.0, 0.0, 1 / 12, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2 / 12,
+             1 / 12, 4 / 12, 7 / 12, 3 / 12, 2 / 12, 3 / 12, 3 / 12, 10 / 12, 1.0,
+             1.0, 1 / 12, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+             2 / 12, 4 / 12, 4 / 12, 2 / 12, 7 / 12, 5 / 12, 3 / 12, 5 / 12, 10 / 12],
+            [23 / 24, 1 / 24, 0.0, 1 / 24, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+             2 / 24, 3 / 24, 8 / 24, 11 / 24, 5 / 24, 9 / 24, 8 / 24, 6 / 24, 15 / 24,
+             22 / 24],
+        ),
+    }
+
+    @pytest.mark.parametrize("mechanisms", [("l1", "linf", "kt"), ("l1", "linf")])
+    def test_coverage_values_within_rounding(self, mechanisms):
+        _assert_values_within_rounding(simulate_coverage(self._coverage(mechanisms)),
+                                       self._COVERAGE_VALUES[mechanisms])
+
+    def test_coverage_benchmark_shape_values_within_rounding(self):
+        _assert_values_within_rounding(simulate_coverage(self._COVERAGE_BENCHMARK_SHAPE),
+                                       self._COVERAGE_VALUES["benchmark_shape"])
+
     def test_regression_file_bytes_pinned(self, tmp_path, monkeypatch):
         config = self._regression_file(tmp_path, monkeypatch, ("l1", "linf", "kt"))
         assert _sha256(run_regression_file(config)) == (
@@ -806,11 +864,13 @@ class TestRunLayer:
         _assert_values_within_rounding(run_regression_file(config),
                                        self._REGRESSION_VALUES[mechanisms])
 
+    #: the coverage-kt12 workload's shape: p = 12 and n = 10^4
+    _COVERAGE_BENCHMARK_SHAPE = SimulationConfig(
+        eps=DEFAULT_COVERAGE_EPS, n=10_000, p=12, reps=2, mechanisms=("l1", "linf", "kt"),
+        seed=0)
+
     def test_coverage_benchmark_shape_bytes_pinned(self):
-        # the coverage-kt12 workload's shape: p = 12 and n = 10^4
-        config = SimulationConfig(eps=DEFAULT_COVERAGE_EPS, n=10_000, p=12, reps=2,
-                                  mechanisms=("l1", "linf", "kt"), seed=0)
-        assert _sha256(simulate_coverage(config)) == (
+        assert _sha256(simulate_coverage(self._COVERAGE_BENCHMARK_SHAPE)) == (
             "4eb18e7fa43d2a440b71f81d2921478ba9e8e57a5f6bda21cd14c237ff1b9fbf")
 
     # l1/linf coverage bytes are those of the per-cell pinv solves, less the "# q=0.5" echo

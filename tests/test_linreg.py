@@ -599,12 +599,18 @@ class TestDpEstimate:
             d = statistic_dimension(p)
             stats = [StatisticVector(rng.normal(size=d) * scale, p)
                      for scale in (1.0, 100.0, 1e4) for _ in range(7)]
-            stacked = dp_estimates(stats, 5000)
+            stacked = dp_estimates(np.stack([stat.values for stat in stats]), p, 5000)
             assert stacked.shape == (21, p + 1)
             for stat, row in zip(stats, stacked):
                 assert np.array_equal(row, per_call_estimate(stat, 5000))
                 assert np.array_equal(row, dp_estimate(stat, 5000))
-        assert dp_estimates([], 5000).shape == (0, 0)
+            assert dp_estimates(np.empty((0, d)), p, 5000).shape == (0, p + 1)
+
+    def test_values_of_another_layout_rejected(self):
+        with pytest.raises(ValueError, match=r"expected \(k, 8\) statistic values"):
+            dp_estimates(np.zeros((3, 9)), 2, 100)
+        with pytest.raises(ValueError, match="statistic values"):
+            dp_estimates(np.zeros(8), 2, 100)
 
     def test_matches_general_pinv(self):
         # pinv's general SVD is an independent reference: a symmetric
@@ -627,7 +633,8 @@ class TestDpEstimate:
                 stats.append(build_statistic(RegressionDataset(design, y)))
                 dropped.append(1)
             indefinite = 0
-            for stat, row, n_dropped in zip(stats, dp_estimates(stats, n_rows), dropped):
+            stacked = dp_estimates(np.stack([stat.values for stat in stats]), p, n_rows)
+            for stat, row, n_dropped in zip(stats, stacked, dropped):
                 xtx, xty = reference_system(stat, n_rows)
                 lam = np.linalg.eigh(xtx)[0]
                 sv = np.linalg.svd(xtx, compute_uv=False)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats as sps
 
+from knorm import geometry
 from knorm.geometry import NormBall, _box_rejection, k2_ball, lp_norm
-from knorm.linreg import ball_from_name
+from knorm.linreg import ball_from_name, statistic_mechanism
 from knorm.sampling import (
     _lp_noise,
     MechanismConfig,
@@ -18,6 +19,7 @@ from knorm.sampling import (
     sample_linf_mech,
     sample_lp_mech,
     sample_noise,
+    sample_noise_rows,
 )
 
 INF = math.inf
@@ -363,6 +365,10 @@ class TestReproducibility:
         with pytest.raises(ValueError):
             RngStream(1, -1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            RngStream(-1, 0)
+
 
 class TestMechanismConfig:
     def test_validation(self):
@@ -376,3 +382,104 @@ class TestMechanismConfig:
         config = MechanismConfig(2.0, 4.0, NormBall.lp(1, 1, 2))
         assert config.rate == 0.5
         assert config.label
+
+
+class TestStackedDraws:
+    """sample_noise_rows draws every (config, generator) pair of a list at
+    once: each row, and each generator's end state, is that of sample_noise
+    on the pair alone. Rows are compared as bytes, as np.array_equal does
+    not see the sign of a zero."""
+
+    #: seed at which kt12 stream 4 of 7 accepts nothing in its first 64
+    #: proposals (it takes 64 + 256) while the other six finish in 64
+    EMPTY_FIRST_CHUNK_SEED = 404
+
+    @staticmethod
+    def _configs(names, count):
+        # budgets and sensitivities vary along the list, balls cycle through
+        # names; lp balls take k3's dimension
+        balls = [ball_from_name(name, 3) for name in names]
+        return [MechanismConfig(0.25 * (1 + i % 5), 1.0 + i % 3, balls[i % len(balls)])
+                for i in range(count)]
+
+    @staticmethod
+    def _draws(configs, seed):
+        return [(config, RngStream(seed, i).generator()) for i, config in enumerate(configs)]
+
+    def _check(self, configs, seed, max_attempts=10**6):
+        stacked, single = self._draws(configs, seed), self._draws(configs, seed)
+        rows = sample_noise_rows(stacked, max_attempts)
+        assert rows.shape == (len(configs), configs[0].dimension)
+        for row, (_, rng), (config, alone) in zip(rows, stacked, single):
+            want = sample_noise(config, alone, max_attempts=max_attempts)
+            assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == alone.bit_generator.state
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 70])
+    @pytest.mark.parametrize("name", ["k2", "k3", "kt1", "kt2", "kt5", "kt12"])
+    def test_rows_are_the_per_pair_draws(self, name, count):
+        self._check(self._configs([name], count), seed=count)
+
+    @pytest.mark.parametrize("p", [2, 12])
+    def test_mixed_cells_in_cell_order(self, p):
+        # the coverage grid: every epsilon with l1, linf and kt
+        configs = [statistic_mechanism(mech, p, eps)
+                   for eps in (0.0625, 0.5, 4.0) for mech in ("l1", "linf", "kt")]
+        self._check(configs, seed=p)
+
+    def test_mixed_balls(self):
+        self._check(self._configs(["k3", "l1", "k3", "l2", "l1.5", "linf"], 12), seed=5)
+
+    def test_a_stream_with_an_empty_first_chunk(self):
+        config = statistic_mechanism("kt", 12, 1.0)
+        proposals = [
+            sample_k_mech_rejection(np.zeros(config.dimension), config.ball, 1.0, 1.0, rng,
+                                    return_stats=True)[1]["proposals"]
+            for _, rng in self._draws([config] * 7, self.EMPTY_FIRST_CHUNK_SEED)]
+        assert proposals == [64, 64, 64, 64, 320, 64, 64]
+        self._check([config] * 7, self.EMPTY_FIRST_CHUNK_SEED)
+
+    def test_budget_failure_in_one_stream(self):
+        # with 64 proposals each, stream 4 alone runs out: the stack raises
+        # that stream's own error
+        configs = [statistic_mechanism("kt", 12, 1.0)] * 7
+        errors = []
+        for config, rng in self._draws(configs, self.EMPTY_FIRST_CHUNK_SEED):
+            try:
+                sample_noise(config, rng, max_attempts=64)
+            except SamplerError as exc:
+                errors.append(str(exc))
+        assert errors == ["rejection sampling failed: 0/1 accepted after 64 proposals "
+                          "(acceptance rate 0)"]
+        with pytest.raises(SamplerError) as exc:
+            sample_noise_rows(self._draws(configs, self.EMPTY_FIRST_CHUNK_SEED), 64)
+        assert str(exc.value) == errors[0]
+
+    def test_streams_in_several_passes(self, monkeypatch):
+        # 70 kt12 first chunks of 64 make 4480 columns, past one pass's
+        # (1 << 17) // 79 = 1659: every pass stays within it
+        passes = []
+        hull_pass = geometry._hull_pass
+
+        def counted(pieces, chunks, *args):
+            passes.append(sum(k for _, k in chunks))
+            return hull_pass(pieces, chunks, *args)
+
+        monkeypatch.setattr(geometry, "_hull_pass", counted)
+        self._check(self._configs(["kt12"], 70), seed=6)
+        assert len(passes) > 3 and max(passes) <= (1 << 17) // 79
+        assert sum(passes[:3]) == 70 * 64
+
+    def test_empty_list(self):
+        assert sample_noise_rows([]).shape == (0, 0)
+
+    def test_shared_generator_rejected(self):
+        rng = RngStream(7, 0).generator()
+        config = _noise_config("k2")
+        with pytest.raises(ValueError, match="its own generator"):
+            sample_noise_rows([(config, rng), (config, rng)])
+
+    def test_mixed_dimensions_rejected(self):
+        configs = self._configs(["k2", "k3"], 2)
+        with pytest.raises(ValueError, match="dimensions"):
+            sample_noise_rows(self._draws(configs, 8))
