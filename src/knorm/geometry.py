@@ -588,15 +588,21 @@ def _lp_extremal_ratio(pa, pb, m):
 
 
 def _lp_vertices(ball: NormBall):
-    # exact vertex lists for the polytope lp balls; None for any other ball
+    """One vertex of each sign class of a polytope lp ball, or None for any
+    other ball: the m vertices r*e_i of an l1 ball and the corner (-r, ..., -r)
+    of an l-infinity box.
+
+    The rule needs a gauge that reads |x| only, as every gauge here does
+    (lp_norm and _hull_gauge_many both begin with an abs): such a gauge takes
+    the same value, bit for bit, at -r*e_i as at r*e_i and at all 2^m
+    corners of a box. A body whose gauge is not sign symmetric slot by slot
+    needs the full vertex list.
+    """
     m, r = ball.dimension, ball.radius
     if ball.p == 1:
-        eye = np.eye(m)
-        return np.vstack([r * eye, -r * eye])
-    if ball.p == math.inf and m <= 16:
-        # row i, column j is +1 where bit j of i is set
-        bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
-        return r * np.where(bits, 1.0, -1.0)
+        return r * np.eye(m)
+    if ball.p == math.inf:
+        return np.full((1, m), -r)
     return None
 
 
@@ -605,11 +611,14 @@ def ball_containment(a: ScaledBall, b: ScaledBall, seed=0) -> ContainmentVerdict
 
     lp-vs-lp pairs are decided analytically from the extremal norm ratio,
     and a body whose l-infinity bounding radius fits inside an l-infinity
-    ball b is contained in it. If a is a polytope lp ball with a tractable
-    vertex list, vertex checking is exact. Otherwise the check samples 512
-    boundary points of a: any point falling outside b is a witness for
-    not_contained, while no violation only yields "undetermined"
-    (probabilistic evidence).
+    ball b is contained in it. If a is a polytope lp ball, vertex checking
+    is exact at any m: an l-infinity box is decided at its one corner
+    (-r, ..., -r) and an l1 ball at its m vertices r*e_i, which stand for
+    every vertex because b's gauge reads |x| only (see _lp_vertices); the
+    witness is the first vertex of largest gauge. For every other kind of
+    ball a the check samples 512 boundary points of a: any point falling
+    outside b is a witness for not_contained, while no violation only
+    yields "undetermined" (probabilistic evidence).
     """
     if a.dimension != b.dimension:
         raise ValueError("ball_containment: dimension mismatch")

@@ -169,6 +169,16 @@ def _noise_rng(config, cell, rep):
     return RngStream(config.seed, config.reps + cell * config.reps + rep).generator()
 
 
+def _design(g, shape):
+    """A design uniform on [-1, 1] from g: g.uniform(-1.0, 1.0, shape) bit
+    for bit, and g ends where that call leaves it, as uniform computes
+    -1 + 2u of the same draws u and doubling is exact."""
+    x = g.random(shape)
+    x *= 2.0
+    x -= 1.0
+    return x
+
+
 def _private_estimates(stat, draws, n_rows):
     """Private estimates from one noisy copy of stat per (MechanismConfig,
     noise generator) pair, drawn as one stack (sample_noise_rows) and
@@ -213,7 +223,7 @@ def simulate_logistic(config: SimulationConfig) -> ResultTable:
     table = ResultTable(_echo("logistic", config, q=_fmt(float(config.q)), m=m))
     for rep in range(config.reps):
         g = RngStream(config.seed, rep).generator()
-        X = g.uniform(-1.0, 1.0, size=(config.n, m))
+        X = _design(g, (config.n, m))
         u = g.random(config.n)
         y = (u < _sigmoid(X @ beta)).astype(float)
 
@@ -264,7 +274,7 @@ def simulate_coverage(config: SimulationConfig) -> ResultTable:
         g = RngStream(config.seed, rep).generator()
         X = np.empty((n, p + 1))
         X[:, 0] = 1.0
-        X[:, 1:] = g.uniform(-1.0, 1.0, size=(n, p))
+        X[:, 1:] = _design(g, (n, p))
         y = X @ beta + g.standard_normal(n)
 
         xtx, xty = X.T @ X, X.T @ y

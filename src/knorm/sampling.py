@@ -68,7 +68,10 @@ class RngStream:
 
 @dataclass(frozen=True)
 class MechanismConfig:
-    """Privacy budget, sensitivity and norm ball of one K-norm mechanism."""
+    """Privacy budget, sensitivity and norm ball of one K-norm mechanism.
+
+    A budget whose noise could be non-finite is refused here, before any
+    draw (_check_budget)."""
 
     epsilon: float
     delta: float
@@ -76,8 +79,7 @@ class MechanismConfig:
     label: str = ""
 
     def __post_init__(self):
-        _check_positive("epsilon", self.epsilon)
-        _check_positive("delta", self.delta)
+        _check_budget(self.epsilon, self.delta, self.ball)
         if not self.label:
             object.__setattr__(self, "label", f"{self.ball.label()}:d={self.delta:g}")
 
@@ -94,6 +96,29 @@ class MechanismConfig:
 def _check_positive(name, value):
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+#: above -log of the smallest positive float, so above every standard
+#: exponential draw and every -log1p term of a Laplace draw
+_MAX_LOG_DRAW = 745.0
+
+
+def _check_budget(epsilon, delta, ball):
+    """Refuse, from public parameters alone, a budget whose noise could be
+    non-finite: epsilon and delta must be positive and finite, and so must
+    the rate epsilon/delta, delta*linf_radius (an lp ball's sampler draws at
+    scale delta*radius) and the bound (m + 1)*745*linf_radius/rate on every
+    noise coordinate (a Gamma(m + 1) radius is a sum of m + 1 exponentials,
+    each below 745)."""
+    _check_positive("epsilon", epsilon)
+    _check_positive("delta", delta)
+    rate = epsilon / delta
+    if not (rate > 0 and math.isfinite(rate)
+            and math.isfinite(delta * ball.linf_radius)
+            and math.isfinite((ball.dimension + 1) * _MAX_LOG_DRAW * ball.linf_radius / rate)):
+        raise ValueError(
+            f"epsilon={epsilon!r} and delta={delta!r} can give non-finite noise "
+            f"for {ball.label()} at m={ball.dimension} (rate epsilon/delta = {rate!r})")
 
 
 def sample_gamma_int(shape, rate, rng, size=None):
@@ -224,8 +249,7 @@ def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng,
     With return_stats, also returns a dict with proposal counts and the
     acceptance rate.
     """
-    _check_positive("delta_k", delta_k)
-    _check_positive("epsilon", epsilon)
+    _check_budget(epsilon, delta_k, ball)
     T = np.asarray(T, dtype=float)
     m = T.shape[-1]
     if ball.dimension != m:

@@ -23,7 +23,7 @@ from knorm.geometry import (
     volume_lp,
     volume_monte_carlo,
 )
-from knorm.linreg import kt_ball
+from knorm.linreg import ball_from_name, kt_ball
 from knorm.sampling import (
     MechanismConfig,
     RngStream,
@@ -711,6 +711,97 @@ class TestContainment:
         assert ball_containment(b, c).status == "contained"
         for seed in range(5):
             assert ball_containment(a, c, seed=seed).status != "not_contained"
+
+
+def all_vertices(ball):
+    """Every vertex of a polytope lp ball: the 2^m corners of a box, row i
+    +r in slot j where bit j of i is set and -r elsewhere, or the 2m vertices
+    +-r*e_i of an l1 ball."""
+    m, r = ball.dimension, ball.radius
+    if ball.p == INF:
+        bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+        return r * np.where(bits, 1.0, -1.0)
+    eye = np.eye(m)
+    return np.vstack([r * eye, -r * eye])
+
+
+def brute_force_containment(a, b):
+    """(status, witness) of scale_a*K_a in scale_b*K_b from every vertex of
+    the polytope a: the first vertex of largest gauge is the witness."""
+    pts = a.scale * all_vertices(a.ball)
+    g = b.gauge_many(pts)
+    if (g > 1.0 + 1e-9).any():
+        return "not_contained", pts[np.argmax(g)]
+    return "contained", None
+
+
+#: the hull bodies of at most 13 slots, whose 2^m box corners can be listed
+SMALL_HULLS = ["k2", "k3", "kt1", "kt2", "kt3"]
+ALL_BALL_NAMES = ["l1", "l2", "linf", "l1.5", "k2", "k3", "kt1", "kt2", "kt3", "kt4"]
+
+
+class TestVertexRule:
+    """ball_containment decides a polytope lp ball a from one vertex per
+    sign class (the box corner (-r, ..., -r), the l1 vertices r*e_i). That
+    stands for every vertex only because every gauge reads |x| alone, which
+    test_gauge_is_sign_symmetric checks ball by ball."""
+
+    @pytest.mark.parametrize("name", SMALL_HULLS)
+    @pytest.mark.parametrize("p", [1, INF])
+    def test_matches_every_vertex(self, name, p):
+        body = ball_from_name(name, 0)
+        poly = NormBall.lp(p, 1.0, body.dimension)
+        for scale_b in (1.0, 1.5):
+            b = ScaledBall(body, scale_b)
+            # the scale of a at which its farthest vertex lands on b's boundary
+            edge = 1.0 / b.gauge_many(all_vertices(poly)).max()
+            statuses = set()
+            for scale_a in (edge * (1.0 - 1e-6), edge, edge * (1.0 + 1e-6)):
+                a = ScaledBall(poly, scale_a)
+                verdict = ball_containment(a, b)
+                status, witness = brute_force_containment(a, b)
+                assert verdict.status == status
+                if witness is None:
+                    assert verdict.witness is None
+                else:
+                    assert verdict.witness.tobytes() == witness.tobytes()
+                statuses.add(status)
+            assert statuses == {"contained", "not_contained"}
+
+    @pytest.mark.parametrize("name, m", [("kt3", 13), ("kt4", 19)])
+    def test_box_check_evaluates_one_row(self, name, m, monkeypatch):
+        body = ball_from_name(name, 0)
+        assert body.dimension == m
+        rows = []
+        gauge_many = NormBall.gauge_many
+
+        def counted(self, points):
+            rows.append(len(np.atleast_2d(points)))
+            return gauge_many(self, points)
+
+        monkeypatch.setattr(NormBall, "gauge_many", counted)
+        box = NormBall.lp(INF, 1.0, m)
+        verdict = ball_containment(ScaledBall(box, 2.0), ScaledBall(body, 1.0))
+        assert rows == [1]
+        assert verdict.status == "not_contained"
+        assert verdict.witness.tobytes() == np.full(m, -2.0).tobytes()
+        rows.clear()
+        assert ball_containment(ScaledBall(box, 1.0), ScaledBall(body, 1.0)).is_contained
+        assert rows == [1]
+
+    @pytest.mark.parametrize("name", ALL_BALL_NAMES)
+    def test_gauge_is_sign_symmetric(self, name):
+        ball = ball_from_name(name, 5)
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(-2.5, 2.5, size=(400, ball.dimension))
+        pts[::7] *= 1e-3  # some points deep inside the body
+        g = ball.gauge_many(pts)
+        for _ in range(10):
+            flips = np.where(rng.random(pts.shape) < 0.5, -1.0, 1.0)
+            assert ball.gauge_many(flips * pts).tobytes() == g.tobytes()
+        # box corners share the gauge of (-1, ..., -1)
+        corners = np.where(rng.random((64, ball.dimension)) < 0.5, -1.0, 1.0)
+        assert (ball.gauge_many(corners) == ball.gauge(-np.ones(ball.dimension))).all()
 
 
 class TestQuadraticPairSensitivity:

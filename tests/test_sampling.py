@@ -384,6 +384,55 @@ class TestMechanismConfig:
         assert config.label
 
 
+#: (epsilon, delta) at the ends of the float range (subnormal, 1e+-300 and
+#: their quotients) whose noise could overflow for every ball, and pairs
+#: near them whose noise stays finite
+REFUSED_BUDGETS = [(5e-324, 1.0), (1e-200, 1e200), (1e-300, 1e300), (1e300, 1e-300)]
+FINITE_BUDGETS = [(1e-303, 1.0), (1e-150, 1e150), (1e300, 1e300), (5e-324, 5e-324)]
+BALL_NAMES = ["l1", "l2", "linf", "l1.5", "k2", "k3", "kt1", "kt2", "kt3", "kt4"]
+
+
+def assert_refused(call, rng):
+    # a ValueError naming both budget parameters, before rng draws anything
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert "epsilon" in str(exc.value) and "delta" in str(exc.value)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("name", BALL_NAMES)
+class TestExtremeBudgets:
+    """No budget releases a non-finite value: a budget whose noise could
+    overflow is refused before any draw, from public parameters alone."""
+
+    @pytest.mark.parametrize("epsilon, delta", REFUSED_BUDGETS)
+    def test_refused(self, name, epsilon, delta):
+        ball = ball_from_name(name, 3)
+        rng = RngStream(31, 0).generator()
+        assert_refused(lambda: MechanismConfig(epsilon, delta, ball), rng)
+        assert_refused(lambda: sample_k_mech_rejection(np.zeros(ball.dimension), ball, delta,
+                                                       epsilon, rng), rng)
+
+    @pytest.mark.parametrize("epsilon, delta", FINITE_BUDGETS)
+    def test_finite(self, name, epsilon, delta):
+        ball = ball_from_name(name, 3)
+        config = MechanismConfig(epsilon, delta, ball)
+        rngs = [RngStream(31, i).generator() for i in range(3)]
+        assert np.isfinite(sample_noise(config, rngs[0], size=50)).all()
+        assert np.isfinite(sample_noise_rows([(config, rng) for rng in rngs])).all()
+        assert np.isfinite(sample_k_mech_rejection(np.zeros(ball.dimension), ball, delta,
+                                                   epsilon, rngs[0], size=20)).all()
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, INF])
+def test_lp_scale_overflow_refused(p):
+    # the lp samplers draw at scale delta*radius, which overflows here
+    # although epsilon/delta = 1
+    ball = NormBall.lp(p, 1e10, 3)
+    assert_refused(lambda: MechanismConfig(1e300, 1e300, ball), RngStream(32, 0).generator())
+
+
 class TestStackedDraws:
     """sample_noise_rows draws every (config, generator) pair of a list at
     once: each row, and each generator's end state, is that of sample_noise
