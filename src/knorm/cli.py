@@ -10,7 +10,7 @@ from . import harness
 from .harness import SimulationConfig
 from .linreg import ball_from_name
 from .ordering import compare
-from .sampling import MechanismConfig, RngStream, sample_noise
+from .sampling import BudgetError, MechanismConfig, RngStream, sample_noise
 
 # unused here, but perfbench/spans.py rebinds this name in this module
 from .linreg import kt_ball  # noqa: F401
@@ -27,15 +27,23 @@ def _parse_list(text):
     return tuple(tok for tok in text.split(",") if tok)
 
 
-def _parse_mechanism(spec, m, epsilon):
-    """Mechanism spec "<ball>:<delta>", e.g. "linf:2" or "k2:1"."""
+def _budget(options, build):
+    """build(), with a budget it refuses (BudgetError) reported under the
+    options that set it."""
+    try:
+        return build()
+    except BudgetError as exc:
+        raise ValueError(f"{options}: {exc}") from None
+
+
+def _parse_mechanism(option, spec, m, epsilon):
+    """Mechanism spec "<ball>:<delta>", e.g. "linf:2" or "k2:1", of an option."""
     ball_token, _, delta_token = spec.partition(":")
     if not delta_token:
         raise ValueError(f"mechanism spec needs <ball>:<delta>, got {spec!r}")
     ball = ball_from_name(ball_token, m)
-    return MechanismConfig(
-        epsilon=epsilon, delta=float(delta_token), ball=ball, label=spec
-    )
+    return _budget(f"{option} {spec} at --eps {epsilon!r}", lambda: MechanismConfig(
+        epsilon=epsilon, delta=float(delta_token), ball=ball, label=spec))
 
 
 def _emit(text, path):
@@ -49,10 +57,8 @@ def _emit(text, path):
 
 def _simulate(driver, args, **fields):
     """Run a simulation driver on the shared flags plus fields; write both tables."""
-    config = SimulationConfig(
-        eps=args.eps, reps=args.reps, mechanisms=args.mech, seed=args.seed, **fields
-    )
-    table = driver(config)
+    table = _budget("--eps", lambda: driver(SimulationConfig(
+        eps=args.eps, reps=args.reps, mechanisms=args.mech, seed=args.seed, **fields)))
     _emit(table.long_csv(), args.out)
     _emit(table.summary_csv(), args.summary)
     return 0
@@ -93,8 +99,8 @@ def _cmd_compare(args):
     _check_m(args.m)
     if args.mc_samples < 1000:
         raise ValueError(f"--mc-samples must be >= 1000, got {args.mc_samples}")
-    mech_a = _parse_mechanism(args.a, args.m, args.eps)
-    mech_b = _parse_mechanism(args.b, args.m, args.eps)
+    mech_a = _parse_mechanism("--a", args.a, args.m, args.eps)
+    mech_b = _parse_mechanism("--b", args.b, args.m, args.eps)
     report = compare(mech_a, mech_b, seed=args.seed, n_mc=args.mc_samples)
     items = report.as_dict()
     for key, value in items.items():
@@ -109,7 +115,7 @@ def _cmd_sample(args):
         raise ValueError(f"--reps must be >= 0, got {args.reps}")
     _check_m(args.m)
     ball = ball_from_name(args.ball, args.m)
-    config = MechanismConfig(epsilon=args.eps, delta=args.delta, ball=ball)
+    config = _budget("--eps/--delta", lambda: MechanismConfig(args.eps, args.delta, ball))
     rng = RngStream(args.seed, 0).generator()
     draws = sample_noise(config, rng, size=args.reps)
     gauges = ball.gauge_many(draws)
@@ -125,10 +131,7 @@ def _cmd_sample(args):
 
 
 def _cmd_diagnostics(args):
-    report = harness.run_diagnostics(
-        mechanisms=args.mech, n_draws=args.draws, seed=args.seed,
-        fault=args.inject_fault,
-    )
+    report = harness.run_diagnostics(mechanisms=args.mech, n_draws=args.draws, seed=args.seed)
     for line in report.format_lines():
         sys.stdout.write(line + "\n")
     if not report.checks:
@@ -196,8 +199,6 @@ def _parser():
                    help="comma list of ball names, as for sample --ball")
     s.add_argument("--draws", type=int, default=10_000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--inject-fault", choices=("laplace-scale",),
-                   help="testing aid: deliberately mis-scale a sampler")
     s.set_defaults(func=_cmd_diagnostics)
     return parser
 

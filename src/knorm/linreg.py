@@ -220,13 +220,12 @@ def statistic_mechanism(mech, p, epsilon) -> MechanismConfig:
     raise ValueError(f"unknown mechanism {mech!r}; use l1, linf, or kt")
 
 
-def sanitize_statistic(stat: StatisticVector, mech, epsilon, rng,
-                       max_attempts=10**6) -> StatisticVector:
+def sanitize_statistic(stat: StatisticVector, mech, epsilon, rng) -> StatisticVector:
     """Add the noise of statistic_mechanism(mech, stat.p, epsilon) to the
     whole statistic vector. Rejection-sampler failures for "kt" propagate.
     """
     config = statistic_mechanism(mech, stat.p, epsilon)
-    noise = sample_noise(config, rng, max_attempts=max_attempts)
+    noise = sample_noise(config, rng)
     return StatisticVector(stat.values + noise, stat.p)
 
 

@@ -5,12 +5,19 @@ Closed forms cover the l1 (independent Laplace), l2 (gamma radius times a
 spherical direction) and l-infinity (gamma radius times a box direction)
 balls, and every other lp ball through the polar form: a gamma radius
 times G/||G||_p for G with iid coordinates of density proportional to
-exp(-|g|^p). The hull balls k2, k3 and kt<p> go through an exact uniform
-point on K from the ball's own sampler (NormBall.uniform), followed by an
-independent Gamma(m+1) radius. In every case the gauge of the noise is
-marginally Gamma(m, eps/Delta). sample_noise_rows draws one noise vector
-per (config, generator) pair, with the hull draws of each ball side by
-side, and each row is sample_noise's draw on that pair.
+exp(-|g|^p) (_lp_noise). The hull balls k2, k3 and kt<p> take one kernel,
+_uniform_noise: exact uniform points of K from one NormBall.uniform call
+for all of a ball's generators, within MAX_PROPOSALS proposals each, times
+independent Gamma(m+1) radii. In every case the gauge of the noise is
+marginally Gamma(m, eps/Delta). _noise is the one choice between the two:
+sample_noise is its one-pair case and sample_noise_rows calls it once per
+ball. sample_k_mech_rejection adds _uniform_noise's draw to T for any ball.
+
+A release T + V is finite for every T whose entries are at most
+sys.float_info.max - B in magnitude, where B = (m + 1)*745*linf_radius*
+Delta/eps bounds every noise coordinate and _check_budget keeps B finite.
+A larger T is not refused, as the refusal would then depend on the data,
+and T + V may overflow.
 
 Samplers are pure given an explicit generator; parallel replicates should
 use distinct RngStream ids.
@@ -23,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormBall, _hull_uniform, lp_norm
+from .geometry import NormBall, lp_norm
 
 __all__ = [
     "RngStream",
     "MechanismConfig",
     "SamplerError",
+    "BudgetError",
     "sample_gamma_int",
     "sample_l1_mech",
     "sample_l2_mech",
@@ -40,8 +48,16 @@ __all__ = [
 ]
 
 
+#: proposals each NormBall.uniform draw may spend per generator; read at call time
+MAX_PROPOSALS = 10**6
+
+
 class SamplerError(RuntimeError):
     """Raised when rejection sampling exhausts its proposal budget."""
+
+
+class BudgetError(ValueError):
+    """Raised, before any draw, for a privacy budget that is refused."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +111,7 @@ class MechanismConfig:
 
 def _check_positive(name, value):
     if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+        raise BudgetError(f"{name} must be positive and finite, got {value}")
 
 
 #: above -log of the smallest positive float, so above every standard
@@ -116,7 +132,7 @@ def _check_budget(epsilon, delta, ball):
     if not (rate > 0 and math.isfinite(rate)
             and math.isfinite(delta * ball.linf_radius)
             and math.isfinite((ball.dimension + 1) * _MAX_LOG_DRAW * ball.linf_radius / rate)):
-        raise ValueError(
+        raise BudgetError(
             f"epsilon={epsilon!r} and delta={delta!r} can give non-finite noise "
             f"for {ball.label()} at m={ball.dimension} (rate epsilon/delta = {rate!r})")
 
@@ -200,106 +216,83 @@ def sample_lp_mech(T, p, delta_p, epsilon, rng, size=None):
     return T + sample_noise(config, rng, size=size)
 
 
-def sample_uniform_ball(ball: NormBall, rng, size=None, max_attempts=10**6):
-    """Uniform draw(s) on the unit-scale ball, from its own sampler
-    (NormBall.uniform: the hull sampler, or rejection from the box of an lp
-    ball).
-
-    Returns (samples, (accepted, proposals)): the requested points plus the
-    total acceptance counts over all proposals (accepted can exceed the
-    request; extras are discarded). Raises SamplerError, reporting the
-    observed acceptance rate, if the proposal budget runs out first
-    (_check_filled, which sample_noise_rows shares), as a ball's own
-    sampler returns the points it has when its budget runs out.
-    """
-    n = 1 if size is None else size
-    out, counts = ball.uniform(rng, n, max_attempts)
-    _check_filled(out, n, counts)
-    return (out[0] if size is None else out), counts
-
-
-def _check_filled(points, n, counts):
-    # a sampler that ran out of budget returns fewer than the n points asked for
-    if len(points) < n:
-        accepted, proposals = counts
-        rate = accepted / proposals if proposals else 0.0
-        raise SamplerError(
-            f"rejection sampling failed: {len(points)}/{n} accepted after "
-            f"{proposals} proposals (acceptance rate {rate:.3g})"
-        )
+def _uniform_noise(ball, draws, n):
+    """n noise draws of a ball for each (rate, generator) pair of draws, as
+    one (len(draws)*n, m) array, pair by pair, and each pair's (accepted,
+    proposals) counts: exact uniform points of the unit-scale body from one
+    NormBall.uniform call for every generator, times independent
+    Gamma(m+1, rate) radii. Raises SamplerError, reporting the observed
+    acceptance rate, for a pair whose MAX_PROPOSALS run out first."""
+    points = ball.uniform([rng for _, rng in draws], n, MAX_PROPOSALS)
+    noise = np.empty((len(draws) * n, ball.dimension))
+    for i, ((rate, rng), (u, (accepted, proposals))) in enumerate(zip(draws, points)):
+        if len(u) < n:  # the sampler returns the points it has once out of budget
+            raise SamplerError(
+                f"rejection sampling failed: {len(u)}/{n} accepted after {proposals} "
+                f"proposals (acceptance rate {accepted / proposals if proposals else 0.0:.3g})")
+        r = sample_gamma_int(ball.dimension + 1, rate, rng, size=n)
+        np.multiply(r[:, None], u, out=noise[i * n:(i + 1) * n])
+    return noise, [counts for _, counts in points]
 
 
-def _times_radius(u, rate, rng):
-    """Rows of u, uniform points of a unit ball, times independent
-    Gamma(m+1, rate) radii: K-norm noise of that ball."""
-    r = sample_gamma_int(u.shape[1] + 1, rate, rng, size=len(u))
-    return r[:, None] * u
+def _noise(ball, draws, n):
+    """n noise draws of a ball for each (MechanismConfig, generator) pair of
+    draws, as a (len(draws)*n, m) array, pair by pair: the closed or polar
+    form of an lp ball (_lp_noise), or a hull's exact uniform points
+    (_uniform_noise). The gauge is the ball's own Minkowski functional, so
+    an lp ball of radius r draws at the effective per-norm scale delta*r."""
+    if ball.is_lp:
+        parts = [_lp_noise(ball.p, ball.dimension, config.delta * ball.radius, config.epsilon,
+                           rng, n) for config, rng in draws]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # 0.0 + v turns each -0.0 of v into 0.0, as T + v does with a zero T
+    return 0.0 + _uniform_noise(ball, [(config.rate, rng) for config, rng in draws], n)[0]
 
 
-def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng,
-                            max_attempts=10**6, size=None, return_stats=False):
+def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng, size=None,
+                            return_stats=False):
     """K-norm mechanism for any norm ball: T + r*U.
 
-    U is uniform on the unit-scale ball (the ball's own sampler; see
-    sample_uniform_ball) and r ~ Gamma(m+1, eps/delta_k) independent, which
+    U is uniform on the unit-scale ball (the ball's own sampler,
+    NormBall.uniform) and r ~ Gamma(m+1, eps/delta_k) independent, which
     yields the target density proportional to exp(-(eps/delta_k)*||v||_K).
     An lp ball takes box rejection here; sample_noise draws it in closed or
-    polar form instead.
+    polar form instead. The budget is checked first (_check_budget); see
+    the module docstring for the range of T.
 
     With return_stats, also returns a dict with proposal counts and the
     acceptance rate.
     """
     _check_budget(epsilon, delta_k, ball)
     T = np.asarray(T, dtype=float)
-    m = T.shape[-1]
-    if ball.dimension != m:
+    if ball.dimension != T.shape[-1]:
         raise ValueError("ball dimension does not match T")
-    n = 1 if size is None else size
-    u, (accepted, proposals) = sample_uniform_ball(
-        ball, rng, size=n, max_attempts=max_attempts
-    )
-    v = _times_radius(u, epsilon / delta_k, rng)
+    v, [(accepted, proposals)] = _uniform_noise(ball, [(epsilon / delta_k, rng)],
+                                                1 if size is None else size)
     out = T + (v[0] if size is None else v)
     if return_stats:
-        stats = {
-            "accepted": accepted,
-            "proposals": proposals,
-            "acceptance_rate": accepted / proposals,
-        }
-        return out, stats
+        return out, {"accepted": accepted, "proposals": proposals,
+                     "acceptance_rate": accepted / proposals}
     return out
 
 
-def sample_noise(config: MechanismConfig, rng, size=None, max_attempts=10**6):
-    """Noise draw(s) from a mechanism config: one (m,) draw, or (size, m).
-
-    An lp ball takes its closed form (see _lp_noise), and a hull ball an
-    exact uniform point of its body (see sample_k_mech_rejection). The
-    gauge here is the ball's own Minkowski functional, so an lp ball of
-    radius r uses the effective per-norm scale delta*r.
-    """
-    ball = config.ball
-    if not ball.is_lp:
-        return sample_k_mech_rejection(
-            np.zeros(ball.dimension), ball, config.delta, config.epsilon, rng,
-            max_attempts=max_attempts, size=size,
-        )
-    v = _lp_noise(ball.p, ball.dimension, config.delta * ball.radius, config.epsilon,
-                  rng, 1 if size is None else size)
+def sample_noise(config: MechanismConfig, rng, size=None):
+    """Noise draw(s) from a mechanism config: one (m,) draw, or (size, m);
+    the one-pair case of _noise."""
+    v = _noise(config.ball, [(config, rng)], 1 if size is None else size)
     return v[0] if size is None else v
 
 
-def sample_noise_rows(draws, max_attempts=10**6):
+def sample_noise_rows(draws):
     """One noise draw per (MechanismConfig, generator) pair of draws, as the
     rows of a (len(draws), m) array; the configs share one dimension m and
     every pair has its own generator.
 
-    Row i is sample_noise(*draws[i], max_attempts=max_attempts) bit for bit,
-    and each generator ends where that call leaves it. An lp pair takes
-    sample_noise itself. The pairs of each hull ball draw their uniform
-    points side by side (the stacked _hull_uniform), then each its
-    Gamma(m+1) radius. Raises SamplerError, as sample_noise does, for a pair
-    whose proposal budget runs out.
+    Row i is sample_noise(*draws[i]) bit for bit, and each generator ends
+    where that call leaves it: the pairs of each ball take one _noise call,
+    so a hull's pairs draw their uniform points side by side (the stacked
+    _hull_uniform), then each its Gamma(m+1) radius. Raises SamplerError, as
+    sample_noise does, for a pair whose proposal budget runs out.
     """
     if len({id(rng) for _, rng in draws}) < len(draws):
         raise ValueError("sample_noise_rows: every draw needs its own generator")
@@ -307,17 +300,9 @@ def sample_noise_rows(draws, max_attempts=10**6):
     if len(dims) > 1:
         raise ValueError(f"sample_noise_rows: configs of dimensions {sorted(dims)}")
     out = np.empty((len(draws), dims.pop() if dims else 0))
-    hulls = {}
-    for i, (config, rng) in enumerate(draws):
-        if config.ball.is_lp:
-            out[i] = sample_noise(config, rng, max_attempts=max_attempts)
-        else:
-            hulls.setdefault(config.ball, []).append(i)
-    for ball, rows in hulls.items():
-        points = _hull_uniform(ball.pieces, ball.dimension, [draws[i][1] for i in rows], 1,
-                               max_attempts)
-        for i, (u, counts) in zip(rows, points):
-            _check_filled(u, 1, counts)
-            config, rng = draws[i]
-            out[i] = 0.0 + _times_radius(u, config.rate, rng)[0]
+    groups = {}
+    for i, (config, _) in enumerate(draws):
+        groups.setdefault(config.ball, []).append(i)
+    for ball, rows in groups.items():
+        out[rows] = _noise(ball, [draws[i] for i in rows], 1)
     return out

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from knorm import sampling
 from knorm.geometry import (
     _hull_chunk,
     _hull_uniform,
@@ -30,7 +31,6 @@ from knorm.sampling import (
     SamplerError,
     sample_gamma_int,
     sample_noise,
-    sample_uniform_ball,
 )
 
 INF = math.inf
@@ -296,6 +296,14 @@ class TestBallKinds:
         assert ball_containment(same, ScaledBall(k2_ball(), 1.0)).status == "contained"
 
 
+def uniform_points(ball, rng, n):
+    """n exact uniform points of a ball from its own sampler, and their
+    (accepted, proposals) counts."""
+    (pts, counts), = ball.uniform([rng], n, sampling.MAX_PROPOSALS)
+    assert len(pts) == n
+    return pts, counts
+
+
 class TestHullSampler:
     """The exact conditional sampler and box-fraction estimator that k2 and
     k3 take from their piece tables. Each statistical check allows 4
@@ -305,8 +313,8 @@ class TestHullSampler:
 
     def test_k2_sum_profile_without_accept_draw(self):
         # the k2 profile puts mass 1 of its 5/3 on |u1| <= 1: share 3/5
-        u, (accepted, proposals) = sample_uniform_ball(
-            k2_ball(), RngStream(340, 0).generator(), size=self.N)
+        u, (accepted, proposals) = uniform_points(k2_ball(), RngStream(340, 0).generator(),
+                                                  self.N)
         share = (np.abs(u[:, 0]) <= 1.0).mean()
         assert abs(share - 0.6) <= 4.0 * math.sqrt(0.6 * 0.4 / self.N)
         # no k3 pieces, so every proposal is accepted
@@ -314,8 +322,8 @@ class TestHullSampler:
 
     def test_k3_slot_share_and_acceptance(self):
         # per octant, c <= 1 holds on volume 23/6 of 20/3: share 23/40
-        u, (accepted, proposals) = sample_uniform_ball(
-            k3_ball(), RngStream(341, 0).generator(), size=self.N)
+        u, (accepted, proposals) = uniform_points(k3_ball(), RngStream(341, 0).generator(),
+                                                  self.N)
         share = (np.abs(u[:, 2]) <= 1.0).mean()
         assert abs(share - 23 / 40) <= 4.0 * math.sqrt(23 / 40 * 17 / 40 / self.N)
         # uniform sums are accepted with the mean k3 weight, the box fraction 5/6
@@ -330,16 +338,16 @@ class TestHullSampler:
     @pytest.mark.parametrize("ball", [k2_ball(), k3_ball(), kt_ball(1), kt_ball(5)],
                              ids=["k2", "k3", "kt1", "kt5"])
     def test_every_point_is_a_member(self, ball):
-        pts, _ = sample_uniform_ball(ball, RngStream(343, ball.dimension).generator(),
-                                     size=5000)
+        pts, _ = uniform_points(ball, RngStream(343, ball.dimension).generator(), 5000)
         assert pts.shape == (5000, ball.dimension)
         assert ball.member_many(pts).all()
 
     @pytest.mark.parametrize("make", [k2_ball, k3_ball])
-    def test_budget_exhaustion_raises(self, make):
+    def test_budget_exhaustion_raises(self, make, monkeypatch):
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", 100)
         with pytest.raises(SamplerError, match="acceptance rate"):
-            sample_uniform_ball(make(), RngStream(344, 0).generator(), size=1000,
-                                max_attempts=100)
+            sample_noise(MechanismConfig(1.0, 1.0, make()), RngStream(344, 0).generator(),
+                         size=1000)
 
 
 def full_sum_k3_weights(x, pieces):
@@ -442,7 +450,7 @@ class TestHalfSumKernels:
         ball = HULLS[name]()
         for n in (1, 2, 257):
             new, old = RngStream(seed, n).generator(), RngStream(seed, n).generator()
-            pts, counts = ball.uniform(new, n, 10**6)
+            (pts, counts), = ball.uniform([new], n, 10**6)
             want, want_counts = full_sum_uniform(ball.pieces, ball.dimension, old, n, 10**6)
             assert same_bytes(pts, want) and counts == want_counts
             assert new.bit_generator.state == old.bit_generator.state
@@ -548,6 +556,29 @@ class TestK2K3PieceTables:
         for scale in (1e-300, 0.5, 1.0, 2.0, 1e300):
             U = scale * dirs
             assert np.array_equal(ball.gauge_many(U), piece_gauge(*np.abs(U).T))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: lp_norm([1.0, 2.0], math.nan), "p must be"),
+    (lambda: volume_lp(math.nan, 3), "p must be"),
+    (lambda: volume_lp(2, 3, math.nan), "r must be"),
+    (lambda: volume_lp(2, 2.5), "m must be"),
+    (lambda: volume_lp(2, math.nan), "m must be"),
+    (lambda: volume_lp(2, INF), "m must be"),
+    (lambda: quadratic_pair_sensitivity(math.nan), "p must be"),
+    (lambda: volume_monte_carlo(kt_ball(1), scale=math.nan), "scale must be"),
+    (lambda: volume_monte_carlo(kt_ball(1), scale=INF), "scale must be"),
+    (lambda: NormBall.lp(2, 1.0, 2.5), "dimension must be"),
+    (lambda: NormBall.lp(2, 1.0, math.nan), "dimension must be"),
+], ids=["lp_norm-p", "volume_lp-p", "volume_lp-r", "volume_lp-fractional-m",
+        "volume_lp-nan-m", "volume_lp-inf-m", "quadratic_pair_sensitivity-p",
+        "volume_monte_carlo-nan-scale", "volume_monte_carlo-inf-scale",
+        "NormBall-fractional-dimension", "NormBall-nan-dimension"])
+def test_invalid_parameters_refused(call, match):
+    # each check is written so that nan fails it, where a nan compared with
+    # < or <= slipped through to a nan or (inf, inf) result
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestVolumeLp:

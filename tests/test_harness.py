@@ -262,6 +262,19 @@ class TestReadTable:
             read_table(path)
 
 
+def mis_scale_laplace(monkeypatch):
+    """Stub harness.sample_noise so that every l1 ball draws at half its
+    Delta: a mis-scaled Laplace sampler that the diagnostics must catch."""
+    draw = harness.sample_noise
+
+    def half_delta(config, rng, size=None):
+        if config.ball.p == 1:
+            config = MechanismConfig(config.epsilon, config.delta / 2.0, config.ball)
+        return draw(config, rng, size=size)
+
+    monkeypatch.setattr(harness, "sample_noise", half_delta)
+
+
 class TestDiagnostics:
     def test_default_all_pass(self):
         report = run_diagnostics(n_draws=4000, seed=0)
@@ -282,9 +295,9 @@ class TestDiagnostics:
         assert "expected 0.8333," in checks["box-fraction[k3]"].detail
         assert "box-fraction[kt1]" not in checks
 
-    def test_fault_injection_detected(self):
-        report = run_diagnostics(mechanisms=("l1",), n_draws=4000, seed=0,
-                                 fault="laplace-scale")
+    def test_fault_injection_detected(self, monkeypatch):
+        mis_scale_laplace(monkeypatch)
+        report = run_diagnostics(mechanisms=("l1",), n_draws=4000, seed=0)
         ks_checks = [c for c in report.checks if "gamma-marginal" in c.name]
         assert ks_checks and not ks_checks[0].passed
         assert not report.all_passed
@@ -306,11 +319,12 @@ class TestDiagnostics:
         assert report.checks == []
         assert report.all_passed
 
-    @pytest.mark.parametrize("n_draws", [1, 0, -3])
+    @pytest.mark.parametrize("n_draws", [49, 1, 0, -3])
     def test_too_few_draws_rejected(self, n_draws):
-        # one draw has no standard error; zero or fewer used to fail deep in
-        # lp_norm or numpy
-        with pytest.raises(ValueError, match=f"at least 2 draws per mechanism, got {n_draws}"):
+        # below 50 draws the normal approximations behind the 4-SE checks
+        # fail correct samplers; zero or fewer used to fail deep in lp_norm
+        # or numpy
+        with pytest.raises(ValueError, match=f"at least 50 draws per mechanism, got {n_draws}"):
             run_diagnostics(n_draws=n_draws)
 
 
@@ -437,6 +451,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --m must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (["sample", "--ball", "l2", "--eps", "5e-324"],
+         "--eps/--delta: epsilon=5e-324 and delta=1.0 can give non-finite noise for l2 "
+         "at m=2 (rate epsilon/delta = 5e-324)"),
+        (["sample", "--ball", "kt2", "--eps", "1e-200", "--delta", "1e200"],
+         "--eps/--delta: epsilon=1e-200 and delta=1e+200 can give non-finite noise for kt2 "
+         "at m=8 (rate epsilon/delta = 0.0)"),
+        (["compare", "--a", "k2:1", "--b", "linf:2", "--m", "2", "--eps", "5e-324"],
+         "--a k2:1 at --eps 5e-324: epsilon=5e-324 and delta=1.0 can give non-finite noise "
+         "for k2 at m=2 (rate epsilon/delta = 5e-324)"),
+        (["compare", "--a", "l1:1", "--b", "linf:0", "--m", "2"],
+         "--b linf:0 at --eps 1.0: delta must be positive and finite, got 0.0"),
+        (["simulate-logistic", "--eps", "1,1e-320", "--n", "100", "--reps", "1"],
+         "--eps: epsilon=1e-320 and q=0.5 give an invalid regularization weight gamma=inf"),
+        (["simulate-coverage", "--eps", "1e-320", "--n", "100", "--p", "2", "--reps", "1"],
+         "--eps: epsilon=1e-320 and delta=16.0 can give non-finite noise for l1 at m=8 "
+         "(rate epsilon/delta = 6.23e-322)"),
+        (["run-regression", "--csv", "missing.csv", "--response", "y", "--eps", "1,0"],
+         "--eps: epsilon values must be positive"),
+    ], ids=["sample-subnormal", "sample-rate-underflow", "compare-a", "compare-b",
+            "simulate-logistic", "simulate-coverage", "run-regression"])
+    def test_refused_budget_names_its_options(self, capsys, monkeypatch, argv, err):
+        # refused from the options alone, before any stream is drawn
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a stream before checking the budget")
+
+        monkeypatch.setattr(RngStream, "generator", no_draws)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
 
     @pytest.mark.parametrize("pair", [("kt3:1", "linf:2"), ("l1:1", "l2:1")])
     def test_compare_too_few_mc_samples_exits_2(self, pair, capsys):
@@ -608,34 +654,54 @@ class TestCli:
         assert run.returncode == 0, run.stderr
         assert "hull" in run.stdout
 
-    def test_diagnostics_exit_codes(self, capsys):
+    def test_diagnostics_exit_codes(self, capsys, monkeypatch):
         assert main(["diagnostics", "--mech", "l2", "--draws", "2000"]) == 0
-        assert main(["diagnostics", "--mech", "l1", "--draws", "4000",
-                     "--inject-fault", "laplace-scale"]) == 1
+        mis_scale_laplace(monkeypatch)
+        assert main(["diagnostics", "--mech", "l1", "--draws", "4000"]) == 1
 
-    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_diagnostics_has_no_fault_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnostics", "--inject-fault", "laplace-scale"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("draws", ["49", "0", "-3"])
     def test_diagnostics_too_few_draws(self, capsys, draws):
         assert main(["diagnostics", "--draws", draws]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: diagnostics needs at least 2 draws per "
+        assert captured.err == (f"error: diagnostics needs at least 50 draws per "
                                 f"mechanism, got {draws}\n")
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_diagnostics_two_draws(self, capsys, seed):
-        # two equal box-fraction weights have a sample SE of 0 (seeds 1 and 2
-        # with k2); the check then uses the null SE instead of dividing by 0
+    def test_diagnostics_two_draws(self, capsys, monkeypatch, seed):
+        # draws that all get the same box-fraction weight have a sample SE
+        # of 0 (two draws did at seeds 1 and 2 with k2); with that SE
+        # stubbed, the check uses the null SE of the 5/6 that k2 and k3
+        # fill instead of dividing by 0
+        fracs = []
+        box_fraction = NormBall.box_fraction
+
+        def zero_se(self, rng, n):
+            frac, _ = box_fraction(self, rng, n)
+            fracs.append(frac)
+            return frac, 0.0
+
+        monkeypatch.setattr(NormBall, "box_fraction", zero_se)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["diagnostics", "--mech", "k2,k3", "--draws", "2",
+            code = main(["diagnostics", "--mech", "k2,k3", "--draws", "50",
                          "--seed", str(seed)])
         out = capsys.readouterr().out
         assert code in (0, 1)
-        assert "box-fraction[k2]" in out and "box-fraction[k3]" in out
         assert "inf" not in out and "nan" not in out
-        if seed in (1, 2):
-            assert "PASS box-fraction[k2]: statistic=1 " in out
-            assert "deviation 0.63 SE" in out
+        null_se = math.sqrt(5 / 6 * (1 / 6) / 50)
+        assert len(fracs) == 2
+        for name, frac in zip(("k2", "k3"), fracs):
+            dev = abs(frac - 5 / 6) / null_se
+            verdict = "PASS" if dev <= 4.0 else "FAIL"
+            assert (f"{verdict} box-fraction[{name}]: statistic={frac:.6g} threshold=4 "
+                    f"(expected 0.8333, deviation {dev:.2f} SE)") in out
 
     def test_coverage_needs_n_above_p_plus_one(self, capsys, monkeypatch):
         def no_draws(*args, **kwargs):

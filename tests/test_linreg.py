@@ -5,6 +5,7 @@ import pytest
 import scipy.stats as sps
 from scipy.special import ndtri
 
+from knorm import sampling
 from knorm.geometry import (
     NormBall,
     _box_rejection,
@@ -35,8 +36,15 @@ from knorm.linreg import (
 )
 from knorm.sampling import (
     MechanismConfig, RngStream, SamplerError, sample_k_mech_rejection, sample_noise,
-    sample_uniform_ball,
 )
+
+
+def uniform_points(ball, rng, n):
+    """n exact uniform points of a ball from its own sampler, and their
+    (accepted, proposals) counts."""
+    (pts, counts), = ball.uniform([rng], n, sampling.MAX_PROPOSALS)
+    assert len(pts) == n
+    return pts, counts
 
 
 def single_row_dataset(row, y):
@@ -311,9 +319,8 @@ class TestKTMember:
 
     def test_members_respect_box(self):
         # rejection-sampled members always stay inside the bounding box
-        from knorm.sampling import sample_uniform_ball
         rng = RngStream(73, 0).generator()
-        pts, _ = sample_uniform_ball(kt_ball(2), rng, size=2000)
+        pts, _ = uniform_points(kt_ball(2), rng, 2000)
         assert np.abs(pts).max() <= 2.0
 
 
@@ -411,7 +418,7 @@ class TestKtSampler:
     def test_matches_box_rejection_two_sample_ks(self, p):
         ball = kt_ball(p)
         n = 20_000
-        cond, _ = sample_uniform_ball(ball, RngStream(420, p).generator(), size=n)
+        cond, _ = uniform_points(ball, RngStream(420, p).generator(), n)
         box, _ = _box_rejection(ball, RngStream(421, p).generator(), n, 10**6)
         columns = [(cond[:, j], box[:, j]) for j in range(ball.dimension)]
         columns.append((ball.gauge_many(cond), ball.gauge_many(box)))
@@ -439,8 +446,8 @@ class TestKtSampler:
         ball = kt_ball(p)
         v = sample_noise(MechanismConfig(1.0, 1.0, ball), RngStream(324, p).generator())
         assert v.shape == (ball.dimension,) and np.isfinite(v).all()
-        u, (accepted, proposals) = sample_uniform_ball(ball, RngStream(325, p).generator())
-        assert ball.member_many(u[None, :]).all()
+        u, (accepted, proposals) = uniform_points(ball, RngStream(325, p).generator(), 1)
+        assert ball.member_many(u).all()
         assert 1 <= accepted <= proposals <= 10**6
 
     @pytest.mark.parametrize("p, n", [(1, 3000), (2, 3000), (3, 3000), (5, 2000),
@@ -448,10 +455,10 @@ class TestKtSampler:
     def test_every_point_is_a_member(self, p, n):
         layout = _shared_layout(p)
         ball = kt_ball(p)
-        pts, _ = sample_uniform_ball(ball, RngStream(326, p).generator(), size=n)
+        pts, _ = uniform_points(ball, RngStream(326, p).generator(), n)
         assert ball.member_many(pts).all()
         # filled slots exactly on their interval ends stay inside too
-        edge, _ = sample_uniform_ball(ball, EdgeRng(327 + p), size=n)
+        edge, _ = uniform_points(ball, EdgeRng(327 + p), n)
         assert ball.member_many(edge).all()
         sums = np.abs(edge[:, layout.sum_slots]).T
         assert np.array_equal(np.abs(edge[:, layout.squares]), 2.0 * _k2_weight(sums[:p]).T)
@@ -470,10 +477,11 @@ class TestKtSampler:
         est, se = volume_monte_carlo(ball, n_samples=1000)
         assert est > 0.0 and se > 0.0
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", 100)
         with pytest.raises(SamplerError, match="acceptance rate"):
-            sample_uniform_ball(kt_ball(28), RngStream(329, 0).generator(), size=10,
-                                max_attempts=100)
+            sample_noise(MechanismConfig(1.0, 1.0, kt_ball(28)),
+                         RngStream(329, 0).generator(), size=10)
 
     def test_stats_count_conditional_proposals(self):
         # a proposal is accepted with mean _k3_kernel under the k2 profile,
@@ -552,13 +560,13 @@ class TestSanitize:
         with pytest.raises(ValueError):
             sanitize_statistic(stat, "gauss", 1.0, RngStream(0, 0).generator())
 
-    def test_rejection_failure_propagates(self):
+    def test_rejection_failure_propagates(self, monkeypatch):
         rng = np.random.default_rng(78)
         stat = build_statistic(random_dataset(rng, 10, 2))
         # a spent budget fails whatever the acceptance rate
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", 0)
         with pytest.raises(SamplerError):
-            sanitize_statistic(stat, "kt", 1.0, RngStream(0, 0).generator(),
-                               max_attempts=0)
+            sanitize_statistic(stat, "kt", 1.0, RngStream(0, 0).generator())
 
 
 def reference_system(stat, n_rows):

@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.stats as sps
 
-from knorm import geometry
+from knorm import geometry, sampling
 from knorm.geometry import NormBall, _box_rejection, k2_ball, lp_norm
 from knorm.linreg import ball_from_name, statistic_mechanism
 from knorm.sampling import (
@@ -214,14 +215,13 @@ class TestRejectionMech:
         se = math.sqrt(expected * (1 - expected) / proposals)
         assert abs(accepted / proposals - expected) <= 4 * se
 
-    def test_max_attempts_fails_loudly(self):
+    def test_max_attempts_fails_loudly(self, monkeypatch):
         # the 20-d l2 ball fills about 2.5e-8 of its box
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", 2000)
         thin = NormBall.lp(2, 1.0, 20)
         rng = RngStream(5, 4).generator()
         with pytest.raises(SamplerError, match="acceptance rate"):
-            sample_k_mech_rejection(
-                np.zeros(20), thin, 1.0, 1.0, rng, size=5000, max_attempts=2000
-            )
+            sample_k_mech_rejection(np.zeros(20), thin, 1.0, 1.0, rng, size=5000)
 
     def test_dimension_mismatch(self):
         rng = RngStream(5, 5).generator()
@@ -455,12 +455,12 @@ class TestStackedDraws:
     def _draws(configs, seed):
         return [(config, RngStream(seed, i).generator()) for i, config in enumerate(configs)]
 
-    def _check(self, configs, seed, max_attempts=10**6):
+    def _check(self, configs, seed):
         stacked, single = self._draws(configs, seed), self._draws(configs, seed)
-        rows = sample_noise_rows(stacked, max_attempts)
+        rows = sample_noise_rows(stacked)
         assert rows.shape == (len(configs), configs[0].dimension)
         for row, (_, rng), (config, alone) in zip(rows, stacked, single):
-            want = sample_noise(config, alone, max_attempts=max_attempts)
+            want = sample_noise(config, alone)
             assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
             assert rng.bit_generator.state == alone.bit_generator.state
 
@@ -488,20 +488,21 @@ class TestStackedDraws:
         assert proposals == [64, 64, 64, 64, 320, 64, 64]
         self._check([config] * 7, self.EMPTY_FIRST_CHUNK_SEED)
 
-    def test_budget_failure_in_one_stream(self):
+    def test_budget_failure_in_one_stream(self, monkeypatch):
         # with 64 proposals each, stream 4 alone runs out: the stack raises
         # that stream's own error
+        monkeypatch.setattr(sampling, "MAX_PROPOSALS", 64)
         configs = [statistic_mechanism("kt", 12, 1.0)] * 7
         errors = []
         for config, rng in self._draws(configs, self.EMPTY_FIRST_CHUNK_SEED):
             try:
-                sample_noise(config, rng, max_attempts=64)
+                sample_noise(config, rng)
             except SamplerError as exc:
                 errors.append(str(exc))
         assert errors == ["rejection sampling failed: 0/1 accepted after 64 proposals "
                           "(acceptance rate 0)"]
         with pytest.raises(SamplerError) as exc:
-            sample_noise_rows(self._draws(configs, self.EMPTY_FIRST_CHUNK_SEED), 64)
+            sample_noise_rows(self._draws(configs, self.EMPTY_FIRST_CHUNK_SEED))
         assert str(exc.value) == errors[0]
 
     def test_streams_in_several_passes(self, monkeypatch):
@@ -532,3 +533,62 @@ class TestStackedDraws:
         configs = self._configs(["k2", "k3"], 2)
         with pytest.raises(ValueError, match="dimensions"):
             sample_noise_rows(self._draws(configs, 8))
+
+
+class TestOneHullPath:
+    """Every hull draw goes through one kernel: one NormBall.uniform call
+    for all of a ball's generators and at most one budget check, and
+    sample_noise never reaches sample_k_mech_rejection."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        # configs are built before this, so their own budget checks are not
+        # counted; the tests call sample_k_mech_rejection by their own name
+        calls = Counter()
+        uniform, check_budget = NormBall.uniform, sampling._check_budget
+
+        def counted_uniform(self, *args):
+            calls[f"uniform[{self.label()}]"] += 1
+            return uniform(self, *args)
+
+        def counted_check(*args):
+            calls["check_budget"] += 1
+            return check_budget(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample_k_mech_rejection reached")
+
+        monkeypatch.setattr(NormBall, "uniform", counted_uniform)
+        monkeypatch.setattr(sampling, "_check_budget", counted_check)
+        monkeypatch.setattr(sampling, "sample_k_mech_rejection", refuse)
+        return calls
+
+    @pytest.mark.parametrize("name", ["k2", "k3", "kt3"])
+    @pytest.mark.parametrize("size", [None, 1, 40])
+    def test_sample_noise(self, monkeypatch, name, size):
+        config = MechanismConfig(1.0, 2.0, ball_from_name(name, 3))
+        calls = self._count(monkeypatch)
+        sample_noise(config, RngStream(33, 0).generator(), size=size)
+        assert calls == {f"uniform[{name}]": 1}
+
+    def test_sample_noise_lp_draws_no_uniform_points(self, monkeypatch):
+        config = MechanismConfig(1.0, 2.0, NormBall.lp(1.5, 1.0, 3))
+        calls = self._count(monkeypatch)
+        sample_noise(config, RngStream(33, 1).generator(), size=10)
+        assert calls == {}
+
+    def test_sample_noise_rows(self, monkeypatch):
+        # one uniform call for all the pairs of a hull ball; none for lp balls
+        configs = TestStackedDraws._configs(["k3", "l1", "k3", "l1.5", "linf"], 12)
+        draws = TestStackedDraws._draws(configs, 34)
+        calls = self._count(monkeypatch)
+        sample_noise_rows(draws)
+        assert calls == {"uniform[k3]": 1}
+
+    @pytest.mark.parametrize("name", ["k2", "kt3", "l1.5"])
+    def test_sample_k_mech_rejection(self, monkeypatch, name):
+        ball = ball_from_name(name, 3)
+        calls = self._count(monkeypatch)
+        sample_k_mech_rejection(np.zeros(ball.dimension), ball, 2.0, 1.0,
+                                RngStream(35, 0).generator(), size=20)
+        assert calls == {f"uniform[{name}]": 1, "check_budget": 1}
