@@ -31,6 +31,7 @@ from .ordering import (
     stochastic_tightness,
 )
 from .sampling import (
+    BudgetError,
     MechanismConfig,
     RngStream,
     SamplerError,

@@ -55,8 +55,14 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
+def _at_least(option, value, low):
+    if value < low:
+        raise ValueError(f"{option} must be >= {low}, got {value}")
+
+
 def _simulate(driver, args, **fields):
     """Run a simulation driver on the shared flags plus fields; write both tables."""
+    _at_least("--reps", args.reps, 1)
     table = _budget("--eps", lambda: driver(SimulationConfig(
         eps=args.eps, reps=args.reps, mechanisms=args.mech, seed=args.seed, **fields)))
     _emit(table.long_csv(), args.out)
@@ -76,10 +82,13 @@ def _add_common(sub, default_eps, default_mechs, default_reps):
 
 
 def _cmd_simulate_logistic(args):
+    _at_least("--n", args.n, 1)
     return _simulate(harness.simulate_logistic, args, n=args.n, q=args.q)
 
 
 def _cmd_simulate_coverage(args):
+    _at_least("--n", args.n, 1)
+    _at_least("--p", args.p, 1)
     return _simulate(harness.simulate_coverage, args, n=args.n, p=args.p)
 
 
@@ -90,15 +99,9 @@ def _cmd_run_regression(args):
     )
 
 
-def _check_m(m):
-    if m < 1:
-        raise ValueError(f"--m must be >= 1, got {m}")
-
-
 def _cmd_compare(args):
-    _check_m(args.m)
-    if args.mc_samples < 1000:
-        raise ValueError(f"--mc-samples must be >= 1000, got {args.mc_samples}")
+    _at_least("--m", args.m, 1)
+    _at_least("--mc-samples", args.mc_samples, 1000)
     mech_a = _parse_mechanism("--a", args.a, args.m, args.eps)
     mech_b = _parse_mechanism("--b", args.b, args.m, args.eps)
     report = compare(mech_a, mech_b, seed=args.seed, n_mc=args.mc_samples)
@@ -111,9 +114,8 @@ def _cmd_compare(args):
 
 
 def _cmd_sample(args):
-    if args.reps < 0:
-        raise ValueError(f"--reps must be >= 0, got {args.reps}")
-    _check_m(args.m)
+    _at_least("--reps", args.reps, 0)
+    _at_least("--m", args.m, 1)
     ball = ball_from_name(args.ball, args.m)
     config = _budget("--eps/--delta", lambda: MechanismConfig(args.eps, args.delta, ball))
     rng = RngStream(args.seed, 0).generator()
@@ -207,8 +209,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         # every subcommand reads --seed
-        if args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        _at_least("--seed", args.seed, 0)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"error: {exc}\n")

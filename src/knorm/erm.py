@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+#: minimize_erm stops once the gradient l2 norm of the mean-scaled objective is at
+#: most GRAD_TOL, within MAX_NEWTON_STEPS steps; both are read at call time
+GRAD_TOL = 1e-8
+MAX_NEWTON_STEPS = 500
+
+
 class OptimizerError(RuntimeError):
     """Raised when the inner optimizer fails to reach its gradient tolerance."""
 
@@ -52,7 +58,7 @@ class LossSpec:
     called with positional arguments only. eigen_bound bounds the
     eigenvalues of every per-example Hessian, and (grad_ball, grad_delta)
     bound the gauge of any per-example gradient difference; theta has the
-    ball's dimension. validate, if set, checks dataset preconditions;
+    ball's dimension. validate(X, y) checks dataset preconditions;
     evaluate runs it once per design.
     """
 
@@ -61,7 +67,7 @@ class LossSpec:
     grad_delta: float
     loss_and_grad: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
     hess: Callable[..., np.ndarray]
-    validate: Optional[Callable[[np.ndarray, np.ndarray], None]] = None
+    validate: Callable[[np.ndarray, np.ndarray], None]
 
     @property
     def dimension(self):
@@ -197,8 +203,8 @@ def evaluate(loss: LossSpec, X, y, theta=None) -> StartPoint:
 
     X is converted to a column-major float array, so that the kernels read
     contiguous columns (no copy when X already is one), and y to a float
-    array. loss.validate, if set, runs here, once for every fit that shares
-    the start. Every fit from the start must be passed its X and y.
+    array. loss.validate runs here, once for every fit that shares the
+    start. Every fit from the start must be passed its X and y.
     """
     X = np.asfortranarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -208,8 +214,7 @@ def evaluate(loss: LossSpec, X, y, theta=None) -> StartPoint:
         raise ValueError("design matrix has no rows")
     if y.shape != X.shape[:1]:
         raise ValueError(f"labels must be one per design row ({len(X)}), got shape {y.shape}")
-    if loss.validate is not None:
-        loss.validate(X, y)
+    loss.validate(X, y)
     theta = np.zeros(loss.dimension) if theta is None else np.array(theta, dtype=float)
     theta.flags.writeable = False
     value, grad, curvature = loss.loss_and_grad(theta, X, y)
@@ -228,8 +233,7 @@ def _start_for(loss, X, y, start):
     return start
 
 
-def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
-                 grad_tol=1e-8, max_iter=500):
+def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None):
     """Minimize (1/n)[sum loss + gamma/2 theta'theta + linear'theta].
 
     Damped Newton with Armijo backtracking (constant 1e-4, halving), falling
@@ -237,8 +241,8 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
     non-descent direction. A full step that fails the Armijo test is still
     taken when it raises f by no more than rounding error (1e-12 relative)
     and halves the gradient norm. Converges when the gradient l2 norm of the
-    mean-scaled objective is at most grad_tol; raises OptimizerError with
-    diagnostics after max_iter iterations.
+    mean-scaled objective is at most GRAD_TOL; raises OptimizerError with
+    diagnostics after MAX_NEWTON_STEPS iterations.
 
     The fit starts from start, a StartPoint from evaluate(loss, X, y,
     theta), or from evaluate(loss, X, y) at theta = 0 when start is None;
@@ -273,9 +277,9 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
     theta = start.theta.copy()
     f, g = objective(theta, start.value, start.grad)
     w, hess = start.curvature, start.hessian
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_STEPS):
         gnorm = float(np.sqrt(g @ g))
-        if gnorm <= grad_tol:
+        if gnorm <= GRAD_TOL:
             return theta
         if hess is None:
             hess = loss.hess(theta, X, y, w)
@@ -305,10 +309,10 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None,
                 )
         theta, f, g, w, hess = trial, ft, gt, wt, None
     gnorm = float(np.sqrt(g @ g))
-    if gnorm <= grad_tol:
+    if gnorm <= GRAD_TOL:
         return theta
     raise OptimizerError(
-        f"no convergence after {max_iter} iterations; gradient norm {gnorm:.3e}"
+        f"no convergence after {MAX_NEWTON_STEPS} iterations; gradient norm {gnorm:.3e}"
     )
 
 
@@ -319,8 +323,8 @@ def objective_perturbation(config: ObjPertConfig, X, y, rng, start=None):
     exp(-(eps*q/Delta)*||V||_K) through the sampling module, and minimizes
     the perturbed objective. The eps-DP guarantee for the loss's stated
     sensitivity bounds holds for the exact minimizer; the returned theta
-    only meets ||grad J||_2 <= grad_tol (minimize_erm's default, 1e-8), and
-    nothing here bounds the difference.
+    only meets ||grad J||_2 <= GRAD_TOL (1e-8), and nothing here bounds the
+    difference.
 
     start, if given, is minimize_erm's start, with X and y its own start.X
     and start.y, and must sit at theta = 0: a data-dependent start (such as

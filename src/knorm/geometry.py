@@ -68,8 +68,9 @@ class NormBall:
     """A symmetric convex body: an lp ball or the hull body of a piece table.
 
     An lp ball sets ``p`` and ``radius``. Its membership, gauge and volume
-    are closed form; its uniform points come by rejection from its bounding
-    box and its box fraction by hit-or-miss (_box_rejection, _hit_or_miss).
+    are closed form (volume_lp; it takes no ``volume`` and no box-fraction
+    estimate), and its uniform points come by rejection from its bounding
+    box (_box_rejection).
 
     A hull ball sets ``pieces`` instead, and lies in the [-2, 2]^m box. The
     first len(``squares``) of the table's ``sum_slots`` pair with the
@@ -84,8 +85,7 @@ class NormBall:
     Membership, the sampler and the box-fraction estimator all read these
     weights (_hull_member_many, _hull_uniform, _hull_box_fraction), and the
     gauge is the max of the piece gauges (_hull_gauge_many). ``volume`` is a
-    hull's exact unit-scale volume, if known (lp balls ignore it: their volume
-    is the closed form; see ``log_volume``).
+    hull's exact unit-scale volume, if known.
 
     Two hull balls are equal only if they share one piece table object, as
     the tables compare by identity.
@@ -108,6 +108,8 @@ class NormBall:
                 raise ValueError(f"p must be >= 1 or inf, got {self.p}")
             if not (self.radius > 0 and math.isfinite(self.radius)):
                 raise ValueError(f"radius must be positive, got {self.radius}")
+            if self.volume is not None:
+                raise ValueError("an lp ball takes no volume: it is volume_lp's closed form")
         elif self.volume is not None and not 0.0 < self.volume < math.inf:
             raise ValueError(f"volume must be positive and finite, got {self.volume}")
 
@@ -178,10 +180,11 @@ class NormBall:
         return _hull_uniform(self.pieces, self.dimension, rngs, n, max_proposals)
 
     def box_fraction(self, rng, n):
-        """Unbiased n-sample estimate of the fraction of the [-linf_radius,
-        linf_radius]^m box that the body fills, and its standard error."""
+        """Unbiased n-sample estimate of the fraction of the [-2, 2]^m box
+        that a hull body fills, and its standard error. An lp ball's volume
+        is closed form, so it raises ValueError naming volume_lp."""
         if self.is_lp:
-            return _hit_or_miss(self, rng, n)
+            raise ValueError(f"{self.label()} has a closed-form volume: use volume_lp")
         return _hull_box_fraction(self.pieces, rng, n)
 
 
@@ -204,22 +207,6 @@ def _box_rejection(ball, rng, n, max_proposals):
         out[got : got + take] = acc[:take]
         got += take
     return out[:got], (accepted, proposals)
-
-
-def _hit_or_miss(ball, rng, n):
-    """Fraction of n uniform points of a ball's bounding box that lie in
-    it, and its binomial standard error."""
-    b = ball.linf_radius
-    hits = 0
-    done = 0
-    chunk = 1 << 17
-    while done < n:
-        k = min(chunk, n - done)
-        pts = rng.uniform(-b, b, size=(k, ball.dimension))
-        hits += int(ball.member_many(pts).sum())
-        done += k
-    frac = hits / n
-    return frac, math.sqrt(frac * (1.0 - frac) / n)
 
 
 def _k2_cap(a):
@@ -533,7 +520,8 @@ def volume_lp(p, m, r=1.0):
 
 
 def volume_monte_carlo(ball: NormBall, scale=1.0, n_samples=100_000, seed=0):
-    """Monte Carlo volume estimate of scale*K over its bounding box.
+    """Monte Carlo volume estimate of scale*K over its bounding box, for a
+    hull body K; an lp ball raises ValueError (its volume is volume_lp).
 
     Returns (estimate, standard_error): the ball's unbiased estimate of the
     fraction of the box that K fills (NormBall.box_fraction), and its

@@ -432,16 +432,14 @@ def _dp_ratio_check(epsilon, n, seed):
     c0, _ = np.histogram(s0, bins=edges)
     c1, _ = np.histogram(s1, bins=edges)
     use = (c0 >= 100) & (c1 >= 100)
-    worst = 0.0
-    bound_hit = 1.0
-    for a, b in zip(c0[use], c1[use]):
-        ratio = max(a / b, b / a)
-        slack = 1.0 + 5.0 * math.sqrt(1.0 / a + 1.0 / b)
-        rel = ratio / (math.exp(epsilon) * slack)
-        if rel > worst:
-            worst = rel
-            bound_hit = ratio
-    return worst, bound_hit, int(use.sum())
+    if not use.any():
+        return 0.0, 1.0, 0
+    a, b = c0[use], c1[use]
+    ratio = np.maximum(a / b, b / a)
+    slack = 1.0 + 5.0 * np.sqrt(1.0 / a + 1.0 / b)
+    rel = ratio / (math.exp(epsilon) * slack)
+    worst = int(np.argmax(rel))  # the first bin of largest rel
+    return float(rel[worst]), float(ratio[worst]), len(a)
 
 
 def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,

@@ -109,10 +109,6 @@ class StatisticVector:
                 f"got {values.shape}"
             )
 
-    @property
-    def layout(self):
-        return _shared_layout(self.p)
-
 
 class RegressionDataset:
     """Design matrix with ones column and response, both bounded by [-1, 1].

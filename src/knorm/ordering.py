@@ -211,7 +211,7 @@ def _scaled_volume(config: MechanismConfig, n_mc, seed):
     log_vol = math.log(frac) + m * math.log(box)
     volume = _exp_or_inf(log_vol + m * math.log(delta))
     rel = se / frac
-    # an exact hit-or-miss count (every point a hit) has rel 0, also at inf volume
+    # an estimate whose weights are all equal has rel 0, also at inf volume
     return volume, rel * volume if rel else 0.0, log_vol, rel
 
 

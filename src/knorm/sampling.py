@@ -137,15 +137,12 @@ def _check_budget(epsilon, delta, ball):
             f"for {ball.label()} at m={ball.dimension} (rate epsilon/delta = {rate!r})")
 
 
-def sample_gamma_int(shape, rate, rng, size=None):
-    """Gamma(shape, rate) draw(s) for integer shape, as a sum of exponentials."""
+def sample_gamma_int(shape, rate, rng, size):
+    """size Gamma(shape, rate) draws for integer shape, as sums of exponentials."""
     if int(shape) != shape or shape <= 0:
         raise ValueError(f"shape must be a positive integer, got {shape}")
     _check_positive("rate", rate)
-    k = int(shape)
-    if size is None:
-        return float(rng.standard_exponential(k).sum() / rate)
-    return rng.standard_exponential((size, k)).sum(axis=1) / rate
+    return rng.standard_exponential((size, int(shape))).sum(axis=1) / rate
 
 
 def _lp_noise(p, m, delta, epsilon, rng, n):
@@ -257,17 +254,17 @@ def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng, size=None,
     NormBall.uniform) and r ~ Gamma(m+1, eps/delta_k) independent, which
     yields the target density proportional to exp(-(eps/delta_k)*||v||_K).
     An lp ball takes box rejection here; sample_noise draws it in closed or
-    polar form instead. The budget is checked first (_check_budget); see
-    the module docstring for the range of T.
+    polar form instead. The budget is checked first, by MechanismConfig;
+    see the module docstring for the range of T.
 
     With return_stats, also returns a dict with proposal counts and the
     acceptance rate.
     """
-    _check_budget(epsilon, delta_k, ball)
+    config = MechanismConfig(epsilon, delta_k, ball)
     T = np.asarray(T, dtype=float)
     if ball.dimension != T.shape[-1]:
         raise ValueError("ball dimension does not match T")
-    v, [(accepted, proposals)] = _uniform_noise(ball, [(epsilon / delta_k, rng)],
+    v, [(accepted, proposals)] = _uniform_noise(ball, [(config.rate, rng)],
                                                 1 if size is None else size)
     out = T + (v[0] if size is None else v)
     if return_stats:

@@ -255,7 +255,8 @@ class TestSharedStart:
             "loss_and_grad": lambda: evaluate(
                 dataclasses.replace(spec, loss_and_grad=ref_loss_and_grad), X, y),
             "hess": lambda: evaluate(dataclasses.replace(spec, hess=ref_hess), X, y),
-            "validate": lambda: evaluate(dataclasses.replace(spec, validate=None), X, y),
+            "validate": lambda: evaluate(
+                dataclasses.replace(spec, validate=lambda *data: spec.validate(*data)), X, y),
         }[other]()
         assert (elsewhere.X is X) == (other not in ("X copy", "X column-major copy"))
         assert (elsewhere.y is y) == (other != "y copy")
@@ -280,7 +281,7 @@ class TestSharedStart:
             objective_perturbation(ObjPertConfig(1.0, 0.5, spec), start.X, start.y,
                                    RngStream(77, 1).generator(), start=start)
 
-    def test_start_is_read_only_and_fits_return_their_own_theta(self):
+    def test_start_is_read_only_and_fits_return_their_own_theta(self, monkeypatch):
         X, y = self.replicate(78)
         spec = logistic_loss_spec(7)
         start = evaluate(spec, X, y)
@@ -288,7 +289,8 @@ class TestSharedStart:
             start.theta[0] = 1.0
         with pytest.raises(ValueError, match="n x 7"):
             evaluate(spec, X[:, :3], y)
-        fit = minimize_erm(spec, start.X, start.y, start=start, grad_tol=INF)
+        monkeypatch.setattr(erm, "GRAD_TOL", INF)
+        fit = minimize_erm(spec, start.X, start.y, start=start)
         assert np.array_equal(fit, np.zeros(7)) and fit.flags.writeable
 
     def test_start_holds_its_data_and_its_loss(self):
@@ -463,10 +465,11 @@ class TestLossSpec:
             "eigen_bound", "grad_ball", "grad_delta", "loss_and_grad", "hess", "validate"]
         assert spec.dimension == spec.grad_ball.dimension == 7
         # there is no second dimension that could disagree with the ball's
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="dimension"):
             LossSpec(dimension=7, eigen_bound=spec.eigen_bound,
                      grad_ball=NormBall.lp(2, 1.0, 5), grad_delta=spec.grad_delta,
-                     loss_and_grad=spec.loss_and_grad, hess=spec.hess)
+                     loss_and_grad=spec.loss_and_grad, hess=spec.hess,
+                     validate=spec.validate)
         five = dataclasses.replace(spec, grad_ball=NormBall.lp(2, 1.0, 5))
         assert five.dimension == 5
         assert sample_noise(ObjPertConfig(1.0, 0.5, five).noise,
@@ -564,7 +567,7 @@ class TestMinimizeErm:
         rng = RngStream(63, 0).generator()
         X, y = make_data(3000, 7, rng)
         spec = logistic_loss_spec(7)
-        ours = minimize_erm(spec, X, y, grad_tol=1e-8)
+        ours = minimize_erm(spec, X, y)
 
         def f(theta):
             z = X @ theta
@@ -623,12 +626,13 @@ class TestMinimizeErm:
         theta = objective_perturbation(config, X, y, noise)
         assert np.all(np.isfinite(theta))
 
-    def test_nonconvergence_raises_with_diagnostics(self):
+    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):
         rng = RngStream(66, 0).generator()
         X, y = make_data(500, 3, rng, beta=np.array([1.0, -1.0, 0.5]))
         spec = logistic_loss_spec(3)
+        monkeypatch.setattr(erm, "MAX_NEWTON_STEPS", 1)
         with pytest.raises(OptimizerError, match="gradient norm"):
-            minimize_erm(spec, X, y, max_iter=1)
+            minimize_erm(spec, X, y)
 
 
 class TestObjectivePerturbation:

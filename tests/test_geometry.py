@@ -32,6 +32,7 @@ from knorm.sampling import (
     sample_gamma_int,
     sample_noise,
 )
+from reference import hit_or_miss
 
 INF = math.inf
 
@@ -612,20 +613,37 @@ class TestVolumeMonteCarlo:
         est, se = volume_monte_carlo(k2_ball(), 1.0, 1_000_000, seed=7)
         assert abs(est - 40.0 / 3.0) <= 3 * se
 
+    @staticmethod
+    def _reference(ball, scale, n, seed):
+        # an lp ball's volume is volume_lp's closed form, which the tests
+        # check against hit-or-miss over its bounding box
+        box = (2.0 * ball.linf_radius * scale) ** ball.dimension
+        frac, se = hit_or_miss(ball, np.random.default_rng(seed), n)
+        return box * frac, box * se
+
     def test_lp_linf_square(self):
-        est, se = volume_monte_carlo(NormBall.lp(INF, 1.0, 2), 2.0, 100_000, seed=8)
-        assert abs(est - 16.0) <= 3 * se + 1e-9
+        est, se = self._reference(NormBall.lp(INF, 1.0, 2), 2.0, 100_000, seed=8)
+        assert abs(est - volume_lp(INF, 2, 2.0)) <= 3 * se + 1e-9
 
     def test_lp_l2_disk(self):
-        est, se = volume_monte_carlo(NormBall.lp(2, 1.0, 2), 1.0, 100_000, seed=9)
-        assert abs(est - math.pi) <= 3 * se
+        est, se = self._reference(NormBall.lp(2, 1.0, 2), 1.0, 100_000, seed=9)
+        assert abs(est - volume_lp(2, 2)) <= 3 * se
 
     @pytest.mark.parametrize("p", [1, 2, INF])
     @pytest.mark.parametrize("m", [2, 3])
     def test_agrees_with_analytic(self, p, m):
         ball = NormBall.lp(p, 1.3, m)
-        est, se = volume_monte_carlo(ball, 1.0, 200_000, seed=int(p if p != INF else 99) + m)
+        est, se = self._reference(ball, 1.0, 200_000, seed=int(p if p != INF else 99) + m)
         assert abs(est - volume_lp(p, m, 1.3)) <= 4 * se + 1e-9
+
+    @pytest.mark.parametrize("name", ["l1", "l2", "linf", "l1.5"])
+    def test_lp_ball_refused(self, name):
+        # an lp ball's volume is closed form, with no Monte Carlo estimate
+        ball = ball_from_name(name, 3)
+        with pytest.raises(ValueError, match="volume_lp"):
+            volume_monte_carlo(ball, 1.0, 100_000, seed=0)
+        with pytest.raises(ValueError, match="volume_lp"):
+            ball.box_fraction(np.random.default_rng(0), 1000)
 
     def test_scaling_invariant(self):
         # volume(delta*K) = delta^m * volume(K)
@@ -671,6 +689,11 @@ class TestExactVolumes:
     def test_hull_volume_must_be_positive_and_finite(self, bad):
         with pytest.raises(ValueError, match="volume"):
             NormBall(dimension=2, pieces=k2_ball().pieces, volume=bad)
+
+    def test_lp_ball_takes_no_volume(self):
+        # log_volume reads the closed form, so a stored volume would contradict it
+        with pytest.raises(ValueError, match="takes no volume"):
+            NormBall(dimension=2, p=2.0, volume=3.0)
 
 
 class TestContainment:

@@ -287,6 +287,27 @@ class TestDiagnostics:
     def test_default_output_pinned(self):
         assert run_diagnostics().format_lines() == DEFAULT_DIAGNOSTICS.splitlines()
 
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("n", [50, 20_000])
+    def test_dp_ratio_check_matches_a_loop_over_bins(self, epsilon, n):
+        # the worst bin is the first of largest relative ratio, as a strict
+        # > scan over the used bins picks; no used bin reads (0, 1, 0)
+        for seed in range(4):
+            rng = RngStream(seed, 900_000).generator()
+            s0 = harness.sample_l1_mech(np.zeros(1), 1.0, epsilon, rng, size=n)[:, 0]
+            s1 = harness.sample_l1_mech(np.ones(1), 1.0, epsilon, rng, size=n)[:, 0]
+            edges = np.arange(-8.0, 9.0 + 1e-9, 0.5)
+            c0, c1 = np.histogram(s0, bins=edges)[0], np.histogram(s1, bins=edges)[0]
+            worst, hit, bins = 0.0, 1.0, 0
+            for a, b in zip(c0, c1):
+                if a >= 100 and b >= 100:
+                    bins += 1
+                    ratio = max(a / b, b / a)
+                    rel = ratio / (math.exp(epsilon) * (1.0 + 5.0 * math.sqrt(1.0 / a + 1.0 / b)))
+                    if rel > worst:
+                        worst, hit = rel, ratio
+            assert harness._dp_ratio_check(epsilon, n, seed) == (worst, hit, bins)
+
     def test_acceptance_check_for_every_hull_with_a_volume(self):
         report = run_diagnostics(mechanisms=("k3", "kt1"), n_draws=2000, seed=0)
         assert report.all_passed
@@ -494,10 +515,34 @@ class TestCli:
         assert captured.err == "error: --mc-samples must be >= 1000, got 10\n"
 
     def test_simulate_logistic_without_rows_exits_2(self, capsys):
+        # named as the option, not as the design matrix a replicate builds
         assert main(["simulate-logistic", "--n", "0", "--reps", "1", "--eps", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: design matrix has no rows\n"
+        assert captured.err == "error: --n must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (["simulate-logistic", "--n", "-3", "--reps", "1"], "--n must be >= 1, got -3"),
+        (["simulate-logistic", "--n", "200", "--reps", "0"], "--reps must be >= 1, got 0"),
+        (["simulate-coverage", "--n", "0", "--p", "2", "--reps", "1"],
+         "--n must be >= 1, got 0"),
+        (["simulate-coverage", "--n", "300", "--p", "0", "--reps", "1"],
+         "--p must be >= 1, got 0"),
+        (["simulate-coverage", "--n", "300", "--p", "2", "--reps", "0"],
+         "--reps must be >= 1, got 0"),
+        (["run-regression", "--csv", "missing.csv", "--response", "y", "--reps", "-1"],
+         "--reps must be >= 1, got -1"),
+    ], ids=["logistic-n", "logistic-reps", "coverage-n", "coverage-p", "coverage-reps",
+            "regression-reps"])
+    def test_simulation_ranges_named_before_any_stream(self, capsys, monkeypatch, argv, err):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a stream before checking the options")
+
+        monkeypatch.setattr(RngStream, "generator", no_draws)
+        assert main(argv + ["--eps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
 
     def test_sample_schema(self, tmp_path, capsys):
         code = main(["sample", "--ball", "k2", "--reps", "5", "--seed", "4"])
@@ -602,13 +647,12 @@ class TestCli:
     @pytest.mark.parametrize("name", ["l1", "l2", "linf", "l1.5", "k2", "k3", "kt3"])
     def test_named_balls_skip_box_rejection_and_hit_or_miss(self, capsys, monkeypatch,
                                                              name):
-        # every ball a name builds is drawn and measured without either
-        # generic path: closed forms for lp balls, the piece table for hulls
+        # every ball a name builds is drawn and measured without box
+        # rejection: closed forms for lp balls, the piece table for hulls
         def refuse(*args):
             raise AssertionError("generic path reached")
 
         monkeypatch.setattr(geometry, "_box_rejection", refuse)
-        monkeypatch.setattr(geometry, "_hit_or_miss", refuse)
         ball = ball_from_name(name, 3)
         v = sample_noise(MechanismConfig(1.0, 1.0, ball), RngStream(0, 0).generator(), size=50)
         assert v.shape == (50, ball.dimension)
@@ -1106,7 +1150,7 @@ class TestBenchmarkHooks:
                    if not hasattr(importlib.import_module(module), name)]
         assert missing == []
 
-    def test_erm_counters_layers_wraps(self):
+    def test_erm_counters_layers_wraps(self, monkeypatch):
         # perfbench/layers.py erm_metrics swaps in counting wrappers that
         # forward positional arguments only, and reads the hess count as the
         # number of Newton steps and the loss count as loss evaluations
@@ -1137,9 +1181,9 @@ class TestBenchmarkHooks:
                                              cfg.loss.grad_ball),
                              RngStream(19, 1).generator())
             def converges_within(steps):
+                monkeypatch.setattr(erm, "MAX_NEWTON_STEPS", steps)
                 try:
-                    again = minimize_erm(cfg.loss, X, y, gamma=cfg.gamma, linear=v,
-                                         max_iter=steps)
+                    again = minimize_erm(cfg.loss, X, y, gamma=cfg.gamma, linear=v)
                 except OptimizerError:
                     return False
                 assert np.array_equal(again, plain)
