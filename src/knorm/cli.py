@@ -93,6 +93,10 @@ def _cmd_simulate_coverage(args):
 
 
 def _cmd_run_regression(args):
+    # named here, before the CSV is read; preprocess checks the same range
+    if not 0.0 <= args.lower_q < args.upper_q <= 1.0:  # also rejects nan
+        raise ValueError(f"--lower-q and --upper-q must satisfy 0 <= lower < upper <= 1, "
+                         f"got {args.lower_q} and {args.upper_q}")
     return _simulate(
         harness.run_regression_file, args, csv_path=args.csv, response=args.response,
         log_columns=args.log_cols, lower_q=args.lower_q, upper_q=args.upper_q,

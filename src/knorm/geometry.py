@@ -84,8 +84,10 @@ class NormBall:
     magnitudes has density proportional to the product of the piece weights.
     Membership, the sampler and the box-fraction estimator all read these
     weights (_hull_member_many, _hull_uniform, _hull_box_fraction), and the
-    gauge is the max of the piece gauges (_hull_gauge_many). ``volume`` is a
-    hull's exact unit-scale volume, if known.
+    gauge is the max of the piece gauges (_hull_gauge_many). Each reads both
+    piece groups: a table without k2 or k3 pieces has empty index arrays
+    there, whose (0, n) weight rows have product 1 and add no gauge.
+    ``volume`` is a hull's exact unit-scale volume, if known.
 
     Two hull balls are equal only if they share one piece table object, as
     the tables compare by identity.
@@ -101,6 +103,7 @@ class NormBall:
     def __post_init__(self):
         if not (self.dimension >= 1 and self.dimension % 1 == 0):  # also rejects nan
             raise ValueError(f"dimension must be an integer >= 1, got {self.dimension}")
+        object.__setattr__(self, "dimension", int(self.dimension))
         if (self.p is None) == (self.pieces is None):
             raise ValueError("a norm ball has exactly one of p (lp) and pieces (hull)")
         if self.p is not None:
@@ -209,11 +212,6 @@ def _box_rejection(ball, rng, n, max_proposals):
     return out[:got], (accepted, proposals)
 
 
-def _k2_cap(a):
-    # the parabola bounding the (sum, doubled square) hull for |u1| in [1, 2]
-    return 2.0 - 2.0 * (a - 1.0) ** 2
-
-
 def _k2_gauge(s, q):
     """Elementwise k2 gauge of (sum, doubled square) absolute values.
 
@@ -234,10 +232,8 @@ def _k3_gauge(a, b, c):
 def _k2_weight(a):
     """Length of a k2 piece's square interval over the box's 4, at sum
     magnitudes a in [0, 2]: 1 where a <= 1, else a(2 - a) = 1 - (a - 1)^2.
-
-    Where a > 1 twice this is _k2_cap(a) bit for bit (doubling commutes with
-    rounding).
-    """
+    Twice it is the parabola 2 - 2(a - 1)^2 that caps the k2 square above
+    a = 1, bit for bit (doubling commutes with rounding)."""
     w = np.maximum(a, 1.0)
     w -= 1.0
     np.square(w, out=w)
@@ -253,11 +249,6 @@ def _k3_weights(h, pieces):
     w += h[pieces.pair_k]
     np.subtract(2.0, w, out=w)
     return np.minimum(w, 1.0, out=w)
-
-
-def _k3_kernel(h, pieces):
-    """Product of the k3 piece weights at (sums, k) half sum magnitudes h."""
-    return _k3_weights(h, pieces).prod(axis=0)
 
 
 def _k2_sum_quantile(u):
@@ -282,13 +273,11 @@ def _hull_member_many(pieces, U):
     # the weights only matter where every sum is at most 2: clipping keeps
     # huge sums from overflowing
     s = np.minimum(s, 2.0)
-    if len(pieces.squares):
-        w = _k2_weight(s[:len(pieces.squares)])
-        ok &= (np.abs(U[:, pieces.squares]).T <= 2.0 * w).all(axis=0)
-    if len(pieces.pair_slots):
-        # a subnormal half cannot move a weight, which is 1 unless h_j + h_k > 1
-        w = _k3_weights(np.multiply(s, 0.5, out=s), pieces)
-        ok &= (np.abs(U[:, pieces.pair_slots]).T <= 2.0 * w).all(axis=0)
+    w = _k2_weight(s[:len(pieces.squares)])
+    ok &= (np.abs(U[:, pieces.squares]).T <= 2.0 * w).all(axis=0)
+    # a subnormal half cannot move a weight, which is 1 unless h_j + h_k > 1
+    w = _k3_weights(np.multiply(s, 0.5, out=s), pieces)
+    ok &= (np.abs(U[:, pieces.pair_slots]).T <= 2.0 * w).all(axis=0)
     return ok
 
 
@@ -297,13 +286,9 @@ def _hull_gauge_many(pieces, U):
     max of the piece gauges, as the body is the intersection of its pieces."""
     U = np.abs(U)
     s = U[:, pieces.sum_slots]
-    g = 0.0
-    if len(pieces.squares):
-        g = _k2_gauge(s[:, :len(pieces.squares)], U[:, pieces.squares]).max(axis=1)
-    if len(pieces.pair_slots):
-        g3 = _k3_gauge(s[:, pieces.pair_j], s[:, pieces.pair_k], U[:, pieces.pair_slots])
-        g = np.maximum(g, g3.max(axis=1))
-    return g
+    g2 = _k2_gauge(s[:, :len(pieces.squares)], U[:, pieces.squares])
+    g3 = _k3_gauge(s[:, pieces.pair_j], s[:, pieces.pair_k], U[:, pieces.pair_slots])
+    return np.maximum(g2.max(axis=1, initial=0.0), g3.max(axis=1, initial=0.0))
 
 
 def _hull_chunk(pieces):
@@ -332,9 +317,10 @@ def _hull_uniform(pieces, dimension, rngs, n, max_proposals):
     Each proposal draws the sum magnitudes of the k2 pieces from the k2
     profile by inverse CDF and the other sums uniform on [0, 2], as half
     sums (2u of a random() draw u is uniform(0, 2) bit for bit), and is
-    accepted with probability _k3_kernel; a body with no k3 pieces accepts
-    every proposal. Accepted sums get random signs and every other slot is
-    filled uniformly on its interval. Chunks start at 64 proposals and grow
+    accepted with probability the product of the _k3_weights; a body with
+    no k3 pieces accepts every proposal and draws no accept variate.
+    Accepted sums get random signs and every other slot is filled uniformly
+    on its interval. Chunks start at 64 proposals and grow
     4x after a chunk with no acceptance, then follow the observed rate;
     proposals are independent, so the first n accepted have the same law
     under any chunking.
@@ -379,15 +365,12 @@ def _hull_uniform(pieces, dimension, rngs, n, max_proposals):
         halves, u = halves[0], fills[0]
     else:
         halves, u = np.concatenate(halves, axis=1), np.concatenate(fills)
-    n_sq = len(pieces.squares)
     sums = 2.0 * halves
     out = np.empty_like(u)
     out[:, pieces.sum_slots] = np.copysign(sums.T, u[:, pieces.sum_slots])
-    if n_sq:
-        out[:, pieces.squares] = 2.0 * _k2_weight(sums[:n_sq]).T * u[:, pieces.squares]
-    if len(pieces.pair_slots):
-        out[:, pieces.pair_slots] = (
-            2.0 * _k3_weights(halves, pieces).T * u[:, pieces.pair_slots])
+    out[:, pieces.squares] = (
+        2.0 * _k2_weight(sums[:len(pieces.squares)]).T * u[:, pieces.squares])
+    out[:, pieces.pair_slots] = 2.0 * _k3_weights(halves, pieces).T * u[:, pieces.pair_slots]
     points, start = [], 0
     for s in streams:
         points.append((out[start:start + s.got], (s.accepted, s.proposals)))
@@ -400,26 +383,26 @@ def _hull_pass(pieces, chunks, n):
     kernels on all of them at once, and keep each stream's accepted sums,
     up to n."""
     n_sq = len(pieces.squares)
+    # the one rule on piece groups: a body without k3 pieces accepts every
+    # proposal, so it draws no accept variate
     has_k3 = len(pieces.pair_slots) > 0
     sq, rest, accept = [], [], []
     for s, k in chunks:
-        # each stream draws its chunk's k2 sums, other sums and accept draws
-        if n_sq:
-            sq.append(s.rng.random((n_sq, k)))
+        # each stream draws its chunk's k2 sums, other sums and accept draws;
+        # a zero-size draw leaves a generator as it was
+        sq.append(s.rng.random((n_sq, k)))
         rest.append(s.rng.random((len(s.halves) - n_sq, k)))
         if has_k3:
             accept.append(s.rng.random(k))
     rest = _side_by_side(rest)
     h = np.empty((len(rest) + n_sq, rest.shape[1]))
-    if n_sq:
-        np.multiply(_k2_sum_quantile(_side_by_side(sq)), 0.5, out=h[:n_sq])
+    np.multiply(_k2_sum_quantile(_side_by_side(sq)), 0.5, out=h[:n_sq])
     h[n_sq:] = rest
-    keep = _side_by_side(accept) < _k3_kernel(h, pieces) if has_k3 else None
+    w = _k3_weights(h, pieces).prod(axis=0)
+    keep = _side_by_side(accept) < w if has_k3 else np.ones(len(w), dtype=bool)
     start = 0
     for s, k in chunks:
-        hs = h[:, start:start + k]
-        if has_k3:
-            hs = hs[:, keep[start:start + k]]
+        hs = h[:, start:start + k][:, keep[start:start + k]]
         start += k
         s.proposals += k
         s.accepted += hs.shape[1]
@@ -444,14 +427,14 @@ def _hull_box_fraction(pieces, rng, n):
     uniform box point with those sums lies in the body, so this is
     hit-or-miss with every other slot integrated out exactly.
     """
-    n_sq = len(pieces.squares)
     total = total_sq = 0.0
     chunk = _hull_chunk(pieces)
     for start in range(0, n, chunk):
         h = rng.random((len(pieces.sum_slots), min(chunk, n - start)))
-        w = _k3_kernel(h, pieces) if len(pieces.pair_slots) else 1.0
-        if n_sq:
-            w = w * _k2_weight(2.0 * h[:n_sq]).prod(axis=0)
+        # the k3 product first: allocating the k2 weights before it measured
+        # slower, from where the temporaries land
+        w = _k3_weights(h, pieces).prod(axis=0)
+        w *= _k2_weight(2.0 * h[:len(pieces.squares)]).prod(axis=0)
         total += w.sum()
         total_sq += np.square(w).sum()
     mean = total / n
@@ -662,42 +645,27 @@ def ball_containment(a: ScaledBall, b: ScaledBall, seed=0) -> ContainmentVerdict
     return ContainmentVerdict("undetermined")
 
 
-def _golden_max(f, lo, hi, tol=1e-10):
-    # golden-section maximization on [lo, hi]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    return max(f1, f2)
-
-
 def quadratic_pair_sensitivity(p):
     """lp sensitivity of the statistic (sum x_i, 2 sum x_i^2) on [-1,1]^n.
 
-    Maximizes ||(u, 2 - 2(u-1)^2)||_p over u in [0, 2]; by symmetry of the
-    difference set this covers all of it. The objective is multimodal for
-    large p, so a grid scan brackets the global maximum before
-    golden-section refinement.
+    Maximizes ||(u, 2 _k2_weight(u))||_p, the k2 body's corner over its sum
+    magnitude u in [0, 2]; by symmetry of the difference set this covers all
+    of it. (Below u = 1 the square's bound is 2, and (1, 2) dominates every
+    such point.) The objective is multimodal for large p, so a grid scan
+    brackets the global maximum before scipy's bounded scalar search refines
+    it; scipy.optimize is imported here, at the first call.
     """
     if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
+    from scipy.optimize import minimize_scalar
+
+    def corner_norm(u):
+        return lp_norm(np.stack([u, 2.0 * _k2_weight(u)], axis=-1), p)
+
     grid = np.linspace(0.0, 2.0, 2001)
-    pts = np.stack([grid, _k2_cap(grid)], axis=1)
-    vals = lp_norm(pts, p)
+    vals = corner_norm(grid)
     i = int(np.argmax(vals))
-
-    def f(u):
-        return float(lp_norm(np.array([u, _k2_cap(u)]), p))
-
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    return max(float(vals[i]), _golden_max(f, lo, hi))
+    res = minimize_scalar(lambda u: -corner_norm(np.array([u]))[0], method="bounded",
+                          bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
+                          options={"xatol": 1e-12})
+    return max(float(vals[i]), -float(res.fun))

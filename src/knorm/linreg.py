@@ -43,9 +43,10 @@ SLOT_SENSITIVITY = 2.0
 
 
 def statistic_dimension(p):
-    """Length of the statistic vector for p predictors."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    """Length of the statistic vector for p predictors, an integer >= 1."""
+    if not (p >= 1 and p % 1 == 0):  # also rejects nan and inf
+        raise ValueError(f"p must be an integer >= 1, got {p}")
+    p = int(p)
     return (p * p + 5 * p + 2) // 2
 
 
@@ -68,8 +69,8 @@ class StatisticLayout:
     """
 
     def __init__(self, p):
-        self.p = int(p)
         self.d = statistic_dimension(p)
+        self.p = int(p)
         self.gram_rows, self.gram_cols = np.tril_indices(self.p)
         diag = self.gram_rows == self.gram_cols
         self.gram_scale = np.where(diag, 2.0, 1.0)
@@ -176,7 +177,7 @@ def kt_ball(p) -> NormBall:
     at least 0.163 nats above conv S's at p = 1 (0.207 at p = 2).
     """
     layout = _shared_layout(p)
-    return NormBall(dimension=layout.d, pieces=layout, name=f"kt{p}")
+    return NormBall(dimension=layout.d, pieces=layout, name=f"kt{layout.p}")
 
 
 def ball_from_name(token, m):
@@ -276,7 +277,11 @@ def preprocess(columns, response, log_columns=(), lower_q=0.0001,
     row" between outputs, not between raw tables, and a release built on the
     output is not eps-DP with respect to the table: at n = 1000, setting one
     row of a U(1, 2) predictor to 100 moved one slot by 1302.6, not 2.
+    The quantiles must satisfy 0 <= lower_q < upper_q <= 1.
     """
+    if not 0.0 <= lower_q < upper_q <= 1.0:  # also rejects nan
+        raise ValueError(f"quantiles must satisfy 0 <= lower_q < upper_q <= 1, "
+                         f"got {lower_q} and {upper_q}")
     if response not in columns:
         raise ValueError(f"response column {response!r} not in table")
     unknown = set(log_columns) - set(columns)

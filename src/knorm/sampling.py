@@ -269,7 +269,7 @@ def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng, size=None,
     out = T + (v[0] if size is None else v)
     if return_stats:
         return out, {"accepted": accepted, "proposals": proposals,
-                     "acceptance_rate": accepted / proposals}
+                     "acceptance_rate": accepted / proposals if proposals else 0.0}
     return out
 
 

@@ -279,6 +279,16 @@ def test_member_many_reads_one_point_as_one_row(ball):
 
 
 class TestBallKinds:
+    @pytest.mark.parametrize("dimension", [2.0, np.int64(2), True],
+                             ids=["float", "int64", "bool"])
+    def test_dimension_is_stored_as_int(self, dimension):
+        ball = NormBall.lp(2, 1.0, dimension)
+        assert type(ball.dimension) is int and ball.dimension == int(dimension)
+        assert ball == NormBall.lp(2, 1.0, int(dimension))
+        noise = sample_noise(MechanismConfig(1.0, 1.0, ball), RngStream(9, 0).generator(),
+                             size=3)
+        assert noise.shape == (3, int(dimension)) and np.isfinite(noise).all()
+
     def test_exactly_one_of_p_and_pieces(self):
         pieces = k2_ball().pieces
         with pytest.raises(ValueError, match="exactly one"):

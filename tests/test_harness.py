@@ -521,6 +521,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: --n must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("lower, upper", [("0.9", "0.1"), ("nan", "0.9999"),
+                                              ("0.0001", "nan"), ("-0.5", "0.5"),
+                                              ("0.5", "2")])
+    def test_regression_quantiles_named_before_the_csv(self, capsys, monkeypatch,
+                                                       lower, upper):
+        def no_read(*args, **kwargs):
+            raise AssertionError("read the CSV before checking the quantiles")
+
+        monkeypatch.setattr(harness, "read_table", no_read)
+        argv = ["run-regression", "--csv", "missing.csv", "--response", "y",
+                "--lower-q", lower, "--upper-q", upper]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --lower-q and --upper-q must satisfy 0 <= lower < upper <= 1, "
+            f"got {float(lower)} and {float(upper)}\n")
+
     @pytest.mark.parametrize("argv, err", [
         (["simulate-logistic", "--n", "-3", "--reps", "1"], "--n must be >= 1, got -3"),
         (["simulate-logistic", "--n", "200", "--reps", "0"], "--reps must be >= 1, got 0"),
@@ -771,11 +789,26 @@ class TestCli:
 
     def test_cli_import_skips_scipy_stats(self):
         # scipy.stats takes several times as long to import as knorm.cli
-        # itself, and every CLI call would pay for it
+        # itself, and every CLI call would pay for it; scipy.optimize is read
+        # only by quadratic_pair_sensitivity, at its first call (the control)
         src = os.path.dirname(os.path.dirname(knorm.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import knorm.cli, sys; assert 'scipy.stats' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+        code = """if True:
+            import sys
+
+            def loaded():
+                return [m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules]
+
+            import knorm
+            assert not loaded(), ("import knorm", loaded())
+            import knorm.cli
+            assert not loaded(), ("import knorm.cli", loaded())
+            knorm.quadratic_pair_sensitivity(2)
+            assert loaded() == ["scipy.optimize"], loaded()
+            """
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
 
     def test_cli_import_leaves_parser_unbuilt(self):
         # the argparse tree is built by the first main call, not on import

@@ -9,12 +9,10 @@ from knorm import sampling
 from knorm.geometry import (
     NormBall,
     _box_rejection,
-    _k2_cap,
     _k2_gauge,
     _k2_sum_quantile,
     _k2_weight,
     _k3_gauge,
-    _k3_kernel,
     _k3_weights,
     volume_monte_carlo,
 )
@@ -32,6 +30,7 @@ from knorm.linreg import (
     sanitize_statistic,
     statistic_dimension,
     statistic_from_gram,
+    statistic_mechanism,
 )
 from knorm.sampling import (
     MechanismConfig, RngStream, SamplerError, sample_k_mech_rejection, sample_noise,
@@ -124,6 +123,23 @@ class TestLayout:
         assert statistic_dimension(1) == 4
         assert statistic_dimension(5) == 26
         assert statistic_dimension(2) == 8
+
+    @pytest.mark.parametrize("p", [2.5, math.nan, math.inf, 0])
+    @pytest.mark.parametrize("entry", [
+        statistic_dimension, StatisticLayout, kt_ball,
+        lambda p: statistic_mechanism("kt", p, 1.0),
+        lambda p: statistic_mechanism("l1", p, 1.0),
+    ], ids=["statistic_dimension", "StatisticLayout", "kt_ball", "mechanism-kt",
+            "mechanism-l1"])
+    def test_non_integer_predictor_count_refused(self, entry, p):
+        # a 2.5-predictor layout had 10 slots, two of them in no piece
+        with pytest.raises(ValueError, match="p must be an integer >= 1"):
+            entry(p)
+
+    def test_integral_float_predictor_count_is_the_int(self):
+        assert statistic_dimension(2.0) == 8 and type(statistic_dimension(2.0)) is int
+        ball = kt_ball(2.0)
+        assert ball.dimension == 8 and ball.name == "kt2"
 
     def test_names_cover_all_slots(self):
         # the slot groups hit every slot exactly once
@@ -345,7 +361,7 @@ class EdgeRng:
 
 
 class TestKtFactorization:
-    """The piece weights of K_T given its sum slots (_k3_kernel, _k2_weight)."""
+    """The piece weights of K_T given its sum slots (_k3_weights, _k2_weight)."""
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_pairs_are_the_k3_pieces(self, p):
@@ -367,7 +383,7 @@ class TestKtFactorization:
             want *= np.minimum(2.0, 4.0 - x[j] - x[p]) / 2.0
             for k in range(j + 1, p):
                 want *= np.minimum(2.0, 4.0 - x[j] - x[k]) / 2.0
-        assert np.allclose(_k3_kernel(x / 2, layout), want, rtol=1e-12, atol=0.0)
+        assert np.allclose(_k3_weights(x / 2, layout).prod(axis=0), want, rtol=1e-12, atol=0.0)
 
     def test_k2_weight_is_half_the_cap(self):
         a = np.random.default_rng(301).uniform(0.0, 2.0, 100_000)
@@ -375,21 +391,21 @@ class TestKtFactorization:
         w = _k2_weight(a)
         above = a > 1.0
         # bit for bit, so twice the weight is the parabola cap that bounds the k2 square
-        assert np.array_equal(2.0 * w[above], _k2_cap(a[above]))
+        assert np.array_equal(2.0 * w[above], 2.0 - 2.0 * (a[above] - 1.0) ** 2)
         assert (w[~above] == 1.0).all()
         assert np.allclose(w[above], a[above] * (2.0 - a[above]), rtol=0.0, atol=4e-16)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_weight_is_hit_chance_given_the_sums(self, seed):
         # the factorization itself: with the sum slots fixed, a uniform box
-        # point lies in K_T with chance _k3_kernel * prod _k2_weight;
+        # point lies in K_T with chance prod _k3_weights * prod _k2_weight;
         # four 4-SE checks, family level 3e-4
         p = 2
         layout = StatisticLayout(p)
         rng = np.random.default_rng(310 + seed)
         signs = rng.choice([-1.0, 1.0], p + 1)
         x = rng.uniform(0.5, 2.0, size=(p + 1, 1))
-        w = float(_k3_kernel(x / 2, layout)[0] * _k2_weight(x[:p, 0]).prod())
+        w = float(_k3_weights(x / 2, layout).prod() * _k2_weight(x[:p, 0]).prod())
         n = 200_000
         pts = rng.uniform(-2.0, 2.0, size=(n, layout.d))
         pts[:, layout.sums] = signs[:p] * x[:p, 0]
@@ -484,7 +500,7 @@ class TestKtSampler:
                          RngStream(329, 0).generator(), size=10)
 
     def test_stats_count_conditional_proposals(self):
-        # a proposal is accepted with mean _k3_kernel under the k2 profile,
+        # a proposal is accepted with mean prod _k3_weights under the k2 profile,
         # which is the box fraction times (6/5)^p; one 4-SE check
         p = 3
         ball = kt_ball(p)
@@ -750,3 +766,17 @@ class TestPreprocess:
     def test_missing_response(self):
         with pytest.raises(ValueError):
             preprocess({"x": np.ones(5)}, response="y")
+
+    @pytest.mark.parametrize("lower_q, upper_q", [
+        (0.9, 0.1), (0.5, 0.5), (math.nan, 0.9999), (0.0001, math.nan), (-0.1, 0.9),
+        (0.1, 1.5),
+    ])
+    def test_quantile_range_checked(self, lower_q, upper_q):
+        cols = {"x": np.linspace(0, 1, 50), "y": np.linspace(-1, 1, 50)}
+        with pytest.raises(ValueError, match="0 <= lower_q < upper_q <= 1"):
+            preprocess(cols, response="y", lower_q=lower_q, upper_q=upper_q)
+
+    def test_full_quantile_range_accepted(self):
+        cols = {"x": np.linspace(0, 1, 50), "y": np.linspace(-1, 1, 50)}
+        data = preprocess(cols, response="y", lower_q=0.0, upper_q=1.0)
+        assert np.array_equal(data.design[:, 1], np.linspace(-1, 1, 50))

@@ -223,6 +223,15 @@ class TestRejectionMech:
         with pytest.raises(ValueError):
             sample_k_mech_rejection(np.zeros(3), k2_ball(), 1.0, 1.0, rng)
 
+    @pytest.mark.parametrize("ball", [k2_ball(), NormBall.lp(2, 1.0, 2)], ids=["k2", "l2"])
+    def test_zero_draws_report_zero_acceptance(self, ball):
+        # no proposals: the rate reads 0.0, as the budget error's does
+        out, stats = sample_k_mech_rejection(np.zeros(2), ball, 1.0, 1.0,
+                                             RngStream(5, 6).generator(), size=0,
+                                             return_stats=True)
+        assert out.shape == (0, 2)
+        assert stats == {"accepted": 0, "proposals": 0, "acceptance_rate": 0.0}
+
 
 class TestLpMech:
     # Two-sample KS of the polar sampler against box rejection on the same
