@@ -83,6 +83,8 @@ def _add_common(sub, default_eps, default_mechs, default_reps):
 
 def _cmd_simulate_logistic(args):
     _at_least("--n", args.n, 1)
+    if not 0.0 < args.q < 1.0:  # also rejects nan
+        raise ValueError(f"--q must be in (0, 1), got {args.q}")
     return _simulate(harness.simulate_logistic, args, n=args.n, q=args.q)
 
 
@@ -137,6 +139,7 @@ def _cmd_sample(args):
 
 
 def _cmd_diagnostics(args):
+    _at_least("--draws", args.draws, 50)
     report = harness.run_diagnostics(mechanisms=args.mech, n_draws=args.draws, seed=args.seed)
     for line in report.format_lines():
         sys.stdout.write(line + "\n")

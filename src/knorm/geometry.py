@@ -2,12 +2,13 @@
 
 A norm ball is a convex, bounded, absorbing, origin-symmetric subset of R^m.
 Every ball is one of two kinds: an analytic lp body (p in [1, inf], radius
-r), or one of the paper's hull bodies k2, k3 and kt<p>, described by a table
-of slot weights (see NormBall) from which it takes its membership, exact
-gauge, exact uniform sampler and box-fraction volume estimate. Every value
-here is immutable after construction and every operation is a pure function
-of its inputs plus an explicit seed, so everything is safe to use
-concurrently.
+r) with a closed-form volume and no uniform sampler (the sampling module
+draws its noise in closed or polar form), or one of the paper's hull bodies
+k2, k3 and kt<p>, described by a table of slot weights (see NormBall) from
+which it takes its membership, exact gauge, exact uniform sampler and
+box-fraction volume estimate. Every value here is immutable after
+construction and every operation is a pure function of its inputs plus an
+explicit seed, so everything is safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class NormBall:
 
     An lp ball sets ``p`` and ``radius``. Its membership, gauge and volume
     are closed form (volume_lp; it takes no ``volume`` and no box-fraction
-    estimate), and its uniform points come by rejection from its bounding
-    box (_box_rejection).
+    estimate), and it has no uniform sampler: sampling.sample_noise draws
+    its noise in closed or polar form.
 
     A hull ball sets ``pieces`` instead, and lies in the [-2, 2]^m box. The
     first len(``squares``) of the table's ``sum_slots`` pair with the
@@ -173,13 +174,13 @@ class NormBall:
         return float(self.gauge_many(x)[0])
 
     def uniform(self, rngs, n, max_proposals):
-        """Exact uniform points of the unit-scale body from each generator of
-        rngs, as one (points, (accepted, proposals)) per generator: n points,
-        or the fewer it has once max_proposals proposals are spent. A hull
-        ball draws every stream side by side (_hull_uniform), an lp ball
-        each by rejection from its box (_box_rejection)."""
+        """Exact uniform points of the unit-scale hull body from each
+        generator of rngs, drawn side by side (_hull_uniform), as one
+        (points, (accepted, proposals)) per generator: n points, or the fewer
+        it has once max_proposals proposals are spent. An lp ball's noise is
+        closed or polar form, so it raises ValueError naming sample_noise."""
         if self.is_lp:
-            return [_box_rejection(self, rng, n, max_proposals) for rng in rngs]
+            raise ValueError(f"{self.label()} has no uniform sampler: use sample_noise")
         return _hull_uniform(self.pieces, self.dimension, rngs, n, max_proposals)
 
     def box_fraction(self, rng, n):
@@ -189,27 +190,6 @@ class NormBall:
         if self.is_lp:
             raise ValueError(f"{self.label()} has a closed-form volume: use volume_lp")
         return _hull_box_fraction(self.pieces, rng, n)
-
-
-def _box_rejection(ball, rng, n, max_proposals):
-    """Uniform points of a ball by rejection from its bounding box, with
-    their (accepted, proposals) counts: n points, or the fewer accepted once
-    max_proposals proposals are spent."""
-    b = ball.linf_radius
-    out = np.empty((n, ball.dimension))
-    got = proposals = accepted = 0
-    while got < n:
-        chunk = min(max(256, 2 * (n - got)), 1 << 16, max_proposals - proposals)
-        if chunk <= 0:
-            break
-        pts = rng.uniform(-b, b, size=(chunk, ball.dimension))
-        proposals += chunk
-        acc = pts[ball.member_many(pts)]
-        accepted += len(acc)
-        take = min(len(acc), n - got)
-        out[got : got + take] = acc[:take]
-        got += take
-    return out[:got], (accepted, proposals)
 
 
 def _k2_gauge(s, q):

@@ -303,7 +303,8 @@ def simulate_coverage(config: SimulationConfig) -> ResultTable:
 
 def read_table(path):
     """Read a CSV of finite numbers with a header row into a dict of column arrays."""
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports begin with
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

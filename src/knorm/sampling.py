@@ -5,13 +5,13 @@ Closed forms cover the l1 (independent Laplace), l2 (gamma radius times a
 spherical direction) and l-infinity (gamma radius times a box direction)
 balls, and every other lp ball through the polar form: a gamma radius
 times G/||G||_p for G with iid coordinates of density proportional to
-exp(-|g|^p) (_lp_noise). The hull balls k2, k3 and kt<p> take one kernel,
-_uniform_noise: exact uniform points of K from one NormBall.uniform call
-for all of a ball's generators, within MAX_PROPOSALS proposals each, times
-independent Gamma(m+1) radii. In every case the gauge of the noise is
-marginally Gamma(m, eps/Delta). _noise is the one choice between the two:
-sample_noise is its one-pair case and sample_noise_rows calls it once per
-ball. sample_k_mech_rejection adds _uniform_noise's draw to T for any ball.
+exp(-|g|^p) (_lp_noise). The hull balls k2, k3 and kt<p> take one kernel:
+exact uniform points of K from one NormBall.uniform call for all of a
+ball's generators, within MAX_PROPOSALS proposals each, times independent
+Gamma(m+1) radii. In every case the gauge of the noise is marginally
+Gamma(m, eps/Delta). _noise is the one sampler of every ball: sample_noise
+is its one-pair case, sample_noise_rows calls it once per ball, and
+sample_k_mech_rejection adds its draw to T and reads its proposal counts.
 
 A release T + V is finite for every T whose entries are at most
 sys.float_info.max - B in magnitude, where B = (m + 1)*745*linf_radius*
@@ -213,59 +213,43 @@ def sample_lp_mech(T, p, delta_p, epsilon, rng, size=None):
     return T + sample_noise(config, rng, size=size)
 
 
-def _uniform_noise(ball, draws, n):
-    """n noise draws of a ball for each (rate, generator) pair of draws, as
-    one (len(draws)*n, m) array, pair by pair, and each pair's (accepted,
-    proposals) counts: exact uniform points of the unit-scale body from one
-    NormBall.uniform call for every generator, times independent
-    Gamma(m+1, rate) radii. Raises SamplerError, reporting the observed
-    acceptance rate, for a pair whose MAX_PROPOSALS run out first."""
+def _noise(ball, draws, n):
+    """n noise draws of a ball for each (MechanismConfig, generator) pair of
+    draws, as a (len(draws)*n, m) array, pair by pair, and each pair's
+    (accepted, proposals) counts: an lp ball's closed or polar form
+    (_lp_noise) at the effective scale delta*r of its radius r, counted as
+    (n, n), or a hull's exact uniform points from one NormBall.uniform call
+    for every generator times independent Gamma(m+1, eps/delta) radii.
+    Raises SamplerError, reporting the observed acceptance rate, for a hull
+    pair whose MAX_PROPOSALS run out first."""
+    if ball.is_lp:
+        parts = [_lp_noise(ball.p, ball.dimension, config.delta * ball.radius, config.epsilon,
+                           rng, n) for config, rng in draws]
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts)), [(n, n)] * len(draws)
     points = ball.uniform([rng for _, rng in draws], n, MAX_PROPOSALS)
     noise = np.empty((len(draws) * n, ball.dimension))
-    for i, ((rate, rng), (u, (accepted, proposals))) in enumerate(zip(draws, points)):
+    for i, ((config, rng), (u, (accepted, proposals))) in enumerate(zip(draws, points)):
         if len(u) < n:  # the sampler returns the points it has once out of budget
             raise SamplerError(
                 f"rejection sampling failed: {len(u)}/{n} accepted after {proposals} "
                 f"proposals (acceptance rate {accepted / proposals if proposals else 0.0:.3g})")
-        r = sample_gamma_int(ball.dimension + 1, rate, rng, size=n)
+        r = sample_gamma_int(ball.dimension + 1, config.rate, rng, size=n)
         np.multiply(r[:, None], u, out=noise[i * n:(i + 1) * n])
-    return noise, [counts for _, counts in points]
-
-
-def _noise(ball, draws, n):
-    """n noise draws of a ball for each (MechanismConfig, generator) pair of
-    draws, as a (len(draws)*n, m) array, pair by pair: the closed or polar
-    form of an lp ball (_lp_noise), or a hull's exact uniform points
-    (_uniform_noise). The gauge is the ball's own Minkowski functional, so
-    an lp ball of radius r draws at the effective per-norm scale delta*r."""
-    if ball.is_lp:
-        parts = [_lp_noise(ball.p, ball.dimension, config.delta * ball.radius, config.epsilon,
-                           rng, n) for config, rng in draws]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
     # 0.0 + v turns each -0.0 of v into 0.0, as T + v does with a zero T
-    return 0.0 + _uniform_noise(ball, [(config.rate, rng) for config, rng in draws], n)[0]
+    return 0.0 + noise, [counts for _, counts in points]
 
 
 def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng, size=None,
                             return_stats=False):
-    """K-norm mechanism for any norm ball: T + r*U.
-
-    U is uniform on the unit-scale ball (the ball's own sampler,
-    NormBall.uniform) and r ~ Gamma(m+1, eps/delta_k) independent, which
-    yields the target density proportional to exp(-(eps/delta_k)*||v||_K).
-    An lp ball takes box rejection here; sample_noise draws it in closed or
-    polar form instead. The budget is checked first, by MechanismConfig;
-    see the module docstring for the range of T.
-
-    With return_stats, also returns a dict with proposal counts and the
-    acceptance rate.
-    """
+    """K-norm mechanism for any norm ball: T + V, with V the draw that
+    sample_noise makes (see _noise), after MechanismConfig's budget check;
+    see the module docstring for the range of T. With return_stats, also
+    returns a dict of _noise's proposal counts and the acceptance rate."""
     config = MechanismConfig(epsilon, delta_k, ball)
     T = np.asarray(T, dtype=float)
     if ball.dimension != T.shape[-1]:
         raise ValueError("ball dimension does not match T")
-    v, [(accepted, proposals)] = _uniform_noise(ball, [(config.rate, rng)],
-                                                1 if size is None else size)
+    v, [(accepted, proposals)] = _noise(ball, [(config, rng)], 1 if size is None else size)
     out = T + (v[0] if size is None else v)
     if return_stats:
         return out, {"accepted": accepted, "proposals": proposals,
@@ -276,7 +260,7 @@ def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng, size=None,
 def sample_noise(config: MechanismConfig, rng, size=None):
     """Noise draw(s) from a mechanism config: one (m,) draw, or (size, m);
     the one-pair case of _noise."""
-    v = _noise(config.ball, [(config, rng)], 1 if size is None else size)
+    v, _ = _noise(config.ball, [(config, rng)], 1 if size is None else size)
     return v[0] if size is None else v
 
 
@@ -301,5 +285,5 @@ def sample_noise_rows(draws):
     for i, (config, _) in enumerate(draws):
         groups.setdefault(config.ball, []).append(i)
     for ball, rows in groups.items():
-        out[rows] = _noise(ball, [draws[i] for i in rows], 1)
+        out[rows], _ = _noise(ball, [draws[i] for i in rows], 1)
     return out

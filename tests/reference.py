@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 def hit_or_miss(ball, rng, n):
     """Fraction of n uniform points of a ball's bounding box that lie in
@@ -17,3 +19,24 @@ def hit_or_miss(ball, rng, n):
         done += k
     frac = hits / n
     return frac, math.sqrt(frac * (1.0 - frac) / n)
+
+
+def box_rejection(ball, rng, n, max_proposals):
+    """Uniform points of a ball by rejection from its bounding box, with
+    their (accepted, proposals) counts: n points, or the fewer accepted once
+    max_proposals proposals are spent."""
+    b = ball.linf_radius
+    out = np.empty((n, ball.dimension))
+    got = proposals = accepted = 0
+    while got < n:
+        chunk = min(max(256, 2 * (n - got)), 1 << 16, max_proposals - proposals)
+        if chunk <= 0:
+            break
+        pts = rng.uniform(-b, b, size=(chunk, ball.dimension))
+        proposals += chunk
+        acc = pts[ball.member_many(pts)]
+        accepted += len(acc)
+        take = min(len(acc), n - got)
+        out[got : got + take] = acc[:take]
+        got += take
+    return out[:got], (accepted, proposals)

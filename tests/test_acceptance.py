@@ -71,8 +71,8 @@ def test_c03_gamma_marginal():
     level = 0.01
     fails = []
     for ci, (m, delta, eps) in enumerate([(2, 1.0, 1.0), (7, 2.0, 0.25)]):
-        # k2 through its own sampler, the l2 ball by rejection from its box
-        rej_ball = k2_ball() if m == 2 else NormBall.lp(2, 1.0, m)
+        # k2 through the hull kernel, the l1.5 ball through the polar form
+        k_ball = k2_ball() if m == 2 else NormBall.lp(1.5, 1.0, m)
         samplers = {
             "l1": lambda rng: (sample_l1_mech(np.zeros(m), delta, eps, rng, size=n),
                                lambda v: lp_norm(v, 1)),
@@ -80,9 +80,9 @@ def test_c03_gamma_marginal():
                                lambda v: lp_norm(v, 2)),
             "linf": lambda rng: (sample_linf_mech(np.zeros(m), delta, eps, rng, size=n),
                                  lambda v: lp_norm(v, INF)),
-            "rejection": lambda rng: (
-                sample_k_mech_rejection(np.zeros(m), rej_ball, delta, eps, rng, size=n),
-                rej_ball.gauge_many,
+            "k_mech": lambda rng: (
+                sample_k_mech_rejection(np.zeros(m), k_ball, delta, eps, rng, size=n),
+                k_ball.gauge_many,
             ),
         }
         cdf = sps.gamma(m, scale=delta / eps).cdf

@@ -360,6 +360,15 @@ class TestHullSampler:
             sample_noise(MechanismConfig(1.0, 1.0, make()), RngStream(344, 0).generator(),
                          size=1000)
 
+    @pytest.mark.parametrize("name", ["l1", "l2", "linf", "l1.5"])
+    def test_lp_ball_has_no_uniform_sampler(self, name):
+        # an lp ball's noise is closed or polar form, with no uniform points
+        rng = RngStream(345, 0).generator()
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sample_noise"):
+            ball_from_name(name, 3).uniform([rng], 10, 10**6)
+        assert rng.bit_generator.state == state
+
 
 def full_sum_k3_weights(x, pieces):
     # the k3 weights on full sums x: 2 - (x_j + x_k)/2, capped at 1

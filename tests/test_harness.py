@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import knorm
-from knorm import erm, geometry, harness
+from knorm import erm, harness
 from knorm.cli import main
 from knorm.erm import (
     ObjPertConfig,
@@ -550,8 +550,14 @@ class TestCli:
          "--reps must be >= 1, got 0"),
         (["run-regression", "--csv", "missing.csv", "--response", "y", "--reps", "-1"],
          "--reps must be >= 1, got -1"),
+        (["simulate-logistic", "--n", "200", "--reps", "1", "--q", "1.5"],
+         "--q must be in (0, 1), got 1.5"),
+        (["simulate-logistic", "--n", "200", "--reps", "1", "--q", "nan"],
+         "--q must be in (0, 1), got nan"),
+        (["simulate-logistic", "--n", "200", "--reps", "1", "--q", "0"],
+         "--q must be in (0, 1), got 0.0"),
     ], ids=["logistic-n", "logistic-reps", "coverage-n", "coverage-p", "coverage-reps",
-            "regression-reps"])
+            "regression-reps", "logistic-q", "logistic-q-nan", "logistic-q-zero"])
     def test_simulation_ranges_named_before_any_stream(self, capsys, monkeypatch, argv, err):
         def no_draws(*args, **kwargs):
             raise AssertionError("drew a stream before checking the options")
@@ -666,13 +672,17 @@ class TestCli:
     def test_named_balls_skip_box_rejection_and_hit_or_miss(self, capsys, monkeypatch,
                                                              name):
         # every ball a name builds is drawn and measured without box
-        # rejection: closed forms for lp balls, the piece table for hulls
+        # rejection: closed forms for lp balls, the piece table for hulls.
+        # Any rejection from the box tests membership, so none may run
         def refuse(*args):
-            raise AssertionError("generic path reached")
+            raise AssertionError("membership test reached")
 
-        monkeypatch.setattr(geometry, "_box_rejection", refuse)
+        monkeypatch.setattr(NormBall, "member_many", refuse)
         ball = ball_from_name(name, 3)
         v = sample_noise(MechanismConfig(1.0, 1.0, ball), RngStream(0, 0).generator(), size=50)
+        assert v.shape == (50, ball.dimension)
+        v = sample_k_mech_rejection(np.zeros(ball.dimension), ball, 1.0, 1.0,
+                                    RngStream(0, 1).generator(), size=50)
         assert v.shape == (50, ball.dimension)
         code, _, err = self._compare(capsys, "--a", f"{name}:1", "--b", "linf:2",
                                      "--m", str(ball.dimension), "--mc-samples", "1000")
@@ -728,12 +738,16 @@ class TestCli:
         assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
 
     @pytest.mark.parametrize("draws", ["49", "0", "-3"])
-    def test_diagnostics_too_few_draws(self, capsys, draws):
+    def test_diagnostics_too_few_draws(self, capsys, monkeypatch, draws):
+        # named as the option, before any stream is drawn
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a stream before checking --draws")
+
+        monkeypatch.setattr(RngStream, "generator", no_draws)
         assert main(["diagnostics", "--draws", draws]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: diagnostics needs at least 50 draws per "
-                                f"mechanism, got {draws}\n")
+        assert captured.err == f"error: --draws must be >= 50, got {draws}\n"
 
     @pytest.mark.parametrize("seed", range(8))
     def test_diagnostics_two_draws(self, capsys, monkeypatch, seed):
@@ -1067,6 +1081,27 @@ class TestRunLayer:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_csv_with_byte_order_mark(self, tmp_path, capsys, monkeypatch):
+        # a spreadsheet's "CSV UTF-8" export starts with a UTF-8 byte-order
+        # mark, here before the response's name; the file reads as it does
+        # without one
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, (300, 2))
+        rows = np.column_stack([x @ [1.0, -0.5] + rng.standard_normal(300), x]).tolist()
+        outputs = []
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / name / "d.csv"
+            path.parent.mkdir()
+            write_csv(path, ["y", "x1", "x2"], rows)
+            path.write_bytes(bom + path.read_bytes())
+            # the same relative path, as the CSV header echoes it
+            monkeypatch.chdir(path.parent)
+            assert list(read_table("d.csv")) == ["y", "x1", "x2"]
+            assert main(["run-regression", "--csv", "d.csv", "--response", "y",
+                         "--eps", "1", "--reps", "2", "--mech", "linf"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1].err == "" and outputs[1].out == outputs[0].out
 
     def test_non_finite_csv_cell_is_a_clean_error(self, tmp_path, capsys):
         path = tmp_path / "d.csv"

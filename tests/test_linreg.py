@@ -8,7 +8,6 @@ from scipy.special import ndtri
 from knorm import sampling
 from knorm.geometry import (
     NormBall,
-    _box_rejection,
     _k2_gauge,
     _k2_sum_quantile,
     _k2_weight,
@@ -35,7 +34,7 @@ from knorm.linreg import (
 from knorm.sampling import (
     MechanismConfig, RngStream, SamplerError, sample_k_mech_rejection, sample_noise,
 )
-from reference import hit_or_miss
+from reference import box_rejection, hit_or_miss
 
 
 def uniform_points(ball, rng, n):
@@ -435,7 +434,7 @@ class TestKtSampler:
         ball = kt_ball(p)
         n = 20_000
         cond, _ = uniform_points(ball, RngStream(420, p).generator(), n)
-        box, _ = _box_rejection(ball, RngStream(421, p).generator(), n, 10**6)
+        box, _ = box_rejection(ball, RngStream(421, p).generator(), n, 10**6)
         columns = [(cond[:, j], box[:, j]) for j in range(ball.dimension)]
         columns.append((ball.gauge_many(cond), ball.gauge_many(box)))
         for a, b in columns:

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats as sps
 
 from knorm import geometry, sampling
-from knorm.geometry import NormBall, _box_rejection, k2_ball, lp_norm
+from knorm.geometry import NormBall, k2_ball, lp_norm
 from knorm.linreg import ball_from_name, statistic_mechanism
 from knorm.sampling import (
     _lp_noise,
@@ -22,6 +22,7 @@ from knorm.sampling import (
     sample_noise,
     sample_noise_rows,
 )
+from reference import box_rejection
 
 INF = math.inf
 KS_LEVEL = 0.01
@@ -29,6 +30,15 @@ KS_LEVEL = 0.01
 
 def gamma_cdf_oracle(shape, rate):
     return sps.gamma(shape, scale=1.0 / rate).cdf
+
+
+def box_noise(ball, rng, n):
+    """n K-norm noise draws of a ball at eps/Delta = 1 by a path independent
+    of the library's samplers: box rejection's uniform points times
+    numpy's Gamma(m + 1) radii."""
+    u, _ = box_rejection(ball, rng, n, 10**7)
+    assert len(u) == n
+    return u * rng.gamma(ball.dimension + 1, 1.0, size=n)[:, None]
 
 
 class TestGammaInt:
@@ -188,8 +198,7 @@ class TestRejectionMech:
     def test_matches_linf_sampler_two_sample_ks(self):
         # box rejection on the l-infinity ball, against its closed form
         box = NormBall.lp(INF, 1.0, 2)
-        rng = RngStream(5, 0).generator()
-        v_rej = sample_k_mech_rejection(np.zeros(2), box, 1.0, 1.0, rng, size=10_000)
+        v_rej = box_noise(box, RngStream(5, 0).generator(), 10_000)
         rng2 = RngStream(5, 1).generator()
         v_cf = sample_linf_mech(np.zeros(2), 1.0, 1.0, rng2, size=10_000)
         stat = sps.ks_2samp(lp_norm(v_rej, INF), lp_norm(v_cf, INF))
@@ -205,18 +214,31 @@ class TestRejectionMech:
     def test_k2_acceptance_rate(self):
         # box rejection on the k2 membership test accepts its exact volume over the box's
         rng = RngStream(5, 3).generator()
-        _, (accepted, proposals) = _box_rejection(k2_ball(), rng, 10_000, 10**6)
+        _, (accepted, proposals) = box_rejection(k2_ball(), rng, 10_000, 10**6)
         expected = (40.0 / 3.0) / 16.0
         se = math.sqrt(expected * (1 - expected) / proposals)
         assert abs(accepted / proposals - expected) <= 4 * se
 
-    def test_max_attempts_fails_loudly(self, monkeypatch):
-        # the 20-d l2 ball fills about 2.5e-8 of its box
-        monkeypatch.setattr(sampling, "MAX_PROPOSALS", 2000)
-        thin = NormBall.lp(2, 1.0, 20)
-        rng = RngStream(5, 4).generator()
-        with pytest.raises(SamplerError, match="acceptance rate"):
-            sample_k_mech_rejection(np.zeros(20), thin, 1.0, 1.0, rng, size=5000)
+    @pytest.mark.parametrize("name", ["l1", "l2", "linf", "l1.5", "k2", "k3", "kt3"])
+    def test_is_sample_noise_plus_counts(self, monkeypatch, name):
+        # one sampler per ball: with a zero T the release is sample_noise's
+        # draw bit for bit (a zero T turns each -0.0 into 0.0, as 0.0 + v
+        # does), and the generator ends where sample_noise leaves it
+        ball = ball_from_name(name, 3)
+        config = MechanismConfig(0.5, 2.0, ball)
+        rng, alone = RngStream(5, 7).generator(), RngStream(5, 7).generator()
+        out, stats = sample_k_mech_rejection(np.zeros(ball.dimension), ball, 2.0, 0.5, rng,
+                                             size=40, return_stats=True)
+        assert out.tobytes() == (0.0 + sample_noise(config, alone, size=40)).tobytes()
+        assert rng.bit_generator.state == alone.bit_generator.state
+        assert 40 <= stats["accepted"] <= stats["proposals"]
+        if ball.is_lp:
+            # an lp ball draws no proposals, so no budget binds it
+            assert stats["accepted"] == stats["proposals"] == 40
+            monkeypatch.setattr(sampling, "MAX_PROPOSALS", 0)
+            _, stats = sample_k_mech_rejection(np.zeros(ball.dimension), ball, 2.0, 0.5, rng,
+                                               size=40, return_stats=True)
+            assert stats == {"accepted": 40, "proposals": 40, "acceptance_rate": 1.0}
 
     def test_dimension_mismatch(self):
         rng = RngStream(5, 5).generator()
@@ -234,9 +256,10 @@ class TestRejectionMech:
 
 
 class TestLpMech:
-    # Two-sample KS of the polar sampler against box rejection on the same
-    # ball: each coordinate and the max norm, 10 tests over the three
-    # (p, m) cases, Bonferroni-corrected to a family false-alarm rate of 0.01
+    # Two-sample KS of the polar sampler against box rejection times a
+    # Gamma(m + 1) radius on the same ball: each coordinate and the max norm,
+    # 10 tests over the three (p, m) cases, Bonferroni-corrected to a family
+    # false-alarm rate of 0.01
     FAMILY_LEVEL = 0.01
     CASES = ((1.5, 2), (1.5, 3), (3.0, 2))
     N_TESTS = sum(m + 1 for _, m in CASES)
@@ -247,9 +270,7 @@ class TestLpMech:
         ball = NormBall.lp(p, 1.0, m)
         polar = sample_noise(MechanismConfig(1.0, 1.0, ball),
                              RngStream(10, 2 * case).generator(), size=40_000)
-        box = sample_k_mech_rejection(np.zeros(m), ball, 1.0, 1.0,
-                                      RngStream(10, 2 * case + 1).generator(),
-                                      size=40_000)
+        box = box_noise(ball, RngStream(10, 2 * case + 1).generator(), 40_000)
         columns = [(polar[:, j], box[:, j]) for j in range(m)]
         columns.append((lp_norm(polar, INF), lp_norm(box, INF)))
         for a, b in columns:
@@ -549,8 +570,9 @@ class TestStackedDraws:
 
 class TestOneHullPath:
     """Every hull draw goes through one kernel: one NormBall.uniform call
-    for all of a ball's generators and at most one budget check, and
-    sample_noise never reaches sample_k_mech_rejection."""
+    for all of a ball's generators and at most one budget check, an lp
+    draw makes no uniform call, and sample_noise never reaches
+    sample_k_mech_rejection."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -603,4 +625,5 @@ class TestOneHullPath:
         calls = self._count(monkeypatch)
         sample_k_mech_rejection(np.zeros(ball.dimension), ball, 2.0, 1.0,
                                 RngStream(35, 0).generator(), size=20)
-        assert calls == {f"uniform[{name}]": 1, "check_budget": 1}
+        want = {"check_budget": 1} if ball.is_lp else {f"uniform[{name}]": 1, "check_budget": 1}
+        assert calls == want
