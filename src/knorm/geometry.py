@@ -88,7 +88,7 @@ class NormBall:
     gauge is the max of the piece gauges (_hull_gauge_many). Each reads both
     piece groups: a table without k2 or k3 pieces has empty index arrays
     there, whose (0, n) weight rows have product 1 and add no gauge.
-    ``volume`` is a hull's exact unit-scale volume, if known.
+    ``volume`` is a hull's exact unit-scale volume if known: k2, k3, kt1-kt3.
 
     Two hull balls are equal only if they share one piece table object, as
     the tables compare by identity.

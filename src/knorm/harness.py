@@ -454,7 +454,7 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
     the noise gauge against its Gamma(m, eps/Delta) marginal at level 0.01,
     and a 4-standard-error unbiasedness check per coordinate. The l1 entry
     adds the Laplace histogram ratio bound; every hull with a known volume
-    (k2, k3) adds a 4-standard-error check of its own n_draws-point
+    (k2, k3, kt1-kt3) adds a 4-standard-error check of its own n_draws-point
     box-fraction estimate, drawn from the mechanism's stream after the
     noise, against its exact volume / bounding-box volume ratio; when every
     one of its draws gets the same weight (sample SE 0) the check uses the

@@ -164,6 +164,16 @@ def statistic_from_gram(xtx, xty) -> StatisticVector:
     return StatisticVector(values, p)
 
 
+#: the fraction of the [-2, 2]^d box that K_T fills, for p <= 3: the integral
+#: over half sums h in [0, 1]^(p+1) of the product of the piece weights,
+#: 1 - (max(2h_j, 1) - 1)^2 per predictor sum and min(1, 2 - h_j - h_k) per
+#: pair of sums. Every kink lies on h = 1/2, h_a = h_b or h_a + h_b = 1, so
+#: nested Gauss-Legendre with those breakpoints is exact up to rounding
+#: (tests/reference.py kt_box_fraction; run at 30 digits, then rounded). kt1
+#: is 117/160 by hand. The kt4 nest has about 10^8 nodes: p >= 4 stays estimated.
+_KT_BOX_FRACTIONS = {1: 117 / 160, 2: 0.510823757164903, 3: 0.3447051227963042}
+
+
 def kt_ball(p) -> NormBall:
     """Norm ball of the regression body K_T at predictor count p, whose
     piece table is its statistic layout (see geometry.NormBall).
@@ -174,10 +184,13 @@ def kt_ball(p) -> NormBall:
     difference of statistic vectors, so the kt mechanism uses scale 1, but
     it is an outer body, larger than their hull conv S: h_K/h_S has median
     1.07 and max 1.33 at p = 1 (1.23 / 1.66 at p = 2), and its entropy is
-    at least 0.163 nats above conv S's at p = 1 (0.207 at p = 2).
+    at least 0.163 nats above conv S's at p = 1 (0.207 at p = 2). Its
+    volume is exact for p <= 3 and unknown (None) above.
     """
     layout = _shared_layout(p)
-    return NormBall(dimension=layout.d, pieces=layout, name=f"kt{layout.p}")
+    fraction = _KT_BOX_FRACTIONS.get(layout.p)
+    return NormBall(dimension=layout.d, pieces=layout, name=f"kt{layout.p}",
+                    volume=None if fraction is None else fraction * 4.0**layout.d)
 
 
 def ball_from_name(token, m):

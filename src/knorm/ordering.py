@@ -67,7 +67,7 @@ def entropy(config: MechanismConfig, ball_volume=None):
 
     Equals log((delta*e/eps)^m * m! * vol(K)). The unit-ball volume is the
     ball's own (``NormBall.log_volume``: closed form for lp balls, exact for
-    the k2 and k3 hulls); a ball whose volume is unknown must supply
+    the k2, k3 and kt1-kt3 hulls); a ball whose volume is unknown must supply
     ``ball_volume`` (e.g. a Monte Carlo estimate) or a ValueError is raised.
     """
     log_vol = config.ball.log_volume() if ball_volume is None else math.log(ball_volume)
@@ -195,7 +195,8 @@ class ComparisonReport:
 
 def _scaled_volume(config: MechanismConfig, n_mc, seed):
     """Volume of delta*K and its standard error, then K's log volume and the
-    relative standard error (0.0 for an exact volume)."""
+    relative standard error (0.0 for an exact volume: only an unknown one
+    runs the n_mc-point estimate)."""
     ball, delta, m = config.ball, config.delta, config.dimension
     if ball.is_lp:
         return volume_lp(ball.p, m, ball.radius * delta), 0.0, ball.log_volume(), 0.0
@@ -207,7 +208,7 @@ def _scaled_volume(config: MechanismConfig, n_mc, seed):
     frac, se = volume_monte_carlo(ball, scale=1.0 / box, n_samples=n_mc, seed=seed)
     if frac == 0.0:
         raise ValueError(f"no Monte Carlo point hit {config.label} in "
-                         f"{n_mc} samples; raise --mc-samples")
+                         f"{n_mc} samples; raise n_mc (--mc-samples)")
     log_vol = math.log(frac) + m * math.log(box)
     volume = _exp_or_inf(log_vol + m * math.log(delta))
     rel = se / frac
@@ -220,8 +221,8 @@ def compare(a: MechanismConfig, b: MechanismConfig, seed=0,
     """Full decision report between two mechanisms at equal budget.
 
     Scaled-ball volumes are exact when the ball knows its volume (lp, k2,
-    k3); a Monte Carlo estimate (volume_monte_carlo, with the given seed;
-    kt<p> balls estimate their own) runs only when it is unknown.
+    k3, kt<p> at p <= 3); an n_mc-point Monte Carlo estimate
+    (volume_monte_carlo, with the given seed) runs only when it is unknown.
     Entropies are in log form, and at equal budget they differ exactly as
     the log-volumes do, so they also decide the volume verdict; a volume
     past the float range prints as inf. The containment verdict comes from

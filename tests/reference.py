@@ -21,6 +21,42 @@ def hit_or_miss(ball, rng, n):
     return frac, math.sqrt(frac * (1.0 - frac) / n)
 
 
+def kt_box_fraction(p):
+    """Fraction of the [-2, 2]^d box that the regression body K_T fills, by
+    nested piecewise Gauss-Legendre over its p + 1 sum magnitudes.
+
+    Under a uniform box point the sum magnitudes s are uniform on [0, 2],
+    and given them every other slot is uniform on [-2, 2] and lies in the
+    body with probability its interval length over 4: a predictor's doubled
+    square |q| <= 2 - 2(max(s_j, 1) - 1)^2 gives 1 - (max(s_j, 1) - 1)^2,
+    and a cross or predictor-response slot |c| <= min(2, 4 - s_j - s_k)
+    gives min(2, 4 - s_j - s_k) / 2. The integrand is the product of these
+    weights, a polynomial of total degree 2p + p(p + 1)/2 between kinks at
+    s = 1, s_a = s_b and s_a + s_b = 2, so each variable is split at 1 and
+    at the outer variables' s and 2 - s. Inner integrals then add at most
+    one degree per variable (15 at p = 3), which 8 nodes integrate exactly.
+    """
+    x, w = np.polynomial.legendre.leggauss(8)
+    sums = np.empty((1, 0))  # the outer variables' values, one row per node
+    weight = np.ones(1)
+    for i in range(p + 1):
+        cuts = np.concatenate([np.broadcast_to([0.0, 1.0, 2.0], (len(sums), 3)),
+                               sums, 2.0 - sums], axis=1)
+        cuts.sort(axis=1)
+        lo, hi = cuts[:, :-1, None], cuts[:, 1:, None]
+        s = (lo + hi) / 2 + (hi - lo) / 2 * x
+        # the density of a uniform sum magnitude on [0, 2] is 1/2
+        f = (hi - lo) / 4 * w
+        if i < p:  # a predictor sum, paired with its doubled square
+            f = f * (1.0 - (np.maximum(s, 1.0) - 1.0) ** 2)
+        for j in range(i):
+            f = f * np.minimum(2.0, 4.0 - sums[:, j, None, None] - s) / 2.0
+        k = s.shape[1] * s.shape[2]
+        sums = np.concatenate([np.repeat(sums, k, axis=0), s.reshape(-1, 1)], axis=1)
+        weight = np.repeat(weight, k) * f.ravel()
+    return float(weight.sum())
+
+
 def box_rejection(ball, rng, n, max_proposals):
     """Uniform points of a ball by rejection from its bounding box, with
     their (accepted, proposals) counts: n points, or the fewer accepted once

@@ -32,7 +32,7 @@ from knorm.sampling import (
     sample_gamma_int,
     sample_noise,
 )
-from reference import hit_or_miss
+from reference import hit_or_miss, kt_box_fraction
 
 INF = math.inf
 
@@ -686,8 +686,28 @@ class TestExactVolumes:
         assert abs(est - exact) <= 4 * se
 
     def test_kt_volume_unknown(self):
-        assert kt_ball(3).volume is None
-        assert kt_ball(3).log_volume() is None
+        # exact volumes stop at p = 3; kt4 and above keep the estimator
+        assert kt_ball(4).volume is None
+        assert kt_ball(4).log_volume() is None
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_kt_volume_is_the_reference_quadrature(self, p):
+        ball = kt_ball(p)
+        fraction = ball.volume / 4.0**ball.dimension
+        assert math.isclose(kt_box_fraction(p), fraction, rel_tol=1e-14)
+        assert ball.log_volume() == math.log(ball.volume)
+
+    def test_kt1_fraction_is_117_160(self):
+        assert kt_ball(1).volume == 4.0**4 * 117 / 160 == 187.2
+        assert math.isclose(kt_box_fraction(1), 117 / 160, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("p, seed", [(1, 41), (2, 42), (3, 43)])
+    def test_kt_volume_matches_hit_or_miss(self, p, seed):
+        # the membership predicate on 10^6 box points; a two-sided 4.5-SE
+        # bound falsely fails a correct volume with probability 6.8e-6 each
+        ball = kt_ball(p)
+        frac, se = hit_or_miss(ball, np.random.default_rng(seed), 1_000_000)
+        assert abs(frac - ball.volume / 4.0**ball.dimension) <= 4.5 * se
 
     @pytest.mark.parametrize("p", [1, 1.5, 2, 7, INF])
     @pytest.mark.parametrize("m, r", [(1, 1.0), (3, 2.0), (6, 0.4)])

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import knorm
-from knorm import erm, harness
+from knorm import erm, harness, linreg
 from knorm.cli import main
 from knorm.erm import (
     ObjPertConfig,
@@ -309,12 +309,28 @@ class TestDiagnostics:
             assert harness._dp_ratio_check(epsilon, n, seed) == (worst, hit, bins)
 
     def test_acceptance_check_for_every_hull_with_a_volume(self):
-        report = run_diagnostics(mechanisms=("k3", "kt1"), n_draws=2000, seed=0)
+        report = run_diagnostics(mechanisms=("k3", "kt1", "kt4"), n_draws=2000, seed=0)
         assert report.all_passed
         checks = {c.name: c for c in report.checks}
-        # the k3 hull fills 5/6 of its box; kt1 has no known volume
+        # the k3 hull fills 5/6 of its box and kt1 117/160; kt4 has no known volume
         assert "expected 0.8333," in checks["box-fraction[k3]"].detail
-        assert "box-fraction[kt1]" not in checks
+        assert "expected 0.7312," in checks["box-fraction[kt1]"].detail
+        assert "box-fraction[kt4]" not in checks
+
+    def test_kt_volumes_pass_at_the_defaults(self, capsys):
+        assert main(["diagnostics", "--mech", "kt1,kt2,kt3"]) == 0
+        out = capsys.readouterr().out
+        for p in (1, 2, 3):
+            assert f"PASS box-fraction[kt{p}]" in out
+
+    def test_wrong_kt_volume_fails_its_box_fraction_check(self, monkeypatch):
+        # a kt3 box fraction 10% too large sits about 10 SE from the estimate
+        fractions = linreg._KT_BOX_FRACTIONS
+        monkeypatch.setitem(fractions, 3, 1.1 * fractions[3])
+        report = run_diagnostics(mechanisms=("kt3",), seed=0)
+        checks = {c.name: c for c in report.checks}
+        assert not checks["box-fraction[kt3]"].passed
+        assert checks["gamma-marginal-ks[kt3]"].passed
 
     def test_fault_injection_detected(self, monkeypatch):
         mis_scale_laplace(monkeypatch)
@@ -598,7 +614,7 @@ class TestCli:
         ("compare --a k2:1 --b l2:2.8284271247461903 --m 2",
          "07887f1c1099da49552bdd9376c2d0131d96b3d2fa1f80cc30966035fb3dacfb"),
         ("compare --a kt3:1 --b linf:2 --m 13",
-         "f6d84f3cfc2b6c7d85d2ec7c493b67779a8d4ed4524122d3f16df932c6aaeca9"),
+         "706164d76f79e5ece05bf6b621b96e12d5b5ade13a0e0c395d28f8f0113a5b7b"),
         ("sample --ball kt5",
          "e18d7ba303760f93e23ef2314e68555183b631612eddab312f72e38eb612ed7c"),
         ("sample --ball k3",
@@ -659,6 +675,17 @@ class TestCli:
         assert math.isfinite(float(items["entropy_b"]))
         assert items["containment"] == "a_tighter"
         assert items["preferred_by_volume"] == "linf:2"
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_kt_compared_with_itself_reads_one_volume(self, capsys, p):
+        # an exact volume, so both sides print it whatever their seeds
+        code, items, err = self._compare(capsys, "--a", f"kt{p}:1", "--b", f"kt{p}:1",
+                                         "--m", "8")
+        assert code == 0, err
+        assert items["volume_a"] == items["volume_b"] == repr(kt_ball(p).volume)
+        assert items["volume_se_a"] == items["volume_se_b"] == "0.0"
+        assert items["entropy_a"] == items["entropy_b"]
+        assert items["preferred_by_containment"] == items["preferred_by_volume"] == "tie"
 
     def test_compare_zero_monte_carlo_hits(self, capsys):
         # the piece-weight products of kt140 underflow to 0 at every one of

@@ -17,6 +17,7 @@ from knorm.ordering import (
     stochastic_tightness,
 )
 from knorm.sampling import MechanismConfig, RngStream, sample_noise
+from reference import kt_box_fraction
 
 INF = math.inf
 
@@ -110,16 +111,21 @@ class TestEntropy:
         assert h_inf < h_2 < h_1
 
     def test_hull_entropy_needs_volume_unless_exact(self):
-        # k2 carries its exact volume; the kt hulls have none, so they still need one
+        # k2 and kt1-kt3 carry their exact volumes; kt4 and above have none,
+        # so they still need one
         config = MechanismConfig(1.0, 1.0, k2_ball())
         h = entropy(config)
         assert abs(h - entropy(config, ball_volume=40.0 / 3.0)) <= 1e-12
         assert abs(h - (2.0 + math.log(2.0) + math.log(40.0 / 3.0))) <= 1e-12
         assert h < entropy(lp_config(INF, LINF_EXACT))
         kt3 = MechanismConfig(1.0, 1.0, kt_ball(3))
+        h3 = 13.0 + math.lgamma(14.0) + math.log(kt_box_fraction(3)) + 13 * math.log(4.0)
+        assert math.isclose(entropy(kt3), h3, rel_tol=1e-14)
+        assert entropy(kt3) == entropy(kt3, ball_volume=kt3.ball.volume)
+        kt4 = MechanismConfig(1.0, 1.0, kt_ball(4))
         with pytest.raises(ValueError):
-            entropy(kt3)
-        assert math.isfinite(entropy(kt3, ball_volume=2.0))
+            entropy(kt4)
+        assert math.isfinite(entropy(kt4, ball_volume=2.0))
 
 
 class TestConcentrationRadius:
@@ -361,19 +367,23 @@ class TestCompare:
         k3 = MechanismConfig(1.0, 1.0, k3_ball(), label="k3")
         compare(k3, lp_config(INF, 2.0, m=3), seed=10)
         compare(MechanismConfig(1.0, 1.0, k2_ball()), lp_config(2, 3.0), seed=11)
+        for p in (1, 2, 3):
+            kt = MechanismConfig(1.0, 1.0, kt_ball(p), label=f"kt{p}")
+            report = compare(kt, lp_config(INF, 2.0, m=kt.dimension), seed=12)
+            assert report.volume_se_a == 0.0
         assert calls == []
-        kt1 = MechanismConfig(1.0, 1.0, kt_ball(1), label="kt1")
-        report = compare(kt1, lp_config(INF, 2.0, m=4), seed=12, n_mc=20_000)
-        assert calls == ["kt1"]
+        kt4 = MechanismConfig(1.0, 1.0, kt_ball(4), label="kt4")
+        report = compare(kt4, lp_config(INF, 2.0, m=19), seed=12, n_mc=20_000)
+        assert calls == ["kt4"]
         assert report.volume_se_a > 0.0
-        assert report.preferred_by_volume == "kt1"
+        assert report.preferred_by_volume == "kt4"
 
     def test_zero_hit_monte_carlo_names_ball_and_budget(self):
         # the piece-weight products of kt140 underflow to 0 at every one of
         # 1000 uniform sums, so its box-fraction estimate is exactly 0
         ball = kt_ball(140)
         config = MechanismConfig(1.0, 1.0, ball, label="kt140:1")
-        with pytest.raises(ValueError, match=r"kt140:1 .*--mc-samples"):
+        with pytest.raises(ValueError, match=r"kt140:1 .*raise n_mc"):
             compare(config, lp_config(INF, 2.0, m=ball.dimension), seed=0, n_mc=1000)
 
     def test_volume_verdict_past_float_range(self):
