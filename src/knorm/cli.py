@@ -131,9 +131,9 @@ def _cmd_sample(args):
              f"# delta={args.delta!r}", f"# eps={args.eps!r}"]
     header = ["replicate"] + [f"v{i+1}" for i in range(ball.dimension)] + ["gauge"]
     lines.append(",".join(header))
-    for i, (row, g) in enumerate(zip(draws, gauges)):
-        cells = [str(i)] + [repr(float(x)) for x in row] + [repr(float(g))]
-        lines.append(",".join(cells))
+    # repr of the Python floats tolist gives, not of one numpy scalar at a time
+    for i, (row, g) in enumerate(zip(draws.tolist(), gauges.tolist())):
+        lines.append(",".join([str(i), *map(repr, row), repr(g)]))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

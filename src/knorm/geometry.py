@@ -39,11 +39,31 @@ _CONTAIN_TOL = 1e-9
 _CONTAIN_DIRECTIONS = 512
 
 
+def _reduce_rows(ufunc, a, initial=None):
+    """ufunc.reduce(a, axis=-1), with initial if given, bit for bit.
+
+    numpy makes one inner-loop call per row, slow on short rows, so 64 or
+    more rows of 1 to 7 entries reduce column by column from initial or the
+    ufunc's identity. That is exact: maximum is exact in any order, and
+    numpy adds a row of up to 7 entries left to right from add's identity
+    0.0 (a row of -0.0 sums to 0.0). From 8 entries on it sums pairwise,
+    with other bits, so wider rows keep the row reduce, as do fewer rows.
+    """
+    if a.ndim != 2 or a.shape[0] < 64 or not 0 < a.shape[1] < 8:
+        return ufunc.reduce(a, axis=-1, **({} if initial is None else {"initial": initial}))
+    start = ufunc.identity if initial is None else initial
+    out = a[:, 0].copy() if start is None else ufunc(start, a[:, 0])
+    for j in range(1, a.shape[1]):
+        ufunc(out, a[:, j], out=out)
+    return out
+
+
 def lp_norm(x, p):
     """lp norm of a vector, or row-wise norms of a 2-d array.
 
     p may be any value >= 1 or math.inf. An empty batch of rows gives an
-    empty result. Raises ValueError for a zero-width vector or p < 1.
+    empty result. Raises ValueError for a zero-width vector or p < 1. At
+    p = 1, 2 and inf the rows reduce by _reduce_rows, bit for bit as numpy.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] == 0:
@@ -52,11 +72,11 @@ def lp_norm(x, p):
         raise ValueError(f"lp_norm: p must be >= 1 or inf, got {p}")
     a = np.abs(x)
     if p == math.inf:
-        return a.max(axis=-1)
+        return _reduce_rows(np.maximum, a)
     if p == 1:
-        return a.sum(axis=-1)
+        return _reduce_rows(np.add, a)
     if p == 2:
-        return np.sqrt((a * a).sum(axis=-1))
+        return np.sqrt(_reduce_rows(np.add, a * a))
     # rescale by the max to avoid overflow for large p
     mx = a.max(axis=-1, keepdims=True)
     safe = np.where(mx > 0, mx, 1.0)
@@ -268,7 +288,7 @@ def _hull_gauge_many(pieces, U):
     s = U[:, pieces.sum_slots]
     g2 = _k2_gauge(s[:, :len(pieces.squares)], U[:, pieces.squares])
     g3 = _k3_gauge(s[:, pieces.pair_j], s[:, pieces.pair_k], U[:, pieces.pair_slots])
-    return np.maximum(g2.max(axis=1, initial=0.0), g3.max(axis=1, initial=0.0))
+    return np.maximum(_reduce_rows(np.maximum, g2, 0.0), _reduce_rows(np.maximum, g3, 0.0))
 
 
 def _hull_chunk(pieces):

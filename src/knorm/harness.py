@@ -490,8 +490,10 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
                 detail=f"m={m} delta={delta} eps={epsilon} n={n_draws}",
             )
         )
-        se = v.std(axis=0, ddof=1) / math.sqrt(n_draws)
-        worst = float(np.max(np.abs(v.mean(axis=0)) / se))
+        # per coordinate over contiguous rows, which numpy reduces pairwise
+        cols = np.ascontiguousarray(v.T)
+        se = cols.std(axis=1, ddof=1) / math.sqrt(n_draws)
+        worst = float(np.max(np.abs(cols.mean(axis=1)) / se))
         checks.append(
             DiagnosticCheck(
                 name=f"unbiasedness[{mech}]",

@@ -193,25 +193,27 @@ class ComparisonReport:
         }
 
 
-def _scaled_volume(config: MechanismConfig, n_mc, seed):
+def _scaled_volume(config: MechanismConfig, n_mc, seed, estimate=None):
     """Volume of delta*K and its standard error, then K's log volume and the
     relative standard error (0.0 for an exact volume: only an unknown one
-    runs the n_mc-point estimate)."""
+    runs the n_mc-point estimate, unless estimate already gives K's
+    (log volume, relative standard error))."""
     ball, delta, m = config.ball, config.delta, config.dimension
     if ball.is_lp:
         return volume_lp(ball.p, m, ball.radius * delta), 0.0, ball.log_volume(), 0.0
     if ball.volume is not None:
         return ball.volume * delta**m, 0.0, ball.log_volume(), 0.0
-    # K shrunk into the unit cube: its volume is the fraction of its bounding
-    # box that it fills, finite at any dimension
-    box = 2.0 * ball.linf_radius
-    frac, se = volume_monte_carlo(ball, scale=1.0 / box, n_samples=n_mc, seed=seed)
-    if frac == 0.0:
-        raise ValueError(f"no Monte Carlo point hit {config.label} in "
-                         f"{n_mc} samples; raise n_mc (--mc-samples)")
-    log_vol = math.log(frac) + m * math.log(box)
+    if estimate is None:
+        # K shrunk into the unit cube: its volume is the fraction of its
+        # bounding box that it fills, finite at any dimension
+        box = 2.0 * ball.linf_radius
+        frac, se = volume_monte_carlo(ball, scale=1.0 / box, n_samples=n_mc, seed=seed)
+        if frac == 0.0:
+            raise ValueError(f"no Monte Carlo point hit {config.label} in "
+                             f"{n_mc} samples; raise n_mc (--mc-samples)")
+        estimate = math.log(frac) + m * math.log(box), se / frac
+    log_vol, rel = estimate
     volume = _exp_or_inf(log_vol + m * math.log(delta))
-    rel = se / frac
     # an estimate whose weights are all equal has rel 0, also at inf volume
     return volume, rel * volume if rel else 0.0, log_vol, rel
 
@@ -226,11 +228,15 @@ def compare(a: MechanismConfig, b: MechanismConfig, seed=0,
     Entropies are in log form, and at equal budget they differ exactly as
     the log-volumes do, so they also decide the volume verdict; a volume
     past the float range prints as inf. The containment verdict comes from
-    stochastic_tightness.
+    stochastic_tightness. One body on both sides is estimated once, and
+    both volumes scale that estimate, so their ratio (delta_a/delta_b)^m is
+    exact and the entropies alone decide the volume verdict.
     """
     _require_comparable(a, b)
+    one_body = a.ball == b.ball
     va, se_a, log_a, rel_a = _scaled_volume(a, n_mc, seed)
-    vb, se_b, log_b, rel_b = _scaled_volume(b, n_mc, seed + 1)
+    vb, se_b, log_b, rel_b = _scaled_volume(b, n_mc, seed + 1,
+                                            (log_a, rel_a) if one_body else None)
     ent_a, ent_b = _entropy(a, log_a), _entropy(b, log_b)
 
     verdict, witness = _tightness_verdict(a, b, seed)
@@ -240,7 +246,7 @@ def compare(a: MechanismConfig, b: MechanismConfig, seed=0,
     # their entropy difference gives at any dimension
     top = max(ent_a, ent_b)
     ra, rb = math.exp(ent_a - top), math.exp(ent_b - top)
-    se_comb = math.hypot(rel_a * ra, rel_b * rb)
+    se_comb = 0.0 if one_body else math.hypot(rel_a * ra, rel_b * rb)
     if abs(ra - rb) <= 4.0 * se_comb if se_comb > 0 else ent_a == ent_b:
         preferred_volume = "tie"
     else:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormBall, lp_norm
+from .geometry import NormBall, _reduce_rows, lp_norm
 
 __all__ = [
     "RngStream",
@@ -138,11 +138,12 @@ def _check_budget(epsilon, delta, ball):
 
 
 def sample_gamma_int(shape, rate, rng, size):
-    """size Gamma(shape, rate) draws for integer shape, as sums of exponentials."""
+    """size Gamma(shape, rate) draws for integer shape, as sums of exponentials
+    (each row summed by _reduce_rows, bit for bit as numpy's row sum)."""
     if int(shape) != shape or shape <= 0:
         raise ValueError(f"shape must be a positive integer, got {shape}")
     _check_positive("rate", rate)
-    return rng.standard_exponential((size, int(shape))).sum(axis=1) / rate
+    return _reduce_rows(np.add, rng.standard_exponential((size, int(shape)))) / rate
 
 
 def _lp_noise(p, m, delta, epsilon, rng, n):

@@ -8,6 +8,7 @@ import pytest
 from knorm import sampling
 from knorm.geometry import (
     _hull_chunk,
+    _reduce_rows,
     _hull_uniform,
     _k2_gauge,
     _k2_sum_quantile,
@@ -93,6 +94,54 @@ class TestLpNorm:
     def test_general_p_no_overflow(self):
         x = np.full(3, 1e200)
         assert np.isfinite(lp_norm(x, 7))
+
+
+def row_reduce_inputs(rows, width, seed):
+    """A (rows, width) array of wide-range normals with about a third of its
+    entries replaced by nan, +-inf, +-0.0 and subnormals."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    special = np.array([np.nan, INF, -INF, 0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-315])
+    pick = rng.random((rows, width)) < 0.3
+    a[pick] = rng.choice(special, pick.sum())
+    # some rows of signed zeros only, whose sum's sign the start value sets
+    a[::7] = rng.choice(np.array([0.0, -0.0]), a[::7].shape)
+    return a
+
+
+class TestReduceRows:
+    """_reduce_rows is ufunc.reduce over the last axis, byte for byte, on
+    both sides of its 64-row and 8-entry bounds."""
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+    @pytest.mark.parametrize("width", range(13))
+    def test_matches_row_reduce(self, ufunc, width):
+        for rows in (1, 63, 64, 10_000):
+            a = row_reduce_inputs(rows, width, seed=width)
+            with np.errstate(invalid="ignore", over="ignore"):
+                for initial in (None, 0.0):
+                    kwargs = {} if initial is None else {"initial": initial}
+                    try:
+                        want = ufunc.reduce(a, axis=-1, **kwargs)
+                    except ValueError:
+                        # maximum of an empty row without initial
+                        with pytest.raises(ValueError):
+                            _reduce_rows(ufunc, a, initial)
+                        continue
+                    assert same_bytes(_reduce_rows(ufunc, a, initial), want)
+
+    def test_empty_piece_group_reads_initial(self):
+        # a table without k3 pieces has a (n, 0) group of k3 gauges
+        assert same_bytes(_reduce_rows(np.maximum, np.empty((10_000, 0)), 0.0),
+                          np.zeros(10_000))
+
+    @pytest.mark.parametrize("p", [1, 2, INF])
+    def test_lp_norm_matches_numpy_rows(self, p):
+        a = np.abs(row_reduce_inputs(10_000, 3, seed=1))
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = {1: a.sum(axis=-1), 2: np.sqrt((a * a).sum(axis=-1)),
+                    INF: a.max(axis=-1)}[p]
+            assert same_bytes(lp_norm(a, p), want)
 
 
 class TestGauge:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import knorm
-from knorm import erm, harness, linreg
+from knorm import cli, erm, harness, linreg, ordering
 from knorm.cli import main
 from knorm.erm import (
     ObjPertConfig,
@@ -287,6 +287,20 @@ class TestDiagnostics:
     def test_default_output_pinned(self):
         assert run_diagnostics().format_lines() == DEFAULT_DIAGNOSTICS.splitlines()
 
+    @pytest.mark.parametrize("n", [50, 10_000])
+    @pytest.mark.parametrize("mech", ["l1", "l2", "linf", "k2", "k3", "kt1"])
+    def test_unbiasedness_matches_per_column_formula(self, mech, n):
+        # the statistic reduces contiguous coordinate rows, which numpy sums
+        # pairwise, so it may differ from the column reduce in its last bits
+        ball = ball_from_name(mech, 2)
+        v = sample_noise(MechanismConfig(1.0, 1.0, ball), RngStream(0, 1000).generator(),
+                         size=n)
+        se = v.std(axis=0, ddof=1) / math.sqrt(n)
+        want = float(np.max(np.abs(v.mean(axis=0)) / se))
+        report = run_diagnostics(mechanisms=(mech,), n_draws=n, seed=0)
+        got = next(c.statistic for c in report.checks if c.name == f"unbiasedness[{mech}]")
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("epsilon", [0.1, 1.0, 5.0])
     @pytest.mark.parametrize("n", [50, 20_000])
     def test_dp_ratio_check_matches_a_loop_over_bins(self, epsilon, n):
@@ -454,6 +468,23 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 5 and lines[-1].startswith("replicate,v1,")
         assert lines[-1].endswith(",gauge")
+
+    @pytest.mark.parametrize("reps", [0, 3])
+    def test_sample_rows_format_as_repr_of_each_float(self, capsys, monkeypatch, reps):
+        # tolist gives the same doubles, so repr gives the same strings as
+        # repr(float(x)) of each numpy scalar
+        rows = np.array([[-0.0, 5e-324, 1e16, 1e-7, 0.1],
+                         [0.1, -0.0, 5e-324, 1e16, 1e-7],
+                         [1e-7, 0.1, -0.0, 5e-324, 1e16]])
+        monkeypatch.setattr(cli, "sample_noise", lambda config, rng, size: rows[:size])
+        assert main(["sample", "--ball", "l2", "--m", "5", "--reps", str(reps)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[4] == "replicate,v1,v2,v3,v4,v5,gauge"
+        gauges = NormBall.lp(2, 1.0, 5).gauge_many(rows[:reps])
+        assert lines[5:] == [
+            ",".join([str(i)] + [repr(float(x)) for x in row] + [repr(float(g))])
+            for i, (row, g) in enumerate(zip(rows[:reps], gauges))
+        ]
 
     def test_sample_negative_reps_exits_2(self, capsys):
         assert main(["sample", "--ball", "l2", "--reps", "-1"]) == 2
@@ -686,6 +717,32 @@ class TestCli:
         assert items["volume_se_a"] == items["volume_se_b"] == "0.0"
         assert items["entropy_a"] == items["entropy_b"]
         assert items["preferred_by_containment"] == items["preferred_by_volume"] == "tie"
+
+    def test_kt_compared_with_itself_estimates_once(self, capsys, monkeypatch):
+        # kt4's volume is unknown: both sides scale one estimate, so their
+        # ratio is exact and the entropies alone decide
+        calls = []
+        real = ordering.volume_monte_carlo
+
+        def spy(ball, **kwargs):
+            calls.append(ball.name)
+            return real(ball, **kwargs)
+
+        monkeypatch.setattr(ordering, "volume_monte_carlo", spy)
+        code, items, err = self._compare(capsys, "--a", "kt4:1", "--b", "kt4:1", "--m", "8",
+                                         "--mc-samples", "20000")
+        assert code == 0, err
+        assert calls == ["kt4"]
+        assert items["volume_a"] == items["volume_b"]
+        assert items["volume_se_a"] == items["volume_se_b"] != "0.0"
+        assert items["entropy_a"] == items["entropy_b"]
+        assert items["preferred_by_volume"] == "tie"
+        code, items, err = self._compare(capsys, "--a", "kt4:1", "--b", "kt4:2", "--m", "8",
+                                         "--mc-samples", "20000")
+        assert code == 0, err
+        assert calls == ["kt4", "kt4"]
+        assert float(items["volume_b"]) == pytest.approx(2.0**19 * float(items["volume_a"]))
+        assert items["preferred_by_volume"] == "kt4:1"
 
     def test_compare_zero_monte_carlo_hits(self, capsys):
         # the piece-weight products of kt140 underflow to 0 at every one of
