@@ -60,11 +60,12 @@ def _at_least(option, value, low):
         raise ValueError(f"{option} must be >= {low}, got {value}")
 
 
-def _simulate(driver, args, **fields):
-    """Run a simulation driver on the shared flags plus fields; write both tables."""
+def _simulate(driver, args, **settings):
+    """Run a simulation driver on the run grid of the shared flags and on its
+    own settings; write both tables."""
     _at_least("--reps", args.reps, 1)
     table = _budget("--eps", lambda: driver(SimulationConfig(
-        eps=args.eps, reps=args.reps, mechanisms=args.mech, seed=args.seed, **fields)))
+        eps=args.eps, mechanisms=args.mech, reps=args.reps, seed=args.seed), **settings))
     _emit(table.long_csv(), args.out)
     _emit(table.summary_csv(), args.summary)
     return 0

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import NormBall
-from .sampling import BudgetError, MechanismConfig, sample_noise
+from .sampling import BudgetError, MechanismConfig, _check_positive, sample_noise
 
 __all__ = [
     "LossSpec",
@@ -88,8 +88,7 @@ class ObjPertConfig:
     noise: MechanismConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise BudgetError(f"epsilon must be positive, got {self.epsilon}")
+        _check_positive("epsilon", self.epsilon)
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must be in (0, 1), got {self.q}")
         g = self.gamma

@@ -14,7 +14,6 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -68,28 +67,20 @@ DEFAULT_REGRESSION_EPS = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One experiment run: epsilon grid, sample size n, predictor count p,
-    replicate count, mechanisms, objective-perturbation q, seed, and the CSV
-    input of run_regression_file (path, response, log columns, quantiles).
-    Epsilons and mechanisms must each be distinct: summaries are per cell."""
+    """The run grid every driver reads: epsilon grid, mechanisms, replicate
+    count and seed. Each driver takes the settings only it reads (n, p, q,
+    the CSV input) as keyword arguments. Epsilons and mechanisms must each
+    be distinct: summaries are per cell."""
 
     eps: tuple = ()
-    n: int = 10_000
-    p: int = 5
-    reps: int = 100
     mechanisms: tuple = ()
-    q: float = 0.5
+    reps: int = 100
     seed: int = 0
-    csv_path: Optional[str] = None
-    response: Optional[str] = None
-    log_columns: tuple = ()
-    lower_q: float = 0.0001
-    upper_q: float = 0.9999
 
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("replicate count must be >= 1")
-        if any(e <= 0 for e in self.eps):
+        if any(not e > 0 for e in self.eps):  # also rejects nan
             raise BudgetError("epsilon values must be positive")
         # a repeated cell would be pooled with its twin in every summary row
         for name, values in (("epsilon", self.eps), ("mechanism", self.mechanisms)):
@@ -145,11 +136,11 @@ class ResultTable:
         raise KeyError((epsilon, mechanism, metric))
 
 
-def _echo(experiment, config: SimulationConfig, **extra):
+def _echo(experiment, config: SimulationConfig, n, **extra):
     echo = {
         "experiment": experiment,
         "seed": config.seed,
-        "n": config.n,
+        "n": n,
         "reps": config.reps,
         "eps": ",".join(_fmt(float(e)) for e in config.eps),
         "mechanisms": ",".join(config.mechanisms),
@@ -200,14 +191,14 @@ def _summarize(table, config, metric, reduce, baselines=()):
         table.summary_rows.append((eps, mech, metric, reduce(values[(eps, mech)])))
 
 
-def simulate_logistic(config: SimulationConfig) -> ResultTable:
+def simulate_logistic(config: SimulationConfig, *, n, q) -> ResultTable:
     """Private logistic regression on synthetic data.
 
     Per replicate, draws a uniform design on [-1,1]^(n x 7) and Bernoulli
     responses from the fixed coefficient vector, fits the non-private MLE,
-    and runs objective perturbation for every (epsilon, mechanism),
-    recording the l2 distance to the true coefficients. Summaries are
-    lower medians per cell.
+    and runs objective perturbation for every (epsilon, mechanism) with
+    budget split q, recording the l2 distance to the true coefficients.
+    Summaries are lower medians per cell.
     """
     beta = LOGISTIC_BETA
     m = len(beta)
@@ -218,14 +209,14 @@ def simulate_logistic(config: SimulationConfig) -> ResultTable:
             raise ValueError(f"logistic regression needs an lp ball, got {mech!r}")
         # logistic_sensitivity rejects an lp ball other than l1, l2 or linf
         losses[mech] = logistic_loss_spec(m, ball.p)
-    cells = [(cell, eps, mech, ObjPertConfig(epsilon=eps, q=config.q, loss=losses[mech]))
+    cells = [(cell, eps, mech, ObjPertConfig(epsilon=eps, q=q, loss=losses[mech]))
              for cell, eps, mech in _cells(config)]
     mle_loss = logistic_loss_spec(m)
-    table = ResultTable(_echo("logistic", config, q=_fmt(float(config.q)), m=m))
+    table = ResultTable(_echo("logistic", config, n, q=_fmt(float(q)), m=m))
     for rep in range(config.reps):
         g = RngStream(config.seed, rep).generator()
-        X = _design(g, (config.n, m))
-        u = g.random(config.n)
+        X = _design(g, (n, m))
+        u = g.random(n)
         y = (u < _sigmoid(X @ beta)).astype(float)
 
         # every fit of the replicate starts at theta = 0 on this X, y with the
@@ -248,28 +239,27 @@ def simulate_logistic(config: SimulationConfig) -> ResultTable:
     return table
 
 
-def simulate_coverage(config: SimulationConfig) -> ResultTable:
+def simulate_coverage(config: SimulationConfig, *, n, p) -> ResultTable:
     """Confidence-interval coverage of private linear-regression estimates.
 
-    Per replicate, simulates a Gaussian-error regression with unit variance
-    and coefficients spaced over [-1.5, 1.5], builds classical 95%
-    t-intervals from the least-squares fit, and records the fraction of the
-    last p coordinates of each private estimate falling inside. A
-    replicate's cells are drawn, solved and scored as one stack: one
-    sample_noise_rows call, one dp_estimates solve and one comparison
+    Per replicate, simulates a Gaussian-error regression of n rows with
+    unit variance and p coefficients spaced over [-1.5, 1.5], builds
+    classical 95% t-intervals from the least-squares fit, and records the
+    fraction of the last p coordinates of each private estimate falling
+    inside. A replicate's cells are drawn, solved and scored as one stack:
+    one sample_noise_rows call, one dp_estimates solve and one comparison
     against the intervals. Summaries are means per cell; "true_beta" rows
     record the intervals' own coverage of the true coefficients.
     """
     from scipy.special import stdtrit
 
-    p, n = config.p, config.n
     if n <= p + 1:
         raise ValueError(f"coverage needs n > p + 1 for its t-intervals' "
                          f"n - p - 1 degrees of freedom, got n={n}, p={p}")
     cells = [(cell, eps, mech, statistic_mechanism(mech, p, eps))
              for cell, eps, mech in _cells(config)]
     beta = np.concatenate([[0.0], np.linspace(-1.5, 1.5, p)])
-    table = ResultTable(_echo("coverage", config, p=p))
+    table = ResultTable(_echo("coverage", config, n, p=p))
     tcrit = float(stdtrit(n - p - 1, 0.975))
     for rep in range(config.reps):
         g = RngStream(config.seed, rep).generator()
@@ -331,37 +321,33 @@ def read_table(path):
     return {name: np.array(vals) for name, vals in columns.items()}
 
 
-def run_regression_file(config: SimulationConfig) -> ResultTable:
+def run_regression_file(config: SimulationConfig, *, csv_path, response, log_columns,
+                        lower_q, upper_q) -> ResultTable:
     """Private regression on a CSV file, measured against its own MLE.
 
-    Preprocesses the table (log transforms, quantile clamping, affine map
-    to [-1,1]), computes the least-squares fit, and for every (epsilon,
-    mechanism, replicate) records the l2 distance between the private
-    estimate and that fit, solving all private estimates as one stack. The
-    zero-vector baseline ||beta_mle||_2 is echoed in the header. The
-    preprocessing bounds are read from the private table, and the
-    sensitivities hold under "replace one row" of the preprocessed table,
-    so the release is not eps-DP with respect to the CSV: one changed row
-    moved a slot by 1302.6 against the assumed 2 (see preprocess).
+    Preprocesses the table at csv_path (log transforms of log_columns,
+    clamping to its lower_q and upper_q quantiles, affine map to [-1,1]),
+    computes the least-squares fit of the response column, and for every
+    (epsilon, mechanism, replicate) records the l2 distance between the
+    private estimate and that fit, solving all private estimates as one
+    stack. The zero-vector baseline ||beta_mle||_2 is echoed in the
+    header. The preprocessing bounds are read from the private table, and
+    the sensitivities hold under "replace one row" of the preprocessed
+    table, so the release is not eps-DP with respect to the CSV: one
+    changed row moved a slot by 1302.6 against the assumed 2 (see
+    preprocess).
     """
-    if config.csv_path is None or config.response is None:
-        raise ValueError("run-regression requires a csv path and response column")
-    columns = read_table(config.csv_path)
-    data = preprocess(
-        columns,
-        config.response,
-        log_columns=config.log_columns,
-        lower_q=config.lower_q,
-        upper_q=config.upper_q,
-    )
+    columns = read_table(csv_path)
+    data = preprocess(columns, response, log_columns=log_columns, lower_q=lower_q,
+                      upper_q=upper_q)
     cells = [(cell, eps, mech, statistic_mechanism(mech, data.p, eps))
              for cell, eps, mech in _cells(config)]
     beta_mle, *_ = np.linalg.lstsq(data.design, data.response, rcond=None)
     baseline = float(np.linalg.norm(beta_mle))
     stat = build_statistic(data)
     table = ResultTable(_echo(
-        "regression-file", config, n=data.n, p=data.p, csv=config.csv_path,
-        response=config.response, baseline_l2=_fmt(baseline),
+        "regression-file", config, data.n, p=data.p, csv=csv_path, response=response,
+        baseline_l2=_fmt(baseline),
     ))
     runs = [(*cell, rep) for cell in cells for rep in range(config.reps)]
     draws = [(mechanism, _noise_rng(config, cell, rep)) for cell, _, _, mechanism, rep in runs]

@@ -91,8 +91,6 @@ def concentration_radius(config: MechanismConfig, alpha):
 
     t is the alpha-quantile of the Gamma(m, eps/delta) gauge marginal.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return gamma_quantile(alpha, config.dimension, config.rate)
 
 

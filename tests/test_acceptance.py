@@ -173,10 +173,9 @@ def test_c06_conditional_variance_ordering():
 def test_c07_logistic_ordering():
     t0 = time.time()
     config = SimulationConfig(
-        eps=(1 / 16, 1 / 8), n=10_000, reps=100,
-        mechanisms=("l1", "l2", "linf"), q=0.5, seed=70,
+        eps=(1 / 16, 1 / 8), reps=100, mechanisms=("l1", "l2", "linf"), seed=70,
     )
-    table = simulate_logistic(config)
+    table = simulate_logistic(config, n=10_000, q=0.5)
     ok = True
     detail = []
     for eps in config.eps:
@@ -194,10 +193,9 @@ def test_c08_coverage_ordering():
     t0 = time.time()
     eps_grid = (0.25, 0.5, 1.0)
     config = SimulationConfig(
-        eps=eps_grid, n=10_000, p=5, reps=200,
-        mechanisms=("l1", "linf", "kt"), seed=80,
+        eps=eps_grid, reps=200, mechanisms=("l1", "linf", "kt"), seed=80,
     )
-    table = simulate_coverage(config)
+    table = simulate_coverage(config, n=10_000, p=5)
     cov = {
         (eps, mech): table.summary_value(eps, mech, "mean_coverage")
         for eps in eps_grid for mech in config.mechanisms

@@ -66,6 +66,10 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
+#: the settings run-regression passes its driver when no flag sets them
+REGRESSION_DEFAULTS = dict(log_columns=(), lower_q=0.0001, upper_q=0.9999)
+
+
 def synthetic_regression_csv(path, n=2000, p=5, seed=0):
     rng = np.random.default_rng(seed)
     beta = np.concatenate([[0.0], np.linspace(-1.5, 1.5, p)])
@@ -114,11 +118,8 @@ class TestKsHelpers:
 
 class TestSimulateLogistic:
     def test_baseline_and_high_eps(self):
-        config = SimulationConfig(
-            eps=(1e6,), n=2000, reps=5,
-            mechanisms=("l1", "linf"), q=0.5, seed=3,
-        )
-        table = simulate_logistic(config)
+        config = SimulationConfig(eps=(1e6,), reps=5, mechanisms=("l1", "linf"), seed=3)
+        table = simulate_logistic(config, n=2000, q=0.5)
         zero = table.summary_value("", "zero", "l2_error")
         assert math.isclose(zero, math.sqrt(1 + 0.25 + 1 / 16 + 9 / 16 + 9 / 4),
                             rel_tol=1e-12)
@@ -128,19 +129,13 @@ class TestSimulateLogistic:
             assert abs(med - mle_median) < 0.05
 
     def test_unknown_mechanism_rejected(self):
-        config = SimulationConfig(
-            eps=(1.0,), n=100, reps=1,
-            mechanisms=("kt",), seed=0,
-        )
+        config = SimulationConfig(eps=(1.0,), reps=1, mechanisms=("kt",), seed=0)
         with pytest.raises(ValueError):
-            simulate_logistic(config)
+            simulate_logistic(config, n=100, q=0.5)
 
     def test_long_rows_complete(self):
-        config = SimulationConfig(
-            eps=(1.0, 2.0), n=500, reps=3,
-            mechanisms=("l2",), seed=4,
-        )
-        table = simulate_logistic(config)
+        config = SimulationConfig(eps=(1.0, 2.0), reps=3, mechanisms=("l2",), seed=4)
+        table = simulate_logistic(config, n=500, q=0.5)
         mech_rows = [r for r in table.long_rows if r[1] == "l2"]
         assert len(mech_rows) == 6
         mle_rows = [r for r in table.long_rows if r[1] == "mle"]
@@ -149,20 +144,14 @@ class TestSimulateLogistic:
 
 class TestSimulateCoverage:
     def test_true_beta_coverage_near_nominal(self):
-        config = SimulationConfig(
-            eps=(0.5,), n=2000, p=5, reps=60,
-            mechanisms=(), seed=5,
-        )
-        table = simulate_coverage(config)
+        config = SimulationConfig(eps=(0.5,), reps=60, mechanisms=(), seed=5)
+        table = simulate_coverage(config, n=2000, p=5)
         cov = table.summary_value("", "true_beta", "mean_coverage")
         assert abs(cov - 0.95) < 0.05
 
     def test_high_budget_large_n_near_nominal(self):
-        config = SimulationConfig(
-            eps=(4.0,), n=1_000_000, p=5, reps=10,
-            mechanisms=("l1", "linf", "kt"), seed=6,
-        )
-        table = simulate_coverage(config)
+        config = SimulationConfig(eps=(4.0,), reps=10, mechanisms=("l1", "linf", "kt"), seed=6)
+        table = simulate_coverage(config, n=1_000_000, p=5)
         for mech in ("l1", "linf", "kt"):
             cov = table.summary_value(4.0, mech, "mean_coverage")
             # vanishing noise pushes the estimate onto the CI center, so the
@@ -170,11 +159,8 @@ class TestSimulateCoverage:
             assert 0.90 <= cov <= 1.0
 
     def test_linf_beats_l1_at_moderate_budget(self):
-        config = SimulationConfig(
-            eps=(0.5,), n=10_000, p=5, reps=50,
-            mechanisms=("l1", "linf"), seed=7,
-        )
-        table = simulate_coverage(config)
+        config = SimulationConfig(eps=(0.5,), reps=50, mechanisms=("l1", "linf"), seed=7)
+        table = simulate_coverage(config, n=10_000, p=5)
         assert (table.summary_value(0.5, "linf", "mean_coverage")
                 > table.summary_value(0.5, "l1", "mean_coverage"))
 
@@ -182,13 +168,13 @@ class TestSimulateCoverage:
     def test_n_at_most_p_plus_one_rejected(self, n, p):
         # the t-intervals have n - p - 1 degrees of freedom: zero divided by
         # zero at n = p + 1, and fewer rows than coefficients below it
-        config = SimulationConfig(eps=(1.0,), n=n, p=p, reps=1, mechanisms=("linf",))
+        config = SimulationConfig(eps=(1.0,), reps=1, mechanisms=("linf",))
         with pytest.raises(ValueError, match=f"got n={n}, p={p}"):
-            simulate_coverage(config)
+            simulate_coverage(config, n=n, p=p)
 
     def test_smallest_n_runs(self):
-        config = SimulationConfig(eps=(1.0,), n=4, p=2, reps=2, mechanisms=("linf",))
-        table = simulate_coverage(config)
+        config = SimulationConfig(eps=(1.0,), reps=2, mechanisms=("linf",))
+        table = simulate_coverage(config, n=4, p=2)
         assert 0.0 <= table.summary_value(1.0, "linf", "mean_coverage") <= 1.0
 
 
@@ -196,12 +182,8 @@ class TestRunRegressionFile:
     def test_vanishing_noise_and_baseline(self, tmp_path):
         path = tmp_path / "data.csv"
         synthetic_regression_csv(path, n=500, p=3, seed=8)
-        config = SimulationConfig(
-            eps=(1e9,), reps=3,
-            mechanisms=("l1", "linf", "kt"), seed=8, csv_path=str(path),
-            response="y",
-        )
-        table = run_regression_file(config)
+        config = SimulationConfig(eps=(1e9,), reps=3, mechanisms=("l1", "linf", "kt"), seed=8)
+        table = run_regression_file(config, csv_path=str(path), response="y", **REGRESSION_DEFAULTS)
         for mech in ("l1", "linf", "kt"):
             assert table.summary_value(1e9, mech, "median_l2_distance_to_mle") <= 1e-4
         baseline = table.summary_value("", "zero", "l2_distance_to_mle")
@@ -211,20 +193,27 @@ class TestRunRegressionFile:
     def test_linf_beats_l1_ordering(self, tmp_path):
         path = tmp_path / "data.csv"
         synthetic_regression_csv(path, n=2000, p=5, seed=9)
-        config = SimulationConfig(
-            eps=(1 / 16, 1 / 4, 1.0), reps=200,
-            mechanisms=("l1", "linf"), seed=9, csv_path=str(path), response="y",
-        )
-        table = run_regression_file(config)
+        config = SimulationConfig(eps=(1 / 16, 1 / 4, 1.0), reps=200, mechanisms=("l1", "linf"),
+                                  seed=9)
+        table = run_regression_file(config, csv_path=str(path), response="y", **REGRESSION_DEFAULTS)
         for eps in (1 / 16, 1 / 4, 1.0):
             d_inf = table.summary_value(eps, "linf", "median_l2_distance_to_mle")
             d_1 = table.summary_value(eps, "l1", "median_l2_distance_to_mle")
             assert d_inf < d_1
 
-    def test_requires_path_and_response(self):
-        config = SimulationConfig(eps=(1.0,))
-        with pytest.raises(ValueError):
-            run_regression_file(config)
+    def test_requires_path_and_response(self, monkeypatch):
+        # the signature requires every setting, so a call without one of them
+        # is refused before any file is read or stream drawn
+        def refused(*args, **kwargs):
+            raise AssertionError("read a file or drew a stream before refusing the call")
+
+        monkeypatch.setattr(harness, "read_table", refused)
+        monkeypatch.setattr(RngStream, "generator", refused)
+        settings = dict(csv_path="data.csv", response="y", **REGRESSION_DEFAULTS)
+        config = SimulationConfig(eps=(1.0,), mechanisms=("l1",))
+        for name in settings:
+            with pytest.raises(TypeError, match=f"'{name}'"):
+                run_regression_file(config, **{k: v for k, v in settings.items() if k != name})
 
 
 class TestReadTable:
@@ -381,40 +370,66 @@ class TestDiagnostics:
 
 class TestDeterminismAndEcho:
     def test_byte_identical_output(self):
-        config = SimulationConfig(
-            eps=(0.5, 1.0), n=300, reps=3,
-            mechanisms=("l1", "linf"), q=0.5, seed=11,
-        )
-        a, b = simulate_logistic(config), simulate_logistic(config)
+        config = SimulationConfig(eps=(0.5, 1.0), reps=3, mechanisms=("l1", "linf"), seed=11)
+        a, b = (simulate_logistic(config, n=300, q=0.5) for _ in range(2))
         assert a.long_csv() == b.long_csv()
         assert a.summary_csv() == b.summary_csv()
 
     def test_mechanism_order_changes_streams_not_results_shape(self):
-        base = SimulationConfig(
-            eps=(1.0,), n=300, reps=2,
-            mechanisms=("l1", "linf"), seed=12,
-        )
-        swapped = SimulationConfig(
-            eps=(1.0,), n=300, reps=2,
-            mechanisms=("linf", "l1"), seed=12,
-        )
-        a, b = simulate_logistic(base), simulate_logistic(swapped)
+        base = SimulationConfig(eps=(1.0,), reps=2, mechanisms=("l1", "linf"), seed=12)
+        swapped = SimulationConfig(eps=(1.0,), reps=2, mechanisms=("linf", "l1"), seed=12)
+        a, b = (simulate_logistic(config, n=300, q=0.5) for config in (base, swapped))
         assert a.long_csv() != b.long_csv()
         assert len(a.long_rows) == len(b.long_rows)
 
     def test_config_echo_rows(self):
-        config = SimulationConfig(
-            eps=(1.0,), n=500, p=2, reps=2,
-            mechanisms=("linf",), seed=13,
-        )
-        text = simulate_coverage(config).long_csv()
+        config = SimulationConfig(eps=(1.0,), reps=2, mechanisms=("linf",), seed=13)
+        text = simulate_coverage(config, n=500, p=2).long_csv()
         for key in ("seed=13", "n=500", "eps=1.0", "mechanisms=linf"):
             assert f"# " in text and key in text
         # coverage reads no q, so only simulate-logistic echoes it
         assert "# q=" not in text
         logistic = simulate_logistic(SimulationConfig(
-            eps=(1.0,), n=200, reps=1, mechanisms=("linf",), q=0.5, seed=13))
+            eps=(1.0,), reps=1, mechanisms=("linf",), seed=13), n=200, q=0.5)
         assert "# q=0.5\n" in logistic.long_csv()
+
+    def test_config_holds_only_the_run_grid(self):
+        # each driver takes the settings only it reads as keywords
+        assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
+            "eps", "mechanisms", "reps", "seed"]
+
+    @pytest.mark.parametrize("driver, settings", [
+        (simulate_logistic, dict(n=200, q=0.5, p=2)),
+        (simulate_coverage, dict(n=300, p=2, q=0.5)),
+        (run_regression_file, dict(csv_path="data.csv", response="y", n=300,
+                                   **REGRESSION_DEFAULTS)),
+    ])
+    def test_driver_refuses_a_setting_it_does_not_read(self, driver, settings):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            driver(SimulationConfig(eps=(1.0,), mechanisms=("l1",), reps=1), **settings)
+
+    @pytest.mark.parametrize("argv, driver, grid, settings", [
+        (["simulate-logistic"], "simulate_logistic",
+         dict(eps=harness.DEFAULT_LOGISTIC_EPS, mechanisms=("l1", "l2", "linf"), reps=100),
+         dict(n=10_000, q=0.5)),
+        (["simulate-coverage"], "simulate_coverage",
+         dict(eps=DEFAULT_COVERAGE_EPS, mechanisms=("l1", "linf", "kt"), reps=200),
+         dict(n=10_000, p=5)),
+        (["run-regression", "--csv", "data.csv", "--response", "y"], "run_regression_file",
+         dict(eps=harness.DEFAULT_REGRESSION_EPS, mechanisms=("l1", "linf"), reps=100),
+         dict(csv_path="data.csv", response="y", **REGRESSION_DEFAULTS)),
+    ], ids=["simulate-logistic", "simulate-coverage", "run-regression"])
+    def test_cli_defaults_reach_the_driver(self, monkeypatch, argv, driver, grid, settings):
+        # the subcommand's argparse defaults are the only copy of them
+        calls = []
+
+        def record(config, **kwargs):
+            calls.append((config, kwargs))
+            return harness.ResultTable({})
+
+        monkeypatch.setattr(harness, driver, record)
+        assert main(argv) == 0
+        assert calls == [(SimulationConfig(seed=0, **grid), settings)]
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -539,8 +554,13 @@ class TestCli:
          "(rate epsilon/delta = 6.23e-322)"),
         (["run-regression", "--csv", "missing.csv", "--response", "y", "--eps", "1,0"],
          "--eps: epsilon values must be positive"),
+        (["run-regression", "--csv", "missing.csv", "--response", "y", "--eps", "nan"],
+         "--eps: epsilon values must be positive"),
+        (["simulate-logistic", "--eps", "inf", "--n", "100", "--reps", "1"],
+         "--eps: epsilon must be positive and finite, got inf"),
     ], ids=["sample-subnormal", "sample-rate-underflow", "compare-a", "compare-b",
-            "simulate-logistic", "simulate-coverage", "run-regression"])
+            "simulate-logistic", "simulate-coverage", "run-regression", "run-regression-nan",
+            "simulate-logistic-inf"])
     def test_refused_budget_names_its_options(self, capsys, monkeypatch, argv, err):
         # refused from the options alone, before any stream is drawn
         def no_draws(*args, **kwargs):
@@ -1013,8 +1033,10 @@ class TestRunLayer:
     """The three drivers share one cell grid, noise-stream map and CSV writer.
     The digests pin every byte of a small run of each driver."""
 
-    _LOGISTIC = SimulationConfig(eps=(0.5, 1.0), n=200, reps=2,
-                                 mechanisms=("l1", "l2", "linf"), q=0.3, seed=5)
+    @staticmethod
+    def _logistic():
+        return simulate_logistic(SimulationConfig(
+            eps=(0.5, 1.0), reps=2, mechanisms=("l1", "l2", "linf"), seed=5), n=200, q=0.3)
 
     #: the values of that run when the fits read the C-order design, before
     #: they moved to its column-major copy: (long rows, summary rows)
@@ -1028,18 +1050,18 @@ class TestRunLayer:
     )
 
     def test_logistic_bytes_pinned(self):
-        assert _sha256(simulate_logistic(self._LOGISTIC)) == (
+        assert _sha256(self._logistic()) == (
             "9d24c985eec91a075557280c1ecd285af995310b56252bca8dac6e21de0ef546")
 
     def test_logistic_values_within_rounding_of_row_major_fits(self):
         # the column-major fits moved the pinned bytes above at rounding level
         # only: every value sits within 1e-12 relative of the row-major run
-        _assert_values_within_rounding(simulate_logistic(self._LOGISTIC),
+        _assert_values_within_rounding(self._logistic(),
                                        self._LOGISTIC_ROW_MAJOR_VALUES)
 
     def test_coverage_bytes_pinned(self):
         # the kt cells draw from the conditional K_T sampler
-        assert _sha256(simulate_coverage(self._coverage(("l1", "linf", "kt")))) == (
+        assert _sha256(self._coverage(("l1", "linf", "kt"))) == (
             "87d0b9872ceabdf11868813e881bd36a27f41f08ab96bc079ff75e4c94e57aef")
 
     #: the values behind the three coverage digests: (long rows, summary rows)
@@ -1065,16 +1087,16 @@ class TestRunLayer:
 
     @pytest.mark.parametrize("mechanisms", [("l1", "linf", "kt"), ("l1", "linf")])
     def test_coverage_values_within_rounding(self, mechanisms):
-        _assert_values_within_rounding(simulate_coverage(self._coverage(mechanisms)),
+        _assert_values_within_rounding(self._coverage(mechanisms),
                                        self._COVERAGE_VALUES[mechanisms])
 
     def test_coverage_benchmark_shape_values_within_rounding(self):
-        _assert_values_within_rounding(simulate_coverage(self._COVERAGE_BENCHMARK_SHAPE),
+        _assert_values_within_rounding(self._coverage_benchmark_shape(),
                                        self._COVERAGE_VALUES["benchmark_shape"])
 
     def test_regression_file_bytes_pinned(self, tmp_path, monkeypatch):
-        config = self._regression_file(tmp_path, monkeypatch, ("l1", "linf", "kt"))
-        assert _sha256(run_regression_file(config)) == (
+        table = self._regression_file(tmp_path, monkeypatch, ("l1", "linf", "kt"))
+        assert _sha256(table) == (
             "8c16b2ce3f08fb80f0ef58e09519af4777bc9c0b2f29c6f6fd472db718d52112")
 
     #: the values behind the two run-regression digests: (long rows, summary rows)
@@ -1101,43 +1123,46 @@ class TestRunLayer:
     def test_regression_file_values_within_rounding(self, tmp_path, monkeypatch, mechanisms):
         # a BLAS that rounds differently moves the digests but not the values:
         # the spread measured across builds so far is at most 2.1e-13 relative
-        config = self._regression_file(tmp_path, monkeypatch, mechanisms)
-        _assert_values_within_rounding(run_regression_file(config),
+        table = self._regression_file(tmp_path, monkeypatch, mechanisms)
+        _assert_values_within_rounding(table,
                                        self._REGRESSION_VALUES[mechanisms])
 
-    #: the coverage-kt12 workload's shape: p = 12 and n = 10^4
-    _COVERAGE_BENCHMARK_SHAPE = SimulationConfig(
-        eps=DEFAULT_COVERAGE_EPS, n=10_000, p=12, reps=2, mechanisms=("l1", "linf", "kt"),
-        seed=0)
+    @staticmethod
+    def _coverage_benchmark_shape():
+        # the coverage-kt12 workload's shape: p = 12 and n = 10^4
+        return simulate_coverage(SimulationConfig(
+            eps=DEFAULT_COVERAGE_EPS, reps=2, mechanisms=("l1", "linf", "kt"), seed=0),
+            n=10_000, p=12)
 
     def test_coverage_benchmark_shape_bytes_pinned(self):
-        assert _sha256(simulate_coverage(self._COVERAGE_BENCHMARK_SHAPE)) == (
+        assert _sha256(self._coverage_benchmark_shape()) == (
             "4eb18e7fa43d2a440b71f81d2921478ba9e8e57a5f6bda21cd14c237ff1b9fbf")
 
     # l1/linf coverage bytes are those of the per-cell pinv solves, less the "# q=0.5" echo
 
     def test_coverage_l1_linf_bytes_pinned(self):
-        assert _sha256(simulate_coverage(self._coverage(("l1", "linf")))) == (
+        assert _sha256(self._coverage(("l1", "linf"))) == (
             "05bc9b0796f576c255fbee8b5726a501da778ce2118a49b8ec08c419e4d3c4f5")
 
     def test_regression_file_l1_linf_bytes_pinned(self, tmp_path, monkeypatch):
-        config = self._regression_file(tmp_path, monkeypatch, ("l1", "linf"))
-        assert _sha256(run_regression_file(config)) == (
+        table = self._regression_file(tmp_path, monkeypatch, ("l1", "linf"))
+        assert _sha256(table) == (
             "aa0d8086b67cc46d97758f19d638aefb2a9e1847462845fb4d79aef188d0bf9a")
 
     @staticmethod
     def _coverage(mechanisms):
-        return SimulationConfig(eps=(0.5, 2.0), n=300, p=2, reps=2,
-                                mechanisms=mechanisms, seed=6)
+        return simulate_coverage(SimulationConfig(eps=(0.5, 2.0), reps=2,
+                                                  mechanisms=mechanisms, seed=6), n=300, p=2)
 
     @staticmethod
     def _regression_file(tmp_path, monkeypatch, mechanisms):
         # the csv path is echoed, so run from the table's directory
         monkeypatch.chdir(tmp_path)
         positive_regression_csv("data.csv")
-        return SimulationConfig(eps=(0.5, 1.0), reps=2, mechanisms=mechanisms,
-                                seed=7, csv_path="data.csv", response="y",
-                                log_columns=("a",))
+        return run_regression_file(
+            SimulationConfig(eps=(0.5, 1.0), reps=2, mechanisms=mechanisms, seed=7),
+            csv_path="data.csv", response="y", log_columns=("a",), lower_q=0.0001,
+            upper_q=0.9999)
 
     @pytest.mark.parametrize("argv", [
         ["simulate-logistic", "--eps", "1.0", "--n", "200", "--reps", "2", "--mech", "l1,linf"],
@@ -1227,28 +1252,30 @@ class TestMechanismResolution:
         positive_regression_csv(tmp_path / "data.csv")
         eps, mechs = (0.5, 1.0), ("l1", "linf")
         runs = [
-            (simulate_logistic, ObjPertConfig, dict(n=200)),
+            (simulate_logistic, ObjPertConfig, dict(n=200, q=0.5)),
             (simulate_coverage, MechanismConfig, dict(n=300, p=2)),
             (run_regression_file, MechanismConfig,
-             dict(csv_path=str(tmp_path / "data.csv"), response="y")),
+             dict(csv_path=str(tmp_path / "data.csv"), response="y", **REGRESSION_DEFAULTS)),
         ]
-        for driver, cls, fields in runs:
+        for driver, cls, settings in runs:
             with monkeypatch.context() as patch:
                 count = self._counting(patch, cls)
-                driver(SimulationConfig(eps=eps, reps=reps, mechanisms=mechs, seed=3,
-                                        **fields))
+                driver(SimulationConfig(eps=eps, reps=reps, mechanisms=mechs, seed=3),
+                       **settings)
             assert len(count) == len(eps) * len(mechs), driver.__name__
 
     @pytest.mark.parametrize("driver, fields", [
-        (simulate_logistic, dict(n=200, mechanisms=("l1", "gauss"))),
+        (simulate_logistic, dict(n=200, q=0.5, mechanisms=("l1", "gauss"))),
         # q must lie in (0, 1)
-        (simulate_logistic, dict(n=200, mechanisms=("l1",), q=1.0)),
+        (simulate_logistic, dict(n=200, q=1.0, mechanisms=("l1",))),
         (simulate_coverage, dict(n=300, p=2, mechanisms=("l1", "gauss"))),
-        (run_regression_file, dict(csv_path="data.csv", response="y",
+        (run_regression_file, dict(csv_path="data.csv", response="y", **REGRESSION_DEFAULTS,
                                    mechanisms=("l1", "gauss"))),
     ])
     def test_bad_cell_rejected_before_any_stream(self, tmp_path, monkeypatch,
                                                  driver, fields):
+        settings = dict(fields)
+        mechanisms = settings.pop("mechanisms")
         monkeypatch.chdir(tmp_path)
         positive_regression_csv("data.csv")
         streams = []
@@ -1256,7 +1283,8 @@ class TestMechanismResolution:
         monkeypatch.setattr(RngStream, "generator",
                             lambda self: streams.append(self) or generator(self))
         with pytest.raises(ValueError):
-            driver(SimulationConfig(eps=(0.5, 1.0), reps=2, seed=3, **fields))
+            driver(SimulationConfig(eps=(0.5, 1.0), mechanisms=mechanisms, reps=2, seed=3),
+                   **settings)
         assert streams == []
 
 
@@ -1389,9 +1417,9 @@ class TestBenchmarkHooks:
         monkeypatch.setattr(harness, "minimize_erm", sharing(harness.minimize_erm))
         monkeypatch.setattr(harness, "objective_perturbation",
                             sharing(harness.objective_perturbation))
-        config = SimulationConfig(eps=(0.5, 1.0), n=200, reps=2,
-                                  mechanisms=("l1", "l2", "linf"), q=0.3, seed=5)
-        simulate_logistic(config)
+        config = SimulationConfig(eps=(0.5, 1.0), reps=2, mechanisms=("l1", "l2", "linf"),
+                                  seed=5)
+        simulate_logistic(config, n=200, q=0.3)
         assert len(starts) == config.reps * (1 + 2 * 3)
         assert len({id(s) for s in starts}) == config.reps
         assert log.count(("loss", zero)) == log.count(("hess", zero)) == config.reps
@@ -1420,15 +1448,15 @@ class TestBenchmarkHooks:
                             on_start_data(harness.minimize_erm, "mle"))
         monkeypatch.setattr(harness, "objective_perturbation",
                             on_start_data(harness.objective_perturbation, "objpert"))
-        config = SimulationConfig(eps=(0.5, 1.0), n=200, reps=2,
-                                  mechanisms=("l1", "l2", "linf"), q=0.3, seed=5)
-        simulate_logistic(config)
+        config = SimulationConfig(eps=(0.5, 1.0), reps=2, mechanisms=("l1", "l2", "linf"),
+                                  seed=5)
+        simulate_logistic(config, n=200, q=0.3)
         assert len(seen) == config.reps
         assert calls == Counter(mle=config.reps, objpert=config.reps * 2 * 3)
         for rep, (X, y) in enumerate(seen):
             g = RngStream(config.seed, rep).generator()
-            drawn = g.uniform(-1.0, 1.0, size=(config.n, len(LOGISTIC_BETA)))
-            u = g.random(config.n)
+            drawn = g.uniform(-1.0, 1.0, size=(200, len(LOGISTIC_BETA)))
+            u = g.random(200)
             assert X.flags.f_contiguous and not X.flags.c_contiguous
             assert np.array_equal(X, drawn)
             assert np.array_equal(y, (u < harness._sigmoid(drawn @ LOGISTIC_BETA)))
