@@ -25,17 +25,11 @@ from .erm import (
     minimize_erm,
     objective_perturbation,
 )
-from .linreg import (
-    ball_from_name,
-    build_statistic,
-    dp_estimates,
-    preprocess,
-    statistic_from_gram,
-    statistic_mechanism,
-)
+from .linreg import (_check_statistic_mechanism, ball_from_name, build_statistic, dp_estimates,
+                     preprocess, statistic_from_gram, statistic_mechanism)
 from .ordering import gamma_cdf
-from .sampling import (BudgetError, MechanismConfig, RngStream, sample_l1_mech, sample_noise,
-                       sample_noise_rows)
+from .sampling import (MechanismConfig, RngStream, _check_positive, sample_l1_mech,
+                       sample_noise, sample_noise_rows)
 
 # unused here, but perfbench/spans.py rebinds these names in this module
 from .geometry import lp_norm  # noqa: F401
@@ -68,20 +62,21 @@ DEFAULT_REGRESSION_EPS = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
 @dataclass(frozen=True)
 class SimulationConfig:
     """The run grid every driver reads: epsilon grid, mechanisms, replicate
-    count and seed. Each driver takes the settings only it reads (n, p, q,
-    the CSV input) as keyword arguments. Epsilons and mechanisms must each
-    be distinct: summaries are per cell."""
+    count and seed, with no defaults (the CLI holds the only copy). Each
+    driver takes the settings only it reads (n, p, q, the CSV input) as
+    keyword arguments. Epsilons must be positive and finite, as in a
+    MechanismConfig, and distinct, as must mechanisms: summaries are per cell."""
 
-    eps: tuple = ()
-    mechanisms: tuple = ()
-    reps: int = 100
-    seed: int = 0
+    eps: tuple
+    mechanisms: tuple
+    reps: int
+    seed: int
 
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("replicate count must be >= 1")
-        if any(not e > 0 for e in self.eps):  # also rejects nan
-            raise BudgetError("epsilon values must be positive")
+        for e in self.eps:
+            _check_positive("epsilon", e)
         # a repeated cell would be pooled with its twin in every summary row
         for name, values in (("epsilon", self.eps), ("mechanism", self.mechanisms)):
             if len(set(values)) != len(values):
@@ -128,12 +123,6 @@ class ResultTable:
 
     def summary_csv(self):
         return self._csv(SUMMARY_HEADER, self.summary_rows)
-
-    def summary_value(self, epsilon, mechanism, metric):
-        for eps, mech, met, value in self.summary_rows:
-            if eps == epsilon and mech == mechanism and met == metric:
-                return value
-        raise KeyError((epsilon, mechanism, metric))
 
 
 def _echo(experiment, config: SimulationConfig, n, **extra):
@@ -204,10 +193,9 @@ def simulate_logistic(config: SimulationConfig, *, n, q) -> ResultTable:
     m = len(beta)
     losses = {}
     for mech in config.mechanisms:
+        if mech not in ("l1", "l2", "linf"):  # the balls logistic_sensitivity bounds
+            raise ValueError(f"unknown mechanism {mech!r}; use l1, l2, or linf")
         ball = ball_from_name(mech, m)
-        if not ball.is_lp:
-            raise ValueError(f"logistic regression needs an lp ball, got {mech!r}")
-        # logistic_sensitivity rejects an lp ball other than l1, l2 or linf
         losses[mech] = logistic_loss_spec(m, ball.p)
     cells = [(cell, eps, mech, ObjPertConfig(epsilon=eps, q=q, loss=losses[mech]))
              for cell, eps, mech in _cells(config)]
@@ -335,8 +323,10 @@ def run_regression_file(config: SimulationConfig, *, csv_path, response, log_col
     the sensitivities hold under "replace one row" of the preprocessed
     table, so the release is not eps-DP with respect to the CSV: one
     changed row moved a slot by 1302.6 against the assumed 2 (see
-    preprocess).
+    preprocess). An unknown mechanism is refused before the CSV is read.
     """
+    for mech in config.mechanisms:
+        _check_statistic_mechanism(mech)
     columns = read_table(csv_path)
     data = preprocess(columns, response, log_columns=log_columns, lower_q=lower_q,
                       upper_q=upper_q)

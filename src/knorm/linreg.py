@@ -213,21 +213,27 @@ def ball_from_name(token, m):
     raise ValueError(f"unknown ball {token!r}")
 
 
+#: the Delta at d slots of each statistic mechanism (see statistic_mechanism)
+_STATISTIC_DELTAS = {"l1": lambda d: SLOT_SENSITIVITY * d, "linf": lambda d: SLOT_SENSITIVITY,
+                     "kt": lambda d: 1.0}
+
+
+def _check_statistic_mechanism(mech):
+    if mech not in _STATISTIC_DELTAS:
+        raise ValueError(f"unknown mechanism {mech!r}; use l1, linf, or kt")
+
+
 def statistic_mechanism(mech, p, epsilon) -> MechanismConfig:
     """The K-norm mechanism mech on the statistic vector for p predictors at
     budget epsilon: "l1" (Delta = 2d for d slots), "linf" (Delta = 2) or
-    "kt" (the kt<p> body, Delta = 1). The l1 Delta is a per-slot bound: the
-    largest l1 norm of a single-row difference on a grid is 6 / 11 / 17 at
-    p = 1 / 2 / 3, against 2d = 8 / 16 / 26.
+    "kt" (Delta = 1), with ball_from_name's ball, reading "kt" as kt<p>. The
+    l1 Delta is a per-slot bound: the largest l1 norm of a single-row
+    difference on a grid is 6 / 11 / 17 at p = 1 / 2 / 3, against 2d = 8 / 16 / 26.
     """
     d = statistic_dimension(p)
-    if mech == "l1":
-        return MechanismConfig(epsilon, SLOT_SENSITIVITY * d, NormBall.lp(1, 1.0, d))
-    if mech == "linf":
-        return MechanismConfig(epsilon, SLOT_SENSITIVITY, NormBall.lp(np.inf, 1.0, d))
-    if mech == "kt":
-        return MechanismConfig(epsilon, 1.0, kt_ball(p))
-    raise ValueError(f"unknown mechanism {mech!r}; use l1, linf, or kt")
+    _check_statistic_mechanism(mech)
+    ball = ball_from_name(f"kt{int(p)}" if mech == "kt" else mech, d)
+    return MechanismConfig(epsilon, _STATISTIC_DELTAS[mech](d), ball)
 
 
 def sanitize_statistic(stat: StatisticVector, mech, epsilon, rng) -> StatisticVector:
@@ -275,8 +281,7 @@ def dp_estimates(values, p, n_rows):
     return (Q @ (inv[:, :, None] * (Q.transpose(0, 2, 1) @ xty)))[:, :, 0]
 
 
-def preprocess(columns, response, log_columns=(), lower_q=0.0001,
-               upper_q=0.9999) -> RegressionDataset:
+def preprocess(columns, response, log_columns, lower_q, upper_q) -> RegressionDataset:
     """Normalize a table of numeric columns into a RegressionDataset.
 
     Applies a natural log to the configured columns (which must be strictly
@@ -290,7 +295,8 @@ def preprocess(columns, response, log_columns=(), lower_q=0.0001,
     row" between outputs, not between raw tables, and a release built on the
     output is not eps-DP with respect to the table: at n = 1000, setting one
     row of a U(1, 2) predictor to 100 moved one slot by 1302.6, not 2.
-    The quantiles must satisfy 0 <= lower_q < upper_q <= 1.
+    The quantiles must satisfy 0 <= lower_q < upper_q <= 1. No setting has
+    a default: the CLI holds the only copy.
     """
     if not 0.0 <= lower_q < upper_q <= 1.0:  # also rejects nan
         raise ValueError(f"quantiles must satisfy 0 <= lower_q < upper_q <= 1, "

@@ -5,6 +5,14 @@ import math
 import numpy as np
 
 
+def summary_value(table, epsilon, mechanism, metric):
+    """The value of a harness.ResultTable's summary row for one cell and metric."""
+    for eps, mech, met, value in table.summary_rows:
+        if eps == epsilon and mech == mechanism and met == metric:
+            return value
+    raise KeyError((epsilon, mechanism, metric))
+
+
 def hit_or_miss(ball, rng, n):
     """Fraction of n uniform points of a ball's bounding box that lie in
     it, and its binomial standard error."""

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import io
 import math
 import os
@@ -42,6 +43,7 @@ from knorm.harness import (
     simulate_coverage,
     simulate_logistic,
 )
+from reference import summary_value
 
 
 #: run_diagnostics() format_lines() with every default, as knorm diagnostics prints it
@@ -120,12 +122,12 @@ class TestSimulateLogistic:
     def test_baseline_and_high_eps(self):
         config = SimulationConfig(eps=(1e6,), reps=5, mechanisms=("l1", "linf"), seed=3)
         table = simulate_logistic(config, n=2000, q=0.5)
-        zero = table.summary_value("", "zero", "l2_error")
+        zero = summary_value(table, "", "zero", "l2_error")
         assert math.isclose(zero, math.sqrt(1 + 0.25 + 1 / 16 + 9 / 16 + 9 / 4),
                             rel_tol=1e-12)
-        mle_median = table.summary_value("", "mle", "median_l2_error")
+        mle_median = summary_value(table, "", "mle", "median_l2_error")
         for mech in ("l1", "linf"):
-            med = table.summary_value(1e6, mech, "median_l2_error")
+            med = summary_value(table, 1e6, mech, "median_l2_error")
             assert abs(med - mle_median) < 0.05
 
     def test_unknown_mechanism_rejected(self):
@@ -146,14 +148,14 @@ class TestSimulateCoverage:
     def test_true_beta_coverage_near_nominal(self):
         config = SimulationConfig(eps=(0.5,), reps=60, mechanisms=(), seed=5)
         table = simulate_coverage(config, n=2000, p=5)
-        cov = table.summary_value("", "true_beta", "mean_coverage")
+        cov = summary_value(table, "", "true_beta", "mean_coverage")
         assert abs(cov - 0.95) < 0.05
 
     def test_high_budget_large_n_near_nominal(self):
         config = SimulationConfig(eps=(4.0,), reps=10, mechanisms=("l1", "linf", "kt"), seed=6)
         table = simulate_coverage(config, n=1_000_000, p=5)
         for mech in ("l1", "linf", "kt"):
-            cov = table.summary_value(4.0, mech, "mean_coverage")
+            cov = summary_value(table, 4.0, mech, "mean_coverage")
             # vanishing noise pushes the estimate onto the CI center, so the
             # band [0.90, 1.00] is reached from the top end
             assert 0.90 <= cov <= 1.0
@@ -161,21 +163,21 @@ class TestSimulateCoverage:
     def test_linf_beats_l1_at_moderate_budget(self):
         config = SimulationConfig(eps=(0.5,), reps=50, mechanisms=("l1", "linf"), seed=7)
         table = simulate_coverage(config, n=10_000, p=5)
-        assert (table.summary_value(0.5, "linf", "mean_coverage")
-                > table.summary_value(0.5, "l1", "mean_coverage"))
+        assert (summary_value(table, 0.5, "linf", "mean_coverage")
+                > summary_value(table, 0.5, "l1", "mean_coverage"))
 
     @pytest.mark.parametrize("n, p", [(13, 12), (3, 2), (5, 12)])
     def test_n_at_most_p_plus_one_rejected(self, n, p):
         # the t-intervals have n - p - 1 degrees of freedom: zero divided by
         # zero at n = p + 1, and fewer rows than coefficients below it
-        config = SimulationConfig(eps=(1.0,), reps=1, mechanisms=("linf",))
+        config = SimulationConfig(eps=(1.0,), reps=1, mechanisms=("linf",), seed=0)
         with pytest.raises(ValueError, match=f"got n={n}, p={p}"):
             simulate_coverage(config, n=n, p=p)
 
     def test_smallest_n_runs(self):
-        config = SimulationConfig(eps=(1.0,), reps=2, mechanisms=("linf",))
+        config = SimulationConfig(eps=(1.0,), reps=2, mechanisms=("linf",), seed=0)
         table = simulate_coverage(config, n=4, p=2)
-        assert 0.0 <= table.summary_value(1.0, "linf", "mean_coverage") <= 1.0
+        assert 0.0 <= summary_value(table, 1.0, "linf", "mean_coverage") <= 1.0
 
 
 class TestRunRegressionFile:
@@ -185,8 +187,8 @@ class TestRunRegressionFile:
         config = SimulationConfig(eps=(1e9,), reps=3, mechanisms=("l1", "linf", "kt"), seed=8)
         table = run_regression_file(config, csv_path=str(path), response="y", **REGRESSION_DEFAULTS)
         for mech in ("l1", "linf", "kt"):
-            assert table.summary_value(1e9, mech, "median_l2_distance_to_mle") <= 1e-4
-        baseline = table.summary_value("", "zero", "l2_distance_to_mle")
+            assert summary_value(table, 1e9, mech, "median_l2_distance_to_mle") <= 1e-4
+        baseline = summary_value(table, "", "zero", "l2_distance_to_mle")
         assert baseline > 0
         assert "baseline_l2" in table.config_echo
 
@@ -197,8 +199,8 @@ class TestRunRegressionFile:
                                   seed=9)
         table = run_regression_file(config, csv_path=str(path), response="y", **REGRESSION_DEFAULTS)
         for eps in (1 / 16, 1 / 4, 1.0):
-            d_inf = table.summary_value(eps, "linf", "median_l2_distance_to_mle")
-            d_1 = table.summary_value(eps, "l1", "median_l2_distance_to_mle")
+            d_inf = summary_value(table, eps, "linf", "median_l2_distance_to_mle")
+            d_1 = summary_value(table, eps, "l1", "median_l2_distance_to_mle")
             assert d_inf < d_1
 
     def test_requires_path_and_response(self, monkeypatch):
@@ -210,7 +212,7 @@ class TestRunRegressionFile:
         monkeypatch.setattr(harness, "read_table", refused)
         monkeypatch.setattr(RngStream, "generator", refused)
         settings = dict(csv_path="data.csv", response="y", **REGRESSION_DEFAULTS)
-        config = SimulationConfig(eps=(1.0,), mechanisms=("l1",))
+        config = SimulationConfig(eps=(1.0,), mechanisms=("l1",), reps=1, seed=0)
         for name in settings:
             with pytest.raises(TypeError, match=f"'{name}'"):
                 run_regression_file(config, **{k: v for k, v in settings.items() if k != name})
@@ -398,6 +400,13 @@ class TestDeterminismAndEcho:
         assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
             "eps", "mechanisms", "reps", "seed"]
 
+    @pytest.mark.parametrize("fn", [SimulationConfig, linreg.preprocess],
+                             ids=["SimulationConfig", "preprocess"])
+    def test_no_library_defaults(self, fn):
+        # the CLI's argparse defaults are the only copy of the run settings
+        params = inspect.signature(fn).parameters.values()
+        assert [p.name for p in params if p.default is not inspect.Parameter.empty] == []
+
     @pytest.mark.parametrize("driver, settings", [
         (simulate_logistic, dict(n=200, q=0.5, p=2)),
         (simulate_coverage, dict(n=300, p=2, q=0.5)),
@@ -406,7 +415,7 @@ class TestDeterminismAndEcho:
     ])
     def test_driver_refuses_a_setting_it_does_not_read(self, driver, settings):
         with pytest.raises(TypeError, match="unexpected keyword"):
-            driver(SimulationConfig(eps=(1.0,), mechanisms=("l1",), reps=1), **settings)
+            driver(SimulationConfig(eps=(1.0,), mechanisms=("l1",), reps=1, seed=0), **settings)
 
     @pytest.mark.parametrize("argv, driver, grid, settings", [
         (["simulate-logistic"], "simulate_logistic",
@@ -433,9 +442,9 @@ class TestDeterminismAndEcho:
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            SimulationConfig(eps=(0.0,), reps=1)
+            SimulationConfig(eps=(0.0,), mechanisms=(), reps=1, seed=0)
         with pytest.raises(ValueError):
-            SimulationConfig(eps=(1.0,), reps=0)
+            SimulationConfig(eps=(1.0,), mechanisms=(), reps=0, seed=0)
 
     @pytest.mark.parametrize("field, values", [
         ("eps", (1.0, 1.0)), ("eps", (0.5, 1.0, 0.5)), ("mechanisms", ("linf", "l1", "linf")),
@@ -443,7 +452,7 @@ class TestDeterminismAndEcho:
     def test_repeated_cell_rejected(self, field, values):
         # a repeated cell used to be pooled with its twin in every summary row
         with pytest.raises(ValueError, match="repeated"):
-            SimulationConfig(reps=1, **{field: values})
+            SimulationConfig(**{"eps": (), "mechanisms": (), field: values}, reps=1, seed=0)
 
     @pytest.mark.parametrize("flag, value", [("--eps", "1,1"), ("--mech", "linf,linf")])
     def test_repeated_cell_exits_2(self, capsys, flag, value):
@@ -553,21 +562,47 @@ class TestCli:
          "--eps: epsilon=1e-320 and delta=16.0 can give non-finite noise for l1 at m=8 "
          "(rate epsilon/delta = 6.23e-322)"),
         (["run-regression", "--csv", "missing.csv", "--response", "y", "--eps", "1,0"],
-         "--eps: epsilon values must be positive"),
+         "--eps: epsilon must be positive and finite, got 0.0"),
         (["run-regression", "--csv", "missing.csv", "--response", "y", "--eps", "nan"],
-         "--eps: epsilon values must be positive"),
+         "--eps: epsilon must be positive and finite, got nan"),
+        (["run-regression", "--csv", "missing.csv", "--response", "y", "--eps", "inf"],
+         "--eps: epsilon must be positive and finite, got inf"),
         (["simulate-logistic", "--eps", "inf", "--n", "100", "--reps", "1"],
          "--eps: epsilon must be positive and finite, got inf"),
+        (["simulate-coverage", "--eps", "1,nan", "--n", "100", "--p", "2", "--reps", "1"],
+         "--eps: epsilon must be positive and finite, got nan"),
     ], ids=["sample-subnormal", "sample-rate-underflow", "compare-a", "compare-b",
             "simulate-logistic", "simulate-coverage", "run-regression", "run-regression-nan",
-            "simulate-logistic-inf"])
+            "run-regression-inf", "simulate-logistic-inf", "simulate-coverage-nan"])
     def test_refused_budget_names_its_options(self, capsys, monkeypatch, argv, err):
-        # refused from the options alone, before any stream is drawn
-        def no_draws(*args, **kwargs):
-            raise AssertionError("drew a stream before checking the budget")
+        # refused from the options alone, before the CSV is read or any stream drawn
+        def refused(*args, **kwargs):
+            raise AssertionError("read the CSV or drew a stream before checking the budget")
 
-        monkeypatch.setattr(RngStream, "generator", no_draws)
+        monkeypatch.setattr(harness, "read_table", refused)
+        monkeypatch.setattr(RngStream, "generator", refused)
         assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (["simulate-logistic", "--mech", "k2"], "unknown mechanism 'k2'; use l1, l2, or linf"),
+        (["simulate-logistic", "--mech", "l3"], "unknown mechanism 'l3'; use l1, l2, or linf"),
+        (["simulate-coverage", "--mech", "l2"], "unknown mechanism 'l2'; use l1, linf, or kt"),
+        (["run-regression", "--csv", "missing.csv", "--response", "y", "--mech", "l2"],
+         "unknown mechanism 'l2'; use l1, linf, or kt"),
+    ], ids=["simulate-logistic-k2", "simulate-logistic-l3", "simulate-coverage",
+            "run-regression"])
+    def test_refused_mechanism_names_one_rule(self, capsys, monkeypatch, argv, err):
+        # one check per driver, from the names alone, before the CSV is read
+        # or any stream drawn
+        def refused(*args, **kwargs):
+            raise AssertionError("read the CSV or drew a stream before checking the names")
+
+        monkeypatch.setattr(harness, "read_table", refused)
+        monkeypatch.setattr(RngStream, "generator", refused)
+        assert main(argv + ["--reps", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {err}\n"

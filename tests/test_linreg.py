@@ -37,6 +37,10 @@ from knorm.sampling import (
 from reference import box_rejection, hit_or_miss
 
 
+#: run-regression's default clamp quantiles
+CLI_QUANTILES = dict(lower_q=0.0001, upper_q=0.9999)
+
+
 def uniform_points(ball, rng, n):
     """n exact uniform points of a ball from its own sampler, and their
     (accepted, proposals) counts."""
@@ -182,6 +186,16 @@ class TestBallFromName:
     def test_unknown_name_rejected(self, name):
         with pytest.raises(ValueError):
             ball_from_name(name, 4)
+
+    @pytest.mark.parametrize("p", [1, 5, 12])
+    def test_statistic_mechanism_takes_the_named_ball(self, p):
+        # a statistic mechanism name becomes a ball only in ball_from_name
+        d = statistic_dimension(p)
+        for mech, delta in (("l1", 2.0 * d), ("linf", 2.0)):
+            config = statistic_mechanism(mech, p, 1.0)
+            assert config.ball == ball_from_name(mech, d) and config.delta == delta
+        config = statistic_mechanism("kt", p, 1.0)
+        assert config.ball == kt_ball(p) and config.delta == 1.0
 
 
 class TestBuildStatistic:
@@ -698,7 +712,7 @@ class TestDpEstimate:
 class TestPreprocess:
     def test_affine_endpoints(self):
         cols = {"x": np.linspace(0, 1, 500), "y": np.linspace(-5, 5, 500)}
-        data = preprocess(cols, response="y")
+        data = preprocess(cols, response="y", log_columns=(), **CLI_QUANTILES)
         assert data.design[:, 1].min() == -1.0
         assert data.design[:, 1].max() == 1.0
         assert data.response.min() == -1.0
@@ -709,7 +723,7 @@ class TestPreprocess:
         base = rng.uniform(10.0, 20.0, 20_000)
         base[0] = 1e9
         cols = {"x": base, "y": rng.uniform(-1, 1, 20_000)}
-        data = preprocess(cols, response="y")
+        data = preprocess(cols, response="y", log_columns=(), **CLI_QUANTILES)
         # without clamping the outlier would crush everything else to -1
         inner = np.sort(data.design[:, 1])[:-1]
         assert inner.max() > 0.99
@@ -717,7 +731,8 @@ class TestPreprocess:
     def test_round_trip_affine(self):
         rng = np.random.default_rng(82)
         x = rng.uniform(-1, 1, 5000)
-        data = preprocess({"x": x, "y": rng.uniform(-1, 1, 5000)}, response="y")
+        data = preprocess({"x": x, "y": rng.uniform(-1, 1, 5000)}, response="y", log_columns=(),
+                          **CLI_QUANTILES)
         lo, hi = np.quantile(x, [0.0001, 0.9999])
         clipped = np.clip(x, lo, hi)
         expected = 2 * (clipped - clipped.min()) / (clipped.max() - clipped.min()) - 1
@@ -727,10 +742,9 @@ class TestPreprocess:
         # clamping is idempotent up to interpolation drift at the boundary ties
         rng = np.random.default_rng(83)
         cols = {"x": rng.standard_normal(50_000) * 3, "y": rng.uniform(-1, 1, 50_000)}
-        once = preprocess(cols, response="y")
-        twice = preprocess(
-            {"x": once.design[:, 1], "y": once.response}, response="y"
-        )
+        once = preprocess(cols, response="y", log_columns=(), **CLI_QUANTILES)
+        twice = preprocess({"x": once.design[:, 1], "y": once.response}, response="y",
+                           log_columns=(), **CLI_QUANTILES)
         # interpolation at the clamp boundaries moves the re-estimated
         # quantiles by O(order-statistic gap), so allow a tiny restretch
         assert np.abs(twice.design[:, 1] - once.design[:, 1]).max() < 1e-4
@@ -746,7 +760,7 @@ class TestPreprocess:
         rng = np.random.default_rng(85)
         x = rng.lognormal(0.0, 1.0, 5000)
         cols = {"x": x, "y": rng.uniform(-1, 1, 5000)}
-        data = preprocess(cols, response="y", log_columns=("x",))
+        data = preprocess(cols, response="y", log_columns=("x",), **CLI_QUANTILES)
         lo, hi = np.quantile(np.log(x), [0.0001, 0.9999])
         clipped = np.clip(np.log(x), lo, hi)
         expected = 2 * (clipped - clipped.min()) / (clipped.max() - clipped.min()) - 1
@@ -755,16 +769,16 @@ class TestPreprocess:
     def test_log_requires_positive(self):
         cols = {"x": np.array([1.0, -2.0, 3.0]), "y": np.array([0.1, 0.2, 0.3])}
         with pytest.raises(ValueError, match="'x'"):
-            preprocess(cols, response="y", log_columns=("x",))
+            preprocess(cols, response="y", log_columns=("x",), **CLI_QUANTILES)
 
     def test_constant_column_rejected_by_name(self):
         cols = {"flat": np.ones(100), "y": np.linspace(-1, 1, 100)}
         with pytest.raises(ValueError, match="'flat'"):
-            preprocess(cols, response="y")
+            preprocess(cols, response="y", log_columns=(), **CLI_QUANTILES)
 
     def test_missing_response(self):
         with pytest.raises(ValueError):
-            preprocess({"x": np.ones(5)}, response="y")
+            preprocess({"x": np.ones(5)}, response="y", log_columns=(), **CLI_QUANTILES)
 
     @pytest.mark.parametrize("lower_q, upper_q", [
         (0.9, 0.1), (0.5, 0.5), (math.nan, 0.9999), (0.0001, math.nan), (-0.1, 0.9),
@@ -773,9 +787,9 @@ class TestPreprocess:
     def test_quantile_range_checked(self, lower_q, upper_q):
         cols = {"x": np.linspace(0, 1, 50), "y": np.linspace(-1, 1, 50)}
         with pytest.raises(ValueError, match="0 <= lower_q < upper_q <= 1"):
-            preprocess(cols, response="y", lower_q=lower_q, upper_q=upper_q)
+            preprocess(cols, response="y", log_columns=(), lower_q=lower_q, upper_q=upper_q)
 
     def test_full_quantile_range_accepted(self):
         cols = {"x": np.linspace(0, 1, 50), "y": np.linspace(-1, 1, 50)}
-        data = preprocess(cols, response="y", lower_q=0.0, upper_q=1.0)
+        data = preprocess(cols, response="y", log_columns=(), lower_q=0.0, upper_q=1.0)
         assert np.array_equal(data.design[:, 1], np.linspace(-1, 1, 50))
