@@ -63,7 +63,6 @@ def _at_least(option, value, low):
 def _simulate(driver, args, **settings):
     """Run a simulation driver on the run grid of the shared flags and on its
     own settings; write both tables."""
-    _at_least("--reps", args.reps, 1)
     table = _budget("--eps", lambda: driver(SimulationConfig(
         eps=args.eps, mechanisms=args.mech, reps=args.reps, seed=args.seed), **settings))
     _emit(table.long_csv(), args.out)
@@ -83,23 +82,14 @@ def _add_common(sub, default_eps, default_mechs, default_reps):
 
 
 def _cmd_simulate_logistic(args):
-    _at_least("--n", args.n, 1)
-    if not 0.0 < args.q < 1.0:  # also rejects nan
-        raise ValueError(f"--q must be in (0, 1), got {args.q}")
     return _simulate(harness.simulate_logistic, args, n=args.n, q=args.q)
 
 
 def _cmd_simulate_coverage(args):
-    _at_least("--n", args.n, 1)
-    _at_least("--p", args.p, 1)
     return _simulate(harness.simulate_coverage, args, n=args.n, p=args.p)
 
 
 def _cmd_run_regression(args):
-    # named here, before the CSV is read; preprocess checks the same range
-    if not 0.0 <= args.lower_q < args.upper_q <= 1.0:  # also rejects nan
-        raise ValueError(f"--lower-q and --upper-q must satisfy 0 <= lower < upper <= 1, "
-                         f"got {args.lower_q} and {args.upper_q}")
     return _simulate(
         harness.run_regression_file, args, csv_path=args.csv, response=args.response,
         log_columns=args.log_cols, lower_q=args.lower_q, upper_q=args.upper_q,
@@ -140,7 +130,6 @@ def _cmd_sample(args):
 
 
 def _cmd_diagnostics(args):
-    _at_least("--draws", args.draws, 50)
     report = harness.run_diagnostics(mechanisms=args.mech, n_draws=args.draws, seed=args.seed)
     for line in report.format_lines():
         sys.stdout.write(line + "\n")

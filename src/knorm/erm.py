@@ -74,6 +74,11 @@ class LossSpec:
         return self.grad_ball.dimension
 
 
+def _check_split(q):
+    if not 0.0 < q < 1.0:  # also rejects nan
+        raise ValueError(f"q must be in (0, 1), got {q}")
+
+
 @dataclass(frozen=True)
 class ObjPertConfig:
     """Budget eps, split q in (0,1), and the loss being minimized.
@@ -89,8 +94,7 @@ class ObjPertConfig:
 
     def __post_init__(self):
         _check_positive("epsilon", self.epsilon)
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"q must be in (0, 1), got {self.q}")
+        _check_split(self.q)
         g = self.gamma
         if not (g >= 0 and math.isfinite(g)):
             raise BudgetError(f"epsilon={self.epsilon!r} and q={self.q!r} give an invalid "

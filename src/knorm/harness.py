@@ -17,16 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erm import (
-    ObjPertConfig,
-    _sigmoid,
-    evaluate,
-    logistic_loss_spec,
-    minimize_erm,
-    objective_perturbation,
-)
-from .linreg import (_check_statistic_mechanism, ball_from_name, build_statistic, dp_estimates,
-                     preprocess, statistic_from_gram, statistic_mechanism)
+from .erm import (ObjPertConfig, _check_split, _sigmoid, evaluate, logistic_loss_spec,
+                  minimize_erm, objective_perturbation)
+from .linreg import (_check_quantiles, _check_statistic_mechanism, ball_from_name,
+                     build_statistic, dp_estimates, preprocess, statistic_dimension,
+                     statistic_from_gram, statistic_mechanism)
 from .ordering import gamma_cdf
 from .sampling import (MechanismConfig, RngStream, _check_positive, sample_l1_mech,
                        sample_noise, sample_noise_rows)
@@ -64,8 +59,9 @@ class SimulationConfig:
     """The run grid every driver reads: epsilon grid, mechanisms, replicate
     count and seed, with no defaults (the CLI holds the only copy). Each
     driver takes the settings only it reads (n, p, q, the CSV input) as
-    keyword arguments. Epsilons must be positive and finite, as in a
-    MechanismConfig, and distinct, as must mechanisms: summaries are per cell."""
+    keyword arguments and checks them itself. reps must be >= 1, and
+    epsilons positive and finite, as in a MechanismConfig, and distinct, as
+    must mechanisms: summaries are per cell."""
 
     eps: tuple
     mechanisms: tuple
@@ -73,8 +69,8 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("replicate count must be >= 1")
+        if not self.reps >= 1:
+            raise ValueError(f"reps must be >= 1, got {self.reps}")
         for e in self.eps:
             _check_positive("epsilon", e)
         # a repeated cell would be pooled with its twin in every summary row
@@ -187,8 +183,13 @@ def simulate_logistic(config: SimulationConfig, *, n, q) -> ResultTable:
     responses from the fixed coefficient vector, fits the non-private MLE,
     and runs objective perturbation for every (epsilon, mechanism) with
     budget split q, recording the l2 distance to the true coefficients.
-    Summaries are lower medians per cell.
+    Summaries are lower medians per cell. n must be >= 1, q in (0, 1) (as
+    in an ObjPertConfig) and each mechanism l1, l2 or linf; all three are
+    checked before any stream is drawn.
     """
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_split(q)
     beta = LOGISTIC_BETA
     m = len(beta)
     losses = {}
@@ -237,15 +238,18 @@ def simulate_coverage(config: SimulationConfig, *, n, p) -> ResultTable:
     inside. A replicate's cells are drawn, solved and scored as one stack:
     one sample_noise_rows call, one dp_estimates solve and one comparison
     against the intervals. Summaries are means per cell; "true_beta" rows
-    record the intervals' own coverage of the true coefficients.
+    record the intervals' own coverage of the true coefficients. p must be
+    an integer >= 1 (statistic_dimension's rule) and n > p + 1, checked with
+    the mechanisms before any stream is drawn or scipy.special loaded.
     """
-    from scipy.special import stdtrit
-
+    statistic_dimension(p)
     if n <= p + 1:
         raise ValueError(f"coverage needs n > p + 1 for its t-intervals' "
                          f"n - p - 1 degrees of freedom, got n={n}, p={p}")
     cells = [(cell, eps, mech, statistic_mechanism(mech, p, eps))
              for cell, eps, mech in _cells(config)]
+    from scipy.special import stdtrit
+
     beta = np.concatenate([[0.0], np.linspace(-1.5, 1.5, p)])
     table = ResultTable(_echo("coverage", config, n, p=p))
     tcrit = float(stdtrit(n - p - 1, 0.975))
@@ -323,10 +327,12 @@ def run_regression_file(config: SimulationConfig, *, csv_path, response, log_col
     the sensitivities hold under "replace one row" of the preprocessed
     table, so the release is not eps-DP with respect to the CSV: one
     changed row moved a slot by 1302.6 against the assumed 2 (see
-    preprocess). An unknown mechanism is refused before the CSV is read.
+    preprocess). An unknown mechanism and quantiles outside preprocess's
+    0 <= lower_q < upper_q <= 1 are refused before the CSV is read.
     """
     for mech in config.mechanisms:
         _check_statistic_mechanism(mech)
+    _check_quantiles(lower_q, upper_q)
     columns = read_table(csv_path)
     data = preprocess(columns, response, log_columns=log_columns, lower_q=lower_q,
                       upper_q=upper_q)

@@ -281,6 +281,12 @@ def dp_estimates(values, p, n_rows):
     return (Q @ (inv[:, :, None] * (Q.transpose(0, 2, 1) @ xty)))[:, :, 0]
 
 
+def _check_quantiles(lower_q, upper_q):
+    if not 0.0 <= lower_q < upper_q <= 1.0:  # also rejects nan
+        raise ValueError(f"quantiles must satisfy 0 <= lower_q < upper_q <= 1, "
+                         f"got {lower_q} and {upper_q}")
+
+
 def preprocess(columns, response, log_columns, lower_q, upper_q) -> RegressionDataset:
     """Normalize a table of numeric columns into a RegressionDataset.
 
@@ -298,9 +304,7 @@ def preprocess(columns, response, log_columns, lower_q, upper_q) -> RegressionDa
     The quantiles must satisfy 0 <= lower_q < upper_q <= 1. No setting has
     a default: the CLI holds the only copy.
     """
-    if not 0.0 <= lower_q < upper_q <= 1.0:  # also rejects nan
-        raise ValueError(f"quantiles must satisfy 0 <= lower_q < upper_q <= 1, "
-                         f"got {lower_q} and {upper_q}")
+    _check_quantiles(lower_q, upper_q)
     if response not in columns:
         raise ValueError(f"response column {response!r} not in table")
     unknown = set(log_columns) - set(columns)

@@ -68,6 +68,24 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
+def no_stream(*args, **kwargs):
+    """Patched over RngStream.generator or harness.read_table, where a
+    refusal must come before any stream or CSV read."""
+    raise AssertionError("read the CSV or drew a stream before refusing the settings")
+
+
+def refusal(call):
+    """The message of the ValueError that call() raises."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+def grid(reps):
+    """A run grid of one cell, eps 1 and l1, with reps replicates."""
+    return SimulationConfig(eps=(1.0,), mechanisms=("l1",), reps=reps, seed=0)
+
+
 #: the settings run-regression passes its driver when no flag sets them
 REGRESSION_DEFAULTS = dict(log_columns=(), lower_q=0.0001, upper_q=0.9999)
 
@@ -135,6 +153,13 @@ class TestSimulateLogistic:
         with pytest.raises(ValueError):
             simulate_logistic(config, n=100, q=0.5)
 
+    def test_q_refused_without_mechanisms(self, monkeypatch):
+        # q used to be checked only by ObjPertConfig, which no mechanism builds
+        monkeypatch.setattr(RngStream, "generator", no_stream)
+        config = SimulationConfig(eps=(1.0,), reps=1, mechanisms=(), seed=0)
+        assert refusal(lambda: simulate_logistic(config, n=50, q=5.0)) == (
+            "q must be in (0, 1), got 5.0")
+
     def test_long_rows_complete(self):
         config = SimulationConfig(eps=(1.0, 2.0), reps=3, mechanisms=("l2",), seed=4)
         table = simulate_logistic(config, n=500, q=0.5)
@@ -173,6 +198,14 @@ class TestSimulateCoverage:
         config = SimulationConfig(eps=(1.0,), reps=1, mechanisms=("linf",), seed=0)
         with pytest.raises(ValueError, match=f"got n={n}, p={p}"):
             simulate_coverage(config, n=n, p=p)
+
+    def test_p_refused_without_mechanisms(self, monkeypatch):
+        # p used to be checked only by statistic_mechanism, which no mechanism
+        # calls; the replicate then died in numpy
+        monkeypatch.setattr(RngStream, "generator", no_stream)
+        config = SimulationConfig(eps=(1.0,), reps=1, mechanisms=(), seed=0)
+        assert refusal(lambda: simulate_coverage(config, n=50, p=0)) == (
+            "p must be an integer >= 1, got 0")
 
     def test_smallest_n_runs(self):
         config = SimulationConfig(eps=(1.0,), reps=2, mechanisms=("linf",), seed=0)
@@ -616,55 +649,68 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: --mc-samples must be >= 1000, got 10\n"
 
-    def test_simulate_logistic_without_rows_exits_2(self, capsys):
-        # named as the option, not as the design matrix a replicate builds
+    def test_simulate_logistic_without_rows_exits_2(self, capsys, monkeypatch):
+        # the driver's message, not the design matrix a replicate builds
+        monkeypatch.setattr(RngStream, "generator", no_stream)
+        err = refusal(lambda: simulate_logistic(grid(1), n=0, q=0.5))
+        assert err == "n must be >= 1, got 0"
         assert main(["simulate-logistic", "--n", "0", "--reps", "1", "--eps", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --n must be >= 1, got 0\n"
+        assert captured.err == f"error: {err}\n"
 
     @pytest.mark.parametrize("lower, upper", [("0.9", "0.1"), ("nan", "0.9999"),
                                               ("0.0001", "nan"), ("-0.5", "0.5"),
                                               ("0.5", "2")])
     def test_regression_quantiles_named_before_the_csv(self, capsys, monkeypatch,
                                                        lower, upper):
-        def no_read(*args, **kwargs):
-            raise AssertionError("read the CSV before checking the quantiles")
-
-        monkeypatch.setattr(harness, "read_table", no_read)
+        # the driver's message, which names the keywords, as the CLI prints it
+        monkeypatch.setattr(harness, "read_table", no_stream)
+        monkeypatch.setattr(RngStream, "generator", no_stream)
+        err = refusal(lambda: run_regression_file(
+            grid(1), csv_path="missing.csv", response="y", log_columns=(),
+            lower_q=float(lower), upper_q=float(upper)))
+        assert err == ("quantiles must satisfy 0 <= lower_q < upper_q <= 1, "
+                       f"got {float(lower)} and {float(upper)}")
         argv = ["run-regression", "--csv", "missing.csv", "--response", "y",
                 "--lower-q", lower, "--upper-q", upper]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: --lower-q and --upper-q must satisfy 0 <= lower < upper <= 1, "
-            f"got {float(lower)} and {float(upper)}\n")
+        assert captured.err == f"error: {err}\n"
 
-    @pytest.mark.parametrize("argv, err", [
-        (["simulate-logistic", "--n", "-3", "--reps", "1"], "--n must be >= 1, got -3"),
-        (["simulate-logistic", "--n", "200", "--reps", "0"], "--reps must be >= 1, got 0"),
+    @pytest.mark.parametrize("argv, call, err", [
+        (["simulate-logistic", "--n", "-3", "--reps", "1"],
+         lambda: simulate_logistic(grid(1), n=-3, q=0.5), "n must be >= 1, got -3"),
+        (["simulate-logistic", "--n", "200", "--reps", "0"],
+         lambda: simulate_logistic(grid(0), n=200, q=0.5), "reps must be >= 1, got 0"),
         (["simulate-coverage", "--n", "0", "--p", "2", "--reps", "1"],
-         "--n must be >= 1, got 0"),
+         lambda: simulate_coverage(grid(1), n=0, p=2),
+         "coverage needs n > p + 1 for its t-intervals' n - p - 1 degrees of freedom, "
+         "got n=0, p=2"),
         (["simulate-coverage", "--n", "300", "--p", "0", "--reps", "1"],
-         "--p must be >= 1, got 0"),
+         lambda: simulate_coverage(grid(1), n=300, p=0), "p must be an integer >= 1, got 0"),
         (["simulate-coverage", "--n", "300", "--p", "2", "--reps", "0"],
-         "--reps must be >= 1, got 0"),
+         lambda: simulate_coverage(grid(0), n=300, p=2), "reps must be >= 1, got 0"),
         (["run-regression", "--csv", "missing.csv", "--response", "y", "--reps", "-1"],
-         "--reps must be >= 1, got -1"),
+         lambda: run_regression_file(grid(-1), csv_path="missing.csv", response="y",
+                                     **REGRESSION_DEFAULTS),
+         "reps must be >= 1, got -1"),
         (["simulate-logistic", "--n", "200", "--reps", "1", "--q", "1.5"],
-         "--q must be in (0, 1), got 1.5"),
+         lambda: simulate_logistic(grid(1), n=200, q=1.5), "q must be in (0, 1), got 1.5"),
         (["simulate-logistic", "--n", "200", "--reps", "1", "--q", "nan"],
-         "--q must be in (0, 1), got nan"),
+         lambda: simulate_logistic(grid(1), n=200, q=math.nan), "q must be in (0, 1), got nan"),
         (["simulate-logistic", "--n", "200", "--reps", "1", "--q", "0"],
-         "--q must be in (0, 1), got 0.0"),
+         lambda: simulate_logistic(grid(1), n=200, q=0.0), "q must be in (0, 1), got 0.0"),
     ], ids=["logistic-n", "logistic-reps", "coverage-n", "coverage-p", "coverage-reps",
             "regression-reps", "logistic-q", "logistic-q-nan", "logistic-q-zero"])
-    def test_simulation_ranges_named_before_any_stream(self, capsys, monkeypatch, argv, err):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("drew a stream before checking the options")
-
-        monkeypatch.setattr(RngStream, "generator", no_draws)
+    def test_simulation_ranges_named_before_any_stream(self, capsys, monkeypatch, argv, call,
+                                                       err):
+        # the driver's message, which names the keyword (the flag's word),
+        # as the CLI prints it; neither draws a stream or reads the CSV first
+        monkeypatch.setattr(harness, "read_table", no_stream)
+        monkeypatch.setattr(RngStream, "generator", no_stream)
+        assert refusal(call) == err
         assert main(argv + ["--eps", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -878,15 +924,14 @@ class TestCli:
 
     @pytest.mark.parametrize("draws", ["49", "0", "-3"])
     def test_diagnostics_too_few_draws(self, capsys, monkeypatch, draws):
-        # named as the option, before any stream is drawn
-        def no_draws(*args, **kwargs):
-            raise AssertionError("drew a stream before checking --draws")
-
-        monkeypatch.setattr(RngStream, "generator", no_draws)
+        # run_diagnostics' message, as the CLI prints it, before any stream
+        monkeypatch.setattr(RngStream, "generator", no_stream)
+        err = refusal(lambda: run_diagnostics(n_draws=int(draws)))
+        assert err == f"diagnostics needs at least 50 draws per mechanism, got {draws}"
         assert main(["diagnostics", "--draws", draws]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --draws must be >= 50, got {draws}\n"
+        assert captured.err == f"error: {err}\n"
 
     @pytest.mark.parametrize("seed", range(8))
     def test_diagnostics_two_draws(self, capsys, monkeypatch, seed):
@@ -1027,6 +1072,28 @@ class TestCli:
                     assert knorm.cli.main(argv) == 0, argv
                 # diagnostics is the control: its KS check does load it
                 assert loaded() == (argv[0] == "diagnostics"), argv
+            """
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+
+    def test_refused_coverage_skips_scipy_special(self):
+        # the t-quantile import comes after the driver's checks; a run that
+        # passes them is the control
+        src = os.path.dirname(os.path.dirname(knorm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = """if True:
+            import contextlib, io, sys
+            import knorm.cli
+
+            argv = ["simulate-coverage", "--n", "2", "--p", "5"]
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert knorm.cli.main(argv) == 2
+            assert "scipy.special" not in sys.modules
+            argv = ["simulate-coverage", "--n", "50", "--p", "2", "--reps", "1", "--eps", "1"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert knorm.cli.main(argv) == 0
+            assert "scipy.special" in sys.modules
             """
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120)
