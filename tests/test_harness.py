@@ -650,7 +650,7 @@ class TestCli:
         assert captured.err == "error: --mc-samples must be >= 1000, got 10\n"
 
     def test_simulate_logistic_without_rows_exits_2(self, capsys, monkeypatch):
-        # the driver's message, not the design matrix a replicate builds
+        # simulate_logistic's own message, not the design matrix a replicate builds
         monkeypatch.setattr(RngStream, "generator", no_stream)
         err = refusal(lambda: simulate_logistic(grid(1), n=0, q=0.5))
         assert err == "n must be >= 1, got 0"
@@ -664,7 +664,7 @@ class TestCli:
                                               ("0.5", "2")])
     def test_regression_quantiles_named_before_the_csv(self, capsys, monkeypatch,
                                                        lower, upper):
-        # the driver's message, which names the keywords, as the CLI prints it
+        # run_regression_file's message, which names the keywords, as the CLI prints it
         monkeypatch.setattr(harness, "read_table", no_stream)
         monkeypatch.setattr(RngStream, "generator", no_stream)
         err = refusal(lambda: run_regression_file(
@@ -706,7 +706,7 @@ class TestCli:
             "regression-reps", "logistic-q", "logistic-q-nan", "logistic-q-zero"])
     def test_simulation_ranges_named_before_any_stream(self, capsys, monkeypatch, argv, call,
                                                        err):
-        # the driver's message, which names the keyword (the flag's word),
+        # the harness function's message, which names the keyword (the flag's word),
         # as the CLI prints it; neither draws a stream or reads the CSV first
         monkeypatch.setattr(harness, "read_table", no_stream)
         monkeypatch.setattr(RngStream, "generator", no_stream)
@@ -1078,7 +1078,7 @@ class TestCli:
         assert run.returncode == 0, run.stderr
 
     def test_refused_coverage_skips_scipy_special(self):
-        # the t-quantile import comes after the driver's checks; a run that
+        # the t-quantile import comes after simulate_coverage's checks; a run that
         # passes them is the control
         src = os.path.dirname(os.path.dirname(knorm.__file__))
         env = dict(os.environ, PYTHONPATH=src)
