@@ -7,6 +7,7 @@ import functools
 import sys
 
 from . import harness
+from .geometry import _check_integer
 from .harness import SimulationConfig
 from .linreg import ball_from_name
 from .ordering import compare
@@ -55,11 +56,6 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
-def _at_least(option, value, low):
-    if value < low:
-        raise ValueError(f"{option} must be >= {low}, got {value}")
-
-
 def _simulate(driver, args, **settings):
     """Run a simulation driver on the run grid of the shared flags and on its
     own settings; write both tables."""
@@ -97,8 +93,8 @@ def _cmd_run_regression(args):
 
 
 def _cmd_compare(args):
-    _at_least("--m", args.m, 1)
-    _at_least("--mc-samples", args.mc_samples, 1000)
+    _check_integer("--m", args.m)
+    _check_integer("--mc-samples", args.mc_samples, 1000)
     mech_a = _parse_mechanism("--a", args.a, args.m, args.eps)
     mech_b = _parse_mechanism("--b", args.b, args.m, args.eps)
     report = compare(mech_a, mech_b, seed=args.seed, n_mc=args.mc_samples)
@@ -111,8 +107,8 @@ def _cmd_compare(args):
 
 
 def _cmd_sample(args):
-    _at_least("--reps", args.reps, 0)
-    _at_least("--m", args.m, 1)
+    _check_integer("--reps", args.reps, 0)
+    _check_integer("--m", args.m)
     ball = ball_from_name(args.ball, args.m)
     config = _budget("--eps/--delta", lambda: MechanismConfig(args.eps, args.delta, ball))
     rng = RngStream(args.seed, 0).generator()
@@ -206,7 +202,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         # every subcommand reads --seed
-        _at_least("--seed", args.seed, 0)
+        _check_integer("--seed", args.seed, 0)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"error: {exc}\n")

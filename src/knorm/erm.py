@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import NormBall
-from .sampling import BudgetError, MechanismConfig, _check_positive, sample_noise
+from .geometry import NormBall, _check_integer, _check_positive, _check_unit
+from .sampling import BudgetError, MechanismConfig, sample_noise
 
 __all__ = [
     "LossSpec",
@@ -74,11 +74,6 @@ class LossSpec:
         return self.grad_ball.dimension
 
 
-def _check_split(q):
-    if not 0.0 < q < 1.0:  # also rejects nan
-        raise ValueError(f"q must be in (0, 1), got {q}")
-
-
 @dataclass(frozen=True)
 class ObjPertConfig:
     """Budget eps, split q in (0,1), and the loss being minimized.
@@ -93,8 +88,8 @@ class ObjPertConfig:
     noise: MechanismConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_positive("epsilon", self.epsilon)
-        _check_split(self.q)
+        _check_positive("epsilon", self.epsilon, BudgetError)
+        _check_unit("q", self.q)
         g = self.gamma
         if not (g >= 0 and math.isfinite(g)):
             raise BudgetError(f"epsilon={self.epsilon!r} and q={self.q!r} give an invalid "
@@ -127,9 +122,9 @@ def _sigmoid(z):
 
 
 def logistic_sensitivity(m, p):
-    """Gauge bound on logistic gradient differences: 2, 2*sqrt(m), 2m for p=inf,2,1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    """Gauge bound on logistic gradient differences: 2, 2*sqrt(m), 2m for
+    p=inf,2,1, at an integer dimension m >= 1."""
+    m = _check_integer("m", m)
     if p == math.inf:
         return 2.0
     if p == 2:

@@ -39,6 +39,32 @@ _CONTAIN_TOL = 1e-9
 _CONTAIN_DIRECTIONS = 512
 
 
+# The input rules, each written once; every module and the CLI call these.
+# Each comparison is written so that nan fails it.
+
+def _check_integer(name, value, low=1):
+    """value as an int: a whole number >= low, else ValueError (inf too)."""
+    if not (value >= low and value % 1 == 0):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+    return int(value)
+
+
+def _check_p(p):
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
+
+
+def _check_positive(name, value, error=ValueError):
+    """A positive, finite scale; budget callers pass error=BudgetError."""
+    if not 0 < value < math.inf:
+        raise error(f"{name} must be positive and finite, got {value}")
+
+
+def _check_unit(name, value):
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
+
+
 def _reduce_rows(ufunc, a, initial=None):
     """ufunc.reduce(a, axis=-1), with initial if given, bit for bit.
 
@@ -68,8 +94,7 @@ def lp_norm(x, p):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] == 0:
         raise ValueError("lp_norm: empty vector")
-    if not p >= 1:  # also rejects nan
-        raise ValueError(f"lp_norm: p must be >= 1 or inf, got {p}")
+    _check_p(p)
     a = np.abs(x)
     if p == math.inf:
         return _reduce_rows(np.maximum, a)
@@ -122,20 +147,16 @@ class NormBall:
     volume: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.dimension >= 1 and self.dimension % 1 == 0):  # also rejects nan
-            raise ValueError(f"dimension must be an integer >= 1, got {self.dimension}")
-        object.__setattr__(self, "dimension", int(self.dimension))
+        object.__setattr__(self, "dimension", _check_integer("dimension", self.dimension))
         if (self.p is None) == (self.pieces is None):
             raise ValueError("a norm ball has exactly one of p (lp) and pieces (hull)")
         if self.p is not None:
-            if not self.p >= 1:  # also rejects nan
-                raise ValueError(f"p must be >= 1 or inf, got {self.p}")
-            if not (self.radius > 0 and math.isfinite(self.radius)):
-                raise ValueError(f"radius must be positive, got {self.radius}")
+            _check_p(self.p)
+            _check_positive("radius", self.radius)
             if self.volume is not None:
                 raise ValueError("an lp ball takes no volume: it is volume_lp's closed form")
-        elif self.volume is not None and not 0.0 < self.volume < math.inf:
-            raise ValueError(f"volume must be positive and finite, got {self.volume}")
+        elif self.volume is not None:
+            _check_positive("volume", self.volume)
 
     @classmethod
     def lp(cls, p, radius, dimension):
@@ -486,13 +507,11 @@ def _log_volume_lp(p, m, r):
 
 def volume_lp(p, m, r=1.0):
     """Lebesgue volume of the lp ball of radius r in R^m; inf past the float
-    range, 0.0 below it."""
-    if not (m >= 1 and m % 1 == 0):  # also rejects nan and inf
-        raise ValueError(f"m must be an integer >= 1, got {m}")
-    if not r > 0:
-        raise ValueError(f"r must be positive, got {r}")
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    range, 0.0 below it. m must be an integer >= 1, r positive and finite
+    and p >= 1 or inf."""
+    m = _check_integer("m", m)
+    _check_positive("r", r)
+    _check_p(p)
     try:
         if p == math.inf:
             return (2.0 * r) ** m
@@ -510,11 +529,10 @@ def volume_monte_carlo(ball: NormBall, scale=1.0, n_samples=100_000, seed=0):
     fraction of the box that K fills (NormBall.box_fraction), and its
     standard error, times the box volume. The box volume is applied in log
     form, so both values read inf past the float range instead of raising.
+    n_samples must be an integer >= 1000, and scale positive and finite.
     """
-    if n_samples < 1000:
-        raise ValueError("n_samples must be >= 1000")
-    if not 0 < scale < math.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    n_samples = _check_integer("n_samples", n_samples, 1000)
+    _check_positive("scale", scale)
     m = ball.dimension
     frac, se = ball.box_fraction(np.random.default_rng(seed), n_samples)
     log_box = m * math.log(2.0 * ball.linf_radius * scale)
@@ -529,8 +547,7 @@ class ScaledBall:
     scale: float
 
     def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        _check_positive("scale", self.scale)
 
     @property
     def dimension(self):
@@ -655,8 +672,7 @@ def quadratic_pair_sensitivity(p):
     brackets the global maximum before scipy's bounded scalar search refines
     it; scipy.optimize is imported here, at the first call.
     """
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    _check_p(p)
     from scipy.optimize import minimize_scalar
 
     def corner_norm(u):

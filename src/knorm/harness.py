@@ -17,14 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .erm import (ObjPertConfig, _check_split, _sigmoid, evaluate, logistic_loss_spec,
-                  minimize_erm, objective_perturbation)
+from .erm import (ObjPertConfig, _sigmoid, evaluate, logistic_loss_spec, minimize_erm,
+                  objective_perturbation)
+from .geometry import _check_integer, _check_positive, _check_unit
 from .linreg import (_check_quantiles, _check_statistic_mechanism, ball_from_name,
-                     build_statistic, dp_estimates, preprocess, statistic_dimension,
-                     statistic_from_gram, statistic_mechanism)
+                     build_statistic, dp_estimates, preprocess, statistic_from_gram,
+                     statistic_mechanism)
 from .ordering import gamma_cdf
-from .sampling import (MechanismConfig, RngStream, _check_positive, sample_l1_mech,
-                       sample_noise, sample_noise_rows)
+from .sampling import (BudgetError, MechanismConfig, RngStream, sample_l1_mech, sample_noise,
+                       sample_noise_rows)
 
 # unused here, but perfbench/spans.py rebinds these names in this module
 from .geometry import lp_norm  # noqa: F401
@@ -59,9 +60,10 @@ class SimulationConfig:
     """The run grid every driver reads: epsilon grid, mechanisms, replicate
     count and seed, with no defaults (the CLI holds the only copy). Each
     driver takes the settings only it reads (n, p, q, the CSV input) as
-    keyword arguments and checks them itself. reps must be >= 1, and
-    epsilons positive and finite, as in a MechanismConfig, and distinct, as
-    must mechanisms: summaries are per cell."""
+    keyword arguments and checks them itself. reps must be an integer >= 1,
+    seed an integer >= 0, and epsilons positive and finite, as in a
+    MechanismConfig, and distinct, as must mechanisms: summaries are per
+    cell. An integer-valued float runs as its int, here and in the drivers."""
 
     eps: tuple
     mechanisms: tuple
@@ -69,10 +71,10 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.reps >= 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        object.__setattr__(self, "reps", _check_integer("reps", self.reps))
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed, 0))
         for e in self.eps:
-            _check_positive("epsilon", e)
+            _check_positive("epsilon", e, BudgetError)
         # a repeated cell would be pooled with its twin in every summary row
         for name, values in (("epsilon", self.eps), ("mechanism", self.mechanisms)):
             if len(set(values)) != len(values):
@@ -183,13 +185,12 @@ def simulate_logistic(config: SimulationConfig, *, n, q) -> ResultTable:
     responses from the fixed coefficient vector, fits the non-private MLE,
     and runs objective perturbation for every (epsilon, mechanism) with
     budget split q, recording the l2 distance to the true coefficients.
-    Summaries are lower medians per cell. n must be >= 1, q in (0, 1) (as
-    in an ObjPertConfig) and each mechanism l1, l2 or linf; all three are
-    checked before any stream is drawn.
+    Summaries are lower medians per cell. n must be an integer >= 1, q in
+    (0, 1) (as in an ObjPertConfig) and each mechanism l1, l2 or linf; all
+    three are checked before any stream is drawn.
     """
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_split(q)
+    n = _check_integer("n", n)
+    _check_unit("q", q)
     beta = LOGISTIC_BETA
     m = len(beta)
     losses = {}
@@ -239,13 +240,14 @@ def simulate_coverage(config: SimulationConfig, *, n, p) -> ResultTable:
     one sample_noise_rows call, one dp_estimates solve and one comparison
     against the intervals. Summaries are means per cell; "true_beta" rows
     record the intervals' own coverage of the true coefficients. p must be
-    an integer >= 1 (statistic_dimension's rule) and n > p + 1, checked with
-    the mechanisms before any stream is drawn or scipy.special loaded.
+    an integer >= 1 and n an integer > p + 1, checked with the mechanisms
+    before any stream is drawn or scipy.special loaded.
     """
-    statistic_dimension(p)
+    p = _check_integer("p", p)
     if n <= p + 1:
         raise ValueError(f"coverage needs n > p + 1 for its t-intervals' "
                          f"n - p - 1 degrees of freedom, got n={n}, p={p}")
+    n = _check_integer("n", n, p + 2)
     cells = [(cell, eps, mech, statistic_mechanism(mech, p, eps))
              for cell, eps, mech in _cells(config)]
     from scipy.special import stdtrit
@@ -315,7 +317,8 @@ def read_table(path):
 
 def run_regression_file(config: SimulationConfig, *, csv_path, response, log_columns,
                         lower_q, upper_q) -> ResultTable:
-    """Private regression on a CSV file, measured against its own MLE.
+    """Private regression on a CSV file, measured against its own MLE: an
+    evaluation, not a release, so its output is not to be published.
 
     Preprocesses the table at csv_path (log transforms of log_columns,
     clamping to its lower_q and upper_q quantiles, affine map to [-1,1]),
@@ -325,9 +328,11 @@ def run_regression_file(config: SimulationConfig, *, csv_path, response, log_col
     stack. The zero-vector baseline ||beta_mle||_2 is echoed in the
     header. The preprocessing bounds are read from the private table, and
     the sensitivities hold under "replace one row" of the preprocessed
-    table, so the release is not eps-DP with respect to the CSV: one
+    table, so the estimates are not eps-DP with respect to the CSV: one
     changed row moved a slot by 1302.6 against the assumed 2 (see
-    preprocess). An unknown mechanism and quantiles outside preprocess's
+    preprocess). The table also holds non-private values, baseline_l2 and
+    the distances to beta_mle, and its noise is a function of the echoed
+    seed. An unknown mechanism and quantiles outside preprocess's
     0 <= lower_q < upper_q <= 1 are refused before the CSV is read.
     """
     for mech in config.mechanisms:
@@ -367,11 +372,10 @@ def ks_statistic(samples, cdf):
 
 
 def ks_critical(n, alpha=0.01):
-    """Critical KS distance at level alpha (asymptotic Kolmogorov law)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not n >= 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    """Critical KS distance at level alpha in (0, 1) for an integer sample
+    size n >= 1 (asymptotic Kolmogorov law)."""
+    _check_unit("alpha", alpha)
+    n = _check_integer("n", n)
     from scipy.special import kolmogi
 
     return float(kolmogi(alpha)) / math.sqrt(n)
@@ -431,7 +435,7 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
 
     Mechanisms are ball names as ball_from_name reads them, with Delta = 1
     and eps = 1; lp balls are 2-dimensional, the hull bodies keep their own
-    dimension. Each mechanism draws n_draws (at least 50) noise vectors
+    dimension. Each mechanism draws n_draws (an integer >= 50) noise vectors
     through sample_noise. Checks per mechanism: Kolmogorov-Smirnov test of
     the noise gauge against its Gamma(m, eps/Delta) marginal at level 0.01,
     and a 4-standard-error unbiasedness check per coordinate. The l1 entry
@@ -450,8 +454,7 @@ def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
     With several simultaneous 0.01-level tests the false-alarm rate is a
     few percent (no Bonferroni correction); the default seed is known-good.
     """
-    if n_draws < 50:
-        raise ValueError(f"diagnostics needs at least 50 draws per mechanism, got {n_draws}")
+    n_draws = _check_integer("n_draws", n_draws, 50)
     delta, epsilon = 1.0, 1.0
     balls = [ball_from_name(mech, 2) for mech in mechanisms]
     checks = []

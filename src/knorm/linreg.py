@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormBall, k2_ball, k3_ball
+from .geometry import NormBall, _check_integer, k2_ball, k3_ball
 from .sampling import MechanismConfig, sample_noise
 
 # unused here, but perfbench/spans.py rebinds these names in this module
@@ -44,9 +44,7 @@ SLOT_SENSITIVITY = 2.0
 
 def statistic_dimension(p):
     """Length of the statistic vector for p predictors, an integer >= 1."""
-    if not (p >= 1 and p % 1 == 0):  # also rejects nan and inf
-        raise ValueError(f"p must be an integer >= 1, got {p}")
-    p = int(p)
+    p = _check_integer("p", p)
     return (p * p + 5 * p + 2) // 2
 
 

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    ScaledBall, _exp_or_inf, ball_containment, volume_lp, volume_monte_carlo,
+    ScaledBall, _check_positive, _check_unit, _exp_or_inf, ball_containment, volume_lp,
+    volume_monte_carlo,
 )
 from .sampling import MechanismConfig
 
@@ -35,17 +36,10 @@ __all__ = [
 ]
 
 
-def _check_gamma_params(shape, rate):
-    # "not 0 < x < inf" is also true for NaN
-    if not 0.0 < shape < math.inf:
-        raise ValueError(f"shape must be positive and finite, got {shape}")
-    if not 0.0 < rate < math.inf:
-        raise ValueError(f"rate must be positive and finite, got {rate}")
-
-
 def gamma_cdf(x, shape, rate):
     """CDF of Gamma(shape, rate) at a scalar or array x (rate parameterization)."""
-    _check_gamma_params(shape, rate)
+    _check_positive("shape", shape)
+    _check_positive("rate", rate)
     from scipy.special import gammainc
 
     f = gammainc(shape, rate * np.maximum(x, 0.0))
@@ -54,9 +48,9 @@ def gamma_cdf(x, shape, rate):
 
 def gamma_quantile(alpha, shape, rate):
     """alpha-quantile of Gamma(shape, rate)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    _check_gamma_params(shape, rate)
+    _check_unit("alpha", alpha)
+    _check_positive("shape", shape)
+    _check_positive("rate", rate)
     from scipy.special import gammaincinv
 
     return float(gammaincinv(shape, alpha)) / rate

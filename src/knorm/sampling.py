@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormBall, _reduce_rows, lp_norm
+from .geometry import NormBall, _check_integer, _check_positive, _reduce_rows, lp_norm
 
 __all__ = [
     "RngStream",
@@ -65,17 +65,16 @@ class RngStream:
     """Reproducible random stream: (seed, stream id) -> generator.
 
     Identical (seed, stream) pairs reproduce identical sample sequences
-    bit for bit across runs. Both must be nonnegative.
+    bit for bit across runs. Both must be integers >= 0; an integer-valued
+    float is kept as its int.
     """
 
     seed: int
     stream: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.stream < 0:
-            raise ValueError("stream id must be nonnegative")
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed, 0))
+        object.__setattr__(self, "stream", _check_integer("stream", self.stream, 0))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
@@ -109,11 +108,6 @@ class MechanismConfig:
         return self.epsilon / self.delta
 
 
-def _check_positive(name, value):
-    if not (value > 0 and math.isfinite(value)):
-        raise BudgetError(f"{name} must be positive and finite, got {value}")
-
-
 #: above -log of the smallest positive float, so above every standard
 #: exponential draw and every -log1p term of a Laplace draw
 _MAX_LOG_DRAW = 745.0
@@ -126,8 +120,8 @@ def _check_budget(epsilon, delta, ball):
     scale delta*radius) and the bound (m + 1)*745*linf_radius/rate on every
     noise coordinate (a Gamma(m + 1) radius is a sum of m + 1 exponentials,
     each below 745)."""
-    _check_positive("epsilon", epsilon)
-    _check_positive("delta", delta)
+    _check_positive("epsilon", epsilon, BudgetError)
+    _check_positive("delta", delta, BudgetError)
     rate = epsilon / delta
     if not (rate > 0 and math.isfinite(rate)
             and math.isfinite(delta * ball.linf_radius)
@@ -140,10 +134,9 @@ def _check_budget(epsilon, delta, ball):
 def sample_gamma_int(shape, rate, rng, size):
     """size Gamma(shape, rate) draws for integer shape, as sums of exponentials
     (each row summed by _reduce_rows, bit for bit as numpy's row sum)."""
-    if int(shape) != shape or shape <= 0:
-        raise ValueError(f"shape must be a positive integer, got {shape}")
-    _check_positive("rate", rate)
-    return _reduce_rows(np.add, rng.standard_exponential((size, int(shape)))) / rate
+    shape = _check_integer("shape", shape)
+    _check_positive("rate", rate, BudgetError)
+    return _reduce_rows(np.add, rng.standard_exponential((size, shape))) / rate
 
 
 def _lp_noise(p, m, delta, epsilon, rng, n):

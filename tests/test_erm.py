@@ -489,6 +489,13 @@ class TestLogisticSensitivity:
         with pytest.raises(ValueError):
             logistic_sensitivity(7, 3)
 
+    @pytest.mark.parametrize("m, p", [(7.5, 2), (INF, 1), (0, INF), (math.nan, 2)])
+    def test_non_integer_dimension_refused(self, m, p):
+        # (7.5, 2) used to give 5.477 and (inf, 1) inf
+        with pytest.raises(ValueError) as exc:
+            logistic_sensitivity(m, p)
+        assert str(exc.value) == f"m must be an integer >= 1, got {m}"
+
     def test_gradient_differences_within_gauge(self):
         # sampled per-example gradient differences never exceed the bound
         rng = np.random.default_rng(62)

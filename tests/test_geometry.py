@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -631,23 +633,70 @@ class TestK2K3PieceTables:
     (lambda: lp_norm([1.0, 2.0], math.nan), "p must be"),
     (lambda: volume_lp(math.nan, 3), "p must be"),
     (lambda: volume_lp(2, 3, math.nan), "r must be"),
+    (lambda: volume_lp(2, 2, INF), "r must be positive and finite, got inf"),
     (lambda: volume_lp(2, 2.5), "m must be"),
     (lambda: volume_lp(2, math.nan), "m must be"),
     (lambda: volume_lp(2, INF), "m must be"),
     (lambda: quadratic_pair_sensitivity(math.nan), "p must be"),
     (lambda: volume_monte_carlo(kt_ball(1), scale=math.nan), "scale must be"),
     (lambda: volume_monte_carlo(kt_ball(1), scale=INF), "scale must be"),
+    (lambda: volume_monte_carlo(k2_ball(), n_samples=1000.5),
+     r"n_samples must be an integer >= 1000, got 1000\.5"),
+    (lambda: NormBall.lp(2, INF, 2), "radius must be positive and finite, got inf"),
     (lambda: NormBall.lp(2, 1.0, 2.5), "dimension must be"),
     (lambda: NormBall.lp(2, 1.0, math.nan), "dimension must be"),
-], ids=["lp_norm-p", "volume_lp-p", "volume_lp-r", "volume_lp-fractional-m",
+], ids=["lp_norm-p", "volume_lp-p", "volume_lp-r", "volume_lp-inf-r", "volume_lp-fractional-m",
         "volume_lp-nan-m", "volume_lp-inf-m", "quadratic_pair_sensitivity-p",
         "volume_monte_carlo-nan-scale", "volume_monte_carlo-inf-scale",
+        "volume_monte_carlo-fractional-n", "NormBall-inf-radius",
         "NormBall-fractional-dimension", "NormBall-nan-dimension"])
 def test_invalid_parameters_refused(call, match):
     # each check is written so that nan fails it, where a nan compared with
-    # < or <= slipped through to a nan or (inf, inf) result
+    # < or <= slipped through to a nan or (inf, inf) result; inf and
+    # fractions fail the rules that need a finite or a whole value
     with pytest.raises(ValueError, match=match):
         call()
+
+
+#: a phrase of each input rule's message, and the one function that raises it;
+#: "must be >= " also catches a copy of the whole-number rule without its whole half
+_RULE_RAISERS = {
+    "must be an integer >=": ["geometry._check_integer"],
+    "must be >= ": ["geometry._check_p"],
+    "must be positive and finite": ["geometry._check_positive"],
+    "must be in (0, 1)": ["geometry._check_unit"],
+}
+
+
+def _raises(node, where):
+    """(enclosing function name, raise statement) of every raise under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raises(child, child.name)
+        elif isinstance(child, ast.Raise):
+            yield where, child
+        else:
+            yield from _raises(child, where)
+
+
+def test_each_input_rule_is_raised_from_one_function():
+    # every module calls geometry's helper for these rules; a copy written
+    # back into src/knorm raises the message from a second function
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "knorm")
+    raisers = {phrase: [] for phrase in _RULE_RAISERS}
+    for filename in sorted(os.listdir(src)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(src, filename)) as fh:
+            tree = ast.parse(fh.read())
+        for where, node in _raises(tree, "<module>"):
+            text = "".join(c.value for c in ast.walk(node)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            for phrase, found in raisers.items():
+                if phrase in text:
+                    found.append(f"{filename[:-3]}.{where}")
+    assert raisers == _RULE_RAISERS
 
 
 class TestVolumeLp:

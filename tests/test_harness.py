@@ -130,10 +130,10 @@ class TestKsHelpers:
         with pytest.raises(ValueError, match="alpha must be in"):
             ks_critical(100, alpha)
 
-    @pytest.mark.parametrize("n", [0, -5, math.nan])
+    @pytest.mark.parametrize("n", [0, -5, math.nan, 50.5, math.inf])
     def test_critical_value_rejects_empty_sample(self, n):
-        with pytest.raises(ValueError, match="sample size must be >= 1"):
-            ks_critical(n, 0.01)
+        # a sample size is a whole number: 50.5 used to give a critical value
+        assert refusal(lambda: ks_critical(n, 0.01)) == f"n must be an integer >= 1, got {n}"
 
 
 class TestSimulateLogistic:
@@ -159,6 +159,15 @@ class TestSimulateLogistic:
         config = SimulationConfig(eps=(1.0,), reps=1, mechanisms=(), seed=0)
         assert refusal(lambda: simulate_logistic(config, n=50, q=5.0)) == (
             "q must be in (0, 1), got 5.0")
+
+    def test_integer_valued_float_settings_run_as_their_ints(self):
+        # the echo prints the int, so the bytes are those of the int run
+        a = simulate_logistic(SimulationConfig(eps=(1.0,), mechanisms=("l1",), reps=1.0,
+                                               seed=2.0), n=50.0, q=0.5)
+        b = simulate_logistic(SimulationConfig(eps=(1.0,), mechanisms=("l1",), reps=1,
+                                               seed=2), n=50, q=0.5)
+        assert a.long_csv() == b.long_csv()
+        assert "# seed=2\n# n=50\n# reps=1\n" in a.long_csv()
 
     def test_long_rows_complete(self):
         config = SimulationConfig(eps=(1.0, 2.0), reps=3, mechanisms=("l2",), seed=4)
@@ -399,8 +408,8 @@ class TestDiagnostics:
         # below 50 draws the normal approximations behind the 4-SE checks
         # fail correct samplers; zero or fewer used to fail deep in lp_norm
         # or numpy
-        with pytest.raises(ValueError, match=f"at least 50 draws per mechanism, got {n_draws}"):
-            run_diagnostics(n_draws=n_draws)
+        assert refusal(lambda: run_diagnostics(n_draws=n_draws)) == (
+            f"n_draws must be an integer >= 50, got {n_draws}")
 
 
 class TestDeterminismAndEcho:
@@ -547,7 +556,7 @@ class TestCli:
         assert main(["sample", "--ball", "l2", "--reps", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --reps must be >= 0, got -1\n"
+        assert captured.err == "error: --reps must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--ball", "l2"],
@@ -562,7 +571,7 @@ class TestCli:
         assert main(argv + ["--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --seed must be >= 0, got -1\n"
+        assert captured.err == "error: --seed must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--ball", "l2"],
@@ -575,7 +584,7 @@ class TestCli:
         assert main(argv + ["--m", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --m must be >= 1, got 0\n"
+        assert captured.err == "error: --m must be an integer >= 1, got 0\n"
 
     @pytest.mark.parametrize("argv, err", [
         (["sample", "--ball", "l2", "--eps", "5e-324"],
@@ -647,13 +656,13 @@ class TestCli:
         assert main(["compare", "--a", a, "--b", b, "--m", "13", "--mc-samples", "10"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --mc-samples must be >= 1000, got 10\n"
+        assert captured.err == "error: --mc-samples must be an integer >= 1000, got 10\n"
 
     def test_simulate_logistic_without_rows_exits_2(self, capsys, monkeypatch):
         # simulate_logistic's own message, not the design matrix a replicate builds
         monkeypatch.setattr(RngStream, "generator", no_stream)
         err = refusal(lambda: simulate_logistic(grid(1), n=0, q=0.5))
-        assert err == "n must be >= 1, got 0"
+        assert err == "n must be an integer >= 1, got 0"
         assert main(["simulate-logistic", "--n", "0", "--reps", "1", "--eps", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -681,9 +690,9 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, call, err", [
         (["simulate-logistic", "--n", "-3", "--reps", "1"],
-         lambda: simulate_logistic(grid(1), n=-3, q=0.5), "n must be >= 1, got -3"),
+         lambda: simulate_logistic(grid(1), n=-3, q=0.5), "n must be an integer >= 1, got -3"),
         (["simulate-logistic", "--n", "200", "--reps", "0"],
-         lambda: simulate_logistic(grid(0), n=200, q=0.5), "reps must be >= 1, got 0"),
+         lambda: simulate_logistic(grid(0), n=200, q=0.5), "reps must be an integer >= 1, got 0"),
         (["simulate-coverage", "--n", "0", "--p", "2", "--reps", "1"],
          lambda: simulate_coverage(grid(1), n=0, p=2),
          "coverage needs n > p + 1 for its t-intervals' n - p - 1 degrees of freedom, "
@@ -691,19 +700,31 @@ class TestCli:
         (["simulate-coverage", "--n", "300", "--p", "0", "--reps", "1"],
          lambda: simulate_coverage(grid(1), n=300, p=0), "p must be an integer >= 1, got 0"),
         (["simulate-coverage", "--n", "300", "--p", "2", "--reps", "0"],
-         lambda: simulate_coverage(grid(0), n=300, p=2), "reps must be >= 1, got 0"),
+         lambda: simulate_coverage(grid(0), n=300, p=2), "reps must be an integer >= 1, got 0"),
         (["run-regression", "--csv", "missing.csv", "--response", "y", "--reps", "-1"],
          lambda: run_regression_file(grid(-1), csv_path="missing.csv", response="y",
                                      **REGRESSION_DEFAULTS),
-         "reps must be >= 1, got -1"),
+         "reps must be an integer >= 1, got -1"),
         (["simulate-logistic", "--n", "200", "--reps", "1", "--q", "1.5"],
          lambda: simulate_logistic(grid(1), n=200, q=1.5), "q must be in (0, 1), got 1.5"),
         (["simulate-logistic", "--n", "200", "--reps", "1", "--q", "nan"],
          lambda: simulate_logistic(grid(1), n=200, q=math.nan), "q must be in (0, 1), got nan"),
         (["simulate-logistic", "--n", "200", "--reps", "1", "--q", "0"],
          lambda: simulate_logistic(grid(1), n=200, q=0.0), "q must be in (0, 1), got 0.0"),
+        # argv None: the flags are read as int, so these have no CLI form
+        (None, lambda: simulate_logistic(grid(1), n=50.5, q=0.5),
+         "n must be an integer >= 1, got 50.5"),
+        (None, lambda: simulate_coverage(grid(1), n=50.5, p=2),
+         "n must be an integer >= 4, got 50.5"),
+        (None, lambda: grid(2.5), "reps must be an integer >= 1, got 2.5"),
+        (None, lambda: grid(math.inf), "reps must be an integer >= 1, got inf"),
+        (None, lambda: SimulationConfig(eps=(1.0,), mechanisms=(), reps=1, seed=2.5),
+         "seed must be an integer >= 0, got 2.5"),
+        (None, lambda: run_diagnostics(n_draws=50.5), "n_draws must be an integer >= 50, got 50.5"),
     ], ids=["logistic-n", "logistic-reps", "coverage-n", "coverage-p", "coverage-reps",
-            "regression-reps", "logistic-q", "logistic-q-nan", "logistic-q-zero"])
+            "regression-reps", "logistic-q", "logistic-q-nan", "logistic-q-zero",
+            "logistic-fractional-n", "coverage-fractional-n", "fractional-reps", "inf-reps",
+            "fractional-seed", "diagnostics-fractional-draws"])
     def test_simulation_ranges_named_before_any_stream(self, capsys, monkeypatch, argv, call,
                                                        err):
         # the harness function's message, which names the keyword (the flag's word),
@@ -711,6 +732,8 @@ class TestCli:
         monkeypatch.setattr(harness, "read_table", no_stream)
         monkeypatch.setattr(RngStream, "generator", no_stream)
         assert refusal(call) == err
+        if argv is None:
+            return
         assert main(argv + ["--eps", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -927,7 +950,7 @@ class TestCli:
         # run_diagnostics' message, as the CLI prints it, before any stream
         monkeypatch.setattr(RngStream, "generator", no_stream)
         err = refusal(lambda: run_diagnostics(n_draws=int(draws)))
-        assert err == f"diagnostics needs at least 50 draws per mechanism, got {draws}"
+        assert err == f"n_draws must be an integer >= 50, got {draws}"
         assert main(["diagnostics", "--draws", draws]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -391,8 +391,23 @@ class TestReproducibility:
             RngStream(1, -1)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
             RngStream(-1, 0)
+
+    @pytest.mark.parametrize("seed, stream, err", [
+        (1.5, 0, "seed must be an integer >= 0, got 1.5"),
+        (0, 0.5, "stream must be an integer >= 0, got 0.5"),
+    ])
+    def test_fractional_seed_or_stream_rejected(self, seed, stream, err):
+        # 1.5 used to get through to SeedSequence's TypeError
+        with pytest.raises(ValueError) as exc:
+            RngStream(seed, stream)
+        assert str(exc.value) == err
+
+    def test_integer_valued_float_seed_is_the_int(self):
+        a, b = RngStream(3.0, 2.0), RngStream(3, 2)
+        assert (a.seed, a.stream) == (3, 2) and type(a.seed) is type(a.stream) is int
+        assert a.generator().random() == b.generator().random()
 
 
 class TestMechanismConfig:
