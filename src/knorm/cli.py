@@ -160,7 +160,8 @@ def _parser():
     s.set_defaults(func=_cmd_simulate_coverage)
 
     s = sub.add_parser("run-regression",
-                       help="private regression on a CSV file")
+                       help="evaluate private regression on a CSV file "
+                            "(an evaluation, not a release: do not publish its output)")
     _add_common(s, harness.DEFAULT_REGRESSION_EPS, ("l1", "linf"), 100)
     s.add_argument("--csv", required=True)
     s.add_argument("--response", required=True)

@@ -49,13 +49,17 @@ class OptimizerError(RuntimeError):
 class LossSpec:
     """A smooth convex per-example loss with the bounds Algorithm-style DP needs.
 
-    loss_and_grad(theta, X, y) returns (loss, grad, curvature): the loss
-    summed over examples, the summed gradient, and whatever per-example
-    curvature the Hessian at theta is built from (for logistic, the weights
-    sig * (1 - sig)). hess(theta, X, y, curvature=None) returns the summed
-    Hessian; a given curvature must come from loss_and_grad at the same
-    theta, and without one hess works it out from theta itself. Both are
-    called with positional arguments only. eigen_bound bounds the
+    loss_and_grad(theta, X, y, work=None) returns (loss, grad, curvature):
+    the loss summed over examples, the summed gradient, and whatever
+    per-example curvature the Hessian at theta is built from (for logistic,
+    the weights sig * (1 - sig)). hess(theta, X, y, curvature=None,
+    work=None) returns the summed Hessian; a given curvature must come from
+    loss_and_grad at the same theta, and without one hess works it out from
+    theta itself. work is a start's workspace (see StartPoint): a kernel
+    may write its intermediates there, and the curvature it returns may be
+    one of them, valid until the next kernel call with that workspace.
+    Without one each call allocates its own arrays, with the same values.
+    Both are called with positional arguments only. eigen_bound bounds the
     eigenvalues of every per-example Hessian, and (grad_ball, grad_delta)
     bound the gauge of any per-example gradient difference; theta has the
     ball's dimension. validate(X, y) checks dataset preconditions;
@@ -65,7 +69,7 @@ class LossSpec:
     eigen_bound: float
     grad_ball: NormBall
     grad_delta: float
-    loss_and_grad: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
+    loss_and_grad: Callable[..., tuple]
     hess: Callable[..., np.ndarray]
     validate: Callable[[np.ndarray, np.ndarray], None]
 
@@ -90,10 +94,11 @@ class ObjPertConfig:
     def __post_init__(self):
         _check_positive("epsilon", self.epsilon, BudgetError)
         _check_unit("q", self.q)
-        g = self.gamma
-        if not (g >= 0 and math.isfinite(g)):
+        try:
+            _check_gamma(self.gamma)
+        except ValueError:
             raise BudgetError(f"epsilon={self.epsilon!r} and q={self.q!r} give an invalid "
-                              f"regularization weight gamma={g}")
+                              f"regularization weight gamma={self.gamma}") from None
         object.__setattr__(self, "noise", MechanismConfig(
             epsilon=self.epsilon * self.q,
             delta=self.loss.grad_delta,
@@ -109,16 +114,77 @@ class ObjPertConfig:
             return 0.0
 
 
-def _sigmoid_from_exp(z, e):
+def _check_gamma(gamma):
+    if not (gamma >= 0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
+
+
+def _check_vector(name, value, m):
+    """value as a new float array of m finite entries, else ValueError."""
+    v = np.array(value, dtype=float)
+    if v.shape != (m,) or not np.isfinite(v).all():
+        raise ValueError(f"{name} must be {m} finite numbers, got {v.tolist()}")
+    return v
+
+
+def _aligned_empty(shape, dtype=float):
+    """An uninitialized C-ordered array whose data starts on a 64-byte line.
+
+    numpy's allocator gives 16-byte lines, and the AVX-512 loops and BLAS
+    calls of the kernels run up to 2x slower on arrays that start off one.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    skip = -raw.ctypes.data % 64
+    return raw[skip:skip + nbytes].view(dtype).reshape(shape)
+
+
+class _Workspace:
+    """The arrays the logistic kernels write, for one n x m design.
+
+    Four n-long float slots, a mask and the m x n weighted design of the
+    Hessian, each on a 64-byte line. A slot is rewritten once its value is
+    dead, which keeps the kernels' arrays in cache: z holds X theta, then
+    the softplus terms; e holds exp(-|z|), then the curvature; sig holds the
+    sigmoid; scratch holds 1 + e, then log1p(e), then the residual.
+    _Workspace() holds None in every slot, so numpy allocates each result
+    afresh: a kernel called without a workspace runs on that one.
+    """
+
+    def __init__(self, n=None, m=None):
+        def slot(*shape, dtype=float):
+            return None if n is None else _aligned_empty(shape, dtype)
+
+        self.z, self.e, self.sig, self.scratch = (slot(n) for _ in range(4))
+        self.mask = slot(n, dtype=bool)
+        self.weighted = slot(m, n)
+
+
+def _sigmoid_from_exp(z, e, work=None):
     # e = exp(-|z|) never overflows: 1/(1+e) for z >= 0, e/(1+e) below, the
     # same exp argument and division as the two-branch masked formula. The
     # numerator max(z >= 0, e) is 1 for z >= 0 (where e <= 1), else e, and
     # stays nan for nan z
-    return np.maximum(z >= 0, e) / (1.0 + e)
+    work = _Workspace() if work is None else work
+    num = np.maximum(np.greater_equal(z, 0, out=work.mask), e, out=work.sig)
+    return np.divide(num, np.add(1.0, e, out=work.scratch), out=work.sig)
 
 
 def _sigmoid(z):
     return _sigmoid_from_exp(z, np.exp(-np.abs(z)))
+
+
+def _sigmoid_terms(theta, X, work):
+    # z = X theta, e = exp(-|z|) and the sigmoid of z, each into its slot of work
+    z = np.matmul(X, theta, out=work.z)
+    e = np.exp(np.negative(np.abs(z, out=work.e), out=work.e), out=work.e)
+    return z, e, _sigmoid_from_exp(z, e, work)
+
+
+def _curvature(sig, work):
+    # sig * (1 - sig), into the slot of e, which is dead once sig is taken
+    return np.multiply(sig, np.subtract(1.0, sig, out=work.e), out=work.e)
 
 
 def logistic_sensitivity(m, p):
@@ -144,23 +210,25 @@ def _logistic_validate(X, y):
         raise ValueError("labels must be 0/1")
 
 
-def _logistic_loss_and_grad(theta, X, y):
-    z = X @ theta
-    e = np.exp(-np.abs(z))
-    # softplus log(1 + exp(z)) from the sigmoid's exp
-    loss = float((np.maximum(z, 0.0) + np.log1p(e)).sum() - y @ z)
-    sig = _sigmoid_from_exp(z, e)
-    grad = X.T @ (sig - y)
-    return loss, grad, sig * (1.0 - sig)
+def _logistic_loss_and_grad(theta, X, y, work=None):
+    work = _Workspace() if work is None else work
+    z, e, sig = _sigmoid_terms(theta, X, work)
+    yz = y @ z
+    # softplus log(1 + exp(z)) from the sigmoid's exp, over z once y'z is taken
+    softplus = np.add(np.maximum(z, 0.0, out=work.z), np.log1p(e, out=work.scratch),
+                      out=work.z)
+    loss = float(softplus.sum() - yz)
+    grad = X.T @ np.subtract(sig, y, out=work.scratch)
+    return loss, grad, _curvature(sig, work)
 
 
-def _logistic_hess(theta, X, y, curvature=None):
+def _logistic_hess(theta, X, y, curvature=None, work=None):
+    work = _Workspace() if work is None else work
     if curvature is None:
-        sig = _sigmoid(X @ theta)
-        curvature = sig * (1.0 - sig)
+        curvature = _curvature(_sigmoid_terms(theta, X, work)[2], work)
     # weight along the n-long axis into one C-ordered m x n array; the
     # products and the GEMM are those of (X * curvature[:, None]).T @ X
-    return np.multiply(X.T, curvature, order="C") @ X
+    return np.multiply(X.T, curvature, out=work.weighted, order="C") @ X
 
 
 def logistic_loss_spec(m, p=math.inf) -> LossSpec:
@@ -181,8 +249,12 @@ class StartPoint:
 
     Holds theta (read-only), loss_and_grad's (value, grad, curvature) there
     and hess built from that curvature, the column-major float design X and
-    float labels y it was evaluated on, and the loss itself. A fit from this
-    start is passed these very X and y and a loss with the same kernels.
+    float labels y it was evaluated on, the loss itself, and the workspace
+    the kernels of every fit from it write their intermediates to. A fit
+    from this start is passed these very X and y and a loss with the same
+    kernels. The workspace is one per start, so fits sharing a start run one
+    at a time; no fit writes to the start's own value, grad, curvature or
+    hessian.
     """
 
     theta: np.ndarray
@@ -193,18 +265,22 @@ class StartPoint:
     X: np.ndarray
     y: np.ndarray
     loss: LossSpec
+    workspace: _Workspace = field(repr=False, compare=False)
 
 
 def evaluate(loss: LossSpec, X, y, theta=None) -> StartPoint:
     """Validate the data and evaluate loss, gradient, curvature and Hessian at
-    theta (default zeros).
+    theta (default zeros), a vector of loss.dimension finite numbers.
 
-    X is converted to a column-major float array, so that the kernels read
-    contiguous columns (no copy when X already is one), and y to a float
-    array. loss.validate runs here, once for every fit that shares the
-    start. Every fit from the start must be passed its X and y.
+    X is copied into a column-major float array, so that the kernels read
+    contiguous columns, and y into a float array, both starting on a 64-byte
+    line, and the start gets a workspace on such lines for the kernels'
+    intermediates (see _Workspace). The start's own evaluation runs without
+    it, so its arrays are its own. loss.validate runs here, once for every
+    fit that shares the start. Every fit from the start must be passed its
+    X and y.
     """
-    X = np.asfortranarray(X, dtype=float)
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[1] != loss.dimension:
         raise ValueError(f"design matrix must be n x {loss.dimension}, got shape {X.shape}")
@@ -212,12 +288,16 @@ def evaluate(loss: LossSpec, X, y, theta=None) -> StartPoint:
         raise ValueError("design matrix has no rows")
     if y.shape != X.shape[:1]:
         raise ValueError(f"labels must be one per design row ({len(X)}), got shape {y.shape}")
+    n, m = X.shape
+    aligned_X, aligned_y = _aligned_empty((m, n)).T, _aligned_empty((n,))
+    aligned_X[...], aligned_y[...] = X, y
+    X, y = aligned_X, aligned_y
     loss.validate(X, y)
-    theta = np.zeros(loss.dimension) if theta is None else np.array(theta, dtype=float)
+    theta = _check_vector("theta", np.zeros(m) if theta is None else theta, m)
     theta.flags.writeable = False
     value, grad, curvature = loss.loss_and_grad(theta, X, y)
     hessian = loss.hess(theta, X, y, curvature)
-    return StartPoint(theta, value, grad, curvature, hessian, X, y, loss)
+    return StartPoint(theta, value, grad, curvature, hessian, X, y, loss, _Workspace(n, m))
 
 
 def _start_for(loss, X, y, start):
@@ -249,18 +329,24 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None):
     different gamma and linear: X and y must be the start's own start.X and
     start.y (identity), and loss must have the start's loss_and_grad, hess
     and validate, or a ValueError is raised. The arrays must not be changed
-    in place after evaluate, which cannot detect it.
+    in place after evaluate, which cannot detect it. gamma must be
+    nonnegative and finite, and linear (default zeros) a vector of
+    loss.dimension finite numbers; both are checked before any kernel call.
 
-    Each Newton step takes its Hessian at a point whose loss was just
-    evaluated (the start, or the accepted line-search trial), so it passes
-    that evaluation's curvature: loss.hess(theta, X, y, curvature). The
-    loss is called once per evaluation and hess once per step; the first
-    step uses the start's Hessian.
+    Every kernel call passes the start's workspace as work, so fits sharing
+    a start run one at a time. Each Newton step takes its Hessian at a
+    point whose loss was just evaluated (the start, or the accepted
+    line-search trial), so it passes that evaluation's curvature:
+    loss.hess(theta, X, y, curvature, work). The loss is called once per
+    evaluation and hess once per step; the first step uses the start's
+    Hessian.
     """
+    _check_gamma(gamma)
+    m = loss.dimension
+    v = np.zeros(m) if linear is None else _check_vector("linear", linear, m)
     start = _start_for(loss, X, y, start)
-    X, y = start.X, start.y
-    n, m = X.shape
-    v = np.zeros(m) if linear is None else np.asarray(linear, dtype=float)
+    X, y, work = start.X, start.y, start.workspace
+    n = len(X)
     ridge = gamma * np.eye(m)
 
     def objective(t, base, grad):
@@ -269,7 +355,7 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None):
         return f, g
 
     def value_and_grad(t):
-        base, grad, curvature = loss.loss_and_grad(t, X, y)
+        base, grad, curvature = loss.loss_and_grad(t, X, y, work)
         return (*objective(t, base, grad), curvature)
 
     theta = start.theta.copy()
@@ -280,7 +366,7 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None):
         if gnorm <= GRAD_TOL:
             return theta
         if hess is None:
-            hess = loss.hess(theta, X, y, w)
+            hess = loss.hess(theta, X, y, w, work)
         H = (hess + ridge) / n
         try:
             step = np.linalg.solve(H, -g)

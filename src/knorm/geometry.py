@@ -529,10 +529,12 @@ def volume_monte_carlo(ball: NormBall, scale=1.0, n_samples=100_000, seed=0):
     fraction of the box that K fills (NormBall.box_fraction), and its
     standard error, times the box volume. The box volume is applied in log
     form, so both values read inf past the float range instead of raising.
-    n_samples must be an integer >= 1000, and scale positive and finite.
+    n_samples must be an integer >= 1000, scale positive and finite, and
+    seed an integer >= 0.
     """
     n_samples = _check_integer("n_samples", n_samples, 1000)
     _check_positive("scale", scale)
+    seed = _check_integer("seed", seed, 0)
     m = ball.dimension
     frac, se = ball.box_fraction(np.random.default_rng(seed), n_samples)
     log_box = m * math.log(2.0 * ball.linf_radius * scale)
@@ -607,8 +609,10 @@ def ball_containment(a: ScaledBall, b: ScaledBall, seed=0) -> ContainmentVerdict
     witness is the first vertex of largest gauge. For every other kind of
     ball a the check samples 512 boundary points of a: any point falling
     outside b is a witness for not_contained, while no violation only
-    yields "undetermined" (probabilistic evidence).
+    yields "undetermined" (probabilistic evidence). seed, which only that
+    sampling reads, must be an integer >= 0 for every pair.
     """
+    seed = _check_integer("seed", seed, 0)
     if a.dimension != b.dimension:
         raise ValueError("ball_containment: dimension mismatch")
     m = a.dimension

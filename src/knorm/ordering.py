@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    ScaledBall, _check_positive, _check_unit, _exp_or_inf, ball_containment, volume_lp,
-    volume_monte_carlo,
+    ScaledBall, _check_integer, _check_positive, _check_unit, _exp_or_inf, ball_containment,
+    volume_lp, volume_monte_carlo,
 )
 from .sampling import MechanismConfig
 
@@ -222,9 +222,11 @@ def compare(a: MechanismConfig, b: MechanismConfig, seed=0,
     past the float range prints as inf. The containment verdict comes from
     stochastic_tightness. One body on both sides is estimated once, and
     both volumes scale that estimate, so their ratio (delta_a/delta_b)^m is
-    exact and the entropies alone decide the volume verdict.
+    exact and the entropies alone decide the volume verdict. seed must be
+    an integer >= 0, and is refused before any estimate runs.
     """
     _require_comparable(a, b)
+    seed = _check_integer("seed", seed, 0)
     one_body = a.ball == b.ball
     va, se_a, log_a, rel_a = _scaled_volume(a, n_mc, seed)
     vb, se_b, log_b, rel_b = _scaled_volume(b, n_mc, seed + 1,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize as spo
+from hypothesis import given, settings, strategies as st
 
 from knorm.erm import (
     LossSpec,
@@ -112,7 +113,8 @@ class TestLogisticParts:
 # np.logaddexp loss and the row-weighted Hessian that the one-exp kernels
 # in knorm.erm replaced. The sigmoid, gradient and Hessian must match them
 # bit for bit; the loss only up to rounding. ref_hess recomputes the
-# weights from theta and ignores any curvature it is passed.
+# weights from theta and ignores any curvature it is passed, and both
+# ignore the workspace minimize_erm passes them.
 def ref_sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
@@ -122,7 +124,7 @@ def ref_sigmoid(z):
     return out
 
 
-def ref_loss_and_grad(theta, X, y):
+def ref_loss_and_grad(theta, X, y, work=None):
     z = X @ theta
     loss = float(np.logaddexp(0.0, z).sum() - y @ z)
     sig = ref_sigmoid(z)
@@ -130,7 +132,7 @@ def ref_loss_and_grad(theta, X, y):
     return loss, grad, sig * (1.0 - sig)
 
 
-def ref_hess(theta, X, y, curvature=None):
+def ref_hess(theta, X, y, curvature=None, work=None):
     z = X @ theta
     sig = ref_sigmoid(z)
     w = sig * (1.0 - sig)
@@ -189,14 +191,16 @@ class TestFusedHessian:
         # minimize_erm hands hess the curvature of the loss evaluation at the
         # same theta; a spec whose hess drops it and recomputes from theta
         # must give the same bits for the MLE and the default eps x mechanism
-        # fits of one simulate-logistic replicate
+        # fits of one simulate-logistic replicate; it recomputes into the
+        # workspace it is passed
         g = RngStream(74, 0).generator()
         X = g.uniform(-1.0, 1.0, size=(10_000, 7))
         y = (g.random(10_000) < sigmoid(X @ BETA)).astype(float)
         specs = [logistic_loss_spec(7, p) for p in (1.0, 2.0, INF)]
 
         def recomputing(spec):
-            return dataclasses.replace(spec, hess=lambda t, X, y, curvature: spec.hess(t, X, y))
+            return dataclasses.replace(
+                spec, hess=lambda t, X, y, curvature, work=None: spec.hess(t, X, y, None, work))
 
         recs = [recomputing(s) for s in specs]
         assert np.array_equal(minimize_erm(specs[2], X, y), minimize_erm(recs[2], X, y))
@@ -240,26 +244,31 @@ class TestSharedStart:
         assert stream == 25
 
     @pytest.mark.parametrize("other", ["X copy", "X column-major copy", "y copy",
-                                       "loss_and_grad", "hess", "validate"])
+                                       "loss_and_grad", "hess", "validate", "evaluated again"])
     def test_start_from_other_data_or_loss_rejected(self, other):
         # the fits are passed the arrays of a start on this data; the start
-        # they are given differs from it in one array or one kernel
+        # they are given differs from it in one array or one kernel, or is
+        # a second evaluation, which holds copies of its own
         X, y = self.replicate(76)
         spec = logistic_loss_spec(7)
         start = evaluate(spec, X, y)
         X, y = start.X, start.y
+
+        def with_loss(**kernel):
+            return dataclasses.replace(start, loss=dataclasses.replace(spec, **kernel))
+
         elsewhere = {
-            "X copy": lambda: evaluate(spec, X.copy(order="C"), y),
-            "X column-major copy": lambda: evaluate(spec, X.copy(order="F"), y),
-            "y copy": lambda: evaluate(spec, X, y.copy()),
-            "loss_and_grad": lambda: evaluate(
-                dataclasses.replace(spec, loss_and_grad=ref_loss_and_grad), X, y),
-            "hess": lambda: evaluate(dataclasses.replace(spec, hess=ref_hess), X, y),
-            "validate": lambda: evaluate(
-                dataclasses.replace(spec, validate=lambda *data: spec.validate(*data)), X, y),
+            "X copy": lambda: dataclasses.replace(start, X=X.copy(order="C")),
+            "X column-major copy": lambda: dataclasses.replace(start, X=X.copy(order="F")),
+            "y copy": lambda: dataclasses.replace(start, y=y.copy()),
+            "loss_and_grad": lambda: with_loss(loss_and_grad=ref_loss_and_grad),
+            "hess": lambda: with_loss(hess=ref_hess),
+            "validate": lambda: with_loss(validate=lambda *data: spec.validate(*data)),
+            "evaluated again": lambda: evaluate(spec, X, y),
         }[other]()
-        assert (elsewhere.X is X) == (other not in ("X copy", "X column-major copy"))
-        assert (elsewhere.y is y) == (other != "y copy")
+        assert (elsewhere.X is X) == (other not in ("X copy", "X column-major copy",
+                                                    "evaluated again"))
+        assert (elsewhere.y is y) == (other not in ("y copy", "evaluated again"))
         with pytest.raises(ValueError, match="start"):
             minimize_erm(spec, X, y, start=elsewhere)
         # the refused call draws no noise: the caller's generator is untouched
@@ -298,8 +307,9 @@ class TestSharedStart:
         spec = logistic_loss_spec(7)
         start = evaluate(spec, X, y)
         assert [f.name for f in dataclasses.fields(start)] == [
-            "theta", "value", "grad", "curvature", "hessian", "X", "y", "loss"]
-        assert start.loss is spec and start.y is y
+            "theta", "value", "grad", "curvature", "hessian", "X", "y", "loss", "workspace"]
+        # the labels are the start's own copy, as the design is
+        assert start.loss is spec and start.y is not y and np.array_equal(start.y, y)
 
     @pytest.mark.parametrize("fit", ["evaluate", "minimize_erm", "objective_perturbation"])
     def test_design_without_rows_rejected(self, fit):
@@ -344,9 +354,11 @@ class TestLayout:
         start = evaluate(spec, X, y)
         assert start.X.flags.f_contiguous and start.X is not X
         assert np.array_equal(start.X, X)
-        # a column-major float design is used as it is, with no copy
+        # a column-major float design is copied too, onto a 64-byte line
         F = np.asfortranarray(X)
-        assert evaluate(spec, F, y).X is F
+        copied = evaluate(spec, F, y).X
+        assert copied is not F and np.array_equal(copied, F) and copied.flags.f_contiguous
+        assert copied.ctypes.data % 64 == 0
         # other inputs are converted to float first
         ints = evaluate(spec, np.ones((3, 7), dtype=int), [0, 1, 1])
         assert ints.X.dtype == float and ints.X.flags.f_contiguous
@@ -386,6 +398,70 @@ class TestLayout:
             got = objective_perturbation(config, D, labels,
                                          RngStream(85, 1).generator())
             assert np.array_equal(got, want)
+
+
+def offset_copy(a, order, offset):
+    """a copied in the given order into a buffer, starting offset bytes past a 64-byte line."""
+    raw = np.empty(a.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start:start + a.nbytes].view(float)
+    out = out.reshape(a.shape[::-1]).T if order == "F" else out.reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def without_workspace(spec):
+    """spec with kernels that drop the workspace, so each call allocates afresh."""
+    return dataclasses.replace(
+        spec,
+        loss_and_grad=lambda theta, X, y, work=None: spec.loss_and_grad(theta, X, y),
+        hess=lambda theta, X, y, curvature=None, work=None: spec.hess(theta, X, y, curvature))
+
+
+class TestAlignedWorkspace:
+    # hypothesis imports a module that warns when it reports a failing example;
+    # under filterwarnings=error that ends the session instead of failing this test
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(n=st.integers(1, 300), m=st.integers(1, 8), order=st.sampled_from("CF"),
+           offset=st.sampled_from(range(0, 64, 8)), seed=st.integers(0, 2**32 - 1))
+    def test_aligned_and_bit_identical(self, n, m, order, offset, seed):
+        g = np.random.default_rng(seed)
+        X = offset_copy(g.uniform(-1.0, 1.0, size=(n, m)), order, offset)
+        y = offset_copy((g.random(n) < 0.5).astype(float), "C", offset)
+        assert X.ctypes.data % 64 == y.ctypes.data % 64 == offset
+        spec = logistic_loss_spec(m)
+        start = evaluate(spec, X, y)
+        assert np.array_equal(start.X, X) and np.array_equal(start.y, y)
+        assert start.X.flags.f_contiguous
+        buffers = [start.X, start.y, *vars(start.workspace).values()]
+        assert all(b.ctypes.data % 64 == 0 for b in buffers)
+        # the kernels give the same bits with the workspace as without one
+        work = start.workspace
+        for theta in (np.zeros(m), g.standard_normal(m) * g.uniform(0.0, 20.0)):
+            loss, grad, curvature = spec.loss_and_grad(theta, start.X, start.y)
+            got = spec.loss_and_grad(theta, start.X, start.y, work)
+            assert got[0] == loss and np.array_equal(got[1], grad)
+            assert np.array_equal(got[2], curvature)
+            hess = spec.hess(theta, start.X, start.y, curvature)
+            assert np.array_equal(spec.hess(theta, start.X, start.y, got[2], work), hess)
+            assert np.array_equal(spec.hess(theta, start.X, start.y, None, work), hess)
+            assert np.array_equal(spec.hess(theta, start.X, start.y), hess)
+            if order == "F":
+                # and on the caller's column-major X, wherever it starts
+                loss_at, grad_at, curvature_at = spec.loss_and_grad(theta, X, y)
+                assert loss_at == loss and np.array_equal(grad_at, grad)
+                assert np.array_equal(curvature_at, curvature)
+                assert np.array_equal(spec.hess(theta, X, y, curvature_at), hess)
+        # and a fit gives the bits of a fit whose kernels allocate afresh
+        gamma, linear = g.uniform(0.5, 5.0), g.standard_normal(m) * 10
+        fit = minimize_erm(spec, start.X, start.y, gamma, linear, start=start)
+        assert np.array_equal(fit, minimize_erm(without_workspace(spec), X, y, gamma, linear))
+        # the start's own evaluation is untouched by the fit
+        again = evaluate(spec, X, y)
+        assert start.value == again.value and np.array_equal(start.grad, again.grad)
+        assert np.array_equal(start.curvature, again.curvature)
+        assert np.array_equal(start.hessian, again.hessian)
 
 
 class TestValidation:
@@ -436,6 +512,39 @@ class TestValidation:
             else:
                 objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y, rng)
         assert rng.bit_generator.state == state
+
+    #: each refused before any kernel call: (call, message)
+    BAD_SETTINGS = {
+        "theta of length 2": (lambda spec, X, y: evaluate(spec, X, y, theta=[1, 2]),
+                              "theta must be 3 finite numbers, got [1.0, 2.0]"),
+        "nan theta": (lambda spec, X, y: evaluate(spec, X, y, theta=[np.nan, 0, 0]),
+                      "theta must be 3 finite numbers, got [nan, 0.0, 0.0]"),
+        "gamma -1": (lambda spec, X, y: minimize_erm(spec, X, y, gamma=-1),
+                     "gamma must be nonnegative and finite, got -1"),
+        "nan gamma": (lambda spec, X, y: minimize_erm(spec, X, y, gamma=np.nan),
+                      "gamma must be nonnegative and finite, got nan"),
+        "inf gamma": (lambda spec, X, y: minimize_erm(spec, X, y, gamma=INF),
+                      "gamma must be nonnegative and finite, got inf"),
+        "linear of length 4": (lambda spec, X, y: minimize_erm(spec, X, y, linear=np.ones(4)),
+                               "linear must be 3 finite numbers, got [1.0, 1.0, 1.0, 1.0]"),
+        "inf linear": (lambda spec, X, y: minimize_erm(spec, X, y, linear=[0, INF, 0]),
+                       "linear must be 3 finite numbers, got [0.0, inf, 0.0]"),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_SETTINGS))
+    def test_bad_theta_gamma_or_linear_refused_before_any_kernel(self, bad):
+        # they raised numpy's matmul error, or ran 500 Newton steps (gamma -1)
+        # or stalled at gradient norm nan (nan theta, nan gamma)
+        call, message = self.BAD_SETTINGS[bad]
+        X, y = make_data(50, 3, np.random.default_rng(89))
+
+        def kernel(*args):
+            raise AssertionError("a kernel ran")
+
+        spec = dataclasses.replace(logistic_loss_spec(3), loss_and_grad=kernel, hess=kernel)
+        with pytest.raises(ValueError) as exc:
+            call(spec, X, y)
+        assert str(exc.value) == message
 
     def test_shared_start_validates_once(self, monkeypatch):
         calls = []

@@ -520,6 +520,15 @@ class TestCli:
         assert "epsilon,mechanism,replicate,metric,value" in text
         assert "median_l2_error" in summary.read_text()
 
+    def test_help_calls_run_regression_an_evaluation(self, capsys, monkeypatch):
+        # as README and run_regression_file say: its output is not to be published
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.split()[:1] == ["run-regression"])
+        assert "an evaluation, not a release: do not publish its output" in line
+
     def test_cli_outputs_reproducible(self, tmp_path):
         args = ["simulate-coverage", "--eps", "1.0", "--n", "400", "--p", "2",
                 "--reps", "2", "--mech", "linf", "--seed", "2"]
@@ -1469,7 +1478,10 @@ class TestBenchmarkHooks:
             def counting(fn, key):
                 def counted(*args):
                     out = fn(*args)
-                    calls[key].append((args, out))
+                    # copy the curvature passed or returned: a fit's lives in
+                    # the workspace, which its later calls rewrite
+                    kept = np.copy(args[3] if key == "hess" else out[2])
+                    calls[key].append((args, kept))
                     return out
                 return counted
 
@@ -1500,10 +1512,17 @@ class TestBenchmarkHooks:
             # each Newton step is taken at an evaluated theta with its curvature
             thetas = [args[0].tobytes() for args, _ in calls["loss"]]
             assert len(set(thetas)) == len(thetas) > steps
-            curvature = {args[0].tobytes(): out[2] for args, out in calls["loss"]}
-            for args, _ in calls["hess"]:
-                assert len(args) == 4
-                assert args[3] is curvature[args[0].tobytes()]
+            curvature = {args[0].tobytes(): kept for args, kept in calls["loss"]}
+            for args, kept in calls["hess"]:
+                assert np.array_equal(kept, curvature[args[0].tobytes()])
+            # evaluate's two calls take no workspace; every call of the fit
+            # gets the start's one
+            (first, _), *fitting = calls["loss"]
+            assert len(first) == 3 and len(calls["hess"][0][0]) == 4
+            work = {args[3] for args, _ in fitting}
+            assert len(work) == 1 and all(len(args) == 4 for args, _ in fitting)
+            for args, _ in calls["hess"][1:]:
+                assert len(args) == 5 and args[4] in work
 
     def test_logistic_evaluates_start_once_per_replicate(self, monkeypatch):
         # simulate_logistic evaluates theta = 0 once per replicate and hands it

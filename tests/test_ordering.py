@@ -6,7 +6,9 @@ import scipy.stats as sps
 
 from knorm import gamma_cdf, gamma_quantile
 from knorm import ordering
-from knorm.geometry import NormBall, k2_ball, k3_ball, volume_lp
+from knorm.geometry import (
+    NormBall, ScaledBall, ball_containment, k2_ball, k3_ball, volume_lp, volume_monte_carlo,
+)
 from knorm.linreg import kt_ball
 from knorm.ordering import (
     compare,
@@ -186,6 +188,31 @@ class TestStochasticTightness:
     def test_requires_equal_dimension(self):
         with pytest.raises(ValueError):
             stochastic_tightness(lp_config(1, 1.0, m=2), lp_config(1, 1.0, m=3))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("call", ["volume_monte_carlo", "ball_containment",
+                                  "stochastic_tightness", "compare"])
+def test_bad_seed_refused_with_the_shared_message(call, seed, monkeypatch):
+    # numpy raised its own ValueError for -1 and a TypeError for 1.5; compare
+    # refuses it before kt4's Monte Carlo volume, and ball_containment for
+    # every pair, also one that never samples
+    def estimate(*args, **kwargs):
+        raise AssertionError("the volume was estimated before the seed was checked")
+
+    monkeypatch.setattr(ordering, "volume_monte_carlo", estimate)
+    l2 = NormBall.lp(2, 1.0, 2)
+    k2 = MechanismConfig(1.0, 1.0, k2_ball())
+    kt4 = MechanismConfig(1.0, 1.0, kt_ball(4), label="kt4")
+    with pytest.raises(ValueError) as exc:
+        {
+            "volume_monte_carlo": lambda: volume_monte_carlo(k2_ball(), 1.0, 1000, seed),
+            "ball_containment": lambda: ball_containment(ScaledBall(l2, 1.0),
+                                                         ScaledBall(l2, 2.0), seed),
+            "stochastic_tightness": lambda: stochastic_tightness(lp_config(2, 1.0), k2, seed),
+            "compare": lambda: compare(lp_config(INF, 2.0, m=kt4.dimension), kt4, seed),
+        }[call]()
+    assert str(exc.value) == f"seed must be an integer >= 0, got {seed}"
 
 
 class TestDepth:
