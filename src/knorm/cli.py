@@ -191,9 +191,9 @@ def _parser():
     s.set_defaults(func=_cmd_sample)
 
     s = sub.add_parser("diagnostics", help="sampler statistical self-tests")
-    s.add_argument("--mech", type=_parse_list, default=("l1", "l2", "linf", "k2"),
+    s.add_argument("--mech", type=_parse_list, default=harness.DEFAULT_DIAGNOSTIC_MECHS,
                    help="comma list of ball names, as for sample --ball")
-    s.add_argument("--draws", type=int, default=10_000)
+    s.add_argument("--draws", type=int, default=harness.DEFAULT_DIAGNOSTIC_DRAWS)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_diagnostics)
     return parser

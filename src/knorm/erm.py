@@ -107,11 +107,13 @@ class ObjPertConfig:
 
     @property
     def gamma(self):
-        """Quadratic weight lambda/(exp(eps*(1-q)) - 1); underflows to 0 for huge eps."""
+        """lambda/(exp(eps*(1-q)) - 1): 0 once that overflows, inf where eps*(1-q) is 0."""
         try:
             return self.loss.eigen_bound / math.expm1(self.epsilon * (1.0 - self.q))
         except OverflowError:
             return 0.0
+        except ZeroDivisionError:
+            return math.inf
 
 
 def _check_gamma(gamma):
@@ -187,16 +189,18 @@ def _curvature(sig, work):
     return np.multiply(sig, np.subtract(1.0, sig, out=work.e), out=work.e)
 
 
+#: the Delta of each logistic mechanism at dimension m, by name: 2 max ||x|| on [-1, 1]^m
+_LOGISTIC_DELTAS = {"l1": lambda m: 2.0 * m, "l2": lambda m: 2.0 * math.sqrt(m),
+                    "linf": lambda m: 2.0}
+
+
 def logistic_sensitivity(m, p):
     """Gauge bound on logistic gradient differences: 2, 2*sqrt(m), 2m for
     p=inf,2,1, at an integer dimension m >= 1."""
     m = _check_integer("m", m)
-    if p == math.inf:
-        return 2.0
-    if p == 2:
-        return 2.0 * math.sqrt(m)
-    if p == 1:
-        return 2.0 * m
+    for name, delta in _LOGISTIC_DELTAS.items():
+        if float(name[1:]) == p:  # the p of the name, as ball_from_name reads it
+            return delta(m)
     raise ValueError(f"unsupported p for logistic sensitivity: {p}")
 
 
@@ -247,20 +251,18 @@ def logistic_loss_spec(m, p=math.inf) -> LossSpec:
 class StartPoint:
     """A LossSpec evaluated at theta on one dataset: where minimize_erm starts.
 
-    Holds theta (read-only), loss_and_grad's (value, grad, curvature) there
-    and hess built from that curvature, the column-major float design X and
-    float labels y it was evaluated on, the loss itself, and the workspace
-    the kernels of every fit from it write their intermediates to. A fit
-    from this start is passed these very X and y and a loss with the same
-    kernels. The workspace is one per start, so fits sharing a start run one
-    at a time; no fit writes to the start's own value, grad, curvature or
-    hessian.
+    Holds theta (read-only), the loss value and gradient there and the
+    Hessian, the column-major float design X and float labels y it was
+    evaluated on, the loss itself, and the workspace the kernels of every
+    fit from it write their intermediates to. A fit from this start is
+    passed these very X and y and a loss with the same kernels. The
+    workspace is one per start, so fits sharing a start run one at a time;
+    no kernel writes to the start's own value, grad or hessian.
     """
 
     theta: np.ndarray
     value: float
     grad: np.ndarray
-    curvature: object
     hessian: np.ndarray
     X: np.ndarray
     y: np.ndarray
@@ -269,16 +271,15 @@ class StartPoint:
 
 
 def evaluate(loss: LossSpec, X, y, theta=None) -> StartPoint:
-    """Validate the data and evaluate loss, gradient, curvature and Hessian at
-    theta (default zeros), a vector of loss.dimension finite numbers.
+    """Validate the data and evaluate loss, gradient and Hessian at theta
+    (default zeros), a vector of loss.dimension finite numbers.
 
     X is copied into a column-major float array, so that the kernels read
     contiguous columns, and y into a float array, both starting on a 64-byte
     line, and the start gets a workspace on such lines for the kernels'
-    intermediates (see _Workspace). The start's own evaluation runs without
-    it, so its arrays are its own. loss.validate runs here, once for every
-    fit that shares the start. Every fit from the start must be passed its
-    X and y.
+    intermediates (see _Workspace), on which its own evaluation runs too.
+    loss.validate runs here, once for every fit that shares the start.
+    Every fit from the start must be passed its X and y.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -295,9 +296,10 @@ def evaluate(loss: LossSpec, X, y, theta=None) -> StartPoint:
     loss.validate(X, y)
     theta = _check_vector("theta", np.zeros(m) if theta is None else theta, m)
     theta.flags.writeable = False
-    value, grad, curvature = loss.loss_and_grad(theta, X, y)
-    hessian = loss.hess(theta, X, y, curvature)
-    return StartPoint(theta, value, grad, curvature, hessian, X, y, loss, _Workspace(n, m))
+    work = _Workspace(n, m)
+    value, grad, curvature = loss.loss_and_grad(theta, X, y, work)
+    hessian = loss.hess(theta, X, y, curvature, work)
+    return StartPoint(theta, value, grad, hessian, X, y, loss, work)
 
 
 def _start_for(loss, X, y, start):
@@ -334,12 +336,11 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None):
     loss.dimension finite numbers; both are checked before any kernel call.
 
     Every kernel call passes the start's workspace as work, so fits sharing
-    a start run one at a time. Each Newton step takes its Hessian at a
-    point whose loss was just evaluated (the start, or the accepted
-    line-search trial), so it passes that evaluation's curvature:
-    loss.hess(theta, X, y, curvature, work). The loss is called once per
-    evaluation and hess once per step; the first step uses the start's
-    Hessian.
+    a start run one at a time. The first step uses the start's Hessian.
+    Each later step takes its Hessian at the accepted line-search trial,
+    whose loss was just evaluated, so it passes that evaluation's
+    curvature: loss.hess(theta, X, y, curvature, work). The loss is called
+    once per evaluation and hess once per step after the first.
     """
     _check_gamma(gamma)
     m = loss.dimension
@@ -360,7 +361,7 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None):
 
     theta = start.theta.copy()
     f, g = objective(theta, start.value, start.grad)
-    w, hess = start.curvature, start.hessian
+    w, hess = None, start.hessian  # the start's Hessian needs no curvature
     for _ in range(MAX_NEWTON_STEPS):
         gnorm = float(np.sqrt(g @ g))
         if gnorm <= GRAD_TOL:

@@ -1,9 +1,9 @@
 """Norm balls, gauges, volumes, sensitivities, and containment checks.
 
 A norm ball is a convex, bounded, absorbing, origin-symmetric subset of R^m.
-Every ball is one of two kinds: an analytic lp body (p in [1, inf], radius
-r) with a closed-form volume and no uniform sampler (the sampling module
-draws its noise in closed or polar form), or one of the paper's hull bodies
+Every ball is one of two kinds: a unit lp ball (p in [1, inf]) with a
+closed-form volume and no uniform sampler (the sampling module draws its
+noise in closed or polar form), or one of the paper's hull bodies
 k2, k3 and kt<p>, described by a table of slot weights (see NormBall) from
 which it takes its membership, exact gauge, exact uniform sampler and
 box-fraction volume estimate. Every value here is immutable after
@@ -65,6 +65,12 @@ def _check_unit(name, value):
         raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
+def _check_mechanism(mech, table):
+    if mech not in table:
+        *names, last = table
+        raise ValueError(f"unknown mechanism {mech!r}; use {', '.join(names)}, or {last}")
+
+
 def _reduce_rows(ufunc, a, initial=None):
     """ufunc.reduce(a, axis=-1), with initial if given, bit for bit.
 
@@ -113,10 +119,10 @@ def lp_norm(x, p):
 class NormBall:
     """A symmetric convex body: an lp ball or the hull body of a piece table.
 
-    An lp ball sets ``p`` and ``radius``. Its membership, gauge and volume
-    are closed form (volume_lp; it takes no ``volume`` and no box-fraction
-    estimate), and it has no uniform sampler: sampling.sample_noise draws
-    its noise in closed or polar form.
+    An lp ball sets ``p``: the unit ball, scaled by a mechanism's Delta
+    alone. Its membership, gauge and volume are closed form (volume_lp; no
+    ``volume``, no box-fraction estimate), and it has no uniform sampler:
+    sampling.sample_noise draws its noise in closed or polar form.
 
     A hull ball sets ``pieces`` instead, and lies in the [-2, 2]^m box. The
     first len(``squares``) of the table's ``sum_slots`` pair with the
@@ -141,7 +147,6 @@ class NormBall:
 
     dimension: int
     p: Optional[float] = None
-    radius: float = 1.0
     pieces: Optional[object] = None
     name: str = ""
     volume: Optional[float] = None
@@ -152,7 +157,6 @@ class NormBall:
             raise ValueError("a norm ball has exactly one of p (lp) and pieces (hull)")
         if self.p is not None:
             _check_p(self.p)
-            _check_positive("radius", self.radius)
             if self.volume is not None:
                 raise ValueError("an lp ball takes no volume: it is volume_lp's closed form")
         elif self.volume is not None:
@@ -160,7 +164,9 @@ class NormBall:
 
     @classmethod
     def lp(cls, p, radius, dimension):
-        return cls(dimension=dimension, p=float(p), radius=float(radius))
+        if radius != 1:
+            raise ValueError(f"an lp ball has radius 1, got {radius}: put the scale in delta")
+        return cls(dimension=dimension, p=float(p))
 
     @property
     def is_lp(self):
@@ -169,19 +175,16 @@ class NormBall:
     @property
     def linf_radius(self):
         """l-infinity bounding radius of the body."""
-        return self.radius if self.is_lp else 2.0
+        return 1.0 if self.is_lp else 2.0
 
     def log_volume(self):
         """Log unit-scale volume (finite at any dimension), or None if unknown."""
         if self.is_lp:
-            return _log_volume_lp(self.p, self.dimension, self.radius)
+            return _log_volume_lp(self.p, self.dimension, 1.0)
         return None if self.volume is None else math.log(self.volume)
 
     def label(self):
-        if self.name:
-            return self.name
-        p = "inf" if self.p == math.inf else f"{self.p:g}"
-        return f"l{p}" if self.radius == 1.0 else f"l{p}(r={self.radius:g})"
+        return self.name or f"l{self.p:g}"
 
     def _rows(self, points):
         # one point or an (n, m) array, as (n, m) floats of this ball's width
@@ -197,7 +200,7 @@ class NormBall:
         point, as an (n,) boolean array."""
         points = self._rows(points)
         if self.is_lp:
-            return lp_norm(points, self.p) <= self.radius
+            return lp_norm(points, self.p) <= 1.0
         return _hull_member_many(self.pieces, points)
 
     def gauge_many(self, points):
@@ -207,7 +210,7 @@ class NormBall:
         if not np.all(np.isfinite(points)):
             raise ValueError("gauge: non-finite input")
         if self.is_lp:
-            return lp_norm(points, self.p) / self.radius
+            return lp_norm(points, self.p)
         return _hull_gauge_many(self.pieces, points)
 
     def gauge(self, x):
@@ -462,6 +465,14 @@ def _hull_box_fraction(pieces, rng, n):
     return mean, math.sqrt(max(total_sq / n - mean * mean, 0.0) / n)
 
 
+def _read_only(table):
+    # table, with its index arrays read-only, so that every ball built on it can share it
+    for value in vars(table).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return table
+
+
 class _PieceTable(SimpleNamespace):
     # compared and hashed by identity, as a layout is: one table is one body
     __eq__ = object.__eq__
@@ -470,11 +481,11 @@ class _PieceTable(SimpleNamespace):
 
 _NO_SLOTS = np.empty(0, dtype=np.intp)
 #: k2 is one (sum, doubled square) piece, and k3 one (sum x, sum y, sum xy) piece
-_K2_PIECES = _PieceTable(sum_slots=np.array([0]), squares=np.array([1]),
-                         pair_j=_NO_SLOTS, pair_k=_NO_SLOTS, pair_slots=_NO_SLOTS)
-_K3_PIECES = _PieceTable(sum_slots=np.array([0, 1]), squares=_NO_SLOTS,
-                         pair_j=np.array([0]), pair_k=np.array([1]),
-                         pair_slots=np.array([2]))
+_K2_PIECES = _read_only(_PieceTable(sum_slots=np.array([0]), squares=np.array([1]),
+                                    pair_j=_NO_SLOTS, pair_k=_NO_SLOTS, pair_slots=_NO_SLOTS))
+_K3_PIECES = _read_only(_PieceTable(sum_slots=np.array([0, 1]), squares=_NO_SLOTS,
+                                    pair_j=np.array([0]), pair_k=np.array([1]),
+                                    pair_slots=np.array([2])))
 
 
 def k2_ball() -> NormBall:
@@ -580,20 +591,19 @@ def _lp_extremal_ratio(pa, pb, m):
 
 def _lp_vertices(ball: NormBall):
     """One vertex of each sign class of a polytope lp ball, or None for any
-    other ball: the m vertices r*e_i of an l1 ball and the corner (-r, ..., -r)
+    other ball: the m vertices e_i of an l1 ball and the corner (-1, ..., -1)
     of an l-infinity box.
 
     The rule needs a gauge that reads |x| only, as every gauge here does
     (lp_norm and _hull_gauge_many both begin with an abs): such a gauge takes
-    the same value, bit for bit, at -r*e_i as at r*e_i and at all 2^m
+    the same value, bit for bit, at -e_i as at e_i and at all 2^m
     corners of a box. A body whose gauge is not sign symmetric slot by slot
     needs the full vertex list.
     """
-    m, r = ball.dimension, ball.radius
     if ball.p == 1:
-        return r * np.eye(m)
+        return np.eye(ball.dimension)
     if ball.p == math.inf:
-        return np.full((1, m), -r)
+        return np.full((1, ball.dimension), -1.0)
     return None
 
 
@@ -604,13 +614,13 @@ def ball_containment(a: ScaledBall, b: ScaledBall, seed=0) -> ContainmentVerdict
     and a body whose l-infinity bounding radius fits inside an l-infinity
     ball b is contained in it. If a is a polytope lp ball, vertex checking
     is exact at any m: an l-infinity box is decided at its one corner
-    (-r, ..., -r) and an l1 ball at its m vertices r*e_i, which stand for
-    every vertex because b's gauge reads |x| only (see _lp_vertices); the
-    witness is the first vertex of largest gauge. For every other kind of
-    ball a the check samples 512 boundary points of a: any point falling
-    outside b is a witness for not_contained, while no violation only
-    yields "undetermined" (probabilistic evidence). seed, which only that
-    sampling reads, must be an integer >= 0 for every pair.
+    (-1, ..., -1) and an l1 ball at its m vertices e_i, times scale_a, which
+    stand for every vertex because b's gauge reads |x| only (see
+    _lp_vertices); the witness is the first vertex of largest gauge. For
+    every other kind of ball a the check samples 512 boundary points of a:
+    any point falling outside b is a witness for not_contained, while no
+    violation only yields "undetermined" (probabilistic evidence). seed,
+    which only that sampling reads, must be an integer >= 0 for every pair.
     """
     seed = _check_integer("seed", seed, 0)
     if a.dimension != b.dimension:
@@ -627,22 +637,18 @@ def ball_containment(a: ScaledBall, b: ScaledBall, seed=0) -> ContainmentVerdict
         return ContainmentVerdict("not_contained", witness)
 
     if a.ball.is_lp and b.ball.is_lp:
-        ra = a.scale * a.ball.radius
-        rb = b.scale * b.ball.radius
         c = _lp_extremal_ratio(a.ball.p, b.ball.p, m)
-        if ra * c <= rb * (1.0 + 1e-12):
+        if a.scale * c <= b.scale * (1.0 + 1e-12):
             return ContainmentVerdict("contained")
         if a.ball.p <= b.ball.p:
             witness = np.zeros(m)
-            witness[0] = ra
+            witness[0] = a.scale
         else:
-            witness = np.full(m, ra * m ** (-1.0 / a.ball.p))
+            witness = np.full(m, a.scale * m ** (-1.0 / a.ball.p))
         return ContainmentVerdict("not_contained", witness)
 
     # every body lies in its own l-infinity bounding box
-    if b.ball.p == math.inf and (
-        a.scale * a.ball.linf_radius <= b.scale * b.ball.radius * (1.0 + 1e-12)
-    ):
+    if b.ball.p == math.inf and a.scale * a.ball.linf_radius <= b.scale * (1.0 + 1e-12):
         return ContainmentVerdict("contained")
 
     vertices = _lp_vertices(a.ball)

@@ -13,16 +13,15 @@ import io
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .erm import (ObjPertConfig, _sigmoid, evaluate, logistic_loss_spec, minimize_erm,
-                  objective_perturbation)
-from .geometry import _check_integer, _check_positive, _check_unit
-from .linreg import (_check_quantiles, _check_statistic_mechanism, ball_from_name,
-                     build_statistic, dp_estimates, preprocess, statistic_from_gram,
-                     statistic_mechanism)
+from .erm import (_LOGISTIC_DELTAS, ObjPertConfig, _sigmoid, evaluate, logistic_loss_spec,
+                  minimize_erm, objective_perturbation)
+from .geometry import _check_integer, _check_mechanism, _check_positive, _check_unit
+from .linreg import (_STATISTIC_DELTAS, _check_quantiles, ball_from_name, build_statistic,
+                     dp_estimates, preprocess, statistic_from_gram, statistic_mechanism)
 from .ordering import gamma_cdf
 from .sampling import (BudgetError, MechanismConfig, RngStream, sample_l1_mech, sample_noise,
                        sample_noise_rows)
@@ -53,6 +52,8 @@ LOGISTIC_BETA = np.array([0.0, -1.0, -0.5, -0.25, 0.0, 0.75, 1.5])
 DEFAULT_LOGISTIC_EPS = (1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0, 2.0)
 DEFAULT_COVERAGE_EPS = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0, 2.0, 4.0)
 DEFAULT_REGRESSION_EPS = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
+DEFAULT_DIAGNOSTIC_MECHS = ("l1", "l2", "linf", "k2")
+DEFAULT_DIAGNOSTIC_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -193,15 +194,14 @@ def simulate_logistic(config: SimulationConfig, *, n, q) -> ResultTable:
     _check_unit("q", q)
     beta = LOGISTIC_BETA
     m = len(beta)
+    mle_loss = logistic_loss_spec(m)
     losses = {}
     for mech in config.mechanisms:
-        if mech not in ("l1", "l2", "linf"):  # the balls logistic_sensitivity bounds
-            raise ValueError(f"unknown mechanism {mech!r}; use l1, l2, or linf")
-        ball = ball_from_name(mech, m)
-        losses[mech] = logistic_loss_spec(m, ball.p)
+        _check_mechanism(mech, _LOGISTIC_DELTAS)
+        losses[mech] = replace(mle_loss, grad_ball=ball_from_name(mech, m),
+                               grad_delta=_LOGISTIC_DELTAS[mech](m))
     cells = [(cell, eps, mech, ObjPertConfig(epsilon=eps, q=q, loss=losses[mech]))
              for cell, eps, mech in _cells(config)]
-    mle_loss = logistic_loss_spec(m)
     table = ResultTable(_echo("logistic", config, n, q=_fmt(float(q)), m=m))
     for rep in range(config.reps):
         g = RngStream(config.seed, rep).generator()
@@ -336,7 +336,7 @@ def run_regression_file(config: SimulationConfig, *, csv_path, response, log_col
     0 <= lower_q < upper_q <= 1 are refused before the CSV is read.
     """
     for mech in config.mechanisms:
-        _check_statistic_mechanism(mech)
+        _check_mechanism(mech, _STATISTIC_DELTAS)
     _check_quantiles(lower_q, upper_q)
     columns = read_table(csv_path)
     data = preprocess(columns, response, log_columns=log_columns, lower_q=lower_q,
@@ -429,7 +429,7 @@ def _dp_ratio_check(epsilon, n, seed):
     return float(rel[worst]), float(ratio[worst]), len(a)
 
 
-def run_diagnostics(mechanisms=("l1", "l2", "linf", "k2"), n_draws=10_000,
+def run_diagnostics(mechanisms=DEFAULT_DIAGNOSTIC_MECHS, n_draws=DEFAULT_DIAGNOSTIC_DRAWS,
                     seed=0) -> DiagnosticsReport:
     """Run the sampler self-tests and collect per-check verdicts.
 

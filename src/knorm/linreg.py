@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormBall, _check_integer, k2_ball, k3_ball
+from .geometry import NormBall, _check_integer, _check_mechanism, _read_only, k2_ball, k3_ball
 from .sampling import MechanismConfig, sample_noise
 
 # unused here, but perfbench/spans.py rebinds these names in this module
@@ -83,9 +83,7 @@ class StatisticLayout:
         self.pair_j = np.concatenate([self.cross_j, self.sums])
         self.pair_k = np.concatenate([self.cross_k, np.full(self.p, self.p)])
         self.pair_slots = np.concatenate([self.cross, self.xy])
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+        _read_only(self)
 
 
 #: one layout per predictor count, built once: every sanitize and solve asks for it
@@ -216,11 +214,6 @@ _STATISTIC_DELTAS = {"l1": lambda d: SLOT_SENSITIVITY * d, "linf": lambda d: SLO
                      "kt": lambda d: 1.0}
 
 
-def _check_statistic_mechanism(mech):
-    if mech not in _STATISTIC_DELTAS:
-        raise ValueError(f"unknown mechanism {mech!r}; use l1, linf, or kt")
-
-
 def statistic_mechanism(mech, p, epsilon) -> MechanismConfig:
     """The K-norm mechanism mech on the statistic vector for p predictors at
     budget epsilon: "l1" (Delta = 2d for d slots), "linf" (Delta = 2) or
@@ -229,7 +222,7 @@ def statistic_mechanism(mech, p, epsilon) -> MechanismConfig:
     difference on a grid is 6 / 11 / 17 at p = 1 / 2 / 3, against 2d = 8 / 16 / 26.
     """
     d = statistic_dimension(p)
-    _check_statistic_mechanism(mech)
+    _check_mechanism(mech, _STATISTIC_DELTAS)
     ball = ball_from_name(f"kt{int(p)}" if mech == "kt" else mech, d)
     return MechanismConfig(epsilon, _STATISTIC_DELTAS[mech](d), ball)
 

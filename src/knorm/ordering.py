@@ -192,7 +192,7 @@ def _scaled_volume(config: MechanismConfig, n_mc, seed, estimate=None):
     (log volume, relative standard error))."""
     ball, delta, m = config.ball, config.delta, config.dimension
     if ball.is_lp:
-        return volume_lp(ball.p, m, ball.radius * delta), 0.0, ball.log_volume(), 0.0
+        return volume_lp(ball.p, m, delta), 0.0, ball.log_volume(), 0.0
     if ball.volume is not None:
         return ball.volume * delta**m, 0.0, ball.log_volume(), 0.0
     if estimate is None:

@@ -116,10 +116,10 @@ _MAX_LOG_DRAW = 745.0
 def _check_budget(epsilon, delta, ball):
     """Refuse, from public parameters alone, a budget whose noise could be
     non-finite: epsilon and delta must be positive and finite, and so must
-    the rate epsilon/delta, delta*linf_radius (an lp ball's sampler draws at
-    scale delta*radius) and the bound (m + 1)*745*linf_radius/rate on every
-    noise coordinate (a Gamma(m + 1) radius is a sum of m + 1 exponentials,
-    each below 745)."""
+    the rate epsilon/delta, delta*linf_radius (an lp ball's noise scale is
+    delta) and the bound (m + 1)*745*linf_radius/rate on every noise
+    coordinate (a Gamma(m + 1) radius is a sum of m + 1 exponentials, each
+    below 745)."""
     _check_positive("epsilon", epsilon, BudgetError)
     _check_positive("delta", delta, BudgetError)
     rate = epsilon / delta
@@ -211,14 +211,14 @@ def _noise(ball, draws, n):
     """n noise draws of a ball for each (MechanismConfig, generator) pair of
     draws, as a (len(draws)*n, m) array, pair by pair, and each pair's
     (accepted, proposals) counts: an lp ball's closed or polar form
-    (_lp_noise) at the effective scale delta*r of its radius r, counted as
-    (n, n), or a hull's exact uniform points from one NormBall.uniform call
-    for every generator times independent Gamma(m+1, eps/delta) radii.
+    (_lp_noise) at scale delta, counted as (n, n), or a hull's exact
+    uniform points from one NormBall.uniform call for every generator times
+    independent Gamma(m+1, eps/delta) radii.
     Raises SamplerError, reporting the observed acceptance rate, for a hull
     pair whose MAX_PROPOSALS run out first."""
     if ball.is_lp:
-        parts = [_lp_noise(ball.p, ball.dimension, config.delta * ball.radius, config.epsilon,
-                           rng, n) for config, rng in draws]
+        parts = [_lp_noise(ball.p, ball.dimension, config.delta, config.epsilon, rng, n)
+                 for config, rng in draws]
         return (parts[0] if len(parts) == 1 else np.concatenate(parts)), [(n, n)] * len(draws)
     points = ball.uniform([rng for _, rng in draws], n, MAX_PROPOSALS)
     noise = np.empty((len(draws) * n, ball.dimension))

@@ -126,17 +126,17 @@ def test_c05_order_consistency():
         configs = []
         for _ in range(2):
             p = float(rng.choice([1.0, 1.5, 2.0, 3.0, INF]))
-            configs.append(MechanismConfig(
-                1.0, float(rng.uniform(0.5, 2.5)),
-                NormBall.lp(p, float(rng.uniform(0.5, 2.5)), m),
-            ))
+            # a ball of radius r at sensitivity delta is the unit ball at delta*r
+            delta = float(rng.uniform(0.5, 2.5))
+            radius = float(rng.uniform(0.5, 2.5))
+            configs.append(MechanismConfig(1.0, delta * radius, NormBall.lp(p, 1, m)))
         a, b = configs
         verdict = stochastic_tightness(a, b)
         if verdict in ("a_tighter", "b_tighter", "tie"):
             contained_seen += 1
             inner, outer = (a, b) if verdict != "b_tighter" else (b, a)
-            vol_in = volume_lp(inner.ball.p, m, inner.ball.radius) * inner.delta**m
-            vol_out = volume_lp(outer.ball.p, m, outer.ball.radius) * outer.delta**m
+            vol_in = volume_lp(inner.ball.p, m) * inner.delta**m
+            vol_out = volume_lp(outer.ball.p, m) * outer.delta**m
             if vol_in > vol_out * (1 + 1e-12):
                 violations += 1
             if entropy(inner) > entropy(outer) + 1e-12:

@@ -20,7 +20,7 @@ from knorm.erm import (
 from knorm import erm
 from knorm.geometry import NormBall
 from knorm.harness import DEFAULT_LOGISTIC_EPS
-from knorm.sampling import MechanismConfig, RngStream, sample_noise
+from knorm.sampling import BudgetError, MechanismConfig, RngStream, sample_noise
 
 INF = math.inf
 BETA = np.array([0.0, -1.0, -0.5, -0.25, 0.0, 0.75, 1.5])
@@ -307,7 +307,7 @@ class TestSharedStart:
         spec = logistic_loss_spec(7)
         start = evaluate(spec, X, y)
         assert [f.name for f in dataclasses.fields(start)] == [
-            "theta", "value", "grad", "curvature", "hessian", "X", "y", "loss", "workspace"]
+            "theta", "value", "grad", "hessian", "X", "y", "loss", "workspace"]
         # the labels are the start's own copy, as the design is
         assert start.loss is spec and start.y is not y and np.array_equal(start.y, y)
 
@@ -460,7 +460,6 @@ class TestAlignedWorkspace:
         # the start's own evaluation is untouched by the fit
         again = evaluate(spec, X, y)
         assert start.value == again.value and np.array_equal(start.grad, again.grad)
-        assert np.array_equal(start.curvature, again.curvature)
         assert np.array_equal(start.hessian, again.hessian)
 
 
@@ -631,6 +630,16 @@ class TestObjPertConfig:
     def test_gamma_underflows_for_huge_eps(self):
         config = ObjPertConfig(1e6, 0.5, logistic_loss_spec(3))
         assert config.gamma == 0.0
+
+    @pytest.mark.parametrize("epsilon, q", [(5e-324, 0.5), (1e-310, 1 - 2**-53)])
+    def test_zero_budget_for_gamma_refused(self, epsilon, q):
+        # eps*(1 - q) rounds to 0, so gamma = lambda/expm1(0) is inf; the
+        # division raised ZeroDivisionError
+        assert epsilon * (1 - q) == 0.0
+        with pytest.raises(BudgetError) as exc:
+            ObjPertConfig(epsilon, q, logistic_loss_spec(3))
+        assert str(exc.value) == (f"epsilon={epsilon!r} and q={q!r} give an invalid "
+                                  f"regularization weight gamma=inf")
 
     def test_invalid_q(self):
         spec = logistic_loss_spec(3)

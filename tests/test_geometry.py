@@ -160,8 +160,8 @@ class TestGauge:
         assert k2_ball().gauge([0.5, 1.0]) == 0.5
 
     def test_lp_gauge_is_scaled_norm(self):
-        ball = NormBall.lp(2, 2.5, 3)
-        assert math.isclose(ball.gauge([3.0, 0.0, 4.0]), 2.0)
+        ball = ScaledBall(NormBall.lp(2, 1, 3), 2.5)
+        assert math.isclose(ball.gauge_many([3.0, 0.0, 4.0])[0], 2.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -173,51 +173,54 @@ class TestGauge:
 
 
 @pytest.mark.parametrize(
-    "ball",
+    "body",
     [
-        NormBall.lp(1, 1.0, 2),
-        NormBall.lp(2, 0.7, 3),
-        NormBall.lp(INF, 2.0, 2),
-        k2_ball(),
-        k3_ball(),
-        NormBall.lp(2, 1.0, 2),
+        ScaledBall(NormBall.lp(1, 1.0, 2), 1.0),
+        ScaledBall(NormBall.lp(2, 1, 3), 0.7),
+        ScaledBall(NormBall.lp(INF, 1, 2), 2.0),
+        ScaledBall(k2_ball(), 1.0),
+        ScaledBall(k3_ball(), 1.0),
+        ScaledBall(NormBall.lp(2, 1.0, 2), 1.0),
     ],
-    ids=lambda b: b.label(),
+    # an id's r is the scale: the body of radius r is r times the unit ball
+    ids=lambda s: s.ball.label() + ("" if s.scale == 1.0 else f"(r={s.scale:g})"),
 )
 class TestGaugeProperties:
-    def test_homogeneity(self, ball):
+    def test_homogeneity(self, body):
         rng = np.random.default_rng(11)
-        m = ball.dimension
+        m = body.dimension
         for _ in range(1000):
             x = rng.uniform(-3, 3, m)
             c = rng.uniform(0, 5)
-            gx = ball.gauge(x)
-            gcx = ball.gauge(c * x)
+            gx = body.gauge_many(x)[0]
+            gcx = body.gauge_many(c * x)[0]
             assert abs(gcx - c * gx) <= 1e-8 * (1 + c * gx)
 
-    def test_symmetry(self, ball):
+    def test_symmetry(self, body):
         rng = np.random.default_rng(12)
-        pts = rng.uniform(-3, 3, (200, ball.dimension))
-        assert np.abs(ball.gauge_many(pts) - ball.gauge_many(-pts)).max() < 1e-10
+        pts = rng.uniform(-3, 3, (200, body.dimension))
+        assert np.abs(body.gauge_many(pts) - body.gauge_many(-pts)).max() < 1e-10
 
-    def test_triangle_inequality(self, ball):
+    def test_triangle_inequality(self, body):
         rng = np.random.default_rng(13)
-        m = ball.dimension
+        m = body.dimension
         x = rng.uniform(-3, 3, (300, m))
         y = rng.uniform(-3, 3, (300, m))
-        gx = ball.gauge_many(x)
-        gy = ball.gauge_many(y)
-        gxy = ball.gauge_many(x + y)
+        gx = body.gauge_many(x)
+        gy = body.gauge_many(y)
+        gxy = body.gauge_many(x + y)
         assert (gxy <= gx + gy + 1e-8).all()
 
-    def test_star_shaped(self, ball):
-        # members scaled toward the origin stay members
+    def test_star_shaped(self, body):
+        # members scaled toward the origin stay members; x is in r*K where
+        # x/r is in K
         rng = np.random.default_rng(14)
-        b = ball.linf_radius
+        ball, r = body.ball, body.scale
+        b = r * ball.linf_radius
         pts = rng.uniform(-b, b, (500, ball.dimension))
-        inside = pts[ball.member_many(pts)]
+        inside = pts[ball.member_many(pts / r)]
         for c in (0.25, 0.5, 0.9):
-            assert ball.member_many(c * inside).all()
+            assert ball.member_many(c * inside / r).all()
 
 
 HULLS = {
@@ -239,6 +242,15 @@ def hull_directions(m, n=2000, seed=0):
 
 @pytest.mark.parametrize("name", list(HULLS))
 class TestHullGauges:
+    def test_piece_arrays_are_read_only(self, name):
+        # every ball of a kind shares its piece table, so no caller may write to it
+        arrays = [v for v in vars(HULLS[name]().pieces).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) >= 5
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
     def test_matches_bisection_reference(self, name):
         ball = HULLS[name]()
         dirs = hull_directions(ball.dimension)
@@ -642,13 +654,14 @@ class TestK2K3PieceTables:
     (lambda: volume_monte_carlo(kt_ball(1), scale=INF), "scale must be"),
     (lambda: volume_monte_carlo(k2_ball(), n_samples=1000.5),
      r"n_samples must be an integer >= 1000, got 1000\.5"),
-    (lambda: NormBall.lp(2, INF, 2), "radius must be positive and finite, got inf"),
+    (lambda: NormBall.lp(2, INF, 2), "radius 1, got inf: put the scale in delta"),
+    (lambda: NormBall.lp(2, 2.0, 3), "radius 1, got 2.0: put the scale in delta"),
     (lambda: NormBall.lp(2, 1.0, 2.5), "dimension must be"),
     (lambda: NormBall.lp(2, 1.0, math.nan), "dimension must be"),
 ], ids=["lp_norm-p", "volume_lp-p", "volume_lp-r", "volume_lp-inf-r", "volume_lp-fractional-m",
         "volume_lp-nan-m", "volume_lp-inf-m", "quadratic_pair_sensitivity-p",
         "volume_monte_carlo-nan-scale", "volume_monte_carlo-inf-scale",
-        "volume_monte_carlo-fractional-n", "NormBall-inf-radius",
+        "volume_monte_carlo-fractional-n", "NormBall-inf-radius", "NormBall-radius-2",
         "NormBall-fractional-dimension", "NormBall-nan-dimension"])
 def test_invalid_parameters_refused(call, match):
     # each check is written so that nan fails it, where a nan compared with
@@ -749,8 +762,8 @@ class TestVolumeMonteCarlo:
     @pytest.mark.parametrize("p", [1, 2, INF])
     @pytest.mark.parametrize("m", [2, 3])
     def test_agrees_with_analytic(self, p, m):
-        ball = NormBall.lp(p, 1.3, m)
-        est, se = self._reference(ball, 1.0, 200_000, seed=int(p if p != INF else 99) + m)
+        ball = NormBall.lp(p, 1, m)
+        est, se = self._reference(ball, 1.3, 200_000, seed=int(p if p != INF else 99) + m)
         assert abs(est - volume_lp(p, m, 1.3)) <= 4 * se + 1e-9
 
     @pytest.mark.parametrize("name", ["l1", "l2", "linf", "l1.5"])
@@ -810,7 +823,8 @@ class TestExactVolumes:
     @pytest.mark.parametrize("p", [1, 1.5, 2, 7, INF])
     @pytest.mark.parametrize("m, r", [(1, 1.0), (3, 2.0), (6, 0.4)])
     def test_lp_log_volume_is_log_of_closed_form(self, p, m, r):
-        log_v = NormBall.lp(p, r, m).log_volume()
+        # the log volume of r*K is K's plus m log r
+        log_v = NormBall.lp(p, 1, m).log_volume() + m * math.log(r)
         assert math.isclose(log_v, math.log(volume_lp(p, m, r)), rel_tol=1e-12, abs_tol=1e-12)
 
     def test_lp_log_volume_at_regression_dimensions(self):
@@ -819,7 +833,7 @@ class TestExactVolumes:
         assert NormBall.lp(INF, 1.0, 1126).log_volume() == 1126 * math.log(2.0)
         # the p = 16 regression statistic has d = 154, sanitized in lp balls up to p = 45
         assert math.isfinite(NormBall.lp(45, 1.0, 1126).log_volume())
-        log_v = NormBall.lp(1, 308.0, 154).log_volume()
+        log_v = NormBall.lp(1, 1, 154).log_volume() + 154 * math.log(308.0)
         assert math.isclose(log_v, 154 * math.log(616.0) - math.lgamma(155.0), rel_tol=1e-14)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, INF, math.nan])
@@ -906,14 +920,14 @@ class TestContainment:
 
 def all_vertices(ball):
     """Every vertex of a polytope lp ball: the 2^m corners of a box, row i
-    +r in slot j where bit j of i is set and -r elsewhere, or the 2m vertices
-    +-r*e_i of an l1 ball."""
-    m, r = ball.dimension, ball.radius
+    +1 in slot j where bit j of i is set and -1 elsewhere, or the 2m vertices
+    +-e_i of an l1 ball."""
+    m = ball.dimension
     if ball.p == INF:
         bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
-        return r * np.where(bits, 1.0, -1.0)
+        return np.where(bits, 1.0, -1.0)
     eye = np.eye(m)
-    return np.vstack([r * eye, -r * eye])
+    return np.vstack([eye, -eye])
 
 
 def brute_force_containment(a, b):
@@ -933,7 +947,7 @@ ALL_BALL_NAMES = ["l1", "l2", "linf", "l1.5", "k2", "k3", "kt1", "kt2", "kt3", "
 
 class TestVertexRule:
     """ball_containment decides a polytope lp ball a from one vertex per
-    sign class (the box corner (-r, ..., -r), the l1 vertices r*e_i). That
+    sign class (the box corner (-1, ..., -1), the l1 vertices e_i). That
     stands for every vertex only because every gauge reads |x| alone, which
     test_gauge_is_sign_symmetric checks ball by ball."""
 

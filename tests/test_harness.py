@@ -609,6 +609,8 @@ class TestCli:
          "--b linf:0 at --eps 1.0: delta must be positive and finite, got 0.0"),
         (["simulate-logistic", "--eps", "1,1e-320", "--n", "100", "--reps", "1"],
          "--eps: epsilon=1e-320 and q=0.5 give an invalid regularization weight gamma=inf"),
+        (["simulate-logistic", "--eps", "5e-324", "--n", "100", "--reps", "1"],
+         "--eps: epsilon=5e-324 and q=0.5 give an invalid regularization weight gamma=inf"),
         (["simulate-coverage", "--eps", "1e-320", "--n", "100", "--p", "2", "--reps", "1"],
          "--eps: epsilon=1e-320 and delta=16.0 can give non-finite noise for l1 at m=8 "
          "(rate epsilon/delta = 6.23e-322)"),
@@ -623,8 +625,9 @@ class TestCli:
         (["simulate-coverage", "--eps", "1,nan", "--n", "100", "--p", "2", "--reps", "1"],
          "--eps: epsilon must be positive and finite, got nan"),
     ], ids=["sample-subnormal", "sample-rate-underflow", "compare-a", "compare-b",
-            "simulate-logistic", "simulate-coverage", "run-regression", "run-regression-nan",
-            "run-regression-inf", "simulate-logistic-inf", "simulate-coverage-nan"])
+            "simulate-logistic", "simulate-logistic-zero-gamma", "simulate-coverage",
+            "run-regression", "run-regression-nan", "run-regression-inf",
+            "simulate-logistic-inf", "simulate-coverage-nan"])
     def test_refused_budget_names_its_options(self, capsys, monkeypatch, argv, err):
         # refused from the options alone, before the CSV is read or any stream drawn
         def refused(*args, **kwargs):
@@ -1515,13 +1518,11 @@ class TestBenchmarkHooks:
             curvature = {args[0].tobytes(): kept for args, kept in calls["loss"]}
             for args, kept in calls["hess"]:
                 assert np.array_equal(kept, curvature[args[0].tobytes()])
-            # evaluate's two calls take no workspace; every call of the fit
-            # gets the start's one
-            (first, _), *fitting = calls["loss"]
-            assert len(first) == 3 and len(calls["hess"][0][0]) == 4
-            work = {args[3] for args, _ in fitting}
-            assert len(work) == 1 and all(len(args) == 4 for args, _ in fitting)
-            for args, _ in calls["hess"][1:]:
+            # every call, evaluate's two among them, gets the start's one
+            # workspace
+            work = {args[3] for args, _ in calls["loss"]}
+            assert len(work) == 1 and all(len(args) == 4 for args, _ in calls["loss"])
+            for args, _ in calls["hess"]:
                 assert len(args) == 5 and args[4] in work
 
     def test_logistic_evaluates_start_once_per_replicate(self, monkeypatch):

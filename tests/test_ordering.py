@@ -223,7 +223,7 @@ class TestDepth:
     def test_median_gauge_depth_half(self):
         config = lp_config(2, 2.0, eps=0.5)
         t = gamma_quantile(0.5, config.dimension, config.rate)
-        v = np.array([t * config.ball.radius, 0.0])
+        v = np.array([t, 0.0])
         assert abs(depth(config, v) - 0.5) < 1e-9
 
     def test_decreasing_along_rays(self):
@@ -291,9 +291,10 @@ class TestConditionalVariance:
 
 def random_lp_config(rng, m, eps):
     p = rng.choice([1.0, 1.5, 2.0, 3.0, INF])
+    # a ball of radius r at sensitivity delta is the unit ball at r*delta
     radius = rng.uniform(0.5, 2.5)
     delta = rng.uniform(0.5, 2.5)
-    return MechanismConfig(eps, delta, NormBall.lp(p, radius, m))
+    return MechanismConfig(eps, delta * radius, NormBall.lp(p, 1, m))
 
 
 class TestOrderConsistency:
@@ -305,8 +306,8 @@ class TestOrderConsistency:
             a = random_lp_config(rng, m, eps=1.0)
             b = random_lp_config(rng, m, eps=1.0)
             verdict = stochastic_tightness(a, b)
-            va = volume_lp(a.ball.p, m, a.ball.radius) * a.delta**m
-            vb = volume_lp(b.ball.p, m, b.ball.radius) * b.delta**m
+            va = volume_lp(a.ball.p, m) * a.delta**m
+            vb = volume_lp(b.ball.p, m) * b.delta**m
             if verdict == "a_tighter":
                 assert va <= vb * (1 + 1e-12)
                 assert entropy(a) <= entropy(b) + 1e-12
@@ -323,8 +324,8 @@ class TestOrderConsistency:
             m = int(rng.integers(1, 5))
             a = random_lp_config(rng, m, eps=1.0)
             b = random_lp_config(rng, m, eps=1.0)
-            va = volume_lp(a.ball.p, m, a.ball.radius) * a.delta**m
-            vb = volume_lp(b.ball.p, m, b.ball.radius) * b.delta**m
+            va = volume_lp(a.ball.p, m) * a.delta**m
+            vb = volume_lp(b.ball.p, m) * b.delta**m
             assert (entropy(a) <= entropy(b)) == (va <= vb)
 
 

@@ -143,7 +143,7 @@ class TestInPlaceNoise:
             assert new.bit_generator.state == old.bit_generator.state
 
     def test_single_draws(self, p):
-        config = MechanismConfig(0.25, 3.0, NormBall.lp(p, 2.0, 7))
+        config = MechanismConfig(0.25, 6.0, NormBall.lp(p, 1, 7))
         for seed in range(20):
             got = sample_noise(config, RngStream(seed, 2).generator())
             want = expression_lp_noise(p, 7, 6.0, 0.25, RngStream(seed, 2).generator(), 1)
@@ -286,7 +286,7 @@ class TestLpMech:
         assert stat.pvalue > KS_LEVEL
 
     def test_single_draw_shape(self):
-        config = MechanismConfig(1.0, 1.0, NormBall.lp(1.5, 2.0, 4))
+        config = MechanismConfig(1.0, 2.0, NormBall.lp(1.5, 1, 4))
         v = sample_noise(config, RngStream(11, 1).generator())
         assert v.shape == (4,) and np.all(np.isfinite(v))
 
@@ -308,11 +308,11 @@ def _noise_config(name):
         return MechanismConfig(1.0, 1.0, NormBall.lp(2, 1, 2))
     if name == "linf":
         return MechanismConfig(1.0, 1.0, NormBall.lp(INF, 1, 2))
-    # radius != 1: the gauge ||v||_p / r is Gamma(m, eps/Delta)
+    # Delta != 1: the gauge ||v||_p is Gamma(m, eps/Delta)
     if name == "l1.5":
-        return MechanismConfig(0.7, 1.5, NormBall.lp(1.5, 2.0, 3))
+        return MechanismConfig(0.7, 3.0, NormBall.lp(1.5, 1, 3))
     if name == "l3":
-        return MechanismConfig(2.0, 1.0, NormBall.lp(3, 0.5, 2))
+        return MechanismConfig(2.0, 0.5, NormBall.lp(3, 1, 2))
     return MechanismConfig(1.0, 1.0, k2_ball())
 
 
@@ -473,12 +473,12 @@ class TestExtremeBudgets:
                                                    epsilon, rngs[0], size=20)).all()
 
 
-@pytest.mark.parametrize("p", [1, 1.5, 2, INF])
-def test_lp_scale_overflow_refused(p):
-    # the lp samplers draw at scale delta*radius, which overflows here
-    # although epsilon/delta = 1
-    ball = NormBall.lp(p, 1e10, 3)
-    assert_refused(lambda: MechanismConfig(1e300, 1e300, ball), RngStream(32, 0).generator())
+@pytest.mark.parametrize("name", ["k2", "k3", "kt2"])
+def test_hull_scale_overflow_refused(name):
+    # delta*linf_radius overflows here (a hull's linf_radius is 2), although
+    # epsilon/delta and the noise bound are finite
+    ball = ball_from_name(name, 3)
+    assert_refused(lambda: MechanismConfig(1e300, 1e308, ball), RngStream(32, 0).generator())
 
 
 class TestStackedDraws:
