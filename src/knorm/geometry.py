@@ -184,7 +184,14 @@ class NormBall:
         return None if self.volume is None else math.log(self.volume)
 
     def label(self):
-        return self.name or f"l{self.p:g}"
+        """The ball's name: a hull's own, or l<p> with p exact (linf, l2, l1.5),
+        so that distinct balls get distinct labels."""
+        if self.name:
+            return self.name
+        # repr keeps every digit of p; a whole number drops its ".0"
+        if self.p == math.inf or self.p % 1:
+            return f"l{self.p!r}"
+        return f"l{int(self.p)}"
 
     def _rows(self, points):
         # one point or an (n, m) array, as (n, m) floats of this ball's width
@@ -316,8 +323,11 @@ def _hull_gauge_many(pieces, U):
 
 
 def _hull_chunk(pieces):
-    # proposals per chunk, which fixes the sum each draw goes to: the (pieces, chunk)
-    # half-sum weights stay near 256 kB, in cache and below fresh-page faults
+    # proposals per chunk, which fixes the sum each draw goes to, and columns per
+    # _hull_uniform pass: the (pieces, chunk) half-sum weights stay near 256 kB, in
+    # cache. That is above glibc's default 128 kB mmap threshold, so it avoids
+    # fresh-page faults only once the threshold has risen past it, which glibc
+    # does after freeing a block of that size
     return max(64, (1 << 15) // (len(pieces.pair_j) + 1))
 
 
@@ -354,16 +364,16 @@ def _hull_uniform(pieces, dimension, rngs, n, max_proposals):
     fill of the other slots. So each stream's points and final generator
     state are those of a run on that generator alone. The kernels run once
     per round on the chunks of the unfinished streams side by side, in
-    passes of at most about 1 MB of piece weights, and one assembly fills
-    every stream's points. Returns one (points, (accepted, proposals)) per
-    generator: n points, or the fewer accepted once max_proposals proposals
-    are spent.
+    passes of at most one chunk's columns (about 256 kB of piece weights;
+    larger passes fault in fresh pages once many streams run side by side),
+    and one assembly fills every stream's points. Returns one (points,
+    (accepted, proposals)) per generator: n points, or the fewer accepted
+    once max_proposals proposals are spent.
     """
     streams = [_HullStream(rng, len(pieces.sum_slots), n) for rng in rngs]
     if not streams:
         return []
     limit = _hull_chunk(pieces)
-    pass_columns = (1 << 17) // (len(pieces.pair_j) + 1)
     live = streams if n else []
     while live:
         chunks = []
@@ -373,11 +383,11 @@ def _hull_uniform(pieces, dimension, rngs, n, max_proposals):
             if k > 0:
                 chunks.append((s, k))
         # streams in passes: a pass holds at least one chunk, and more while
-        # their columns fit in pass_columns
+        # their columns fit in one chunk's budget
         start = 0
         while start < len(chunks):
             stop, columns = start + 1, chunks[start][1]
-            while stop < len(chunks) and columns + chunks[stop][1] <= pass_columns:
+            while stop < len(chunks) and columns + chunks[stop][1] <= limit:
                 columns += chunks[stop][1]
                 stop += 1
             _hull_pass(pieces, chunks[start:stop], n)

@@ -149,22 +149,47 @@ def _noise_rng(config, cell, rep):
     return RngStream(config.seed, config.reps + cell * config.reps + rep).generator()
 
 
-def _design(g, shape):
-    """A design uniform on [-1, 1] from g: g.uniform(-1.0, 1.0, shape) bit
-    for bit, and g ends where that call leaves it, as uniform computes
-    -1 + 2u of the same draws u and doubling is exact."""
-    x = g.random(shape)
+def _design(g, shape, out=None):
+    """A design uniform on [-1, 1] from g, drawn into out (a C-contiguous
+    array of that shape) if given: g.uniform(-1.0, 1.0, shape) bit for bit,
+    and g ends where that call leaves it, as uniform computes -1 + 2u of the
+    same draws u and doubling is exact."""
+    x = g.random(shape, out=out)
     x *= 2.0
     x -= 1.0
     return x
 
 
-def _private_estimates(stat, draws, n_rows):
-    """Private estimates from one noisy copy of stat per (MechanismConfig,
-    noise generator) pair, drawn as one stack (sample_noise_rows) and
-    solved as one stack (dp_estimates)."""
-    noise = sample_noise_rows(draws) if draws else np.empty((0, len(stat.values)))
-    return dp_estimates(stat.values + noise, stat.p, n_rows)
+#: noise streams per block of a run: a block draws its noise in one
+#: sample_noise_rows call and solves it in one dp_estimates call, so a run's
+#: memory is bounded by a block, whatever its replicate count
+_BLOCK_STREAMS = 1024
+
+
+def _blocks(items, streams_each):
+    """Consecutive slices of items, each of at most _BLOCK_STREAMS noise
+    streams for items that take streams_each streams each, and of at least
+    one item."""
+    size = max(1, _BLOCK_STREAMS // max(streams_each, 1))
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _private_estimates(config, stats, p, runs, n_rows):
+    """Private estimates of one block: a noisy copy of the statistic values
+    for p predictors per (MechanismConfig, cell, replicate) of runs, each
+    row of stats serving an equal share of consecutive runs. The noise is
+    drawn as one stack (sample_noise_rows) from the runs' noise streams,
+    whose generators live only for that call, and the estimates are solved
+    as one stack (dp_estimates)."""
+    stats = np.asarray(stats)
+    d = stats.shape[1]
+    noise = (sample_noise_rows([(mechanism, _noise_rng(config, cell, rep))
+                                for mechanism, cell, rep in runs])
+             if runs else np.empty((0, d)))
+    # noise + stat in place, row by row of stats: addition commutes bit for bit
+    noisy = noise.reshape(len(stats), len(runs) // len(stats), d)
+    noisy += stats[:, None]
+    return dp_estimates(noise, p, n_rows)
 
 
 def _summarize(table, config, metric, reduce, baselines=()):
@@ -236,9 +261,11 @@ def simulate_coverage(config: SimulationConfig, *, n, p) -> ResultTable:
     unit variance and p coefficients spaced over [-1.5, 1.5], builds
     classical 95% t-intervals from the least-squares fit, and records the
     fraction of the last p coordinates of each private estimate falling
-    inside. A replicate's cells are drawn, solved and scored as one stack:
-    one sample_noise_rows call, one dp_estimates solve and one comparison
-    against the intervals. Summaries are means per cell; "true_beta" rows
+    inside. Replicates run in blocks (_blocks) on one design buffer, and a
+    block's cells are drawn, solved and scored as one stack: one
+    sample_noise_rows call, one dp_estimates solve and one comparison
+    against the intervals. Streams are independent, so the blocks change no
+    byte. Summaries are means per cell; "true_beta" rows
     record the intervals' own coverage of the true coefficients. p must be
     an integer >= 1 and n an integer > p + 1, checked with the mechanisms
     before any stream is drawn or scipy.special loaded.
@@ -255,30 +282,36 @@ def simulate_coverage(config: SimulationConfig, *, n, p) -> ResultTable:
     beta = np.concatenate([[0.0], np.linspace(-1.5, 1.5, p)])
     table = ResultTable(_echo("coverage", config, n, p=p))
     tcrit = float(stdtrit(n - p - 1, 0.975))
-    for rep in range(config.reps):
-        g = RngStream(config.seed, rep).generator()
-        X = np.empty((n, p + 1))
-        X[:, 0] = 1.0
-        X[:, 1:] = _design(g, (n, p))
-        y = X @ beta + g.standard_normal(n)
+    # one design and one draw buffer serve every replicate, so that no
+    # replicate allocates an n x p array
+    X, uniforms = np.empty((n, p + 1)), np.empty((n, p))
+    X[:, 0] = 1.0
+    for reps in _blocks(range(config.reps), len(cells)):
+        stats, lo, hi, cov_true = [], [], [], []
+        for rep in reps:
+            g = RngStream(config.seed, rep).generator()
+            X[:, 1:] = _design(g, (n, p), out=uniforms)
+            y = X @ beta + g.standard_normal(n)
 
-        xtx, xty = X.T @ X, X.T @ y
-        beta_hat = np.linalg.solve(xtx, xty)
-        resid = y - X @ beta_hat
-        s2 = float(resid @ resid) / (n - p - 1)
-        se = np.sqrt(s2 * np.diag(np.linalg.inv(xtx)))
-        lo = beta_hat - tcrit * se
-        hi = beta_hat + tcrit * se
+            xtx, xty = X.T @ X, X.T @ y
+            beta_hat = np.linalg.solve(xtx, xty)
+            resid = y - X @ beta_hat
+            s2 = float(resid @ resid) / (n - p - 1)
+            se = np.sqrt(s2 * np.diag(np.linalg.inv(xtx)))
+            lo.append((beta_hat - tcrit * se)[1:])
+            hi.append((beta_hat + tcrit * se)[1:])
+            cov_true.append(float(np.mean((beta[1:] >= lo[-1]) & (beta[1:] <= hi[-1]))))
+            stats.append(statistic_from_gram(xtx, xty).values)
 
-        cov_true = float(np.mean((beta[1:] >= lo[1:]) & (beta[1:] <= hi[1:])))
-        table.long_rows.append(("", "true_beta", rep, "coverage", cov_true))
-
-        stat = statistic_from_gram(xtx, xty)
-        draws = [(mechanism, _noise_rng(config, cell, rep)) for cell, _, _, mechanism in cells]
-        est = _private_estimates(stat, draws, n)
-        covered = ((est[:, 1:] >= lo[1:]) & (est[:, 1:] <= hi[1:])).mean(axis=1)
-        table.long_rows += [(float(eps), mech, rep, "coverage", cov)
-                            for (_, eps, mech, _), cov in zip(cells, covered.tolist())]
+        runs = [(mechanism, cell, rep) for rep in reps for cell, _, _, mechanism in cells]
+        est = _private_estimates(config, stats, p, runs, n)
+        est = est.reshape(len(reps), len(cells), p + 1)[:, :, 1:]
+        inside = (est >= np.array(lo)[:, None]) & (est <= np.array(hi)[:, None])
+        covered = inside.mean(axis=2).tolist()
+        for rep, cov, row in zip(reps, cov_true, covered):
+            table.long_rows.append(("", "true_beta", rep, "coverage", cov))
+            table.long_rows += [(float(eps), mech, rep, "coverage", c)
+                                for (_, eps, mech, _), c in zip(cells, row)]
 
     _summarize(table, config, "mean_coverage", lambda v: float(np.mean(v)),
                baselines=("true_beta",))
@@ -324,8 +357,9 @@ def run_regression_file(config: SimulationConfig, *, csv_path, response, log_col
     clamping to its lower_q and upper_q quantiles, affine map to [-1,1]),
     computes the least-squares fit of the response column, and for every
     (epsilon, mechanism, replicate) records the l2 distance between the
-    private estimate and that fit, solving all private estimates as one
-    stack. The zero-vector baseline ||beta_mle||_2 is echoed in the
+    private estimate and that fit, drawing and solving the estimates in
+    blocks of one stack each (_blocks). The zero-vector baseline
+    ||beta_mle||_2 is echoed in the
     header. The preprocessing bounds are read from the private table, and
     the sensitivities hold under "replace one row" of the preprocessed
     table, so the estimates are not eps-DP with respect to the CSV: one
@@ -351,10 +385,12 @@ def run_regression_file(config: SimulationConfig, *, csv_path, response, log_col
         baseline_l2=_fmt(baseline),
     ))
     runs = [(*cell, rep) for cell in cells for rep in range(config.reps)]
-    draws = [(mechanism, _noise_rng(config, cell, rep)) for cell, _, _, mechanism, rep in runs]
-    for (_, eps, mech, _, rep), beta_dp in zip(runs, _private_estimates(stat, draws, data.n)):
-        dist = float(np.linalg.norm(beta_dp - beta_mle))
-        table.long_rows.append((float(eps), mech, rep, "l2_distance_to_mle", dist))
+    for block in _blocks(runs, 1):
+        block_runs = [(mechanism, cell, rep) for cell, _, _, mechanism, rep in block]
+        estimates = _private_estimates(config, [stat.values], stat.p, block_runs, data.n)
+        for (_, eps, mech, _, rep), beta_dp in zip(block, estimates):
+            dist = float(np.linalg.norm(beta_dp - beta_mle))
+            table.long_rows.append((float(eps), mech, rep, "l2_distance_to_mle", dist))
     table.summary_rows.append(("", "zero", "l2_distance_to_mle", baseline))
     _summarize(table, config, "median_l2_distance_to_mle", lower_median)
     return table

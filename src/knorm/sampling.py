@@ -5,12 +5,13 @@ Closed forms cover the l1 (independent Laplace), l2 (gamma radius times a
 spherical direction) and l-infinity (gamma radius times a box direction)
 balls, and every other lp ball through the polar form: a gamma radius
 times G/||G||_p for G with iid coordinates of density proportional to
-exp(-|g|^p) (_lp_noise). The hull balls k2, k3 and kt<p> take one kernel:
+exp(-|g|^p) (_lp_stack). The hull balls k2, k3 and kt<p> take one kernel:
 exact uniform points of K from one NormBall.uniform call for all of a
 ball's generators, within MAX_PROPOSALS proposals each, times independent
 Gamma(m+1) radii. In every case the gauge of the noise is marginally
-Gamma(m, eps/Delta). _noise is the one sampler of every ball: sample_noise
-is its one-pair case, sample_noise_rows calls it once per ball, and
+Gamma(m, eps/Delta). _noise is the one sampler of every ball, and runs
+its arithmetic once on the rows of all its generators: sample_noise is its
+one-pair case, sample_noise_rows calls it once per ball, and
 sample_k_mech_rejection adds its draw to T and reads its proposal counts.
 
 A release T + V is finite for every T whose entries are at most
@@ -139,49 +140,91 @@ def sample_gamma_int(shape, rate, rng, size):
     return _reduce_rows(np.add, rng.standard_exponential((size, shape))) / rate
 
 
-def _lp_noise(p, m, delta, epsilon, rng, n):
-    """(n, m) draws with density proportional to exp(-(epsilon/delta)*||v||_p).
+def _stack(draws, shape, name, *args):
+    """One draw per (MechanismConfig, generator) pair of draws, as the slabs
+    of a (len(draws), *shape) stack: slab i is getattr(rng_i, name)(*args,
+    shape), which leaves generator i where that call does."""
+    if len(draws) == 1:  # the same draws, in the stack's shape, with no copy
+        return getattr(draws[0][1], name)(*args, (1, *shape))
+    return np.stack([getattr(rng, name)(*args, shape) for _, rng in draws])
 
-    l1 takes iid Laplace coordinates, l-infinity a Gamma(m+1) radius times
-    a uniform point of the box, and any other p a Gamma(m) radius times
-    G/||G||_p, which follows the cone measure of the unit lp sphere
-    independently of ||G||_p when G has iid coordinates of density
-    proportional to exp(-c|g|^p) (Barthe, Guedon, Mendelson & Naor, Ann.
-    Prob. 2005): standard normal at p = 2, else the polar form
+
+def _per_slab(values, ndim):
+    """One value per slab of a stack of ndim axes, shaped to broadcast over
+    it; a lone slab's value stays a float, which numpy applies faster than
+    a one-element array."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values).reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _gamma_radii(shape, draws, n):
+    """(k, n) Gamma(shape, rate) radii for integer shape, one row per
+    (MechanismConfig, generator) pair of draws at its rate eps/delta, as
+    sums of shape exponentials: the row sums (_reduce_rows) and rate
+    divisions run once on the stack."""
+    e = _stack(draws, (n, shape), "standard_exponential")
+    r = _reduce_rows(np.add, e.reshape(-1, shape)).reshape(len(draws), n)
+    r /= _per_slab([config.rate for config, _ in draws], 2)
+    return r
+
+
+def _lp_stack(p, m, draws, n):
+    """(k, n, m) draws for the k (MechanismConfig, generator) pairs of draws,
+    slab i with density proportional to exp(-(epsilon_i/delta_i)*||v||_p)
+    from generator i.
+
+    Each generator draws in the order a run on it alone would, and the
+    arithmetic runs once on the stack, with each pair's scale broadcast
+    over its slab. l1 takes iid Laplace coordinates, l-infinity a
+    Gamma(m+1) radius times a uniform point of the box, and any other p a
+    Gamma(m) radius times G/||G||_p, which follows the cone measure of the
+    unit lp sphere independently of ||G||_p when G has iid coordinates of
+    density proportional to exp(-c|g|^p) (Barthe, Guedon, Mendelson & Naor,
+    Ann. Prob. 2005): standard normal at p = 2, else the polar form
     Gamma(1 + 1/p)^(1/p) * U with U uniform on (-1, 1), which is
     +-Gamma(1/p)^(1/p) in law (Gamma(a) = Gamma(a + 1) * U^(1/a)) without
     the underflow of Gamma(1/p) at large p.
     """
     if p == 1:
-        u = rng.random((n, m))
+        u = _stack(draws, (n, m), "random")
         # u = 0 maps to -inf; redrawing it conditions u onto (0, 1), which keeps
         # the draw exact and leaves every stream without an exact 0 unchanged
-        zero = u == 0.0
-        while zero.any():
-            u[zero] = rng.random(int(zero.sum()))
-            zero = u == 0.0
+        if (u == 0.0).any():
+            for (_, rng), slab in zip(draws, u):
+                zero = slab == 0.0
+                while zero.any():
+                    slab[zero] = rng.random(int(zero.sum()))
+                    zero = slab == 0.0
         # Laplace inverse CDF -(delta/epsilon)*sign(u - 1/2)*log1p(-2|u - 1/2|),
         # in place in that operation order; the median u = 1/2 maps to exactly 0
         u -= 0.5
         scale = np.sign(u)
-        scale *= -(delta / epsilon)
+        scale *= _per_slab([-(config.delta / config.epsilon) for config, _ in draws], 3)
         np.abs(u, out=u)
         u *= -2.0
         return np.multiply(scale, np.log1p(u, out=u), out=u)
     if p == math.inf:
-        u = rng.uniform(-1.0, 1.0, size=(n, m))
-        u *= sample_gamma_int(m + 1, epsilon / delta, rng, size=n)[:, None]
+        u = _stack(draws, (n, m), "uniform", -1.0, 1.0)
+        u *= _gamma_radii(m + 1, draws, n)[:, :, None]
         return u
     if p == 2:
-        g = rng.standard_normal((n, m))
+        g = _stack(draws, (n, m), "standard_normal")
     else:
-        u = rng.uniform(-1.0, 1.0, size=(n, m))
-        g = rng.standard_gamma(1.0 + 1.0 / p, size=(n, m)) ** (1.0 / p) * u
-    norms = lp_norm(g, p)[:, None]
+        u = _stack(draws, (n, m), "uniform", -1.0, 1.0)
+        g = _stack(draws, (n, m), "standard_gamma", 1.0 + 1.0 / p) ** (1.0 / p) * u
+    norms = lp_norm(g.reshape(-1, m), p).reshape(len(draws), n, 1)
     # an all-zero G has probability zero; guard the division anyway
     norms[norms == 0.0] = 1.0
-    r = sample_gamma_int(m, epsilon / delta, rng, size=n)
-    return r[:, None] * g / norms
+    r = _gamma_radii(m, draws, n)
+    return r[:, :, None] * g / norms
+
+
+def _lp_noise(p, m, delta, epsilon, rng, n):
+    """(n, m) draws with density proportional to exp(-(epsilon/delta)*||v||_p):
+    the one-pair case of _lp_stack."""
+    config = MechanismConfig(epsilon, delta, NormBall.lp(p, 1.0, m))
+    return _lp_stack(p, m, [(config, rng)], n)[0]
 
 
 def sample_l1_mech(T, delta1, epsilon, rng, size=None):
@@ -201,7 +244,7 @@ def sample_linf_mech(T, delta_inf, epsilon, rng, size=None):
 
 def sample_lp_mech(T, p, delta_p, epsilon, rng, size=None):
     """lp-mechanism output T + V, V with density proportional to
-    exp(-(epsilon/delta_p)*||V||_p), any p >= 1 (see _lp_noise)."""
+    exp(-(epsilon/delta_p)*||V||_p), any p >= 1 (see _lp_stack)."""
     T = np.asarray(T, dtype=float)
     config = MechanismConfig(epsilon, delta_p, NormBall.lp(p, 1.0, T.shape[-1]))
     return T + sample_noise(config, rng, size=size)
@@ -209,28 +252,29 @@ def sample_lp_mech(T, p, delta_p, epsilon, rng, size=None):
 
 def _noise(ball, draws, n):
     """n noise draws of a ball for each (MechanismConfig, generator) pair of
-    draws, as a (len(draws)*n, m) array, pair by pair, and each pair's
-    (accepted, proposals) counts: an lp ball's closed or polar form
-    (_lp_noise) at scale delta, counted as (n, n), or a hull's exact
-    uniform points from one NormBall.uniform call for every generator times
-    independent Gamma(m+1, eps/delta) radii.
+    draws, as a (len(draws)*n, m) array, and each pair's (accepted,
+    proposals) counts: an lp ball's closed or polar form (_lp_stack) at
+    scale delta, counted as (n, n), or a hull's exact uniform points from
+    one NormBall.uniform call for every generator times independent
+    Gamma(m+1, eps/delta) radii. Every pair needs its own generator, which
+    draws in the order a run on that pair alone would, while the arithmetic
+    runs once on all pairs' rows.
     Raises SamplerError, reporting the observed acceptance rate, for a hull
     pair whose MAX_PROPOSALS run out first."""
+    m = ball.dimension
     if ball.is_lp:
-        parts = [_lp_noise(ball.p, ball.dimension, config.delta, config.epsilon, rng, n)
-                 for config, rng in draws]
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts)), [(n, n)] * len(draws)
+        return _lp_stack(ball.p, m, draws, n).reshape(-1, m), [(n, n)] * len(draws)
     points = ball.uniform([rng for _, rng in draws], n, MAX_PROPOSALS)
-    noise = np.empty((len(draws) * n, ball.dimension))
-    for i, ((config, rng), (u, (accepted, proposals))) in enumerate(zip(draws, points)):
+    for u, (accepted, proposals) in points:
         if len(u) < n:  # the sampler returns the points it has once out of budget
             raise SamplerError(
                 f"rejection sampling failed: {len(u)}/{n} accepted after {proposals} "
                 f"proposals (acceptance rate {accepted / proposals if proposals else 0.0:.3g})")
-        r = sample_gamma_int(ball.dimension + 1, config.rate, rng, size=n)
-        np.multiply(r[:, None], u, out=noise[i * n:(i + 1) * n])
+    r = _gamma_radii(m + 1, draws, n)
+    u = points[0][0] if len(points) == 1 else np.concatenate([u for u, _ in points])
+    noise = r.reshape(-1, 1) * u
     # 0.0 + v turns each -0.0 of v into 0.0, as T + v does with a zero T
-    return 0.0 + noise, [counts for _, counts in points]
+    return np.add(0.0, noise, out=noise), [counts for _, counts in points]
 
 
 def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng, size=None,
@@ -266,7 +310,8 @@ def sample_noise_rows(draws):
     Row i is sample_noise(*draws[i]) bit for bit, and each generator ends
     where that call leaves it: the pairs of each ball take one _noise call,
     so a hull's pairs draw their uniform points side by side (the stacked
-    _hull_uniform), then each its Gamma(m+1) radius. Raises SamplerError, as
+    _hull_uniform), then each its Gamma(m+1) radius, and the arithmetic of
+    every ball runs once on all of its pairs' rows. Raises SamplerError, as
     sample_noise does, for a pair whose proposal budget runs out.
     """
     if len({id(rng) for _, rng in draws}) < len(draws):

@@ -1,9 +1,10 @@
-"""Independent references that the statistical tests compare the library against."""
+"""Independent references that the tests compare the library against."""
 
 import math
 
 import numpy as np
 
+from knorm.geometry import lp_norm
 
 def summary_value(table, epsilon, mechanism, metric):
     """The value of a harness.ResultTable's summary row for one cell and metric."""
@@ -84,3 +85,58 @@ def box_rejection(ball, rng, n, max_proposals):
         out[got : got + take] = acc[:take]
         got += take
     return out[:got], (accepted, proposals)
+
+
+def gamma_radius(shape, rate, rng, n):
+    """n Gamma(shape, rate) draws for integer shape from one generator: numpy's
+    row sums of shape exponentials, over rate."""
+    return rng.standard_exponential((n, shape)).sum(axis=1) / rate
+
+
+def lp_noise_one_pair(p, m, delta, epsilon, rng, n):
+    """(n, m) lp noise from one generator, each array computed for this pair
+    alone: the closed and polar forms as the library drew them pair by pair,
+    before their arithmetic ran on the rows of every pair at once."""
+    if p == 1:
+        u = rng.random((n, m))
+        zero = u == 0.0
+        while zero.any():
+            u[zero] = rng.random(int(zero.sum()))
+            zero = u == 0.0
+        u -= 0.5
+        scale = np.sign(u)
+        scale *= -(delta / epsilon)
+        np.abs(u, out=u)
+        u *= -2.0
+        return np.multiply(scale, np.log1p(u, out=u), out=u)
+    if p == math.inf:
+        u = rng.uniform(-1.0, 1.0, size=(n, m))
+        u *= gamma_radius(m + 1, epsilon / delta, rng, n)[:, None]
+        return u
+    if p == 2:
+        g = rng.standard_normal((n, m))
+    else:
+        u = rng.uniform(-1.0, 1.0, size=(n, m))
+        g = rng.standard_gamma(1.0 + 1.0 / p, size=(n, m)) ** (1.0 / p) * u
+    norms = lp_norm(g, p)[:, None]
+    norms[norms == 0.0] = 1.0
+    r = gamma_radius(m, epsilon / delta, rng, n)
+    return r[:, None] * g / norms
+
+
+def noise_pair_by_pair(ball, draws, n):
+    """n noise draws of a ball for each (MechanismConfig, generator) pair of
+    draws, as a (len(draws)*n, m) array, pair by pair: lp_noise_one_pair for
+    an lp ball, or a hull's uniform points (one NormBall.uniform call for
+    every generator) times a Gamma(m+1) radius drawn and scaled per pair."""
+    if ball.is_lp:
+        return np.concatenate([
+            lp_noise_one_pair(ball.p, ball.dimension, config.delta, config.epsilon, rng, n)
+            for config, rng in draws])
+    points = ball.uniform([rng for _, rng in draws], n, 10**6)
+    noise = np.empty((len(draws) * n, ball.dimension))
+    for i, ((config, rng), (u, _)) in enumerate(zip(draws, points)):
+        assert len(u) == n
+        r = gamma_radius(ball.dimension + 1, config.rate, rng, n)
+        np.multiply(r[:, None], u, out=noise[i * n:(i + 1) * n])
+    return 0.0 + noise

@@ -359,6 +359,17 @@ class TestBallKinds:
         with pytest.raises(ValueError, match="exactly one"):
             NormBall(dimension=2)
 
+    def test_distinct_lp_balls_get_distinct_labels(self):
+        # the label names the ball in BudgetError messages and in
+        # MechanismConfig's default label; ":g" read l1 for p = 1.0000001
+        ps = [1, 1.0000001, 1.5, 2, 2.0000000000000004, 3, 1e6, 1000001, 1e20, INF]
+        balls = [NormBall.lp(p, 1.0, 3) for p in ps]
+        labels = [ball.label() for ball in balls]
+        assert len(set(balls)) == len(set(labels)) == len(ps)
+        assert [labels[i] for i in (0, 2, 3, 5, 9)] == ["l1", "l1.5", "l2", "l3", "linf"]
+        # each label reads back as its own ball
+        assert [ball_from_name(label, 3) for label in labels] == balls
+
     def test_hull_equality_is_table_identity(self):
         assert k2_ball() == k2_ball() and kt_ball(3) == kt_ball(3)
         assert len({k2_ball(), k2_ball(), k3_ball(), kt_ball(3), kt_ball(3)}) == 3

@@ -32,6 +32,7 @@ from knorm.linreg import ball_from_name, kt_ball
 from knorm.sampling import MechanismConfig, RngStream, sample_k_mech_rejection, sample_noise
 from knorm.harness import (
     DEFAULT_COVERAGE_EPS,
+    DEFAULT_REGRESSION_EPS,
     LOGISTIC_BETA,
     SimulationConfig,
     ks_critical,
@@ -1423,6 +1424,51 @@ class TestMechanismResolution:
             driver(SimulationConfig(eps=(0.5, 1.0), mechanisms=mechanisms, reps=2, seed=3),
                    **settings)
         assert streams == []
+
+
+class TestBlocks:
+    """simulate_coverage and run_regression_file draw and solve their noise
+    streams in blocks of at most harness._BLOCK_STREAMS. Streams are
+    independent, so the bytes of a run that spans several blocks are those
+    of one stack: the digests were taken before the drivers drew in blocks."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        sizes = []
+        draw = harness.sample_noise_rows
+
+        def spy(draws):
+            sizes.append(len(draws))
+            return draw(draws)
+
+        monkeypatch.setattr(harness, "sample_noise_rows", spy)
+        return sizes
+
+    def test_coverage_across_blocks(self, monkeypatch):
+        # 21 cells and 100 replicates: blocks of 48, 48 and 4 replicates
+        sizes = self._spy(monkeypatch)
+        table = simulate_coverage(SimulationConfig(
+            eps=DEFAULT_COVERAGE_EPS, reps=100, mechanisms=("l1", "linf", "kt"), seed=3),
+            n=40, p=2)
+        assert len(sizes) >= 3 and max(sizes) <= harness._BLOCK_STREAMS
+        assert sum(sizes) == 100 * 21
+        assert _sha256(table) == (
+            "fd4aeb8cdd3f791e1165af8d2da5955215fdd57dcd3eed4b272adefbc17a2599")
+
+    def test_regression_file_across_blocks(self, tmp_path, monkeypatch):
+        # 15 cells and 150 replicates: 2250 streams in blocks of 1024, 1024 and 202
+        monkeypatch.chdir(tmp_path)
+        positive_regression_csv("data.csv")
+        sizes = self._spy(monkeypatch)
+        table = run_regression_file(
+            SimulationConfig(eps=DEFAULT_REGRESSION_EPS, reps=150,
+                             mechanisms=("l1", "linf", "kt"), seed=9),
+            csv_path="data.csv", response="y", log_columns=("a",), lower_q=0.0001,
+            upper_q=0.9999)
+        assert len(sizes) >= 3 and max(sizes) <= harness._BLOCK_STREAMS
+        assert sum(sizes) == 150 * 15
+        assert _sha256(table) == (
+            "1a8fa57b4c012969d6c08f673deb5a336d2b5c45b81d9373c8ae4b3691962102")
 
 
 class TestBenchmarkHooks:

@@ -22,7 +22,7 @@ from knorm.sampling import (
     sample_noise,
     sample_noise_rows,
 )
-from reference import box_rejection
+from reference import box_rejection, noise_pair_by_pair
 
 INF = math.inf
 KS_LEVEL = 0.01
@@ -555,7 +555,8 @@ class TestStackedDraws:
 
     def test_streams_in_several_passes(self, monkeypatch):
         # 70 kt12 first chunks of 64 make 4480 columns, past one pass's
-        # (1 << 17) // 79 = 1659: every pass stays within it
+        # (1 << 15) // 79 = 414, the chunk budget: a pass holds 6 chunks, so
+        # the first round takes 12 passes, and every pass stays within it
         passes = []
         hull_pass = geometry._hull_pass
 
@@ -565,8 +566,8 @@ class TestStackedDraws:
 
         monkeypatch.setattr(geometry, "_hull_pass", counted)
         self._check(self._configs(["kt12"], 70), seed=6)
-        assert len(passes) > 3 and max(passes) <= (1 << 17) // 79
-        assert sum(passes[:3]) == 70 * 64
+        assert len(passes) > 12 and max(passes) <= (1 << 15) // 79
+        assert sum(passes[:12]) == 70 * 64
 
     def test_empty_list(self):
         assert sample_noise_rows([]).shape == (0, 0)
@@ -581,6 +582,72 @@ class TestStackedDraws:
         configs = self._configs(["k2", "k3"], 2)
         with pytest.raises(ValueError, match="dimensions"):
             sample_noise_rows(self._draws(configs, 8))
+
+
+class ZeroAt:
+    """A generator whose first random() draw holds an exact 0.0 at one flat
+    index; every other draw is the wrapped generator's."""
+
+    def __init__(self, rng, index):
+        self.rng, self.index = rng, index
+
+    def random(self, size):
+        u = self.rng.random(size)
+        if self.index is not None:
+            u.flat[self.index], self.index = 0.0, None
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestStackedNoise:
+    """_noise runs its arithmetic once on the rows of every pair: each row,
+    and each generator's end state, is that of the pair-by-pair reference
+    (tests/reference.py), compared as bytes so that the sign of a zero
+    counts."""
+
+    @staticmethod
+    def _pairs(ball, k, seed, wrap=lambda i, rng: rng):
+        # budgets and sensitivities vary along the list, so every pair has its own scales
+        return [(MechanismConfig(0.25 * (1 + i % 5), 1.0 + i % 3, ball),
+                 wrap(i, RngStream(seed, i).generator())) for i in range(k)]
+
+    def _check(self, ball, k, n, seed, wrap=lambda i, rng: rng):
+        stacked, alone = self._pairs(ball, k, seed, wrap), self._pairs(ball, k, seed, wrap)
+        got, counts = sampling._noise(ball, stacked, n)
+        want = noise_pair_by_pair(ball, alone, n)
+        assert got.shape == (k * n, ball.dimension) and got.tobytes() == want.tobytes()
+        for (_, a), (_, b) in zip(stacked, alone):
+            assert a.bit_generator.state == b.bit_generator.state
+        if ball.is_lp:
+            assert counts == [(n, n)] * k
+        return got
+
+    @pytest.mark.parametrize("k", [1, 3, 70])
+    @pytest.mark.parametrize("p", [1, 1.5, 2, INF])
+    def test_lp_rows_are_the_per_pair_draws(self, p, k):
+        for m, n in ((1, 5), (4, 1), (13, 20)):
+            self._check(NormBall.lp(p, 1, m), k, n, seed=k)
+
+    @pytest.mark.parametrize("k", [1, 3, 70])
+    @pytest.mark.parametrize("name", ["k2", "kt2"])
+    def test_hull_radii_are_the_per_pair_radii(self, name, k):
+        self._check(ball_from_name(name, 2), k, 3, seed=k)
+
+    def test_zero_uniform_in_a_middle_l1_pair(self):
+        # pair 1 of 3 meets an exact 0.0 at its row 2, column 1, and redraws
+        # it from its own generator after every pair has drawn
+        def wrap(i, rng):
+            return ZeroAt(rng, 2 * 4 + 1) if i == 1 else rng
+
+        ball = NormBall.lp(1, 1, 4)
+        got = self._check(ball, 3, 5, seed=8, wrap=wrap)
+        assert np.isfinite(got).all()
+        plain, _ = sampling._noise(ball, self._pairs(ball, 3, 8), 5)
+        # only the zeroed entry of pair 1 moved
+        moved = got != plain
+        assert moved.sum() == 1 and moved[5 + 2, 1]
 
 
 class TestOneHullPath:
