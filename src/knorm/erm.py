@@ -206,9 +206,9 @@ def logistic_sensitivity(m, p):
 
 def _logistic_validate(X, y):
     # min and max propagate nan, and every comparison with nan is False, so
-    # this rejects nan and +-inf as well as entries outside [-1, 1]
-    bound = 1.0 + 1e-12
-    if not (X.min() >= -bound and X.max() <= bound):
+    # this rejects nan and +-inf as well as entries outside [-1, 1]: the
+    # logistic Delta and eigen_bound hold on [-1, 1] exactly, with no slack
+    if not (X.min() >= -1.0 and X.max() <= 1.0):
         raise ValueError("design matrix entries must be finite and lie in [-1, 1]")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0/1")

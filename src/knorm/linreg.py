@@ -4,9 +4,9 @@ The statistic vector collects the unique non-constant entries of X'X and
 X'y for a design with an all-ones first column and entries in [-1, 1],
 with squared-column slots doubled so every slot has sensitivity 2. Noise
 from the l1, l-infinity, or hull mechanism is added to the whole vector at
-once, and the coefficient estimate is recovered by a Moore-Penrose solve
-(``np.linalg.eigh`` on one triangle of the exactly symmetric reassembled
-system), which is pure post-processing.
+once, and the coefficient estimate is recovered by a Moore-Penrose solve of
+the reassembled system (a checked ``np.linalg.inv``, or ``np.linalg.pinv``
+where the check fails), which is pure post-processing.
 """
 
 from __future__ import annotations
@@ -127,10 +127,10 @@ class RegressionDataset:
         if validate:
             if not np.all(design[:, 0] == 1.0):
                 raise ValueError("first design column must be all ones")
-            # written so that a NaN entry fails the check
-            if not np.abs(design[:, 1:]).max() <= 1.0 + 1e-12:
+            # written so that a NaN entry fails the check, with no slack past 1
+            if not np.abs(design[:, 1:]).max() <= 1.0:
                 raise ValueError("design entries must lie in [-1, 1]")
-            if not np.abs(response).max() <= 1.0 + 1e-12:
+            if not np.abs(response).max() <= 1.0:
                 raise ValueError("response entries must lie in [-1, 1]")
         self.design = design
         self.response = response
@@ -241,20 +241,30 @@ def dp_estimate(stat: StatisticVector, n_rows):
 
     Reassembles (X'X)* and (X'y)*, halving the doubled diagonal slots and
     restoring the constant n entry, into an exactly symmetric system, and
-    returns its Moore-Penrose solution Q diag(1/lambda) Q' (X'y)* from the
-    ``np.linalg.eigh`` of one triangle, dropping each |lambda| at or below
-    (p+1) * machine epsilon * max |lambda|: the pseudoinverse's own cutoff,
-    as a symmetric matrix's singular values are its |lambda|. Total:
-    indefinite or singular reconstructions still produce an estimate.
+    returns its Moore-Penrose solution at pinv's cutoff: each eigenvalue
+    with |lambda| at or below (p+1) * machine epsilon * max |lambda| is
+    dropped, as a symmetric matrix's singular values are its |lambda| (see
+    dp_estimates for the solve). Total: indefinite or singular
+    reconstructions still produce an estimate, and a non-finite statistic
+    a non-finite one, without a numpy warning.
     """
     return dp_estimates(stat.values[None, :], stat.p, n_rows)[0]
 
 
 def dp_estimates(values, p, n_rows):
     """dp_estimate of each row of a (k, d) array of statistic values for p
-    predictors, as the rows of a (k, p + 1) array, from one ``eigh`` call on
-    the stack of reassembled systems; each row is bit-identical to
-    dp_estimate's on that row alone."""
+    predictors, as the rows of a (k, p + 1) array; each row is bit-identical
+    to dp_estimate's on that row alone.
+
+    One ``np.linalg.inv`` on the stack of systems A x = b gives each row
+    A^-1 b, which it keeps when ||A||_F ||A^-1||_F <= 1e-3 / ((p+1) eps).
+    That bounds cond_2(A) = max |lambda| / min |lambda| three orders of
+    magnitude below the cutoff's 1 / ((p+1) eps), so pinv would drop no
+    eigenvalue and A^-1 b is the Moore-Penrose solution. A row without that
+    certificate, because it is near-singular, exactly singular (its ``inv``
+    raises) or non-finite, takes ``np.linalg.pinv(A, hermitian=True)`` b at
+    the cutoff instead; a non-finite A, whose pinv does not exist, gives NaN.
+    """
     v = np.asarray(values, dtype=float)
     layout = _shared_layout(p)
     if v.ndim != 2 or v.shape[1] != layout.d:
@@ -266,10 +276,27 @@ def dp_estimates(values, p, n_rows):
     rows, cols = 1 + layout.gram_rows, 1 + layout.gram_cols
     xtx[:, rows, cols] = xtx[:, cols, rows] = v[:, p:layout.ysum] / layout.gram_scale
     xty = v[:, layout.ysum:, None]
-    lam, Q = np.linalg.eigh(xtx)
-    cutoff = (p + 1) * np.finfo(float).eps * np.abs(lam).max(axis=1, keepdims=True)
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=np.abs(lam) > cutoff)
-    return (Q @ (inv[:, :, None] * (Q.transpose(0, 2, 1) @ xty)))[:, :, 0]
+    rcond = (p + 1) * np.finfo(float).eps
+    # a huge or non-finite inverse overflows its squared certificate, which refuses the row
+    with np.errstate(all="ignore"):
+        inv = _inverse(xtx)
+        beta = (inv @ xty)[:, :, 0]
+        squared = np.einsum("kij,kij->k", xtx, xtx) * np.einsum("kij,kij->k", inv, inv)
+        refused = ~(squared <= (1e-3 / rcond) ** 2)
+        if refused.any():
+            beta[refused] = np.nan
+            finite = refused & np.isfinite(xtx).all(axis=(1, 2))
+            beta[finite] = (np.linalg.pinv(xtx[finite], rcond=rcond, hermitian=True)
+                            @ xty[finite])[:, :, 0]
+    return beta
+
+
+def _inverse(a):
+    """inv of a matrix or of each matrix of a stack, NaN where inv raises on one."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return np.stack([_inverse(one) for one in a]) if a.ndim > 2 else np.full_like(a, np.nan)
 
 
 def _check_quantiles(lower_q, upper_q):

@@ -220,13 +220,6 @@ def _lp_stack(p, m, draws, n):
     return r[:, :, None] * g / norms
 
 
-def _lp_noise(p, m, delta, epsilon, rng, n):
-    """(n, m) draws with density proportional to exp(-(epsilon/delta)*||v||_p):
-    the one-pair case of _lp_stack."""
-    config = MechanismConfig(epsilon, delta, NormBall.lp(p, 1.0, m))
-    return _lp_stack(p, m, [(config, rng)], n)[0]
-
-
 def sample_l1_mech(T, delta1, epsilon, rng, size=None):
     """l1-mechanism output T + V, V iid Laplace(delta1/epsilon) per coordinate."""
     return sample_lp_mech(T, 1, delta1, epsilon, rng, size)

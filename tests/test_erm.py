@@ -91,9 +91,13 @@ class TestLogisticParts:
                                    RngStream(0, 0).generator())
 
     def test_boundary_features_accepted(self):
+        # [-1, 1] exactly: the logistic Delta and eigen_bound cover no slack
         spec = logistic_loss_spec(2)
-        spec.validate(np.array([[1.0, -1.0], [1.0 + 1e-13, -1.0 - 1e-13]]),
-                      np.array([1.0, 0.0]))
+        y = np.array([1.0, 0.0])
+        spec.validate(np.array([[1.0, -1.0], [-1.0, 1.0]]), y)
+        for bad in (1.0 + 1e-13, -1.0 - 1e-13):
+            with pytest.raises(ValueError, match=r"lie in \[-1, 1\]"):
+                spec.validate(np.array([[1.0, -1.0], [bad, 0.5]]), y)
 
     def test_midpoint_convexity(self):
         rng = np.random.default_rng(61)

@@ -1155,14 +1155,16 @@ def _sha256(table):
     return hashlib.sha256((table.long_csv() + table.summary_csv()).encode()).hexdigest()
 
 
-def _assert_values_within_rounding(table, stored):
-    """Every value of the long and summary CSVs sits within 1e-12 relative of
-    the stored (long values, summary values)."""
-    for text, want in zip((table.long_csv(), table.summary_csv()), stored):
+def _assert_values_within_rounding(table, stored, long_step=1):
+    """Every value of the long and summary CSVs, or of the long CSV only every
+    long_step-th, sits within 1e-12 relative of the stored (long values,
+    summary values)."""
+    for text, want, step in zip((table.long_csv(), table.summary_csv()), stored,
+                                (long_step, 1)):
         rows = list(csv.reader(line for line in io.StringIO(text)
                                if not line.startswith("#")))
         assert rows[0][-1] == "value"
-        values = [float(row[-1]) for row in rows[1:]]
+        values = [float(row[-1]) for row in rows[1:]][::step]
         assert len(values) == len(want)
         assert np.allclose(values, want, rtol=1e-12, atol=0.0)
 
@@ -1235,9 +1237,11 @@ class TestRunLayer:
     def test_regression_file_bytes_pinned(self, tmp_path, monkeypatch):
         table = self._regression_file(tmp_path, monkeypatch, ("l1", "linf", "kt"))
         assert _sha256(table) == (
-            "8c16b2ce3f08fb80f0ef58e09519af4777bc9c0b2f29c6f6fd472db718d52112")
+            "0b5502af5e1657a46bb57662b52aa4f1d676bb814e8834adeeffe8d074780f6c")
 
-    #: the values behind the two run-regression digests: (long rows, summary rows)
+    #: the values behind the two run-regression digests, as the stacked eigh
+    #: solve wrote them; the checked inverse moved them by at most 4e-15
+    #: relative: (long rows, summary rows)
     _REGRESSION_VALUES = {
         ("l1", "linf", "kt"): (
             [3.29765782349707, 1.197895639020949, 1.1908554701456546, 0.7193371745468213,
@@ -1285,7 +1289,7 @@ class TestRunLayer:
     def test_regression_file_l1_linf_bytes_pinned(self, tmp_path, monkeypatch):
         table = self._regression_file(tmp_path, monkeypatch, ("l1", "linf"))
         assert _sha256(table) == (
-            "aa0d8086b67cc46d97758f19d638aefb2a9e1847462845fb4d79aef188d0bf9a")
+            "82b3b304edad572f4935ab38805583352b8eff5cb57bc96766c1da977e0c9297")
 
     @staticmethod
     def _coverage(mechanisms):
@@ -1430,7 +1434,22 @@ class TestBlocks:
     """simulate_coverage and run_regression_file draw and solve their noise
     streams in blocks of at most harness._BLOCK_STREAMS. Streams are
     independent, so the bytes of a run that spans several blocks are those
-    of one stack: the digests were taken before the drivers drew in blocks."""
+    of one stack: the coverage digest was taken before the drivers drew in
+    blocks. The run-regression digest was taken again when the solve moved
+    from a stacked eigh to a checked inverse, which moved its values by at
+    most 1.1e-13 relative; the values stored beside it are the eigh solve's."""
+
+    #: every 250th long value and every summary value of the run-regression
+    #: run below, from the stacked eigh solve
+    _REGRESSION_VALUES = (
+        [4.604663132015533, 1.025831074658823, 1.6089415646775893, 11.695422581155592,
+         2.1762095245179527, 0.3887092807528075, 1.0643707416467016, 0.23285640815239048,
+         0.43945962749826656],
+        [0.7941934888129962, 1.989230080414423, 2.178534281449355, 2.381085419895951,
+         2.0513477444749046, 1.7921652954602036, 2.017974808682897, 1.8655853285336648,
+         1.634600642961064, 1.1946912088348935, 1.2725291029503998, 0.550858178994767,
+         0.5824319503492668, 0.5449479755394628, 0.26217290018831796, 0.22126063486468964],
+    )
 
     @staticmethod
     def _spy(monkeypatch):
@@ -1467,8 +1486,11 @@ class TestBlocks:
             upper_q=0.9999)
         assert len(sizes) >= 3 and max(sizes) <= harness._BLOCK_STREAMS
         assert sum(sizes) == 150 * 15
+        # the values first, so that a failed digest shows whether they moved
+        # beyond rounding
+        _assert_values_within_rounding(table, self._REGRESSION_VALUES, long_step=250)
         assert _sha256(table) == (
-            "1a8fa57b4c012969d6c08f673deb5a336d2b5c45b81d9373c8ae4b3691962102")
+            "a135d1e5d271d3cd5ca93f7a5c76e487fcd6734253265964a4bd0e1c9c38a9a4")
 
 
 class TestBenchmarkHooks:

@@ -15,6 +15,7 @@ from knorm.geometry import (
     _k3_weights,
     volume_monte_carlo,
 )
+from knorm.harness import DEFAULT_COVERAGE_EPS, SimulationConfig, simulate_coverage
 from knorm.linreg import (
     RegressionDataset,
     _shared_layout,
@@ -244,6 +245,15 @@ class TestDatasetValidation:
             RegressionDataset(np.array([[1.0, 1.5]]), [0.0])
         with pytest.raises(ValueError):
             RegressionDataset(np.array([[1.0, 0.5]]), [2.0])
+
+    def test_boundary_is_exact(self):
+        # [-1, 1] exactly: the slot sensitivity covers no slack
+        RegressionDataset(np.array([[1.0, 1.0], [1.0, -1.0]]), [-1.0, 1.0])
+        for bad in (1.0 + 1e-13, -1.0 - 1e-13):
+            with pytest.raises(ValueError, match="design entries"):
+                RegressionDataset(np.array([[1.0, bad]]), [0.0])
+            with pytest.raises(ValueError, match="response entries"):
+                RegressionDataset(np.array([[1.0, 0.5]]), [bad])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="design entries"):
@@ -628,9 +638,31 @@ def per_call_estimate(stat, n_rows):
     return Q @ (inv * (Q.T @ xty))
 
 
+def duplicate_column_statistic(rng, n_rows, p):
+    """The statistic of a grid design whose last predictor repeats its first:
+    the sums are exact, so the reassembled system is exactly singular."""
+    X0 = rng.integers(-4, 5, (n_rows, p)) / 4.0
+    X0[:, -1] = X0[:, 0]
+    y = rng.integers(-4, 5, n_rows) / 4.0
+    return build_statistic(RegressionDataset(np.column_stack([np.ones(n_rows), X0]), y))
+
+
+def fallback_rows(monkeypatch):
+    """The row count of each np.linalg.pinv call made from now on."""
+    rows, pinv = [], np.linalg.pinv
+
+    def counting(a, *args, **kwargs):
+        rows.append(len(a))
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting)
+    return rows
+
+
 class TestDpEstimate:
     def test_stacked_solve_is_bit_identical(self):
-        # one eigh call on the stack gives each row's per-call bits
+        # each row of one stacked solve is its one-row call bit for bit, and the
+        # per-call eigh solve's within rounding
         rng = np.random.default_rng(340)
         for p in (1, 2, 5, 12):
             d = statistic_dimension(p)
@@ -639,9 +671,76 @@ class TestDpEstimate:
             stacked = dp_estimates(np.stack([stat.values for stat in stats]), p, 5000)
             assert stacked.shape == (21, p + 1)
             for stat, row in zip(stats, stacked):
-                assert np.array_equal(row, per_call_estimate(stat, 5000))
                 assert np.array_equal(row, dp_estimate(stat, 5000))
+                ref = per_call_estimate(stat, 5000)
+                assert np.linalg.norm(row - ref) <= 1e-9 * np.linalg.norm(ref)
             assert dp_estimates(np.empty((0, d)), p, 5000).shape == (0, p + 1)
+
+    @pytest.mark.parametrize("p", [2, 5, 12])
+    def test_refused_rows_in_a_mixed_stack(self, p, monkeypatch):
+        # an exactly singular row (inv raises), a near-singular one one ulp away
+        # (inv does not raise, the certificate refuses it) and regular rows:
+        # only the first two take pinv, and every row is finite, pinv's
+        # solution and its own one-row call bit for bit
+        rng = np.random.default_rng(342 + p)
+        n_rows = 200
+        singular = duplicate_column_statistic(rng, n_rows, p)
+        near = singular.values.copy()
+        square = _shared_layout(p).squares[-1]
+        near[square] = np.nextafter(near[square], np.inf)
+        near = StatisticVector(near, p)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(reference_system(singular, n_rows)[0])
+        np.linalg.inv(reference_system(near, n_rows)[0])
+        d = statistic_dimension(p)
+        stats = [StatisticVector(rng.normal(size=d) * 100.0, p) for _ in range(3)]
+        stats[1:1] = [singular, near]
+        rows = fallback_rows(monkeypatch)
+        stacked = dp_estimates(np.stack([stat.values for stat in stats]), p, n_rows)
+        assert rows == [2]
+        for stat, row in zip(stats, stacked):
+            assert np.isfinite(row).all()
+            # pinv's general SVD at the same cutoff is an independent reference
+            xtx, xty = reference_system(stat, n_rows)
+            ref = np.linalg.pinv(xtx, rcond=solve_rcond(p)) @ xty
+            assert np.linalg.norm(row - ref) <= 1e-9 * np.linalg.norm(ref)
+            assert np.array_equal(row, dp_estimate(stat, n_rows))
+
+    def test_non_finite_statistics_are_total(self):
+        # a non-finite slot gives that row a non-finite estimate, with no numpy
+        # warning, and leaves the other rows their one-row bits
+        rng = np.random.default_rng(343)
+        p, d = 3, statistic_dimension(3)
+        values = rng.normal(size=(8, d)) * 100.0
+        for row, slot, bad in ((0, 0, np.nan), (2, 5, np.inf), (4, d - 1, -np.inf),
+                               (6, d - 1, np.nan)):
+            values[row, slot] = bad
+        stacked = dp_estimates(values, p, 500)
+        assert stacked.shape == (8, p + 1)
+        for i, row in enumerate(stacked):
+            assert not np.isfinite(row).any() if i % 2 == 0 else np.isfinite(row).all()
+            assert np.array_equal(row, dp_estimate(StatisticVector(values[i], p), 500),
+                                  equal_nan=True)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_overflowing_certificate_is_a_refusal(self, scale, monkeypatch):
+        # at an extreme scale ||A||_F^2 ||A^-1||_F^2 reads 0 * inf: each row
+        # takes pinv, with no numpy warning, and the estimates keep their values
+        rng = np.random.default_rng(344)
+        p, n_rows = 3, 500
+        values = rng.normal(size=(4, statistic_dimension(p))) * 100.0
+        rows = fallback_rows(monkeypatch)
+        scaled = dp_estimates(values * scale, p, n_rows * scale)
+        assert rows == [4]
+        assert np.allclose(scaled, dp_estimates(values, p, n_rows), rtol=1e-9, atol=0.0)
+
+    def test_benchmark_shape_takes_no_fallback(self, monkeypatch):
+        # the coverage-kt12 workload's shape: every noisy system is certified
+        rows = fallback_rows(monkeypatch)
+        simulate_coverage(SimulationConfig(
+            eps=DEFAULT_COVERAGE_EPS, reps=10, mechanisms=("l1", "linf", "kt"), seed=0),
+            n=10_000, p=12)
+        assert rows == []
 
     def test_values_of_another_layout_rejected(self):
         with pytest.raises(ValueError, match=r"expected \(k, 8\) statistic values"):

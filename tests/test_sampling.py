@@ -9,7 +9,7 @@ from knorm import geometry, sampling
 from knorm.geometry import NormBall, k2_ball, lp_norm
 from knorm.linreg import ball_from_name, statistic_mechanism
 from knorm.sampling import (
-    _lp_noise,
+    _lp_stack,
     MechanismConfig,
     RngStream,
     SamplerError,
@@ -22,7 +22,7 @@ from knorm.sampling import (
     sample_noise,
     sample_noise_rows,
 )
-from reference import box_rejection, noise_pair_by_pair
+from reference import box_rejection, lp_noise_one_pair, noise_pair_by_pair
 
 INF = math.inf
 KS_LEVEL = 0.01
@@ -130,17 +130,19 @@ def expression_lp_noise(p, m, delta, epsilon, rng, n):
 @pytest.mark.parametrize("p", [1, INF])
 class TestInPlaceNoise:
     """The l1 and l-infinity draws, computed in place, are the bytes of their
-    single-expression reference."""
+    one-pair and single-expression references."""
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_batches(self, p, seed):
         for m, n, delta, epsilon in ((1, 100_000, 1.0, 1.0), (7, 1001, 14.0, 0.3),
                                      (103, 3, 0.5, 4.0)):
-            new, old = RngStream(seed, m).generator(), RngStream(seed, m).generator()
-            got = _lp_noise(p, m, delta, epsilon, new, n)
-            want = expression_lp_noise(p, m, delta, epsilon, old, n)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert new.bit_generator.state == old.bit_generator.state
+            new, one, old = (RngStream(seed, m).generator() for _ in range(3))
+            config = MechanismConfig(epsilon, delta, NormBall.lp(p, 1, m))
+            got = _lp_stack(p, m, [(config, new)], n)[0]
+            for want in (lp_noise_one_pair(p, m, delta, epsilon, one, n),
+                         expression_lp_noise(p, m, delta, epsilon, old, n)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert new.bit_generator.state == one.bit_generator.state == old.bit_generator.state
 
     def test_single_draws(self, p):
         config = MechanismConfig(0.25, 6.0, NormBall.lp(p, 1, 7))
