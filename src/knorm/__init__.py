@@ -25,17 +25,14 @@ from .ordering import (
     concentration_radius,
     conditional_variance,
     depth,
-    entropy,
     gamma_cdf,
     gamma_quantile,
-    stochastic_tightness,
 )
 from .sampling import (
     BudgetError,
     MechanismConfig,
     RngStream,
     SamplerError,
-    sample_gamma_int,
     sample_k_mech_rejection,
     sample_l1_mech,
     sample_l2_mech,

@@ -27,9 +27,7 @@ __all__ = [
     "ComparisonReport",
     "gamma_cdf",
     "gamma_quantile",
-    "entropy",
     "concentration_radius",
-    "stochastic_tightness",
     "depth",
     "conditional_variance",
     "compare",
@@ -54,20 +52,6 @@ def gamma_quantile(alpha, shape, rate):
     from scipy.special import gammaincinv
 
     return float(gammaincinv(shape, alpha)) / rate
-
-
-def entropy(config: MechanismConfig, ball_volume=None):
-    """Differential entropy of the mechanism's noise distribution.
-
-    Equals log((delta*e/eps)^m * m! * vol(K)). The unit-ball volume is the
-    ball's own (``NormBall.log_volume``: closed form for lp balls, exact for
-    the k2, k3 and kt1-kt3 hulls); a ball whose volume is unknown must supply
-    ``ball_volume`` (e.g. a Monte Carlo estimate) or a ValueError is raised.
-    """
-    log_vol = config.ball.log_volume() if ball_volume is None else math.log(ball_volume)
-    if log_vol is None:
-        raise ValueError(f"entropy: {config.label} has no exact volume; pass ball_volume")
-    return _entropy(config, log_vol)
 
 
 def _entropy(config: MechanismConfig, log_vol):
@@ -140,16 +124,6 @@ def _tightness_verdict(a, b, seed):
     return "undetermined", witness
 
 
-def stochastic_tightness(a: MechanismConfig, b: MechanismConfig, seed=0):
-    """Containment-order verdict between two mechanisms at equal budget.
-
-    Returns "a_tighter", "b_tighter", "tie", "incomparable", or
-    "undetermined" (pairs that sampling found no witness for).
-    """
-    _require_comparable(a, b)
-    return _tightness_verdict(a, b, seed)[0]
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Joint outcome of the containment and volume decision rules."""
@@ -217,13 +191,13 @@ def compare(a: MechanismConfig, b: MechanismConfig, seed=0,
     Scaled-ball volumes are exact when the ball knows its volume (lp, k2,
     k3, kt<p> at p <= 3); an n_mc-point Monte Carlo estimate
     (volume_monte_carlo, with the given seed) runs only when it is unknown.
-    Entropies are in log form, and at equal budget they differ exactly as
-    the log-volumes do, so they also decide the volume verdict; a volume
-    past the float range prints as inf. The containment verdict comes from
-    stochastic_tightness. One body on both sides is estimated once, and
-    both volumes scale that estimate, so their ratio (delta_a/delta_b)^m is
-    exact and the entropies alone decide the volume verdict. seed must be
-    an integer >= 0, and is refused before any estimate runs.
+    One body on both sides is estimated once, so the volumes' ratio is
+    exactly (delta_a/delta_b)^m. Entropies are in log form and at equal
+    budget differ exactly as the log-volumes do, so they decide the volume
+    verdict; a volume past the float range prints as inf. The containment
+    verdict (stochastic tightness) is "a_tighter", "b_tighter", "tie",
+    "incomparable" or "undetermined" (sampling found no witness). seed must
+    be an integer >= 0, and is refused before any estimate runs.
     """
     _require_comparable(a, b)
     seed = _check_integer("seed", seed, 0)

@@ -38,7 +38,6 @@ __all__ = [
     "MechanismConfig",
     "SamplerError",
     "BudgetError",
-    "sample_gamma_int",
     "sample_l1_mech",
     "sample_l2_mech",
     "sample_linf_mech",
@@ -130,14 +129,6 @@ def _check_budget(epsilon, delta, ball):
         raise BudgetError(
             f"epsilon={epsilon!r} and delta={delta!r} can give non-finite noise "
             f"for {ball.label()} at m={ball.dimension} (rate epsilon/delta = {rate!r})")
-
-
-def sample_gamma_int(shape, rate, rng, size):
-    """size Gamma(shape, rate) draws for integer shape, as sums of exponentials
-    (each row summed by _reduce_rows, bit for bit as numpy's row sum)."""
-    shape = _check_integer("shape", shape)
-    _check_positive("rate", rate, BudgetError)
-    return _reduce_rows(np.add, rng.standard_exponential((size, shape))) / rate
 
 
 def _stack(draws, shape, name, *args):

@@ -1,10 +1,13 @@
-"""Independent references that the tests compare the library against."""
+"""Independent references that the tests compare the library against, and
+the helpers that several test modules share."""
 
 import math
 
 import numpy as np
 
+from knorm import sampling
 from knorm.geometry import lp_norm
+
 
 def summary_value(table, epsilon, mechanism, metric):
     """The value of a harness.ResultTable's summary row for one cell and metric."""
@@ -85,6 +88,14 @@ def box_rejection(ball, rng, n, max_proposals):
         out[got : got + take] = acc[:take]
         got += take
     return out[:got], (accepted, proposals)
+
+
+def uniform_points(ball, rng, n):
+    """n exact uniform points of a ball from its own sampler, and their
+    (accepted, proposals) counts."""
+    (pts, counts), = ball.uniform([rng], n, sampling.MAX_PROPOSALS)
+    assert len(pts) == n
+    return pts, counts
 
 
 def gamma_radius(shape, rate, rng, n):

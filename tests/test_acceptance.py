@@ -14,12 +14,7 @@ import scipy.stats as sps
 from knorm.geometry import NormBall, k2_ball, lp_norm, volume_lp, volume_monte_carlo
 from knorm.harness import SimulationConfig, simulate_coverage, simulate_logistic
 from knorm.linreg import RegressionDataset, build_statistic, dp_estimate, kt_ball
-from knorm.ordering import (
-    compare,
-    conditional_variance,
-    entropy,
-    stochastic_tightness,
-)
+from knorm.ordering import compare, conditional_variance
 from knorm.sampling import (
     MechanismConfig,
     RngStream,
@@ -110,7 +105,7 @@ def test_c04_entropy_formula():
                         + math.lgamma(m + 1) + math.log(volume_lp(p, m, 1.0)))
             neg_log_f = log_norm + config.rate * g
             se = neg_log_f.std(ddof=1) / math.sqrt(len(neg_log_f))
-            dev = abs(neg_log_f.mean() - entropy(config)) / se
+            dev = abs(neg_log_f.mean() - compare(config, config).entropy_a) / se
             worst = max(worst, dev)
     report(4, "entropy closed form vs Monte Carlo", worst <= 4.0,
            f"worst deviation {worst:.2f} SE", t0, 30.0)
@@ -131,15 +126,18 @@ def test_c05_order_consistency():
             radius = float(rng.uniform(0.5, 2.5))
             configs.append(MechanismConfig(1.0, delta * radius, NormBall.lp(p, 1, m)))
         a, b = configs
-        verdict = stochastic_tightness(a, b)
-        if verdict in ("a_tighter", "b_tighter", "tie"):
+        result = compare(a, b)
+        if result.containment in ("a_tighter", "b_tighter", "tie"):
             contained_seen += 1
-            inner, outer = (a, b) if verdict != "b_tighter" else (b, a)
+            sides = [(a, result.entropy_a), (b, result.entropy_b)]
+            if result.containment == "b_tighter":
+                sides.reverse()
+            (inner, ent_in), (outer, ent_out) = sides
             vol_in = volume_lp(inner.ball.p, m) * inner.delta**m
             vol_out = volume_lp(outer.ball.p, m) * outer.delta**m
             if vol_in > vol_out * (1 + 1e-12):
                 violations += 1
-            if entropy(inner) > entropy(outer) + 1e-12:
+            if ent_in > ent_out + 1e-12:
                 violations += 1
     report(5, "containment implies volume and entropy order",
            violations == 0 and contained_seen >= 3,

@@ -32,10 +32,9 @@ from knorm.sampling import (
     MechanismConfig,
     RngStream,
     SamplerError,
-    sample_gamma_int,
     sample_noise,
 )
-from reference import hit_or_miss, kt_box_fraction
+from reference import gamma_radius, hit_or_miss, kt_box_fraction, uniform_points
 
 INF = math.inf
 
@@ -381,14 +380,6 @@ class TestBallKinds:
         assert ball_containment(same, ScaledBall(k2_ball(), 1.0)).status == "contained"
 
 
-def uniform_points(ball, rng, n):
-    """n exact uniform points of a ball from its own sampler, and their
-    (accepted, proposals) counts."""
-    (pts, counts), = ball.uniform([rng], n, sampling.MAX_PROPOSALS)
-    assert len(pts) == n
-    return pts, counts
-
-
 class TestHullSampler:
     """The exact conditional sampler and box-fraction estimator that k2 and
     k3 take from their piece tables. Each statistical check allows 4
@@ -583,7 +574,7 @@ class TestHalfSumKernels:
             got = sample_noise(config, RngStream(seed, 1).generator())
             old = RngStream(seed, 1).generator()
             u, _ = full_sum_uniform(ball.pieces, ball.dimension, old, 1, 10**6)
-            r = sample_gamma_int(ball.dimension + 1, config.rate, old, size=1)
+            r = gamma_radius(ball.dimension + 1, config.rate, old, 1)
             assert same_bytes(got, np.zeros(ball.dimension) + (r[:, None] * u)[0])
 
     def test_membership_at_edge_sums(self, name):

@@ -35,19 +35,11 @@ from knorm.linreg import (
 from knorm.sampling import (
     MechanismConfig, RngStream, SamplerError, sample_k_mech_rejection, sample_noise,
 )
-from reference import box_rejection, hit_or_miss
+from reference import box_rejection, hit_or_miss, uniform_points
 
 
 #: run-regression's default clamp quantiles
 CLI_QUANTILES = dict(lower_q=0.0001, upper_q=0.9999)
-
-
-def uniform_points(ball, rng, n):
-    """n exact uniform points of a ball from its own sampler, and their
-    (accepted, proposals) counts."""
-    (pts, counts), = ball.uniform([rng], n, sampling.MAX_PROPOSALS)
-    assert len(pts) == n
-    return pts, counts
 
 
 def single_row_dataset(row, y):

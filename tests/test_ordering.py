@@ -15,8 +15,6 @@ from knorm.ordering import (
     concentration_radius,
     conditional_variance,
     depth,
-    entropy,
-    stochastic_tightness,
 )
 from knorm.sampling import MechanismConfig, RngStream, sample_noise
 from reference import kt_box_fraction
@@ -84,11 +82,13 @@ class TestIncompleteGamma:
 class TestEntropy:
     def test_laplace_1d(self):
         config = MechanismConfig(1.0, 1.0, NormBall.lp(1, 1, 1))
-        assert math.isclose(entropy(config), math.log(2 * math.e), rel_tol=1e-12)
+        report = compare(config, config)
+        assert math.isclose(report.entropy_a, math.log(2 * math.e), rel_tol=1e-12)
 
     def test_linf_2d(self):
         config = MechanismConfig(1.0, 2.0, NormBall.lp(INF, 1, 2))
-        assert math.isclose(entropy(config), math.log(32 * math.e**2), rel_tol=1e-12)
+        report = compare(config, config)
+        assert math.isclose(report.entropy_a, math.log(32 * math.e**2), rel_tol=1e-12)
 
     @pytest.mark.parametrize("p,m", [(1, 1), (2, 1), (INF, 1), (1, 2), (2, 2), (INF, 2)])
     def test_monte_carlo_agreement(self, p, m):
@@ -104,30 +104,22 @@ class TestEntropy:
         )
         neg_log_f = log_norm + config.rate * g
         se = neg_log_f.std(ddof=1) / math.sqrt(len(neg_log_f))
-        assert abs(neg_log_f.mean() - entropy(config)) <= 4 * se
+        assert abs(neg_log_f.mean() - compare(config, config).entropy_a) <= 4 * se
 
     def test_exact_radii_entropy_ordering(self):
-        h_inf = entropy(lp_config(INF, LINF_EXACT))
-        h_2 = entropy(lp_config(2, L2_EXACT))
-        h_1 = entropy(lp_config(1, L1_EXACT))
-        assert h_inf < h_2 < h_1
+        inf_2 = compare(lp_config(INF, LINF_EXACT), lp_config(2, L2_EXACT))
+        two_1 = compare(lp_config(2, L2_EXACT), lp_config(1, L1_EXACT))
+        assert inf_2.entropy_b == two_1.entropy_a
+        assert inf_2.entropy_a < inf_2.entropy_b < two_1.entropy_b
 
-    def test_hull_entropy_needs_volume_unless_exact(self):
-        # k2 and kt1-kt3 carry their exact volumes; kt4 and above have none,
-        # so they still need one
-        config = MechanismConfig(1.0, 1.0, k2_ball())
-        h = entropy(config)
-        assert abs(h - entropy(config, ball_volume=40.0 / 3.0)) <= 1e-12
-        assert abs(h - (2.0 + math.log(2.0) + math.log(40.0 / 3.0))) <= 1e-12
-        assert h < entropy(lp_config(INF, LINF_EXACT))
+    def test_hull_entropy_from_exact_volume(self):
+        # k2 and kt1-kt3 carry their exact volumes, so no estimate runs
+        report = compare(MechanismConfig(1.0, 1.0, k2_ball()), lp_config(INF, LINF_EXACT))
+        assert abs(report.entropy_a - (2.0 + math.log(2.0) + math.log(40.0 / 3.0))) <= 1e-12
+        assert report.entropy_a < report.entropy_b
         kt3 = MechanismConfig(1.0, 1.0, kt_ball(3))
         h3 = 13.0 + math.lgamma(14.0) + math.log(kt_box_fraction(3)) + 13 * math.log(4.0)
-        assert math.isclose(entropy(kt3), h3, rel_tol=1e-14)
-        assert entropy(kt3) == entropy(kt3, ball_volume=kt3.ball.volume)
-        kt4 = MechanismConfig(1.0, 1.0, kt_ball(4))
-        with pytest.raises(ValueError):
-            entropy(kt4)
-        assert math.isfinite(entropy(kt4, ball_volume=2.0))
+        assert math.isclose(compare(kt3, kt3).entropy_a, h3, rel_tol=1e-14)
 
 
 class TestConcentrationRadius:
@@ -168,31 +160,30 @@ class TestStochasticTightness:
         a = lp_config(INF, 2.0, label="linf")
         b = lp_config(2, math.sqrt(8), label="l2")
         c = lp_config(1, 4.0, label="l1")
-        assert stochastic_tightness(a, b) == "a_tighter"
-        assert stochastic_tightness(b, c) == "a_tighter"
-        assert stochastic_tightness(c, a) == "b_tighter"
+        assert compare(a, b).containment == "a_tighter"
+        assert compare(b, c).containment == "a_tighter"
+        assert compare(c, a).containment == "b_tighter"
 
     def test_exact_radii_incomparable(self):
-        assert stochastic_tightness(
+        assert compare(
             lp_config(1, L1_EXACT), lp_config(INF, LINF_EXACT)
-        ) == "incomparable"
+        ).containment == "incomparable"
 
     def test_identical_tie(self):
         a = lp_config(2, 1.5)
-        assert stochastic_tightness(a, lp_config(2, 1.5)) == "tie"
+        assert compare(a, lp_config(2, 1.5)).containment == "tie"
 
     def test_requires_equal_epsilon(self):
-        with pytest.raises(ValueError):
-            stochastic_tightness(lp_config(1, 1.0, eps=1.0), lp_config(1, 1.0, eps=2.0))
+        with pytest.raises(ValueError, match="requires equal epsilon"):
+            compare(lp_config(1, 1.0, eps=1.0), lp_config(1, 1.0, eps=2.0))
 
     def test_requires_equal_dimension(self):
-        with pytest.raises(ValueError):
-            stochastic_tightness(lp_config(1, 1.0, m=2), lp_config(1, 1.0, m=3))
+        with pytest.raises(ValueError, match="different dimensions"):
+            compare(lp_config(1, 1.0, m=2), lp_config(1, 1.0, m=3))
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
-@pytest.mark.parametrize("call", ["volume_monte_carlo", "ball_containment",
-                                  "stochastic_tightness", "compare"])
+@pytest.mark.parametrize("call", ["volume_monte_carlo", "ball_containment", "compare"])
 def test_bad_seed_refused_with_the_shared_message(call, seed, monkeypatch):
     # numpy raised its own ValueError for -1 and a TypeError for 1.5; compare
     # refuses it before kt4's Monte Carlo volume, and ball_containment for
@@ -209,7 +200,6 @@ def test_bad_seed_refused_with_the_shared_message(call, seed, monkeypatch):
             "volume_monte_carlo": lambda: volume_monte_carlo(k2_ball(), 1.0, 1000, seed),
             "ball_containment": lambda: ball_containment(ScaledBall(l2, 1.0),
                                                          ScaledBall(l2, 2.0), seed),
-            "stochastic_tightness": lambda: stochastic_tightness(lp_config(2, 1.0), k2, seed),
             "compare": lambda: compare(lp_config(INF, 2.0, m=kt4.dimension), kt4, seed),
         }[call]()
     assert str(exc.value) == f"seed must be an integer >= 0, got {seed}"
@@ -305,16 +295,16 @@ class TestOrderConsistency:
             m = int(rng.integers(2, 5))
             a = random_lp_config(rng, m, eps=1.0)
             b = random_lp_config(rng, m, eps=1.0)
-            verdict = stochastic_tightness(a, b)
+            report = compare(a, b)
             va = volume_lp(a.ball.p, m) * a.delta**m
             vb = volume_lp(b.ball.p, m) * b.delta**m
-            if verdict == "a_tighter":
+            if report.containment == "a_tighter":
                 assert va <= vb * (1 + 1e-12)
-                assert entropy(a) <= entropy(b) + 1e-12
+                assert report.entropy_a <= report.entropy_b + 1e-12
                 checked += 1
-            elif verdict == "b_tighter":
+            elif report.containment == "b_tighter":
                 assert vb <= va * (1 + 1e-12)
-                assert entropy(b) <= entropy(a) + 1e-12
+                assert report.entropy_b <= report.entropy_a + 1e-12
                 checked += 1
         assert checked >= 3
 
@@ -326,7 +316,8 @@ class TestOrderConsistency:
             b = random_lp_config(rng, m, eps=1.0)
             va = volume_lp(a.ball.p, m) * a.delta**m
             vb = volume_lp(b.ball.p, m) * b.delta**m
-            assert (entropy(a) <= entropy(b)) == (va <= vb)
+            report = compare(a, b)
+            assert (report.entropy_a <= report.entropy_b) == (va <= vb)
 
 
 class TestCompare:
@@ -380,7 +371,8 @@ class TestCompare:
         report = compare(hull, lp_config(INF, 2.0), seed=9)
         assert report.volume_a == (40.0 / 3.0) * 0.25 and report.volume_se_a == 0.0
         assert report.volume_b == 16.0 and report.volume_se_b == 0.0
-        assert report.entropy_a == entropy(hull)
+        h = 2.0 * (1.0 + math.log(0.5)) + math.log(2.0) + math.log(40.0 / 3.0)
+        assert math.isclose(report.entropy_a, h, rel_tol=1e-14)
         assert report.preferred_by_volume == "hull"
 
     def test_monte_carlo_only_for_unknown_volumes(self, monkeypatch):

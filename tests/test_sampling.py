@@ -9,11 +9,11 @@ from knorm import geometry, sampling
 from knorm.geometry import NormBall, k2_ball, lp_norm
 from knorm.linreg import ball_from_name, statistic_mechanism
 from knorm.sampling import (
+    _gamma_radii,
     _lp_stack,
     MechanismConfig,
     RngStream,
     SamplerError,
-    sample_gamma_int,
     sample_k_mech_rejection,
     sample_l1_mech,
     sample_l2_mech,
@@ -22,7 +22,7 @@ from knorm.sampling import (
     sample_noise,
     sample_noise_rows,
 )
-from reference import box_rejection, lp_noise_one_pair, noise_pair_by_pair
+from reference import box_rejection, gamma_radius, lp_noise_one_pair, noise_pair_by_pair
 
 INF = math.inf
 KS_LEVEL = 0.01
@@ -41,16 +41,35 @@ def box_noise(ball, rng, n):
     return u * rng.gamma(ball.dimension + 1, 1.0, size=n)[:, None]
 
 
+def rate_config(rate):
+    """A mechanism config whose Gamma rate eps/delta is rate."""
+    return MechanismConfig(rate, 1.0, NormBall.lp(2, 1, 1))
+
+
 class TestGammaInt:
+    """_gamma_radii, the library's one integer-shape Gamma draw."""
+
+    @pytest.mark.parametrize("shape", [3, 9])
+    def test_stack_is_the_reference_bit_for_bit(self, shape):
+        # shape 3 sums column by column in _reduce_rows, shape 9 row by row
+        rates = (2.0, 0.5, 7.25)
+        new = [RngStream(5, i).generator() for i in range(len(rates))]
+        old = [RngStream(5, i).generator() for i in range(len(rates))]
+        got = _gamma_radii(shape, [(rate_config(r), rng) for r, rng in zip(rates, new)], 100)
+        assert got.shape == (len(rates), 100)
+        for row, rate, a, b in zip(got, rates, new, old):
+            assert row.tobytes() == gamma_radius(shape, rate, b, 100).tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
     def test_mean(self):
         rng = RngStream(1, 0).generator()
-        draws = sample_gamma_int(3, 2.0, rng, size=100_000)
+        draws = _gamma_radii(3, [(rate_config(2.0), rng)], 100_000)[0]
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - 1.5) <= 4 * se
 
     def test_variance(self):
         rng = RngStream(1, 1).generator()
-        draws = sample_gamma_int(3, 2.0, rng, size=100_000)
+        draws = _gamma_radii(3, [(rate_config(2.0), rng)], 100_000)[0]
         s2 = draws.var(ddof=1)
         m4 = ((draws - draws.mean()) ** 4).mean()
         se = math.sqrt((m4 - s2**2) / len(draws))
@@ -58,18 +77,9 @@ class TestGammaInt:
 
     def test_ks_against_gamma_cdf(self):
         rng = RngStream(1, 2).generator()
-        draws = sample_gamma_int(3, 2.0, rng, size=10_000)
+        draws = _gamma_radii(3, [(rate_config(2.0), rng)], 10_000)[0]
         stat = sps.kstest(draws, gamma_cdf_oracle(3, 2.0))
         assert stat.pvalue > KS_LEVEL
-
-    def test_bad_args(self):
-        rng = RngStream(1, 4).generator()
-        with pytest.raises(ValueError, match="shape must be"):
-            sample_gamma_int(0, 1.0, rng, size=10)
-        with pytest.raises(ValueError, match="shape must be"):
-            sample_gamma_int(2.5, 1.0, rng, size=10)
-        with pytest.raises(ValueError, match="rate must be"):
-            sample_gamma_int(2, -1.0, rng, size=10)
 
 
 class TestL1Mech:
@@ -116,39 +126,27 @@ class TestL1Mech:
             sample_l1_mech(np.zeros(2), 1.0, 0.0, rng)
 
 
-def expression_lp_noise(p, m, delta, epsilon, rng, n):
-    # the l1 and l-infinity closed forms as single expressions on new arrays
-    if p == 1:
-        u = rng.random((n, m))
-        while (u == 0.0).any():
-            u[u == 0.0] = rng.random(int((u == 0.0).sum()))
-        return -(delta / epsilon) * np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
-    u = rng.uniform(-1.0, 1.0, size=(n, m))
-    return sample_gamma_int(m + 1, epsilon / delta, rng, size=n)[:, None] * u
-
-
 @pytest.mark.parametrize("p", [1, INF])
 class TestInPlaceNoise:
-    """The l1 and l-infinity draws, computed in place, are the bytes of their
-    one-pair and single-expression references."""
+    """The l1 and l-infinity draws, computed in place on the stack, are the
+    bytes of their one-pair reference."""
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_batches(self, p, seed):
         for m, n, delta, epsilon in ((1, 100_000, 1.0, 1.0), (7, 1001, 14.0, 0.3),
                                      (103, 3, 0.5, 4.0)):
-            new, one, old = (RngStream(seed, m).generator() for _ in range(3))
+            new, one = (RngStream(seed, m).generator() for _ in range(2))
             config = MechanismConfig(epsilon, delta, NormBall.lp(p, 1, m))
             got = _lp_stack(p, m, [(config, new)], n)[0]
-            for want in (lp_noise_one_pair(p, m, delta, epsilon, one, n),
-                         expression_lp_noise(p, m, delta, epsilon, old, n)):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert new.bit_generator.state == one.bit_generator.state == old.bit_generator.state
+            want = lp_noise_one_pair(p, m, delta, epsilon, one, n)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert new.bit_generator.state == one.bit_generator.state
 
     def test_single_draws(self, p):
         config = MechanismConfig(0.25, 6.0, NormBall.lp(p, 1, 7))
         for seed in range(20):
             got = sample_noise(config, RngStream(seed, 2).generator())
-            want = expression_lp_noise(p, 7, 6.0, 0.25, RngStream(seed, 2).generator(), 1)
+            want = lp_noise_one_pair(p, 7, 6.0, 0.25, RngStream(seed, 2).generator(), 1)
             assert got.shape == (7,) and got.tobytes() == want[0].tobytes()
 
 
