@@ -419,11 +419,17 @@ def ks_critical(n, alpha=0.01):
 
 @dataclass(frozen=True)
 class DiagnosticCheck:
+    """One self-test, which passes iff its statistic is at most its
+    threshold: the two numbers its line prints."""
+
     name: str
     statistic: float
     threshold: float
-    passed: bool
     detail: str = ""
+
+    @property
+    def passed(self):
+        return self.statistic <= self.threshold
 
 
 @dataclass
@@ -472,16 +478,18 @@ def run_diagnostics(mechanisms=DEFAULT_DIAGNOSTIC_MECHS, n_draws=DEFAULT_DIAGNOS
     Mechanisms are ball names as ball_from_name reads them, with Delta = 1
     and eps = 1; lp balls are 2-dimensional, the hull bodies keep their own
     dimension. Each mechanism draws n_draws (an integer >= 50) noise vectors
-    through sample_noise. Checks per mechanism: Kolmogorov-Smirnov test of
-    the noise gauge against its Gamma(m, eps/Delta) marginal at level 0.01,
-    and a 4-standard-error unbiasedness check per coordinate. The l1 entry
-    adds the Laplace histogram ratio bound; every hull with a known volume
-    (k2, k3, kt1-kt3) adds a 4-standard-error check of its own n_draws-point
-    box-fraction estimate, drawn from the mechanism's stream after the
-    noise, against its exact volume / bounding-box volume ratio; when every
-    one of its draws gets the same weight (sample SE 0) the check uses the
-    null SE sqrt(p(1-p)/n) of that ratio p instead. An empty mechanism list
-    yields an empty report.
+    through sample_noise. A check passes iff its statistic is at most its
+    threshold. Checks per mechanism: the Kolmogorov-Smirnov distance of the
+    noise gauge from its Gamma(m, eps/Delta) marginal against the level-0.01
+    critical value, and the largest |mean|/SE over coordinates against 4.
+    The l1 entry adds the Laplace histogram ratio bound; every hull with a
+    known volume (k2, k3, kt1-kt3) adds the deviation, in standard errors,
+    of its own n_draws-point box-fraction estimate, drawn from the
+    mechanism's stream after the noise, from its exact volume /
+    bounding-box volume ratio, against 4; when every one of its draws gets
+    the same weight (sample SE 0) the deviation is in the null SE
+    sqrt(p(1-p)/n) of that ratio p instead. An empty mechanism list yields
+    an empty report.
 
     The 4-SE checks rest on normal approximations, which fail correct
     samplers at a few draws: over 200 seeds of l2, linf, k2 and k3, 172
@@ -493,37 +501,24 @@ def run_diagnostics(mechanisms=DEFAULT_DIAGNOSTIC_MECHS, n_draws=DEFAULT_DIAGNOS
     n_draws = _check_integer("n_draws", n_draws, 50)
     delta, epsilon = 1.0, 1.0
     balls = [ball_from_name(mech, 2) for mech in mechanisms]
+    ks_crit = ks_critical(n_draws, 0.01)
     checks = []
+
+    def check(kind, target, statistic, threshold, detail):
+        checks.append(DiagnosticCheck(f"{kind}[{target}]", float(statistic), threshold, detail))
+
     for idx, (mech, ball) in enumerate(zip(mechanisms, balls)):
         m = ball.dimension
         rng = RngStream(seed, 1000 + idx).generator()
         v = sample_noise(MechanismConfig(epsilon, delta, ball), rng, size=n_draws)
-        gauges = ball.gauge_many(v)
-        rate = epsilon / delta
-        d = ks_statistic(gauges, lambda x: gamma_cdf(x, m, rate))
-        crit = ks_critical(n_draws, 0.01)
-        checks.append(
-            DiagnosticCheck(
-                name=f"gamma-marginal-ks[{mech}]",
-                statistic=d,
-                threshold=crit,
-                passed=d < crit,
-                detail=f"m={m} delta={delta} eps={epsilon} n={n_draws}",
-            )
-        )
+        d = ks_statistic(ball.gauge_many(v), lambda x: gamma_cdf(x, m, epsilon / delta))
+        check("gamma-marginal-ks", mech, d, ks_crit,
+              f"m={m} delta={delta} eps={epsilon} n={n_draws}")
         # per coordinate over contiguous rows, which numpy reduces pairwise
         cols = np.ascontiguousarray(v.T)
         se = cols.std(axis=1, ddof=1) / math.sqrt(n_draws)
-        worst = float(np.max(np.abs(cols.mean(axis=1)) / se))
-        checks.append(
-            DiagnosticCheck(
-                name=f"unbiasedness[{mech}]",
-                statistic=worst,
-                threshold=4.0,
-                passed=worst <= 4.0,
-                detail="max |mean|/SE over coordinates",
-            )
-        )
+        check("unbiasedness", mech, np.max(np.abs(cols.mean(axis=1)) / se), 4.0,
+              "max |mean|/SE over coordinates")
         if ball.volume is not None:
             expected = ball.volume / (2.0 * ball.linf_radius) ** m
             frac, se_frac = ball.box_fraction(rng, n_draws)
@@ -531,25 +526,10 @@ def run_diagnostics(mechanisms=DEFAULT_DIAGNOSTIC_MECHS, n_draws=DEFAULT_DIAGNOS
                 # the null SE, which bounds that of any mean of [0, 1]
                 # weights with mean `expected`
                 se_frac = math.sqrt(expected * (1.0 - expected) / n_draws)
-            dev = abs(frac - expected) / se_frac
-            checks.append(
-                DiagnosticCheck(
-                    name=f"box-fraction[{mech}]",
-                    statistic=frac,
-                    threshold=4.0,
-                    passed=dev <= 4.0,
-                    detail=f"expected {expected:.4f}, deviation {dev:.2f} SE",
-                )
-            )
+            check("box-fraction", mech, abs(frac - expected) / se_frac, 4.0,
+                  f"expected {expected:.4f}, estimate {frac:.6g}")
         if mech == "l1":
             worst_rel, ratio, n_bins = _dp_ratio_check(epsilon, 100_000, seed)
-            checks.append(
-                DiagnosticCheck(
-                    name="dp-ratio[laplace]",
-                    statistic=worst_rel,
-                    threshold=1.0,
-                    passed=worst_rel <= 1.0,
-                    detail=f"worst bin ratio {ratio:.3f} over {n_bins} bins",
-                )
-            )
+            check("dp-ratio", "laplace", worst_rel, 1.0,
+                  f"worst bin ratio {ratio:.3f} over {n_bins} bins")
     return DiagnosticsReport(checks)

@@ -104,7 +104,7 @@ def _require_comparable(a: MechanismConfig, b: MechanismConfig):
     if a.dimension != b.dimension:
         raise ValueError("mechanisms have different dimensions")
     if a.epsilon != b.epsilon:
-        raise ValueError("tightness comparison requires equal epsilon")
+        raise ValueError("compare requires equal epsilon")
 
 
 def _tightness_verdict(a, b, seed):
@@ -138,8 +138,13 @@ class ComparisonReport:
     volume_se_b: float
     entropy_a: float
     entropy_b: float
-    preferred_by_containment: str
     preferred_by_volume: str
+
+    @property
+    def preferred_by_containment(self):
+        """The tighter mechanism's label, else the containment verdict."""
+        return {"a_tighter": self.label_a, "b_tighter": self.label_b}.get(
+            self.containment, self.containment)
 
     def as_dict(self):
         w = self.containment_witness
@@ -208,7 +213,6 @@ def compare(a: MechanismConfig, b: MechanismConfig, seed=0,
     ent_a, ent_b = _entropy(a, log_a), _entropy(b, log_b)
 
     verdict, witness = _tightness_verdict(a, b, seed)
-    preferred_containment = {"a_tighter": a.label, "b_tighter": b.label}.get(verdict, verdict)
 
     # the 4-SE tie rule on both volumes divided by the larger one, which
     # their entropy difference gives at any dimension
@@ -231,6 +235,5 @@ def compare(a: MechanismConfig, b: MechanismConfig, seed=0,
         volume_se_b=se_b,
         entropy_a=ent_a,
         entropy_b=ent_b,
-        preferred_by_containment=preferred_containment,
         preferred_by_volume=preferred_volume,
     )

@@ -9,6 +9,7 @@ import inspect
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -58,7 +59,7 @@ PASS gamma-marginal-ks[linf]: statistic=0.00776139 threshold=0.0162762 (m=2 delt
 PASS unbiasedness[linf]: statistic=2.09543 threshold=4 (max |mean|/SE over coordinates)
 PASS gamma-marginal-ks[k2]: statistic=0.00917696 threshold=0.0162762 (m=2 delta=1.0 eps=1.0 n=10000)
 PASS unbiasedness[k2]: statistic=1.38833 threshold=4 (max |mean|/SE over coordinates)
-PASS box-fraction[k2]: statistic=0.833863 threshold=4 (expected 0.8333, deviation 0.20 SE)
+PASS box-fraction[k2]: statistic=0.197395 threshold=4 (expected 0.8333, estimate 0.833863)
 """
 
 
@@ -377,8 +378,33 @@ class TestDiagnostics:
         monkeypatch.setitem(fractions, 3, 1.1 * fractions[3])
         report = run_diagnostics(mechanisms=("kt3",), seed=0)
         checks = {c.name: c for c in report.checks}
-        assert not checks["box-fraction[kt3]"].passed
+        box = checks["box-fraction[kt3]"]
+        assert not box.passed
+        assert box.statistic > box.threshold == 4.0
         assert checks["gamma-marginal-ks[kt3]"].passed
+
+    @pytest.mark.parametrize("fault", ["none", "laplace-scale", "kt3-volume"])
+    def test_each_printed_verdict_follows_its_printed_numbers(self, capsys, monkeypatch,
+                                                              fault):
+        # PASS iff the statistic a line prints is at most the threshold it
+        # prints, on a clean run and on two that must fail
+        if fault == "laplace-scale":
+            mis_scale_laplace(monkeypatch)
+        if fault == "kt3-volume":
+            monkeypatch.setitem(linreg._KT_BOX_FRACTIONS, 3,
+                                1.1 * linreg._KT_BOX_FRACTIONS[3])
+        argv = {"none": [], "laplace-scale": ["--mech", "l1"], "kt3-volume": ["--mech", "kt3"]}
+        code = main(["diagnostics", *argv[fault]])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == ("ALL PASS" if fault == "none" else "FAILURES")
+        assert code == (fault != "none")
+        verdicts = []
+        for line in lines[:-1]:
+            m = re.fullmatch(r"(PASS|FAIL) \S+: statistic=(\S+) threshold=(\S+) \(.*\)", line)
+            assert m, line
+            verdicts.append(m[1])
+            assert (m[1] == "PASS") == (float(m[2]) <= float(m[3])), line
+        assert ("FAIL" in verdicts) == (fault != "none")
 
     def test_fault_injection_detected(self, monkeypatch):
         mis_scale_laplace(monkeypatch)
@@ -795,6 +821,9 @@ class TestCli:
          "bff21e9d3cd6cbeebbfbfc0a2ff4d4d77b0d7d6741884ea9d8f45f61dfe407c4"),
         ("sample --ball linf --m 4",
          "9d5ecfc5762cb5b8a87f88cfca7fc37dc5dd0848c4b6f21fed72516fd6335dd7"),
+        # every hull with a known volume but k2, whose line DEFAULT_DIAGNOSTICS pins
+        ("diagnostics --mech k3,kt1,kt2,kt3 --draws 2000",
+         "4c47836cadc73c0593a756db1f2664c37c473fe9cda77300f712b17d758563ff"),
     ])
     def test_compare_and_sample_bytes_pinned(self, capsys, argv, digest):
         assert main(argv.split() + ["--seed", "0"]) == 0
@@ -996,8 +1025,8 @@ class TestCli:
         for name, frac in zip(("k2", "k3"), fracs):
             dev = abs(frac - 5 / 6) / null_se
             verdict = "PASS" if dev <= 4.0 else "FAIL"
-            assert (f"{verdict} box-fraction[{name}]: statistic={frac:.6g} threshold=4 "
-                    f"(expected 0.8333, deviation {dev:.2f} SE)") in out
+            assert (f"{verdict} box-fraction[{name}]: statistic={dev:.6g} threshold=4 "
+                    f"(expected 0.8333, estimate {frac:.6g})") in out
 
     def test_coverage_needs_n_above_p_plus_one(self, capsys, monkeypatch):
         def no_draws(*args, **kwargs):

@@ -62,7 +62,8 @@ UNREACHED = {
     "ordering.depth": "perfbench/layers.py times it",
     "geometry.quadratic_pair_sensitivity": "the k2 sensitivity that decides the k2 verdicts",
     "geometry.quadratic_pair_sensitivity.corner_norm": "quadratic_pair_sensitivity's objective",
-    "ordering.conditional_variance": "the paper's third criterion",
+    "ordering.conditional_variance":
+        "the paper's third criterion, which test_c06 checks; ROADMAP item 1 wires it in",
 }
 
 PROFILE = """
