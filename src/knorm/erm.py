@@ -9,6 +9,10 @@ lambda, and V is drawn with density proportional to
 exp(-(eps*q/Delta)*||V||_K) for a bound Delta on the K-gauge of
 per-example gradient differences. The domain is all of R^m and no extra
 regularizer is used. Instantiated here for logistic regression.
+
+objective_perturbation_rows fits several (config, generator) runs on one
+design: it draws every V in one sampling.sample_noise_rows call, then fits
+each run from one shared start; objective_perturbation is its one-pair case.
 """
 
 from __future__ import annotations
@@ -20,7 +24,10 @@ from typing import Callable
 import numpy as np
 
 from .geometry import NormBall, _check_integer, _check_positive, _check_unit
-from .sampling import BudgetError, MechanismConfig, sample_noise
+from .sampling import BudgetError, MechanismConfig, _coordinate_bound, sample_noise_rows
+
+# unused here, but perfbench/spans.py rebinds this name in this module
+from .sampling import sample_noise  # noqa: F401
 
 __all__ = [
     "LossSpec",
@@ -32,6 +39,7 @@ __all__ = [
     "logistic_loss_spec",
     "minimize_erm",
     "objective_perturbation",
+    "objective_perturbation_rows",
 ]
 
 
@@ -83,7 +91,12 @@ class ObjPertConfig:
     """Budget eps, split q in (0,1), and the loss being minimized.
 
     noise is the mechanism V is drawn from, resolved once here: budget
-    eps*q on the loss's gradient-sensitivity ball and bound.
+    eps*q on the loss's gradient-sensitivity ball and bound. A budget is
+    refused with BudgetError, from these fields alone, when V's squared
+    norm can overflow: every coordinate of V is below B = (m + 1)*745*
+    linf_radius*Delta/(eps*q) (sampling._coordinate_bound), and m*B^2 must
+    be finite. Past that bound ||V||^2, and with it the squared gradient
+    of the fit at theta = 0, can overflow whatever the data.
     """
 
     epsilon: float
@@ -99,11 +112,17 @@ class ObjPertConfig:
         except ValueError:
             raise BudgetError(f"epsilon={self.epsilon!r} and q={self.q!r} give an invalid "
                               f"regularization weight gamma={self.gamma}") from None
-        object.__setattr__(self, "noise", MechanismConfig(
+        noise = MechanismConfig(
             epsilon=self.epsilon * self.q,
             delta=self.loss.grad_delta,
             ball=self.loss.grad_ball,
-        ))
+        )
+        m = noise.dimension
+        bound = math.sqrt(m) * _coordinate_bound(noise.ball, noise.rate)
+        if not math.isfinite(bound * bound):
+            raise BudgetError(f"epsilon={self.epsilon!r} and q={self.q!r} give noise whose "
+                              f"squared norm can overflow (||V|| up to {bound!r} at m={m})")
+        object.__setattr__(self, "noise", noise)
 
     @property
     def gamma(self):
@@ -210,7 +229,7 @@ def _logistic_validate(X, y):
     # logistic Delta and eigen_bound hold on [-1, 1] exactly, with no slack
     if not (X.min() >= -1.0 and X.max() <= 1.0):
         raise ValueError("design matrix entries must be finite and lie in [-1, 1]")
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0/1")
 
 
@@ -306,7 +325,7 @@ def _start_for(loss, X, y, start):
     # evaluate(loss, X, y) without a start, else the start once X, y and loss are its own
     if start is None:
         return evaluate(loss, X, y)
-    if not (X is start.X and y is start.y
+    if not (X is start.X and y is start.y and start.loss.dimension == loss.dimension
             and start.loss.loss_and_grad is loss.loss_and_grad
             and start.loss.hess is loss.hess and start.loss.validate is loss.validate):
         raise ValueError("start was evaluated on other data or with another loss")
@@ -322,7 +341,9 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None):
     taken when it raises f by no more than rounding error (1e-12 relative)
     and halves the gradient norm. Converges when the gradient l2 norm of the
     mean-scaled objective is at most GRAD_TOL; raises OptimizerError with
-    diagnostics after MAX_NEWTON_STEPS iterations.
+    diagnostics after MAX_NEWTON_STEPS iterations, and in place of numpy's
+    warning once an overflow or invalid value leaves the fit without a
+    finite objective or gradient.
 
     The fit starts from start, a StartPoint from evaluate(loss, X, y,
     theta), or from evaluate(loss, X, y) at theta = 0 when start is None;
@@ -346,32 +367,36 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None):
     m = loss.dimension
     v = np.zeros(m) if linear is None else _check_vector("linear", linear, m)
     start = _start_for(loss, X, y, start)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _newton(loss, start, gamma, v)
+    except FloatingPointError as exc:
+        raise OptimizerError(f"the objective left the floating-point range ({exc})") from None
+
+
+def _newton(loss, start, gamma, v):
+    # minimize_erm's Newton loop from start, with its constants hoisted out
+    # of the loop and the line search
     X, y, work = start.X, start.y, start.workspace
     n = len(X)
-    ridge = gamma * np.eye(m)
-
-    def objective(t, base, grad):
-        f = (base + 0.5 * gamma * (t @ t) + v @ t) / n
-        g = (grad + gamma * t + v) / n
-        return f, g
-
-    def value_and_grad(t):
-        base, grad, curvature = loss.loss_and_grad(t, X, y, work)
-        return (*objective(t, base, grad), curvature)
+    half_gamma, ridge = 0.5 * gamma, gamma * np.eye(len(v))
+    loss_and_grad, hess_at = loss.loss_and_grad, loss.hess
 
     theta = start.theta.copy()
-    f, g = objective(theta, start.value, start.grad)
+    f = (start.value + half_gamma * (theta @ theta) + v @ theta) / n
+    g = (start.grad + gamma * theta + v) / n
     w, hess = None, start.hessian  # the start's Hessian needs no curvature
     for _ in range(MAX_NEWTON_STEPS):
-        gnorm = float(np.sqrt(g @ g))
+        gg = g @ g
+        gnorm = float(np.sqrt(gg))
         if gnorm <= GRAD_TOL:
             return theta
         if hess is None:
-            hess = loss.hess(theta, X, y, w, work)
+            hess = hess_at(theta, X, y, w, work)
         H = (hess + ridge) / n
         try:
             step = np.linalg.solve(H, -g)
-            if not np.all(np.isfinite(step)) or g @ step >= 0:
+            if not np.isfinite(step).all() or g @ step >= 0:
                 step = -g
         except np.linalg.LinAlgError:
             step = -g
@@ -379,13 +404,14 @@ def minimize_erm(loss: LossSpec, X, y, gamma=0.0, linear=None, start=None):
         t_step = 1.0
         while True:
             trial = theta + t_step * step
-            ft, gt, wt = value_and_grad(trial)
+            base, grad, wt = loss_and_grad(trial, X, y, work)
+            ft = (base + half_gamma * (trial @ trial) + v @ trial) / n
+            gt = (grad + gamma * trial + v) / n
             if ft <= f + 1e-4 * t_step * gd:
                 break
             # near the minimizer the true decrease of a full step can fall
             # below the rounding error of f, so Armijo alone would stall
-            if (t_step == 1.0 and ft - f <= 1e-12 * (1.0 + abs(f))
-                    and gt @ gt < 0.25 * (g @ g)):
+            if t_step == 1.0 and ft - f <= 1e-12 * (1.0 + abs(f)) and gt @ gt < 0.25 * gg:
                 break
             t_step *= 0.5
             if t_step < 2.0**-60:
@@ -415,10 +441,37 @@ def objective_perturbation(config: ObjPertConfig, X, y, rng, start=None):
     and start.y, and must sit at theta = 0: a data-dependent start (such as
     the MLE) is refused with a ValueError. Without one,
     evaluate(config.loss, X, y) builds it. The data and the start are
-    checked before any noise is drawn, so a refused call leaves rng as it was.
+    checked before any noise is drawn, so a refused call leaves rng as it
+    was. The one-pair case of objective_perturbation_rows.
     """
-    start = _start_for(config.loss, X, y, start)
+    return objective_perturbation_rows([(config, rng)], X, y, start)[0]
+
+
+def objective_perturbation_rows(runs, X, y, start=None):
+    """objective_perturbation for each (ObjPertConfig, generator) pair of
+    runs on one design, as the rows of a (len(runs), m) array.
+
+    Row i is objective_perturbation(config_i, X, y, rng_i, start) bit for
+    bit, and each generator ends where that call leaves it. Every config's
+    loss is checked against the start (the one given, at theta = 0, or
+    evaluate(runs[0][0].loss, X, y), which validates the data) before any
+    draw, so a refused call leaves every generator as it was; so does a
+    generator that appears twice (sample_noise_rows refuses it). Then every
+    V is drawn in one sample_noise_rows call on the configs' noise, and
+    each row is fitted from the shared start, one at a time.
+    """
+    if not runs:
+        raise ValueError("objective_perturbation_rows needs at least one run")
+    if start is None:
+        start = evaluate(runs[0][0].loss, X, y)
+        X, y = start.X, start.y
+    for config, _ in runs:
+        _start_for(config.loss, X, y, start)
     if np.any(start.theta):
         raise ValueError("objective perturbation must start at theta = 0")
-    v = sample_noise(config.noise, rng)
-    return minimize_erm(config.loss, start.X, start.y, gamma=config.gamma, linear=v, start=start)
+    noise = sample_noise_rows([(config.noise, rng) for config, rng in runs])
+    out = np.empty_like(noise)
+    for i, (config, _) in enumerate(runs):
+        out[i] = minimize_erm(config.loss, X, y, gamma=config.gamma, linear=noise[i],
+                              start=start)
+    return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .erm import (_LOGISTIC_DELTAS, ObjPertConfig, _sigmoid, evaluate, logistic_loss_spec,
-                  minimize_erm, objective_perturbation)
+                  minimize_erm, objective_perturbation_rows)
 from .geometry import _check_integer, _check_mechanism, _check_positive, _check_unit
 from .linreg import (_STATISTIC_DELTAS, _check_quantiles, ball_from_name, build_statistic,
                      dp_estimates, preprocess, statistic_from_gram, statistic_mechanism)
@@ -27,6 +27,7 @@ from .sampling import (BudgetError, MechanismConfig, RngStream, sample_l1_mech, 
                        sample_noise_rows)
 
 # unused here, but perfbench/spans.py rebinds these names in this module
+from .erm import objective_perturbation  # noqa: F401
 from .geometry import lp_norm  # noqa: F401
 from .linreg import dp_estimate, sanitize_statistic  # noqa: F401
 from .sampling import sample_k_mech_rejection, sample_l2_mech, sample_linf_mech  # noqa: F401
@@ -210,7 +211,9 @@ def simulate_logistic(config: SimulationConfig, *, n, q) -> ResultTable:
     Per replicate, draws a uniform design on [-1,1]^(n x 7) and Bernoulli
     responses from the fixed coefficient vector, fits the non-private MLE,
     and runs objective perturbation for every (epsilon, mechanism) with
-    budget split q, recording the l2 distance to the true coefficients.
+    budget split q, recording the l2 distance to the true coefficients:
+    one objective_perturbation_rows call per replicate draws every cell's
+    noise in one sample_noise_rows call and fits the cells one at a time.
     Summaries are lower medians per cell. n must be an integer >= 1, q in
     (0, 1) (as in an ObjPertConfig) and each mechanism l1, l2 or linf; all
     three are checked before any stream is drawn.
@@ -243,9 +246,10 @@ def simulate_logistic(config: SimulationConfig, *, n, q) -> ResultTable:
         mle_err = float(np.linalg.norm(mle - beta))
         table.long_rows.append(("", "mle", rep, "l2_error", mle_err))
 
-        for cell, eps, mech, objpert in cells:
-            theta = objective_perturbation(objpert, X, y, _noise_rng(config, cell, rep),
-                                           start=start)
+        thetas = objective_perturbation_rows(
+            [(objpert, _noise_rng(config, cell, rep)) for cell, _, _, objpert in cells],
+            X, y, start=start)
+        for (_, eps, mech, _), theta in zip(cells, thetas):
             err = float(np.linalg.norm(theta - beta))
             table.long_rows.append((float(eps), mech, rep, "l2_error", err))
 

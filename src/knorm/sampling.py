@@ -13,6 +13,10 @@ Gamma(m, eps/Delta). _noise is the one sampler of every ball, and runs
 its arithmetic once on the rows of all its generators: sample_noise is its
 one-pair case, sample_noise_rows calls it once per ball, and
 sample_k_mech_rejection adds its draw to T and reads its proposal counts.
+The workflows draw through sample_noise_rows (erm.objective_perturbation_rows
+and harness._private_estimates, one call per replicate or block) or
+sample_noise (linreg.sanitize_statistic, harness.run_diagnostics and the
+CLI's sample).
 
 A release T + V is finite for every T whose entries are at most
 sys.float_info.max - B in magnitude, where B = (m + 1)*745*linf_radius*
@@ -113,19 +117,24 @@ class MechanismConfig:
 _MAX_LOG_DRAW = 745.0
 
 
+def _coordinate_bound(ball, rate):
+    """(m + 1)*745*linf_radius/rate, above every coordinate of the noise of
+    a ball at that rate: a Gamma(m + 1) radius is a sum of m + 1
+    exponentials, each below 745, as is each -log1p term of a Laplace draw."""
+    return (ball.dimension + 1) * _MAX_LOG_DRAW * ball.linf_radius / rate
+
+
 def _check_budget(epsilon, delta, ball):
     """Refuse, from public parameters alone, a budget whose noise could be
     non-finite: epsilon and delta must be positive and finite, and so must
     the rate epsilon/delta, delta*linf_radius (an lp ball's noise scale is
-    delta) and the bound (m + 1)*745*linf_radius/rate on every noise
-    coordinate (a Gamma(m + 1) radius is a sum of m + 1 exponentials, each
-    below 745)."""
+    delta) and the bound _coordinate_bound on every noise coordinate."""
     _check_positive("epsilon", epsilon, BudgetError)
     _check_positive("delta", delta, BudgetError)
     rate = epsilon / delta
     if not (rate > 0 and math.isfinite(rate)
             and math.isfinite(delta * ball.linf_radius)
-            and math.isfinite((ball.dimension + 1) * _MAX_LOG_DRAW * ball.linf_radius / rate)):
+            and math.isfinite(_coordinate_bound(ball, rate))):
         raise BudgetError(
             f"epsilon={epsilon!r} and delta={delta!r} can give non-finite noise "
             f"for {ball.label()} at m={ball.dimension} (rate epsilon/delta = {rate!r})")

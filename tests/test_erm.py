@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -16,11 +18,13 @@ from knorm.erm import (
     logistic_sensitivity,
     minimize_erm,
     objective_perturbation,
+    objective_perturbation_rows,
 )
 from knorm import erm
 from knorm.geometry import NormBall
-from knorm.harness import DEFAULT_LOGISTIC_EPS
-from knorm.sampling import BudgetError, MechanismConfig, RngStream, sample_noise
+from knorm.harness import DEFAULT_LOGISTIC_EPS, simulate_logistic, SimulationConfig
+from knorm.sampling import (BudgetError, MechanismConfig, RngStream, sample_noise,
+                            sample_noise_rows)
 
 INF = math.inf
 BETA = np.array([0.0, -1.0, -0.5, -0.25, 0.0, 0.75, 1.5])
@@ -678,14 +682,14 @@ class TestObjPertConfig:
         X, y = TestSharedStart.replicate(79)
         drawn = []
 
-        def recording(cfg, rng):
-            drawn.append(cfg)
-            return sample_noise(cfg, rng)
+        def recording(draws):
+            drawn.extend(cfg for cfg, _ in draws)
+            return sample_noise_rows(draws)
 
         def refused(*args, **kwargs):
             raise AssertionError("objective_perturbation built a MechanismConfig")
 
-        monkeypatch.setattr(erm, "sample_noise", recording)
+        monkeypatch.setattr(erm, "sample_noise_rows", recording)
         monkeypatch.setattr(erm, "MechanismConfig", refused)
         objective_perturbation(config, X, y, RngStream(79, 1).generator())
         assert len(drawn) == 1 and drawn[0] is config.noise
@@ -823,3 +827,146 @@ class TestObjectivePerturbation:
         noise_rng = RngStream(69, 1).generator()
         b = objective_perturbation(config, X, y, noise_rng)
         assert np.array_equal(a, b)
+
+
+class TestObjectivePerturbationRows:
+    """objective_perturbation_rows draws every run's V in one stack and fits
+    each row from one start: row i and generator i end as the one-pair call
+    leaves them, and a refused call draws nothing."""
+
+    #: (eps, p) of the runs: l1, l2 and linf at several budgets, a ball twice
+    RUNS = [(1 / 16, 1.0), (0.5, 2.0), (2.0, INF), (1.0, 1.0), (1 / 4, INF), (4.0, 2.0)]
+
+    @staticmethod
+    def runs(seed, q=0.4):
+        specs = {p: logistic_loss_spec(7, p) for p in (1.0, 2.0, INF)}
+        return [(ObjPertConfig(eps, q, specs[p]), RngStream(seed, 1 + i).generator())
+                for i, (eps, p) in enumerate(TestObjectivePerturbationRows.RUNS)]
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_rows_and_generators_are_the_one_pair_calls(self, shared):
+        X, y = TestSharedStart.replicate(90)
+        start = evaluate(logistic_loss_spec(7), X, y) if shared else None
+        data = (start.X, start.y) if shared else (X, y)
+        runs, alone = self.runs(90), self.runs(90)
+        rows = objective_perturbation_rows(runs, *data, start=start)
+        assert rows.shape == (len(runs), 7)
+        for row, (_, rng), (config, rng_alone) in zip(rows, runs, alone):
+            theta = objective_perturbation(config, *data, rng_alone, start=start)
+            assert np.array_equal(row, theta)
+            assert rng.bit_generator.state == rng_alone.bit_generator.state
+
+    def test_draws_once_and_builds_no_mechanism(self, monkeypatch):
+        X, y = TestSharedStart.replicate(91)
+        runs = self.runs(91)
+        calls = []
+
+        def recording(draws):
+            calls.append([cfg for cfg, _ in draws])
+            return sample_noise_rows(draws)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("objective_perturbation_rows built a MechanismConfig")
+
+        monkeypatch.setattr(erm, "sample_noise_rows", recording)
+        monkeypatch.setattr(erm, "MechanismConfig", refused)
+        objective_perturbation_rows(runs, X, y)
+        assert len(calls) == 1
+        assert all(cfg is config.noise for cfg, (config, _) in zip(calls[0], runs))
+
+    @pytest.mark.parametrize("refusal", ["foreign start", "nonzero start", "out of range",
+                                         "repeated generator", "no runs"])
+    def test_refused_call_leaves_every_generator(self, refusal):
+        X, y = TestSharedStart.replicate(92)
+        spec = logistic_loss_spec(7)
+        start, at = evaluate(spec, X, y), evaluate(spec, X, y, np.full(7, 0.1))
+        bad = X.copy()
+        bad[5, 3] = 1.5
+        runs = self.runs(92)
+        args, message = {
+            "foreign start": ((runs, X, y, start), "start"),
+            "nonzero start": ((runs, at.X, at.y, at), "theta = 0"),
+            "out of range": ((runs, bad, y), "[-1, 1]"),
+            "repeated generator": ((runs + [(runs[0][0], runs[2][1])], start.X, start.y, start),
+                                   "own generator"),
+            "no runs": (([], start.X, start.y, start), "at least one run"),
+        }[refusal]
+        states = [rng.bit_generator.state for _, rng in runs]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            objective_perturbation_rows(*args)
+        assert [rng.bit_generator.state for _, rng in runs] == states
+
+    def test_loss_of_another_dimension_refused_before_any_draw(self):
+        X, y = TestSharedStart.replicate(93)
+        start = evaluate(logistic_loss_spec(7), X, y)
+        rng = RngStream(93, 1).generator()
+        state = rng.bit_generator.state
+        config = ObjPertConfig(1.0, 0.5, logistic_loss_spec(3))
+        with pytest.raises(ValueError, match="start"):
+            objective_perturbation_rows([(config, rng)], start.X, start.y, start=start)
+        assert rng.bit_generator.state == state
+
+
+class TestBudgetOverflow:
+    """ObjPertConfig refuses a budget whose V can have a squared norm past
+    the float range: m*B^2 must be finite for the coordinate bound
+    B = (m + 1)*745*linf_radius*Delta/(eps*q), before any draw."""
+
+    @staticmethod
+    def edge(p, q):
+        # (least accepted eps, the float below it) at split q: eps*q within
+        # 1e-11 of sqrt(m)*(m + 1)*745*Delta/sqrt(max float), the formula's edge
+        spec = logistic_loss_spec(7, p)
+
+        def accepted(eps):
+            try:
+                ObjPertConfig(eps, q, spec)
+            except BudgetError:
+                return False
+            return True
+
+        formula = math.sqrt(7) * 8 * 745.0 * spec.grad_delta / math.sqrt(sys.float_info.max) / q
+        inside = formula * (1 - 1e-12)
+        assert not accepted(inside)
+        while not accepted(inside):
+            inside = math.nextafter(inside, INF)
+        assert math.isclose(inside, formula, rel_tol=1e-11)
+        return inside, math.nextafter(inside, 0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_budget_just_inside_runs_without_warning(self, p):
+        inside, outside = self.edge(p, 0.5)
+        ObjPertConfig(inside, 0.5, logistic_loss_spec(7, p))
+        with pytest.raises(BudgetError, match="squared norm can overflow"):
+            ObjPertConfig(outside, 0.5, logistic_loss_spec(7, p))
+        # a fit at the inside edge converges or raises OptimizerError, with no
+        # numpy warning (an error under this suite's filterwarnings)
+        mech = {1.0: "l1", 2.0: "l2", INF: "linf"}[p]
+        for n in (2, 50):
+            config = SimulationConfig(eps=(inside,), mechanisms=(mech,), reps=1, seed=0)
+            try:
+                simulate_logistic(config, n=n, q=0.5)
+            except OptimizerError:
+                pass
+
+    @pytest.mark.parametrize("eps, q", [(1e-155, 0.5), (1e-300, 0.5), (1.0, 1e-300)])
+    def test_budget_outside_refused_before_any_draw(self, eps, q):
+        rng = RngStream(94, 1).generator()
+        state = rng.bit_generator.state
+        X, y = make_data(50, 7, RngStream(94, 0).generator())
+        with pytest.raises(BudgetError, match="squared norm can overflow") as exc:
+            objective_perturbation(ObjPertConfig(eps, q, logistic_loss_spec(7, 1.0)), X, y, rng)
+        assert str(exc.value).startswith(f"epsilon={eps!r} and q={q!r} give noise")
+        assert rng.bit_generator.state == state
+
+    def test_fit_that_overflows_raises_optimizer_error(self):
+        # eps = 10 at the least accepted q: V is far from the data, where the
+        # logistic curvature is 0, so the Newton step -g*n/gamma leaves the
+        # float range; the fit reports it in place of numpy's warning
+        spec = logistic_loss_spec(7, 2.0)
+        q = 1e-150
+        ObjPertConfig(10.0, q, spec)
+        X, y = make_data(50, 7, RngStream(95, 0).generator())
+        with pytest.raises(OptimizerError, match="left the floating-point range"):
+            objective_perturbation(ObjPertConfig(10.0, q, spec), X, y,
+                                   RngStream(95, 1).generator())

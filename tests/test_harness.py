@@ -1640,13 +1640,29 @@ class TestBenchmarkHooks:
         monkeypatch.setattr(erm, "_logistic_hess", counting(erm._logistic_hess, "hess"))
         zero = np.zeros(len(LOGISTIC_BETA)).tobytes()
         starts = []
+        # the calls of each fit that objective_perturbation_rows makes
+        fits = []
+        minimize = erm.minimize_erm
 
-        def sharing(fn):
+        def segmented(*args, **kwargs):
+            mark = len(log)
+            theta = minimize(*args, **kwargs)
+            fits.append(Counter(kind for kind, _ in log[mark:]))
+            return theta
+        monkeypatch.setattr(erm, "minimize_erm", segmented)
+
+        def alone_calls(fn, *args):
+            # the bits and the calls of a fit started on its own, off the log
+            mark, first = len(log), len(fits)
+            theta = fn(*copy.deepcopy(args))
+            calls = Counter(kind for kind, _ in log[mark:])
+            del log[mark:], fits[first:]
+            return theta, calls
+
+        def mle_sharing(fn):
             def fit(*args, start):
+                alone, calls_alone = alone_calls(fn, *args)
                 mark = len(log)
-                alone = fn(*copy.deepcopy(args))
-                calls_alone = Counter(kind for kind, _ in log[mark:])
-                del log[mark:]
                 theta = fn(*args, start=start)
                 assert np.array_equal(theta, alone)
                 assert ("loss", zero) not in log[mark:]
@@ -1656,9 +1672,25 @@ class TestBenchmarkHooks:
                 return theta
             return fit
 
-        monkeypatch.setattr(harness, "minimize_erm", sharing(harness.minimize_erm))
-        monkeypatch.setattr(harness, "objective_perturbation",
-                            sharing(harness.objective_perturbation))
+        def rows_sharing(fn):
+            def fit(runs, X, y, *, start):
+                alone = [alone_calls(erm.objective_perturbation, config, X, y, rng)
+                         for config, rng in runs]
+                mark, first = len(log), len(fits)
+                thetas = fn(runs, X, y, start=start)
+                assert ("loss", zero) not in log[mark:]
+                assert len(fits) - first == len(runs)
+                for theta, shared_calls, (theta_alone, calls_alone) in zip(
+                        thetas, fits[first:], alone):
+                    assert np.array_equal(theta, theta_alone)
+                    assert shared_calls == calls_alone - Counter(loss=1, hess=1)
+                starts.extend([start] * len(runs))
+                return thetas
+            return fit
+
+        monkeypatch.setattr(harness, "minimize_erm", mle_sharing(harness.minimize_erm))
+        monkeypatch.setattr(harness, "objective_perturbation_rows",
+                            rows_sharing(harness.objective_perturbation_rows))
         config = SimulationConfig(eps=(0.5, 1.0), reps=2, mechanisms=("l1", "l2", "linf"),
                                   seed=5)
         simulate_logistic(config, n=200, q=0.3)
@@ -1680,16 +1712,17 @@ class TestBenchmarkHooks:
         calls = Counter()
 
         def on_start_data(fn, kind):
-            def fit(loss, X, y, *args, start):
+            def fit(first, X, y, *args, start):
                 assert X is start.X is seen[-1][0] and y is start.y is seen[-1][1]
-                calls[kind] += 1
-                return fn(loss, X, y, *args, start=start)
+                # the MLE's first argument is its loss, the rows' their runs
+                calls[kind] += len(first) if kind == "objpert" else 1
+                return fn(first, X, y, *args, start=start)
             return fit
 
         monkeypatch.setattr(harness, "minimize_erm",
                             on_start_data(harness.minimize_erm, "mle"))
-        monkeypatch.setattr(harness, "objective_perturbation",
-                            on_start_data(harness.objective_perturbation, "objpert"))
+        monkeypatch.setattr(harness, "objective_perturbation_rows",
+                            on_start_data(harness.objective_perturbation_rows, "objpert"))
         config = SimulationConfig(eps=(0.5, 1.0), reps=2, mechanisms=("l1", "l2", "linf"),
                                   seed=5)
         simulate_logistic(config, n=200, q=0.3)

@@ -57,6 +57,7 @@ UNREACHED = {
     "geometry._hull_member_many": "NormBall.member_many's kernel for a hull",
     "linreg.sanitize_statistic": "perfbench/layers.py times it; spans.py rebinds it",
     "linreg.dp_estimate": "perfbench/layers.py times it; spans.py rebinds it",
+    "erm.objective_perturbation": "perfbench/layers.py times it; spans.py rebinds harness's name",
     "ordering.gamma_quantile": "perfbench/layers.py imports it",
     "ordering.concentration_radius": "perfbench/layers.py times it",
     "ordering.depth": "perfbench/layers.py times it",
