@@ -58,8 +58,9 @@ def _emit(text, path):
 
 def _simulate(driver, args, **settings):
     """Run a simulation driver on the run grid of the shared flags and on its
-    own settings; write both tables."""
-    table = _budget("--eps", lambda: driver(SimulationConfig(
+    own settings (a refused budget names --q too for the driver that takes
+    it); write both tables."""
+    table = _budget("--eps/--q" if "q" in settings else "--eps", lambda: driver(SimulationConfig(
         eps=args.eps, mechanisms=args.mech, reps=args.reps, seed=args.seed), **settings))
     _emit(table.long_csv(), args.out)
     _emit(table.summary_csv(), args.summary)

@@ -427,7 +427,7 @@ def _newton(loss, start, gamma, v):
     )
 
 
-def objective_perturbation(config: ObjPertConfig, X, y, rng, start=None):
+def objective_perturbation(config: ObjPertConfig, X, y, rng):
     """Private ERM estimate via the extended objective-perturbation mechanism.
 
     Sets gamma from the budget split, draws V with density proportional to
@@ -437,28 +437,28 @@ def objective_perturbation(config: ObjPertConfig, X, y, rng, start=None):
     only meets ||grad J||_2 <= GRAD_TOL (1e-8), and nothing here bounds the
     difference.
 
-    start, if given, is minimize_erm's start, with X and y its own start.X
-    and start.y, and must sit at theta = 0: a data-dependent start (such as
-    the MLE) is refused with a ValueError. Without one,
-    evaluate(config.loss, X, y) builds it. The data and the start are
-    checked before any noise is drawn, so a refused call leaves rng as it
-    was. The one-pair case of objective_perturbation_rows.
+    evaluate(config.loss, X, y) builds the start at theta = 0, checking the
+    data before any noise is drawn, so a refused call leaves rng as it was.
+    The one-pair case of objective_perturbation_rows, which also takes a
+    shared start.
     """
-    return objective_perturbation_rows([(config, rng)], X, y, start)[0]
+    return objective_perturbation_rows([(config, rng)], X, y)[0]
 
 
 def objective_perturbation_rows(runs, X, y, start=None):
     """objective_perturbation for each (ObjPertConfig, generator) pair of
     runs on one design, as the rows of a (len(runs), m) array.
 
-    Row i is objective_perturbation(config_i, X, y, rng_i, start) bit for
-    bit, and each generator ends where that call leaves it. Every config's
-    loss is checked against the start (the one given, at theta = 0, or
-    evaluate(runs[0][0].loss, X, y), which validates the data) before any
-    draw, so a refused call leaves every generator as it was; so does a
-    generator that appears twice (sample_noise_rows refuses it). Then every
-    V is drawn in one sample_noise_rows call on the configs' noise, and
-    each row is fitted from the shared start, one at a time.
+    Row i is objective_perturbation(config_i, X, y, rng_i) bit for bit, and
+    each generator ends where that call leaves it. start, if given, is
+    minimize_erm's start, with X and y its own start.X and start.y, and must
+    sit at theta = 0: a data-dependent start (such as the MLE) is refused
+    with a ValueError. Every config's loss is checked against the start (the
+    one given, or evaluate(runs[0][0].loss, X, y), which validates the data)
+    before any draw, so a refused call leaves every generator as it was; so
+    does a generator that appears twice (sample_noise_rows refuses it). Then
+    every V is drawn in one sample_noise_rows call on the configs' noise,
+    and each row is fitted from the shared start, one at a time.
     """
     if not runs:
         raise ValueError("objective_perturbation_rows needs at least one run")

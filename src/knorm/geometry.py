@@ -90,6 +90,17 @@ def _reduce_rows(ufunc, a, initial=None):
     return out
 
 
+def _symmetric_uniform(g, shape, out=None):
+    """Draws uniform on [-1, 1] from g, into out (a C-contiguous array of
+    that shape) if given: g.uniform(-1.0, 1.0, shape) bit for bit, and g
+    ends where that call leaves it, as uniform computes -1 + 2u of the same
+    draws u and doubling is exact."""
+    x = g.random(shape, out=out)
+    x *= 2.0
+    x -= 1.0
+    return x
+
+
 def lp_norm(x, p):
     """lp norm of a vector, or row-wise norms of a 2-d array.
 
@@ -226,10 +237,10 @@ class NormBall:
 
     def uniform(self, rngs, n, max_proposals):
         """Exact uniform points of the unit-scale hull body from each
-        generator of rngs, drawn side by side (_hull_uniform), as one
-        (points, (accepted, proposals)) per generator: n points, or the fewer
-        it has once max_proposals proposals are spent. An lp ball's noise is
-        closed or polar form, so it raises ValueError naming sample_noise."""
+        generator of rngs, drawn side by side (_hull_uniform), as one stack
+        of every generator's points in turn and one (accepted, proposals) per
+        generator. An lp ball's noise is closed or polar form, so it raises
+        ValueError naming sample_noise."""
         if self.is_lp:
             raise ValueError(f"{self.label()} has no uniform sampler: use sample_noise")
         return _hull_uniform(self.pieces, self.dimension, rngs, n, max_proposals)
@@ -332,15 +343,15 @@ def _hull_chunk(pieces):
 
 
 class _HullStream:
-    """One generator's place in _hull_uniform: its accepted half sums, its
-    counts, and its chunk size while it has accepted nothing."""
+    """One generator's place in _hull_uniform: its n columns of half sums,
+    its counts, and its chunk size while it has accepted nothing."""
 
-    __slots__ = ("rng", "halves", "got", "accepted", "proposals", "chunk")
+    __slots__ = ("rng", "halves", "accepted", "proposals", "chunk")
 
-    def __init__(self, rng, n_sums, n):
+    def __init__(self, rng, halves):
         self.rng = rng
-        self.halves = np.empty((n_sums, n))
-        self.got = self.accepted = self.proposals = 0
+        self.halves = halves
+        self.accepted = self.proposals = 0
         self.chunk = 64
 
 
@@ -366,19 +377,20 @@ def _hull_uniform(pieces, dimension, rngs, n, max_proposals):
     per round on the chunks of the unfinished streams side by side, in
     passes of at most one chunk's columns (about 256 kB of piece weights;
     larger passes fault in fresh pages once many streams run side by side),
-    and one assembly fills every stream's points. Returns one (points,
-    (accepted, proposals)) per generator: n points, or the fewer accepted
-    once max_proposals proposals are spent.
+    each writing accepted half sums into its stream's columns of one buffer.
+    Returns (points, counts): the streams' points in turn, in one array that
+    their fills are drawn into and scaled in place, n each or, once
+    max_proposals proposals are spent, the accepted ones, and one
+    (accepted, proposals) per stream.
     """
-    streams = [_HullStream(rng, len(pieces.sum_slots), n) for rng in rngs]
-    if not streams:
-        return []
+    halves = np.empty((len(pieces.sum_slots), len(rngs) * n))
+    streams = [_HullStream(rng, halves[:, i * n:(i + 1) * n]) for i, rng in enumerate(rngs)]
     limit = _hull_chunk(pieces)
     live = streams if n else []
     while live:
         chunks = []
         for s in live:
-            k = s.chunk if not s.accepted else -(-(n - s.got) * s.proposals // s.accepted)
+            k = s.chunk if not s.accepted else -(-(n - s.accepted) * s.proposals // s.accepted)
             k = min(max(k, 64), limit, max_proposals - s.proposals)
             if k > 0:
                 chunks.append((s, k))
@@ -392,30 +404,25 @@ def _hull_uniform(pieces, dimension, rngs, n, max_proposals):
                 stop += 1
             _hull_pass(pieces, chunks[start:stop], n)
             start = stop
-        live = [s for s, _ in chunks if s.got < n]
-    halves = [s.halves[:, :s.got] for s in streams]
-    fills = [s.rng.uniform(-1.0, 1.0, size=(s.got, dimension)) for s in streams]
-    if len(streams) == 1:
-        halves, u = halves[0], fills[0]
-    else:
-        halves, u = np.concatenate(halves, axis=1), np.concatenate(fills)
+        live = [s for s, _ in chunks if s.accepted < n]
+    kept = [min(s.accepted, n) for s in streams]
+    if sum(kept) < halves.shape[1]:  # a stream ran out of budget: its filled columns only
+        halves = np.concatenate([s.halves[:, :k] for s, k in zip(streams, kept)], axis=1)
+    points = np.empty((sum(kept), dimension))
+    for s, rows in zip(streams, np.split(points, np.cumsum(kept)[:-1])):
+        _symmetric_uniform(s.rng, rows.shape, out=rows)
+    # each slot group reads its own uniforms, then writes its points over them
     sums = 2.0 * halves
-    out = np.empty_like(u)
-    out[:, pieces.sum_slots] = np.copysign(sums.T, u[:, pieces.sum_slots])
-    out[:, pieces.squares] = (
-        2.0 * _k2_weight(sums[:len(pieces.squares)]).T * u[:, pieces.squares])
-    out[:, pieces.pair_slots] = 2.0 * _k3_weights(halves, pieces).T * u[:, pieces.pair_slots]
-    points, start = [], 0
-    for s in streams:
-        points.append((out[start:start + s.got], (s.accepted, s.proposals)))
-        start += s.got
-    return points
+    points[:, pieces.sum_slots] = np.copysign(sums.T, points[:, pieces.sum_slots])
+    points[:, pieces.squares] *= 2.0 * _k2_weight(sums[:len(pieces.squares)]).T
+    points[:, pieces.pair_slots] *= 2.0 * _k3_weights(halves, pieces).T
+    return points, [(s.accepted, s.proposals) for s in streams]
 
 
 def _hull_pass(pieces, chunks, n):
     """Draw one chunk of k proposals for each (stream, k) of chunks, run the
-    kernels on all of them at once, and keep each stream's accepted sums,
-    up to n."""
+    kernels on all of them at once, and write each stream's accepted sums,
+    up to n, into its columns."""
     n_sq = len(pieces.squares)
     # the one rule on piece groups: a body without k3 pieces accepts every
     # proposal, so it draws no accept variate
@@ -438,13 +445,12 @@ def _hull_pass(pieces, chunks, n):
     for s, k in chunks:
         hs = h[:, start:start + k][:, keep[start:start + k]]
         start += k
+        filled = s.accepted  # below n, as the stream is live
         s.proposals += k
         s.accepted += hs.shape[1]
         if not hs.shape[1]:
             s.chunk *= 4
-        take = min(hs.shape[1], n - s.got)
-        s.halves[:, s.got:s.got + take] = hs[:, :take]
-        s.got += take
+        s.halves[:, filled:s.accepted] = hs[:, :n - filled]  # both sides stop at n
 
 
 def _side_by_side(parts):

@@ -19,7 +19,8 @@ import numpy as np
 
 from .erm import (_LOGISTIC_DELTAS, ObjPertConfig, _sigmoid, evaluate, logistic_loss_spec,
                   minimize_erm, objective_perturbation_rows)
-from .geometry import _check_integer, _check_mechanism, _check_positive, _check_unit
+from .geometry import (_check_integer, _check_mechanism, _check_positive, _check_unit,
+                       _symmetric_uniform)
 from .linreg import (_STATISTIC_DELTAS, _check_quantiles, ball_from_name, build_statistic,
                      dp_estimates, preprocess, statistic_from_gram, statistic_mechanism)
 from .ordering import gamma_cdf
@@ -150,17 +151,6 @@ def _noise_rng(config, cell, rep):
     return RngStream(config.seed, config.reps + cell * config.reps + rep).generator()
 
 
-def _design(g, shape, out=None):
-    """A design uniform on [-1, 1] from g, drawn into out (a C-contiguous
-    array of that shape) if given: g.uniform(-1.0, 1.0, shape) bit for bit,
-    and g ends where that call leaves it, as uniform computes -1 + 2u of the
-    same draws u and doubling is exact."""
-    x = g.random(shape, out=out)
-    x *= 2.0
-    x -= 1.0
-    return x
-
-
 #: noise streams per block of a run: a block draws its noise in one
 #: sample_noise_rows call and solves it in one dp_estimates call, so a run's
 #: memory is bounded by a block, whatever its replicate count
@@ -233,7 +223,7 @@ def simulate_logistic(config: SimulationConfig, *, n, q) -> ResultTable:
     table = ResultTable(_echo("logistic", config, n, q=_fmt(float(q)), m=m))
     for rep in range(config.reps):
         g = RngStream(config.seed, rep).generator()
-        X = _design(g, (n, m))
+        X = _symmetric_uniform(g, (n, m))
         u = g.random(n)
         y = (u < _sigmoid(X @ beta)).astype(float)
 
@@ -294,7 +284,7 @@ def simulate_coverage(config: SimulationConfig, *, n, p) -> ResultTable:
         stats, lo, hi, cov_true = [], [], [], []
         for rep in reps:
             g = RngStream(config.seed, rep).generator()
-            X[:, 1:] = _design(g, (n, p), out=uniforms)
+            X[:, 1:] = _symmetric_uniform(g, (n, p), out=uniforms)
             y = X @ beta + g.standard_normal(n)
 
             xtx, xty = X.T @ X, X.T @ y

@@ -100,7 +100,9 @@ class MechanismConfig:
     def __post_init__(self):
         _check_budget(self.epsilon, self.delta, self.ball)
         if not self.label:
-            object.__setattr__(self, "label", f"{self.ball.label()}:d={self.delta:g}")
+            # every digit of delta, as NormBall.label writes p
+            delta = repr(float(self.delta)).removesuffix(".0")
+            object.__setattr__(self, "label", f"{self.ball.label()}:d={delta}")
 
     @property
     def dimension(self):
@@ -247,27 +249,25 @@ def _noise(ball, draws, n):
     """n noise draws of a ball for each (MechanismConfig, generator) pair of
     draws, as a (len(draws)*n, m) array, and each pair's (accepted,
     proposals) counts: an lp ball's closed or polar form (_lp_stack) at
-    scale delta, counted as (n, n), or a hull's exact uniform points from
-    one NormBall.uniform call for every generator times independent
-    Gamma(m+1, eps/delta) radii. Every pair needs its own generator, which
-    draws in the order a run on that pair alone would, while the arithmetic
-    runs once on all pairs' rows.
+    scale delta, counted as (n, n), or a hull's exact uniform points, stacked
+    by one NormBall.uniform call for every generator, times the stacked
+    independent Gamma(m+1, eps/delta) radii. Every pair needs its own
+    generator, which draws in the order a run on that pair alone would,
+    while the arithmetic runs once on all pairs' rows.
     Raises SamplerError, reporting the observed acceptance rate, for a hull
     pair whose MAX_PROPOSALS run out first."""
     m = ball.dimension
     if ball.is_lp:
         return _lp_stack(ball.p, m, draws, n).reshape(-1, m), [(n, n)] * len(draws)
-    points = ball.uniform([rng for _, rng in draws], n, MAX_PROPOSALS)
-    for u, (accepted, proposals) in points:
-        if len(u) < n:  # the sampler returns the points it has once out of budget
+    noise, counts = ball.uniform([rng for _, rng in draws], n, MAX_PROPOSALS)
+    for accepted, proposals in counts:
+        if accepted < n:
             raise SamplerError(
-                f"rejection sampling failed: {len(u)}/{n} accepted after {proposals} "
+                f"rejection sampling failed: {accepted}/{n} accepted after {proposals} "
                 f"proposals (acceptance rate {accepted / proposals if proposals else 0.0:.3g})")
-    r = _gamma_radii(m + 1, draws, n)
-    u = points[0][0] if len(points) == 1 else np.concatenate([u for u, _ in points])
-    noise = r.reshape(-1, 1) * u
+    noise *= _gamma_radii(m + 1, draws, n).reshape(-1, 1)
     # 0.0 + v turns each -0.0 of v into 0.0, as T + v does with a zero T
-    return np.add(0.0, noise, out=noise), [counts for _, counts in points]
+    return np.add(0.0, noise, out=noise), counts
 
 
 def sample_k_mech_rejection(T, ball: NormBall, delta_k, epsilon, rng, size=None,

@@ -93,7 +93,7 @@ def box_rejection(ball, rng, n, max_proposals):
 def uniform_points(ball, rng, n):
     """n exact uniform points of a ball from its own sampler, and their
     (accepted, proposals) counts."""
-    (pts, counts), = ball.uniform([rng], n, sampling.MAX_PROPOSALS)
+    pts, [counts] = ball.uniform([rng], n, sampling.MAX_PROPOSALS)
     assert len(pts) == n
     return pts, counts
 
@@ -139,15 +139,17 @@ def noise_pair_by_pair(ball, draws, n):
     """n noise draws of a ball for each (MechanismConfig, generator) pair of
     draws, as a (len(draws)*n, m) array, pair by pair: lp_noise_one_pair for
     an lp ball, or a hull's uniform points (one NormBall.uniform call for
-    every generator) times a Gamma(m+1) radius drawn and scaled per pair."""
+    every generator, whose stack holds each pair's n points in turn) times
+    a Gamma(m+1) radius drawn and scaled per pair."""
     if ball.is_lp:
         return np.concatenate([
             lp_noise_one_pair(ball.p, ball.dimension, config.delta, config.epsilon, rng, n)
             for config, rng in draws])
-    points = ball.uniform([rng for _, rng in draws], n, 10**6)
+    points, counts = ball.uniform([rng for _, rng in draws], n, 10**6)
+    assert len(points) == len(draws) * n and all(accepted >= n for accepted, _ in counts)
     noise = np.empty((len(draws) * n, ball.dimension))
-    for i, ((config, rng), (u, _)) in enumerate(zip(draws, points)):
-        assert len(u) == n
+    for i, (config, rng) in enumerate(draws):
+        rows = slice(i * n, (i + 1) * n)
         r = gamma_radius(ball.dimension + 1, config.rate, rng, n)
-        np.multiply(r[:, None], u, out=noise[i * n:(i + 1) * n])
+        np.multiply(r[:, None], points[rows], out=noise[rows])
     return 0.0 + noise

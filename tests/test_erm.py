@@ -244,8 +244,8 @@ class TestSharedStart:
         for eps in DEFAULT_LOGISTIC_EPS:
             for spec in specs:
                 config = ObjPertConfig(eps, 0.5, spec)
-                shared = objective_perturbation(config, start.X, start.y,
-                                                RngStream(75, stream).generator(), start=start)
+                shared, = objective_perturbation_rows(
+                    [(config, RngStream(75, stream).generator())], start.X, start.y, start=start)
                 alone = objective_perturbation(config, X, y, RngStream(75, stream).generator())
                 assert np.array_equal(shared, alone)
                 stream += 1
@@ -283,7 +283,8 @@ class TestSharedStart:
         rng = RngStream(76, 1).generator()
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="start"):
-            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), X, y, rng, start=elsewhere)
+            objective_perturbation_rows([(ObjPertConfig(1.0, 0.5, spec), rng)], X, y,
+                                        start=elsewhere)
         assert rng.bit_generator.state == state
 
     def test_objective_perturbation_refuses_nonzero_start(self):
@@ -295,8 +296,9 @@ class TestSharedStart:
         start = evaluate(spec, X, y, mle)
         assert np.array_equal(minimize_erm(spec, start.X, start.y, start=start), mle)
         with pytest.raises(ValueError, match="theta = 0"):
-            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), start.X, start.y,
-                                   RngStream(77, 1).generator(), start=start)
+            objective_perturbation_rows([(ObjPertConfig(1.0, 0.5, spec),
+                                          RngStream(77, 1).generator())],
+                                        start.X, start.y, start=start)
 
     def test_start_is_read_only_and_fits_return_their_own_theta(self, monkeypatch):
         X, y = self.replicate(78)
@@ -381,7 +383,8 @@ class TestLayout:
         with pytest.raises(ValueError, match="start"):
             minimize_erm(spec, X, y, start=start)
         with pytest.raises(ValueError, match="start"):
-            objective_perturbation(config, X, y, RngStream(82, 1).generator(), start=start)
+            objective_perturbation_rows([(config, RngStream(82, 1).generator())], X, y,
+                                        start=start)
         # int labels are converted by evaluate, so only start.y is accepted
         ints = evaluate(spec, X, y.astype(int))
         with pytest.raises(ValueError, match="start"):
@@ -389,8 +392,8 @@ class TestLayout:
         assert np.array_equal(minimize_erm(spec, start.X, start.y, start=start),
                               minimize_erm(spec, X, y))
         assert np.array_equal(
-            objective_perturbation(config, start.X, start.y, RngStream(82, 1).generator(),
-                                   start=start),
+            objective_perturbation_rows([(config, RngStream(82, 1).generator())],
+                                        start.X, start.y, start=start)[0],
             objective_perturbation(config, X, y, RngStream(82, 1).generator()))
 
     def test_startless_objective_perturbation_converts_once(self):
@@ -564,8 +567,9 @@ class TestValidation:
         assert len(calls) == 1 and calls[0] is start.X
         minimize_erm(specs[2], start.X, start.y, start=start)
         for i, spec in enumerate(specs):
-            objective_perturbation(ObjPertConfig(1.0, 0.5, spec), start.X, start.y,
-                                   RngStream(84, 1 + i).generator(), start=start)
+            objective_perturbation_rows([(ObjPertConfig(1.0, 0.5, spec),
+                                          RngStream(84, 1 + i).generator())],
+                                        start.X, start.y, start=start)
         assert len(calls) == 1
         # without a start, each fit validates its own data
         objective_perturbation(ObjPertConfig(1.0, 0.5, specs[0]), X, y,
@@ -852,7 +856,7 @@ class TestObjectivePerturbationRows:
         rows = objective_perturbation_rows(runs, *data, start=start)
         assert rows.shape == (len(runs), 7)
         for row, (_, rng), (config, rng_alone) in zip(rows, runs, alone):
-            theta = objective_perturbation(config, *data, rng_alone, start=start)
+            theta, = objective_perturbation_rows([(config, rng_alone)], *data, start=start)
             assert np.array_equal(row, theta)
             assert rng.bit_generator.state == rng_alone.bit_generator.state
 

@@ -1,4 +1,5 @@
 import ast
+import copy
 import dataclasses
 import math
 import os
@@ -435,6 +436,50 @@ class TestHullSampler:
         assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("name", ["k2", "k3", "kt3", "kt12"])
+class TestUniformStack:
+    """NormBall.uniform returns one stack: the points of every generator in
+    turn, each generator's rows and end state those of a call on it alone,
+    and one (accepted, proposals) per generator."""
+
+    #: (n, budget) at which the generators of RngStream(9, 0..4) fall short:
+    #: all of k2's (it accepts every proposal), some of the others'
+    SHORT = {"k2": (200, 100), "k3": (245, 300), "kt3": (185, 300), "kt12": (12, 300)}
+
+    @staticmethod
+    def _check(ball, rngs, n, budget):
+        alone = copy.deepcopy(rngs)
+        points, counts = ball.uniform(rngs, n, budget)
+        want = [ball.uniform([rng], n, budget) for rng in alone]
+        assert same_bytes(points, np.concatenate([pts for pts, _ in want]))
+        assert counts == [c for _, [c] in want]
+        for a, b in zip(rngs, alone):
+            assert a.bit_generator.state == b.bit_generator.state
+        return points, counts
+
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_stack_is_the_one_generator_calls(self, name, count, n):
+        ball = HULLS[name]()
+        rngs = [RngStream(40 + n, i).generator() for i in range(count)]
+        points, counts = self._check(ball, rngs, n, 10**6)
+        assert points.shape == (count * n, ball.dimension) and len(counts) == count
+
+    def test_short_generators_add_only_their_accepted_rows(self, name):
+        ball = HULLS[name]()
+        n, budget = self.SHORT[name]
+        rngs = [RngStream(9, i).generator() for i in range(5)]
+        points, counts = self._check(ball, rngs, n, budget)
+        kept = [min(accepted, n) for accepted, _ in counts]
+        assert len(points) == sum(kept) and min(kept) < n
+        assert (max(kept) == n) == (name != "k2")
+
+    def test_no_generators(self, name):
+        ball = HULLS[name]()
+        points, counts = ball.uniform([], 3, 10**6)
+        assert points.shape == (0, ball.dimension) and counts == []
+
+
 def full_sum_k3_weights(x, pieces):
     # the k3 weights on full sums x: 2 - (x_j + x_k)/2, capped at 1
     w = x[pieces.pair_j] + x[pieces.pair_k]
@@ -535,7 +580,7 @@ class TestHalfSumKernels:
         ball = HULLS[name]()
         for n in (1, 2, 257):
             new, old = RngStream(seed, n).generator(), RngStream(seed, n).generator()
-            (pts, counts), = ball.uniform([new], n, 10**6)
+            pts, [counts] = ball.uniform([new], n, 10**6)
             want, want_counts = full_sum_uniform(ball.pieces, ball.dimension, old, n, 10**6)
             assert same_bytes(pts, want) and counts == want_counts
             assert new.bit_generator.state == old.bit_generator.state
@@ -543,29 +588,29 @@ class TestHalfSumKernels:
     @pytest.mark.parametrize("count", [1, 2, 7, 70])
     def test_stacked_streams(self, name, count):
         # every stream of a stack gets the points, counts and end state of
-        # the full-sum reference on its generator alone
+        # the full-sum reference on its generator alone, its rows in turn
         ball = HULLS[name]()
         for n in (0, 1, 3):
             new = [RngStream(count, i).generator() for i in range(count)]
             old = [RngStream(count, i).generator() for i in range(count)]
-            got = _hull_uniform(ball.pieces, ball.dimension, new, n, 10**6)
-            assert len(got) == count
-            for (pts, counts), a, b in zip(got, new, old):
-                want, want_counts = full_sum_uniform(ball.pieces, ball.dimension, b, n, 10**6)
-                assert same_bytes(pts, want) and counts == want_counts
+            points, counts = _hull_uniform(ball.pieces, ball.dimension, new, n, 10**6)
+            want = [full_sum_uniform(ball.pieces, ball.dimension, b, n, 10**6) for b in old]
+            assert same_bytes(points, np.concatenate([pts for pts, _ in want]))
+            assert counts == [c for _, c in want]
+            for a, b in zip(new, old):
                 assert a.bit_generator.state == b.bit_generator.state
 
     def test_stacked_budget_runs_out(self, name):
-        # a stream out of budget returns the points it has, beside full streams
+        # a stream out of budget adds the points it has, beside full streams
         ball = HULLS[name]()
         new = [RngStream(9, i).generator() for i in range(5)]
         old = [RngStream(9, i).generator() for i in range(5)]
-        got = _hull_uniform(ball.pieces, ball.dimension, new, 200, 300)
-        for (pts, counts), a, b in zip(got, new, old):
-            want, want_counts = full_sum_uniform(ball.pieces, ball.dimension, b, 200, 300)
-            assert same_bytes(pts, want) and counts == want_counts
+        points, counts = _hull_uniform(ball.pieces, ball.dimension, new, 200, 300)
+        want = [full_sum_uniform(ball.pieces, ball.dimension, b, 200, 300) for b in old]
+        assert same_bytes(points, np.concatenate([pts for pts, _ in want]))
+        assert counts == [c for _, c in want]
+        for a, b in zip(new, old):
             assert a.bit_generator.state == b.bit_generator.state
-        assert _hull_uniform(ball.pieces, ball.dimension, [], 1, 10**6) == []
 
     def test_single_noise_draws(self, name):
         ball = HULLS[name]()

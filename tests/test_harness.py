@@ -635,9 +635,9 @@ class TestCli:
         (["compare", "--a", "l1:1", "--b", "linf:0", "--m", "2"],
          "--b linf:0 at --eps 1.0: delta must be positive and finite, got 0.0"),
         (["simulate-logistic", "--eps", "1,1e-320", "--n", "100", "--reps", "1"],
-         "--eps: epsilon=1e-320 and q=0.5 give an invalid regularization weight gamma=inf"),
+         "--eps/--q: epsilon=1e-320 and q=0.5 give an invalid regularization weight gamma=inf"),
         (["simulate-logistic", "--eps", "5e-324", "--n", "100", "--reps", "1"],
-         "--eps: epsilon=5e-324 and q=0.5 give an invalid regularization weight gamma=inf"),
+         "--eps/--q: epsilon=5e-324 and q=0.5 give an invalid regularization weight gamma=inf"),
         (["simulate-coverage", "--eps", "1e-320", "--n", "100", "--p", "2", "--reps", "1"],
          "--eps: epsilon=1e-320 and delta=16.0 can give non-finite noise for l1 at m=8 "
          "(rate epsilon/delta = 6.23e-322)"),
@@ -648,13 +648,17 @@ class TestCli:
         (["run-regression", "--csv", "missing.csv", "--response", "y", "--eps", "inf"],
          "--eps: epsilon must be positive and finite, got inf"),
         (["simulate-logistic", "--eps", "inf", "--n", "100", "--reps", "1"],
-         "--eps: epsilon must be positive and finite, got inf"),
+         "--eps/--q: epsilon must be positive and finite, got inf"),
         (["simulate-coverage", "--eps", "1,nan", "--n", "100", "--p", "2", "--reps", "1"],
          "--eps: epsilon must be positive and finite, got nan"),
+        (["simulate-logistic", "--n", "50", "--reps", "1", "--eps", "1", "--q", "1e-150",
+          "--mech", "l1"],
+         "--eps/--q: epsilon=1.0 and q=1e-150 give noise whose squared norm can overflow "
+         "(||V|| up to 2.207614893952294e+155 at m=7)"),
     ], ids=["sample-subnormal", "sample-rate-underflow", "compare-a", "compare-b",
             "simulate-logistic", "simulate-logistic-zero-gamma", "simulate-coverage",
             "run-regression", "run-regression-nan", "run-regression-inf",
-            "simulate-logistic-inf", "simulate-coverage-nan"])
+            "simulate-logistic-inf", "simulate-coverage-nan", "simulate-logistic-q"])
     def test_refused_budget_names_its_options(self, capsys, monkeypatch, argv, err):
         # refused from the options alone, before the CSV is read or any stream drawn
         def refused(*args, **kwargs):

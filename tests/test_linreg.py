@@ -361,18 +361,20 @@ def k2_profile_cdf(a):
 
 
 class EdgeRng:
-    """Real uniforms for the sums and the acceptance test, but every
-    uniform(lo, hi) draw at lo or hi: filled slots land on their interval
-    ends and the response sum at 0 or 2."""
+    """Real uniforms for the sums and the acceptance test, but the fill of
+    the other slots, the one draw written into an out array, at 0 or 1:
+    its uniform(-1, 1) values 2u - 1 are -1 or 1, so filled slots land on
+    their interval ends."""
 
     def __init__(self, seed):
         self.g = np.random.default_rng(seed)
 
-    def random(self, size):
-        return self.g.random(size)
-
-    def uniform(self, lo, hi, size):
-        return np.where(self.g.random(size) < 0.5, lo, hi)
+    def random(self, size, out=None):
+        u = self.g.random(size)
+        if out is None:
+            return u
+        out[...] = u >= 0.5
+        return out
 
 
 class TestKtFactorization:

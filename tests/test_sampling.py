@@ -8,6 +8,7 @@ import scipy.stats as sps
 from knorm import geometry, sampling
 from knorm.geometry import NormBall, k2_ball, lp_norm
 from knorm.linreg import ball_from_name, statistic_mechanism
+from knorm.ordering import compare
 from knorm.sampling import (
     _gamma_radii,
     _lp_stack,
@@ -421,7 +422,16 @@ class TestMechanismConfig:
     def test_rate_and_label(self):
         config = MechanismConfig(2.0, 4.0, NormBall.lp(1, 1, 2))
         assert config.rate == 0.5
-        assert config.label
+        assert config.label == "l1:d=4"
+
+    def test_default_labels_keep_every_digit_of_delta(self):
+        # close sensitivities get distinct labels, so compare names the
+        # tighter config unambiguously
+        ball = NormBall.lp(1, 1, 2)
+        close, whole = MechanismConfig(1.0, 1.9999999, ball), MechanismConfig(1.0, 2, ball)
+        assert (close.label, whole.label) == ("l1:d=1.9999999", "l1:d=2")
+        assert compare(whole, close).preferred_by_containment == "l1:d=1.9999999"
+        assert MechanismConfig(1.0, 1e200, ball).label == "l1:d=1e+200"
 
     def test_budget_error_is_exported(self):
         # every release path refuses a budget with it, so callers can catch it
